@@ -1,9 +1,9 @@
 """Ablation 5 (DESIGN.md §6): datatype pack strategies.
 
-Compares the zero-copy contiguous fast path against vectorized
+Compares the zero-copy contiguous fast path against word-granular
 derived-type gathering across layouts and sizes, and verifies the
-gather-index cache makes repeated packs of the same (type, count)
-cheap — the reuse pattern of every timestepping code.
+plan compiled at commit makes repeated packs of the same (type, count)
+build nothing — the reuse pattern of every timestepping code.
 """
 
 import time
@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from repro.datatypes import contiguous, pack, subarray, unpack, vector
-from repro.datatypes.pack import _gather_indices
 from repro.datatypes.predefined import DOUBLE
 from repro.instrument.report import format_table
 
@@ -40,10 +39,25 @@ def test_pack_strategies_all_correct(print_artifact):
         # Every packed byte position must round-trip.
         packed_again = pack(out, count, dt)
         assert packed_again == data, name
-        rows.append([name, len(data), len(dt.typemap)])
+        # What the gather reads besides the payload, per payload byte:
+        # nothing on the contiguous path, else one intp per word —
+        # 8.0 through a byte index (what a misaligned buffer still
+        # gets), 1.0 at the DOUBLE granule.
+        if dt.contig:
+            assert dt.plan is None
+            granule, per_byte, per_word = "-", 0.0, 0.0
+        else:
+            granule = dt.plan.granule
+            per_byte, per_word = (
+                dt.plan.index(count, g)[0].nbytes / len(data)
+                for g in (1, granule))
+            assert (granule, per_byte, per_word) == (8, 8.0, 1.0)
+        rows.append([name, len(data), len(dt.typemap), granule,
+                     per_byte, per_word])
     print_artifact("Ablation: datatype pack strategies",
-                   format_table(["Layout", "Packed bytes", "Segments"],
-                                rows))
+                   format_table(["Layout", "Packed bytes", "Segments",
+                                 "Granule", "Index B / payload B (bytes)",
+                                 "(words)"], rows))
 
     # The face layout matches the numpy slice it describes.
     face, _ = _layouts()["face (z)"]
@@ -52,23 +66,33 @@ def test_pack_strategies_all_correct(print_artifact):
         cube[:, :, N - 1].reshape(-1))
 
 
-def test_gather_index_cache_amortizes():
-    dt = subarray([N, N, N], [N, 1, N], [0, N // 2, 0], DOUBLE).commit()
+def test_committed_plan_amortizes():
+    dt = subarray([N, N, N], [N, 1, N], [0, N // 2, 0], DOUBLE)
     cube = np.zeros(N ** 3, dtype=np.float64)
+    assert dt.plan is None
 
-    _gather_indices.cache_clear()
     t0 = time.perf_counter()
+    dt.commit()
     pack(cube, 1, dt)
     cold = time.perf_counter() - t0
+
+    # The committed handle holds the plan, and packing builds nothing
+    # more: the index is the same object before and after.
+    plan = dt.plan
+    index, _ = plan.index(1, plan.granule)
+    assert plan.granule == 8 and index.size == N * N
 
     t0 = time.perf_counter()
     for _ in range(20):
         pack(cube, 1, dt)
     warm = (time.perf_counter() - t0) / 20
 
-    info = _gather_indices.cache_info()
-    assert info.hits >= 20
+    assert dt.plan is plan
+    assert plan.index(1, plan.granule)[0] is index
     assert warm <= cold   # index building amortized away
+
+    dt.free()
+    assert dt.plan is None
 
 
 def test_bench_pack_contiguous(benchmark):

@@ -1,12 +1,22 @@
-"""Vectorized pack/unpack engines.
+"""Pack/unpack engines: one range for contiguous types, one word
+gather for everything else.
 
 Messages travel through the runtime as contiguous byte ranges.
 Packing a ``(buffer, count, datatype)`` triple gathers the true-data
-bytes of *count* elements; unpacking scatters them back.  Both paths
-are numpy-vectorized: a gather-index array is built once per
-``(datatype, count)`` and cached, after which pack/unpack are single
-fancy-indexing operations — the idiom the HPC-Python guides prescribe
-(vectorize the loop, reuse the index arrays, avoid per-element Python).
+bytes of *count* elements; unpacking scatters them back.
+
+Everything that depends on the datatype alone is compiled when the
+type is committed (:class:`repro.datatypes.typemap.GatherPlan`, held
+by the datatype handle and dropped by ``free``): the *granule* — the
+widest word of 8, 4, 2 or 1 bytes that divides the extent and every
+segment offset and length — and the index of the element's words.
+The per-message path then validates the buffer, views the span the
+elements occupy as words of that width and moves them with a single
+``words[idx]`` (``words[idx] = src`` on receive), so a strided column
+of doubles costs one move and one 8-byte index entry per double, not
+eight of each.  The byte gather is the granule-1 case of the same
+code, not a second engine, and a buffer whose base address is not
+aligned to the granule is viewed at the widest width that is.
 
 The fast path (contiguous datatype) is genuinely zero-copy: ``pack``
 returns a read-through ``memoryview`` of the caller's storage unless
@@ -19,13 +29,13 @@ can be cross-checked at runtime.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
 from repro.datatypes.predefined import Datatype
-from repro.errors import MPIErrBuffer, MPIErrCount, MPIErrTruncate
+from repro.errors import (MPIErrBuffer, MPIErrCount, MPIErrDatatype,
+                          MPIErrTruncate)
 from repro.instrument import copies
 
 Buffer = Union[bytes, bytearray, memoryview, np.ndarray]
@@ -55,17 +65,25 @@ def packed_size(count: int, datatype: Datatype) -> int:
     return count * datatype.size
 
 
-@lru_cache(maxsize=512)
-def _gather_indices(datatype: Datatype, count: int) -> np.ndarray:
-    """Byte gather indices for *count* elements of *datatype*.
+_WORDS = {8: np.uint64, 4: np.uint32, 2: np.uint16, 1: np.uint8}
 
-    Built from the per-element offsets broadcast across element
-    extents; cached because applications reuse the same (type, count)
-    on every timestep.
+
+def _word_view(span: np.ndarray, count: int, datatype: Datatype):
+    """View *span* — exactly the bytes *count* elements of a
+    non-contiguous *datatype* occupy — as the widest words both the
+    type's plan and the buffer's base address allow.
+
+    Returns the words, the plan's index of the elements' words at that
+    width, and whether two of the elements overlap.
     """
-    per_elem = np.asarray(datatype.typemap.byte_offsets(), dtype=np.intp)
-    starts = np.arange(count, dtype=np.intp) * datatype.extent
-    return (starts[:, None] + per_elem[None, :]).reshape(-1)
+    plan = datatype.gather_plan()
+    granule = plan.granule
+    words = span.view(_WORDS[granule])
+    while not words.flags.aligned:
+        granule //= 2
+        words = span.view(_WORDS[granule])
+    idx, overlapping = plan.index(count, granule)
+    return words, idx, overlapping
 
 
 def _required_span(count: int, datatype: Datatype) -> int:
@@ -108,9 +126,9 @@ def pack(buf: Buffer, count: int, datatype: Datatype,
             return seg.tobytes()   # bufcheck: ignore[BC504] - copy mode
         copies.note_view(seg.size)
         return seg.data
-    idx = _gather_indices(datatype, count)
-    gathered = raw[idx]
-    copies.note_copy(gathered.size)
+    words, idx, _ = _word_view(raw[:need], count, datatype)
+    gathered = words[idx]
+    copies.note_copy(gathered.nbytes)
     return gathered.tobytes()
 
 
@@ -148,6 +166,12 @@ def unpack(data: Packed, buf: Buffer, count: int,
     if datatype.contig:
         raw[: len(data)] = src   # the one receive-side scatter copy
     else:
-        idx = _gather_indices(datatype, nelem)
-        raw[idx] = src
+        words, idx, overlapping = _word_view(raw[:need], nelem, datatype)
+        if overlapping:
+            raise MPIErrDatatype(
+                f"cannot unpack {nelem} x {datatype.name}: its elements "
+                f"overlap (extent {datatype.extent} < upper bound "
+                f"{datatype.typemap.ub}), so the result would depend "
+                "on the order bytes are written in")
+        words[idx] = src.view(words.dtype)
     return nelem

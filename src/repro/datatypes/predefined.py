@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.datatypes.typemap import TypeSegment, Typemap
+from repro.datatypes.typemap import GatherPlan, TypeSegment, Typemap
 
 
 class Datatype:
@@ -35,7 +35,7 @@ class Datatype:
     """
 
     __slots__ = ("name", "size", "extent", "lb", "typemap", "np_dtype",
-                 "committed", "predefined", "contig")
+                 "committed", "predefined", "contig", "plan")
 
     def __init__(self, name: str, size: int, extent: int,
                  typemap: Typemap, np_dtype: Optional[np.dtype] = None,
@@ -52,19 +52,35 @@ class Datatype:
         #: True when one element's data occupies [lb, lb+size) densely
         #: and extent == size — the layout the fast path requires.
         self.contig = typemap.is_contiguous() and extent == size and lb == 0
+        #: The layout compiled for pack/unpack; contiguous types move
+        #: as one range and never need one.
+        self.plan: Optional[GatherPlan] = None
 
     def commit(self) -> "Datatype":
-        """Mark the type ready for use in communication (MPI_TYPE_COMMIT)."""
+        """Mark the type ready for use in communication
+        (MPI_TYPE_COMMIT) and compile its gather plan, so that no
+        message pays for what depends on the type alone."""
         self.committed = True
+        if not self.contig:
+            self.gather_plan()
         return self
 
+    def gather_plan(self) -> GatherPlan:
+        """The compiled layout, built on first use for callers that
+        pack without committing."""
+        plan = self.plan
+        if plan is None:
+            plan = self.plan = GatherPlan(self.typemap, self.extent)
+        return plan
+
     def free(self) -> None:
-        """Release the handle (MPI_TYPE_FREE).  Predefined types cannot
-        be freed."""
+        """Release the handle and its compiled plan (MPI_TYPE_FREE).
+        Predefined types cannot be freed."""
         if self.predefined:
             from repro.errors import MPIErrDatatype
             raise MPIErrDatatype(f"cannot free predefined type {self.name}")
         self.committed = False
+        self.plan = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "predefined" if self.predefined else "derived"

@@ -13,12 +13,18 @@ import numpy as np
 
 from repro.datatypes.pack import Buffer, as_bytes, pack, packed_size, unpack
 from repro.datatypes.predefined import Datatype
-from repro.errors import MPIErrArg, MPIErrBuffer
+from repro.errors import MPIErrArg, MPIErrBuffer, MPIErrDatatype
 
 
 def pack_size(count: int, datatype: Datatype) -> int:
     """MPI_PACK_SIZE: bytes needed to pack (count, datatype)."""
     return packed_size(count, datatype)
+
+
+def _require_committed(datatype: Datatype) -> None:
+    if not datatype.committed:
+        raise MPIErrDatatype(
+            f"datatype {datatype.name} used before commit")
 
 
 def mpi_pack(inbuf: Buffer, count: int, datatype: Datatype,
@@ -28,6 +34,7 @@ def mpi_pack(inbuf: Buffer, count: int, datatype: Datatype,
     *position*; returns the updated position."""
     if position < 0:
         raise MPIErrArg(f"position must be >= 0, got {position}")
+    _require_committed(datatype)
     data = pack(inbuf, count, datatype)
     out = as_bytes(outbuf)
     if not out.flags.writeable:
@@ -47,6 +54,7 @@ def mpi_unpack(inbuf: Buffer, position: int, outbuf: Buffer, count: int,
     starting at *position*; returns the updated position."""
     if position < 0:
         raise MPIErrArg(f"position must be >= 0, got {position}")
+    _require_committed(datatype)
     raw = as_bytes(inbuf)
     nbytes = packed_size(count, datatype)
     end = position + nbytes

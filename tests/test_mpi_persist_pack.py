@@ -6,7 +6,8 @@ import pytest
 from repro.core.config import BuildConfig
 from repro.datatypes import vector
 from repro.datatypes.predefined import DOUBLE, INT
-from repro.errors import MPIErrArg, MPIErrBuffer, MPIErrRank, MPIErrRequest
+from repro.errors import (MPIErrArg, MPIErrBuffer, MPIErrDatatype, MPIErrRank,
+                          MPIErrRequest)
 from repro.mpi.packapi import mpi_pack, mpi_unpack, pack_size
 from repro.mpi.persist import startall
 from tests.conftest import run_world
@@ -172,6 +173,24 @@ class TestPackAPI:
             mpi_pack(np.zeros(1), 1, DOUBLE, bytearray(8), -1)
         with pytest.raises(MPIErrArg):
             mpi_unpack(bytearray(8), -1, np.zeros(1), 1, DOUBLE)
+
+    def test_uncommitted_and_freed_types_rejected(self):
+        """Same typed error, same text, as pt2pt and RMA give."""
+        arr = np.arange(8, dtype=np.float64)
+        never = vector(2, 1, 3, DOUBLE)
+        freed = vector(2, 1, 3, DOUBLE).commit()
+        packed = bytearray(16)
+        assert mpi_pack(arr, 1, freed, packed, 0) == 16
+        freed.free()
+        assert freed.plan is None
+        for dt in (never, freed):
+            with pytest.raises(MPIErrDatatype,
+                               match=r"hvector.* used before commit"):
+                mpi_pack(arr, 1, dt, bytearray(16), 0)
+            with pytest.raises(MPIErrDatatype,
+                               match=r"hvector.* used before commit"):
+                mpi_unpack(packed, 0, arr, 1, dt)
+            assert dt.plan is None      # nothing compiled on the way out
 
     def test_packed_bytes_travel_as_bytes(self):
         """The classic MPI_PACK use: heterogeneous payload as BYTE."""
