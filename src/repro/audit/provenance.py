@@ -18,6 +18,9 @@ Parameter bindings propagate through calls (memoized per entry on the
 (function, bindings) pair), tuple assignments and conditional
 expressions are folded, and the CH3 ``for cat, sub, cost in
 steps.values()`` idiom expands to every key of the bound step table.
+The record call ``proc.plan(key, charging, *args)`` is followed as
+``charging(proc, *args)``, so a charging function compiled into a
+charge plan is walked exactly like one called stepwise.
 """
 
 from __future__ import annotations
@@ -262,10 +265,21 @@ class ProvenanceAnalyzer:
 
     def _handle_call(self, call: ast.Call, env, func) -> None:
         fn = call.func
-        if isinstance(fn, ast.Attribute) and fn.attr == "charge" \
-                and "proc" in self._resolve(fn.value, env, func):
-            self._record_charge(call, env, func)
+        on_proc = (isinstance(fn, ast.Attribute)
+                   and "proc" in self._resolve(fn.value, env, func))
+        if on_proc and fn.attr == "charge":
+            # ``proc.charge(plan)`` replays a compiled plan: its charge
+            # sites are the steps of the charging function followed below.
+            if len(call.args) + len(call.keywords) > 1:
+                self._record_charge(call, env, func)
             return
+        if on_proc and fn.attr == "plan" and len(call.args) >= 2:
+            # The record call ``proc.plan(key, charging, *args)`` runs
+            # ``charging(recorder, *args)``: follow it as that call, the
+            # recorder standing in for the proc.
+            call = ast.Call(func=call.args[1],
+                            args=[fn.value, *call.args[2:]], keywords=[])
+            fn = call.func
         if isinstance(fn, ast.Name) \
                 and "chargefn" in env.get(fn.id, frozenset()):
             self._record_charge(call, env, func)

@@ -57,8 +57,8 @@ class CH3Device:
                 f"{op.mpi_name}: MPICH/Original (CH3) does not implement "
                 "the proposed MPI-standard extensions")
 
-    def _charge_steps(self, steps) -> None:
-        charge = self.proc.charge
+    def _charge_steps(self, proc, steps) -> None:
+        charge = proc.charge
         for category, subsystem, cost in steps.values():
             charge(category, cost, subsystem)
 
@@ -75,7 +75,8 @@ class CH3Device:
         """Issue a send through the VC/protocol machinery."""
         self._reject_extensions(op)
         proc = self.proc
-        self._charge_steps(self.costs.ch3_isend_steps)
+        proc.charge(proc.plan("ch3_isend", self._charge_steps,
+                              self.costs.ch3_isend_steps))
 
         if op.dest == PROC_NULL:
             request = proc.request_pool.acquire(RequestKind.SEND)
@@ -127,7 +128,8 @@ class CH3Device:
         """Post a receive through the CH3 request machinery."""
         self._reject_extensions(op)
         proc = self.proc
-        self._charge_steps(self.costs.ch3_isend_steps)
+        proc.charge(proc.plan("ch3_isend", self._charge_steps,
+                              self.costs.ch3_isend_steps))
 
         request = proc.request_pool.acquire(RequestKind.RECV)
         if op.source == PROC_NULL:
@@ -166,7 +168,9 @@ class CH3Device:
     def _rma_common(self, op):
         """Charge the CH3 RMA packet path; resolve the target."""
         self._reject_extensions(op)
-        self._charge_steps(self.costs.ch3_put_steps)
+        proc = self.proc
+        proc.charge(proc.plan("ch3_put", self._charge_steps,
+                              self.costs.ch3_put_steps))
         if op.target_rank == PROC_NULL:
             return None
         target_world = op.win.comm.translation.world_rank(op.target_rank)

@@ -74,16 +74,25 @@ class CH4Device:
             return self.shmmod
         return self.netmod
 
+    def _path_key(self, path: str, flags: ExtFlags, static_handle: bool,
+                  comm, dtref: DatatypeRef) -> tuple:
+        """The plan key of *path*: what its charging code branches on
+        beyond the build — flags, handle kind, translation class,
+        datatype usage class."""
+        return (path, flags.bits, static_handle,
+                comm.translation.lookup_instructions, dtref.usage.index)
+
     @fastpath
-    def _charge_object_lookup(self, flags: ExtFlags, static_handle: bool,
+    def _charge_object_lookup(self, proc, flags: ExtFlags,
+                              static_handle: bool,
                               mandatory: MandatoryCosts) -> None:
         """Section 3.3: dynamic-object dereference vs static-index load."""
         if flags.static_comm or static_handle:
-            self.proc.charge(_MAND, self.costs.predefined_object_lookup,
-                             Subsystem.OBJECT_LOOKUP)
+            proc.charge(_MAND, self.costs.predefined_object_lookup,
+                        Subsystem.OBJECT_LOOKUP)
         else:
-            self.proc.charge(_MAND, mandatory.object_lookup,
-                             Subsystem.OBJECT_LOOKUP)
+            proc.charge(_MAND, mandatory.object_lookup,
+                        Subsystem.OBJECT_LOOKUP)
 
     def _redundant_checks_needed(self, dtref: DatatypeRef) -> bool:
         """Section 2.2: which datatype-usage classes keep their runtime
@@ -98,95 +107,120 @@ class CH4Device:
         return scope is not IpoScope.WHOLE_PROGRAM   # Class 3
 
     @fastpath
-    def _charge_redundant(self, dtref: DatatypeRef,
+    def _charge_redundant(self, proc, dtref: DatatypeRef,
                           costs: RedundantCheckCosts) -> None:
         if self._redundant_checks_needed(dtref):
-            self.proc.charge(_RED, costs.datatype_size)
-            self.proc.charge(_RED, costs.contiguity)
-            self.proc.charge(_RED, costs.builtin_branch)
-            self.proc.charge(_RED, costs.addr_arith)
+            proc.charge(_RED, costs.datatype_size)
+            proc.charge(_RED, costs.contiguity)
+            proc.charge(_RED, costs.builtin_branch)
+            proc.charge(_RED, costs.addr_arith)
 
     @fastpath
-    def _charge_rank_translation(self, comm, flags: ExtFlags,
+    def _charge_rank_translation(self, proc, comm, flags: ExtFlags,
                                  mandatory: MandatoryCosts) -> None:
         """Section 3.1: communicator-rank translation (or the global-rank
         bypass).  Direct-table communicators charge their cheap 2-instr
         lookup; the calibrated default (compressed) charges the
         per-operation calibrated cost."""
         if flags.global_rank:
-            self.proc.charge(_MAND, self.costs.global_rank_lookup,
-                             Subsystem.RANK_TRANSLATION)
+            proc.charge(_MAND, self.costs.global_rank_lookup,
+                        Subsystem.RANK_TRANSLATION)
         elif isinstance(comm.translation, DirectTableTranslation):
-            self.proc.charge(_MAND, comm.translation.lookup_instructions,
-                             Subsystem.RANK_TRANSLATION)
+            proc.charge(_MAND, comm.translation.lookup_instructions,
+                        Subsystem.RANK_TRANSLATION)
         else:
-            self.proc.charge(_MAND, mandatory.rank_translation,
-                             Subsystem.RANK_TRANSLATION)
+            proc.charge(_MAND, mandatory.rank_translation,
+                        Subsystem.RANK_TRANSLATION)
 
     def _resolve_dest(self, comm, dest: int, flags: ExtFlags) -> int:
         return dest if flags.global_rank else comm.translation.world_rank(dest)
-
-    @fastpath
-    def _charge_match_bits(self, comm, flags: ExtFlags,
-                           mandatory: MandatoryCosts) -> None:
-        """Section 3.6: full match bits, arrival-order bits, or the
-        single-load form when the context is static (3.6 + 3.3)."""
-        if flags.nomatch:
-            static_ctx = (flags.static_comm or flags.global_rank
-                          or comm.is_predefined_handle)
-            n = (self.costs.nomatch_bits_static if static_ctx
-                 else self.costs.nomatch_bits)
-            self.proc.charge(_MAND, n, Subsystem.MATCH_BITS)
-        else:
-            self.proc.charge(_MAND, mandatory.match_bits,
-                             Subsystem.MATCH_BITS)
 
     # ------------------------------------------------------------------ #
     # point-to-point                                                      #
     # ------------------------------------------------------------------ #
 
     @fastpath
-    def isend(self, op: SendOp) -> Optional[Request]:
-        """Issue a send; returns None under the noreq extension."""
-        proc, c = self.proc, self.costs
+    def _charge_pt2pt(self, proc, op, peer: int, recv: bool) -> bool:
+        """Every charge of one isend / irecv, in path order (the paper
+        omits MPI_IRECV's analysis because "the software path is largely
+        identical").  Compiled to a plan once per key; run stepwise for
+        the calls that leave the straight line, which it ends where they
+        do: it raises for an NPN call with MPI_PROC_NULL and for noreq +
+        sync, and returns False at the §3.4 branch for a PROC_NULL peer."""
+        c = self.costs
         man = c.isend_mandatory
         flags = op.flags
         comm = op.comm
 
-        self._charge_object_lookup(flags, comm.is_predefined_handle, man)
-        self._charge_redundant(op.dtref, c.isend_redundant)
+        self._charge_object_lookup(proc, flags, comm.is_predefined_handle,
+                                   man)
+        self._charge_redundant(proc, op.dtref, c.isend_redundant)
+        if recv:
+            # Before the PROC_NULL branch, whose early return hands back
+            # a request that has to be paid for (audit rule FP104).
+            proc.charge(_MAND, man.request_mgmt, Subsystem.REQUEST_MGMT)
 
         # Section 3.4: MPI_PROC_NULL.
         if flags.no_proc_null:
-            if proc.config.error_checking and op.dest == PROC_NULL:
+            if proc.config.error_checking and peer == PROC_NULL:
                 raise MPIErrRank(
                     f"{op.mpi_name}: NPN routine called with MPI_PROC_NULL")
         else:
             proc.charge(_MAND, man.proc_null, Subsystem.PROC_NULL)
-            if op.dest == PROC_NULL:
-                return self._null_send(op)
+            if peer == PROC_NULL:
+                return False
 
-        self._charge_rank_translation(comm, flags, man)
-        dest_world = self._resolve_dest(comm, op.dest, flags)
+        if not (recv and peer == ANY_SOURCE):
+            self._charge_rank_translation(proc, comm, flags, man)
 
-        self._charge_match_bits(comm, flags, man)
-        env = Envelope(ctx=comm.ctx, src=comm.rank, tag=op.tag,
-                       nomatch=flags.nomatch)
-
-        # Section 3.5: per-operation request vs bulk counter.
-        if flags.noreq:
-            if op.sync:
-                raise MPIErrArg("synchronous mode cannot combine with noreq")
-            proc.charge(_MAND, c.noreq_counter_inc, Subsystem.REQUEST_MGMT)
-            request = None
+        # Section 3.6: full match bits, arrival-order bits, or the
+        # single-load form when the context is static (3.6 + 3.3).
+        if flags.nomatch:
+            static_ctx = (flags.static_comm or flags.global_rank
+                          or comm.is_predefined_handle)
+            bits = c.nomatch_bits_static if static_ctx else c.nomatch_bits
+            proc.charge(_MAND, bits, Subsystem.MATCH_BITS)
         else:
-            proc.charge(_MAND, man.request_mgmt, Subsystem.REQUEST_MGMT)
-            request = proc.request_pool.acquire(RequestKind.SEND)
+            proc.charge(_MAND, man.match_bits, Subsystem.MATCH_BITS)
+
+        # Section 3.5: per-operation request vs bulk counter (a receive
+        # paid for its request above).
+        if not recv:
+            if not flags.noreq:
+                proc.charge(_MAND, man.request_mgmt, Subsystem.REQUEST_MGMT)
+            elif op.sync:
+                raise MPIErrArg("synchronous mode cannot combine with noreq")
+            else:
+                proc.charge(_MAND, c.noreq_counter_inc,
+                            Subsystem.REQUEST_MGMT)
 
         # Descriptor fill (fused under the combined extensions, §3.7).
         desc = (c.fused_descriptor_isend if flags.fused_pt2pt
                 else man.descriptor)
         proc.charge(_MAND, desc, Subsystem.DESCRIPTOR)
+        return True
+
+    @fastpath
+    def isend(self, op: SendOp) -> Optional[Request]:
+        """Issue a send; returns None under the noreq extension."""
+        proc = self.proc
+        flags = op.flags
+        comm = op.comm
+
+        if op.dest == PROC_NULL or (flags.noreq and op.sync):
+            if not self._charge_pt2pt(proc, op, op.dest, False):
+                return self._null_send(op)
+        else:
+            proc.charge(proc.plan(
+                self._path_key("isend", flags, comm.is_predefined_handle,
+                               comm, op.dtref),
+                self._charge_pt2pt, op, op.dest, False))
+
+        dest_world = self._resolve_dest(comm, op.dest, flags)
+        env = Envelope(ctx=comm.ctx, src=comm.rank, tag=op.tag,
+                       nomatch=flags.nomatch)
+        request = (None if flags.noreq
+                   else proc.request_pool.acquire(RequestKind.SEND))
 
         # Zero-copy fast path: the payload borrows the application
         # buffer; the request pins the view until recycled.  Fault-
@@ -280,39 +314,33 @@ class CH4Device:
         MPI_IRECV's analysis because "the software path is largely
         identical ... for network APIs that support matching".
         """
-        proc, c = self.proc, self.costs
-        man = c.isend_mandatory
+        proc = self.proc
         flags = op.flags
         comm = op.comm
 
-        self._charge_object_lookup(flags, comm.is_predefined_handle, man)
-        self._charge_redundant(op.dtref, c.isend_redundant)
-
-        # Charged at the acquire itself so the PROC_NULL early return
-        # below pays for the handle it hands back (audit rule FP104).
-        proc.charge(_MAND, man.request_mgmt, Subsystem.REQUEST_MGMT)
-        request = proc.request_pool.acquire(RequestKind.RECV)
-
-        if flags.no_proc_null:
-            if proc.config.error_checking and op.source == PROC_NULL:
-                raise MPIErrRank(
-                    f"{op.mpi_name}: NPN routine called with MPI_PROC_NULL")
+        if op.source == PROC_NULL:
+            posts = self._charge_pt2pt(proc, op, op.source, True)
         else:
-            proc.charge(_MAND, man.proc_null, Subsystem.PROC_NULL)
-            if op.source == PROC_NULL:
-                # Standard: receive from PROC_NULL completes immediately
-                # with source=PROC_NULL, tag=ANY_TAG, zero data.
-                request.complete(proc.vclock.now, source=PROC_NULL,
-                                 tag=-1, count_bytes=0)
-                return request
+            posts = True
+            proc.charge(proc.plan(
+                self._path_key(
+                    "irecv_any" if op.source == ANY_SOURCE else "irecv",
+                    flags, comm.is_predefined_handle, comm, op.dtref),
+                self._charge_pt2pt, op, op.source, True))
+        request = proc.request_pool.acquire(RequestKind.RECV)
+        if not posts:
+            # Standard: receive from PROC_NULL completes immediately
+            # with source=PROC_NULL, tag=ANY_TAG, zero data.
+            request.complete(proc.vclock.now, source=PROC_NULL,
+                             tag=-1, count_bytes=0)
+            return request
+        return self.post_recv(op, request)
 
-        if op.source != ANY_SOURCE:
-            self._charge_rank_translation(comm, flags, man)
-        self._charge_match_bits(comm, flags, man)
-        desc = (c.fused_descriptor_isend if flags.fused_pt2pt
-                else man.descriptor)
-        proc.charge(_MAND, desc, Subsystem.DESCRIPTOR)
-
+    def post_recv(self, op: RecvOp, request: Request) -> Request:
+        """Post the already-charged receive *op* on *request* (also the
+        whole device side of a persistent receive's MPI_START)."""
+        proc = self.proc
+        comm = op.comm
         buf = op.buf
         count = op.count
         datatype = op.dtref.datatype
@@ -337,7 +365,7 @@ class CH4Device:
                 request, None if op.source == ANY_SOURCE
                 else comm.translation.world_rank(op.source))
         posted = PostedRecv(ctx=comm.ctx, src=op.source, tag=op.tag,
-                            nomatch=flags.nomatch, request=request,
+                            nomatch=op.flags.nomatch, request=request,
                             on_match=on_match)
         proc.engine.post(posted, now_s=proc.vclock.now)
         if proc.faults is not None:
@@ -358,59 +386,66 @@ class CH4Device:
     # ------------------------------------------------------------------ #
 
     @fastpath
-    def _rma_prologue(self, op, mandatory: MandatoryCosts,
-                      redundant: RedundantCheckCosts):
-        """Shared RMA path: object lookup, PROC_NULL, rank translation,
-        address resolution.  Returns (target_world, state, offset_bytes)
-        or None when the target is PROC_NULL (no-op per the standard)."""
-        proc, c = self.proc, self.costs
+    def _charge_rma(self, proc, op) -> bool:
+        """Every charge of one put/get/accumulate, in path order: object
+        lookup, redundant checks, PROC_NULL (False when the target is
+        MPI_PROC_NULL — a no-op per the standard), rank translation,
+        address resolution and the descriptor fill."""
+        c = self.costs
+        man = c.put_mandatory
         flags = op.flags
         win = op.win
 
-        self._charge_object_lookup(flags, win.is_predefined_handle,
-                                   mandatory)
-        self._charge_redundant(op.origin_dtref, redundant)
+        self._charge_object_lookup(proc, flags, win.is_predefined_handle,
+                                   man)
+        self._charge_redundant(proc, op.origin_dtref, c.put_redundant)
 
         if flags.no_proc_null:
             if proc.config.error_checking and op.target_rank == PROC_NULL:
                 raise MPIErrRank(
                     f"{op.mpi_name}: NPN routine called with MPI_PROC_NULL")
         else:
-            proc.charge(_MAND, mandatory.proc_null, Subsystem.PROC_NULL)
+            proc.charge(_MAND, man.proc_null, Subsystem.PROC_NULL)
             if op.target_rank == PROC_NULL:
-                return None
+                return False
 
-        self._charge_rank_translation(win.comm, flags, mandatory)
-        target_world = self._resolve_dest(win.comm, op.target_rank, flags)
-        state = win.state_of(target_world)
-
+        self._charge_rank_translation(proc, win.comm, flags, man)
         # Section 3.2: offset -> virtual address translation.
-        if flags.virtual_addr:
-            proc.charge(_MAND, c.virtual_addr_lookup,
-                        Subsystem.VM_ADDRESSING)
-            offset_bytes = op.target_disp
-        else:
-            proc.charge(_MAND, mandatory.vm_addressing,
-                        Subsystem.VM_ADDRESSING)
-            offset_bytes = op.target_disp * state.disp_unit
-        return target_world, state, offset_bytes
+        vm = c.virtual_addr_lookup if flags.virtual_addr else man.vm_addressing
+        proc.charge(_MAND, vm, Subsystem.VM_ADDRESSING)
+        desc = c.fused_descriptor_put if flags.fused_rma else man.descriptor
+        proc.charge(_MAND, desc, Subsystem.DESCRIPTOR)
+        return True
 
     @fastpath
-    def _charge_rma_descriptor(self, flags: ExtFlags,
-                               mandatory: MandatoryCosts) -> None:
-        desc = (self.costs.fused_descriptor_put if flags.fused_rma
-                else mandatory.descriptor)
-        self.proc.charge(_MAND, desc, Subsystem.DESCRIPTOR)
+    def _rma_prologue(self, op):
+        """Shared RMA path: charge the operation, then resolve the
+        target.  Returns (target_world, state, offset_bytes), or None
+        when the target is PROC_NULL."""
+        proc = self.proc
+        flags = op.flags
+        win = op.win
+        if op.target_rank == PROC_NULL:
+            if not self._charge_rma(proc, op):
+                return None
+        else:
+            proc.charge(proc.plan(
+                self._path_key("rma", flags, win.is_predefined_handle,
+                               win.comm, op.origin_dtref),
+                self._charge_rma, op))
+        target_world = self._resolve_dest(win.comm, op.target_rank, flags)
+        state = win.state_of(target_world)
+        offset_bytes = (op.target_disp if flags.virtual_addr
+                        else op.target_disp * state.disp_unit)
+        return target_world, state, offset_bytes
 
     @fastpath
     def put(self, op: PutOp) -> None:
         """One-sided put: remote write into the target window."""
-        c = self.costs
-        resolved = self._rma_prologue(op, c.put_mandatory, c.put_redundant)
+        resolved = self._rma_prologue(op)
         if resolved is None:
             return
         target_world, state, offset_bytes = resolved
-        self._charge_rma_descriptor(op.flags, c.put_mandatory)
 
         data = pack(op.origin_buf, op.origin_count, op.origin_dtref.datatype)
         expect = packed_size(op.target_count, op.target_dtref.datatype)
@@ -437,12 +472,10 @@ class CH4Device:
     @fastpath
     def get(self, op: GetOp) -> None:
         """One-sided get: remote read from the target window."""
-        c = self.costs
-        resolved = self._rma_prologue(op, c.put_mandatory, c.put_redundant)
+        resolved = self._rma_prologue(op)
         if resolved is None:
             return
         target_world, state, offset_bytes = resolved
-        self._charge_rma_descriptor(op.flags, c.put_mandatory)
 
         nbytes = packed_size(op.origin_count, op.origin_dtref.datatype)
         expect = packed_size(op.target_count, op.target_dtref.datatype)
@@ -470,12 +503,10 @@ class CH4Device:
     @fastpath
     def accumulate(self, op: AccOp) -> Optional[bytes]:
         """One-sided accumulate (and GET_ACCUMULATE when fetch_buf set)."""
-        c = self.costs
-        resolved = self._rma_prologue(op, c.put_mandatory, c.put_redundant)
+        resolved = self._rma_prologue(op)
         if resolved is None:
             return None
         target_world, state, offset_bytes = resolved
-        self._charge_rma_descriptor(op.flags, c.put_mandatory)
 
         data = pack(op.origin_buf, op.origin_count, op.origin_dtref.datatype)
         if self.proc.faults is not None:

@@ -58,6 +58,14 @@ class ExtFlags:
     noreq: bool = False
     nomatch: bool = False
 
+    def __post_init__(self):
+        # ``bits``: the flags as one int — a charge-plan key component
+        # that hashes in C, unlike the dataclass's generated __hash__.
+        object.__setattr__(self, "bits", sum(
+            flag << i for i, flag in enumerate(
+                (self.global_rank, self.virtual_addr, self.static_comm,
+                 self.no_proc_null, self.noreq, self.nomatch))))
+
     @property
     def any(self) -> bool:
         """True when at least one extension is selected."""

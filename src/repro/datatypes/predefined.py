@@ -134,6 +134,11 @@ _NUMPY_TO_PREDEFINED: dict[str, Datatype] = {
     "complex64": COMPLEX64, "complex128": COMPLEX128,
 }
 
+#: The same map keyed by the dtype objects arrays carry: the per-message
+#: lookup, which skips numpy's Python-level ``dtype.name`` rebuild.
+_DTYPE_TO_PREDEFINED: dict[np.dtype, Datatype] = {
+    np.dtype(name): dt for name, dt in _NUMPY_TO_PREDEFINED.items()}
+
 
 def from_numpy_dtype(dtype: np.dtype | str) -> Datatype:
     """Map a numpy dtype to the equivalent predefined MPI datatype.
@@ -147,5 +152,7 @@ def from_numpy_dtype(dtype: np.dtype | str) -> Datatype:
     KeyError
         If no predefined MPI type corresponds to *dtype*.
     """
-    name = np.dtype(dtype).name
-    return _NUMPY_TO_PREDEFINED[name]
+    try:
+        return _DTYPE_TO_PREDEFINED[dtype]
+    except (KeyError, TypeError):   # a name, a non-native order, no match
+        return _NUMPY_TO_PREDEFINED[np.dtype(dtype).name]

@@ -37,6 +37,12 @@ class UsageClass(enum.Enum):
     RUNTIME_CONST = 3    #: Class 3 — predefined, runtime constant
 
 
+#: ``member.index`` — a plain int for charge-plan keys (hashing an enum
+#: member is a Python-level call; see ``instrument.categories``).
+for _index, _member in enumerate(UsageClass):
+    _member.index = _index
+
+
 @dataclass(frozen=True)
 class DatatypeRef:
     """A datatype argument together with its usage class."""

@@ -102,6 +102,11 @@ class Subsystem(enum.Enum):
         return self.value
 
 
+#: ``member.index``: position in definition order.  The counter and
+#: charge plans index plain lists with it instead of hashing members.
+for _index, _member in [*enumerate(Category), *enumerate(Subsystem)]:
+    _member.index = _index
+
 #: Subsystems whose charges the Section 3 proposals target, in the
 #: order the paper presents them.
 PROPOSAL_ORDER = (

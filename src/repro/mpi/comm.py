@@ -539,14 +539,13 @@ class Communicator:
         """§3.5 MPI_COMM_WAITALL: complete every requestless operation
         on this communicator; returns how many were completed."""
         proc = self.proc
-        with proc.timed_call():
-            proc.charge(Category.MANDATORY, COSTS.noreq_waitall,
-                        Subsystem.REQUEST_MGMT)
-            proc.vclock.merge(self._noreq_latest_s)
-            done = self._noreq_count
-            self._noreq_count = 0
-            self._noreq_latest_s = 0.0
-            return done
+        proc.charge(Category.MANDATORY, COSTS.noreq_waitall,
+                    Subsystem.REQUEST_MGMT)
+        proc.vclock.merge(self._noreq_latest_s)
+        done = self._noreq_count
+        self._noreq_count = 0
+        self._noreq_latest_s = 0.0
+        return done
 
     # ------------------------------------------------------------------ #
     # collectives (delegating to repro.mpi.collectives)                   #

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.consts import ANY_SOURCE, PROC_NULL
+from repro.consts import PROC_NULL
 from repro.core.config import Device
 from repro.core.ops import RecvOp, SendOp
 from repro.datatypes.pack import pack
@@ -25,12 +25,26 @@ from repro.instrument.costs import COSTS
 from repro.instrument.fastpath import fastpath
 from repro.mpi.pt2pt import mpi_entry, normalize_buffer, validate_recv, \
     validate_send
-from repro.runtime.matching import PostedRecv
 from repro.runtime.message import Envelope, Message
 from repro.runtime.request import Request, RequestKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
+
+
+@fastpath
+def _charge_start(proc) -> None:
+    """What one MPI_START charges: the function call, plus — on CH4 —
+    request reuse and the descriptor fill, the persistent fast start.
+    CH3 never specialized persistent ops: its start re-runs the full
+    device path, which charges itself."""
+    if not proc.config.ipo:
+        proc.charge(Category.FUNCTION_CALL, COSTS.isend_function_call)
+    if proc.config.device is Device.CH4:
+        proc.charge(Category.MANDATORY, COSTS.noreq_counter_inc,
+                    Subsystem.REQUEST_MGMT)
+        proc.charge(Category.MANDATORY, COSTS.isend_mandatory.descriptor,
+                    Subsystem.DESCRIPTOR)
 
 
 class PersistentRequest:
@@ -94,44 +108,34 @@ class PersistentSend(PersistentRequest):
         if self.is_null:
             request.complete(proc.vclock.now)
             return request
-        with proc.timed_call():
-            if not proc.config.ipo:
-                proc.charge(Category.FUNCTION_CALL,
-                            COSTS.isend_function_call)
-            if proc.config.device is Device.CH4:
-                # Reuse + descriptor only: the persistent fast start.
-                proc.charge(Category.MANDATORY, COSTS.noreq_counter_inc,
-                            Subsystem.REQUEST_MGMT)
-                proc.charge(Category.MANDATORY,
-                            COSTS.isend_mandatory.descriptor,
-                            Subsystem.DESCRIPTOR)
-                device = proc.device
-                payload = pack(self.buf, self.count, self.dtref.datatype,
-                               copy=not proc.config.zero_copy
-                               or proc.faults is not None)
-                request._keepalive = payload
-                if proc.sanitizer is not None:
-                    proc.sanitizer.note_send(
-                        request, self.dest_world, False, payload,
-                        (self.buf, self.count, self.dtref.datatype))
-                transport = device._transport_for(self.dest_world)
-                native = (not device.force_am and transport.send_is_native(
-                    self.dtref.datatype.contig))
-                result = transport.issue(len(payload), native)
-                proc.deliver(self.dest_world,
-                             Message(env=self.env, data=payload,
-                                     arrive_s=result.arrive_s))
-                request.complete(result.complete_s)
-            else:
-                # CH3 never specialized persistent ops: full path.
-                op = SendOp(buf=self.buf, count=self.count,
-                            dtref=self.dtref, dest=self.dest,
-                            tag=self.tag, comm=comm,
-                            mpi_name="MPI_Start")
-                inner = proc.device.isend(op)
-                inner.wait()
-                request.complete(inner.complete_s)
-                proc.request_pool.release(inner)
+        proc.charge(proc.plan("start", _charge_start))
+        if proc.config.device is Device.CH4:
+            device = proc.device
+            payload = pack(self.buf, self.count, self.dtref.datatype,
+                           copy=not proc.config.zero_copy
+                           or proc.faults is not None)
+            request._keepalive = payload
+            if proc.sanitizer is not None:
+                proc.sanitizer.note_send(
+                    request, self.dest_world, False, payload,
+                    (self.buf, self.count, self.dtref.datatype))
+            transport = device._transport_for(self.dest_world)
+            native = (not device.force_am and transport.send_is_native(
+                self.dtref.datatype.contig))
+            result = transport.issue(len(payload), native)
+            proc.deliver(self.dest_world,
+                         Message(env=self.env, data=payload,
+                                 arrive_s=result.arrive_s))
+            request.complete(result.complete_s)
+        else:
+            op = SendOp(buf=self.buf, count=self.count,
+                        dtref=self.dtref, dest=self.dest,
+                        tag=self.tag, comm=comm,
+                        mpi_name="MPI_Start")
+            inner = proc.device.isend(op)
+            inner.wait()
+            request.complete(inner.complete_s)
+            proc.request_pool.release(inner)
         return request
 
 
@@ -156,46 +160,14 @@ class PersistentRecv(PersistentRequest):
             request = proc.request_pool.acquire(RequestKind.RECV)
             request.complete(proc.vclock.now, source=PROC_NULL, tag=-1)
             return request
-        with proc.timed_call():
-            if not proc.config.ipo:
-                proc.charge(Category.FUNCTION_CALL,
-                            COSTS.isend_function_call)
-            if proc.config.device is Device.CH4:
-                proc.charge(Category.MANDATORY, COSTS.noreq_counter_inc,
-                            Subsystem.REQUEST_MGMT)
-                proc.charge(Category.MANDATORY,
-                            COSTS.isend_mandatory.descriptor,
-                            Subsystem.DESCRIPTOR)
-                request = proc.request_pool.acquire(RequestKind.RECV)
-                buf, count, datatype = self.buf, self.count, \
-                    self.dtref.datatype
-
-                def on_match(msg: Message) -> None:
-                    try:
-                        from repro.datatypes.pack import unpack
-                        unpack(msg.data, buf, count, datatype)
-                        request.complete(msg.arrive_s, source=msg.env.src,
-                                         tag=msg.env.tag,
-                                         count_bytes=len(msg.data))
-                    except BaseException as exc:  # noqa: BLE001
-                        request.complete(msg.arrive_s,
-                                         source=msg.env.src,
-                                         tag=msg.env.tag, error=exc)
-
-                if proc.sanitizer is not None:
-                    proc.sanitizer.note_recv(
-                        request, None if self.source == ANY_SOURCE
-                        else comm.translation.world_rank(self.source))
-                proc.engine.post(
-                    PostedRecv(ctx=comm.ctx, src=self.source,
-                               tag=self.tag, nomatch=False,
-                               request=request, on_match=on_match),
-                    now_s=proc.vclock.now)
-                return request
-            op = RecvOp(buf=self.buf, count=self.count, dtref=self.dtref,
-                        source=self.source, tag=self.tag, comm=comm,
-                        mpi_name="MPI_Start")
-            return proc.device.irecv(op)
+        proc.charge(proc.plan("start", _charge_start))
+        op = RecvOp(buf=self.buf, count=self.count, dtref=self.dtref,
+                    source=self.source, tag=self.tag, comm=comm,
+                    mpi_name="MPI_Start")
+        if proc.config.device is Device.CH4:
+            return proc.device.post_recv(
+                op, proc.request_pool.acquire(RequestKind.RECV))
+        return proc.device.irecv(op)
 
 
 def startall(requests: list[PersistentRequest]) -> list[Request]:

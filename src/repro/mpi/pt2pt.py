@@ -40,6 +40,18 @@ BYTE_REF = compile_time(BYTE)
 
 
 @fastpath
+def _charge_entry(proc: "Proc", function_call_cost: int,
+                  thread_check_cost: int) -> None:
+    """What entering one MPI call charges: the function-call prologue
+    (unless inlined away by ipo) and the thread-safety check (unless a
+    single-threaded build)."""
+    if not proc.config.ipo:
+        proc.charge(Category.FUNCTION_CALL, function_call_cost)
+    if proc.config.thread_safety:
+        proc.charge(Category.THREAD_SAFETY, thread_check_cost)
+
+
+@fastpath
 @contextmanager
 def mpi_entry(proc: "Proc", function_call_cost: int,
               thread_check_cost: int,
@@ -64,21 +76,20 @@ def mpi_entry(proc: "Proc", function_call_cost: int,
     if proc.faults is not None:
         proc.faults.check_self()   # stash flush + fault-plan rank kill
     try:  # audit: allow[FP204] - timeline bookkeeping must not leak
-        with proc.timed_call():
-            if not config.ipo:
-                proc.charge(Category.FUNCTION_CALL, function_call_cost)
-            if config.thread_safety:
-                proc.charge(Category.THREAD_SAFETY, thread_check_cost)
-                cs_lock = proc.cs_lock if vci is None else vci.lock
-                with cs_lock:  # audit: allow[FP203] - the modeled CS
-                    if vci is None:
-                        yield
-                    else:
-                        cs_entry_total = proc.counter.total
-                        yield
-                        vci.note_cs(proc.counter.total - cs_entry_total)
-            else:
-                yield
+        proc.charge(proc.plan(("entry", function_call_cost, thread_check_cost),
+                              _charge_entry, function_call_cost,
+                              thread_check_cost))
+        if config.thread_safety:
+            cs_lock = proc.cs_lock if vci is None else vci.lock
+            with cs_lock:  # audit: allow[FP203] - the modeled CS
+                if vci is None:
+                    yield
+                else:
+                    cs_entry_total = proc.counter.total
+                    yield
+                    vci.note_cs(proc.counter.total - cs_entry_total)
+        else:
+            yield
     except MPIError as exc:
         # Annotate every error escaping an MPI entry with the raising
         # rank and the operation name, so error-handler callbacks and
@@ -146,57 +157,75 @@ def _buffer_nbytes(buf: Buffer) -> int:
 # ---------------------------------------------------------------------------
 
 @fastpath
+def charge_arg_checks(proc: "Proc", err: ErrorCheckCosts,
+                      checks: int = 4) -> None:
+    """Charge the first *checks* steps of Table 1's error-checking
+    decomposition: all four when every argument is valid, the prefix
+    up to and including the failing check otherwise."""
+    proc.charge(Category.ERROR_CHECKING, err.args_basic)
+    if checks >= 2:
+        proc.charge(Category.ERROR_CHECKING, err.datatype_committed)
+    if checks >= 3:
+        proc.charge(Category.ERROR_CHECKING, err.object_valid)
+    if checks >= 4:
+        proc.charge(Category.ERROR_CHECKING, err.rank_range)
+
+
+@fastpath
+def validate_args(proc: "Proc", err: ErrorCheckCosts,
+                  failed: Optional[tuple[int, MPIError]]) -> None:
+    """Charge one call's argument validation and raise its verdict:
+    *failed* is ``(checks run up to the failing one, its error)``, or
+    None when all four passed (charged as one compiled plan)."""
+    if failed is None:
+        proc.charge(proc.plan(("args", err), charge_arg_checks, err))
+        return
+    charge_arg_checks(proc, err, failed[0])
+    raise failed[1]
+
+
 def validate_send(proc: "Proc", err: ErrorCheckCosts, comm: "Communicator",
                   buf: Optional[Buffer], count: int, dtref: DatatypeRef,
                   dest: int, tag: int, global_rank: bool = False) -> None:
     """Send-side argument validation, charging per Table 1's
     error-checking decomposition."""
-    proc.charge(Category.ERROR_CHECKING, err.args_basic)
-    if count < 0:
-        raise MPIErrCount(f"count must be >= 0, got {count}")
-    if not 0 <= tag <= TAG_UB:
-        raise MPIErrTag(f"tag must be in [0, {TAG_UB}], got {tag}")
-    if buf is None and count > 0:
-        raise MPIErrBuffer("NULL buffer with nonzero count")
-
-    proc.charge(Category.ERROR_CHECKING, err.datatype_committed)
-    if not dtref.datatype.committed:
-        raise MPIErrDatatype(
-            f"datatype {dtref.datatype.name} used before commit")
-
-    proc.charge(Category.ERROR_CHECKING, err.object_valid)
-    if comm.freed:
-        raise MPIErrComm("operation on a freed communicator")
-
-    proc.charge(Category.ERROR_CHECKING, err.rank_range)
     limit = comm.world_size if global_rank else comm.size
-    if dest != PROC_NULL and not 0 <= dest < limit:
-        raise MPIErrRank(
+    failed = None
+    if count < 0:
+        failed = 1, MPIErrCount(f"count must be >= 0, got {count}")
+    elif not 0 <= tag <= TAG_UB:
+        failed = 1, MPIErrTag(f"tag must be in [0, {TAG_UB}], got {tag}")
+    elif buf is None and count > 0:
+        failed = 1, MPIErrBuffer("NULL buffer with nonzero count")
+    elif not dtref.datatype.committed:
+        failed = 2, MPIErrDatatype(
+            f"datatype {dtref.datatype.name} used before commit")
+    elif comm.freed:
+        failed = 3, MPIErrComm("operation on a freed communicator")
+    elif dest != PROC_NULL and not 0 <= dest < limit:
+        failed = 4, MPIErrRank(
             f"destination {dest} outside [0, {limit}) "
             f"({'world' if global_rank else 'communicator'} ranks)")
+    validate_args(proc, err, failed)
 
 
-@fastpath
 def validate_recv(proc: "Proc", err: ErrorCheckCosts, comm: "Communicator",
                   count: int, dtref: DatatypeRef, source: int,
                   tag: int) -> None:
     """Receive-side argument validation."""
-    proc.charge(Category.ERROR_CHECKING, err.args_basic)
+    failed = None
     if count < 0:
-        raise MPIErrCount(f"count must be >= 0, got {count}")
-    if tag != ANY_TAG and not 0 <= tag <= TAG_UB:
-        raise MPIErrTag(f"tag must be ANY_TAG or in [0, {TAG_UB}], got {tag}")
-
-    proc.charge(Category.ERROR_CHECKING, err.datatype_committed)
-    if not dtref.datatype.committed:
-        raise MPIErrDatatype(
+        failed = 1, MPIErrCount(f"count must be >= 0, got {count}")
+    elif tag != ANY_TAG and not 0 <= tag <= TAG_UB:
+        failed = 1, MPIErrTag(
+            f"tag must be ANY_TAG or in [0, {TAG_UB}], got {tag}")
+    elif not dtref.datatype.committed:
+        failed = 2, MPIErrDatatype(
             f"datatype {dtref.datatype.name} used before commit")
-
-    proc.charge(Category.ERROR_CHECKING, err.object_valid)
-    if comm.freed:
-        raise MPIErrComm("operation on a freed communicator")
-
-    proc.charge(Category.ERROR_CHECKING, err.rank_range)
-    if source not in (ANY_SOURCE, PROC_NULL) and not 0 <= source < comm.size:
-        raise MPIErrRank(
+    elif comm.freed:
+        failed = 3, MPIErrComm("operation on a freed communicator")
+    elif source not in (ANY_SOURCE, PROC_NULL) \
+            and not 0 <= source < comm.size:
+        failed = 4, MPIErrRank(
             f"source {source} outside [0, {comm.size}) and not a wildcard")
+    validate_args(proc, err, failed)

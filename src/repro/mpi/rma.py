@@ -28,13 +28,13 @@ import numpy as np
 from repro.consts import PROC_NULL
 from repro.core import extensions as ext
 from repro.core.ops import AccOp, GetOp, PutOp
-from repro.errors import (MPIErrArg, MPIErrRank, MPIErrRMARange,
-                          MPIErrRMASync, MPIErrWin)
+from repro.errors import (MPIErrArg, MPIErrCount, MPIErrDatatype,
+                          MPIErrRank, MPIErrRMARange, MPIErrRMASync,
+                          MPIErrWin)
 from repro.instrument.costs import COSTS
 from repro.mpi import reduceops
 from repro.mpi.info import Info
-from repro.instrument.fastpath import fastpath
-from repro.mpi.pt2pt import mpi_entry, normalize_buffer
+from repro.mpi.pt2pt import mpi_entry, normalize_buffer, validate_args
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
@@ -444,28 +444,21 @@ class Window:
 
     # -- validation ----------------------------------------------------------------
 
-    @fastpath
     def _validate_rma(self, buf, count, dtref, target_rank: int,
                       global_rank: bool) -> None:
-        from repro.instrument.categories import Category
-        proc, err = self.proc, COSTS.put_error
-        proc.charge(Category.ERROR_CHECKING, err.args_basic)
-        if count < 0:
-            from repro.errors import MPIErrCount
-            raise MPIErrCount(f"count must be >= 0, got {count}")
-        proc.charge(Category.ERROR_CHECKING, err.datatype_committed)
-        if not dtref.datatype.committed:
-            from repro.errors import MPIErrDatatype
-            raise MPIErrDatatype(
-                f"datatype {dtref.datatype.name} used before commit")
-        proc.charge(Category.ERROR_CHECKING, err.object_valid)
-        if self.freed:
-            raise MPIErrWin("operation on a freed window")
-        proc.charge(Category.ERROR_CHECKING, err.rank_range)
         limit = self.comm.world_size if global_rank else self.comm.size
-        if target_rank != PROC_NULL and not 0 <= target_rank < limit:
-            raise MPIErrRank(
+        failed = None
+        if count < 0:
+            failed = 1, MPIErrCount(f"count must be >= 0, got {count}")
+        elif not dtref.datatype.committed:
+            failed = 2, MPIErrDatatype(
+                f"datatype {dtref.datatype.name} used before commit")
+        elif self.freed:
+            failed = 3, MPIErrWin("operation on a freed window")
+        elif target_rank != PROC_NULL and not 0 <= target_rank < limit:
+            failed = 4, MPIErrRank(
                 f"target {target_rank} outside [0, {limit})")
+        validate_args(self.proc, COSTS.put_error, failed)
 
     # -- synchronization ---------------------------------------------------------
 

@@ -49,6 +49,13 @@ class IssueResult:
     arrive_s: float
 
 
+@fastpath
+def _charge_am_steps(proc: "Proc") -> None:
+    """Origin-side AM header build + the (origin-charged) handler run."""
+    proc.charge(Category.MANDATORY, AM_ORIGIN_OVERHEAD, Subsystem.DESCRIPTOR)
+    proc.charge(Category.MANDATORY, AM_HANDLER_OVERHEAD, Subsystem.DESCRIPTOR)
+
+
 class Netmod:
     """Base netmod; concrete modules override the capability flags."""
 
@@ -97,16 +104,12 @@ class Netmod:
     # -- issue -------------------------------------------------------------------
 
     @fastpath
-
     def charge_am_fallback(self) -> None:
         """Charge the active-message fallback overhead (origin side)."""
-        self.proc.charge(Category.MANDATORY, AM_ORIGIN_OVERHEAD,
-                         Subsystem.DESCRIPTOR)
-        self.proc.charge(Category.MANDATORY, AM_HANDLER_OVERHEAD,
-                         Subsystem.DESCRIPTOR)
+        proc = self.proc
+        proc.charge(proc.plan("am_fallback", _charge_am_steps))
 
     @fastpath
-
     def issue(self, nbytes: int, native: bool,
               round_trip: bool = False, vci=None) -> IssueResult:
         """Charge injection overhead and compute completion/arrival times.

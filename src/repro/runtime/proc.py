@@ -8,14 +8,14 @@ proxies all reach their world through it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.consts import ANY_SOURCE, ANY_TAG
 from repro.core.config import BuildConfig, Device
 from repro.fabric.model import FabricSpec, fabric_by_name
 from repro.instrument.categories import Category, Subsystem
 from repro.instrument.counter import InstructionCounter
+from repro.instrument.plan import ChargePlan, PlanRecorder
 from repro.instrument.trace import CallTracer
 from repro.runtime.matching import build_engine
 from repro.runtime.message import Message
@@ -49,6 +49,9 @@ class Proc:
         self.counter = InstructionCounter(label=f"rank {world_rank}")
         self.tracer = CallTracer(self.counter)
         self.vclock = VClock(self.net_fabric)
+        #: Compiled charge plans by key (see :meth:`plan`).  Racing
+        #: compiles of one key are harmless: same key, equal plan.
+        self._plans: dict = {}
         #: VCI sharding (``num_vcis=1`` is the unsharded calibrated
         #: default; >1 splits matching/locks/lanes per VCI — real-
         #: Python granularity only, charges are unchanged).
@@ -123,24 +126,51 @@ class Proc:
 
     # -- accounting ----------------------------------------------------------
 
-    def charge(self, category: Category, n: int,
+    def charge(self, category: "Category | ChargePlan", n: int | None = None,
                subsystem: Subsystem | None = None) -> None:
-        """Charge *n* abstract instructions on this rank.
+        """Charge a compiled :class:`ChargePlan` — one layer's steps in
+        one call — or, stepwise, *n* abstract instructions.
 
-        The virtual clock advances immediately (charge-through), so any
-        arrival time computed later in the same call already includes
-        this work — the property that makes per-build software overhead
-        visible in end-to-end virtual timings.
+        The virtual clock advances immediately (charge-through), one
+        step's ``dt`` at a time, so any arrival time computed later in
+        the same call already includes this work and the clock is
+        bit-identical however the steps were delivered.
         """
-        self.counter.charge(category, n, subsystem)
-        self.vclock.advance_instructions(n)
+        counter, clock = self.counter, self.vclock
+        if n is None:
+            plan = category
+            counter.total += plan.total
+            counts = counter.cat_counts
+            for index, k in plan.cats:
+                counts[index] += k
+            counts = counter.sub_counts
+            for index, k in plan.subs:
+                counts[index] += k
+            now = clock.now
+            for dt in plan.dts:
+                now += dt
+            clock.now = now
+            return
+        if n < 0:
+            raise ValueError(f"cannot charge a negative cost: {n}")
+        counter.charge(category, n, subsystem)
+        fabric = self.net_fabric
+        clock.now += fabric.cycles_to_seconds(fabric.sw_cycles(n))
 
-    @contextmanager
-    def timed_call(self) -> Iterator[None]:
-        """Marks one MPI-call region.  Clock advancement happens inside
-        :meth:`charge` (charge-through), so this is now only a
-        structural marker kept for call-site readability."""
-        yield
+    def plan(self, key, charging, *args) -> ChargePlan:
+        """The plan cached under *key*, compiled on first use by running
+        ``charging(recorder, *args)``: the layer's own stepwise charging
+        code, a :class:`PlanRecorder` standing in for this ``Proc``.
+        *key* holds whatever that code branches on beyond the build
+        config; calls off the straight line (a failing check, a
+        PROC_NULL exit) charge stepwise instead, ``charging(proc, ...)``.
+        """
+        plan = self._plans.get(key)
+        if plan is None:
+            recorder = PlanRecorder(self.config, self.net_fabric)
+            charging(recorder, *args)
+            plan = self._plans[key] = ChargePlan(recorder.steps)
+        return plan
 
     def charge_compute(self, seconds: float) -> None:
         """Advance virtual time by *seconds* of application compute.

@@ -1,0 +1,456 @@
+"""Compiled charge plans: replay equals stepwise charging, keys are
+complete, and the calls that leave the straight line charge the same
+prefix they always did.
+
+The stepwise reference is the same runtime with ``Proc.plan`` patched
+to run the layer's charging function directly against the ``Proc`` —
+sixteen ``charge(category, n, subsystem)`` calls per message, exactly
+what every layer did before plans existed.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.consts import ANY_SOURCE, ANY_TAG, PROC_NULL, TAG_UB
+from repro.core import extensions as ext
+from repro.core.config import Device, named_builds
+from repro.datatypes import BYTE, DOUBLE, vector
+from repro.datatypes.usage import UsageClass, compile_time, runtime_constant
+from repro.errors import (MPIErrComm, MPIErrCount, MPIErrDatatype,
+                          MPIErrRank, MPIErrTag, MPIErrWin)
+from repro.instrument.categories import Category, Subsystem
+from repro.instrument.plan import ChargePlan
+from repro.mpi.rma import Window
+from repro.perf.msgrate import EXTENSION_CHAIN
+from repro.runtime import World
+from repro.runtime.proc import Proc
+from repro.runtime.ranktrans import DirectTableTranslation
+
+ROUNDS = 3          # the first call compiles, the others replay
+NBYTES = 8
+
+
+def _state(proc):
+    """Everything a charge moves, exactly (the clock as hex)."""
+    counter = proc.counter
+    return (counter.total,
+            {c.name: n for c, n in counter.by_category.items()},
+            {s.name: n for s, n in counter.by_subsystem.items()},
+            proc.vclock.now.hex())
+
+
+# -- the six operations, ROUNDS times each ------------------------------------
+
+def _pt2pt(comm, flags):
+    """isend on rank 0, irecv on rank 1 (both states are compared)."""
+    buf = np.zeros(NBYTES, dtype=np.uint8)
+    for tag in range(ROUNDS):
+        if comm.rank == 0:
+            req = comm._buffer_send((buf, NBYTES, BYTE), 1, tag,
+                                    sync=False, flags=flags)
+            if req is None:
+                comm.waitall_noreq()
+            else:
+                req.wait()
+        elif flags.nomatch:
+            comm._buffer_recv((buf, NBYTES, BYTE), ANY_SOURCE, ANY_TAG,
+                              flags=flags.with_(noreq=False)).wait()
+        else:
+            comm._buffer_recv((buf, NBYTES, BYTE), 0, tag,
+                              flags=flags.with_(noreq=False)).wait()
+    return _state(comm.proc)
+
+
+def _rma(comm, flags, op):
+    arr = np.zeros(64, dtype=np.uint8)
+    win = Window.create(comm, arr, disp_unit=1)
+    win.fence()
+    if comm.rank == 0:
+        origin = np.ones(NBYTES, dtype=np.uint8)
+        disp = win.remote_addr(1, 0) if flags.virtual_addr else 0
+        for _ in range(ROUNDS):
+            getattr(win, op)((origin, NBYTES, BYTE), target_rank=1,
+                             target_disp=disp, flags=flags)
+    win.fence()
+    return _state(comm.proc)
+
+
+def _start(comm, flags):
+    buf = np.zeros(NBYTES, dtype=np.uint8)
+    preq = (comm.Send_init(buf, 1, 5) if comm.rank == 0
+            else comm.Recv_init(buf, 0, 5))
+    for _ in range(ROUNDS):
+        preq.start()
+        preq.wait()
+    return _state(comm.proc)
+
+
+OPS = {
+    "pt2pt": _pt2pt,
+    "put": lambda comm, flags: _rma(comm, flags, "put"),
+    "get": lambda comm, flags: _rma(comm, flags, "get"),
+    "accumulate": lambda comm, flags: _rma(comm, flags, "accumulate"),
+    "start": _start,
+}
+
+
+def _matrix():
+    chain = [flags for _, flags in EXTENSION_CHAIN]
+    rma_chain = chain + [ext.VIRTUAL_ADDR, ext.ALL_OPTS_RMA]
+    for label, config in named_builds().items():
+        for device in Device:
+            build = dataclasses.replace(config, device=device)
+            for op in OPS:
+                flag_sets = (chain if op == "pt2pt"
+                             else [ext.NONE] if op == "start" else rma_chain)
+                for flags in flag_sets:
+                    if device is Device.CH3 and flags.any:
+                        continue     # MPICH/Original has no extensions
+                    yield pytest.param(
+                        build, op, flags,
+                        id=f"{label}-{device.value}-{op}-{flags.bits:02x}")
+
+
+EMPTY = ChargePlan([])
+
+
+def _stepwise_plan(self, key, charging, *args):
+    """The reference: charge step by step now; replay nothing."""
+    charging(self, *args)
+    return EMPTY
+
+
+class TestReplayEqualsStepwise:
+    @pytest.mark.parametrize("config, op, flags", list(_matrix()))
+    def test_counters_and_clock_identical(self, monkeypatch, config, op,
+                                          flags):
+        planned = World(2, config).run(OPS[op], args=(flags,), timeout=60)
+        with monkeypatch.context() as patch:
+            patch.setattr(Proc, "plan", _stepwise_plan)
+            stepwise = World(2, config).run(OPS[op], args=(flags,),
+                                            timeout=60)
+        assert planned == stepwise
+        assert planned[0][0] > 0
+
+    def test_replay_is_one_call_per_layer(self, monkeypatch):
+        """Entry + validation + device: three ``Proc.charge`` calls per
+        Isend where the stepwise path makes sixteen."""
+        calls = []
+        original = Proc.charge
+
+        def counting(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        def body(comm):
+            buf = np.zeros(1, dtype=np.uint8)
+            if comm.rank == 0:
+                comm.Send(buf, 1)        # warm: compiles the plans
+                calls.clear()
+                comm.Isend(buf, 1, tag=1).wait()
+                return len(calls), all(len(a) == 1 for a in calls)
+            comm.Recv(buf, 0)
+            comm.Recv(buf, 0, tag=1)
+
+        monkeypatch.setattr(Proc, "charge", counting)
+        assert World(2).run(body, timeout=60)[0] == (3, True)
+
+
+# -- key completeness -----------------------------------------------------------
+
+def _isend_keys(proc):
+    return {k for k in proc._plans if isinstance(k, tuple) and k[0] == "isend"}
+
+
+class TestKeyCompleteness:
+    """Calls whose charging code takes different branches never share a
+    plan; calls with one key compile equal plans."""
+
+    def test_variants_get_their_own_plans(self):
+        def body(comm):
+            proc = comm.proc
+            buf = np.zeros(NBYTES, dtype=np.uint8)
+            predefined = comm.dup_predefined(0)
+            direct = comm.dup()
+            direct.translation = DirectTableTranslation(
+                direct.group.world_ranks)
+            column = vector(2, 1, 2, DOUBLE).commit()
+            field = np.zeros(4)
+            if comm.rank == 1:
+                for c in (comm, predefined, direct, comm, comm):
+                    c.Recv(buf, 0)
+                comm.Recv((field, 1, column), 0)
+                comm.Recv(buf, ANY_SOURCE)
+                return sorted({k[0] for k in proc._plans
+                               if isinstance(k, tuple)
+                               and k[0].startswith("irecv")})
+            totals = {}
+            for name, c, arg in (
+                    ("world", comm, buf),
+                    ("predefined", predefined, buf),
+                    ("direct", direct, buf),
+                    ("class2", comm, (buf, NBYTES, compile_time(BYTE))),
+                    ("class3", comm, (buf, NBYTES, runtime_constant(BYTE))),
+                    ("class1", comm, (field, 1, column))):
+                before = set(proc._plans)
+                with proc.tracer.call(name):
+                    c.Isend(arg, 1).wait()
+                totals[name] = (proc.tracer.last(name).total,
+                                len(_isend_keys(proc) - before))
+            comm.Send(buf, 1)
+            return totals
+
+        totals, recv_keys = World(2).run(body, timeout=60)
+        # One new isend plan per variant — except "world", whose plan the
+        # dups' own byte sends on MPI_COMM_WORLD compiled already, and
+        # "class2", which is how a bare ndarray is classified.
+        assert {n: new for n, (_, new) in totals.items()} == {
+            "world": 0, "predefined": 1, "direct": 1, "class2": 0,
+            "class3": 1, "class1": 1}
+        world = totals["world"][0]
+        assert world == 221
+        assert totals["predefined"][0] < world       # static-index lookup
+        assert totals["direct"][0] == world - 11 + 2  # 2-instr table load
+        # Wildcard vs concrete source never share a plan.
+        assert recv_keys == ["irecv", "irecv_any"]
+
+    def test_every_usage_class_has_an_index(self):
+        assert sorted(u.index for u in UsageClass) == [0, 1, 2]
+        assert [c.index for c in Category] == list(range(len(Category)))
+        assert [s.index for s in Subsystem] == list(range(len(Subsystem)))
+
+    def test_same_key_compiles_equal_plans(self):
+        def body(comm):
+            buf = np.zeros(1, dtype=np.uint8)
+            if comm.rank == 0:
+                comm.Send(buf, 1)
+            else:
+                comm.Recv(buf, 0)
+            return {key: plan.steps
+                    for key, plan in comm.proc._plans.items()}
+
+        first = World(2).run(body, timeout=60)
+        second = World(2).run(body, timeout=60)
+        assert first == second and first[0]
+
+
+class TestRecorder:
+    def test_negative_cost_rejected_at_compile(self):
+        proc = World(1).proc(0)
+        before = _state(proc)
+        with pytest.raises(ValueError, match="negative cost"):
+            proc.plan("neg", lambda p: p.charge(Category.MANDATORY, -1))
+        assert "neg" not in proc._plans and _state(proc) == before
+        with pytest.raises(ValueError):
+            proc.charge(Category.MANDATORY, -1)
+        assert _state(proc) == before
+
+    def test_charging_code_cannot_read_the_clock(self):
+        proc = World(1).proc(0)
+        with pytest.raises(AttributeError):
+            proc.plan("clock", lambda p: p.vclock.now)
+        with pytest.raises(AttributeError):
+            proc.plan("counter", lambda p: p.counter.total)
+
+    def test_racing_compiles_of_one_key_agree(self):
+        """The cache is shared with the progress-engine thread and takes
+        no lock: same key, equal plan, whichever thread stores last."""
+        import sys
+        import threading
+        proc = World(1).proc(0)
+        plans, start = [], threading.Barrier(8)
+
+        def charging(p):
+            p.charge(Category.MANDATORY, 3, Subsystem.DESCRIPTOR)
+            p.charge(Category.ERROR_CHECKING, 5)
+
+        def racer():
+            start.wait(timeout=10)
+            for i in range(200):
+                plans.append(proc.plan(("race", i % 4), charging))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=racer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(plans) == 1600
+        assert {p.steps for p in plans} == {plans[0].steps}
+
+    def test_plan_folds_steps_in_order(self):
+        proc = World(1).proc(0)
+
+        def charging(p):
+            p.charge(Category.MANDATORY, 3, Subsystem.DESCRIPTOR)
+            p.charge(Category.ERROR_CHECKING, 5)
+            p.charge(Category.MANDATORY, 7, Subsystem.DESCRIPTOR)
+
+        plan = proc.plan("demo", charging)
+        assert proc.plan("demo", charging) is plan
+        assert [(c, s, n) for c, s, n, _ in plan.steps] == [
+            (Category.MANDATORY, Subsystem.DESCRIPTOR, 3),
+            (Category.ERROR_CHECKING, None, 5),
+            (Category.MANDATORY, Subsystem.DESCRIPTOR, 7)]
+        assert plan.total == 15
+        assert dict(plan.cats) == {Category.MANDATORY.index: 10,
+                                   Category.ERROR_CHECKING.index: 5}
+        assert dict(plan.subs) == {Subsystem.DESCRIPTOR.index: 10}
+        proc.charge(plan)
+        reference = World(1).proc(0)
+        charging(reference)
+        assert _state(proc) == _state(reference)
+
+
+# -- error and PROC_NULL exits ------------------------------------------------------
+
+def _traced(proc, name, call, error=None):
+    """Run *call* traced; returns (error type name, total, nonzero
+    categories) of what it charged before returning or raising."""
+    with proc.tracer.call(name):
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error
+    rec = proc.tracer.last(name)
+    return (error.__name__ if error else None, rec.total,
+            {c.name: n for c, n in rec.by_category.items() if n})
+
+
+def _error_exits(comm):
+    proc = comm.proc
+    buf = np.zeros(NBYTES, dtype=np.uint8)
+    raw = vector(2, 1, 2, DOUBLE)                  # never committed
+    freed = comm.dup()
+    win = Window.create(comm, np.zeros(64, dtype=np.uint8), disp_unit=1)
+    win.fence()
+    out = {}
+    if comm.rank == 0:
+        freed.freed = True
+        cases = {
+            "send_negative_count": (
+                lambda: comm.Isend((buf, -1, BYTE), 1), MPIErrCount),
+            "send_tag_out_of_range": (
+                lambda: comm.Isend(buf, 1, tag=TAG_UB + 1), MPIErrTag),
+            "send_uncommitted": (
+                lambda: comm.Isend((np.zeros(4), 1, raw), 1),
+                MPIErrDatatype),
+            "send_freed_comm": (lambda: freed.Isend(buf, 1), MPIErrComm),
+            "send_bad_rank": (lambda: comm.Isend(buf, 7), MPIErrRank),
+            "send_npn_proc_null": (
+                lambda: comm.isend_npn(buf, PROC_NULL), MPIErrRank),
+            "send_proc_null": (
+                lambda: comm.Isend(buf, PROC_NULL).wait(), None),
+            "recv_negative_count": (
+                lambda: comm.Irecv((buf, -1, BYTE), 1), MPIErrCount),
+            "recv_tag_out_of_range": (
+                lambda: comm.Irecv(buf, 1, tag=TAG_UB + 1), MPIErrTag),
+            "recv_uncommitted": (
+                lambda: comm.Irecv((np.zeros(4), 1, raw), 1),
+                MPIErrDatatype),
+            "recv_freed_comm": (lambda: freed.Irecv(buf, 1), MPIErrComm),
+            "recv_bad_rank": (lambda: comm.Irecv(buf, 7), MPIErrRank),
+            "recv_npn_proc_null": (
+                lambda: comm._buffer_recv(buf, PROC_NULL, 0,
+                                          flags=ext.NO_PROC_NULL),
+                MPIErrRank),
+            "recv_proc_null": (
+                lambda: comm.Irecv(buf, PROC_NULL).wait(), None),
+            "put_negative_count": (
+                lambda: win.put((buf, -1, BYTE), 1), MPIErrCount),
+            "put_uncommitted": (
+                lambda: win.put((np.zeros(4), 1, raw), 1), MPIErrDatatype),
+            "put_bad_rank": (lambda: win.put(buf, 7), MPIErrRank),
+            "put_npn_proc_null": (
+                lambda: win.put(buf, PROC_NULL, flags=ext.NO_PROC_NULL),
+                MPIErrRank),
+            "put_proc_null": (lambda: win.put(buf, PROC_NULL), None),
+        }
+        for name, (call, error) in cases.items():
+            out[name] = _traced(proc, name, call, error)
+    win.fence()
+    if comm.rank == 0:
+        win.freed = True
+        out["put_freed_win"] = _traced(
+            proc, "put_freed_win", lambda: win.put(buf, 1), MPIErrWin)
+        win.freed = False
+    return out
+
+
+_NAMES = {"err": "ERROR_CHECKING", "thread": "THREAD_SAFETY",
+          "call": "FUNCTION_CALL", "red": "REDUNDANT_CHECKS",
+          "mand": "MANDATORY"}
+
+
+def _exit(error, total, **cats):
+    return (error.__name__ if error else None, total,
+            {_NAMES[k]: n for k, n in cats.items()})
+
+
+#: What each exit charged on the commit before plans (PR 14, default
+#: CH4 build), measured there with this file's ``_error_exits``.
+PARENT_EXITS = {
+    "send_negative_count": _exit(MPIErrCount, 51, err=22, thread=6, call=23),
+    "send_tag_out_of_range": _exit(MPIErrTag, 51, err=22, thread=6, call=23),
+    "send_uncommitted": _exit(MPIErrDatatype, 69, err=40, thread=6, call=23),
+    "send_freed_comm": _exit(MPIErrComm, 85, err=56, thread=6, call=23),
+    "send_bad_rank": _exit(MPIErrRank, 103, err=74, thread=6, call=23),
+    "send_npn_proc_null": _exit(MPIErrRank, 171, err=74, thread=6, call=23,
+                                red=59, mand=9),
+    "send_proc_null": _exit(None, 187, err=74, thread=6, call=23, red=59,
+                            mand=25),
+    "recv_negative_count": _exit(MPIErrCount, 51, err=22, thread=6, call=23),
+    "recv_tag_out_of_range": _exit(MPIErrTag, 51, err=22, thread=6, call=23),
+    "recv_uncommitted": _exit(MPIErrDatatype, 69, err=40, thread=6, call=23),
+    "recv_freed_comm": _exit(MPIErrComm, 85, err=56, thread=6, call=23),
+    "recv_bad_rank": _exit(MPIErrRank, 103, err=74, thread=6, call=23),
+    "recv_npn_proc_null": _exit(MPIErrRank, 184, err=74, thread=6, call=23,
+                                red=59, mand=22),
+    "recv_proc_null": _exit(None, 187, err=74, thread=6, call=23, red=59,
+                            mand=25),
+    "put_negative_count": _exit(MPIErrCount, 59, err=20, thread=14, call=25),
+    "put_uncommitted": _exit(MPIErrDatatype, 77, err=38, thread=14, call=25),
+    "put_bad_rank": _exit(MPIErrRank, 111, err=72, thread=14, call=25),
+    "put_npn_proc_null": _exit(MPIErrRank, 180, err=72, thread=14, call=25,
+                               red=60, mand=9),
+    "put_proc_null": _exit(None, 183, err=72, thread=14, call=25, red=60,
+                           mand=12),
+    "put_freed_win": _exit(MPIErrWin, 93, err=54, thread=14, call=25),
+}
+
+
+class TestErrorExitCharges:
+    """A call that fails a check, or meets MPI_PROC_NULL, charges the
+    prefix of the path it actually ran — unchanged by plans — and
+    raises the same typed error."""
+
+    def test_exits_charge_what_they_did_before_plans(self):
+        got = World(2).run(_error_exits, timeout=60)[0]
+        assert got == PARENT_EXITS
+
+    def test_an_error_exit_does_not_poison_the_plan(self):
+        """The stepwise exit leaves the cache alone: the next good call
+        on the same key still charges the calibrated 221."""
+        def body(comm):
+            buf = np.zeros(1, dtype=np.uint8)
+            proc = comm.proc
+            if comm.rank == 0:
+                with pytest.raises(MPIErrRank):
+                    comm.isend_npn(buf, PROC_NULL)
+                comm.Isend(buf, PROC_NULL).wait()
+                with proc.tracer.call("good"):
+                    req = comm.Isend(buf, 1)
+                req.wait()
+                return proc.tracer.last("good").total
+            comm.Recv(buf, 0)
+
+        assert World(2).run(body, timeout=60)[0] == 221

@@ -374,6 +374,65 @@ class TestTsanCalibrationGuard:
         assert measure_instructions(config, "put") == put
 
 
+class TestPlansCalibrationGuard:
+    """Charge-plan neutrality gate: plans change how often the ledger
+    is called, never what it is told — a cold call (which compiles its
+    plans) and a warm one (which replays them) both charge byte-for-
+    byte what the committed Figure 2 / Table 1 numbers say."""
+
+    def test_paper_totals(self):
+        from repro.core.config import BuildConfig
+        from repro.perf.msgrate import measure_instructions
+        assert measure_instructions(BuildConfig(), "isend") == 221
+        assert measure_instructions(BuildConfig(), "put") == 215
+
+    def test_cold_calls_keep_figure2_exact(self):
+        from repro.core.config import named_builds
+        from repro.perf.msgrate import measure_instructions
+        for label, (isend, put) in \
+                TestVCICalibrationGuard.FIGURE2.items():
+            config = named_builds()[label]
+            assert measure_instructions(config, "isend") == isend, label
+            assert measure_instructions(config, "put") == put, label
+
+    def test_warm_calls_keep_table1_trace(self):
+        """Three traced calls in one world: the first compiles, the
+        others replay; every record is the committed decomposition."""
+        import json
+        import numpy as np
+        from repro.mpi.rma import Window
+        from repro.runtime import World
+
+        def body(comm, op):
+            proc = comm.proc
+            buf = np.zeros(1, dtype=np.uint8)
+            win = Window.create(comm, np.zeros(8, dtype=np.uint8),
+                                disp_unit=1)
+            win.fence()
+            for _ in range(3):
+                if op == "put" and comm.rank == 0:
+                    with proc.tracer.call(op):
+                        win.put(buf, 1)
+                elif op == "isend" and comm.rank == 0:
+                    with proc.tracer.call(op):
+                        req = comm.Isend(buf, 1)
+                    req.wait()
+                elif op == "isend":
+                    comm.Recv(buf, 0)
+            win.fence()
+            return [r for r in proc.tracer.records if r.name == op]
+
+        for op, committed in TestVCICalibrationGuard.TABLE1.items():
+            records = World(2).run(body, args=(op,), timeout=60)[0]
+            assert len(records) == 3
+            for rec in records:
+                trace = {cat.name: n for cat, n in
+                         sorted(rec.by_category.items(),
+                                key=lambda kv: kv[0].name) if n}
+                assert json.dumps(trace, sort_keys=True) \
+                    == json.dumps(committed, sort_keys=True), op
+
+
 class TestServiceCalibrationGuard:
     """Failure-detector neutrality gate: a ``detector=None`` build must
     charge byte-for-byte what the committed Figure 2 / Table 1 numbers
