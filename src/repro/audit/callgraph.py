@@ -212,9 +212,16 @@ class CodeIndex:
                      caller: FunctionInfo) -> list[FunctionInfo]:
         """Over-approximate callee set for a ``Call.func`` expression."""
         if isinstance(func_expr, ast.Name):
-            # Plain call: module-level functions of that name anywhere.
+            # Plain call: module-level functions of that name anywhere,
+            # or — the name being a class — its constructor and, for a
+            # context object such as ``mpi_entry``, the enter/exit pair
+            # the ``with`` around the call runs.
             return [f for f in self.by_name.get(func_expr.id, [])
-                    if f.cls is None]
+                    if f.cls is None] + [
+                info.methods[name]
+                for info in self.classes.get(func_expr.id, [])
+                for name in ("__init__", "__enter__", "__exit__")
+                if name in info.methods]
         if isinstance(func_expr, ast.Attribute):
             name = func_expr.attr
             candidates = self.by_name.get(name, [])

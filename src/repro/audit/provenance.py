@@ -20,7 +20,12 @@ expressions are folded, and the CH3 ``for cat, sub, cost in
 steps.values()`` idiom expands to every key of the bound step table.
 The record call ``proc.plan(key, charging, *args)`` is followed as
 ``charging(proc, *args)``, so a charging function compiled into a
-charge plan is walked exactly like one called stepwise.
+charge plan is walked exactly like one called stepwise — including
+the ones a call plan fuses: ``call_plan`` / ``entry_plan`` /
+``pt2pt_plan`` / ``rma_plan`` are ordinary functions that make the
+record calls, reached by name from the entry point that compiles
+them.  A call to a class (``mpi_entry(...)``) is followed into its
+``__init__`` and its ``__enter__``/``__exit__`` pair.
 """
 
 from __future__ import annotations
@@ -302,8 +307,9 @@ class ProvenanceAnalyzer:
                      env, func) -> dict[str, SymSet]:
         params = [a.arg for a in (callee.node.args.posonlyargs
                                   + callee.node.args.args)]
-        if callee.cls is not None and not callee.staticmethod \
-                and isinstance(call.func, ast.Attribute) and params:
+        if callee.cls is not None and not callee.staticmethod and params \
+                and (isinstance(call.func, ast.Attribute)
+                     or callee.name == "__init__"):   # Class(...) call
             params = params[1:]
         bound: dict[str, SymSet] = {}
         for i, arg in enumerate(call.args):

@@ -786,7 +786,9 @@ class Analyzer:
                 return replace(arg0, borrowed=True)
             return None
         if name in COMPOSITE_CTORS:
-            comp = {k: v for k, v in kwvals.items()
+            fields = dict(zip(self._ctor_fields(name), argvals))
+            fields.update(kwvals)
+            comp = {k: v for k, v in fields.items()
                     if first_taint(v) is not None}
             return comp or None
         if name == "run_handler":
@@ -795,6 +797,22 @@ class Analyzer:
         candidates = [f for f in self.index.by_name.get(name, [])
                       if f.cls is None]
         return self._descend(candidates, argvals, kwvals, quals, ctx)
+
+    def _ctor_fields(self, name: str) -> list[str]:
+        """Positional field order of the descriptor class *name*: its
+        ``__init__`` parameters, or — for a dataclass — its annotated
+        fields, so ``SendOp(buf, count, ...)`` carries taint exactly
+        like ``SendOp(buf=buf, count=count, ...)``."""
+        for info in self.index.classes.get(name, []):
+            init = info.methods.get("__init__")
+            if init is not None:
+                return [a.arg for a in init.node.args.args[1:]]
+            for node in info.module.tree.body:
+                if isinstance(node, ast.ClassDef) and node.name == name:
+                    return [stmt.target.id for stmt in node.body
+                            if isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)]
+        return []
 
     def _call_attr(self, node, func: ast.Attribute, argvals, kwvals,
                    env, quals, ctx) -> Value:

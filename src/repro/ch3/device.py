@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Optional
 from repro.ch3.protocol import Protocol, choose_protocol, wire_overhead_s
 from repro.consts import ANY_SOURCE, PROC_NULL
 from repro.core import am
-from repro.core.ops import AccOp, GetOp, PutOp, RecvOp, SendOp, SyncState
+from repro.core.ops import (AccOp, CallPlan, GetOp, PutOp, RecvOp, SendOp,
+                            SyncState)
 from repro.datatypes.pack import pack, packed_size, unpack
 from repro.errors import MPIErrArg
 from repro.instrument.costs import COSTS, CostModel
@@ -69,14 +70,34 @@ class CH3Device:
             return self.shmmod
         return self.netmod
 
+    # -- call plans -----------------------------------------------------------
+
+    def pt2pt_plan(self, op, peer: int, recv: bool) -> Optional[CallPlan]:
+        """CH3's share of one pt2pt call site is its step table's
+        charge plan: the layered path re-derives the rest per message,
+        which is the point of the comparison.  None for an operation
+        carrying extension flags, rejected inside its entry."""
+        if op.flags.any:
+            return None
+        return CallPlan(self.proc.plan("ch3_isend", self._charge_steps,
+                                       self.costs.ch3_isend_steps))
+
+    def rma_plan(self, op) -> Optional[CallPlan]:
+        """RMA twin of :meth:`pt2pt_plan`."""
+        if op.flags.any:
+            return None
+        return CallPlan(self.proc.plan("ch3_put", self._charge_steps,
+                                       self.costs.ch3_put_steps))
+
     # -- point-to-point -------------------------------------------------------
 
     def isend(self, op: SendOp) -> Optional[Request]:
         """Issue a send through the VC/protocol machinery."""
         self._reject_extensions(op)
         proc = self.proc
-        proc.charge(proc.plan("ch3_isend", self._charge_steps,
-                              self.costs.ch3_isend_steps))
+        if op.plan is None:
+            proc.charge(proc.plan("ch3_isend", self._charge_steps,
+                                  self.costs.ch3_isend_steps))
 
         if op.dest == PROC_NULL:
             request = proc.request_pool.acquire(RequestKind.SEND)
@@ -128,8 +149,9 @@ class CH3Device:
         """Post a receive through the CH3 request machinery."""
         self._reject_extensions(op)
         proc = self.proc
-        proc.charge(proc.plan("ch3_isend", self._charge_steps,
-                              self.costs.ch3_isend_steps))
+        if op.plan is None:
+            proc.charge(proc.plan("ch3_isend", self._charge_steps,
+                                  self.costs.ch3_isend_steps))
 
         request = proc.request_pool.acquire(RequestKind.RECV)
         if op.source == PROC_NULL:
@@ -169,8 +191,9 @@ class CH3Device:
         """Charge the CH3 RMA packet path; resolve the target."""
         self._reject_extensions(op)
         proc = self.proc
-        proc.charge(proc.plan("ch3_put", self._charge_steps,
-                              self.costs.ch3_put_steps))
+        if op.plan is None:
+            proc.charge(proc.plan("ch3_put", self._charge_steps,
+                                  self.costs.ch3_put_steps))
         if op.target_rank == PROC_NULL:
             return None
         target_world = op.win.comm.translation.world_rank(op.target_rank)

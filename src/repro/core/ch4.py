@@ -22,11 +22,12 @@ from typing import TYPE_CHECKING, Optional
 from repro.consts import ANY_SOURCE, PROC_NULL
 from repro.core import am
 from repro.core.extensions import ExtFlags
-from repro.core.ops import AccOp, GetOp, PutOp, RecvOp, SendOp, SyncState
+from repro.core.ops import (RECV_PLAN, AccOp, CallPlan, GetOp, PutOp,
+                            RecvOp, SendOp, SyncState)
 from repro.datatypes.pack import pack, packed_size, unpack
 from repro.datatypes.usage import DatatypeRef, UsageClass
 from repro.core.config import IpoScope
-from repro.errors import MPIErrArg, MPIErrRank
+from repro.errors import MPIErrArg, MPIError, MPIErrRank
 from repro.instrument.categories import Category, Subsystem
 from repro.instrument.costs import COSTS, CostModel, MandatoryCosts, RedundantCheckCosts
 from repro.instrument.fastpath import fastpath
@@ -43,6 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _MAND = Category.MANDATORY
 _RED = Category.REDUNDANT_CHECKS
+_SEND = RequestKind.SEND
+_RECV = RequestKind.RECV
 
 
 class CH4Device:
@@ -56,6 +59,12 @@ class CH4Device:
         self.netmod: Netmod = build_netmod(proc, proc.config.fabric)
         self.shmmod: Netmod = build_shmmod(proc, proc.config.shm_fabric)
         self.force_am = proc.config.force_am_fallback
+        #: Sends snapshot their payload instead of borrowing the
+        #: application buffer: the legacy always-copy build, or a
+        #: fault-injected one (the retransmit stash holds payloads
+        #: across calls).
+        self.copy_sends = (not proc.config.zero_copy
+                           or proc.faults is not None)
         #: Protocol statistics (CH4 also switches to rendezvous for
         #: large payloads — handled inside the netmod path, with no
         #: extra instruction charges on the fast path).
@@ -200,73 +209,110 @@ class CH4Device:
         proc.charge(_MAND, desc, Subsystem.DESCRIPTOR)
         return True
 
+    def _send_facts(self, op: SendOp, path) -> CallPlan:
+        """What a send's call site fixes below the charges: the
+        translated destination, its transport (the CH4 locality
+        check), whether that moves the datatype natively, and the
+        eager threshold."""
+        dest_world = self._resolve_dest(op.comm, op.dest, op.flags)
+        transport = self._transport_for(dest_world)
+        threshold = self.proc.config.eager_threshold
+        return CallPlan(
+            path, dest_world, transport,
+            native=(not self.force_am
+                    and transport.send_is_native(op.dtref.datatype.contig)),
+            threshold=(transport.spec.rendezvous_threshold
+                       if threshold is None else threshold))
+
+    def pt2pt_plan(self, op, peer: int, recv: bool) -> Optional[CallPlan]:
+        """The device's share of one pt2pt call site, resolved on its
+        first use: the path's charge plan and, for a send, what
+        :meth:`_send_facts` resolves.  None off the straight line (an
+        MPI_PROC_NULL peer; noreq + sync), whose calls charge
+        stepwise."""
+        if peer == PROC_NULL or (not recv and op.sync and op.flags.noreq):
+            return None
+        comm = op.comm
+        kind = ("isend" if not recv
+                else "irecv_any" if peer == ANY_SOURCE else "irecv")
+        path = self.proc.plan(
+            self._path_key(kind, op.flags, comm.is_predefined_handle, comm,
+                           op.dtref),
+            self._charge_pt2pt, op, peer, recv)
+        try:
+            return CallPlan(path) if recv else self._send_facts(op, path)
+        except MPIError:
+            # A peer the translation rejects (a build without error
+            # checking let it through): the call charges stepwise and
+            # raises where it always did.
+            return None
+
+    @fastpath
+    def _enter_uncharged(self, op, peer: int,
+                         recv: bool) -> Optional[CallPlan]:
+        """An op no entry has charged for — a collective's internal
+        send, an armed entry's, a call off the straight line: charge
+        its path (compiled, or stepwise off the line) and return its
+        call plan; None where the call ends at MPI_PROC_NULL."""
+        proc = self.proc
+        plan = op.comm._call_plan(op, RECV_PLAN if recv else op.sync, peer)
+        if plan is not None:
+            proc.charge(plan.path)
+        elif self._charge_pt2pt(proc, op, peer, recv):
+            # Off the line, yet not ending there: an NPN call given
+            # MPI_PROC_NULL on a build that does not check (undefined
+            # behaviour, §3.4) goes on like any other peer.
+            plan = CallPlan() if recv else self._send_facts(op, None)
+        return plan
+
     @fastpath
     def isend(self, op: SendOp) -> Optional[Request]:
         """Issue a send; returns None under the noreq extension."""
         proc = self.proc
+        plan = op.plan or self._enter_uncharged(op, op.dest, False)
+        if plan is None:
+            return self._null_send(op)
         flags = op.flags
         comm = op.comm
-
-        if op.dest == PROC_NULL or (flags.noreq and op.sync):
-            if not self._charge_pt2pt(proc, op, op.dest, False):
-                return self._null_send(op)
-        else:
-            proc.charge(proc.plan(
-                self._path_key("isend", flags, comm.is_predefined_handle,
-                               comm, op.dtref),
-                self._charge_pt2pt, op, op.dest, False))
-
-        dest_world = self._resolve_dest(comm, op.dest, flags)
-        env = Envelope(ctx=comm.ctx, src=comm.rank, tag=op.tag,
-                       nomatch=flags.nomatch)
-        request = (None if flags.noreq
-                   else proc.request_pool.acquire(RequestKind.SEND))
+        request = None if flags.noreq else proc.request_pool.acquire(_SEND)
 
         # Zero-copy fast path: the payload borrows the application
-        # buffer; the request pins the view until recycled.  Fault-
-        # injected builds keep the snapshot (the retransmit stash
-        # holds payloads across calls).
-        payload = pack(op.buf, op.count, op.dtref.datatype,
-                       copy=not proc.config.zero_copy
-                       or proc.faults is not None)
+        # buffer; the request pins the view until recycled.
+        payload = pack(op.buf, op.count, op.dtref.datatype, self.copy_sends)
+        nbytes = len(payload)
         if request is not None:
             request._keepalive = payload
-        if proc.sanitizer is not None and request is not None:
-            proc.sanitizer.note_send(request, dest_world, op.sync, payload,
-                                     (op.buf, op.count, op.dtref.datatype))
-        # Injection lane: the VCI owning this send's (ctx, dest, tag)
-        # stream (None in the unsharded build; bookkeeping only).
-        vci = proc.vci_for(comm.ctx, op.dest, op.tag, flags.nomatch)
-        transport = self._transport_for(dest_world)
-        native = (not self.force_am
-                  and transport.send_is_native(op.dtref.datatype.contig))
-
-        sync = None
+        transport = plan.transport
+        vci = sync = None
+        if proc.hooked:
+            if proc.sanitizer is not None and request is not None:
+                proc.sanitizer.note_send(
+                    request, plan.peer_world, op.sync, payload,
+                    (op.buf, op.count, op.dtref.datatype))
+            # Injection lane: the VCI owning this send's (ctx, dest,
+            # tag) stream (None in the unsharded build).
+            vci = proc.vci_for(comm.ctx, op.dest, op.tag, flags.nomatch)
         if op.sync:
             sync = SyncState(request=request,
                              ack_latency_s=transport.spec.latency_s)
 
         # Large payloads go rendezvous (RTS/CTS round trip on the wire;
         # CH4's netmod handles it without extra fast-path instructions).
-        threshold = (proc.config.eager_threshold
-                     if proc.config.eager_threshold is not None
-                     else transport.spec.rendezvous_threshold)
-        rendezvous = len(payload) > threshold
+        rendezvous = nbytes > plan.threshold
         if rendezvous:
             self.n_rendezvous += 1
         else:
             self.n_eager += 1
 
-        result = transport.issue(len(payload), native, vci=vci)
-        arrive = result.arrive_s
-        complete = result.complete_s
+        complete, arrive = transport.issue(nbytes, plan.native, vci=vci)
         if rendezvous:
             arrive += 2.0 * transport.spec.latency_s
             complete = proc.vclock.now + 2.0 * transport.spec.latency_s
         if vci is not None:
             vci.completion.note("send", complete)
-        msg = Message(env=env, data=payload, arrive_s=arrive, sync=sync)
-        proc.deliver(dest_world, msg)
+        proc.deliver(plan.peer_world, Message(
+            Envelope(comm.ctx, comm.rank, op.tag, flags.nomatch), payload,
+            arrive, sync))
 
         if request is None:
             comm.note_noreq_issue(complete)
@@ -315,20 +361,9 @@ class CH4Device:
         identical ... for network APIs that support matching".
         """
         proc = self.proc
-        flags = op.flags
-        comm = op.comm
-
-        if op.source == PROC_NULL:
-            posts = self._charge_pt2pt(proc, op, op.source, True)
-        else:
-            posts = True
-            proc.charge(proc.plan(
-                self._path_key(
-                    "irecv_any" if op.source == ANY_SOURCE else "irecv",
-                    flags, comm.is_predefined_handle, comm, op.dtref),
-                self._charge_pt2pt, op, op.source, True))
-        request = proc.request_pool.acquire(RequestKind.RECV)
-        if not posts:
+        plan = op.plan or self._enter_uncharged(op, op.source, True)
+        request = proc.request_pool.acquire(_RECV)
+        if plan is None:
             # Standard: receive from PROC_NULL completes immediately
             # with source=PROC_NULL, tag=ANY_TAG, zero data.
             request.complete(proc.vclock.now, source=PROC_NULL,
@@ -346,29 +381,28 @@ class CH4Device:
         datatype = op.dtref.datatype
 
         def on_match(msg: Message) -> None:
+            data = msg.data
             try:
                 if buf is None:
                     # Bufferless receive: the payload outlives the
                     # sender's buffer, so take ownership.
-                    request.payload = msg.owned_data()
+                    request.payload = data = msg.owned_data()
                 else:
-                    unpack(msg.data, buf, count, datatype)
-                request.complete(msg.arrive_s, source=msg.env.src,
-                                 tag=msg.env.tag, count_bytes=len(msg.data))
+                    unpack(data, buf, count, datatype)
+                request.complete(msg.arrive_s, msg.env.src, msg.env.tag,
+                                 len(data))
             except BaseException as exc:  # noqa: BLE001 - handed to waiter
-                request.complete(msg.arrive_s, source=msg.env.src,
-                                 tag=msg.env.tag, count_bytes=len(msg.data),
-                                 error=exc)
+                request.complete(msg.arrive_s, msg.env.src, msg.env.tag,
+                                 len(data), exc)
 
-        if proc.sanitizer is not None:
+        if proc.hooked and proc.sanitizer is not None:
             proc.sanitizer.note_recv(
                 request, None if op.source == ANY_SOURCE
                 else comm.translation.world_rank(op.source))
-        posted = PostedRecv(ctx=comm.ctx, src=op.source, tag=op.tag,
-                            nomatch=op.flags.nomatch, request=request,
-                            on_match=on_match)
-        proc.engine.post(posted, now_s=proc.vclock.now)
-        if proc.faults is not None:
+        proc.engine.post(
+            PostedRecv(comm.ctx, op.source, op.tag, op.flags.nomatch,
+                       request, on_match), proc.vclock.now)
+        if proc.hooked and proc.faults is not None:
             # This rank is about to block: release any outgoing packet
             # still parked in the wire's reorder stash so a peer is
             # never starved by a receiver that stopped sending.
@@ -417,27 +451,64 @@ class CH4Device:
         proc.charge(_MAND, desc, Subsystem.DESCRIPTOR)
         return True
 
+    def _rma_facts(self, op, path) -> CallPlan:
+        """What an RMA call site fixes below the charges: the target's
+        world rank and exposed-memory state, the transport, and
+        whether that runs the (plain, atomic) operation natively."""
+        win = op.win
+        target_world = self._resolve_dest(win.comm, op.target_rank, op.flags)
+        transport = self._transport_for(target_world)
+        contig = (op.origin_dtref.datatype.contig
+                  and op.target_dtref.datatype.contig)
+        plan = CallPlan(
+            path, target_world, transport,
+            native=not self.force_am and transport.rma_is_native(contig),
+            native_atomic=(not self.force_am
+                           and transport.rma_is_native(contig, atomic=True)))
+        plan.state = win.state_of(target_world)
+        return plan
+
+    def rma_plan(self, op) -> Optional[CallPlan]:
+        """The device's share of one put/get/accumulate call site,
+        resolved on its first use (see :meth:`pt2pt_plan`); None when
+        the target is MPI_PROC_NULL."""
+        if op.target_rank == PROC_NULL:
+            return None
+        win = op.win
+        path = self.proc.plan(
+            self._path_key("rma", op.flags, win.is_predefined_handle,
+                           win.comm, op.origin_dtref),
+            self._charge_rma, op)
+        try:
+            return self._rma_facts(op, path)
+        except MPIError:
+            return None   # as in pt2pt_plan: raised from the stepwise path
+
     @fastpath
     def _rma_prologue(self, op):
-        """Shared RMA path: charge the operation, then resolve the
-        target.  Returns (target_world, state, offset_bytes), or None
-        when the target is PROC_NULL."""
-        proc = self.proc
-        flags = op.flags
-        win = op.win
-        if op.target_rank == PROC_NULL:
-            if not self._charge_rma(proc, op):
+        """Shared RMA path: charge the operation unless its entry did
+        (``op.plan`` is set), then resolve the target.  Returns (call
+        plan, offset_bytes), or None when the target is PROC_NULL."""
+        plan = op.plan
+        if plan is None:
+            proc = self.proc
+            plan = op.win._call_plan(op)
+            if plan is not None:
+                proc.charge(plan.path)
+            elif self._charge_rma(proc, op):
+                plan = self._rma_facts(op, None)   # unchecked NPN call
+            else:
                 return None
-        else:
-            proc.charge(proc.plan(
-                self._path_key("rma", flags, win.is_predefined_handle,
-                               win.comm, op.origin_dtref),
-                self._charge_rma, op))
-        target_world = self._resolve_dest(win.comm, op.target_rank, flags)
-        state = win.state_of(target_world)
-        offset_bytes = (op.target_disp if flags.virtual_addr
-                        else op.target_disp * state.disp_unit)
-        return target_world, state, offset_bytes
+        return plan, (op.target_disp if op.flags.virtual_addr
+                      else op.target_disp * plan.state.disp_unit)
+
+    def _rma_lane(self, op, plan):
+        """The hooks of one RMA issue: the fault layer's lossy
+        transmit, and the injection lane (VCI) the op is tallied on."""
+        proc = self.proc
+        if proc.faults is not None:
+            proc.faults.rma_transmit(plan.peer_world, op.mpi_name)
+        return proc.vci_for(op.win.comm.ctx, op.target_rank, 0)
 
     @fastpath
     def put(self, op: PutOp) -> None:
@@ -445,7 +516,7 @@ class CH4Device:
         resolved = self._rma_prologue(op)
         if resolved is None:
             return
-        target_world, state, offset_bytes = resolved
+        plan, offset_bytes = resolved
 
         data = pack(op.origin_buf, op.origin_count, op.origin_dtref.datatype)
         expect = packed_size(op.target_count, op.target_dtref.datatype)
@@ -454,20 +525,15 @@ class CH4Device:
                 f"{op.mpi_name}: origin carries {len(data)} bytes but the "
                 f"target layout holds {expect}")
 
-        if self.proc.faults is not None:
-            self.proc.faults.rma_transmit(target_world, op.mpi_name)
-        transport = self._transport_for(target_world)
-        contig = (op.origin_dtref.datatype.contig
-                  and op.target_dtref.datatype.contig)
-        native = not self.force_am and transport.rma_is_native(contig)
-        vci = self.proc.vci_for(op.win.comm.ctx, op.target_rank, 0)
-        result = transport.issue(len(data), native, vci=vci)
+        vci = self._rma_lane(op, plan) if self.proc.hooked else None
+        result = plan.transport.issue(len(data), plan.native, vci=vci)
         if vci is not None:
             vci.completion.note("rma", result.arrive_s)
-        am.run_handler("put", state, data=data, offset_bytes=offset_bytes,
+        am.run_handler("put", plan.state, data=data,
+                       offset_bytes=offset_bytes,
                        target_count=op.target_count,
                        target_datatype=op.target_dtref.datatype)
-        op.win.note_pending(target_world, result.arrive_s)
+        op.win.note_pending(plan.peer_world, result.arrive_s)
 
     @fastpath
     def get(self, op: GetOp) -> None:
@@ -475,7 +541,7 @@ class CH4Device:
         resolved = self._rma_prologue(op)
         if resolved is None:
             return
-        target_world, state, offset_bytes = resolved
+        plan, offset_bytes = resolved
 
         nbytes = packed_size(op.origin_count, op.origin_dtref.datatype)
         expect = packed_size(op.target_count, op.target_dtref.datatype)
@@ -484,21 +550,16 @@ class CH4Device:
                 f"{op.mpi_name}: origin holds {nbytes} bytes but the "
                 f"target layout carries {expect}")
 
-        if self.proc.faults is not None:
-            self.proc.faults.rma_transmit(target_world, op.mpi_name)
-        transport = self._transport_for(target_world)
-        contig = (op.origin_dtref.datatype.contig
-                  and op.target_dtref.datatype.contig)
-        native = not self.force_am and transport.rma_is_native(contig)
-        vci = self.proc.vci_for(op.win.comm.ctx, op.target_rank, 0)
-        result = transport.issue(nbytes, native, round_trip=True, vci=vci)
+        vci = self._rma_lane(op, plan) if self.proc.hooked else None
+        result = plan.transport.issue(nbytes, plan.native, round_trip=True,
+                                      vci=vci)
         if vci is not None:
             vci.completion.note("rma", result.complete_s)
-        data = am.run_handler("get", state, offset_bytes=offset_bytes,
+        data = am.run_handler("get", plan.state, offset_bytes=offset_bytes,
                               target_count=op.target_count,
                               target_datatype=op.target_dtref.datatype)
         unpack(data, op.origin_buf, op.origin_count, op.origin_dtref.datatype)
-        op.win.note_pending(target_world, result.complete_s)
+        op.win.note_pending(plan.peer_world, result.complete_s)
 
     @fastpath
     def accumulate(self, op: AccOp) -> Optional[bytes]:
@@ -506,32 +567,23 @@ class CH4Device:
         resolved = self._rma_prologue(op)
         if resolved is None:
             return None
-        target_world, state, offset_bytes = resolved
+        plan, offset_bytes = resolved
 
         data = pack(op.origin_buf, op.origin_count, op.origin_dtref.datatype)
-        if self.proc.faults is not None:
-            self.proc.faults.rma_transmit(target_world, op.mpi_name)
-        transport = self._transport_for(target_world)
-        contig = (op.origin_dtref.datatype.contig
-                  and op.target_dtref.datatype.contig)
-        native = (not self.force_am
-                  and transport.rma_is_native(contig, atomic=True))
+        vci = self._rma_lane(op, plan) if self.proc.hooked else None
         round_trip = op.fetch_buf is not None
-        vci = self.proc.vci_for(op.win.comm.ctx, op.target_rank, 0)
-        result = transport.issue(len(data), native, round_trip=round_trip,
-                                 vci=vci)
+        result = plan.transport.issue(len(data), plan.native_atomic,
+                                      round_trip=round_trip, vci=vci)
+        done = result.complete_s if round_trip else result.arrive_s
         if vci is not None:
-            vci.completion.note("rma", result.complete_s
-                                if round_trip else result.arrive_s)
+            vci.completion.note("rma", done)
         before = am.run_handler(
-            "accumulate", state, data=data, offset_bytes=offset_bytes,
+            "accumulate", plan.state, data=data, offset_bytes=offset_bytes,
             target_count=op.target_count,
             target_datatype=op.target_dtref.datatype, op=op.op,
-            fetch=op.fetch_buf is not None)
-        if op.fetch_buf is not None:
+            fetch=round_trip)
+        if round_trip:
             unpack(before, op.fetch_buf, op.origin_count,
                    op.origin_dtref.datatype)
-            op.win.note_pending(target_world, result.complete_s)
-        else:
-            op.win.note_pending(target_world, result.arrive_s)
+        op.win.note_pending(plan.peer_world, done)
         return before

@@ -23,7 +23,49 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.rma import Window
 
 
-@dataclass
+#: The receive kind of a ``Communicator._plans`` key ``(kind, peer,
+#: flags.bits, dtref.key)``; a send's kind is its ``sync`` flag.
+RECV_PLAN = 2
+
+
+class CallPlan:
+    """What one call site fixes, resolved once.
+
+    The paper's §2.2 argument applied to the call itself: everything
+    an ``(operation, handle, peer, flags, datatype class)`` tuple
+    determines on a given build is decided on first use and cached on
+    the handle (``Communicator._plans`` / ``Window._plans``): the
+    layers' charge plans ``entry``, ``args`` and ``path``, the
+    ``lock`` of the modeled critical section, the translated
+    ``peer_world``, the ``transport`` and whether it moves the
+    datatype natively (``native``; ``native_atomic`` for an
+    accumulate), the eager ``threshold``, an RMA target's
+    exposed-memory ``state``.  The per-message path reads these slots
+    instead of re-deriving them.
+
+    ``fused`` is the three charge plans' steps in path order: an entry
+    replays it in one ``Proc.charge`` when nothing reads the clock or
+    the counter between the layers (no armed hook, no routed VCI).  A
+    plan that only enters (init calls, every call that leaves the
+    straight line) has ``fused = None``.
+    """
+
+    __slots__ = ("entry", "args", "path", "fused", "lock", "peer_world",
+                 "transport", "native", "native_atomic", "threshold",
+                 "state")
+
+    def __init__(self, path=None, peer_world=None, transport=None,
+                 native=False, native_atomic=False, threshold=0):
+        self.path = path
+        self.peer_world = peer_world
+        self.transport = transport
+        self.native = native
+        self.native_atomic = native_atomic
+        self.threshold = threshold
+        self.entry = self.args = self.fused = self.lock = self.state = None
+
+
+@dataclass(slots=True)
 class SendOp:
     """One MPI_(I)SEND-family operation."""
 
@@ -36,9 +78,13 @@ class SendOp:
     flags: ExtFlags = NONE
     sync: bool = False         #: synchronous mode (MPI_SSEND)
     mpi_name: str = "MPI_Isend"   #: flow-through: originating MPI call
+    #: The call site's plan, set by an entry that replayed its fused
+    #: charge: the device then charges nothing (else it finds the plan
+    #: itself and charges the path).
+    plan: Optional[CallPlan] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RecvOp:
     """One MPI_(I)RECV-family operation.
 
@@ -54,9 +100,10 @@ class RecvOp:
     comm: "Communicator"
     flags: ExtFlags = NONE
     mpi_name: str = "MPI_Irecv"
+    plan: Optional[CallPlan] = None   #: see :class:`SendOp`
 
 
-@dataclass
+@dataclass(slots=True)
 class PutOp:
     """One MPI_PUT-family operation."""
 
@@ -70,9 +117,10 @@ class PutOp:
     win: "Window"
     flags: ExtFlags = NONE
     mpi_name: str = "MPI_Put"
+    plan: Optional[CallPlan] = None   #: see :class:`SendOp`
 
 
-@dataclass
+@dataclass(slots=True)
 class GetOp:
     """One MPI_GET-family operation."""
 
@@ -86,9 +134,10 @@ class GetOp:
     win: "Window"
     flags: ExtFlags = NONE
     mpi_name: str = "MPI_Get"
+    plan: Optional[CallPlan] = None   #: see :class:`SendOp`
 
 
-@dataclass
+@dataclass(slots=True)
 class AccOp:
     """One MPI_ACCUMULATE-family operation (op applied elementwise)."""
 
@@ -104,6 +153,7 @@ class AccOp:
     flags: ExtFlags = NONE
     fetch_buf: Optional[Buffer] = None   #: GET_ACCUMULATE result buffer
     mpi_name: str = "MPI_Accumulate"
+    plan: Optional[CallPlan] = None   #: see :class:`SendOp`
 
 
 @dataclass

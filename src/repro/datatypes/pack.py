@@ -113,20 +113,34 @@ def pack(buf: Buffer, count: int, datatype: Datatype,
         raise MPIErrCount(f"count must be >= 0, got {count}")
     if count == 0:
         return b""
-    raw = as_bytes(buf)
-    need = _required_span(count, datatype)
-    if raw.size < need:
-        raise MPIErrBuffer(
-            f"buffer holds {raw.size} bytes, need {need} for "
-            f"{count} x {datatype.name}")
     if datatype.contig:
-        seg = raw[: count * datatype.size]
+        # The one contiguous branch, for every caller and buffer kind:
+        # the cast is the contiguity check (GPAW's CHK_ARRAY — validate
+        # once, then hand raw memory down).  Where it refuses, as_bytes
+        # says why (not C-contiguous, not a buffer) — or its uint8 view
+        # serves, for a dtype or empty shape memoryview cannot cast.
+        try:
+            raw = memoryview(buf).cast("B")
+        except (TypeError, ValueError):
+            raw = as_bytes(buf).data
+        need = count * datatype.size
+        if len(raw) < need:
+            raise MPIErrBuffer(
+                f"buffer holds {len(raw)} bytes, need {need} for "
+                f"{count} x {datatype.name}")
+        seg = raw[:need]
         if copy:
-            copies.note_copy(seg.size)
+            copies.note_copy(need)
             return seg.tobytes()   # bufcheck: ignore[BC504] - copy mode
-        copies.note_view(seg.size)
-        return seg.data
-    words, idx, _ = _word_view(raw[:need], count, datatype)
+        copies.note_view(need)
+        return seg
+    span = as_bytes(buf)
+    need = _required_span(count, datatype)
+    if span.size < need:
+        raise MPIErrBuffer(
+            f"buffer holds {span.size} bytes, need {need} for "
+            f"{count} x {datatype.name}")
+    words, idx, _ = _word_view(span[:need], count, datatype)
     gathered = words[idx]
     copies.note_copy(gathered.nbytes)
     return gathered.tobytes()
@@ -142,36 +156,47 @@ def unpack(data: Packed, buf: Buffer, count: int,
     """
     if count < 0:
         raise MPIErrCount(f"count must be >= 0, got {count}")
-    full = packed_size(count, datatype)
-    if len(data) > full:
+    size = datatype.size
+    nbytes = len(data)
+    if nbytes > count * size:
         raise MPIErrTruncate(
-            f"message of {len(data)} bytes exceeds receive buffer of "
-            f"{full} bytes ({count} x {datatype.name})")
-    if len(data) % datatype.size:
+            f"message of {nbytes} bytes exceeds receive buffer of "
+            f"{count * size} bytes ({count} x {datatype.name})")
+    if nbytes % size:
         raise MPIErrTruncate(
-            f"message of {len(data)} bytes is not a whole number of "
+            f"message of {nbytes} bytes is not a whole number of "
             f"{datatype.name} elements")
-    nelem = len(data) // datatype.size
+    nelem = nbytes // size
     if nelem == 0:
         return 0
-    raw = as_bytes(buf)
-    if not raw.flags.writeable:
+    if datatype.contig:
+        try:
+            raw = memoryview(buf).cast("B")
+        except (TypeError, ValueError):
+            raw = as_bytes(buf).data   # as in pack
+        if raw.readonly:
+            raise MPIErrBuffer("cannot unpack into a read-only buffer")
+        if len(raw) < nbytes:
+            raise MPIErrBuffer(
+                f"receive buffer holds {len(raw)} bytes, need {nbytes}")
+        copies.note_copy(nbytes)
+        raw[:nbytes] = data   # the one receive-side scatter copy
+        return nelem
+    span = as_bytes(buf)
+    if not span.flags.writeable:
         raise MPIErrBuffer("cannot unpack into a read-only buffer")
     need = _required_span(nelem, datatype)
-    if raw.size < need:
+    if span.size < need:
         raise MPIErrBuffer(
-            f"receive buffer holds {raw.size} bytes, need {need}")
+            f"receive buffer holds {span.size} bytes, need {need}")
     src = np.frombuffer(data, dtype=np.uint8)
     copies.note_copy(src.size)
-    if datatype.contig:
-        raw[: len(data)] = src   # the one receive-side scatter copy
-    else:
-        words, idx, overlapping = _word_view(raw[:need], nelem, datatype)
-        if overlapping:
-            raise MPIErrDatatype(
-                f"cannot unpack {nelem} x {datatype.name}: its elements "
-                f"overlap (extent {datatype.extent} < upper bound "
-                f"{datatype.typemap.ub}), so the result would depend "
-                "on the order bytes are written in")
-        words[idx] = src.view(words.dtype)
+    words, idx, overlapping = _word_view(span[:need], nelem, datatype)
+    if overlapping:
+        raise MPIErrDatatype(
+            f"cannot unpack {nelem} x {datatype.name}: its elements "
+            f"overlap (extent {datatype.extent} < upper bound "
+            f"{datatype.typemap.ub}), so the result would depend "
+            "on the order bytes are written in")
+    words[idx] = src.view(words.dtype)
     return nelem

@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from repro.datatypes.predefined import Datatype
+from repro.datatypes.predefined import _DTYPE_TO_PREDEFINED, Datatype
 
 
 class UsageClass(enum.Enum):
@@ -53,6 +53,20 @@ class DatatypeRef:
     def __post_init__(self):
         if self.usage is UsageClass.DERIVED and self.datatype.predefined:
             raise ValueError("DERIVED usage requires a derived datatype")
+        # ``key``: everything a call plan branches on in its datatype
+        # argument — the usage class (which redundant checks run) and
+        # contiguity (whether the transport moves it natively) — as
+        # one int that hashes in C.
+        object.__setattr__(self, "key",
+                           2 * self.usage.index + self.datatype.contig)
+
+
+#: What a bare ndarray argument means, per numpy dtype: the Class-2
+#: reference of the matching predefined type, built once here so the
+#: per-message path looks it up instead of constructing one.
+NDARRAY_REFS: dict = {
+    dtype: DatatypeRef(datatype, UsageClass.COMPILE_TIME)
+    for dtype, datatype in _DTYPE_TO_PREDEFINED.items()}
 
 
 def compile_time(datatype: Datatype) -> DatatypeRef:

@@ -49,51 +49,44 @@ class CopySnapshot:
 
 
 _lock = threading.Lock()
-_stats = CopySnapshot()
+#: The six counters, in :class:`CopySnapshot` field order: plain
+#: integers bumped in place, so an event allocates nothing; the
+#: snapshot object is built when somebody reads.
+_counts = [0, 0, 0, 0, 0, 0]
 
 
 def note_copy(nbytes: int) -> None:
     """A payload byte range was materialized into fresh storage."""
-    global _stats
     with _lock:
-        _stats = CopySnapshot(
-            _stats.n_copies + 1, _stats.bytes_copied + nbytes,
-            _stats.n_views, _stats.bytes_viewed,
-            _stats.n_transfers, _stats.bytes_transferred)
+        _counts[0] += 1
+        _counts[1] += nbytes
 
 
 def note_view(nbytes: int) -> None:
     """A payload byte range was handed on as a zero-copy view."""
-    global _stats
     with _lock:
-        _stats = CopySnapshot(
-            _stats.n_copies, _stats.bytes_copied,
-            _stats.n_views + 1, _stats.bytes_viewed + nbytes,
-            _stats.n_transfers, _stats.bytes_transferred)
+        _counts[2] += 1
+        _counts[3] += nbytes
 
 
 def note_transfer(nbytes: int) -> None:
     """A borrowed view was converted into owned bytes (the sanctioned
     ownership transfer, e.g. at unexpected-queue insertion)."""
-    global _stats
     with _lock:
-        _stats = CopySnapshot(
-            _stats.n_copies, _stats.bytes_copied,
-            _stats.n_views, _stats.bytes_viewed,
-            _stats.n_transfers + 1, _stats.bytes_transferred + nbytes)
+        _counts[4] += 1
+        _counts[5] += nbytes
 
 
 def snapshot() -> CopySnapshot:
     """The counters right now."""
     with _lock:
-        return _stats
+        return CopySnapshot(*_counts)
 
 
 def reset() -> None:
     """Zero the counters (tests and benchmarks)."""
-    global _stats
     with _lock:
-        _stats = CopySnapshot()
+        _counts[:] = [0, 0, 0, 0, 0, 0]
 
 
 @contextmanager

@@ -48,6 +48,14 @@ class ChargePlan:
         self.dts = tuple(dt for _, _, _, dt in steps)
 
 
+def fuse(*plans: Optional[ChargePlan]) -> ChargePlan:
+    """One plan that replays *plans*' steps back to back (a None layer
+    charges nothing): the counter and the clock end exactly where
+    charging the plans one after the other leaves them."""
+    return ChargePlan([step for plan in plans if plan is not None
+                       for step in plan.steps])
+
+
 class PlanRecorder:
     """Stands in for the ``Proc`` while a charging function runs once.
 

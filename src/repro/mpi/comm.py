@@ -23,7 +23,7 @@ import numpy as np
 from repro.consts import (ANY_SOURCE, ANY_TAG, MAX_PREDEFINED_COMMS,
                           PROC_NULL, UNDEFINED)
 from repro.core import extensions as ext
-from repro.core.ops import RecvOp, SendOp
+from repro.core.ops import RECV_PLAN, CallPlan, RecvOp, SendOp
 from repro.errors import MPIErrArg, MPIErrComm, MPIError
 from repro.ft.recovery import ERRORS_ARE_FATAL, dispatch_comm_error
 from repro.instrument.categories import Category, Subsystem
@@ -32,8 +32,9 @@ from repro.instrument.fastpath import fastpath
 from repro.mpi import collectives as coll
 from repro.mpi.group import Group
 from repro.mpi.info import Info
-from repro.mpi.pt2pt import (BYTE_REF, mpi_entry, normalize_buffer,
-                             validate_recv, validate_send)
+from repro.mpi.pt2pt import (BYTE_REF, call_plan, check_recv, check_send,
+                             entry_plan, mpi_entry, normalize_buffer,
+                             validate_args)
 from repro.mpi.status import Status
 from repro.runtime.ranktrans import build_translation
 from repro.runtime.request import Request
@@ -61,7 +62,16 @@ class Communicator:
         if rank == UNDEFINED:
             raise MPIErrComm(
                 f"world rank {proc.world_rank} is not in this communicator")
-        self._rank = rank
+        #: This process's rank in the communicator (MPI_COMM_RANK).
+        self.rank = rank
+        #: Number of ranks in the communicator (MPI_COMM_SIZE).
+        self.size = group.size
+        #: Call plans by ``(kind, peer, flags.bits, dtref.key)``: what
+        #: each call site on this handle resolved on first use.  A
+        #: handle's group, context and translation never change, so a
+        #: plan lives as long as the handle.  Racing first-use
+        #: compiles are harmless: same key, equal plan.
+        self._plans: dict = {}
         # §3.5 requestless-operation bookkeeping (owning thread only).
         self._noreq_count = 0
         self._noreq_latest_s = 0.0
@@ -94,16 +104,6 @@ class Communicator:
                    name="MPI_COMM_WORLD")
 
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        """This process's rank in the communicator (MPI_COMM_RANK)."""
-        return self._rank
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the communicator (MPI_COMM_SIZE)."""
-        return self.group.size
 
     @property
     def world_size(self) -> int:
@@ -139,7 +139,7 @@ class Communicator:
         return self.translation.world_rank(comm_rank)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Communicator({self.name!r}, rank={self._rank}/"
+        return (f"Communicator({self.name!r}, rank={self.rank}/"
                 f"{self.size}, ctx={self.ctx})")
 
     # ------------------------------------------------------------------ #
@@ -196,16 +196,14 @@ class Communicator:
                      tag: int, sync: bool = False,
                      flags: ext.ExtFlags = ext.NONE) -> Optional[Request]:
         buf = np.frombuffer(data, np.uint8) if data else np.empty(0, np.uint8)
-        op = SendOp(buf=buf, count=len(data), dtref=BYTE_REF, dest=dest,
-                    tag=tag, comm=self, flags=flags, sync=sync)
+        op = SendOp(buf, len(data), BYTE_REF, dest, tag, self, flags, sync)
         if self.proc.faults is not None:
             return self._ft_isend(op)
         return self.proc.device.isend(op)
 
     def _irecv_bytes(self, source: int, tag: int,
                      flags: ext.ExtFlags = ext.NONE) -> Request:
-        op = RecvOp(buf=None, count=0, dtref=BYTE_REF, source=source,
-                    tag=tag, comm=self, flags=flags)
+        op = RecvOp(None, 0, BYTE_REF, source, tag, self, flags)
         if self.proc.faults is not None:
             return self._ft_irecv(op)
         return self.proc.device.irecv(op)
@@ -248,15 +246,10 @@ class Communicator:
 
     def _object_send(self, obj: Any, dest: int, tag: int,
                      sync: bool) -> Request:
-        proc, c = self.proc, COSTS
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        with mpi_entry(proc, c.isend_function_call, c.isend_thread_check,
-                       name="MPI_Issend" if sync else "MPI_Isend",
-                       vci=proc.vci_for(self.ctx, dest, tag)):
-            if proc.config.error_checking:
-                validate_send(proc, c.isend_error, self, data, len(data),
-                              BYTE_REF, dest, tag)
-            return self._isend_bytes(data, dest, tag, sync=sync)
+        return self._buffer_send((data, len(data), BYTE_REF), dest, tag,
+                                 sync, name="MPI_Issend" if sync
+                                 else "MPI_Isend")
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive of a pickled object."""
@@ -271,20 +264,17 @@ class Communicator:
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive of a pickled object; ``request.wait()``
         then ``pickle.loads(request.payload)`` (or use :meth:`recv`)."""
-        proc, c = self.proc, COSTS
-        with mpi_entry(proc, c.isend_function_call, c.isend_thread_check,
-                       name="MPI_Irecv",
-                       vci=proc.vci_for_recv(self.ctx, source, tag)):
-            if proc.config.error_checking:
-                validate_recv(proc, c.isend_error, self, 0, BYTE_REF,
-                              source, tag)
-            return self._irecv_bytes(source, tag)
+        return self._buffer_recv((None, 0, BYTE_REF), source, tag)
 
     def sendrecv(self, obj: Any, dest: int, source: int = ANY_SOURCE,
                  sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
         """Combined send+receive (deadlock-free ordering)."""
         rreq = self.irecv(source, recvtag)
-        sreq = self.isend(obj, dest, sendtag)
+        try:
+            sreq = self.isend(obj, dest, sendtag)
+        except BaseException:
+            self._take_back(rreq)
+            raise
         sreq.wait()
         self.proc.request_pool.release(sreq)
         rreq.wait()
@@ -319,21 +309,52 @@ class Communicator:
         """Nonblocking synchronous buffer send."""
         return self._buffer_send(buf, dest, tag, sync=True)
 
+    def _call_plan(self, op, kind, peer: int) -> Optional[CallPlan]:
+        """The plan of the call site ``(kind, peer, op.flags,
+        op.dtref's class)`` — *kind* a send's ``sync`` flag, or
+        ``RECV_PLAN`` — resolved on its first use: the device's share
+        (path charges, translated peer, transport), completed by the
+        MPI layer's (entry and argument-check charges, the CS lock,
+        all three fused).  None — and nothing cached — when *op*
+        leaves the straight line."""
+        key = (kind, peer, op.flags.bits, op.dtref.key)
+        plan = self._plans.get(key)
+        if plan is None:
+            proc, c = self.proc, COSTS
+            plan = proc.device.pt2pt_plan(op, peer, kind == RECV_PLAN)
+            if plan is not None:
+                self._plans[key] = call_plan(
+                    proc, c.isend_function_call, c.isend_thread_check,
+                    c.isend_error, plan)
+        return plan
+
+    def _entry(self, op, kind, peer: int, failed, name: str) -> mpi_entry:
+        """The entry of one send or receive: with the call site's plan
+        when the arguments passed their checks (*failed* is None) and
+        the call stays on the straight line, else entering alone."""
+        proc, c = self.proc, COSTS
+        return mpi_entry(
+            proc, failed is None and self._call_plan(op, kind, peer)
+            or entry_plan(proc, c.isend_function_call, c.isend_thread_check),
+            name, proc.vci_for(self.ctx, peer, op.tag, op.flags.nomatch)
+            if proc.armed else None)
+
     def _buffer_send(self, buf, dest: int, tag: int, sync: bool,
-                     flags: ext.ExtFlags = ext.NONE) -> Optional[Request]:
+                     flags: ext.ExtFlags = ext.NONE,
+                     name: str = "MPI_Isend") -> Optional[Request]:
         proc, c = self.proc, COSTS
         data, count, dtref = normalize_buffer(buf)
-        with mpi_entry(proc, c.isend_function_call, c.isend_thread_check,
-                       name="MPI_Isend",
-                       vci=proc.vci_for(self.ctx, dest, tag, flags.nomatch)):
-            if proc.config.error_checking:
-                validate_send(proc, c.isend_error, self, data, count, dtref,
-                              dest, tag, global_rank=flags.global_rank)
-            op = SendOp(buf=data, count=count, dtref=dtref, dest=dest,
-                        tag=tag, comm=self, flags=flags, sync=sync)
-            if proc.faults is not None:
+        op = SendOp(data, count, dtref, dest, tag, self, flags, sync)
+        failed = None
+        if proc.config.error_checking:
+            failed = check_send(self, data, count, dtref, dest, tag,
+                                flags.global_rank)
+        with self._entry(op, sync, dest, failed, name) as op.plan:
+            if op.plan is None and proc.config.error_checking:
+                validate_args(proc, c.isend_error, failed)
+            if proc.hooked and proc.faults is not None:
                 return self._ft_isend(op)
-            return self.proc.device.isend(op)
+            return proc.device.isend(op)
 
     def Recv(self, buf, source: int = ANY_SOURCE,
              tag: int = ANY_TAG) -> Status:
@@ -353,24 +374,34 @@ class Communicator:
                      flags: ext.ExtFlags = ext.NONE) -> Request:
         proc, c = self.proc, COSTS
         data, count, dtref = normalize_buffer(buf)
-        with mpi_entry(proc, c.isend_function_call, c.isend_thread_check,
-                       name="MPI_Irecv",
-                       vci=proc.vci_for_recv(self.ctx, source, tag,
-                                             flags.nomatch)):
-            if proc.config.error_checking:
-                validate_recv(proc, c.isend_error, self, count, dtref,
-                              source, tag)
-            op = RecvOp(buf=data, count=count, dtref=dtref, source=source,
-                        tag=tag, comm=self, flags=flags)
-            if proc.faults is not None:
+        op = RecvOp(data, count, dtref, source, tag, self, flags)
+        failed = None
+        if proc.config.error_checking:
+            failed = check_recv(self, count, dtref, source, tag)
+        with self._entry(op, RECV_PLAN, source, failed,
+                         "MPI_Irecv") as op.plan:
+            if op.plan is None and proc.config.error_checking:
+                validate_args(proc, c.isend_error, failed)
+            if proc.hooked and proc.faults is not None:
                 return self._ft_irecv(op)
-            return self.proc.device.irecv(op)
+            return proc.device.irecv(op)
+
+    def _take_back(self, rreq: Request) -> None:
+        """The send half of a sendrecv failed: withdraw the receive
+        posted for it, so no later message is scattered into a buffer
+        the caller was told nothing about, and recycle its handle."""
+        if self.proc.engine.cancel_posted(rreq) or rreq.is_complete():
+            self.proc.request_pool.release(rreq)
 
     def Sendrecv(self, sendbuf, dest: int, recvbuf, source: int = ANY_SOURCE,
                  sendtag: int = 0, recvtag: int = ANY_TAG) -> Status:
         """Combined buffer send+receive."""
         rreq = self.Irecv(recvbuf, source, recvtag)
-        sreq = self.Isend(sendbuf, dest, sendtag)
+        try:
+            sreq = self.Isend(sendbuf, dest, sendtag)
+        except BaseException:
+            self._take_back(rreq)
+            raise
         sreq.wait()
         self.proc.request_pool.release(sreq)
         rreq.wait()
@@ -682,7 +713,7 @@ class Communicator:
 
     def _agree_ctx(self) -> int:
         """Collectively agree on a fresh context id (rank 0 allocates)."""
-        val = self.world.alloc_context_id() if self._rank == 0 else None
+        val = self.world.alloc_context_id() if self.rank == 0 else None
         return coll.bcast_obj(self, val, 0)
 
     def dup(self, name: Optional[str] = None) -> "Communicator":
@@ -711,11 +742,11 @@ class Communicator:
 
         Returns None for color == UNDEFINED."""
         entries = coll.allgather_obj(
-            self, (color, key, self._rank, self.proc.world_rank))
+            self, (color, key, self.rank, self.proc.world_rank))
         my_colors = sorted({c for c, _, _, _ in entries if c != UNDEFINED})
         # One fresh context per color, agreed collectively.
         ctxs = None
-        if self._rank == 0:
+        if self.rank == 0:
             ctxs = {c: self.world.alloc_context_id() for c in my_colors}
         ctxs = coll.bcast_obj(self, ctxs, 0)
         if color == UNDEFINED:

@@ -7,7 +7,7 @@ communicator, via :func:`create_communicator`) names a collective
 
 * **hierarchical** splits each collective into an intra-node phase over
   the node-local subcommunicator (whose messages the device routes to
-  the shm-class fabric automatically, :meth:`Proc.fabric_to`) and an
+  the shm-class fabric automatically — the CH4 locality check) and an
   inter-node phase among the per-node leaders (fabric path).  An
   allreduce thus moves each element across the network once per node
   instead of once per rank — the reason ChainerMN's hierarchical

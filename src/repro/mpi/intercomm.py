@@ -75,20 +75,12 @@ class Intercommunicator(Communicator):
     # -- overridden addressing ---------------------------------------------------
 
     def _isend_bytes(self, data, dest, tag, sync=False, flags=None):
-        from repro.core import extensions as ext
-        import numpy as np
-        from repro.core.ops import SendOp
-        from repro.mpi.pt2pt import BYTE_REF
         if flags is None:
-            flags = ext.NONE
+            return super()._isend_bytes(data, dest, tag, sync)
         if flags.global_rank:
             raise MPIErrArg(
                 "MPI_ISEND_GLOBAL is not intercommunicator-safe (§3.1)")
-        buf = np.frombuffer(data, np.uint8) if data \
-            else np.empty(0, np.uint8)
-        op = SendOp(buf=buf, count=len(data), dtref=BYTE_REF, dest=dest,
-                    tag=tag, comm=self, flags=flags, sync=sync)
-        return self.proc.device.isend(op)
+        return super()._isend_bytes(data, dest, tag, sync, flags)
 
     @property
     def translation(self):

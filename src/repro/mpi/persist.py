@@ -23,8 +23,8 @@ from repro.errors import MPIErrRequest
 from repro.instrument.categories import Category, Subsystem
 from repro.instrument.costs import COSTS
 from repro.instrument.fastpath import fastpath
-from repro.mpi.pt2pt import mpi_entry, normalize_buffer, validate_recv, \
-    validate_send
+from repro.mpi.pt2pt import (check_recv, check_send, entry_plan, mpi_entry,
+                             normalize_buffer, validate_args)
 from repro.runtime.message import Envelope, Message
 from repro.runtime.request import Request, RequestKind
 
@@ -88,10 +88,11 @@ class PersistentSend(PersistentRequest):
         proc, c = comm.proc, COSTS
         data, count, dtref = normalize_buffer(buf)
         # Init pays the full MPI-layer cost once.
-        with mpi_entry(proc, c.isend_function_call, c.isend_thread_check):
+        with mpi_entry(proc, entry_plan(proc, c.isend_function_call,
+                                        c.isend_thread_check)):
             if proc.config.error_checking:
-                validate_send(proc, c.isend_error, comm, data, count,
-                              dtref, dest, tag)
+                validate_args(proc, c.isend_error, check_send(
+                    comm, data, count, dtref, dest, tag))
         self.buf, self.count, self.dtref = data, count, dtref
         self.dest, self.tag = dest, tag
         self.is_null = dest == PROC_NULL
@@ -100,6 +101,12 @@ class PersistentSend(PersistentRequest):
             #: requests exist for.
             self.dest_world = comm.translation.world_rank(dest)
             self.env = Envelope(ctx=comm.ctx, src=comm.rank, tag=tag)
+            if proc.config.device is Device.CH4:
+                device = proc.device
+                self.transport = device._transport_for(self.dest_world)
+                self.native = (
+                    not device.force_am and self.transport.send_is_native(
+                        dtref.datatype.contig))
 
     @fastpath
     def _launch(self) -> Request:
@@ -110,19 +117,14 @@ class PersistentSend(PersistentRequest):
             return request
         proc.charge(proc.plan("start", _charge_start))
         if proc.config.device is Device.CH4:
-            device = proc.device
             payload = pack(self.buf, self.count, self.dtref.datatype,
-                           copy=not proc.config.zero_copy
-                           or proc.faults is not None)
+                           proc.device.copy_sends)
             request._keepalive = payload
             if proc.sanitizer is not None:
                 proc.sanitizer.note_send(
                     request, self.dest_world, False, payload,
                     (self.buf, self.count, self.dtref.datatype))
-            transport = device._transport_for(self.dest_world)
-            native = (not device.force_am and transport.send_is_native(
-                self.dtref.datatype.contig))
-            result = transport.issue(len(payload), native)
+            result = self.transport.issue(len(payload), self.native)
             proc.deliver(self.dest_world,
                          Message(env=self.env, data=payload,
                                  arrive_s=result.arrive_s))
@@ -146,10 +148,11 @@ class PersistentRecv(PersistentRequest):
         super().__init__(comm)
         proc, c = comm.proc, COSTS
         data, count, dtref = normalize_buffer(buf)
-        with mpi_entry(proc, c.isend_function_call, c.isend_thread_check):
+        with mpi_entry(proc, entry_plan(proc, c.isend_function_call,
+                                        c.isend_thread_check)):
             if proc.config.error_checking:
-                validate_recv(proc, c.isend_error, comm, count, dtref,
-                              source, tag)
+                validate_args(proc, c.isend_error, check_recv(
+                    comm, count, dtref, source, tag))
         self.buf, self.count, self.dtref = data, count, dtref
         self.source, self.tag = source, tag
 

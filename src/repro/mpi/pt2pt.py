@@ -8,15 +8,16 @@ cost only when the build actually performs it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from repro.consts import ANY_SOURCE, ANY_TAG, PROC_NULL, TAG_UB
+from repro.core.ops import CallPlan
 from repro.datatypes.pack import Buffer
 from repro.datatypes.predefined import BYTE, from_numpy_dtype
-from repro.datatypes.usage import DatatypeRef, classify, compile_time
+from repro.datatypes.usage import (NDARRAY_REFS, DatatypeRef, classify,
+                                   compile_time)
 from repro.errors import (
     MPIError,
     MPIErrBuffer,
@@ -29,6 +30,7 @@ from repro.errors import (
 from repro.instrument.categories import Category
 from repro.instrument.costs import ErrorCheckCosts
 from repro.instrument.fastpath import fastpath
+from repro.instrument.plan import fuse
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
@@ -51,59 +53,116 @@ def _charge_entry(proc: "Proc", function_call_cost: int,
         proc.charge(Category.THREAD_SAFETY, thread_check_cost)
 
 
-@fastpath
-@contextmanager
-def mpi_entry(proc: "Proc", function_call_cost: int,
-              thread_check_cost: int,
-              name: Optional[str] = None,
-              vci=None) -> Iterator[None]:
-    """One MPI API entry: function-call prologue charge (unless inlined
-    away by ipo), thread-safety charge + critical section (unless a
-    single-threaded build).  When the rank's timeline is enabled and a
-    *name* is given, the call's virtual-time span is recorded.
+def entry_plan(proc: "Proc", function_call_cost: int,
+               thread_check_cost: int) -> CallPlan:
+    """The call plan of an entry that resolves nothing beyond itself:
+    its own charge and the lock of the modeled critical section.
+    Object sends and init calls enter with it, and so does every call
+    that leaves the straight line (a failing check, MPI_PROC_NULL)."""
+    key = (function_call_cost, thread_check_cost)
+    plan = proc._call_plans.get(key)
+    if plan is None:
+        plan = CallPlan()
+        plan.entry = proc.plan(("entry", function_call_cost,
+                                thread_check_cost), _charge_entry,
+                               function_call_cost, thread_check_cost)
+        if proc.config.thread_safety:
+            plan.lock = proc.cs_lock
+        proc._call_plans[key] = plan   # published complete: no lock
+    return plan
 
-    *vci* routes the modeled CS: a routed entry acquires only its
-    owning VCI's lock (per-VCI sharding, ``num_vcis > 1``) and records
-    CS occupancy on that VCI; unrouted entries — wildcard receives,
-    persistent/collective internals, every ``num_vcis=1`` call — take
+
+def call_plan(proc: "Proc", function_call_cost: int, thread_check_cost: int,
+              err: ErrorCheckCosts, plan: CallPlan) -> CallPlan:
+    """Complete the device-resolved *plan* with the MPI layer's share:
+    the entry's charge and lock, the argument checks' charge, and the
+    three layers fused — steps concatenated in path order, so one
+    replay advances the counter and the clock exactly as the three."""
+    entry = entry_plan(proc, function_call_cost, thread_check_cost)
+    plan.entry, plan.lock = entry.entry, entry.lock
+    if proc.config.error_checking:
+        plan.args = proc.plan(("args", err), charge_arg_checks, err)
+    plan.fused = fuse(plan.entry, plan.args, plan.path)
+    return plan
+
+
+class mpi_entry:
+    """One MPI API entry, as a context: the entry charge —
+    function-call prologue (unless inlined away by ipo) and
+    thread-safety check (unless a single-threaded build) — then the
+    modeled critical section around the body.
+
+    *plan* is the call site's :class:`~repro.core.ops.CallPlan`.
+    Entering returns it when its fused charge was replayed — entry,
+    argument checks and device path in one ``Proc.charge``, after
+    which the body charges nothing more — and None when only the
+    entry was charged.  Fusing needs nothing to observe the call
+    between those steps: ``proc.armed`` is the one test.  An armed
+    entry charges its own layer alone and takes the hook branches: the
+    sanitizer labels the call, the fault layer checks this rank, an
+    enabled timeline records the call's virtual-time span under
+    *name*, and *vci* routes the modeled CS — a routed entry acquires
+    its owning VCI's lock (per-VCI sharding, ``num_vcis > 1``) and
+    records CS occupancy there; unrouted entries take
     ``proc.cs_lock``, which is VCI 0's lock.  Charged instruction
-    counts are identical either way (the lock choice and the occupancy
-    note are real-Python bookkeeping only)."""
-    config = proc.config
-    t0 = proc.vclock.now if proc.timeline is not None else 0.0
-    if proc.sanitizer is not None and name is not None:
-        proc.sanitizer.note_api(name)   # labels leak/deadlock reports
-    if proc.faults is not None:
-        proc.faults.check_self()   # stash flush + fault-plan rank kill
-    try:  # audit: allow[FP204] - timeline bookkeeping must not leak
-        proc.charge(proc.plan(("entry", function_call_cost, thread_check_cost),
-                              _charge_entry, function_call_cost,
-                              thread_check_cost))
-        if config.thread_safety:
-            cs_lock = proc.cs_lock if vci is None else vci.lock
-            with cs_lock:  # audit: allow[FP203] - the modeled CS
-                if vci is None:
-                    yield
-                else:
-                    cs_entry_total = proc.counter.total
-                    yield
-                    vci.note_cs(proc.counter.total - cs_entry_total)
-        else:
-            yield
-    except MPIError as exc:
-        # Annotate every error escaping an MPI entry with the raising
-        # rank and the operation name, so error-handler callbacks and
-        # teardown reports can say which call on which rank failed.
-        if exc.rank is None:
-            exc.rank = proc.world_rank
-        if exc.op is None and name is not None:
-            exc.op = name
-        raise
-    finally:
-        if proc.timeline is not None and name is not None:
+    counts are identical either way.
+
+    Every :class:`MPIError` leaving the body is annotated with the
+    raising rank and *name*, so error-handler callbacks and teardown
+    reports can say which call on which rank failed.
+    """
+
+    __slots__ = ("proc", "plan", "name", "vci", "t0", "cs0")
+
+    def __init__(self, proc: "Proc", plan: CallPlan,
+                 name: Optional[str] = None, vci=None):
+        self.proc = proc
+        self.plan = plan
+        self.name = name
+        self.vci = vci
+
+    @fastpath
+    def __enter__(self) -> Optional[CallPlan]:
+        proc, plan = self.proc, self.plan
+        fused = plan.fused
+        self.t0 = None
+        if proc.armed:
+            fused = None
+            if proc.timeline is not None and self.name is not None:
+                self.t0 = proc.vclock.now
+            if proc.sanitizer is not None and self.name is not None:
+                proc.sanitizer.note_api(self.name)   # labels reports
+            if proc.faults is not None:
+                proc.faults.check_self()   # stash flush + rank kill
+        proc.charge(plan.entry if fused is None else fused)
+        if plan.lock is not None:
+            vci = self.vci
+            if vci is None:
+                plan.lock.acquire()  # audit: allow[FP203] - the modeled CS
+            else:
+                vci.lock.acquire()  # audit: allow[FP203] - the modeled CS
+                self.cs0 = proc.counter.total
+        return None if fused is None else plan
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        proc, vci = self.proc, self.vci
+        if self.plan.lock is not None:
+            if vci is None:
+                self.plan.lock.release()
+            else:
+                if exc_type is None:
+                    vci.note_cs(proc.counter.total - self.cs0)
+                vci.lock.release()
+        if exc_type is not None and isinstance(exc, MPIError):
+            if exc.rank is None:
+                exc.rank = proc.world_rank
+            if exc.op is None and self.name is not None:
+                exc.op = self.name
+        if self.t0 is not None:
             from repro.analysis.timeline import TimelineEvent
-            proc.timeline.append(
-                TimelineEvent(name=name, t0=t0, t1=proc.vclock.now))
+            proc.timeline.append(TimelineEvent(
+                name=self.name, t0=self.t0, t1=proc.vclock.now))
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +170,6 @@ def mpi_entry(proc: "Proc", function_call_cost: int,
 # ---------------------------------------------------------------------------
 
 BufArg = Union[np.ndarray, tuple]
-
 
 def normalize_buffer(arg: BufArg) -> tuple[Buffer, int, DatatypeRef]:
     """Normalize a user buffer argument.
@@ -125,14 +183,16 @@ def normalize_buffer(arg: BufArg) -> tuple[Buffer, int, DatatypeRef]:
     * ``(buf, datatype_or_ref)`` — count inferred from the buffer.
     """
     if isinstance(arg, np.ndarray):
-        return arg, arg.size, compile_time(from_numpy_dtype(arg.dtype))
+        return arg, arg.size, (
+            NDARRAY_REFS.get(arg.dtype)   # else: a non-native byte order
+            or compile_time(from_numpy_dtype(arg.dtype)))
     if isinstance(arg, tuple):
         if len(arg) == 3:
             buf, count, dt = arg
-            return buf, count, classify(dt) if not isinstance(dt, DatatypeRef) else dt
+            return buf, count, classify(dt)
         if len(arg) == 2:
             buf, dt = arg
-            dtref = classify(dt) if not isinstance(dt, DatatypeRef) else dt
+            dtref = classify(dt)
             nbytes = _buffer_nbytes(buf)
             if nbytes % dtref.datatype.extent:
                 raise MPIErrBuffer(
@@ -184,48 +244,48 @@ def validate_args(proc: "Proc", err: ErrorCheckCosts,
     raise failed[1]
 
 
-def validate_send(proc: "Proc", err: ErrorCheckCosts, comm: "Communicator",
-                  buf: Optional[Buffer], count: int, dtref: DatatypeRef,
-                  dest: int, tag: int, global_rank: bool = False) -> None:
-    """Send-side argument validation, charging per Table 1's
-    error-checking decomposition."""
-    limit = comm.world_size if global_rank else comm.size
-    failed = None
+def check_send(comm: "Communicator", buf: Optional[Buffer], count: int,
+               dtref: DatatypeRef, dest: int, tag: int,
+               global_rank: bool = False
+               ) -> Optional[tuple[int, MPIError]]:
+    """Send-side argument validation, in the order of Table 1's
+    error-checking decomposition: None when every argument is valid,
+    else :func:`validate_args`' *failed*.  Charges nothing."""
     if count < 0:
-        failed = 1, MPIErrCount(f"count must be >= 0, got {count}")
-    elif not 0 <= tag <= TAG_UB:
-        failed = 1, MPIErrTag(f"tag must be in [0, {TAG_UB}], got {tag}")
-    elif buf is None and count > 0:
-        failed = 1, MPIErrBuffer("NULL buffer with nonzero count")
-    elif not dtref.datatype.committed:
-        failed = 2, MPIErrDatatype(
+        return 1, MPIErrCount(f"count must be >= 0, got {count}")
+    if not 0 <= tag <= TAG_UB:
+        return 1, MPIErrTag(f"tag must be in [0, {TAG_UB}], got {tag}")
+    if buf is None and count > 0:
+        return 1, MPIErrBuffer("NULL buffer with nonzero count")
+    if not dtref.datatype.committed:
+        return 2, MPIErrDatatype(
             f"datatype {dtref.datatype.name} used before commit")
-    elif comm.freed:
-        failed = 3, MPIErrComm("operation on a freed communicator")
-    elif dest != PROC_NULL and not 0 <= dest < limit:
-        failed = 4, MPIErrRank(
-            f"destination {dest} outside [0, {limit}) "
-            f"({'world' if global_rank else 'communicator'} ranks)")
-    validate_args(proc, err, failed)
+    if comm.freed:
+        return 3, MPIErrComm("operation on a freed communicator")
+    if dest != PROC_NULL:
+        limit = comm.world_size if global_rank else comm.size
+        if not 0 <= dest < limit:
+            return 4, MPIErrRank(
+                f"destination {dest} outside [0, {limit}) "
+                f"({'world' if global_rank else 'communicator'} ranks)")
+    return None
 
 
-def validate_recv(proc: "Proc", err: ErrorCheckCosts, comm: "Communicator",
-                  count: int, dtref: DatatypeRef, source: int,
-                  tag: int) -> None:
-    """Receive-side argument validation."""
-    failed = None
+def check_recv(comm: "Communicator", count: int, dtref: DatatypeRef,
+               source: int, tag: int) -> Optional[tuple[int, MPIError]]:
+    """Receive-side twin of :func:`check_send`."""
     if count < 0:
-        failed = 1, MPIErrCount(f"count must be >= 0, got {count}")
-    elif tag != ANY_TAG and not 0 <= tag <= TAG_UB:
-        failed = 1, MPIErrTag(
+        return 1, MPIErrCount(f"count must be >= 0, got {count}")
+    if tag != ANY_TAG and not 0 <= tag <= TAG_UB:
+        return 1, MPIErrTag(
             f"tag must be ANY_TAG or in [0, {TAG_UB}], got {tag}")
-    elif not dtref.datatype.committed:
-        failed = 2, MPIErrDatatype(
+    if not dtref.datatype.committed:
+        return 2, MPIErrDatatype(
             f"datatype {dtref.datatype.name} used before commit")
-    elif comm.freed:
-        failed = 3, MPIErrComm("operation on a freed communicator")
-    elif source not in (ANY_SOURCE, PROC_NULL) \
+    if comm.freed:
+        return 3, MPIErrComm("operation on a freed communicator")
+    if source not in (ANY_SOURCE, PROC_NULL) \
             and not 0 <= source < comm.size:
-        failed = 4, MPIErrRank(
+        return 4, MPIErrRank(
             f"source {source} outside [0, {comm.size}) and not a wildcard")
-    validate_args(proc, err, failed)
+    return None

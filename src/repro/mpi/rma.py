@@ -27,14 +27,15 @@ import numpy as np
 
 from repro.consts import PROC_NULL
 from repro.core import extensions as ext
-from repro.core.ops import AccOp, GetOp, PutOp
+from repro.core.ops import AccOp, CallPlan, GetOp, PutOp
 from repro.errors import (MPIErrArg, MPIErrCount, MPIErrDatatype,
                           MPIErrRank, MPIErrRMARange, MPIErrRMASync,
                           MPIErrWin)
 from repro.instrument.costs import COSTS
 from repro.mpi import reduceops
 from repro.mpi.info import Info
-from repro.mpi.pt2pt import mpi_entry, normalize_buffer, validate_args
+from repro.mpi.pt2pt import (call_plan, entry_plan, mpi_entry,
+                             normalize_buffer, validate_args)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
@@ -207,6 +208,9 @@ class Window:
         self.info = info if info is not None else Info()
         self.name = name
         self.freed = False
+        #: Call plans by ``(target rank, flags.bits, origin dtref.key,
+        #: target dtref.key)`` (see ``Communicator._plans``).
+        self._plans: dict = {}
         #: Pending remote-completion times per target world rank.
         self._pending: dict[int, float] = {}
         self._held_locks: dict[int, str] = {}
@@ -292,6 +296,55 @@ class Window:
         t_ref = t_dt if isinstance(t_dt, DatatypeRef) else classify(t_dt)
         return t_count, t_ref
 
+    def _call_plan(self, op) -> Optional[CallPlan]:
+        """The plan of *op*'s call site — target rank, flags, origin
+        and target datatype class — resolved on its first use (see
+        ``Communicator._call_plan``); None, and nothing cached, for an
+        MPI_PROC_NULL target."""
+        key = (op.target_rank, op.flags.bits, op.origin_dtref.key,
+               op.target_dtref.key)
+        plan = self._plans.get(key)
+        if plan is None:
+            proc, c = self.proc, COSTS
+            plan = proc.device.rma_plan(op)
+            if plan is not None:
+                self._plans[key] = call_plan(
+                    proc, c.put_function_call, c.put_thread_check,
+                    c.put_error, plan)
+        return plan
+
+    def _entry(self, op, name: str) -> mpi_entry:
+        """The MPI layer's share of one put/get/accumulate, up to its
+        entry: check the arguments — a failing one enters, charges the
+        checks it ran and raises from here — then return the entry the
+        caller is about to enter, with the call site's plan."""
+        proc, c = self.proc, COSTS
+        vci = (proc.vci_for(self.comm.ctx, op.target_rank, 0)
+               if proc.armed else None)
+        if proc.config.error_checking:
+            failed = self._check_rma(op.origin_count, op.origin_dtref,
+                                     op.target_rank, op.flags.global_rank)
+            if failed is not None:
+                with mpi_entry(proc, entry_plan(
+                        proc, c.put_function_call, c.put_thread_check),
+                        name, vci):
+                    validate_args(proc, c.put_error, failed)
+        return mpi_entry(
+            proc, self._call_plan(op)
+            or entry_plan(proc, c.put_function_call, c.put_thread_check),
+            name, vci)
+
+    def _admit(self, op) -> None:
+        """Inside the entry: charge the argument checks unless the
+        entry's fused plan did (``op.plan`` is set), and let the
+        sanitizer see the access."""
+        proc = self.proc
+        if op.plan is None and proc.config.error_checking:
+            validate_args(proc, COSTS.put_error, None)
+        if proc.hooked and proc.sanitizer is not None \
+                and op.target_rank != PROC_NULL:
+            proc.sanitizer.check_rma(self, op.target_rank)
+
     def put(self, origin, target_rank: int, target_disp: int = 0,
             target: Optional[tuple] = None,
             flags: ext.ExtFlags = ext.NONE) -> None:
@@ -299,66 +352,38 @@ class Window:
         *target_disp* (element offset scaled by the target's
         disp_unit).  *target* optionally overrides the target (count,
         datatype)."""
-        proc, c = self.proc, COSTS
         buf, count, dtref = normalize_buffer(origin)
         t_count, t_ref = self._normalize_target(count, dtref, target)
-        with mpi_entry(proc, c.put_function_call, c.put_thread_check,
-                       name="MPI_Put",
-                       vci=proc.vci_for(self.comm.ctx, target_rank, 0)):
-            if proc.config.error_checking:
-                self._validate_rma(buf, count, dtref, target_rank,
-                                   flags.global_rank)
-            if proc.sanitizer is not None and target_rank != PROC_NULL:
-                proc.sanitizer.check_rma(self, target_rank)
-            op = PutOp(origin_buf=buf, origin_count=count,
-                       origin_dtref=dtref, target_rank=target_rank,
-                       target_disp=target_disp, target_count=t_count,
-                       target_dtref=t_ref, win=self, flags=flags)
-            proc.device.put(op)
+        op = PutOp(buf, count, dtref, target_rank, target_disp, t_count,
+                   t_ref, self, flags)
+        with self._entry(op, "MPI_Put") as op.plan:
+            self._admit(op)
+            self.proc.device.put(op)
 
     def get(self, origin, target_rank: int, target_disp: int = 0,
             target: Optional[tuple] = None,
             flags: ext.ExtFlags = ext.NONE) -> None:
         """MPI_GET: read the target window into *origin*."""
-        proc, c = self.proc, COSTS
         buf, count, dtref = normalize_buffer(origin)
         t_count, t_ref = self._normalize_target(count, dtref, target)
-        with mpi_entry(proc, c.put_function_call, c.put_thread_check,
-                       name="MPI_Get",
-                       vci=proc.vci_for(self.comm.ctx, target_rank, 0)):
-            if proc.config.error_checking:
-                self._validate_rma(buf, count, dtref, target_rank,
-                                   flags.global_rank)
-            if proc.sanitizer is not None and target_rank != PROC_NULL:
-                proc.sanitizer.check_rma(self, target_rank)
-            op = GetOp(origin_buf=buf, origin_count=count,
-                       origin_dtref=dtref, target_rank=target_rank,
-                       target_disp=target_disp, target_count=t_count,
-                       target_dtref=t_ref, win=self, flags=flags,
-                       mpi_name="MPI_Get")
-            proc.device.get(op)
+        op = GetOp(buf, count, dtref, target_rank, target_disp, t_count,
+                   t_ref, self, flags)
+        with self._entry(op, "MPI_Get") as op.plan:
+            self._admit(op)
+            self.proc.device.get(op)
 
     def accumulate(self, origin, target_rank: int, target_disp: int = 0,
                    op: reduceops.Op = reduceops.SUM,
                    target: Optional[tuple] = None,
                    flags: ext.ExtFlags = ext.NONE) -> None:
         """MPI_ACCUMULATE: elementwise ``target = op(origin, target)``."""
-        proc, c = self.proc, COSTS
         buf, count, dtref = normalize_buffer(origin)
         t_count, t_ref = self._normalize_target(count, dtref, target)
-        with mpi_entry(proc, c.put_function_call, c.put_thread_check,
-                       name="MPI_Accumulate",
-                       vci=proc.vci_for(self.comm.ctx, target_rank, 0)):
-            if proc.config.error_checking:
-                self._validate_rma(buf, count, dtref, target_rank,
-                                   flags.global_rank)
-            if proc.sanitizer is not None and target_rank != PROC_NULL:
-                proc.sanitizer.check_rma(self, target_rank)
-            acc = AccOp(origin_buf=buf, origin_count=count,
-                        origin_dtref=dtref, target_rank=target_rank,
-                        target_disp=target_disp, target_count=t_count,
-                        target_dtref=t_ref, win=self, op=op, flags=flags)
-            proc.device.accumulate(acc)
+        acc = AccOp(buf, count, dtref, target_rank, target_disp, t_count,
+                    t_ref, self, op, flags)
+        with self._entry(acc, "MPI_Accumulate") as acc.plan:
+            self._admit(acc)
+            self.proc.device.accumulate(acc)
 
     def get_accumulate(self, origin, result: np.ndarray, target_rank: int,
                        target_disp: int = 0,
@@ -366,22 +391,12 @@ class Window:
                        flags: ext.ExtFlags = ext.NONE) -> None:
         """MPI_GET_ACCUMULATE: fetch the old target value into *result*
         and apply *op* atomically."""
-        proc, c = self.proc, COSTS
         buf, count, dtref = normalize_buffer(origin)
-        with mpi_entry(proc, c.put_function_call, c.put_thread_check,
-                       name="MPI_Get_accumulate",
-                       vci=proc.vci_for(self.comm.ctx, target_rank, 0)):
-            if proc.config.error_checking:
-                self._validate_rma(buf, count, dtref, target_rank,
-                                   flags.global_rank)
-            if proc.sanitizer is not None and target_rank != PROC_NULL:
-                proc.sanitizer.check_rma(self, target_rank)
-            acc = AccOp(origin_buf=buf, origin_count=count,
-                        origin_dtref=dtref, target_rank=target_rank,
-                        target_disp=target_disp, target_count=count,
-                        target_dtref=dtref, win=self, op=op, flags=flags,
-                        fetch_buf=result, mpi_name="MPI_Get_accumulate")
-            proc.device.accumulate(acc)
+        acc = AccOp(buf, count, dtref, target_rank, target_disp, count,
+                    dtref, self, op, flags, result, "MPI_Get_accumulate")
+        with self._entry(acc, "MPI_Get_accumulate") as acc.plan:
+            self._admit(acc)
+            self.proc.device.accumulate(acc)
 
     def fetch_and_op(self, origin, result: np.ndarray, target_rank: int,
                      target_disp: int = 0,
@@ -397,11 +412,13 @@ class Window:
         buf, count, dtref = normalize_buffer(origin)
         if count != 1:
             raise MPIErrArg("compare_and_swap operates on one element")
-        with mpi_entry(proc, c.put_function_call, c.put_thread_check,
-                       name="MPI_Compare_and_swap",
-                       vci=proc.vci_for(self.comm.ctx, target_rank, 0)):
+        with mpi_entry(proc, entry_plan(proc, c.put_function_call,
+                                        c.put_thread_check),
+                       "MPI_Compare_and_swap",
+                       proc.vci_for(self.comm.ctx, target_rank, 0)):
             if proc.config.error_checking:
-                self._validate_rma(buf, count, dtref, target_rank, False)
+                validate_args(proc, c.put_error, self._check_rma(
+                    count, dtref, target_rank, False))
             if proc.sanitizer is not None and target_rank != PROC_NULL:
                 proc.sanitizer.check_rma(self, target_rank)
             target_world = self.comm.world_rank_of(target_rank)
@@ -444,21 +461,23 @@ class Window:
 
     # -- validation ----------------------------------------------------------------
 
-    def _validate_rma(self, buf, count, dtref, target_rank: int,
-                      global_rank: bool) -> None:
-        limit = self.comm.world_size if global_rank else self.comm.size
-        failed = None
+    def _check_rma(self, count: int, dtref, target_rank: int,
+                   global_rank: bool):
+        """RMA argument validation in Table 1's order: None when every
+        argument is valid, else ``validate_args``' *failed*."""
         if count < 0:
-            failed = 1, MPIErrCount(f"count must be >= 0, got {count}")
-        elif not dtref.datatype.committed:
-            failed = 2, MPIErrDatatype(
+            return 1, MPIErrCount(f"count must be >= 0, got {count}")
+        if not dtref.datatype.committed:
+            return 2, MPIErrDatatype(
                 f"datatype {dtref.datatype.name} used before commit")
-        elif self.freed:
-            failed = 3, MPIErrWin("operation on a freed window")
-        elif target_rank != PROC_NULL and not 0 <= target_rank < limit:
-            failed = 4, MPIErrRank(
-                f"target {target_rank} outside [0, {limit})")
-        validate_args(self.proc, COSTS.put_error, failed)
+        if self.freed:
+            return 3, MPIErrWin("operation on a freed window")
+        if target_rank != PROC_NULL:
+            limit = self.comm.world_size if global_rank else self.comm.size
+            if not 0 <= target_rank < limit:
+                return 4, MPIErrRank(
+                    f"target {target_rank} outside [0, {limit})")
+        return None
 
     # -- synchronization ---------------------------------------------------------
 

@@ -13,8 +13,7 @@ interface to one fabric.  Its job in this reproduction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.fabric.model import FabricSpec
 from repro.instrument.categories import Category, Subsystem
@@ -32,8 +31,7 @@ AM_ORIGIN_OVERHEAD = 34
 AM_HANDLER_OVERHEAD = 26
 
 
-@dataclass(frozen=True)
-class IssueResult:
+class IssueResult(NamedTuple):
     """Timing outcome of issuing one operation.
 
     Attributes
@@ -73,6 +71,8 @@ class Netmod:
     def __init__(self, proc: "Proc", spec: FabricSpec):
         self.proc = proc
         self.spec = spec
+        #: Seconds one injection occupies the core: fixed by the fabric.
+        self._inject_s = spec.cycles_to_seconds(spec.inject_cycles)
         #: Counters for tests/ablations.
         self.n_native = 0
         self.n_am_fallback = 0
@@ -130,10 +130,10 @@ class Netmod:
         if vci is not None:
             vci.note_injection(native)
         clock = self.proc.vclock
-        clock.advance_cycles(self.spec.inject_cycles)
-        arrive = clock.now + self.spec.transfer_seconds(nbytes)
-        complete = arrive + self.spec.latency_s if round_trip else clock.now
-        return IssueResult(complete_s=complete, arrive_s=arrive)
+        clock.now = now = clock.now + self._inject_s
+        arrive = now + self.spec.transfer_seconds(nbytes)
+        return IssueResult(
+            arrive + self.spec.latency_s if round_trip else now, arrive)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(fabric={self.spec.name!r})"

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.consts import ANY_SOURCE, ANY_TAG
@@ -45,20 +44,28 @@ from repro.runtime.message import Envelope, Message
 from repro.runtime.request import Request
 
 
-@dataclass
 class PostedRecv:
     """A receive waiting for its message.
 
     ``on_match`` runs in the *depositing* thread with the matched
     message; it unpacks into the user buffer and completes ``request``.
+    ``concrete`` is True when the receive names an exact (src, tag) —
+    the O(1) bucketed path; wildcards take the ordered-scan fallback.
     """
 
-    ctx: int
-    src: int
-    tag: int
-    nomatch: bool
-    request: Request
-    on_match: Callable[[Message], None]
+    __slots__ = ("ctx", "src", "tag", "nomatch", "request", "on_match",
+                 "concrete")
+
+    def __init__(self, ctx: int, src: int, tag: int, nomatch: bool,
+                 request: Optional[Request],
+                 on_match: Callable[[Message], None]):
+        self.ctx = ctx
+        self.src = src
+        self.tag = tag
+        self.nomatch = nomatch
+        self.request = request
+        self.on_match = on_match
+        self.concrete = src != ANY_SOURCE and tag != ANY_TAG
 
     def matches(self, env: Envelope) -> bool:
         """MPI-3.1 matching rule (or arrival-order rule when nomatch)."""
@@ -71,12 +78,6 @@ class PostedRecv:
         if self.tag != ANY_TAG and self.tag != env.tag:
             return False
         return True
-
-    @property
-    def concrete(self) -> bool:
-        """True when the receive names an exact (src, tag) — the O(1)
-        bucketed path; wildcards take the ordered-scan fallback."""
-        return self.src != ANY_SOURCE and self.tag != ANY_TAG
 
 
 class _MatchingEngineBase:
@@ -100,6 +101,9 @@ class _MatchingEngineBase:
         #: Annotation key of this engine's queue state (shards use a
         #: per-shard key: each shard is its own lock domain).
         self._tsan_key = ("mq", rank, id(self))
+        #: Threads blocked in :meth:`probe`: a deposit wakes the
+        #: condition only when somebody is there to hear it.
+        self._probers = 0
         #: Monotone counters for introspection and tests.
         self.n_deposited = 0
         self.n_matched_posted = 0
@@ -160,14 +164,19 @@ class _MatchingEngineBase:
                      and add_abort_listener(abort_event, self._abort_wake))
         try:
             with self._lock:
-                while True:
-                    hit = self._find_unexpected(probe)
-                    if hit is not None:
-                        return hit
-                    if abort_event is not None and abort_event.is_set():
-                        from repro.runtime.world import WorldAborted
-                        raise WorldAborted("world aborted in probe")
-                    self._lock.wait()
+                self._probers += 1
+                try:
+                    while True:
+                        hit = self._find_unexpected(probe)
+                        if hit is not None:
+                            return hit
+                        if abort_event is not None \
+                                and abort_event.is_set():
+                            from repro.runtime.world import WorldAborted
+                            raise WorldAborted("world aborted in probe")
+                        self._lock.wait()
+                finally:
+                    self._probers -= 1
         finally:
             if listening:
                 remove_abort_listener(abort_event, self._abort_wake)
@@ -207,7 +216,6 @@ class LinearMatchingEngine(_MatchingEngineBase):
                     self.n_matched_posted += 1
                     posted.on_match(msg)
                     self._fire_sync(msg, msg.arrive_s)
-                    self._lock.notify_all()
                     return
             # Unmatched: the message outlives the sender's call, so a
             # zero-copy payload view must become owned bytes now (the
@@ -215,7 +223,8 @@ class LinearMatchingEngine(_MatchingEngineBase):
             # completes).
             msg.own_data()
             self._unexpected.append(msg)
-            self._lock.notify_all()
+            if self._probers:
+                self._lock.notify_all()
 
     # -- receiver side -------------------------------------------------------
 
@@ -348,17 +357,19 @@ class BucketMatchingEngine(_MatchingEngineBase):
         its progress context.
         """
         with self._lock:
-            self._note_mq_access()
+            if self.tsan is not None:
+                self._note_mq_access()
             self.n_deposited += 1
             posted = self._take_posted_match(msg.env)
             if posted is not None:
                 self.n_matched_posted += 1
                 posted.on_match(msg)
-                self._fire_sync(msg, msg.arrive_s)
-                self._lock.notify_all()
+                if msg.sync is not None:
+                    self._fire_sync(msg, msg.arrive_s)
                 return
             self._add_unexpected(msg)
-            self._lock.notify_all()
+            if self._probers:   # only an unexpected message can end a probe
+                self._lock.notify_all()
 
     def _take_posted_match(self, env: Envelope) -> Optional[PostedRecv]:
         """Pop the first-posted receive matching *env* (lock held)."""
@@ -425,12 +436,14 @@ class BucketMatchingEngine(_MatchingEngineBase):
         time of any synchronous sender found in the unexpected queue.
         """
         with self._lock:
-            self._note_mq_access()
+            if self.tsan is not None:
+                self._note_mq_access()
             msg = self._take_unexpected_match(posted)
             if msg is not None:
                 self.n_matched_unexpected += 1
                 posted.on_match(msg)
-                self._fire_sync(msg, max(now_s, msg.arrive_s))
+                if msg.sync is not None:
+                    self._fire_sync(msg, max(now_s, msg.arrive_s))
                 return
             self._enqueue_posted(posted)
 

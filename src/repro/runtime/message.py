@@ -10,15 +10,14 @@ disabled and only communicator isolation remains.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.instrument import copies
 
 _seq = itertools.count()
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """Matching metadata of one message."""
 
     ctx: int        #: communicator context id (isolation — never disabled)
@@ -27,7 +26,6 @@ class Envelope:
     nomatch: bool = False  #: sent via the no-match-bits extension
 
 
-@dataclass
 class Message:
     """One in-flight point-to-point message (or AM fallback packet).
 
@@ -43,6 +41,9 @@ class Message:
     arrive_s:
         Virtual time at which the payload is available at the target
         (sender clock at issue + fabric transfer time).
+    sync:
+        Synchronous-send handshake (MPI_SSEND); the matching engine
+        records the match time and fires the event.
     seq:
         Global deposit sequence number; preserves MPI's non-overtaking
         order for diagnostics (arrival order itself is queue order).
@@ -53,15 +54,20 @@ class Message:
         Arguments for the AM handler.
     """
 
-    env: Envelope
-    data: "bytes | memoryview"
-    arrive_s: float
-    seq: int = field(default_factory=lambda: next(_seq))
-    am_handler: str | None = None
-    am_args: dict | None = None
-    #: Synchronous-send handshake (MPI_SSEND); the matching engine
-    #: records the match time and fires the event.
-    sync: "object | None" = None
+    __slots__ = ("env", "data", "arrive_s", "sync", "seq", "am_handler",
+                 "am_args")
+
+    def __init__(self, env: Envelope, data: "bytes | memoryview",
+                 arrive_s: float, sync: "object | None" = None,
+                 seq: int | None = None, am_handler: str | None = None,
+                 am_args: dict | None = None):
+        self.env = env
+        self.data = data
+        self.arrive_s = arrive_s
+        self.sync = sync
+        self.seq = next(_seq) if seq is None else seq
+        self.am_handler = am_handler
+        self.am_args = am_args
 
     @property
     def nbytes(self) -> int:

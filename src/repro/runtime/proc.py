@@ -52,6 +52,23 @@ class Proc:
         #: Compiled charge plans by key (see :meth:`plan`).  Racing
         #: compiles of one key are harmless: same key, equal plan.
         self._plans: dict = {}
+        #: True when anything observes a call between its steps: an
+        #: optional subsystem (sanitizer, fault layer, race detector,
+        #: failure detector, progress engine — each bound below as a
+        #: per-rank view, None when the world lacks it) or per-VCI
+        #: routing of the modeled CS.  Fixed by the build, so the
+        #: per-message path tests this one flag and reads the hook
+        #: attributes only behind it.
+        self.hooked = config.num_vcis > 1 or any(
+            getattr(world, name, None) is not None for name in (
+                "sanitizer", "ft", "tsan", "detector", "progress"))
+        #: ``hooked``, or a timeline is recording: what an MPI entry
+        #: tests (see the ``timeline`` setter).
+        self.armed = self.hooked
+        #: Call plans that belong to no handle (see
+        #: :func:`repro.mpi.pt2pt.entry_plan`); a communicator's or a
+        #: window's own call plans live on the handle.
+        self._call_plans: dict = {}
         #: VCI sharding (``num_vcis=1`` is the unsharded calibrated
         #: default; >1 splits matching/locks/lanes per VCI — real-
         #: Python granularity only, charges are unchanged).
@@ -106,9 +123,10 @@ class Proc:
         #: Charged compute (non-MPI) seconds — application proxies use
         #: this so figure timings separate work from overhead.
         self.compute_seconds = 0.0
-        #: Optional event timeline (list of TimelineEvent); enabled by
-        #: :func:`repro.analysis.timeline.enable_timeline`.
-        self.timeline = None
+        self._timeline = None
+        #: Peer matching engines by world rank, filled by
+        #: :meth:`deliver` (a rank's engine never changes).
+        self._engines: dict = {}
         #: Per-rank background progress engine (None unless the world
         #: was built with ``progress=...``); every hook site guards on
         #: it (audit rule FP305).  Bound last — its daemon threads
@@ -116,6 +134,19 @@ class Proc:
         world_progress = getattr(world, "progress", None)
         self.progress = (world_progress.rank_view(self)
                          if world_progress is not None else None)
+
+    @property
+    def timeline(self):
+        """Optional event timeline (list of TimelineEvent), or None;
+        enabled by :func:`repro.analysis.timeline.enable_timeline`.
+        Turning it on arms every later MPI entry on this rank."""
+        return self._timeline
+
+    @timeline.setter
+    def timeline(self, events) -> None:
+        """Bind (or drop, with None) the event list and re-arm."""
+        self._timeline = events
+        self.armed = self.hooked or events is not None
 
     def _build_device(self):
         if self.config.device is Device.CH4:
@@ -195,38 +226,17 @@ class Proc:
     def vci_for(self, ctx: int, peer: int, tag: int,
                 nomatch: bool = False) -> VCI | None:
         """The VCI owning a concrete ``(ctx, peer, tag)`` stream (or a
-        context's §3.6 arrival-order stream when *nomatch*), or None
-        in the unsharded build — callers then take the legacy
-        ``cs_lock`` path, which is VCI 0's lock."""
+        context's §3.6 arrival-order stream when *nomatch*).  None in
+        the unsharded build and for a wildcard receive, whose modeled
+        CS lands on VCI 0 per the all-VCI wildcard discipline: callers
+        then take ``cs_lock``, which is VCI 0's lock."""
         if self.num_vcis == 1:
             return None
         if nomatch:
             return self.vcis[self.vci_map.nomatch_index(ctx)]
+        if peer == ANY_SOURCE or tag == ANY_TAG:
+            return None
         return self.vcis[self.vci_map.index_for(ctx, peer, tag)]
-
-    def vci_for_recv(self, ctx: int, source: int, tag: int,
-                     nomatch: bool = False) -> VCI | None:
-        """Receive-side routing: wildcard receives return None — their
-        modeled CS lands on VCI 0 (``cs_lock``), per the all-VCI
-        wildcard discipline — concrete receives route like sends."""
-        if self.num_vcis == 1:
-            return None
-        if nomatch:
-            return self.vcis[self.vci_map.nomatch_index(ctx)]
-        if source == ANY_SOURCE or tag == ANY_TAG:
-            return None
-        return self.vcis[self.vci_map.index_for(ctx, source, tag)]
-
-    # -- fabric selection ------------------------------------------------------
-
-    def fabric_to(self, dest_world_rank: int) -> FabricSpec:
-        """The fabric a message to *dest_world_rank* travels on —
-        the CH4 locality decision (self/node use the shm fabric)."""
-        if dest_world_rank == self.world_rank:
-            return self.shm_fabric
-        if self.world.topology.same_node(self.world_rank, dest_world_rank):
-            return self.shm_fabric
-        return self.net_fabric
 
     # -- delivery ---------------------------------------------------------------
 
@@ -237,10 +247,14 @@ class Proc:
         reliability layer's lossy wire (sequence numbering, possible
         retransmissions, the receiver's dedup/reorder window) before
         reaching the engine."""
-        if self.faults is not None:
+        if self.hooked and self.faults is not None:
             self.faults.deliver(dest_world_rank, msg)
             return
-        self.world.proc(dest_world_rank).engine.deposit(msg)
+        engine = self._engines.get(dest_world_rank)
+        if engine is None:
+            engine = self._engines[dest_world_rank] = \
+                self.world.proc(dest_world_rank).engine
+        engine.deposit(msg)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Proc(rank={self.world_rank}/{self.world.nranks}, "

@@ -61,8 +61,8 @@ class Request:
     continuation queue) and exactly-once still hold.
     """
 
-    __slots__ = ("kind", "_done", "_abort", "_lock", "_waiters",
-                 "_flushing", "_epoch", "_tsan_key",
+    __slots__ = ("kind", "_complete", "_abort", "_lock", "_waiters",
+                 "_flushing", "_epoch", "_tsan_key", "_hooked",
                  "complete_s", "source", "tag", "count_bytes", "error",
                  "cancelled", "_proc", "payload", "_keepalive")
 
@@ -74,9 +74,18 @@ class Request:
 
     def __init__(self, kind: RequestKind, proc=None, abort_event=None):
         self.kind = kind
-        self._done = threading.Event()
+        #: Done — completed, cancelled or failed.  Written under
+        #: ``_lock``; a waiter that reads it False parks on a waker it
+        #: subscribes under the same lock, so no wakeup is lost.
+        self._complete = False
         self._abort = abort_event
-        tsan = getattr(proc, "tsan", None)
+        #: The owning rank's ``Proc.hooked``: whether any of the hook
+        #: attributes read below (tsan, sanitizer, detector, progress)
+        #: can be set.  One test on the per-message path.
+        self._hooked = bool(getattr(proc, "hooked", False))
+        tsan = None
+        if self._hooked:
+            tsan = proc.tsan
         if tsan is not None:
             serial = next(Request._tsan_serial)
             self._tsan_key = ("req", serial)
@@ -123,23 +132,30 @@ class Request:
         with self._lock:
             if self.cancelled:
                 return
-            if self._done.is_set():
+            if self._complete:
                 raise MPIErrRequest("request completed twice")
             self.complete_s = complete_s
             self.source = source
             self.tag = tag
             self.count_bytes = count_bytes
             self.error = error
-            tsan = getattr(self._proc, "tsan", None)
-            if tsan is not None:
-                # The waiter's _finish() reads this state bare after
-                # _done fires — publish the edge its read consumes.
-                tsan.note_access(self._tsan_key, what="request state")
-                tsan.hb_publish(self._tsan_key)
-            self._done.set()
+            if self._hooked:
+                self._publish()
+            self._complete = True
+            if not self._waiters:
+                return   # nobody to tell: late subscribers fire themselves
             self._flushing = True
             epoch = self._epoch
         self._flush_waiters(epoch)
+
+    def _publish(self) -> None:
+        """Race-detector edge of a state transition (``_lock`` held):
+        the waiter's ``_finish`` reads this state bare once it sees
+        ``_complete`` — publish the edge that read consumes."""
+        tsan = self._proc.tsan
+        if tsan is not None:
+            tsan.note_access(self._tsan_key, what="request state")
+            tsan.hb_publish(self._tsan_key)
 
     def cancel(self) -> None:
         """MPI_CANCEL (supported for unmatched receives only).
@@ -149,17 +165,15 @@ class Request:
         cancelled-and-done and any late ``complete`` is discarded.
         """
         with self._lock:
-            if self._done.is_set():
+            if self._complete:
                 return
             self.cancelled = True
-            tsan = getattr(self._proc, "tsan", None)
-            if tsan is not None:
-                tsan.note_access(self._tsan_key, what="request state")
-                tsan.hb_publish(self._tsan_key)
-            self._done.set()
+            if self._hooked:
+                self._publish()
+            self._complete = True
             self._flushing = True
             epoch = self._epoch
-        san = getattr(self._proc, "sanitizer", None)
+        san = self._proc.sanitizer if self._hooked else None
         if san is not None:
             san.note_cancel(self)
         self._flush_waiters(epoch)
@@ -174,16 +188,14 @@ class Request:
         re-raise *error* on the owning rank's thread.
         """
         with self._lock:
-            if self._done.is_set():
+            if self._complete:
                 return
             self.cancelled = True   # discard any late complete()
             self.error = error
             self.complete_s = complete_s
-            tsan = getattr(self._proc, "tsan", None)
-            if tsan is not None:
-                tsan.note_access(self._tsan_key, what="request state")
-                tsan.hb_publish(self._tsan_key)
-            self._done.set()
+            if self._hooked:
+                self._publish()
+            self._complete = True
             self._flushing = True
             epoch = self._epoch
         self._flush_waiters(epoch)
@@ -223,7 +235,7 @@ class Request:
         notification hook ``waitany``/``waitsome`` and the progress
         engine's continuations build on."""
         with self._lock:
-            if not self._done.is_set() or self._flushing:
+            if not self._complete or self._flushing:
                 self._waiters.append(callback)
                 return
         callback(self)
@@ -239,15 +251,15 @@ class Request:
         the PROGRESS category); otherwise it runs per ``subscribe``
         semantics, on the completing thread.
         """
-        san = getattr(self._proc, "sanitizer", None)
-        if san is not None:
-            # MS109: registering a continuation on an already-waited
-            # (or pool-recycled) handle — the callback may never fire
-            # in this life, or fire in the handle's *next* life.
-            san.note_on_complete(self)
         proc = self._proc
         progress = None
-        if proc is not None:
+        if self._hooked:
+            if proc.sanitizer is not None:
+                # MS109: registering a continuation on an already-
+                # waited (or pool-recycled) handle — the callback may
+                # never fire in this life, or fire in the handle's
+                # *next* life.
+                proc.sanitizer.note_on_complete(self)
             progress = proc.progress
         if progress is not None:
             self.subscribe(
@@ -263,12 +275,12 @@ class Request:
 
     def is_complete(self) -> bool:
         """Nonblocking completion check (no clock merge)."""
-        return self._done.is_set()
+        return self._complete
 
     def test(self) -> bool:
         """MPI_TEST: nonblocking; merges the completion time into the
         calling rank's clock when complete."""
-        if not self._done.is_set():
+        if not self._complete:
             return False
         self._finish()
         return True
@@ -277,85 +289,83 @@ class Request:
         """MPI_WAIT: block until complete, merge clocks, re-raise any
         error captured by the completing thread.  Event-driven: wakes
         the instant the completing thread (or a world abort) fires."""
-        if not self._done.is_set():
-            tsan = getattr(self._proc, "tsan", None)
-            if tsan is not None:
-                # TS403: blocking here while holding a runtime lock
-                # (other than the exempt NBC schedule lock) can
-                # deadlock the thread that would complete us.
-                tsan.check_blocking_wait(f"{self.kind.value} request")
-            san = getattr(self._proc, "sanitizer", None)
-            if san is not None:
-                # Registers the wait-for edge; raises MSD201 instead of
-                # blocking when this wait completes a certain deadlock.
-                san.note_block_request(self)
-            detector = getattr(self._proc, "detector", None)
-            if detector is not None:
-                # Park this rank: blocked-in-wait means alive by
-                # construction, so its heartbeat must not go stale.
-                detector.enter_wait()
-            try:
-                abort = self._abort
-                if detector is not None:
-                    self._wait_ticking(abort, detector)
-                elif abort is None:
-                    self._done.wait()
-                else:
-                    self._wait_interruptible(abort)
-            finally:
-                if detector is not None:
-                    detector.exit_wait()
-                if san is not None:
-                    san.note_unblock()
+        if not self._complete:
+            self._block()
         self._finish()
         return self
 
-    def _wait_interruptible(self, abort) -> None:
-        waker = threading.Event()
-        self.subscribe(lambda _req, set_=waker.set: set_())
-        add_abort_listener(abort, waker.set)
+    def _block(self) -> None:
+        """Park the calling thread until the request is done, telling
+        the armed hooks that (and why) this rank is blocked."""
+        tsan = san = detector = None
+        if self._hooked:
+            tsan = self._proc.tsan
+            san = self._proc.sanitizer
+            detector = self._proc.detector
+        if tsan is not None:
+            # TS403: blocking here while holding a runtime lock
+            # (other than the exempt NBC schedule lock) can
+            # deadlock the thread that would complete us.
+            tsan.check_blocking_wait(f"{self.kind.value} request")
+        if san is not None:
+            # Registers the wait-for edge; raises MSD201 instead of
+            # blocking when this wait completes a certain deadlock.
+            san.note_block_request(self)
+        if detector is not None:
+            # Park this rank: blocked-in-wait means alive by
+            # construction, so its heartbeat must not go stale.
+            detector.enter_wait()
         try:
-            waker.wait()
+            self._park(detector)
         finally:
-            remove_abort_listener(abort, waker.set)
-        if not self._done.is_set() and abort.is_set():
-            from repro.runtime.world import WorldAborted
-            raise WorldAborted("world aborted while waiting on request")
+            if detector is not None:
+                detector.exit_wait()
+            if san is not None:
+                san.note_unblock()
 
-    def _wait_ticking(self, abort, detector) -> None:
-        """Detector-build wait: block in slices, offering the
-        rate-limited roster scan each slice.  A rank parked in a wait
-        is often the *only* live thread (a server blocked on a request
-        from a vanished client), so without a progress engine's timer
-        tick this is where silence expiry must be observed."""
+    def _park(self, detector) -> None:
+        """Sleep on a one-shot waker subscribed to this request and to
+        the world's abort event.  A detector build sleeps in slices,
+        offering the rate-limited roster scan each slice: a rank
+        parked in a wait is often the *only* live thread (a server
+        blocked on a request from a vanished client), so without a
+        progress engine's timer tick this is where silence expiry
+        must be observed."""
+        abort = self._abort
         waker = threading.Event()
         self.subscribe(lambda _req, set_=waker.set: set_())
         if abort is not None:
             add_abort_listener(abort, waker.set)
         try:
-            while not waker.wait(0.02):
-                detector.maybe_tick()
+            if detector is None:
+                waker.wait()
+            else:
+                while not waker.wait(0.02):
+                    detector.maybe_tick()
         finally:
             if abort is not None:
                 remove_abort_listener(abort, waker.set)
-        if (abort is not None and not self._done.is_set()
-                and abort.is_set()):
+        if abort is not None and not self._complete and abort.is_set():
             from repro.runtime.world import WorldAborted
             raise WorldAborted("world aborted while waiting on request")
 
     def _finish(self) -> None:
-        tsan = getattr(self._proc, "tsan", None)
-        if tsan is not None:
-            # The lockless read of complete_s/error below is ordered
-            # by the edge the completing thread published.
-            tsan.hb_consume(self._tsan_key)
-            tsan.note_access(self._tsan_key, write=False,
-                             what="request state")
-        if self._proc is not None:
-            self._proc.vclock.merge(self.complete_s)
-            san = getattr(self._proc, "sanitizer", None)
-            if san is not None:
-                san.note_finish(self)   # closes the record; may raise MSD203
+        proc = self._proc
+        if self._hooked:
+            tsan = proc.tsan
+            if tsan is not None:
+                # The lockless read of complete_s/error below is
+                # ordered by the edge the completing thread published.
+                tsan.hb_consume(self._tsan_key)
+                tsan.note_access(self._tsan_key, write=False,
+                                 what="request state")
+        if proc is not None:
+            clock = proc.vclock
+            if self.complete_s > clock.now:
+                clock.now = self.complete_s   # VClock.merge, inline
+            if self._hooked and proc.sanitizer is not None:
+                # Closes the record; may raise MSD203.
+                proc.sanitizer.note_finish(self)
         if self.error is not None:
             raise self.error
 
@@ -371,11 +381,11 @@ class Request:
         reinitialization.  (Found by the FP301 lockset audit rule.)
         """
         with self._lock:
-            tsan = getattr(self._proc, "tsan", None)
-            if tsan is not None:
-                tsan.note_access(self._tsan_key, what="request state")
+            if self._hooked and self._proc.tsan is not None:
+                self._proc.tsan.note_access(self._tsan_key,
+                                            what="request state")
             self.kind = kind
-            self._done.clear()
+            self._complete = False
             self._waiters.clear()
             self._flushing = False
             self._epoch += 1   # kills any stale flush loop
@@ -417,7 +427,10 @@ class RequestPool:
         self._proc = proc
         self._abort = abort_event
         self._free: list[Request] = []
-        tsan = getattr(proc, "tsan", None)
+        self._hooked = bool(getattr(proc, "hooked", False))
+        tsan = None
+        if self._hooked:
+            tsan = proc.tsan
         if tsan is not None:
             self._mu = tsan.make_lock("pool", f"pool{proc.world_rank}")
         else:
@@ -440,17 +453,16 @@ class RequestPool:
         else:
             self.n_alloc += 1
             req = Request(kind, self._proc, self._abort)
-        san = getattr(self._proc, "sanitizer", None)
-        if san is not None:
-            san.note_acquire(req)   # opens the lifetime record
+        if self._hooked and self._proc.sanitizer is not None:
+            self._proc.sanitizer.note_acquire(req)   # opens the record
         return req
 
     def release(self, req: Optional[Request]) -> None:
         """Return a handle whose lifetime is over (completed, waited,
         and with no user-visible reference) to the pool."""
-        san = getattr(self._proc, "sanitizer", None)
-        if san is not None and req is not None:
-            san.note_release(req)   # internal lifetime over
+        if self._hooked and req is not None \
+                and self._proc.sanitizer is not None:
+            self._proc.sanitizer.note_release(req)   # lifetime over
         if (req is None or not self.enabled
                 or req.__class__ is not Request):
             return

@@ -40,13 +40,11 @@ class VClock:
         self.now += dt
         return self.now
 
-    def advance_cycles(self, cycles: float) -> float:
-        """Advance by *cycles* injection-core cycles."""
-        return self.advance_seconds(self._fabric.cycles_to_seconds(cycles))
-
     def advance_instructions(self, instructions: float) -> float:
         """Advance by the time *instructions* abstract instructions take."""
-        return self.advance_cycles(self._fabric.sw_cycles(instructions))
+        fabric = self._fabric
+        return self.advance_seconds(
+            fabric.cycles_to_seconds(fabric.sw_cycles(instructions)))
 
     def merge(self, remote_time: float) -> float:
         """Synchronize with a remote timestamp: ``now = max(now, t)``."""

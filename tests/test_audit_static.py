@@ -458,6 +458,66 @@ class TestCallGraph:
         resolved = index.resolve_call(call.func, run)
         assert [f.cls for f in resolved] == ["Base"]
 
+    def test_class_call_resolves_to_init_and_context_pair(self, tmp_path):
+        """``with Entry(proc, plan):`` runs ``__init__``, ``__enter__``
+        and ``__exit__`` — the shape of the MPI entry object."""
+        import ast
+        src = """\
+            class Entry:
+                def __init__(self, proc, plan):
+                    self.proc = proc
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return False
+
+                def other(self):
+                    pass
+
+            def Entry_like():
+                pass
+
+            def api(proc, plan):
+                with Entry(proc, plan):
+                    pass
+        """
+        index = _index(tmp_path, src)
+        api = next(f for f in index.by_name["api"])
+        call = next(n for n in ast.walk(api.node)
+                    if isinstance(n, ast.Call))
+        assert [f.short for f in index.resolve_call(call.func, api)] == [
+            "Entry.__init__", "Entry.__enter__", "Entry.__exit__"]
+
+    def test_entry_object_and_call_plans_are_on_the_audited_path(self):
+        """From ``Communicator.Isend`` the walk reaches the entry
+        object and every function that compiles a layer of the call
+        plan, so the charges a fused plan replays are the charge sites
+        FP101-FP103 audit."""
+        import pathlib
+        from repro.audit.manifest import default_manifest
+        from repro.audit.provenance import ProvenanceAnalyzer
+        root = pathlib.Path(__file__).resolve().parent.parent
+        index = CodeIndex.build([str(root / "src" / "repro")])
+        analyzer = ProvenanceAnalyzer(index, default_manifest())
+        for cls, method, wanted in (
+                ("Communicator", "Isend",
+                 {"isend_function_call", "isend_thread_check",
+                  "isend_error.rank_range",
+                  "isend_mandatory.rank_translation"}),
+                ("Window", "put",
+                 {"put_function_call", "put_thread_check",
+                  "put_error.rank_range", "put_mandatory.vm_addressing"})):
+            result = analyzer.analyze(index.find_method(cls, method))
+            reached = {q.split(":", 1)[1] for q in result.reachable}
+            assert {"mpi_entry.__init__", "mpi_entry.__enter__",
+                    "mpi_entry.__exit__", "entry_plan", "call_plan",
+                    "_charge_entry", "charge_arg_checks"} <= reached
+            assert wanted <= set(result.reachable_keys())
+            assert all(site.keys and site.category_ok
+                       for site in result.sites)
+
     def test_class_family_is_transitive(self, tmp_path):
         src = """\
             class A:

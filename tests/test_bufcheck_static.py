@@ -56,6 +56,50 @@ class TestBC501RedundantCopy:
         assert "BC501" in _rule_ids(tmp_path, src)
 
 
+class TestDescriptorFlow:
+    """Taint flows through an operation descriptor built positionally
+    exactly as through one built with keywords (the per-message path
+    constructs ``SendOp(buf, count, ...)``)."""
+
+    SRC = """\
+        from dataclasses import dataclass
+
+        @dataclass
+        class SendOp:
+            buf: object
+            count: int
+            tag: int = 0
+
+        class Message:
+            def __init__(self, env, data, arrive_s=0.0):
+                self.data = data
+
+        def isend(op):
+            return Message(None, op.buf.tobytes())
+
+        def api(sendbuf, count):
+            return isend(SendOp(%s))
+        """
+
+    def _events(self, tmp_path, ctor_args):
+        path = tmp_path / "mod.py"
+        path.write_text(textwrap.dedent(self.SRC % ctor_args))
+        analyzer = Analyzer(CodeIndex.build([str(path)]))
+        events = analyzer.run_entry(
+            None, "api", {"sendbuf": Taint("src", borrowed=True)})
+        return [(e.site, e.kind) for e in events]
+
+    def test_positional_equals_keyword(self, tmp_path):
+        by_keyword = self._events(tmp_path, "buf=sendbuf, count=count")
+        assert by_keyword == [("mod.py:isend::copy:tobytes", "copy")]
+        assert self._events(tmp_path, "sendbuf, count") == by_keyword
+        assert self._events(tmp_path, "sendbuf, count=count") == by_keyword
+
+    def test_field_order_is_read_from_the_class(self, tmp_path):
+        # The buffer in the count slot reaches no op.buf use.
+        assert self._events(tmp_path, "count, sendbuf") == []
+
+
 class TestBC502MutatedBorrow:
     """Stores into a borrowed send buffer the application still owns."""
 

@@ -1,11 +1,16 @@
-"""Compiled charge plans: replay equals stepwise charging, keys are
-complete, and the calls that leave the straight line charge the same
-prefix they always did.
+"""Compiled charge plans and the call plans that fuse them: replay
+equals stepwise charging, keys are complete, the calls that leave the
+straight line charge the same prefix they always did, and an armed
+hook sees the same call an unarmed build runs.
 
 The stepwise reference is the same runtime with ``Proc.plan`` patched
 to run the layer's charging function directly against the ``Proc`` —
 sixteen ``charge(category, n, subsystem)`` calls per message, exactly
-what every layer did before plans existed.
+what every layer did before plans existed — at the point where the
+layer (or the entry that fused it with its neighbours) would have
+replayed a plan, and with every plan cache emptied as it is written,
+so each call runs the charging code against its own operation, never
+a plan some earlier call compiled.
 """
 
 import dataclasses
@@ -22,6 +27,7 @@ from repro.errors import (MPIErrComm, MPIErrCount, MPIErrDatatype,
                           MPIErrRank, MPIErrTag, MPIErrWin)
 from repro.instrument.categories import Category, Subsystem
 from repro.instrument.plan import ChargePlan
+from repro.mpi.comm import Communicator
 from repro.mpi.rma import Window
 from repro.perf.msgrate import EXTENSION_CHAIN
 from repro.runtime import World
@@ -113,13 +119,48 @@ def _matrix():
                         id=f"{label}-{device.value}-{op}-{flags.bits:02x}")
 
 
-EMPTY = ChargePlan([])
+class _Live(ChargePlan):
+    """A plan that is not compiled: it remembers the charging calls
+    and makes them, step by step against the ``Proc``, when charged."""
+
+    def __init__(self, *thunks):
+        super().__init__([])
+        self.thunks = thunks
 
 
-def _stepwise_plan(self, key, charging, *args):
-    """The reference: charge step by step now; replay nothing."""
-    charging(self, *args)
-    return EMPTY
+class _NoCache(dict):
+    """A plan cache that forgets: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _stepwise(patch):
+    """Patch the runtime into the stepwise reference (see the module
+    docstring): ``Proc.plan`` hands out live plans, fusing chains
+    them, ``Proc.charge`` runs them where it would have replayed, and
+    no plan of either kind survives the call that built it."""
+    compiled_charge = Proc.charge
+
+    def charge(self, category, n=None, subsystem=None):
+        if n is None:
+            for thunk in category.thunks:
+                thunk(self)
+        else:
+            compiled_charge(self, category, n, subsystem)
+
+    patch.setattr(Proc, "charge", charge)
+    patch.setattr(Proc, "plan", lambda self, key, charging, *args: _Live(
+        lambda proc: charging(proc, *args)))
+    patch.setattr("repro.mpi.pt2pt.fuse", lambda *plans: _Live(
+        *[t for plan in plans if plan is not None for t in plan.thunks]))
+    for cls, caches in ((Proc, ("_plans", "_call_plans")),
+                        (Communicator, ("_plans",)), (Window, ("_plans",))):
+        def init(self, *args, _init=cls.__init__, _caches=caches, **kwargs):
+            _init(self, *args, **kwargs)
+            for name in _caches:
+                setattr(self, name, _NoCache())
+        patch.setattr(cls, "__init__", init)
 
 
 class TestReplayEqualsStepwise:
@@ -128,15 +169,46 @@ class TestReplayEqualsStepwise:
                                           flags):
         planned = World(2, config).run(OPS[op], args=(flags,), timeout=60)
         with monkeypatch.context() as patch:
-            patch.setattr(Proc, "plan", _stepwise_plan)
+            _stepwise(patch)
             stepwise = World(2, config).run(OPS[op], args=(flags,),
                                             timeout=60)
         assert planned == stepwise
         assert planned[0][0] > 0
 
+    def test_fused_plan_is_its_layers_in_path_order(self):
+        """A call plan's fused steps are entry + argument checks +
+        device path, concatenated — for every plan a pt2pt + RMA
+        program compiled, on a checking and a non-checking build."""
+        def body(comm):
+            buf = np.zeros(NBYTES, dtype=np.uint8)
+            win = Window.create(comm, np.zeros(64, np.uint8), disp_unit=1)
+            win.fence()
+            if comm.rank == 0:
+                comm.Send(buf, 1)
+                win.put(buf, 1)
+                win.get(buf, 1)
+            else:
+                comm.Recv(buf, 0)
+            win.fence()
+            plans = list(comm._plans.values()) + list(win._plans.values())
+            return [(p.fused.steps, p.entry.steps,
+                     p.args.steps if p.args is not None else (),
+                     p.path.steps, p.fused.total) for p in plans]
+
+        for checks in (True, False):
+            config = dataclasses.replace(named_builds()["mpich/ch4 (default)"],
+                                         error_checking=checks)
+            for rank_plans in World(2, config).run(body, timeout=60):
+                assert len(rank_plans) >= 2
+                for fused, entry, args, path, total in rank_plans:
+                    assert fused == entry + args + path
+                    assert bool(args) is checks
+                    assert total == sum(n for _, _, n, _ in fused)
+
     def test_replay_is_one_call_per_layer(self, monkeypatch):
-        """Entry + validation + device: three ``Proc.charge`` calls per
-        Isend where the stepwise path makes sixteen."""
+        """One ``Proc.charge`` call per warm Isend — the call plan's
+        fused replay of entry + validation + device, three calls
+        before call plans and sixteen on the stepwise path."""
         calls = []
         original = Proc.charge
 
@@ -155,7 +227,7 @@ class TestReplayEqualsStepwise:
             comm.Recv(buf, 0, tag=1)
 
         monkeypatch.setattr(Proc, "charge", counting)
-        assert World(2).run(body, timeout=60)[0] == (3, True)
+        assert World(2).run(body, timeout=60)[0] == (1, True)
 
 
 # -- key completeness -----------------------------------------------------------
@@ -454,3 +526,193 @@ class TestErrorExitCharges:
             comm.Recv(buf, 0)
 
         assert World(2).run(body, timeout=60)[0] == 221
+
+
+# -- call plans: first-use races, armed hooks ------------------------------------------
+
+class TestCallPlanCompile:
+    def test_racing_first_use_compiles_agree(self):
+        """Like the charge-plan cache, a handle's call-plan cache takes
+        no lock: threads racing on one cold call site each compile,
+        the last store wins, and every plan they got is the same plan
+        in everything but identity."""
+        import sys
+        import threading
+        from repro.core.ops import SendOp
+        from repro.mpi.pt2pt import BYTE_REF
+        world = World(2)
+        comm = Communicator.world_view(world.proc(0))
+        buf = np.zeros(1, dtype=np.uint8)
+        plans, start = [], threading.Barrier(8)
+
+        def racer():
+            start.wait(timeout=10)
+            for i in range(100):
+                op = SendOp(buf, 1, BYTE_REF, 1, i % 4, comm)
+                comm._plans.clear()              # keep the site cold
+                plans.append(comm._call_plan(op, False, 1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=racer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(plans) == 800 and len({id(p) for p in plans}) > 1
+        first = plans[0]
+        assert first.fused.total == 221
+        for plan in plans:
+            assert plan.fused.steps == first.fused.steps
+            assert (plan.entry.steps, plan.args.steps, plan.path.steps) == (
+                first.entry.steps, first.args.steps, first.path.steps)
+            assert (plan.lock, plan.peer_world, plan.transport, plan.native,
+                    plan.threshold) == (
+                first.lock, first.peer_world, first.transport, first.native,
+                first.threshold)
+
+    def test_sync_and_standard_sends_never_share_a_plan(self):
+        """noreq + sync leaves the straight line, so ``sync`` is part
+        of the key: a warm standard-mode plan is never handed to it."""
+        from repro.errors import MPIErrArg
+
+        def body(comm):
+            buf = np.zeros(1, dtype=np.uint8)
+            if comm.rank == 0:
+                comm.isend_noreq(buf, 1)
+                comm.waitall_noreq()
+                with pytest.raises(MPIErrArg, match="noreq"):
+                    comm._buffer_send(buf, 1, 0, sync=True, flags=ext.NOREQ)
+                comm.Ssend(buf, 1)
+                return sorted(k[0] for k in comm._plans
+                              if k[1] == 1 and k[0] != 2)
+            comm.Recv(buf, 0)
+            comm.Recv(buf, 0)
+
+        assert World(2).run(body, timeout=60)[0] == [False, True]
+
+
+def _armed_program(comm, arm_timeline):
+    """A small pt2pt + RMA program; returns every payload, status and
+    charged total it produced."""
+    from repro.analysis.timeline import enable_timeline
+    proc, me, peer = comm.proc, comm.rank, 1 - comm.rank
+    out = []
+    send = np.arange(4, dtype=np.float64) + 10 * me
+    recv = np.zeros(4)
+    st = comm.Sendrecv(send, peer, recv, peer, 3, 3)      # the first call
+    out.append((recv.tolist(), st.source, st.tag, st.count_bytes))
+    comm.barrier()
+    if arm_timeline and me == 0:
+        enable_timeline(comm.world)     # a hook turned on mid-run
+    comm.barrier()
+    hops = []
+    for tag in range(3):
+        if me == 0:
+            sreq = comm.Isend(send, 1, tag)
+            sreq.on_complete(lambda req: hops.append(req.complete_s))
+            sreq.wait()
+            proc.request_pool.release(sreq)
+        else:
+            rreq = comm.Irecv(recv, 0, tag)
+            rreq.wait()
+            out.append((recv.tolist(), rreq.source, rreq.tag,
+                        rreq.count_bytes))
+            proc.request_pool.release(rreq)
+    out.append(comm.sendrecv({"from": me}, peer, peer))
+    exposed = np.zeros(8, dtype=np.float64)
+    win = Window.create(comm, exposed, disp_unit=8)
+    win.fence()
+    if me == 0:
+        win.put(send, 1, 0)
+        win.accumulate(send, 1, 4)
+    win.fence()
+    got = np.zeros(4)
+    if me == 0:
+        win.get(got, 1, 0)
+    win.fence()
+    out.append((exposed.tolist(), got.tolist()))
+    win.free()
+    counter = proc.counter
+    by_category = {c.name: n for c, n in counter.by_category.items()
+                   if c.name not in ("RELIABILITY", "PROGRESS")}
+    return out, by_category, len(hops)
+
+
+class TestArmedEqualsUnarmed:
+    """The armed-hook builds run the same functions with the hook
+    branches taken: same payloads, statuses and charged totals as the
+    default build (net of the categories a subsystem charges for its
+    own work), and each hook still fires."""
+
+    @pytest.fixture(scope="class")
+    def default(self):
+        return World(2).run(_armed_program, args=(False,), timeout=60)
+
+    def _run(self, config=None, arm_timeline=False):
+        from repro.core.config import BuildConfig
+        world = World(2, config or BuildConfig())
+        return world, world.run(_armed_program, args=(arm_timeline,),
+                                timeout=60)
+
+    def test_sanitizer(self, default, monkeypatch):
+        from repro.core.config import BuildConfig
+        from repro.sanitize.runtime import RankSanitizer
+        seen = {"note_api": 0, "note_send": 0, "note_recv": 0,
+                "note_finish": 0}
+        for name in seen:
+            def counting(self, *args, _name=name,
+                         _hook=getattr(RankSanitizer, name), **kwargs):
+                seen[_name] += 1
+                return _hook(self, *args, **kwargs)
+            monkeypatch.setattr(RankSanitizer, name, counting)
+        _, got = self._run(BuildConfig(sanitize=True))
+        assert got == default
+        assert all(n > 0 for n in seen.values()), seen
+
+    def test_tsan(self, default):
+        from repro.core.config import BuildConfig
+        world, got = self._run(BuildConfig(tsan=True))
+        assert got == default
+        assert world.tsan.n_access_events > 0
+        assert world.tsan.n_lock_events > 0
+        assert not world.tsan.findings
+
+    def test_fault_plan_without_faults(self, default):
+        from repro.core.config import BuildConfig
+        from repro.ft.plan import FaultPlan
+        world, got = self._run(BuildConfig(fault_plan=FaultPlan()))
+        assert got == default
+        assert all(p.faults.stats()["n_sends"] > 0 for p in world.procs)
+        assert all(p.counter.by_category[Category.RELIABILITY] > 0
+                   for p in world.procs)
+
+    def test_progress_thread(self, default):
+        from repro.core.config import BuildConfig
+        world, got = self._run(BuildConfig(progress="thread"))
+        assert got == default
+        # Rank 0's three continuations ran on its progress thread.
+        assert world.proc(0).progress.stats()["n_continuations"] >= 3
+
+    def test_four_vcis(self, default):
+        from repro.core.config import BuildConfig
+        world, got = self._run(BuildConfig(num_vcis=4))
+        assert got == default
+        for proc in world.procs:
+            assert sum(v.cs_entries for v in proc.vcis) > 0
+            assert sum(v.cs_instructions for v in proc.vcis) > 0
+        assert sum(v.n_injected for v in world.proc(0).vcis) > 0
+
+    def test_timeline_enabled_after_the_first_call(self, default):
+        world, got = self._run(arm_timeline=True)
+        assert got == default
+        names = [e.name for e in world.proc(0).timeline]
+        assert names.count("MPI_Isend") == 3 + 1    # 3 buffer + 1 object
+        assert {"MPI_Irecv", "MPI_Put", "MPI_Accumulate",
+                "MPI_Get"} <= set(names)
+        assert all(e.t1 >= e.t0 for e in world.proc(0).timeline)
+        assert world.proc(0).armed and not world.proc(0).hooked

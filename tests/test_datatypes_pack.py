@@ -130,6 +130,139 @@ class TestUnpack:
         assert out.tolist() == [1.0, 1.0]
 
 
+def _as(kind, values):
+    """Eight float64 values as each buffer kind the contiguous branch
+    of pack/unpack accepts."""
+    arr = np.array(values, dtype=np.float64)
+    return {
+        "ndarray": lambda: arr,
+        "ndarray-2d": lambda: arr.reshape(2, -1),
+        "ndarray-big-endian": lambda: arr.astype(">f8"),
+        "ndarray-complex": lambda: arr.view(np.complex128),
+        "bytes": lambda: arr.tobytes(),
+        "bytearray": lambda: bytearray(arr.tobytes()),
+        "memoryview": lambda: memoryview(bytearray(arr.tobytes())),
+    }[kind]()
+
+
+_KINDS = ["ndarray", "ndarray-2d", "ndarray-big-endian", "ndarray-complex",
+          "bytes", "bytearray", "memoryview"]
+_WRITABLE = [k for k in _KINDS if k != "bytes"]
+
+
+class TestContiguousBranch:
+    """The one contiguous branch at the head of pack/unpack, over every
+    buffer kind: same bytes, same counters, same typed errors as the
+    as_bytes -> view -> reshape -> frombuffer chain it replaced."""
+
+    VALUES = [1.5, -2.0, 3.25, 4.0, 5.5, 6.0, 7.75, 8.0]
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_pack_moves_the_storage_bytes(self, kind, copy):
+        buf = _as(kind, self.VALUES)
+        want = bytes(as_bytes(buf))
+        with copies.track() as delta:
+            data = pack(buf, 8, DOUBLE, copy=copy)
+        assert bytes(data) == want and len(data) == 64
+        assert isinstance(data, bytes if copy else memoryview)
+        moved = delta()
+        assert (moved.n_copies, moved.bytes_copied) == (
+            (1, 64) if copy else (0, 0))
+        assert (moved.n_views, moved.bytes_viewed) == (
+            (0, 0) if copy else (1, 64))
+        assert bytes(pack(buf, 3, DOUBLE)) == want[:24]      # a prefix
+
+    @pytest.mark.parametrize("kind", _WRITABLE)
+    def test_pack_borrows_rather_than_copies(self, kind):
+        buf = _as(kind, self.VALUES)
+        data = pack(buf, 8, DOUBLE)
+        as_bytes(buf)[0] ^= 0xFF
+        assert data[0] == as_bytes(buf)[0]     # reads through to buf
+
+    @pytest.mark.parametrize("kind", _WRITABLE)
+    def test_unpack_scatters_once(self, kind):
+        buf = _as(kind, [0.0] * 8)
+        payload = np.array(self.VALUES).tobytes()
+        for data in (payload, memoryview(payload), bytearray(payload)):
+            as_bytes(buf)[:] = 0
+            with copies.track() as delta:
+                assert unpack(data, buf, 8, DOUBLE) == 8
+            assert bytes(as_bytes(buf)) == payload
+            moved = delta()
+            assert (moved.n_copies, moved.bytes_copied,
+                    moved.n_views) == (1, 64, 0)
+        as_bytes(buf)[:] = 0
+        assert unpack(payload[:16], buf, 8, DOUBLE) == 2     # short message
+        assert bytes(as_bytes(buf)) == payload[:16] + bytes(48)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_count_zero_touches_nothing(self, kind):
+        buf = _as(kind, self.VALUES)
+        with copies.track() as delta:
+            assert pack(buf, 0, DOUBLE) == b""
+            assert unpack(b"", buf, 0, DOUBLE) == 0
+            assert unpack(b"", buf, 8, DOUBLE) == 0
+        assert delta() == copies.CopySnapshot()
+        with pytest.raises(MPIErrCount):
+            pack(buf, -1, DOUBLE)
+        with pytest.raises(MPIErrCount):
+            unpack(b"", buf, -1, DOUBLE)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_short_send_buffer(self, kind):
+        with pytest.raises(MPIErrBuffer, match="holds 64 bytes, need 72"):
+            pack(_as(kind, self.VALUES), 9, DOUBLE)
+
+    @pytest.mark.parametrize("kind", _WRITABLE)
+    def test_short_receive_buffer_and_truncation(self, kind):
+        buf = _as(kind, [0.0] * 8)
+        with pytest.raises(MPIErrTruncate, match="exceeds receive buffer"):
+            unpack(bytes(72), buf, 8, DOUBLE)       # message > count * size
+        with pytest.raises(MPIErrTruncate, match="whole number"):
+            unpack(bytes(12), buf, 8, DOUBLE)
+        with pytest.raises(MPIErrBuffer, match="holds 64 bytes, need 72"):
+            unpack(bytes(72), buf, 9, DOUBLE)       # count > the buffer
+        assert bytes(as_bytes(buf)) == bytes(64)    # nothing was written
+
+    def test_read_only_receive_buffers(self):
+        frozen = np.zeros(8)
+        frozen.flags.writeable = False
+        for buf in (frozen, bytes(64), memoryview(bytes(64))):
+            with pytest.raises(MPIErrBuffer, match="read-only"):
+                unpack(bytes(8), buf, 8, DOUBLE)
+        assert frozen.tolist() == [0.0] * 8
+        assert bytes(pack(frozen, 8, DOUBLE)) == bytes(64)   # sends are fine
+
+    def test_non_c_contiguous_arrays(self):
+        field = np.zeros((4, 4))
+        for buf in (field[:, :2], field.T, field[::2]):
+            with pytest.raises(MPIErrBuffer, match="C-contiguous"):
+                pack(buf, 1, DOUBLE)
+            with pytest.raises(MPIErrBuffer, match="C-contiguous"):
+                unpack(bytes(8), buf, 1, DOUBLE)
+        assert not field.any()
+
+    def test_unsupported_buffer_types(self):
+        for buf in ([1.0, 2.0], "text", 7, None):
+            with pytest.raises(MPIErrBuffer, match="unsupported buffer"):
+                pack(buf, 1, DOUBLE)
+            with pytest.raises(MPIErrBuffer, match="unsupported buffer"):
+                unpack(bytes(8), buf, 1, DOUBLE)
+
+    def test_empty_shapes(self):
+        for buf in (np.zeros(0), np.zeros((2, 0)), b"", bytearray()):
+            assert pack(buf, 0, DOUBLE) == b""
+            with pytest.raises(MPIErrBuffer, match="holds 0 bytes"):
+                pack(buf, 1, DOUBLE)
+
+    def test_byte_buffers_whose_length_is_not_a_multiple(self):
+        assert bytes(pack(b"abcdefghij", 1, DOUBLE)) == b"abcdefgh"
+        out = bytearray(10)
+        assert unpack(b"12345678", out, 1, DOUBLE) == 1
+        assert bytes(out) == b"12345678\0\0"
+
+
 # ---------------------------------------------------------------------------
 # property-based round trips
 # ---------------------------------------------------------------------------

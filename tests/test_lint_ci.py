@@ -433,6 +433,136 @@ class TestPlansCalibrationGuard:
                     == json.dumps(committed, sort_keys=True), op
 
 
+class TestCallPlanGuard:
+    """Call-plan regression gate — a deterministic proxy for the wall
+    clock.  What a warm one-byte message costs in this runtime is,
+    to first order, how many Python-level calls it makes; both counts
+    below repeat exactly, so a refactor that puts per-message work
+    back (a re-derived locality check, a fresh ``DatatypeRef``, an
+    accounting call per layer) fails here, with no timer involved."""
+
+    #: A warm self-send cycle — Irecv + Isend + 2 waits + 2 releases —
+    #: made 150 Python-level calls before call plans; 62 with them.
+    MAX_CALLS_PER_CYCLE = 90
+    CYCLES = 100
+
+    def _cycle(self):
+        import numpy as np
+        from repro.mpi.comm import Communicator
+        from repro.runtime import World
+        comm = Communicator.world_view(World(1).proc(0))
+        send, recv = np.full(1, 7, np.uint8), np.zeros(1, np.uint8)
+        release = comm.proc.request_pool.release
+
+        def cycle():
+            rreq = comm.Irecv(recv, 0, 7)
+            sreq = comm.Isend(send, 0, 7)
+            sreq.wait()
+            rreq.wait()
+            release(sreq)
+            release(rreq)
+
+        for _ in range(5):      # compile the plans, fill the pool
+            cycle()
+        assert recv[0] == 7
+        return cycle
+
+    def test_python_calls_per_warm_message(self):
+        import sys
+        cycle = self._cycle()
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profiler)
+        try:
+            for _ in range(self.CYCLES):
+                cycle()
+        finally:
+            sys.setprofile(None)
+        per_cycle = calls / self.CYCLES - 1     # less cycle() itself
+        assert per_cycle == int(per_cycle)      # an exact count
+        assert per_cycle <= self.MAX_CALLS_PER_CYCLE
+
+    def test_one_accounting_call_per_warm_entry(self, monkeypatch):
+        from repro.runtime.proc import Proc
+        cycle = self._cycle()
+        charges = []
+        original = Proc.charge
+
+        def counting(self, *args):
+            charges.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Proc, "charge", counting)
+        cycle()
+        # One fused plan for the Irecv, one for the Isend.
+        assert len(charges) == 2 and all(len(a) == 1 for a in charges)
+        assert [a[0].total for a in charges] == [221, 221]
+
+    def test_perfbench_trace_boundaries_resolve(self):
+        """``--trace 1`` wraps 22 ``(owner, attr)`` layer boundaries by
+        name; a refactor that renames or inlines one would silently
+        drop its layer from the budget.  Read-only: nothing is
+        installed."""
+        import sys
+        sys.path.insert(0, str(ROOT))
+        try:
+            from perfbench.trace import runtime_targets
+        finally:
+            sys.path.remove(str(ROOT))
+        targets = runtime_targets()
+        assert len(targets) == 22
+        for owner, attr, span in targets:
+            holder = next((k for k in getattr(owner, "__mro__", (owner,))
+                           if attr in vars(k)), None)
+            assert holder is not None, (owner, attr)
+            assert callable(vars(holder)[attr]), (owner, attr, span)
+        names = {(getattr(o, "__name__", o), a) for o, a, _ in targets}
+        assert {("CH4Device", "isend"), ("CH4Device", "irecv"),
+                ("CH4Device", "put"), ("Proc", "deliver"),
+                ("Proc", "charge"), ("Request", "complete"),
+                ("RequestPool", "acquire"), ("RequestPool", "release"),
+                ("Netmod", "issue"), ("repro.core.ch4", "pack"),
+                ("repro.core.ch4", "unpack"), ("repro.core.am", "pack"),
+                ("repro.core.am", "unpack")} <= names
+
+
+class TestTrajectory:
+    """``perf/trajectory.jsonl``: one well-formed line per landed
+    revision, oldest first, whose exact counts are what the tree
+    charges (they have not moved since the first line)."""
+
+    METRICS = ("ops_per_s", "latency_us_p50", "payload_mb_per_s",
+               "setup_s", "peak_rss_mb")
+
+    def test_lines_parse_and_cover_every_workload(self):
+        import json
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        workloads = {w["name"] for w in spec["workloads"]}
+        assert {m["name"] for m in spec["end_to_end"]} == set(self.METRICS)
+        lines = (ROOT / "perf" / "trajectory.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert [r["rev"] for r in rows[:4]] == [
+            "0da9612", "ec2b648", "e7f0467", "4be5fd8"]
+        assert len(rows) >= 6
+        first = rows[0]["workloads"]
+        for row in rows:
+            assert {"rev", "date", "seeds", "source", "workloads"} <= set(row)
+            assert set(row["workloads"]) == workloads
+            for name, entry in row["workloads"].items():
+                for metric in self.METRICS:
+                    assert {"median", "q1", "q3", "n"} <= set(entry[metric])
+                for count in ("charged_instr_per_op", "vtime_us_per_op"):
+                    assert entry[count] == first[name][count]
+        assert first["msgrate_1b"]["charged_instr_per_op"] == 224.453125
+        newest = rows[-1]["workloads"]["msgrate_1b"]["ops_per_s"]
+        assert newest["q1"] <= newest["median"] <= newest["q3"]
+
+
 class TestServiceCalibrationGuard:
     """Failure-detector neutrality gate: a ``detector=None`` build must
     charge byte-for-byte what the committed Figure 2 / Table 1 numbers

@@ -121,6 +121,56 @@ class TestBufferAPI:
         assert out[4:6] == [4.0, 5.0]
         assert out[2:4] == [0.0, 0.0]   # gap untouched
 
+    @pytest.mark.parametrize("form", [
+        "ndarray", "ndarray-2d", "ndarray-big-endian", "bytes",
+        "bytearray", "memoryview", "triple-class2", "triple-class3",
+        "pair-class3"])
+    def test_every_contiguous_buffer_form(self, form):
+        """Each accepted spelling of a contiguous buffer moves the same
+        bytes, reports the same status and charges what its datatype
+        usage class charges (Class 3 keeps its redundant checks under
+        MPI-only inlining; Classes 2 and 3 charge alike without ipo)."""
+        from repro.datatypes.usage import compile_time, runtime_constant
+        values = np.arange(8, dtype=np.float64) - 3.5
+        forms = {
+            "ndarray": lambda a: a,
+            "ndarray-2d": lambda a: a.reshape(2, 4),
+            "ndarray-big-endian": lambda a: a.astype(">f8"),
+            "bytes": lambda a: (a.tobytes(), 8, DOUBLE),
+            "bytearray": lambda a: (bytearray(a.tobytes()), 8, DOUBLE),
+            "memoryview": lambda a: (memoryview(bytearray(a.tobytes())),
+                                     8, DOUBLE),
+            "triple-class2": lambda a: (a, 8, compile_time(DOUBLE)),
+            "triple-class3": lambda a: (a, 8, runtime_constant(DOUBLE)),
+            "pair-class3": lambda a: (a, runtime_constant(DOUBLE)),
+        }
+
+        def main(comm):
+            proc = comm.proc
+            if comm.rank == 0:
+                arg = forms[form](values.copy())
+                comm.Send(values, 1, tag=9)              # warm, as ndarray
+                before = proc.counter.total
+                comm.Send(arg, 1, tag=0)
+                return proc.counter.total - before
+            comm.Recv(np.zeros(8), 0, tag=9)
+            if form in ("bytes", "ndarray-big-endian"):
+                arg = forms["bytearray"](np.zeros(8))    # writable twin
+            else:
+                arg = forms[form](np.zeros(8))
+            before = proc.counter.total
+            status = comm.Recv(arg, 0, tag=0)
+            buf = arg[0] if isinstance(arg, tuple) else arg
+            return (bytes(memoryview(buf).cast("B")), status.source,
+                    status.tag, status.count_bytes,
+                    proc.counter.total - before)
+
+        sent, got = run_world(2, main)
+        want = values.astype(">f8") if form == "ndarray-big-endian" \
+            else values
+        assert got == (want.tobytes(), 0, 0, 64, 221)
+        assert sent == 221
+
     def test_truncation_error_on_recv(self):
         def main(comm):
             if comm.rank == 0:
@@ -233,6 +283,59 @@ class TestValidation:
             return "ok"
 
         run_world(1, main)
+
+
+class TestSendrecvFailedSend:
+    """A sendrecv whose send half fails takes its receive back: nothing
+    stays posted, the handle returns to the pool, and a later message
+    with the receive's envelope is not scattered into its buffer."""
+
+    @pytest.mark.parametrize("api", ["Sendrecv", "sendrecv"])
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_receive_is_withdrawn(self, api, sanitize):
+        def main(comm):
+            proc, pool = comm.proc, comm.proc.request_pool
+            if comm.rank == 1:
+                comm.barrier()
+                comm.Send(np.full(4, 7.0), 0, tag=5)
+                return None
+            warm = comm.Irecv(np.zeros(1), PROC_NULL)   # a handle to reuse
+            warm.wait()
+            pool.release(warm)
+            free_before, alloc_before = len(pool._free), pool.n_alloc
+            charged_before = proc.counter.total
+            recvbuf = np.full(4, -1.0)
+            with pytest.raises(MPIErrRank) as info:
+                if api == "Sendrecv":
+                    comm.Sendrecv(np.zeros(4), 7, recvbuf, 1, 0, 5)
+                else:
+                    comm.sendrecv("x", 7, 1, 0, 5)
+            assert info.value.op == "MPI_Isend" and info.value.rank == 0
+            assert proc.engine.pending_counts() == (0, 0)
+            assert len(pool._free) == free_before
+            assert pool.n_alloc == alloc_before
+            # Irecv in full (221) + the send's entry and four checks.
+            assert proc.counter.total - charged_before == 221 + 103
+            comm.barrier()
+            later = np.zeros(4)
+            status = comm.Recv(later, 1, 5)
+            assert status.count_bytes == 32 and later.tolist() == [7.0] * 4
+            assert recvbuf.tolist() == [-1.0] * 4
+            return "ok"
+
+        cfg = BuildConfig(sanitize=sanitize)
+        assert run_world(2, main, cfg)[0] == "ok"
+
+    def test_success_path_charges_are_unchanged(self):
+        """Irecv + Isend, nothing more: 2 x 221 on the default build."""
+        def main(comm):
+            peer = 1 - comm.rank
+            comm.Sendrecv(np.zeros(1), peer, np.zeros(1), peer)   # warm
+            before = comm.proc.counter.total
+            comm.Sendrecv(np.zeros(1), peer, np.zeros(1), peer)
+            return comm.proc.counter.total - before
+
+        assert run_world(2, main) == [442, 442]
 
 
 class TestWorldMechanics:
