@@ -4,6 +4,7 @@ Usage::
 
     python -m repro.analysis table1
     python -m repro.analysis fig2 fig6
+    python -m repro.analysis trajectory     # perf/trajectory.jsonl
     python -m repro.analysis all
 """
 
@@ -35,7 +36,13 @@ ARTIFACTS = {
     "profile": lambda: _stencil_profile(),
     "sensitivity": lambda: _sensitivity(),
     "amdahl": lambda: _amdahl(),
+    "trajectory": lambda: _trajectory(),
 }
+
+
+def _trajectory() -> str:
+    from repro.analysis.trajectory import render_trajectory
+    return render_trajectory()
 
 
 def _amdahl() -> str:

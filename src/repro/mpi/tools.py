@@ -93,6 +93,14 @@ def _build_registry() -> dict[str, PvarInfo]:
     add("shmmod_native_ops", PvarClass.COUNTER,
         "operations carried by the shared-memory module",
         lambda proc: proc.device.shmmod.n_native)
+    add("request_waits_parked", PvarClass.COUNTER,
+        "waits that found their request pending and parked the thread "
+        "(a wait on a request already complete counts nothing)",
+        lambda proc: proc.request_pool.n_parked)
+    add("request_wakes_direct", PvarClass.COUNTER,
+        "parked waits woken by the completing thread itself, through "
+        "the request's parked slot (the rest: aborts, second waiters)",
+        lambda proc: proc.request_pool.n_woken)
 
     for category in Category:
         add(f"instructions_{category.value}", PvarClass.COUNTER,

@@ -1,27 +1,14 @@
-"""Event-driven completion plumbing.
+"""Event-driven completion plumbing: nothing in the runtime polls.
 
-The seed runtime completed everything by polling: blocked waiters slept
-in 50 ms slices and re-checked the abort flag between slices.  That put
-a latency floor under ``MPI_WAITANY`` (head-of-line blocking on the
-first incomplete request) and made a world abort invisible to a blocked
-``MPI_PROBE`` until its current slice expired.
-
-This module replaces the polling with notification primitives:
-
-* :class:`NotifyingEvent` — a ``threading.Event`` that additionally
-  fires registered listener callbacks from :meth:`set`.  The world's
-  abort event is one of these, so any blocked wait can subscribe a
-  waker and be interrupted *immediately* on abort instead of at the
-  next poll boundary.
-* :class:`CompletionQueue` — a per-wait subscription queue.
-  ``waitany``/``waitsome`` subscribe every request and then block once;
-  whichever request completes first (or is cancelled) pushes its index
-  and wakes the waiter.  No rescanning, no head-of-line blocking.
-* :class:`_ForeignEventWatcher` — a listener bridge for waiters handed
-  a foreign plain ``threading.Event`` as their abort flag.  These used
-  to fall back to interval polling (and could oversleep an abort by up
-  to a slice); the bridge makes abort wake them at once, so no wait in
-  the runtime carries a timeout anymore.
+* :class:`Waker` and :func:`park` — the one way a thread of this
+  runtime blocks (``Request.wait``, ``waitany``, inline or
+  ``progress="thread"``): one C-level lock hand-off.
+* :class:`NotifyingEvent` — the world's abort event: ``set()`` wakes
+  every parked waiter and fires every listener *immediately*;
+  :class:`_ForeignEventWatcher` bridges a foreign plain Event to one.
+* :class:`CompletionQueue` — ``waitany``/``waitsome`` subscribe every
+  request and park once; no rescanning, no head-of-line blocking.
+* :class:`CompletionSegment` — one VCI's completion counters.
 
 None of this charges instructions: completion machinery here models
 the *real-Python execution path* only; the paper-calibrated Section 3.5
@@ -32,12 +19,44 @@ are unchanged.
 from __future__ import annotations
 
 import threading
+from _thread import allocate_lock
 from collections import deque
 from typing import Callable, Optional
 
 
+class Waker:
+    """A binary semaphore over a single C-level lock: one thread parks,
+    any thread fires.
+
+    The lock starts taken, :meth:`fire` releases it and :meth:`park`
+    takes it again: a fire that lands *before* the park is kept (the
+    parker finds the lock free) and a repeated fire is a no-op.
+    """
+
+    __slots__ = ("_lock",)
+
+    def __init__(self):
+        self._lock = allocate_lock()
+        self._lock.acquire()
+
+    def fire(self, _request=None) -> None:
+        """Wake the parker, now or when it parks.  Idempotent and safe
+        from any thread; the ignored argument lets a bound ``fire`` be
+        subscribed as a completion callback."""
+        try:
+            self._lock.release()
+        except RuntimeError:    # fired already
+            pass
+
+    def park(self, timeout: Optional[float] = None) -> bool:
+        """Block (in C, GIL released) until fired; False if *timeout*
+        seconds pass first."""
+        return self._lock.acquire(True, -1 if timeout is None else timeout)
+
+
 class NotifyingEvent(threading.Event):
-    """A ``threading.Event`` whose ``set()`` also fires listeners.
+    """A ``threading.Event`` whose ``set()`` also wakes parked waiters
+    and fires listeners.
 
     Listeners are one-shot wake callbacks (they must not block and must
     be safe to call from any thread).  ``add_listener`` on an
@@ -49,6 +68,10 @@ class NotifyingEvent(threading.Event):
         super().__init__()
         self._listeners: list[Callable[[], None]] = []
         self._listeners_lock = threading.Lock()
+        #: Wakers of the threads parked right now (see :func:`park`).
+        #: No lock: ``add``, ``discard`` and the ``list()`` snapshot
+        #: are each GIL-atomic, and a parker registers *then* looks.
+        self.parked: set[Waker] = set()
 
     def add_listener(self, callback: Callable[[], None]) -> None:
         """Register *callback* to run when the event is set (now, if it
@@ -71,8 +94,11 @@ class NotifyingEvent(threading.Event):
                 pass
 
     def set(self) -> None:
-        """Set the flag and fire (then drop) all registered listeners."""
+        """Set the flag, fire every parked waker, then fire (and drop)
+        all registered listeners."""
         super().set()
+        for waker in list(self.parked):
+            waker.fire()
         with self._listeners_lock:
             listeners, self._listeners = self._listeners, []
         for callback in listeners:
@@ -80,104 +106,113 @@ class NotifyingEvent(threading.Event):
 
 
 class _ForeignEventWatcher:
-    """Listener bridge for a foreign plain ``threading.Event``.
-
-    A waiter handed an abort flag that is *not* a
-    :class:`NotifyingEvent` used to fall back to 50 ms slice polling —
-    and could therefore oversleep an abort by up to a full slice.  The
-    bridge restores immediate wakeups: one daemon thread blocks on the
-    foreign event's own ``wait()`` and fires every registered listener
-    the instant it is set.  Listeners registered after the event fired
-    run immediately on the registering thread, matching
-    :meth:`NotifyingEvent.add_listener` semantics exactly.
+    """Bridge for a foreign plain ``threading.Event`` used as an abort
+    flag: one daemon thread blocks on the event's own ``wait()`` and
+    sets a :class:`NotifyingEvent` twin the instant it fires, so
+    waiters register on the twin exactly as on a native abort event
+    and never poll.
 
     One watcher (and one watcher thread) exists per distinct foreign
-    event; it retires after firing.  A foreign event that is cleared
+    event; it retires as it fires.  A foreign event that is cleared
     and aborted again simply gets a fresh bridge on the next
     registration.
     """
 
-    __slots__ = ("event", "_listeners", "_mu", "_thread")
+    __slots__ = ("event", "twin")
 
     def __init__(self, event):
         self.event = event
-        self._listeners: list[Callable[[], None]] = []
-        self._mu = threading.Lock()
-        self._thread = threading.Thread(
-            target=self._watch, name="abort-event-watcher", daemon=True)
-        self._thread.start()
+        self.twin = NotifyingEvent()
+        threading.Thread(target=self._watch, name="abort-event-watcher",
+                         daemon=True).start()
 
     def _watch(self) -> None:
-        """Thread body: sleep on the foreign event, then fire-and-drop
-        every listener and retire the registry entry."""
+        """Thread body: sleep on the foreign event, retire the registry
+        entry, then wake everything registered on the twin."""
         self.event.wait()
         with _foreign_mu:
             if _foreign_watchers.get(id(self.event)) is self:
                 del _foreign_watchers[id(self.event)]
-        with self._mu:
-            listeners, self._listeners = self._listeners, []
-        for callback in listeners:
-            callback()
-
-    def add(self, callback: Callable[[], None]) -> None:
-        """Register *callback*; fires immediately if the event is set."""
-        fire = False
-        with self._mu:
-            if self.event.is_set():
-                fire = True
-            else:
-                self._listeners.append(callback)
-        if fire:
-            callback()
-
-    def remove(self, callback: Callable[[], None]) -> None:
-        """Unregister one occurrence of *callback* (no-op if absent)."""
-        with self._mu:
-            try:
-                self._listeners.remove(callback)
-            except ValueError:
-                pass
+        self.twin.set()
 
 
-#: Live listener bridges for foreign plain Events, keyed by ``id()``.
-#: Each watcher holds a strong reference to its event, so a key cannot
-#: be reused while its entry is alive; entries retire when they fire.
+#: Live bridges for foreign plain Events, keyed by ``id()``.  Each
+#: watcher holds a strong reference to its event, so a key cannot be
+#: reused while its entry is alive; entries retire when they fire.
 _foreign_watchers: dict[int, _ForeignEventWatcher] = {}
 _foreign_mu = threading.Lock()
 
 
-def add_abort_listener(event, callback: Callable[[], None]) -> bool:
-    """Subscribe *callback* to *event*; always succeeds.
-
-    A :class:`NotifyingEvent` takes the listener natively.  A foreign
-    plain ``threading.Event`` is bridged through a
-    :class:`_ForeignEventWatcher`, so the caller may block without a
-    timeout in either case — abort wakes it immediately, never at a
-    poll boundary.  Returns True (kept for call-site symmetry).
-    """
-    add = getattr(event, "add_listener", None)
-    if add is not None:
-        add(callback)
-        return True
+def _notifier(event, bridge: bool = True) -> Optional[NotifyingEvent]:
+    """Where to register for *event*: itself, or a foreign plain
+    Event's twin — bridged on first use, or None when there is no
+    live bridge and *bridge* is False."""
+    if hasattr(event, "parked"):
+        return event
     with _foreign_mu:
         watcher = _foreign_watchers.get(id(event))
         if watcher is None or watcher.event is not event:
-            watcher = _ForeignEventWatcher(event)
-            _foreign_watchers[id(event)] = watcher
-    watcher.add(callback)
+            if not bridge:
+                return None
+            watcher = _foreign_watchers[id(event)] = \
+                _ForeignEventWatcher(event)
+    return watcher.twin
+
+
+def add_abort_listener(event, callback: Callable[[], None]) -> bool:
+    """Subscribe *callback* to *event*; always succeeds (returns True,
+    for call-site symmetry).  Native or bridged, the caller may block
+    without a timeout: abort wakes it immediately, never at a poll
+    boundary, and a callback added after the event fired runs at once
+    on the registering thread."""
+    if event.is_set():
+        callback()
+    else:
+        _notifier(event).add_listener(callback)
     return True
 
 
 def remove_abort_listener(event, callback: Callable[[], None]) -> None:
     """Undo :func:`add_abort_listener` (safe to call redundantly)."""
-    remove = getattr(event, "remove_listener", None)
-    if remove is not None:
-        remove(callback)
-        return
-    with _foreign_mu:
-        watcher = _foreign_watchers.get(id(event))
-    if watcher is not None and watcher.event is event:
-        watcher.remove(callback)
+    notifier = _notifier(event, bridge=False)
+    if notifier is not None:
+        notifier.remove_listener(callback)
+
+
+def park(waker: Waker, abort=None, detector=None) -> None:
+    """Sleep on *waker* until it is fired or *abort* is set: the one
+    place a blocked wait of this runtime sleeps.
+
+    Abort fan-out is *register, then look*: the waker joins the
+    event's ``parked`` set before the flag is read, and ``set()``
+    raises the flag before it snapshots the set, so whichever order
+    the two threads run in, the parker either sees the flag or is
+    fired — with no lock taken on the event.  Returns however it was
+    woken; the caller re-reads its own condition and the flag.
+
+    *detector* (a detector build's rank view) turns the sleep into
+    20 ms slices that each offer the rate-limited roster scan: a rank
+    parked in a wait is often the *only* live thread (a server blocked
+    on a request from a vanished client), so without a progress
+    engine's timer tick this is where silence expiry is observed.
+    """
+    parked = None
+    if abort is not None:
+        # A native event is its own notifier: no call on the hot path.
+        parked = getattr(abort, "parked", None)
+        if parked is None:
+            parked = _notifier(abort).parked
+        parked.add(waker)
+    try:
+        if abort is None or not abort.is_set():
+            if detector is None:
+                waker.park()
+            else:
+                while not waker.park(0.02):
+                    detector.maybe_tick()
+    finally:
+        if parked is not None:
+            parked.discard(waker)
 
 
 class CompletionSegment:
@@ -248,31 +283,28 @@ class CompletionQueue:
     user's list); completing threads push keys in completion order and
     the waiter pops them without ever rescanning the request list.
     Keys arrive at most once per ``watch`` call; a request that was
-    already complete at subscription time is pushed immediately.
+    already complete at subscription time is pushed immediately.  One
+    waiter, one :meth:`wait_one` per queue: its exit withdraws the
+    subscriptions of every request that did not complete.
     """
 
     def __init__(self, abort_event=None):
-        self._cond = threading.Condition()
         self._ready: deque = deque()
         self._abort = abort_event
+        self._waker = Waker()
+        self._watched: list = []
 
     def watch(self, key, request) -> None:
         """Subscribe *request*; its *key* is pushed on completion."""
-        request.subscribe(lambda _req, key=key: self._push(key))
-
-    def _push(self, key) -> None:
-        with self._cond:
+        def push(_req):
             self._ready.append(key)
-            self._cond.notify_all()
-
-    def _wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+            self._waker.fire()
+        self._watched.append((request, push))
+        request.subscribe(push)
 
     def pop_ready(self) -> Optional[object]:
         """Nonblocking: the next completed key, or None."""
-        with self._cond:
-            return self._ready.popleft() if self._ready else None
+        return self._ready.popleft() if self._ready else None
 
     def wait_one(self):
         """Block until some watched request completes; returns its key.
@@ -280,18 +312,16 @@ class CompletionQueue:
         Raises :class:`~repro.runtime.world.WorldAborted` immediately
         (not at a poll boundary) if the world aborts first.
         """
-        abort = self._abort
-        listening = (abort is not None
-                     and add_abort_listener(abort, self._wake))
+        ready, abort = self._ready, self._abort
         try:
-            with self._cond:
-                while not self._ready:
-                    if abort is not None and abort.is_set():
-                        from repro.runtime.world import WorldAborted
-                        raise WorldAborted(
-                            "world aborted while waiting for completion")
-                    self._cond.wait()
-                return self._ready.popleft()
+            while not ready:
+                park(self._waker, abort)
+                if not ready and abort is not None and abort.is_set():
+                    from repro.runtime.world import WorldAborted
+                    raise WorldAborted(
+                        "world aborted while waiting for completion")
+            return ready.popleft()
         finally:
-            if listening:
-                remove_abort_listener(abort, self._wake)
+            for request, push in self._watched:
+                request._unsubscribe(push)
+            self._watched.clear()

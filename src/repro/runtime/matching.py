@@ -93,11 +93,16 @@ class _MatchingEngineBase:
         #: present, the engine lock is detector-instrumented and the
         #: queue mutations below are annotated accesses.
         self.tsan = tsan
+        #: The engine lock — reentrant (``on_match`` -> ``complete`` ->
+        #: a continuation may post on this engine again) and entered
+        #: at C level on every ``post``/``deposit``.
         if tsan is not None:
-            self._lock = threading.Condition(
-                tsan.make_lock(self._LOCK_KIND, f"mq{rank}"))
+            self._lock = tsan.make_lock(self._LOCK_KIND, f"mq{rank}")
         else:
-            self._lock = threading.Condition()
+            self._lock = threading.RLock()
+        #: Condition over ``_lock`` for the one thing that sleeps on
+        #: the engine, a blocking probe; entered through ``_lock``.
+        self._cond = threading.Condition(self._lock)
         #: Annotation key of this engine's queue state (shards use a
         #: per-shard key: each shard is its own lock domain).
         self._tsan_key = ("mq", rank, id(self))
@@ -135,7 +140,7 @@ class _MatchingEngineBase:
 
     def _abort_wake(self) -> None:
         with self._lock:
-            self._lock.notify_all()
+            self._cond.notify_all()
 
     def iprobe(self, ctx: int, src: int, tag: int,
                nomatch: bool = False) -> Optional[tuple[Envelope, int]]:
@@ -174,7 +179,7 @@ class _MatchingEngineBase:
                                 and abort_event.is_set():
                             from repro.runtime.world import WorldAborted
                             raise WorldAborted("world aborted in probe")
-                        self._lock.wait()
+                        self._cond.wait()
                 finally:
                     self._probers -= 1
         finally:
@@ -224,7 +229,7 @@ class LinearMatchingEngine(_MatchingEngineBase):
             msg.own_data()
             self._unexpected.append(msg)
             if self._probers:
-                self._lock.notify_all()
+                self._cond.notify_all()
 
     # -- receiver side -------------------------------------------------------
 
@@ -369,7 +374,7 @@ class BucketMatchingEngine(_MatchingEngineBase):
                 return
             self._add_unexpected(msg)
             if self._probers:   # only an unexpected message can end a probe
-                self._lock.notify_all()
+                self._cond.notify_all()
 
     def _take_posted_match(self, env: Envelope) -> Optional[PostedRecv]:
         """Pop the first-posted receive matching *env* (lock held)."""

@@ -9,12 +9,13 @@ is where its 10-instruction saving comes from.
 
 Completion is event-driven: state transitions are guarded by a
 per-request lock (so a sender thread completing a receive cannot race
-the receiver cancelling it), and blocked waiters subscribe wake
-callbacks instead of polling — ``wait``/``waitany`` return the moment
-the completing thread (or a world abort) fires, not at the next 50 ms
-slice.  A per-rank :class:`RequestPool` recycles handles on the hot
-path; none of this changes charged instruction counts, which are
-calibrated at issue time in the devices.
+the receiver cancelling it), and a blocked ``wait`` parks on a
+:class:`~repro.runtime.completion.Waker` it leaves in the request's
+``_parked`` slot — the thread that completes the request takes the
+slot in the same critical section and wakes the waiter directly, so a
+blocked wait costs one lock hand-off.  A per-rank :class:`RequestPool`
+recycles handles on the hot path; none of this changes charged
+instruction counts, which are calibrated at issue time in the devices.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from collections import deque
 from typing import Callable, Optional, Sequence
 
 from repro.errors import MPIErrRequest
-from repro.runtime.completion import (CompletionQueue, add_abort_listener,
-                                      remove_abort_listener)
+from repro.runtime.completion import CompletionQueue, Waker, park
 
 
 class RequestKind(enum.Enum):
@@ -61,8 +61,8 @@ class Request:
     continuation queue) and exactly-once still hold.
     """
 
-    __slots__ = ("kind", "_complete", "_abort", "_lock", "_waiters",
-                 "_flushing", "_epoch", "_tsan_key", "_hooked",
+    __slots__ = ("kind", "_complete", "_abort", "_lock", "_parked",
+                 "_waiters", "_flushing", "_epoch", "_tsan_key", "_hooked",
                  "complete_s", "source", "tag", "count_bytes", "error",
                  "cancelled", "_proc", "payload", "_keepalive")
 
@@ -75,9 +75,14 @@ class Request:
     def __init__(self, kind: RequestKind, proc=None, abort_event=None):
         self.kind = kind
         #: Done — completed, cancelled or failed.  Written under
-        #: ``_lock``; a waiter that reads it False parks on a waker it
-        #: subscribes under the same lock, so no wakeup is lost.
+        #: ``_lock``; a waiter that reads it False under that lock
+        #: leaves its waker in ``_parked`` before letting go, and the
+        #: transition that sets it takes the slot in the same critical
+        #: section and fires it: no wakeup is lost.  The slot is not a
+        #: callback — it is outside the ``subscribe`` FIFO and fired
+        #: first, so the blocked rank runs while continuations do.
         self._complete = False
+        self._parked: Optional[Waker] = None
         self._abort = abort_event
         #: The owning rank's ``Proc.hooked``: whether any of the hook
         #: attributes read below (tsan, sanitizer, detector, progress)
@@ -142,11 +147,13 @@ class Request:
             if self._hooked:
                 self._publish()
             self._complete = True
-            if not self._waiters:
-                return   # nobody to tell: late subscribers fire themselves
-            self._flushing = True
+            parked, self._parked = self._parked, None
+            flush = self._flushing = bool(self._waiters)
             epoch = self._epoch
-        self._flush_waiters(epoch)
+        if parked is not None:
+            parked.fire()
+        if flush:
+            self._flush_waiters(epoch)
 
     def _publish(self) -> None:
         """Race-detector edge of a state transition (``_lock`` held):
@@ -171,12 +178,16 @@ class Request:
             if self._hooked:
                 self._publish()
             self._complete = True
-            self._flushing = True
+            parked, self._parked = self._parked, None
+            flush = self._flushing = bool(self._waiters)
             epoch = self._epoch
         san = self._proc.sanitizer if self._hooked else None
         if san is not None:
             san.note_cancel(self)
-        self._flush_waiters(epoch)
+        if parked is not None:
+            parked.fire()
+        if flush:
+            self._flush_waiters(epoch)
 
     def fail(self, complete_s: float, error: BaseException) -> None:
         """Complete exceptionally — the peer-failure path.
@@ -196,9 +207,13 @@ class Request:
             if self._hooked:
                 self._publish()
             self._complete = True
-            self._flushing = True
+            parked, self._parked = self._parked, None
+            flush = self._flushing = bool(self._waiters)
             epoch = self._epoch
-        self._flush_waiters(epoch)
+        if parked is not None:
+            parked.fire()
+        if flush:
+            self._flush_waiters(epoch)
 
     def _flush_waiters(self, epoch: int) -> None:
         """Drain ``_waiters`` one callback at a time, re-taking the
@@ -239,6 +254,17 @@ class Request:
                 self._waiters.append(callback)
                 return
         callback(self)
+
+    def _unsubscribe(self, callback: Callable[["Request"], None]) -> None:
+        """Withdraw a :meth:`subscribe` registration that has not run
+        (no-op once it has): a waiter that gives up — ``waitany`` on
+        the requests it did not return, an aborted wait — must not
+        leave its callback, and what it pins, on a pending request."""
+        with self._lock:
+            try:
+                self._waiters.remove(callback)
+            except ValueError:
+                pass
 
     def on_complete(self, fn: Callable[["Request"], None]) -> None:
         """MPIX-continuation-style completion chaining.
@@ -287,21 +313,31 @@ class Request:
 
     def wait(self) -> "Request":
         """MPI_WAIT: block until complete, merge clocks, re-raise any
-        error captured by the completing thread.  Event-driven: wakes
-        the instant the completing thread (or a world abort) fires."""
+        error captured by the completing thread.  Event-driven: woken
+        by the completing thread itself (or a world abort)."""
         if not self._complete:
             self._block()
         self._finish()
         return self
 
     def _block(self) -> None:
-        """Park the calling thread until the request is done, telling
-        the armed hooks that (and why) this rank is blocked."""
+        """Park the calling thread until the request is done or the
+        world aborts, telling the armed hooks that (and why) this rank
+        is blocked.
+
+        The waker goes into ``_parked`` under the state lock, in the
+        critical section that finds the request still pending; a second
+        thread waiting on the same handle finds the slot taken and
+        subscribes its waker as a callback instead.  Every exit that is
+        not a completion — abort, a detector slice raising — withdraws
+        its own registration.
+        """
+        proc = self._proc
         tsan = san = detector = None
         if self._hooked:
-            tsan = self._proc.tsan
-            san = self._proc.sanitizer
-            detector = self._proc.detector
+            tsan = proc.tsan
+            san = proc.sanitizer
+            detector = proc.detector
         if tsan is not None:
             # TS403: blocking here while holding a runtime lock
             # (other than the exempt NBC schedule lock) can
@@ -315,37 +351,36 @@ class Request:
             # Park this rank: blocked-in-wait means alive by
             # construction, so its heartbeat must not go stale.
             detector.enter_wait()
+        waker = Waker()
+        direct = True
         try:
-            self._park(detector)
+            with self._lock:
+                if self._complete:
+                    return
+                if self._parked is None:
+                    self._parked = waker
+                else:
+                    direct = False
+            if not direct:
+                self.subscribe(waker.fire)
+            if proc is not None:
+                proc.request_pool.n_parked += 1
+            park(waker, self._abort, detector)
+            if direct and proc is not None and self._complete:
+                proc.request_pool.n_woken += 1
         finally:
+            if not self._complete:
+                if direct:
+                    with self._lock:
+                        if self._parked is waker:
+                            self._parked = None
+                else:
+                    self._unsubscribe(waker.fire)
             if detector is not None:
                 detector.exit_wait()
             if san is not None:
                 san.note_unblock()
-
-    def _park(self, detector) -> None:
-        """Sleep on a one-shot waker subscribed to this request and to
-        the world's abort event.  A detector build sleeps in slices,
-        offering the rate-limited roster scan each slice: a rank
-        parked in a wait is often the *only* live thread (a server
-        blocked on a request from a vanished client), so without a
-        progress engine's timer tick this is where silence expiry
-        must be observed."""
-        abort = self._abort
-        waker = threading.Event()
-        self.subscribe(lambda _req, set_=waker.set: set_())
-        if abort is not None:
-            add_abort_listener(abort, waker.set)
-        try:
-            if detector is None:
-                waker.wait()
-            else:
-                while not waker.wait(0.02):
-                    detector.maybe_tick()
-        finally:
-            if abort is not None:
-                remove_abort_listener(abort, waker.set)
-        if abort is not None and not self._complete and abort.is_set():
+        if not self._complete:
             from repro.runtime.world import WorldAborted
             raise WorldAborted("world aborted while waiting on request")
 
@@ -386,6 +421,7 @@ class Request:
                                             what="request state")
             self.kind = kind
             self._complete = False
+            self._parked = None
             self._waiters.clear()
             self._flushing = False
             self._epoch += 1   # kills any stale flush loop
@@ -439,6 +475,12 @@ class RequestPool:
         #: Monotone counters for tests and the matching benchmark.
         self.n_alloc = 0
         self.n_reuse = 0
+        #: Waits of this rank that actually blocked, and how many of
+        #: those the completing thread woke through ``_parked`` (the
+        #: rest: aborts and second waiters).  MPI_T pvars
+        #: ``request_waits_parked`` / ``request_wakes_direct``.
+        self.n_parked = 0
+        self.n_woken = 0
 
     def acquire(self, kind: RequestKind) -> Request:
         """A fresh-or-recycled request bound to the owning rank."""
@@ -482,9 +524,8 @@ def waitany(requests: Sequence[Request]) -> int:
 
     Subscribes every request to a :class:`CompletionQueue` and blocks
     once — completion of *any* request (first-listed or last-listed)
-    wakes the waiter immediately.  The seed implementation instead
-    blocked on the first incomplete request in 50 ms slices, observing
-    other completions up to a slice late.
+    wakes the waiter immediately, and the queue's exit withdraws the
+    subscriptions of the requests that are still pending.
     """
     if not requests:
         raise MPIErrRequest("waitany on empty request list")

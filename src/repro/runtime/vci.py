@@ -312,7 +312,8 @@ class _ShardEngine(BucketMatchingEngine):
                 wild_posted.on_match(msg)
                 self._vci.completion.note("recv", msg.arrive_s)
                 self._fire_sync(msg, msg.arrive_s)
-                self._lock.notify_all()
+                if self._probers:
+                    self._cond.notify_all()
                 return
             if entry is not None:
                 self._pop_posted(env, entry)
@@ -320,14 +321,16 @@ class _ShardEngine(BucketMatchingEngine):
                 entry.posted.on_match(msg)
                 self._vci.completion.note("recv", msg.arrive_s)
                 self._fire_sync(msg, msg.arrive_s)
-                self._lock.notify_all()
+                if self._probers:
+                    self._cond.notify_all()
                 return
             with owner._wild_lock:
                 owner._note_wild_access()
                 owner._ux_epoch += 1
                 owner._wild_lock.notify_all()
             self._add_unexpected(msg)
-            self._lock.notify_all()
+            if self._probers:
+                self._cond.notify_all()
 
     # -- receiver side -----------------------------------------------------
 

@@ -643,6 +643,37 @@ def _armed_program(comm, arm_timeline):
     return out, by_category, len(hops)
 
 
+def _pingpong_program(comm):
+    """A blocking ping-pong in which every ``Recv`` of rank 1 parks:
+    rank 0 sends a ping only once rank 1's pool has counted the park.
+    Returns every payload and status, the charged totals, and how many
+    of the rank's waits blocked."""
+    import time
+    proc, me = comm.proc, comm.rank
+    pool = proc.request_pool
+    peer_pool = comm.world.proc(1).request_pool
+    out = []
+    send, recv = np.zeros(3), np.zeros(3)
+    for i in range(5):
+        if me == 0:
+            deadline = time.monotonic() + 30.0
+            while peer_pool.n_parked <= i:
+                assert time.monotonic() < deadline, "rank 1 never parked"
+                time.sleep(0)       # a yield, not a delay
+            send[:] = i
+            comm.Send(send, 1, i)
+            st = comm.Recv(recv, 1, i)
+        else:
+            st = comm.Recv(recv, 0, i)
+            send[:] = recv + 0.5
+            comm.Send(send, 0, i)
+        out.append((recv.tolist(), st.source, st.tag, st.count_bytes))
+    by_category = {c.name: n for c, n in proc.counter.by_category.items()
+                   if c.name not in ("RELIABILITY", "PROGRESS")}
+    # Rank 0's own waits block or not as the scheduler has it.
+    return out, by_category, (pool.n_parked, pool.n_woken) if me else None
+
+
 class TestArmedEqualsUnarmed:
     """The armed-hook builds run the same functions with the hook
     branches taken: same payloads, statuses and charged totals as the
@@ -659,17 +690,22 @@ class TestArmedEqualsUnarmed:
         return world, world.run(_armed_program, args=(arm_timeline,),
                                 timeout=60)
 
+    def _counted(self, monkeypatch, cls, names):
+        """Count calls of *cls*'s hook methods *names*."""
+        seen = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(self, *args, _name=name,
+                         _hook=getattr(cls, name), **kwargs):
+                seen[_name] += 1
+                return _hook(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counting)
+        return seen
+
     def test_sanitizer(self, default, monkeypatch):
         from repro.core.config import BuildConfig
         from repro.sanitize.runtime import RankSanitizer
-        seen = {"note_api": 0, "note_send": 0, "note_recv": 0,
-                "note_finish": 0}
-        for name in seen:
-            def counting(self, *args, _name=name,
-                         _hook=getattr(RankSanitizer, name), **kwargs):
-                seen[_name] += 1
-                return _hook(self, *args, **kwargs)
-            monkeypatch.setattr(RankSanitizer, name, counting)
+        seen = self._counted(monkeypatch, RankSanitizer, (
+            "note_api", "note_send", "note_recv", "note_finish"))
         _, got = self._run(BuildConfig(sanitize=True))
         assert got == default
         assert all(n > 0 for n in seen.values()), seen
@@ -706,6 +742,47 @@ class TestArmedEqualsUnarmed:
             assert sum(v.cs_entries for v in proc.vcis) > 0
             assert sum(v.cs_instructions for v in proc.vcis) > 0
         assert sum(v.n_injected for v in world.proc(0).vcis) > 0
+
+    @pytest.fixture(scope="class")
+    def default_pingpong(self):
+        got = World(2).run(_pingpong_program, timeout=60)
+        assert got[1][2] == (5, 5)      # five parks, five direct wakes
+        return got
+
+    @pytest.mark.parametrize("build", ["sanitize", "tsan", "detector",
+                                       "progress", "four_vcis"])
+    def test_blocking_pingpong(self, default_pingpong, monkeypatch, build):
+        """The blocked-wait path under every armed build: same
+        payloads, statuses, charges and park counts as the default
+        build, and each hook of ``Request._block`` fires once per
+        blocked wait, entries and exits balanced."""
+        from repro.core.config import BuildConfig
+        from repro.ft.detector import DetectorConfig, RankDetector
+        from repro.ft.plan import FaultPlan
+        from repro.sanitize.runtime import RankSanitizer
+        from repro.tsan.detector import RankTsan
+        config, cls, hooks = {
+            "sanitize": (BuildConfig(sanitize=True), RankSanitizer,
+                         ("note_block_request", "note_unblock")),
+            "tsan": (BuildConfig(tsan=True), RankTsan,
+                     ("check_blocking_wait",)),
+            "detector": (BuildConfig(fault_plan=FaultPlan(),
+                                     detector=DetectorConfig()),
+                         RankDetector, ("enter_wait", "exit_wait")),
+            "progress": (BuildConfig(progress="thread"), None, ()),
+            "four_vcis": (BuildConfig(num_vcis=4), None, ()),
+        }[build]
+        seen = self._counted(monkeypatch, cls, hooks)
+        world = World(2, config)
+        got = world.run(_pingpong_program, timeout=60)
+        assert got == default_pingpong
+        blocked = sum(p.request_pool.n_parked for p in world.procs)
+        assert blocked >= 5
+        # Collectives of the world's own start-up may block as well.
+        assert all(n >= blocked for n in seen.values()), seen
+        assert len(set(seen.values())) <= 1, seen
+        if build == "tsan":
+            assert not world.tsan.findings
 
     def test_timeline_enabled_after_the_first_call(self, default):
         world, got = self._run(arm_timeline=True)

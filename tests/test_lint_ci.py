@@ -442,8 +442,9 @@ class TestCallPlanGuard:
     accounting call per layer) fails here, with no timer involved."""
 
     #: A warm self-send cycle — Irecv + Isend + 2 waits + 2 releases —
-    #: made 150 Python-level calls before call plans; 62 with them.
-    MAX_CALLS_PER_CYCLE = 90
+    #: made 150 Python-level calls before call plans, 62 with them and
+    #: 58 once the engine lock was entered at C level.
+    MAX_CALLS_PER_CYCLE = 63
     CYCLES = 100
 
     def _cycle(self):
@@ -503,6 +504,91 @@ class TestCallPlanGuard:
         assert len(charges) == 2 and all(len(a) == 1 for a in charges)
         assert [a[0].total for a in charges] == [221, 221]
 
+    #: A warm blocking half round trip — Send on one rank, the Recv it
+    #: wakes on the other — made 91 Python-level calls when a blocked
+    #: wait built an Event, subscribed a lambda and registered an abort
+    #: listener; 68 when it parks on a one-shot lock.
+    MAX_CALLS_PER_BLOCKING_MESSAGE = 75
+
+    def _profiled_ranks(self, body, rounds):
+        """Run ``body(comm)`` *rounds* times on 2 warm ranks under
+        ``sys.setprofile``; returns the Python-level calls made and
+        how many of them constructed an Event or a Condition."""
+        import sys
+        import threading
+        from repro.runtime import World
+        heavy = {threading.Event.__init__.__code__,
+                 threading.Condition.__init__.__code__}
+        counts = {"calls": 0, "heavy": 0}
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                counts["calls"] += 1
+                if frame.f_code in heavy:
+                    counts["heavy"] += 1
+
+        def main(comm):
+            for _ in range(20):         # compile the plans, fill the pool
+                body(comm)
+            comm.barrier()
+            sys.setprofile(profiler)
+            try:
+                for _ in range(rounds):
+                    body(comm)
+            finally:
+                sys.setprofile(None)
+
+        World(2).run(main, timeout=60)
+        return counts["calls"], counts["heavy"]
+
+    def test_python_calls_per_warm_blocking_message(self):
+        import numpy as np
+        send, recv = np.zeros(1, np.uint8), np.zeros(1, np.uint8)
+
+        def pingpong(comm):
+            if comm.rank == 0:
+                comm.Send(send, 1, 7)
+                comm.Recv(recv, 1, 7)
+            else:
+                comm.Recv(recv, 0, 7)
+                comm.Send(send, 0, 7)
+
+        rounds = 200
+        calls, heavy = self._profiled_ranks(pingpong, rounds)
+        # Less pingpong() itself; a message that found its receive not
+        # yet posted skips the park and makes fewer calls, never more.
+        per_message = (calls - 2 * rounds) / (2 * rounds)
+        assert per_message <= self.MAX_CALLS_PER_BLOCKING_MESSAGE
+        assert heavy == 0
+
+    def test_no_event_or_condition_on_any_warm_wait(self):
+        """Sendrecv, waitall and waitany park on the same one-shot
+        lock: none of them builds a ``threading.Event`` or
+        ``threading.Condition``."""
+        import numpy as np
+        from repro.runtime.request import waitall, waitany
+        bufs = [np.zeros(1, np.uint8) for _ in range(6)]
+
+        def waits(comm):
+            peer = 1 - comm.rank
+            release = comm.proc.request_pool.release
+            comm.Sendrecv(bufs[0], peer, bufs[1], peer, 3, 3)
+            reqs = [comm.Irecv(bufs[2], peer, 4), comm.Irecv(bufs[3], peer, 5)]
+            if comm.rank == 0:
+                # Rank 1 sends only once it holds the token, so rank 0
+                # is (nearly always) inside waitany's queue by then.
+                comm.Send(bufs[0], 1, 6)
+                waitany(reqs)
+            else:
+                comm.Recv(bufs[1], 0, 6)
+            sends = [comm.Isend(bufs[4], peer, 5), comm.Isend(bufs[5], peer, 4)]
+            waitall(reqs + sends)
+            for req in reqs + sends:
+                release(req)
+
+        _, heavy = self._profiled_ranks(waits, 50)
+        assert heavy == 0
+
     def test_perfbench_trace_boundaries_resolve(self):
         """``--trace 1`` wraps 22 ``(owner, attr)`` layer boundaries by
         name; a refactor that renames or inlines one would silently
@@ -561,6 +647,58 @@ class TestTrajectory:
         assert first["msgrate_1b"]["charged_instr_per_op"] == 224.453125
         newest = rows[-1]["workloads"]["msgrate_1b"]["ops_per_s"]
         assert newest["q1"] <= newest["median"] <= newest["q3"]
+
+    #: What ``perfbench/run.py`` does for its two exact counts — one
+    #: warm-up batch, then the counters over the first measured batch —
+    #: in a process of its own: the halo workload holds 256 MiB.
+    FIRST_BATCH = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[1] + "/src"]
+from perfbench.workloads import WORKLOADS, Counters
+out = {}
+for name, cls in WORKLOADS.items():
+    workload = cls(0)
+    workload.run_batch()
+    counters = Counters(workload)
+    batch = workload.run_batch()
+    delta = counters.delta()
+    assert batch.failed == 0, name
+    out[name] = [delta["instructions_total.0"] / batch.ops,
+                 delta["vtime_s"] * 1e6 / workload.ops_per_batch]
+    del workload, counters
+print(json.dumps(out))
+"""
+
+    def test_newest_line_counts_are_what_the_tree_charges(self):
+        """The recorded exact counts are not history: the tree charges
+        them today, to the last digit, on every workload."""
+        import json
+        proc = subprocess.run(
+            [sys.executable, "-c", self.FIRST_BATCH, str(ROOT)],
+            cwd=ROOT, env=_env(), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        from repro.analysis.trajectory import load_trajectory
+        charged = json.loads(proc.stdout.splitlines()[-1])
+        newest = load_trajectory()[-1]["workloads"]
+        assert set(charged) == set(newest)
+        for name, (instr, vtime_us) in charged.items():
+            assert instr == newest[name]["charged_instr_per_op"], name
+            assert vtime_us == newest[name]["vtime_us_per_op"], name
+
+    def test_cli_prints_every_line_of_every_workload(self):
+        from repro.analysis.trajectory import (load_trajectory,
+                                               render_trajectory)
+        text = render_trajectory()
+        rows = load_trajectory()
+        for name in rows[-1]["workloads"]:
+            assert f"{name}: measured medians" in text
+        for row in rows:
+            assert text.count(row["rev"]) >= len(row["workloads"])
+        # PR 16's own line over its re-measured parent, msgrate_1b.
+        assert "38,852 (2.42x)" in text
+        assert render_trajectory(ROOT / "no-such-file").startswith(
+            "no recorded trajectory")
 
 
 class TestServiceCalibrationGuard:

@@ -91,6 +91,39 @@ class TestPvarSession:
 
         assert run_world(2, main)[1] == (True, True)
 
+    def test_park_counters(self):
+        """``request_waits_parked`` counts a wait only when it blocks,
+        ``request_wakes_direct`` when the completer woke it."""
+        import time
+
+        def main(comm):
+            session = PvarSession(comm.proc)
+            names = ("request_waits_parked", "request_wakes_direct")
+            buf = np.zeros(1, dtype=np.uint8)
+            if comm.rank == 0:
+                # An eager send is complete before its wait: no park.
+                delta = session.delta(lambda: comm.Isend(buf, 1, 0).wait())
+                ready = [delta[n] for n in names]
+                peer = PvarSession(comm.world.proc(1))
+                parked_before = comm.recv(source=1)
+                deadline = time.monotonic() + 30.0
+                while peer.read(names[0]) == parked_before:
+                    assert time.monotonic() < deadline
+                    time.sleep(0)       # yield until rank 1 has parked
+                comm.Send(buf, 1, 1)
+                return ready
+            comm.Recv(buf, 0, 0)
+            before = [session.read(n) for n in names]
+            comm.send(before[0], dest=0)
+            comm.Recv(buf, 0, 1)        # sent only once this has parked
+            return [session.read(n) - b for n, b in zip(names, before)]
+
+        ready, blocked = run_world(2, main)
+        assert ready == [0, 0]
+        assert blocked == [1, 1]
+        for name in ("request_waits_parked", "request_wakes_direct"):
+            assert pvar_get_info(name).pvar_class is PvarClass.COUNTER
+
     def test_read_all_complete(self):
         def main(comm):
             return PvarSession(comm.proc).read_all()

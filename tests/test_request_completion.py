@@ -212,6 +212,64 @@ class TestAbortInterruption:
         assert fired == [True]
 
 
+class TestWaitanyDetaches:
+    """``waitany``/``waitsome`` used to leave one callback (pinning a
+    dead queue) on every request they did not return."""
+
+    def test_no_waiter_left_on_the_requests_not_returned(self):
+        class Announcing(Request):
+            """Says when ``waitany`` has subscribed to it, so that its
+            completion always finds the waiter inside the queue."""
+
+            __slots__ = ("subscribed",)
+
+            def subscribe(self, callback):
+                super().subscribe(callback)
+                self.subscribed.set()
+
+        pending = [Request(RequestKind.RECV) for _ in range(4)]
+        for round_ in range(3):
+            done = Announcing(RequestKind.RECV)
+            done.subscribed = threading.Event()
+
+            def complete_once_watched(done=done):
+                assert done.subscribed.wait(5.0)
+                done.complete(1.0)
+
+            completer = threading.Thread(target=complete_once_watched,
+                                         daemon=True)
+            completer.start()
+            requests = pending + [done]
+            assert waitany(requests) == len(pending)
+            completer.join(5.0)
+            assert [len(r._waiters) for r in requests] == [0] * 5, round_
+
+    def test_aborted_waitany_detaches_too(self):
+        abort = NotifyingEvent()
+        requests = [Request(RequestKind.RECV, abort_event=abort)
+                    for _ in range(3)]
+        abort.set()
+        with pytest.raises(WorldAborted):
+            waitany(requests)
+        assert [len(r._waiters) for r in requests] == [0, 0, 0]
+        assert not abort.parked
+
+
+class TestAbortedWaitLeavesNothing:
+    """An aborted ``wait`` used to leave its wake callback on the
+    request until the pooled handle's next ``_reset``."""
+
+    @pytest.mark.parametrize("event_cls", [NotifyingEvent, threading.Event])
+    def test_abort_exit(self, event_cls):
+        abort = event_cls()
+        req = Request(RequestKind.RECV, abort_event=abort)
+        abort.set()
+        with pytest.raises(WorldAborted):
+            req.wait()
+        assert len(req._waiters) == 0
+        assert req._parked is None
+
+
 class TestRequestPool:
     def test_pool_recycles_handles(self):
         pool = RequestPool()
