@@ -9,9 +9,9 @@ protocol variants:
 * **fastpath** — the contiguous zero-copy eager path (events carrying
   no off-path qualifier: no ``strided``, no ``copy_mode``, no optional
   subsystem);
-* **copy_mode** — the legacy always-copy path
-  (``BuildConfig(zero_copy=False)``; ``view_mode`` events drop out
-  instead).
+* **copy_mode** — the always-copy path of ``pack(..., copy=True)``,
+  which a fault-injected build (``BuildConfig(fault_plan=...)``) takes
+  for every send; ``view_mode`` events drop out instead.
 
 Send (isend) paths additionally carry a ``recv`` census rooted at
 ``Communicator.Irecv`` — a transfer's end-to-end copy count is the

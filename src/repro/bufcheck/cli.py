@@ -8,7 +8,7 @@ machine-readable ``COPYMAP.json`` snapshot the calibration test diffs
 
 * per published build/extension path: distinct copy / view /
   ownership-transfer sites on the zero-copy fast path and on the
-  legacy always-copy path;
+  always-copy (fault-build) path;
 * the finding counts by rule.
 
 Same exit contract as ``repro.sanitize`` / ``repro.audit``:

@@ -148,7 +148,7 @@ OFFPATH_QUALS = frozenset({
     "faults", "sanitizer", "progress", "tsan",
 })
 
-#: Qualifiers marking a site off the legacy always-copy path.
+#: Qualifiers marking a site off the always-copy (fault-build) path.
 OFFCOPY_QUALS = frozenset({
     "strided", "view_mode", "payload_recv",
     "faults", "sanitizer", "progress", "tsan",

@@ -112,8 +112,7 @@ class CH3Device:
         # buffer, pin the view on the request, copy only under fault
         # injection (retransmit stashes hold payloads across calls).
         payload = pack(op.buf, op.count, op.dtref.datatype,
-                       copy=not proc.config.zero_copy
-                       or proc.faults is not None)
+                       copy=proc.faults is not None)
         request._keepalive = payload
         if proc.sanitizer is not None:
             proc.sanitizer.note_send(request, dest_world, op.sync, payload,

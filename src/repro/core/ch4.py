@@ -60,11 +60,9 @@ class CH4Device:
         self.shmmod: Netmod = build_shmmod(proc, proc.config.shm_fabric)
         self.force_am = proc.config.force_am_fallback
         #: Sends snapshot their payload instead of borrowing the
-        #: application buffer: the legacy always-copy build, or a
-        #: fault-injected one (the retransmit stash holds payloads
-        #: across calls).
-        self.copy_sends = (not proc.config.zero_copy
-                           or proc.faults is not None)
+        #: application buffer: a fault-injected build, whose
+        #: retransmit stash holds payloads across calls.
+        self.copy_sends = proc.faults is not None
         #: Protocol statistics (CH4 also switches to rendezvous for
         #: large payloads — handled inside the netmod path, with no
         #: extra instruction charges on the fast path).

@@ -76,16 +76,6 @@ class BuildConfig:
         Ablation switch: route every CH4 operation through the
         active-message fallback even when the netmod could do it
         natively (``benchmarks/bench_ablation_fastpath.py``).
-    matching_engine:
-        ``"bucket"`` (MPICH-style hash buckets, O(1) concrete matching
-        — the default) or ``"linear"`` (the seed's O(n) list scans,
-        kept as the reference and benchmark baseline).  Both charge
-        identical instruction counts; only real-Python wall-clock
-        behaviour differs (``benchmarks/bench_matching.py``).
-    request_pool:
-        Recycle request handles from a per-rank free-pool (§3.5)
-        instead of allocating one per operation.  Wall-clock only;
-        charged request-management costs are unchanged.
     sanitize:
         Enable the dynamic MPI-correctness sanitizer
         (:mod:`repro.sanitize`): cross-rank deadlock detection,
@@ -105,14 +95,6 @@ class BuildConfig:
         instruction counts to the calibrated 221/215 fast paths;
         ``num_vcis > 1`` changes only real-Python lock granularity,
         never charges.
-    vci_policy:
-        How operations hash to a VCI when ``num_vcis > 1``:
-        ``"hash"`` (context ⊕ peer ⊕ tag — the default), ``"tag"``
-        (context ⊕ tag), ``"peer"`` (context ⊕ peer), or ``"ctx"``
-        (context only).  No-match streams always map by context alone
-        to preserve per-context arrival order; wildcard receives use
-        the documented all-VCI discipline in
-        :class:`repro.runtime.vci.VCIShardedEngine`.
     fault_plan:
         A seeded :class:`~repro.ft.plan.FaultPlan` describing a lossy
         fabric (drop/duplicate/reorder/delay/corrupt probabilities and
@@ -139,20 +121,6 @@ class BuildConfig:
         Table 1 numbers (every hook guards on ``progress is None`` —
         audit rule FP305); engine work is charged to
         ``Category.PROGRESS``, off the application's critical path.
-    zero_copy:
-        Carry contiguous eager point-to-point payloads as zero-copy
-        ``memoryview`` borrows of the application buffer instead of
-        packed ``bytes`` snapshots (:mod:`repro.bufcheck`'s first
-        conversion, after the GPAW C-layer idiom: validate once, keep
-        a reference alive on the request).  The request pins the view,
-        the matching engine takes ownership (``Message.own_data``) the
-        moment a message would outlive the sending call, and fault-
-        injected builds force the copying path because the retransmit
-        stash holds payloads across calls.  Default True; ``False``
-        restores the always-copy behaviour (the before-side of
-        ``benchmarks/bench_bufcheck.py``).  Wall-clock/allocation
-        behaviour only: charged instruction counts are byte-identical
-        either way (``TestBufcheckCalibrationGuard``).
     communicator_name:
         ChainerMN-style collective-strategy selector governing how the
         buffer collectives (``Bcast``/``Reduce``/``Allreduce``) route
@@ -221,17 +189,56 @@ class BuildConfig:
     rank_translation: str = "compressed"
     eager_threshold: int | None = None
     force_am_fallback: bool = False
-    matching_engine: str = "bucket"
-    request_pool: bool = True
     sanitize: bool = False
     num_vcis: int = 1
-    vci_policy: str = "hash"
     fault_plan: FaultPlan | None = None
     progress: str | None = None
-    zero_copy: bool = True
     communicator_name: str = "flat"
     detector: DetectorConfig | None = None
     tsan: bool = False
+
+    def __post_init__(self) -> None:
+        """Reject an illegal build at construction: each choice field
+        against the set its consumer accepts, the two numeric ranges,
+        and the two cross-field requirements."""
+        # This module sits at the bottom of the import graph, so the
+        # legal sets are imported from their owners only when called.
+        from repro.fabric.model import FABRICS
+        from repro.mpi.hier import STRATEGIES
+        from repro.netmod.registry import NETMODS
+        from repro.netmod.shm import _SHMMODS
+        from repro.progress.engine import MODES
+        from repro.runtime.ranktrans import TRANSLATIONS
+        choices = {
+            "device": tuple(Device),
+            "ipo_scope": tuple(IpoScope),
+            # A build needs both the timing model and a netmod.
+            "fabric": tuple(n for n in NETMODS if n in FABRICS),
+            "shm_fabric": tuple(_SHMMODS),
+            "rank_translation": tuple(TRANSLATIONS),
+            "progress": (None, *MODES),
+            "communicator_name": STRATEGIES,
+        }
+        for name, legal in choices.items():
+            if getattr(self, name) not in legal:
+                raise self._illegal(name, f"one of {legal}")
+        if self.num_vcis < 1:
+            raise self._illegal("num_vcis", "an integer >= 1")
+        if self.eager_threshold is not None and self.eager_threshold < 0:
+            raise self._illegal("eager_threshold", "None or bytes >= 0")
+        if self.progress is not None and not self.thread_safety:
+            raise self._illegal(
+                "progress", "None unless thread_safety=True (the engine's "
+                "threads charge under the rank's critical section)")
+        if self.detector is not None and self.fault_plan is None:
+            raise self._illegal(
+                "detector", "None unless fault_plan is set (confirmation "
+                "feeds the fault layer; FaultPlan() enables it on a "
+                "lossless wire)")
+
+    def _illegal(self, name: str, expected: str) -> ValueError:
+        return ValueError(f"BuildConfig.{name}={getattr(self, name)!r}: "
+                          f"expected {expected}")
 
     @property
     def ipo(self) -> bool:

@@ -105,9 +105,9 @@ def pack(buf: Buffer, count: int, datatype: Datatype,
     storage (the caller borrows the application buffer; whoever may
     hold the range past the call must take ownership via
     ``Message.own_data()`` / ``bytes()``) unless ``copy=True``, which
-    forces an owned ``bytes`` snapshot — the pre-zero-copy behaviour,
-    kept for fault-injected builds and as the before-side of the copy
-    benchmarks.  Non-contiguous gathers always materialize.
+    forces an owned ``bytes`` snapshot — what fault-injected builds
+    send, because their retransmit stash holds payloads across calls.
+    Non-contiguous gathers always materialize.
     """
     if count < 0:
         raise MPIErrCount(f"count must be >= 0, got {count}")

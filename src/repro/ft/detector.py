@@ -114,17 +114,13 @@ class WorldDetector:
 
     Created by the world when ``BuildConfig.detector`` is set; each
     rank binds a :class:`RankDetector` view as ``proc.detector``.
-    Requires a ``fault_plan`` build: confirmation feeds the fault
-    layer's ``mark_dead``, which is what turns a silent rank into
+    Requires a ``fault_plan`` build (``BuildConfig`` rejects a
+    detector without one): confirmation feeds the fault layer's
+    ``mark_dead``, which is what turns a silent rank into
     ``MPI_ERR_PROC_FAILED`` on everyone else.
     """
 
     def __init__(self, world: "World", config: DetectorConfig):
-        if world.ft is None:
-            raise ValueError(
-                "the failure detector requires a fault-tolerant build; "
-                "pass BuildConfig(fault_plan=FaultPlan(), detector=...) "
-                "— an all-zero plan enables it on a lossless wire")
         self.world = world
         self.config = config
         self._mu = threading.Lock()

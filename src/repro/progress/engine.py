@@ -61,20 +61,13 @@ MODES = ("thread", "per-vci")
 class WorldProgress:
     """World-level progress-engine factory (one per progress build).
 
-    Validates the requested mode up front — the engine needs a
-    ``thread_safety`` build because its threads charge the shared
+    ``BuildConfig`` has already checked the mode, and that the build
+    has ``thread_safety``: the engine's threads charge the shared
     per-rank instruction counter under the rank's CS lock, and a
     single-threaded build has no modeled CS to serialize on.
     """
 
     def __init__(self, world: "World", mode: str):
-        if mode not in MODES:
-            raise ValueError(
-                f"progress mode must be one of {MODES}, got {mode!r}")
-        if not world.config.thread_safety:
-            raise ValueError(
-                "the progress engine requires a thread_safety=True build "
-                "(its threads charge under the rank's critical section)")
         self.world = world
         self.mode = mode
 

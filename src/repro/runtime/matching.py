@@ -12,19 +12,21 @@ the owning rank posts receives and probes under the same lock.  Queue
 order is arrival order, which preserves MPI's non-overtaking guarantee
 because each sender deposits in program order.
 
-Two interchangeable implementations share that contract:
+Two implementations share that contract:
 
 * :class:`LinearMatchingEngine` — the seed's O(n) list scans, kept as
-  the reference implementation (``BuildConfig(matching_engine=
-  "linear")``) and the before-side of ``benchmarks/bench_matching.py``.
-* :class:`BucketMatchingEngine` — the default.  MPICH's bucketed-queue
-  design: posted and unexpected queues are hash buckets keyed on
-  ``(ctx, src, tag)`` (and per-context arrival-order queues for
-  nomatch traffic), so fully-concrete matching is O(1) at any queue
-  depth.  Receives using ``ANY_SOURCE``/``ANY_TAG`` fall back to an
-  ordered scan, and a global monotone sequence number arbitrates
-  between bucketed and wildcard candidates so the match order is
-  *identical* to the linear engine's (MPI's non-overtaking rule).
+  the executable reference the property tests compare the others
+  against; no build selects it.
+* :class:`BucketMatchingEngine` — what every build runs (sharded per
+  VCI by :class:`repro.runtime.vci.VCIShardedEngine` when
+  ``num_vcis > 1``).  MPICH's bucketed-queue design: posted and
+  unexpected queues are hash buckets keyed on ``(ctx, src, tag)`` (and
+  per-context arrival-order queues for nomatch traffic), so
+  fully-concrete matching is O(1) at any queue depth.  Receives using
+  ``ANY_SOURCE``/``ANY_TAG`` fall back to an ordered scan, and a
+  global monotone sequence number arbitrates between bucketed and
+  wildcard candidates so the match order is *identical* to the linear
+  engine's (MPI's non-overtaking rule).
 
 Neither engine charges instructions — the paper-calibrated match-bit
 costs are charged at issue time by the devices; the engines differ
@@ -190,9 +192,9 @@ class _MatchingEngineBase:
 class LinearMatchingEngine(_MatchingEngineBase):
     """The seed engine: posted/unexpected as plain lists, O(n) scans.
 
-    Kept as the executable reference the bucketed engine is verified
-    against (``tests/test_matching_properties.py`` runs both) and as
-    the before-side of the matching benchmark.
+    Kept as the executable reference the bucketed and sharded engines
+    are verified against (``tests/test_matching_properties.py``); only
+    tests construct it.
     """
 
     name = "linear"
@@ -546,34 +548,20 @@ class BucketMatchingEngine(_MatchingEngineBase):
             return self._n_posted, self._n_ux
 
 
-#: The default engine (MPICH bucketed-queue design).
+#: The engine of a one-VCI rank (MPICH bucketed-queue design).
 MatchingEngine = BucketMatchingEngine
 
-_ENGINES = {
-    "bucket": BucketMatchingEngine,
-    "linear": LinearMatchingEngine,
-}
 
-
-def build_engine(rank: int, kind: str = "bucket", num_vcis: int = 1,
-                 vci_policy: str = "hash",
-                 tsan=None) -> _MatchingEngineBase:
-    """Engine factory for ``BuildConfig.matching_engine``.
-
-    ``num_vcis > 1`` builds the per-VCI sharded engine
-    (:class:`repro.runtime.vci.VCIShardedEngine`; its shards are
-    always bucketed — the *kind* argument selects only the unsharded
-    engine).  ``num_vcis = 1`` builds the plain engine and is the
-    byte-identical calibrated default.  *tsan* (a
+def build_engine(rank: int, vci_map, tsan=None) -> _MatchingEngineBase:
+    """The matching engine of a rank whose operations *vci_map* (the
+    rank's :class:`repro.runtime.vci.VCIMap`) spreads over VCIs: the
+    bucketed engine for one VCI — the byte-identical calibrated
+    default — and the per-VCI sharded engine
+    (:class:`repro.runtime.vci.VCIShardedEngine`) for more.  *tsan* (a
     :class:`repro.tsan.detector.RankTsan` or None) instruments every
     engine lock when the world runs the race detector.
     """
-    if num_vcis > 1:
+    if vci_map.num_vcis > 1:
         from repro.runtime.vci import VCIShardedEngine
-        return VCIShardedEngine(rank, num_vcis, vci_policy, tsan=tsan)
-    try:
-        return _ENGINES[kind](rank, tsan)
-    except KeyError:
-        raise ValueError(
-            f"unknown matching engine {kind!r}; "
-            f"expected one of {sorted(_ENGINES)}") from None
+        return VCIShardedEngine(rank, vci_map, tsan=tsan)
+    return BucketMatchingEngine(rank, tsan)

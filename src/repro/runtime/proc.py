@@ -73,7 +73,7 @@ class Proc:
         #: default; >1 splits matching/locks/lanes per VCI — real-
         #: Python granularity only, charges are unchanged).
         self.num_vcis = config.num_vcis
-        self.vci_map = VCIMap(config.num_vcis, config.vci_policy)
+        self.vci_map = VCIMap(config.num_vcis)
         #: Per-rank race-detector view (None unless the world was
         #: built with ``tsan=True``); every hook site guards on it
         #: (audit rule FP306).  Bound before the engine so every
@@ -82,10 +82,7 @@ class Proc:
         rank_tsan = (world_tsan.rank_view(self)
                      if world_tsan is not None else None)
         self.tsan = rank_tsan
-        self.engine = build_engine(world_rank, config.matching_engine,
-                                   num_vcis=config.num_vcis,
-                                   vci_policy=config.vci_policy,
-                                   tsan=rank_tsan)
+        self.engine = build_engine(world_rank, self.vci_map, tsan=rank_tsan)
         #: The rank's VCIs.  Sharded builds share the engine's (lock +
         #: shard + completion segment per VCI); the unsharded build
         #: still materializes VCI 0 so ``cs_lock`` has one home.
@@ -111,8 +108,7 @@ class Proc:
                          if world_det is not None else None)
         #: Per-rank §3.5 request free-pool (recycles handles on the
         #: real-Python hot path; charged costs are unaffected).
-        self.request_pool = RequestPool(self, world.abort_event,
-                                        enabled=config.request_pool)
+        self.request_pool = RequestPool(self, world.abort_event)
         #: Critical-section lock taken when thread_safety is built in:
         #: an alias of VCI 0's lock (same reentrant semantics as the
         #: old per-rank RLock).  Routed entries acquire their owning

@@ -115,6 +115,11 @@ class CompressedTranslation(RankTranslation):
         return self._size
 
 
+#: Translation classes by ``BuildConfig.rank_translation`` name.
+TRANSLATIONS = {"compressed": CompressedTranslation,
+                "direct": DirectTableTranslation}
+
+
 def build_translation(world_ranks: Sequence[int],
                       strategy: str = "compressed") -> RankTranslation:
     """Build the configured translation for a communicator.
@@ -125,8 +130,9 @@ def build_translation(world_ranks: Sequence[int],
         ``"compressed"`` (default, matches the calibrated cost model)
         or ``"direct"``.
     """
-    if strategy == "compressed":
-        return CompressedTranslation(world_ranks)
-    if strategy == "direct":
-        return DirectTableTranslation(world_ranks)
-    raise ValueError(f"unknown rank-translation strategy {strategy!r}")
+    cls = TRANSLATIONS.get(strategy)
+    if cls is None:
+        raise ValueError(
+            f"unknown rank-translation strategy {strategy!r}; "
+            f"expected one of {sorted(TRANSLATIONS)}")
+    return cls(world_ranks)

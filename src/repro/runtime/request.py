@@ -459,7 +459,7 @@ class RequestPool:
     #: simultaneously live internal requests than this).
     MAX_POOLED = 256
 
-    def __init__(self, proc=None, abort_event=None, enabled: bool = True):
+    def __init__(self, proc=None, abort_event=None):
         self._proc = proc
         self._abort = abort_event
         self._free: list[Request] = []
@@ -471,8 +471,7 @@ class RequestPool:
             self._mu = tsan.make_lock("pool", f"pool{proc.world_rank}")
         else:
             self._mu = threading.Lock()
-        self.enabled = enabled
-        #: Monotone counters for tests and the matching benchmark.
+        #: Monotone counters for tests and perfbench.
         self.n_alloc = 0
         self.n_reuse = 0
         #: Waits of this rank that actually blocked, and how many of
@@ -485,10 +484,9 @@ class RequestPool:
     def acquire(self, kind: RequestKind) -> Request:
         """A fresh-or-recycled request bound to the owning rank."""
         req = None
-        if self.enabled:
-            with self._mu:
-                if self._free:
-                    req = self._free.pop()
+        with self._mu:
+            if self._free:
+                req = self._free.pop()
         if req is not None:
             req._reset(kind)
             self.n_reuse += 1
@@ -505,8 +503,7 @@ class RequestPool:
         if self._hooked and req is not None \
                 and self._proc.sanitizer is not None:
             self._proc.sanitizer.note_release(req)   # lifetime over
-        if (req is None or not self.enabled
-                or req.__class__ is not Request):
+        if req is None or req.__class__ is not Request:
             return
         with self._mu:
             if len(self._free) < self.MAX_POOLED:

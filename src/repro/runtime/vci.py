@@ -21,8 +21,7 @@ This module provides the three pieces:
   recognize the per-VCI lock family), a completion segment, and
   injection/CS occupancy counters.
 * :class:`VCIMap` — the MPICH-style mapper hashing
-  ``(context_id, peer, tag)`` to a VCI index under a configurable
-  policy (``BuildConfig.vci_policy``).
+  ``(context_id, peer, tag)`` to a VCI index.
 * :class:`VCIShardedEngine` — a rank-level matching engine built from
   per-VCI :class:`~repro.runtime.matching.BucketMatchingEngine`
   shards, implementing the documented all-VCI wildcard discipline
@@ -150,16 +149,8 @@ class VCI:
 
 
 class VCIMap:
-    """MPICH-style operation-to-VCI mapper.
-
-    Policies (``BuildConfig.vci_policy``):
-
-    * ``"hash"`` — mix context, peer, and tag (the default; spreads
-      independent streams maximally).
-    * ``"tag"``  — context and tag only (peer-oblivious; all traffic
-      of one tag stream shares a VCI).
-    * ``"peer"`` — context and peer only (MPICH's per-peer default).
-    * ``"ctx"``  — context only (one VCI per communicator).
+    """MPICH-style operation-to-VCI mapper: mixes context, peer and
+    tag, which spreads independent streams maximally.
 
     Both sides of a match must agree: deposits hash the envelope's
     ``(ctx, sender comm rank, tag)`` and concrete receives hash
@@ -171,32 +162,17 @@ class VCIMap:
     all-VCI discipline (and route their modeled CS to VCI 0).
     """
 
-    POLICIES = ("hash", "tag", "peer", "ctx")
-
-    def __init__(self, num_vcis: int = 1, policy: str = "hash"):
+    def __init__(self, num_vcis: int = 1):
         if num_vcis < 1:
             raise ValueError(f"num_vcis must be >= 1, got {num_vcis}")
-        if policy not in self.POLICIES:
-            raise ValueError(
-                f"unknown vci_policy {policy!r}; "
-                f"expected one of {self.POLICIES}")
         self.num_vcis = num_vcis
-        self.policy = policy
 
     def index_for(self, ctx: int, peer: int, tag: int) -> int:
         """The VCI owning the concrete ``(ctx, peer, tag)`` stream."""
         n = self.num_vcis
         if n == 1:
             return 0
-        policy = self.policy
-        if policy == "hash":
-            mix = ctx * _MIX_CTX ^ peer * _MIX_PEER ^ tag * _MIX_TAG
-        elif policy == "tag":
-            mix = ctx * _MIX_CTX ^ tag * _MIX_TAG
-        elif policy == "peer":
-            mix = ctx * _MIX_CTX ^ peer * _MIX_PEER
-        else:  # "ctx"
-            mix = ctx * _MIX_CTX
+        mix = ctx * _MIX_CTX ^ peer * _MIX_PEER ^ tag * _MIX_TAG
         return (mix >> 8) % n
 
     def nomatch_index(self, ctx: int) -> int:
@@ -377,15 +353,16 @@ class VCIShardedEngine(_MatchingEngineBase):
 
     name = "vci-sharded"
 
-    def __init__(self, rank: int, num_vcis: int, vci_policy: str = "hash",
-                 vci_map: Optional[VCIMap] = None, tsan=None):
+    def __init__(self, rank: int, vci_map: VCIMap, tsan=None):
         super().__init__(rank, tsan)
-        if num_vcis < 2:
+        if vci_map.num_vcis < 2:
             raise ValueError(
-                f"VCIShardedEngine needs num_vcis >= 2, got {num_vcis} "
-                "(num_vcis=1 builds the plain engine)")
-        self.vci_map = vci_map or VCIMap(num_vcis, vci_policy)
-        self.vcis = [VCI(i, tsan=tsan) for i in range(num_vcis)]
+                f"VCIShardedEngine needs num_vcis >= 2, got "
+                f"{vci_map.num_vcis} (num_vcis=1 builds the plain engine)")
+        #: The owning rank's mapper, shared with ``Proc.vci_for`` so a
+        #: stream's lock and its matching shard are one VCI.
+        self.vci_map = vci_map
+        self.vcis = [VCI(i, tsan=tsan) for i in range(vci_map.num_vcis)]
         self._shards = [_ShardEngine(rank, self, vci, tsan=tsan)
                         for vci in self.vcis]
         self._seq_counter = itertools.count(1)

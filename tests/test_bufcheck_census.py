@@ -7,11 +7,11 @@ shows the zero-copy conversion (fastpath strictly cheaper than the
 legacy copy mode on every converted path).
 
 Dynamic side: one eager contiguous transfer performs *exactly* the
-number of payload copies the census predicts — with ``zero_copy=True``
-one copy end-to-end (the receive-side scatter), with
-``zero_copy=False`` two (pack materialization + scatter) — measured by
-the :mod:`repro.instrument.copies` counters the pack layer and the
-matching engine report into.
+number of payload copies the census predicts — in the default build
+one copy end-to-end (the receive-side scatter), in a fault build,
+whose sends snapshot their payload, two (pack materialization +
+scatter) — measured by the :mod:`repro.instrument.copies` counters the
+pack layer and the matching engine report into.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import pytest
 
 from repro.bufcheck.cli import default_paths, run_bufcheck
 from repro.core.config import BuildConfig
+from repro.ft import FaultPlan
 from repro.instrument import copies
 from tests.conftest import run_world
 
@@ -156,7 +157,7 @@ class TestRuntimeCrossCheck:
         row = committed["paths"]["ch4_isend_default"]
         expected = (row["send"]["copy_mode"]["copies"]
                     + row["recv"]["copy_mode"]["copies"])
-        moved = self._measure(BuildConfig(zero_copy=False))
+        moved = self._measure(BuildConfig(fault_plan=FaultPlan()))
         assert moved.n_copies == expected == 2
         assert moved.bytes_copied == 2 * self.NBYTES
         # Owned bytes never need the ownership-transfer escape hatch.
@@ -164,6 +165,6 @@ class TestRuntimeCrossCheck:
 
     def test_conversion_halves_runtime_copies(self):
         fast = self._measure(BuildConfig())
-        legacy = self._measure(BuildConfig(zero_copy=False))
+        legacy = self._measure(BuildConfig(fault_plan=FaultPlan()))
         assert fast.n_copies < legacy.n_copies
         assert fast.bytes_copied * 2 == legacy.bytes_copied

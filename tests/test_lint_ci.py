@@ -10,7 +10,9 @@ quick stress pass via ``benchmarks/bench_tsan.py --quick``; and ruff
 where installed (the job skips cleanly when the binary is missing).
 ``TestUnifiedLintGate`` chains all of them as the single CI entry
 point.  The calibration-guard classes pin the committed Figure 2 /
-Table 1 charging against every opt-in subsystem's off switch.
+Table 1 charging (``FIGURE2`` / ``TABLE1`` below) against every opt-in
+subsystem's off switch, and against the settings that claim to be
+charge-invisible when on.
 """
 
 from __future__ import annotations
@@ -29,6 +31,65 @@ def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     return env
+
+
+#: Committed Figure 2 bars: build label -> (isend, put).
+FIGURE2 = {
+    "mpich/original": (253, 1342),
+    "mpich/ch4 (default)": (221, 215),
+    "mpich/ch4 (no-err)": (147, 143),
+    "mpich/ch4 (no-err-single)": (141, 129),
+    "mpich/ch4 (no-err-single-ipo)": (59, 44),
+}
+#: Committed Table 1 per-category decomposition of the defaults.
+TABLE1 = {
+    "isend": {"ERROR_CHECKING": 74, "THREAD_SAFETY": 6,
+              "FUNCTION_CALL": 23, "REDUNDANT_CHECKS": 59,
+              "MANDATORY": 59},
+    "put": {"ERROR_CHECKING": 72, "THREAD_SAFETY": 14,
+            "FUNCTION_CALL": 25, "REDUNDANT_CHECKS": 60,
+            "MANDATORY": 44},
+}
+#: Per-path RELIABILITY overhead of a lossless fault build.
+RELIABILITY = {"isend": 43, "put": 34}
+
+
+def category_trace(rec) -> dict:
+    """The nonzero per-category charges of one traced call, by name."""
+    return {cat.name: n for cat, n in rec.by_category.items() if n}
+
+
+def assert_figure2_exact(**overrides):
+    """Each of the five Figure 2 builds, rebuilt with *overrides*,
+    charges exactly its committed bar — plus, when the overrides make
+    it a fault build, what it attributes to ``RELIABILITY``."""
+    import dataclasses
+    from repro.core.config import named_builds
+    from repro.instrument.categories import Category
+    from repro.perf.msgrate import measure_call_record
+    for label, bars in FIGURE2.items():
+        config = dataclasses.replace(named_builds()[label], **overrides)
+        for op, bar in zip(("isend", "put"), bars):
+            rec = measure_call_record(config, op)
+            if config.fault_plan is not None:
+                bar += rec.category(Category.RELIABILITY)
+            assert rec.total == bar, (label, op, overrides)
+
+
+def assert_table1_trace(**overrides):
+    """The default build with *overrides* charges the committed Table 1
+    decomposition — category by category, not just in total — plus,
+    when the overrides make it a fault build, exactly ``RELIABILITY``."""
+    from repro.core.config import BuildConfig
+    from repro.perf.msgrate import measure_call_record
+    config = BuildConfig(**overrides)
+    for op, committed in TABLE1.items():
+        expected = dict(committed)
+        if config.fault_plan is not None:
+            expected["RELIABILITY"] = RELIABILITY[op]
+        rec = measure_call_record(config, op)
+        assert category_trace(rec) == expected, (op, overrides)
+        assert rec.total == sum(expected.values()), (op, overrides)
 
 
 class TestSanitizeCLI:
@@ -152,48 +213,11 @@ class TestVCICalibrationGuard:
     the VCI plumbing is real-Python lock granularity only and may not
     move a single charged instruction."""
 
-    #: Committed Figure 2 bars: build label -> (isend, put).
-    FIGURE2 = {
-        "mpich/original": (253, 1342),
-        "mpich/ch4 (default)": (221, 215),
-        "mpich/ch4 (no-err)": (147, 143),
-        "mpich/ch4 (no-err-single)": (141, 129),
-        "mpich/ch4 (no-err-single-ipo)": (59, 44),
-    }
-    #: Committed Table 1 per-category decomposition of the defaults.
-    TABLE1 = {
-        "isend": {"ERROR_CHECKING": 74, "THREAD_SAFETY": 6,
-                  "FUNCTION_CALL": 23, "REDUNDANT_CHECKS": 59,
-                  "MANDATORY": 59},
-        "put": {"ERROR_CHECKING": 72, "THREAD_SAFETY": 14,
-                "FUNCTION_CALL": 25, "REDUNDANT_CHECKS": 60,
-                "MANDATORY": 44},
-    }
-
     def test_figure2_totals_unchanged_with_explicit_num_vcis_1(self):
-        import dataclasses
-        from repro.core.config import named_builds
-        from repro.perf.msgrate import measure_instructions
-        for label, (isend, put) in self.FIGURE2.items():
-            config = dataclasses.replace(named_builds()[label],
-                                         num_vcis=1)
-            assert measure_instructions(config, "isend") == isend, label
-            assert measure_instructions(config, "put") == put, label
+        assert_figure2_exact(num_vcis=1)
 
     def test_table1_charge_trace_byte_identical(self):
-        """The full per-category charge trace of the default
-        (``num_vcis=1``) build serializes to exactly the committed
-        decomposition — not just the same total."""
-        import json
-        from repro.core.config import BuildConfig
-        from repro.perf.msgrate import measure_call_record
-        for op, committed in self.TABLE1.items():
-            rec = measure_call_record(BuildConfig(num_vcis=1), op)
-            trace = {cat.name: n for cat, n in
-                     sorted(rec.by_category.items(),
-                            key=lambda kv: kv[0].name) if n}
-            assert json.dumps(trace, sort_keys=True) \
-                == json.dumps(committed, sort_keys=True), op
+        assert_table1_trace(num_vcis=1)
 
 
 class TestFaultCalibrationGuard:
@@ -202,48 +226,17 @@ class TestFaultCalibrationGuard:
     say, and a fault build must add *only* the ``RELIABILITY``
     attribution on top of the untouched calibrated trace."""
 
-    #: Per-path RELIABILITY overhead of a lossless fault build.
-    RELIABILITY = {"isend": 43, "put": 34}
-
     def test_fault_plan_none_keeps_figure2_exact(self):
-        import dataclasses
-        from repro.core.config import named_builds
-        from repro.perf.msgrate import measure_instructions
-        for label, (isend, put) in \
-                TestVCICalibrationGuard.FIGURE2.items():
-            config = dataclasses.replace(named_builds()[label],
-                                         fault_plan=None)
-            assert measure_instructions(config, "isend") == isend, label
-            assert measure_instructions(config, "put") == put, label
+        assert_figure2_exact(fault_plan=None)
 
     def test_fault_plan_none_keeps_table1_trace(self):
-        import json
-        from repro.core.config import BuildConfig
-        from repro.perf.msgrate import measure_call_record
-        for op, committed in TestVCICalibrationGuard.TABLE1.items():
-            rec = measure_call_record(BuildConfig(fault_plan=None), op)
-            trace = {cat.name: n for cat, n in
-                     sorted(rec.by_category.items(),
-                            key=lambda kv: kv[0].name) if n}
-            assert json.dumps(trace, sort_keys=True) \
-                == json.dumps(committed, sort_keys=True), op
+        assert_table1_trace(fault_plan=None)
 
     def test_fault_build_adds_only_reliability(self):
         """A lossless fault build charges the calibrated trace plus
-        exactly the RELIABILITY protocol overhead — category by
-        category, not just in total."""
-        from repro.core.config import BuildConfig
+        exactly the RELIABILITY protocol overhead."""
         from repro.ft import FaultPlan
-        from repro.perf.msgrate import measure_call_record
-        for op, committed in TestVCICalibrationGuard.TABLE1.items():
-            expected = dict(committed,
-                            RELIABILITY=self.RELIABILITY[op])
-            rec = measure_call_record(
-                BuildConfig(fault_plan=FaultPlan()), op)
-            trace = {cat.name: n for cat, n in rec.by_category.items()
-                     if n}
-            assert trace == expected, op
-            assert rec.total == sum(expected.values()), op
+        assert_table1_trace(fault_plan=FaultPlan())
 
 
 class TestProgressCalibrationGuard:
@@ -253,27 +246,10 @@ class TestProgressCalibrationGuard:
     may not move a single charged instruction when disabled."""
 
     def test_progress_none_keeps_figure2_exact(self):
-        import dataclasses
-        from repro.core.config import named_builds
-        from repro.perf.msgrate import measure_instructions
-        for label, (isend, put) in \
-                TestVCICalibrationGuard.FIGURE2.items():
-            config = dataclasses.replace(named_builds()[label],
-                                         progress=None)
-            assert measure_instructions(config, "isend") == isend, label
-            assert measure_instructions(config, "put") == put, label
+        assert_figure2_exact(progress=None)
 
     def test_progress_none_keeps_table1_trace(self):
-        import json
-        from repro.core.config import BuildConfig
-        from repro.perf.msgrate import measure_call_record
-        for op, committed in TestVCICalibrationGuard.TABLE1.items():
-            rec = measure_call_record(BuildConfig(progress=None), op)
-            trace = {cat.name: n for cat, n in
-                     sorted(rec.by_category.items(),
-                            key=lambda kv: kv[0].name) if n}
-            assert json.dumps(trace, sort_keys=True) \
-                == json.dumps(committed, sort_keys=True), op
+        assert_table1_trace(progress=None)
 
 
 class TestProgressBenchSmoke:
@@ -339,39 +315,15 @@ class TestTsanCalibrationGuard:
     detector is off."""
 
     def test_tsan_false_keeps_figure2_exact(self):
-        import dataclasses
-        from repro.core.config import named_builds
-        from repro.perf.msgrate import measure_instructions
-        for label, (isend, put) in \
-                TestVCICalibrationGuard.FIGURE2.items():
-            config = dataclasses.replace(named_builds()[label],
-                                         tsan=False)
-            assert measure_instructions(config, "isend") == isend, label
-            assert measure_instructions(config, "put") == put, label
+        assert_figure2_exact(tsan=False)
 
     def test_tsan_false_keeps_table1_trace(self):
-        import json
-        from repro.core.config import BuildConfig
-        from repro.perf.msgrate import measure_call_record
-        for op, committed in TestVCICalibrationGuard.TABLE1.items():
-            rec = measure_call_record(BuildConfig(tsan=False), op)
-            trace = {cat.name: n for cat, n in
-                     sorted(rec.by_category.items(),
-                            key=lambda kv: kv[0].name) if n}
-            assert json.dumps(trace, sort_keys=True) \
-                == json.dumps(committed, sort_keys=True), op
+        assert_table1_trace(tsan=False)
 
     def test_tsan_true_is_charge_invisible_too(self):
         """Stronger: even *enabled*, the detector lives in host Python
-        outside the ledger — Figure 2 counts do not move."""
-        import dataclasses
-        from repro.core.config import named_builds
-        from repro.perf.msgrate import measure_instructions
-        label = "mpich/ch4 (default)"
-        isend, put = TestVCICalibrationGuard.FIGURE2[label]
-        config = dataclasses.replace(named_builds()[label], tsan=True)
-        assert measure_instructions(config, "isend") == isend
-        assert measure_instructions(config, "put") == put
+        outside the ledger — the Table 1 trace does not move."""
+        assert_table1_trace(tsan=True)
 
 
 class TestPlansCalibrationGuard:
@@ -387,18 +339,11 @@ class TestPlansCalibrationGuard:
         assert measure_instructions(BuildConfig(), "put") == 215
 
     def test_cold_calls_keep_figure2_exact(self):
-        from repro.core.config import named_builds
-        from repro.perf.msgrate import measure_instructions
-        for label, (isend, put) in \
-                TestVCICalibrationGuard.FIGURE2.items():
-            config = named_builds()[label]
-            assert measure_instructions(config, "isend") == isend, label
-            assert measure_instructions(config, "put") == put, label
+        assert_figure2_exact()
 
     def test_warm_calls_keep_table1_trace(self):
         """Three traced calls in one world: the first compiles, the
         others replay; every record is the committed decomposition."""
-        import json
         import numpy as np
         from repro.mpi.rma import Window
         from repro.runtime import World
@@ -422,15 +367,11 @@ class TestPlansCalibrationGuard:
             win.fence()
             return [r for r in proc.tracer.records if r.name == op]
 
-        for op, committed in TestVCICalibrationGuard.TABLE1.items():
+        for op, committed in TABLE1.items():
             records = World(2).run(body, args=(op,), timeout=60)[0]
             assert len(records) == 3
             for rec in records:
-                trace = {cat.name: n for cat, n in
-                         sorted(rec.by_category.items(),
-                                key=lambda kv: kv[0].name) if n}
-                assert json.dumps(trace, sort_keys=True) \
-                    == json.dumps(committed, sort_keys=True), op
+                assert category_trace(rec) == committed, op
 
 
 class TestCallPlanGuard:
@@ -709,44 +650,19 @@ class TestServiceCalibrationGuard:
     heartbeat detector is off."""
 
     def test_detector_none_keeps_figure2_exact(self):
-        import dataclasses
-        from repro.core.config import named_builds
-        from repro.perf.msgrate import measure_instructions
-        for label, (isend, put) in \
-                TestVCICalibrationGuard.FIGURE2.items():
-            config = dataclasses.replace(named_builds()[label],
-                                         detector=None)
-            assert measure_instructions(config, "isend") == isend, label
-            assert measure_instructions(config, "put") == put, label
+        assert_figure2_exact(detector=None)
 
     def test_detector_none_keeps_table1_trace(self):
-        import json
-        from repro.core.config import BuildConfig
-        from repro.perf.msgrate import measure_call_record
-        for op, committed in TestVCICalibrationGuard.TABLE1.items():
-            rec = measure_call_record(BuildConfig(detector=None), op)
-            trace = {cat.name: n for cat, n in
-                     sorted(rec.by_category.items(),
-                            key=lambda kv: kv[0].name) if n}
-            assert json.dumps(trace, sort_keys=True) \
-                == json.dumps(committed, sort_keys=True), op
+        assert_table1_trace(detector=None)
 
     def test_detector_on_is_charge_invisible_on_fault_build(self):
         """Stronger: even *enabled*, heartbeats live in host Python
         outside the ledger — a fault build with the detector armed
         charges exactly what the bare fault build charges."""
-        from repro.core.config import BuildConfig
         from repro.ft import FaultPlan
         from repro.ft.detector import DetectorConfig
-        from repro.perf.msgrate import measure_call_record
-        for op in TestVCICalibrationGuard.TABLE1:
-            bare = measure_call_record(
-                BuildConfig(fault_plan=FaultPlan()), op)
-            armed = measure_call_record(
-                BuildConfig(fault_plan=FaultPlan(),
-                            detector=DetectorConfig()), op)
-            assert armed.total == bare.total, op
-            assert dict(armed.by_category) == dict(bare.by_category), op
+        assert_table1_trace(fault_plan=FaultPlan(),
+                            detector=DetectorConfig())
 
 
 class TestServiceBenchSmoke:
@@ -835,58 +751,21 @@ class TestBufcheckCLI:
 
 
 class TestBufcheckCalibrationGuard:
-    """Zero-copy neutrality gate: carrying payloads as views (or
-    forcing the legacy copies with ``zero_copy=False``) moves memory
-    traffic only — the charged Figure 2 / Table 1 instruction counts
-    may not move by a single instruction in either direction."""
+    """Payload-carrying neutrality gate: whether a send borrows the
+    application buffer as a view (the default build) or snapshots it
+    (a fault build, the one configuration that copies) moves memory
+    traffic only — outside ``RELIABILITY``, the charged Figure 2 /
+    Table 1 instruction counts may not move by a single instruction."""
 
     def test_both_modes_keep_figure2_exact(self):
-        import dataclasses
-        from repro.core.config import named_builds
-        from repro.perf.msgrate import measure_instructions
-        for zero_copy in (True, False):
-            for label, (isend, put) in \
-                    TestVCICalibrationGuard.FIGURE2.items():
-                config = dataclasses.replace(named_builds()[label],
-                                             zero_copy=zero_copy)
-                assert measure_instructions(config, "isend") == isend, \
-                    (label, zero_copy)
-                assert measure_instructions(config, "put") == put, \
-                    (label, zero_copy)
+        from repro.ft import FaultPlan
+        assert_figure2_exact()
+        assert_figure2_exact(fault_plan=FaultPlan())
 
     def test_both_modes_keep_table1_trace(self):
-        import json
-        from repro.core.config import BuildConfig
-        from repro.perf.msgrate import measure_call_record
-        for zero_copy in (True, False):
-            for op, committed in TestVCICalibrationGuard.TABLE1.items():
-                rec = measure_call_record(
-                    BuildConfig(zero_copy=zero_copy), op)
-                trace = {cat.name: n for cat, n in
-                         sorted(rec.by_category.items(),
-                                key=lambda kv: kv[0].name) if n}
-                assert json.dumps(trace, sort_keys=True) \
-                    == json.dumps(committed, sort_keys=True), \
-                    (op, zero_copy)
-
-
-class TestBufcheckBenchSmoke:
-    """``benchmarks/bench_bufcheck.py --quick`` as a CI smoke: exactly
-    one runtime copy per transfer after the conversion, two before."""
-
-    def test_quick_mode_counts_copies(self):
-        import json
-        proc = subprocess.run(
-            [sys.executable, "benchmarks/bench_bufcheck.py", "--quick"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        result = json.loads(proc.stdout)
-        stream = result["stream"]
-        assert stream["zero_copy"]["copies_per_transfer"] == 1.0
-        assert stream["legacy"]["copies_per_transfer"] == 2.0
-        assert result["census"]["findings"] == 0
-        assert (ROOT / "BENCH_bufcheck.json").exists()
+        from repro.ft import FaultPlan
+        assert_table1_trace()
+        assert_table1_trace(fault_plan=FaultPlan())
 
 
 class TestCollectivesCalibrationGuard:
@@ -897,33 +776,12 @@ class TestCollectivesCalibrationGuard:
     point-to-point paths."""
 
     def test_strategies_keep_figure2_exact(self):
-        import dataclasses
-        from repro.core.config import named_builds
-        from repro.perf.msgrate import measure_instructions
         for strategy in ("flat", "hierarchical"):
-            for label, (isend, put) in \
-                    TestVCICalibrationGuard.FIGURE2.items():
-                config = dataclasses.replace(
-                    named_builds()[label], communicator_name=strategy)
-                assert measure_instructions(config, "isend") == isend, \
-                    (label, strategy)
-                assert measure_instructions(config, "put") == put, \
-                    (label, strategy)
+            assert_figure2_exact(communicator_name=strategy)
 
     def test_strategies_keep_table1_trace(self):
-        import json
-        from repro.core.config import BuildConfig
-        from repro.perf.msgrate import measure_call_record
         for strategy in ("flat", "hierarchical"):
-            for op, committed in TestVCICalibrationGuard.TABLE1.items():
-                rec = measure_call_record(
-                    BuildConfig(communicator_name=strategy), op)
-                trace = {cat.name: n for cat, n in
-                         sorted(rec.by_category.items(),
-                                key=lambda kv: kv[0].name) if n}
-                assert json.dumps(trace, sort_keys=True) \
-                    == json.dumps(committed, sort_keys=True), \
-                    (op, strategy)
+            assert_table1_trace(communicator_name=strategy)
 
 
 class TestCollectivesBenchSmoke:

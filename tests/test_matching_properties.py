@@ -154,8 +154,8 @@ def test_sharded_engine_matches_reference_for_any_sequence(num_vcis,
     for any single-threaded interleaving: concrete streams meet their
     shard in FIFO order and wildcards arbitrate on the global sequence,
     so sharding must not change a single pairing."""
-    from repro.runtime.vci import VCIShardedEngine
-    engine = VCIShardedEngine(0, num_vcis)
+    from repro.runtime.vci import VCIMap, VCIShardedEngine
+    engine = VCIShardedEngine(0, VCIMap(num_vcis))
     ref = ReferenceMatcher()
     engine_pairs = []
 
@@ -194,12 +194,12 @@ def test_sharded_engine_equivalent_to_linear_with_cancels(num_vcis,
     """Linear and VCI-sharded engines agree under any single-threaded
     post/deposit/cancel interleaving (cancels hit both the shard fast
     path and the wildcard registry)."""
-    from repro.runtime.vci import VCIShardedEngine
+    from repro.runtime.vci import VCIMap, VCIShardedEngine
     pairs = {"linear": [], "sharded": []}
     cancels = {}
 
     for label, engine in (("linear", LinearMatchingEngine(0)),
-                          ("sharded", VCIShardedEngine(0, num_vcis))):
+                          ("sharded", VCIShardedEngine(0, VCIMap(num_vcis)))):
         requests = []
         outcomes = []
         for i, (kind, src, tag) in enumerate(events):
@@ -237,9 +237,9 @@ def test_wildcard_receives_racing_concrete_sends(num_vcis):
     -> scan -> ARMED discipline against deposits landing on every
     shard concurrently."""
     import threading
-    from repro.runtime.vci import VCIShardedEngine
+    from repro.runtime.vci import VCIMap, VCIShardedEngine
 
-    engine = VCIShardedEngine(0, num_vcis)
+    engine = VCIShardedEngine(0, VCIMap(num_vcis))
     n_depositors, msgs_each, n_wild = 3, 60, 40
     matched = []            # (wildcard id, message seq)
     matched_lock = threading.Lock()

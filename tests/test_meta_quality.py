@@ -1,6 +1,9 @@
-"""Meta checks: documentation coverage and packaging hygiene."""
+"""Meta checks: documentation coverage, packaging hygiene and the
+``BuildConfig`` knob census."""
 
 import ast
+import dataclasses
+import enum
 import pathlib
 
 import pytest
@@ -75,6 +78,49 @@ class TestProjectLayout:
         for fig in ("table1", "fig2", "fig3", "fig4", "fig5", "fig6",
                     "fig7", "fig8", "survey", "proposals"):
             assert f"bench_{fig}" in benches, fig
+
+
+class TestKnobCensus:
+    """A ``BuildConfig`` field is a knob only while somebody turns it:
+    an option nothing sets away from its default is a second code path
+    nobody runs."""
+
+    #: The fields each Figure 2 preset sets for its caller.
+    PRESETS = {
+        "default": set(),
+        "original": {"device"},
+        "no_errors": {"error_checking"},
+        "no_thread_check": {"error_checking", "thread_safety"},
+        "ipo_build": {"error_checking", "thread_safety", "ipo_scope"},
+    }
+
+    def test_sixteen_knobs_each_turned_by_some_caller(self):
+        from repro.core.config import BuildConfig
+        defaults = {
+            f.name: (f"{type(f.default).__name__}.{f.default.name}"
+                     if isinstance(f.default, enum.Enum)
+                     else repr(f.default))
+            for f in dataclasses.fields(BuildConfig)}
+        assert len(defaults) == 16
+        turned = set()
+        root = SRC.parent.parent
+        for top in ("tests", "benchmarks", "examples", "perfbench"):
+            for path in (root / top).rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    name = getattr(node.func, "attr",
+                                   getattr(node.func, "id", None))
+                    if name in self.PRESETS:
+                        turned |= self.PRESETS[name]
+                    elif name not in ("BuildConfig", "replace"):
+                        continue
+                    turned |= {
+                        kw.arg for kw in node.keywords
+                        if kw.arg in defaults
+                        and ast.unparse(kw.value) != defaults[kw.arg]}
+        assert turned == set(defaults), \
+            f"knobs no caller turns: {sorted(set(defaults) - turned)}"
 
 
 class TestAmdahlArtifact:

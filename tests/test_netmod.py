@@ -119,15 +119,17 @@ class TestLocalityRouting:
                 comm.Isend(np.zeros(1, dtype=np.float64), dest=1,
                            tag=0).wait()
                 dev = comm.proc.device
-                return (dev.shmmod.n_native + dev.shmmod.n_am_fallback,
+                return (dev.shmmod.spec.name,
+                        dev.shmmod.n_native + dev.shmmod.n_am_fallback,
                         dev.netmod.n_native + dev.netmod.n_am_fallback)
             comm.Recv(np.zeros(1, dtype=np.float64), source=0, tag=0)
             return None
 
         # Default topology: 16 cores/node -> ranks 0 and 1 share a node.
-        world = World(2, BuildConfig(fabric="ofi"))
-        shm, net = world.run(main)[0]
-        assert shm == 1 and net == 0
+        for shm_fabric in ("posix", "xpmem"):
+            world = World(2, BuildConfig(fabric="ofi",
+                                         shm_fabric=shm_fabric))
+            assert world.run(main)[0] == (shm_fabric, 1, 0)
 
     def test_cross_node_uses_netmod(self):
         def main(comm):

@@ -289,7 +289,7 @@ class TestProgressEngineConfig:
         assert world.proc(0).progress is None
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="progress mode"):
+        with pytest.raises(ValueError, match="BuildConfig.progress"):
             World(1, BuildConfig(progress="bogus"))
 
     def test_requires_thread_safety(self):

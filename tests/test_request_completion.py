@@ -282,13 +282,6 @@ class TestRequestPool:
         assert not second.is_complete()
         assert pool.n_reuse == 1 and pool.n_alloc == 1
 
-    def test_pool_disabled_never_reuses(self):
-        pool = RequestPool(enabled=False)
-        req = pool.acquire(RequestKind.SEND)
-        pool.release(req)
-        assert pool.acquire(RequestKind.SEND) is not req
-        assert pool.n_reuse == 0
-
     def test_pool_rejects_subclasses_and_caps(self):
         pool = RequestPool()
 
@@ -321,26 +314,6 @@ class TestRequestPool:
             value, n_reuse, n_alloc = rank_result
             assert value == 29.0
             assert n_reuse > n_alloc
-
-    def test_pool_can_be_disabled_by_config(self):
-        def main(comm):
-            peer = 1 - comm.rank
-            comm.sendrecv(comm.rank, dest=peer, source=peer)
-            return comm.proc.request_pool.n_reuse
-
-        config = BuildConfig(request_pool=False)
-        assert run_world(2, main, config=config) == [0, 0]
-
-    def test_linear_engine_config_still_correct(self):
-        """The reference engine stays selectable and functional."""
-        def main(comm):
-            peer = 1 - comm.rank
-            got = comm.sendrecv(("hi", comm.rank), dest=peer, source=peer)
-            assert comm.proc.engine.name == "linear"
-            return got
-
-        config = BuildConfig(matching_engine="linear")
-        assert run_world(2, main, config=config) == [("hi", 1), ("hi", 0)]
 
 
 class TestWorldAbortLatency:

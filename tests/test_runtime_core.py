@@ -1,4 +1,4 @@
-"""VClock, rank translation, requests, matching engine."""
+"""VClock, rank translation, requests, matching engine, build config."""
 
 import threading
 
@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consts import ANY_SOURCE, ANY_TAG
+from repro.core.config import BuildConfig
 from repro.errors import MPIErrRank, MPIErrRequest
 from repro.fabric.model import INFINITE, OFI_PSM2
+from repro.ft.detector import DetectorConfig
 from repro.runtime.matching import MatchingEngine, PostedRecv
 from repro.runtime.message import Envelope, Message
 from repro.runtime.ranktrans import (CompressedTranslation,
@@ -231,3 +233,25 @@ class TestRequest:
         assert waitany(reqs) in (0, 1, 2)
         with pytest.raises(MPIErrRequest):
             waitany([])
+
+
+class TestBuildConfig:
+    @pytest.mark.parametrize("field, illegal", [
+        ("communicator_name", dict(communicator_name="hierachical")),
+        ("eager_threshold", dict(eager_threshold=-1)),
+        ("rank_translation", dict(rank_translation="bogus")),
+        ("fabric", dict(fabric="bogus")),
+        ("fabric", dict(fabric="posix")),       # a model, but no netmod
+        ("shm_fabric", dict(shm_fabric="ofi")),
+        ("device", dict(device="ch4")),         # the name, not the enum
+        ("progress", dict(progress="bogus")),
+        ("progress", dict(progress="thread", thread_safety=False)),
+        ("detector", dict(detector=DetectorConfig())),
+        ("num_vcis", dict(num_vcis=0)),
+    ])
+    def test_illegal_build_rejected_at_construction(self, field, illegal):
+        """``BuildConfig(...)`` itself raises — no ``World`` is built —
+        and the error names the field and the offending value."""
+        with pytest.raises(ValueError) as err:
+            BuildConfig(**illegal)
+        assert f"BuildConfig.{field}={illegal[field]!r}" in str(err.value)
