@@ -42,12 +42,12 @@ from repro.apps.training import train
 from repro.core.config import BuildConfig
 from repro.fabric.topology import Topology
 from repro.mpi import reduceops
+from repro.mpi.collectives import ALLREDUCE_ALGORITHMS
 from repro.perf.collmodel import CollectiveModel
 from repro.runtime.world import World
 
-#: Flat allreduce algorithms under study.
-ALGORITHMS = ("reduce_bcast", "recursive_doubling", "ring",
-              "reduce_scatter_allgather")
+#: Flat allreduce algorithms under study: every one the runtime has.
+ALGORITHMS = tuple(ALLREDUCE_ALGORITHMS)
 #: Topology-aware strategies measured alongside them.
 STRATEGIES = ("hierarchical", "two_dimensional")
 #: Message sizes (bytes) of the full sweep; the expected recursive-

@@ -104,6 +104,9 @@ class CodeIndex:
         self.functions: dict[str, FunctionInfo] = {}
         self.by_name: dict[str, list[FunctionInfo]] = {}
         self.classes: dict[str, list[ClassInfo]] = {}
+        #: Module-level ``NAME = {key: function, ...}`` dispatch tables
+        #: -> the names they hold.
+        self.tables: dict[str, list[str]] = {}
         self._family_cache: dict[str, frozenset[str]] = {}
 
     # -- construction ------------------------------------------------------
@@ -139,6 +142,9 @@ class CodeIndex:
                 elif isinstance(value, ast.Constant) \
                         and isinstance(value.value, int):
                     mod.int_constants[name] = value.value
+                elif isinstance(value, ast.Dict):
+                    self.tables[name] = [v.id for v in value.values
+                                         if isinstance(v, ast.Name)]
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(mod, None, stmt)
             elif isinstance(stmt, ast.ClassDef):
@@ -233,6 +239,11 @@ class CodeIndex:
                 if in_family:
                     return in_family
             return candidates
+        if isinstance(func_expr, ast.Subscript) \
+                and isinstance(func_expr.value, ast.Name):
+            # ``TABLE[key](...)``: any function the table holds.
+            return [f for name in self.tables.get(func_expr.value.id, ())
+                    for f in self.by_name.get(name, []) if f.cls is None]
         return []
 
     def walk_body(self, func: FunctionInfo) -> Iterable[ast.AST]:

@@ -715,7 +715,8 @@ class Analyzer:
         if isinstance(func, ast.Attribute):
             return self._call_attr(node, func, argvals, kwvals,
                                    env, quals, ctx)
-        return None
+        return self._descend(self.index.resolve_call(func, ctx.func),
+                             argvals, kwvals, quals, ctx)
 
     def _check_aliasing(self, node: ast.Call, ctx) -> None:
         """BC505: the same bare name in two buffer slots of a
@@ -794,6 +795,8 @@ class Analyzer:
         if name == "run_handler":
             return self._call_run_handler(node, argvals, kwvals, quals,
                                           ctx)
+        if name == "run_schedule":    # returns what its schedule returns
+            return argvals[-1] if argvals else None
         candidates = [f for f in self.index.by_name.get(name, [])
                       if f.cls is None]
         return self._descend(candidates, argvals, kwvals, quals, ctx)

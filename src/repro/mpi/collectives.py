@@ -2,15 +2,35 @@
 
 Built on the device's point-to-point path, exactly as MPICH's
 machine-independent collectives are: a binomial tree for
-broadcast/reduce/gather, dissemination for barrier, a ring for
-allgather, pairwise exchange for alltoall, and a linear chain for
-scans.  Every internal message traverses the device critical path, so
-collective timings inherit the per-build instruction overheads — the
-mechanism behind the Nek5000 allreduce sensitivity in Figure 7.
+broadcast/reduce, a linear root loop for gather/scatter, dissemination
+for barrier, a ring for allgather, pairwise exchange for alltoall, and
+a linear chain for scans.  Every internal message traverses the device
+critical path, so collective timings inherit the per-build instruction
+overheads — the mechanism behind the Nek5000 allreduce sensitivity in
+Figure 7.
+
+Each algorithm is written once, as a *schedule*: a generator
+(``*_steps``) that yields every request it must see complete — a
+receive (``data = yield comm._irecv_bytes(src, tag)`` resumes with the
+payload) or a send (``yield comm._isend_bytes(data, dest, tag)``) —
+composes sub-schedules with ``yield from`` and returns its result.  A
+schedule never waits and never releases: its driver waits on the
+yielded request, returns the handle to the rank's pool and resumes the
+schedule with the payload.  :func:`run_schedule` is the driver under
+every blocking entry point; :class:`repro.mpi.nbc.NBCRequest` drives
+the same schedules for the ``i*`` calls, from ``test``/``wait`` or from
+the progress engine.  Sends are yielded, not waited on in the schedule,
+for that second driver: under a progress engine a rendezvous send is
+retired by the progress thread — the thread that resumes a nonblocking
+schedule — which must never park on a completion only it can retire.
+A request posted but not yet yielded (the receive half of an exchange)
+stays in flight meanwhile.
 
 Internal messages use tags above the user tag space (>= 1 << 20 within
 the reserved range), relying on MPI's non-overtaking guarantee for
-correctness across back-to-back collectives of the same kind.
+correctness across back-to-back collectives of the same kind; the
+schedules with a nonblocking entry take their tag as a parameter, so
+concurrent ``i*`` calls stay apart.
 """
 
 from __future__ import annotations
@@ -37,7 +57,6 @@ TAG_ALLGATHER = _TAG_BASE + 5
 TAG_SCATTER = _TAG_BASE + 6
 TAG_ALLTOALL = _TAG_BASE + 7
 TAG_SCAN = _TAG_BASE + 8
-TAG_REDSCAT = _TAG_BASE + 9
 TAG_RECDOUBLE = _TAG_BASE + 10
 TAG_RING_RS = _TAG_BASE + 11
 TAG_RING_AG = _TAG_BASE + 12
@@ -70,34 +89,58 @@ def _op_or_sum(op) -> reduceops.Op:
     return op if op is not None else reduceops.SUM
 
 
+def run_schedule(comm: "Communicator", steps) -> Any:
+    """Drive the schedule *steps* to completion on the calling thread:
+    wait on each request it yields, recycle the handle, resume it with
+    the payload; returns what the schedule returns.  The one place a
+    blocking collective waits."""
+    release = comm.proc.request_pool.release
+    try:
+        req = next(steps)
+        while True:
+            req.wait()
+            data = req.payload if req.payload is not None else b""
+            release(req)
+            req = steps.send(data)
+    except StopIteration as stop:
+        return stop.value
+
+
 # ---------------------------------------------------------------------------
-# byte-level algorithms
+# byte-level schedules
 # ---------------------------------------------------------------------------
 
-def barrier(comm: "Communicator") -> None:
+def _exchange(comm: "Communicator", data: "bytes | memoryview", dest: int,
+              source: int, tag: int):
+    """One sendrecv round: the receive is posted before the send is
+    yielded, so a ring of rendezvous sends cannot deadlock."""
+    rreq = comm._irecv_bytes(source, tag)
+    yield comm._isend_bytes(data, dest, tag)
+    return (yield rreq)
+
+
+def barrier_steps(comm: "Communicator", tag: int = TAG_BARRIER):
     """Dissemination barrier: ceil(log2(P)) rounds of sendrecv."""
     size, rank = comm.size, comm.rank
-    if size == 1:
-        return
     k = 1
     while k < size:
-        dest = (rank + k) % size
-        src = (rank - k) % size
-        rreq = comm._irecv_bytes(src, TAG_BARRIER)
-        comm._send_bytes(b"", dest, TAG_BARRIER)
-        rreq.wait()
+        yield from _exchange(comm, b"", (rank + k) % size,
+                             (rank - k) % size, tag)
         k <<= 1
 
 
-def bcast_bytes(comm: "Communicator",
+def barrier(comm: "Communicator") -> None:
+    """MPI_BARRIER."""
+    run_schedule(comm, barrier_steps(comm))
+
+
+def bcast_steps(comm: "Communicator",
                 data: Optional["bytes | memoryview"],
-                root: int) -> "bytes | memoryview":
+                root: int, tag: int = TAG_BCAST):
     """Binomial-tree broadcast of a byte string (the root may pass a
     zero-copy view, which it also gets back)."""
     _check_root(comm, root)
     size, rank = comm.size, comm.rank
-    if size == 1:
-        return data if data is not None else b""
     vrank = (rank - root) % size
 
     # Receive phase: a non-root rank receives from the rank that differs
@@ -107,25 +150,34 @@ def bcast_bytes(comm: "Communicator",
     mask = 1
     while mask < size:
         if vrank & mask:
-            src = (rank - mask) % size
-            data = comm._recv_bytes(src, TAG_BCAST)
+            data = yield comm._irecv_bytes((rank - mask) % size, tag)
             break
         mask <<= 1
+    if data is None:
+        data = b""
 
     # Send phase: forward to every lower bit position.
     mask >>= 1
     while mask > 0:
         if vrank + mask < size:
-            dest = (rank + mask) % size
-            comm._send_bytes(data if data is not None else b"",
-                             dest, TAG_BCAST)
+            yield comm._isend_bytes(data, (rank + mask) % size, tag)
         mask >>= 1
-    return data if data is not None else b""
+    return data
 
 
-def bcast_scatter_allgather(comm: "Communicator",
-                            data: Optional["bytes | memoryview"],
-                            root: int) -> bytes:
+def _bcast_length(comm: "Communicator",
+                  data: Optional["bytes | memoryview"], root: int):
+    """Ship the root's payload length on the binomial tree (one tiny
+    message per edge): the segmented broadcasts size their pieces by
+    it."""
+    nbytes = yield from bcast_steps(
+        comm, str(len(data)).encode() if comm.rank == root else None, root)
+    return int(nbytes)
+
+
+def bcast_scatter_allgather_steps(comm: "Communicator",
+                                  data: Optional["bytes | memoryview"],
+                                  root: int):
     """Van de Geijn broadcast: scatter P near-equal chunks from the
     root, then ring-allgather them — the bandwidth-optimal large-
     message algorithm MPICH selects above its binomial threshold."""
@@ -133,12 +185,7 @@ def bcast_scatter_allgather(comm: "Communicator",
     size = comm.size
     if size == 1:
         return data if data is not None else b""
-    # Everyone needs the total length to size the chunks; ship it on
-    # the binomial tree (one tiny message per edge).
-    nbytes = bcast_bytes(
-        comm, str(len(data)).encode() if comm.rank == root else None,
-        root)
-    total = int(nbytes)
+    total = yield from _bcast_length(comm, data, root)
     chunk = -(-total // size) if total else 0
 
     chunks = None
@@ -148,15 +195,15 @@ def bcast_scatter_allgather(comm: "Communicator",
         # (slicing a bytes object would copy every chunk).
         view = memoryview(data)
         chunks = [view[i * chunk:(i + 1) * chunk] for i in range(size)]
-    mine = scatter_bytes(comm, chunks, root)
+    mine = yield from scatter_steps(comm, chunks, root)
     # Ring allgather of the chunks, then reassemble in rank order.
-    pieces = allgather_bytes(comm, mine)
+    pieces = yield from allgather_steps(comm, mine)
     return b"".join(pieces)[:total]
 
 
-def reduce_pairs(comm: "Communicator", payload: bytes, root: int,
-                 combine) -> Optional[bytes]:
-    """Binomial-tree reduction of byte payloads.
+def reduce_steps(comm: "Communicator", payload: bytes, root: int,
+                 combine, tag: int = TAG_REDUCE):
+    """Binomial-tree reduction of byte payloads (None off the root).
 
     *combine(lower, higher)* merges two payloads, with *lower* coming
     from the smaller virtual rank — giving canonical rank ordering so
@@ -168,52 +215,48 @@ def reduce_pairs(comm: "Communicator", payload: bytes, root: int,
     result = payload
     mask = 1
     while mask < size:
-        if vrank & mask == 0:
-            src_v = vrank | mask
-            if src_v < size:
-                src = (src_v + root) % size
-                incoming = comm._recv_bytes(src, TAG_REDUCE)
-                result = combine(result, incoming)
-        else:
-            dest_v = vrank & ~mask
-            dest = (dest_v + root) % size
-            comm._send_bytes(result, dest, TAG_REDUCE)
+        if vrank & mask:
+            dest = ((vrank & ~mask) + root) % size
+            yield comm._isend_bytes(result, dest, tag)
             return None
+        src_v = vrank | mask
+        if src_v < size:
+            incoming = yield comm._irecv_bytes((src_v + root) % size, tag)
+            result = combine(result, incoming)
         mask <<= 1
     return result
 
 
-def allreduce_recursive_doubling(comm: "Communicator", payload: bytes,
-                                 combine) -> bytes:
+def _fold(size: int) -> tuple[int, int]:
+    """``(pof2, rem)`` with ``size = pof2 + rem`` and *pof2* the largest
+    power of two <= *size*: the first ``2 * rem`` ranks pre-combine
+    pairwise (odd partners contribute and drop out) so a power-of-two
+    core runs the doubling/halving rounds, then results fan back out."""
+    pof2 = 1 << (size.bit_length() - 1)
+    return pof2, size - pof2
+
+
+def _core_to_world(core_rank: int, rem: int) -> int:
+    return core_rank * 2 if core_rank < rem else core_rank + rem
+
+
+def recursive_doubling_steps(comm: "Communicator", payload: bytes, combine):
     """Recursive-doubling allreduce: ceil(log2 P) rounds, every rank
     finishing with the full reduction — the latency-optimal algorithm
-    MPICH selects for small messages.
-
-    Non-power-of-two sizes use the standard fold: the first ``2r``
-    ranks (P = 2^k + r) pre-combine pairwise so a power-of-two core
-    runs the doubling, then results fan back out.
+    MPICH selects for small messages.  Non-power-of-two sizes use the
+    :func:`_fold`.
 
     *combine(lower, higher)* must be associative and commutative over
     payload bytes (true for all the numpy elementwise ops used here).
     """
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return payload
-
-    pof2 = 1
-    while pof2 * 2 <= size:
-        pof2 *= 2
-    rem = size - pof2
-
+    rank, tag = comm.rank, TAG_RECDOUBLE
+    pof2, rem = _fold(comm.size)
     result = payload
-    # Fold phase: ranks [0, 2*rem) pair up; odd partners send their
-    # contribution to the even partner and drop out of the core.
     if rank < 2 * rem:
         if rank % 2:   # odd: contribute and wait for the final result
-            comm._send_bytes(result, rank - 1, TAG_RECDOUBLE)
-            result = comm._recv_bytes(rank - 1, TAG_RECDOUBLE)
-            return result
-        incoming = comm._recv_bytes(rank + 1, TAG_RECDOUBLE)
+            yield comm._isend_bytes(result, rank - 1, tag)
+            return (yield comm._irecv_bytes(rank - 1, tag))
+        incoming = yield comm._irecv_bytes(rank + 1, tag)
         result = combine(result, incoming)
         core_rank = rank // 2
     else:
@@ -223,12 +266,8 @@ def allreduce_recursive_doubling(comm: "Communicator", payload: bytes,
     mask = 1
     while mask < pof2:
         partner_core = core_rank ^ mask
-        partner = (partner_core * 2 if partner_core < rem
-                   else partner_core + rem)
-        rreq = comm._irecv_bytes(partner, TAG_RECDOUBLE)
-        comm._send_bytes(result, partner, TAG_RECDOUBLE)
-        rreq.wait()
-        incoming = rreq.payload if rreq.payload is not None else b""
+        partner = _core_to_world(partner_core, rem)
+        incoming = yield from _exchange(comm, result, partner, partner, tag)
         # Canonical ordering keeps non-commutative combines sane.
         if partner_core > core_rank:
             result = combine(result, incoming)
@@ -238,8 +277,15 @@ def allreduce_recursive_doubling(comm: "Communicator", payload: bytes,
 
     # Unfold: send the total back to the folded-out odd ranks.
     if rank < 2 * rem:
-        comm._send_bytes(result, rank + 1, TAG_RECDOUBLE)
+        yield comm._isend_bytes(result, rank + 1, tag)
     return result
+
+
+def allreduce_recursive_doubling(comm: "Communicator", payload: bytes,
+                                 combine) -> bytes:
+    """Blocking :func:`recursive_doubling_steps`."""
+    return run_schedule(comm,
+                        recursive_doubling_steps(comm, payload, combine))
 
 
 def _chunk_bounds(nitems: int, nparts: int) -> list[tuple[int, int]]:
@@ -255,9 +301,9 @@ def _chunk_bounds(nitems: int, nparts: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def allreduce_ring(comm: "Communicator",
-                   payload: "bytes | memoryview",
-                   combine, itemsize: int = 1) -> "bytes | bytearray":
+def allreduce_ring_steps(comm: "Communicator",
+                         payload: "bytes | memoryview",
+                         combine, itemsize: int = 1):
     """Ring allreduce: a P-1-step reduce-scatter of P near-equal chunks
     followed by a P-1-step ring allgather — the bandwidth-optimal
     algorithm (each rank moves ``2 m (P-1)/P`` bytes total, Baidu/NCCL
@@ -276,7 +322,8 @@ def allreduce_ring(comm: "Communicator",
     bounds = [(lo * itemsize, hi * itemsize)
               for lo, hi in _chunk_bounds(nelems, size)]
     # One owned working copy; every round stages chunks as views of it.
-    # Sends are blocking (delivery unpacks in this thread, unexpected
+    # The driver sees each yielded send complete before the schedule
+    # resumes (delivery unpacks on the sending thread, unexpected
     # arrivals are owned by the engine), so mutating a *different*
     # chunk after each send is safe.  The entry copy is the algorithm's
     # accumulator — required in-place combine target, not avoidable
@@ -292,10 +339,8 @@ def allreduce_ring(comm: "Communicator",
     for step in range(size - 1):
         slo, shi = bounds[(rank - step) % size]
         rlo, rhi = bounds[(rank - step - 1) % size]
-        rreq = comm._irecv_bytes(left, TAG_RING_RS)
-        comm._send_bytes(wv[slo:shi], right, TAG_RING_RS)
-        rreq.wait()
-        incoming = rreq.payload if rreq.payload is not None else b""
+        incoming = yield from _exchange(comm, wv[slo:shi], right, left,
+                                        TAG_RING_RS)
         wv[rlo:rhi] = combine(wv[rlo:rhi], incoming)
 
     # Allgather phase: circulate the reduced chunks the rest of the way
@@ -303,56 +348,46 @@ def allreduce_ring(comm: "Communicator",
     for step in range(size - 1):
         slo, shi = bounds[(rank + 1 - step) % size]
         rlo, rhi = bounds[(rank - step) % size]
-        rreq = comm._irecv_bytes(left, TAG_RING_AG)
-        comm._send_bytes(wv[slo:shi], right, TAG_RING_AG)
-        rreq.wait()
-        wv[rlo:rhi] = rreq.payload if rreq.payload is not None else b""
+        wv[rlo:rhi] = yield from _exchange(comm, wv[slo:shi], right, left,
+                                           TAG_RING_AG)
     return work
 
 
-def allreduce_reduce_scatter_allgather(comm: "Communicator",
-                                       payload: "bytes | memoryview",
-                                       combine,
-                                       itemsize: int = 1,
-                                       ) -> "bytes | bytearray":
+def allreduce_reduce_scatter_allgather_steps(comm: "Communicator",
+                                             payload: "bytes | memoryview",
+                                             combine, itemsize: int = 1):
     """Rabenseifner allreduce: recursive-halving reduce-scatter then
     recursive-doubling allgather — log P latency terms with the ring's
     ``2 m (P-1)/P`` bandwidth, the algorithm MPICH selects for large
     reductions.
 
-    Non-power-of-two sizes use the same fold as
-    :func:`allreduce_recursive_doubling`.  Each halving round records
-    its parent segment on a stack; the doubling rounds pop it back —
-    the partner at every level holds exactly the complement half, so no
-    segment metadata crosses the wire.  *combine* must be associative
-    and commutative, and *payload* may be a zero-copy borrow (copied
-    once at entry).
+    Non-power-of-two sizes use the :func:`_fold`.  Each halving round
+    records its parent segment on a stack; the doubling rounds pop it
+    back — the partner at every level holds exactly the complement
+    half, so no segment metadata crosses the wire.  *combine* must be
+    associative and commutative, and *payload* may be a zero-copy
+    borrow (copied once at entry).
     """
-    size, rank = comm.size, comm.rank
-    pof2 = 1
-    while pof2 * 2 <= size:
-        pof2 *= 2
-    rem = size - pof2
+    rank, tag = comm.rank, TAG_RSAG
+    pof2, rem = _fold(comm.size)
 
-    # Owned accumulator (see allreduce_ring): one entry copy by design.
+    # Owned accumulator (see allreduce_ring_steps): one entry copy by
+    # design.
     work = bytearray(payload)  # bufcheck: ignore[BC504]
     wv = memoryview(work)
     nelems = len(work) // itemsize
 
-    # Fold phase (identical discipline to recursive doubling): odd
-    # ranks below 2*rem contribute and wait for the final result.
+    # Fold phase: odd ranks below 2*rem contribute and wait for the
+    # final result.
     if rank < 2 * rem:
         if rank % 2:
-            comm._send_bytes(wv, rank - 1, TAG_RSAG)
-            return comm._recv_bytes(rank - 1, TAG_RSAG)
-        incoming = comm._recv_bytes(rank + 1, TAG_RSAG)
+            yield comm._isend_bytes(wv, rank - 1, tag)
+            return (yield comm._irecv_bytes(rank - 1, tag))
+        incoming = yield comm._irecv_bytes(rank + 1, tag)
         wv[:] = combine(wv, incoming)
         core_rank = rank // 2
     else:
         core_rank = rank - rem
-
-    def core_to_world(cr: int) -> int:
-        return cr * 2 if cr < rem else cr + rem
 
     # Recursive halving: each round splits the live segment, keeps the
     # half on this rank's side of the partner bit, and combines the
@@ -362,17 +397,15 @@ def allreduce_reduce_scatter_allgather(comm: "Communicator",
     mask = pof2 >> 1
     while mask:
         partner_core = core_rank ^ mask
-        partner = core_to_world(partner_core)
+        partner = _core_to_world(partner_core, rem)
         mid = lo + (hi - lo) // 2
         if core_rank < partner_core:
             keep_lo, keep_hi, send_lo, send_hi = lo, mid, mid, hi
         else:
             keep_lo, keep_hi, send_lo, send_hi = mid, hi, lo, mid
-        rreq = comm._irecv_bytes(partner, TAG_RSAG)
-        comm._send_bytes(wv[send_lo * itemsize:send_hi * itemsize],
-                         partner, TAG_RSAG)
-        rreq.wait()
-        incoming = rreq.payload if rreq.payload is not None else b""
+        incoming = yield from _exchange(
+            comm, wv[send_lo * itemsize:send_hi * itemsize], partner,
+            partner, tag)
         kept = wv[keep_lo * itemsize:keep_hi * itemsize]
         if partner_core > core_rank:
             merged = combine(kept, incoming)
@@ -388,14 +421,10 @@ def allreduce_reduce_scatter_allgather(comm: "Communicator",
     # within the recorded parent, so receiving it restores the parent.
     mask = 1
     while mask < pof2:
-        partner_core = core_rank ^ mask
-        partner = core_to_world(partner_core)
+        partner = _core_to_world(core_rank ^ mask, rem)
         plo, phi = stack.pop()
-        rreq = comm._irecv_bytes(partner, TAG_RSAG)
-        comm._send_bytes(wv[lo * itemsize:hi * itemsize],
-                         partner, TAG_RSAG)
-        rreq.wait()
-        incoming = rreq.payload if rreq.payload is not None else b""
+        incoming = yield from _exchange(
+            comm, wv[lo * itemsize:hi * itemsize], partner, partner, tag)
         if lo == plo:          # partner held the upper half
             wv[hi * itemsize:phi * itemsize] = incoming
         else:                  # partner held the lower half
@@ -405,33 +434,29 @@ def allreduce_reduce_scatter_allgather(comm: "Communicator",
 
     # Unfold: ship the total to the folded-out odd ranks.
     if rank < 2 * rem:
-        comm._send_bytes(wv, rank + 1, TAG_RSAG)
+        yield comm._isend_bytes(wv, rank + 1, tag)
     return work
 
 
-def bcast_ring(comm: "Communicator",
-               data: Optional["bytes | memoryview"],
-               root: int,
-               segment: int = BCAST_RING_SEGMENT,
-               ) -> "bytes | bytearray | memoryview":
+def bcast_ring_steps(comm: "Communicator",
+                     data: Optional["bytes | memoryview"],
+                     root: int,
+                     segment: int = BCAST_RING_SEGMENT):
     """Pipelined chain (ring) broadcast: the payload moves down the
     rank chain in *segment*-byte pieces, so every link carries each
     byte exactly once and the pipeline overlaps the hops — the
     bandwidth-optimal broadcast for long chains once the pipeline
     fills.
 
-    The total length ships first on the binomial tree (one tiny
-    message per edge), exactly as :func:`bcast_scatter_allgather`
-    does.  The root's payload may be a zero-copy borrow (segments are
-    sliced as views and every forward is a blocking send).
+    The total length ships first (:func:`_bcast_length`).  The root's
+    payload may be a zero-copy borrow: segments are sliced as views and
+    every forward is seen complete before the next.
     """
     _check_root(comm, root)
     size, rank = comm.size, comm.rank
     if size == 1:
         return data if data is not None else b""
-    nbytes = bcast_bytes(
-        comm, str(len(data)).encode() if rank == root else None, root)
-    total = int(nbytes)
+    total = yield from _bcast_length(comm, data, root)
     vrank = (rank - root) % size
     nxt = (rank + 1) % size if vrank < size - 1 else None
     prev = (rank - 1) % size
@@ -440,8 +465,8 @@ def bcast_ring(comm: "Communicator",
     if vrank == 0:
         view = memoryview(data)
         for i in range(nseg):
-            comm._send_bytes(view[i * segment:(i + 1) * segment],
-                             nxt, TAG_BCAST_RING)
+            yield comm._isend_bytes(view[i * segment:(i + 1) * segment],
+                                    nxt, TAG_BCAST_RING)
         return data
     out = bytearray(total)
     ov = memoryview(out)
@@ -449,31 +474,31 @@ def bcast_ring(comm: "Communicator",
     # non-overtaking guarantee keeps segments in order.
     rreqs = [comm._irecv_bytes(prev, TAG_BCAST_RING) for _ in range(nseg)]
     for i, rreq in enumerate(rreqs):
-        rreq.wait()
-        seg = rreq.payload if rreq.payload is not None else b""
+        seg = yield rreq
         ov[i * segment:i * segment + len(seg)] = seg
         if nxt is not None:
-            comm._send_bytes(seg, nxt, TAG_BCAST_RING)
+            yield comm._isend_bytes(seg, nxt, TAG_BCAST_RING)
     return out
 
 
-def gather_bytes(comm: "Communicator", data: bytes,
-                 root: int) -> Optional[list[bytes]]:
-    """Linear gather of per-rank byte strings (root receives P-1)."""
+def gather_steps(comm: "Communicator", data: bytes, root: int,
+                 tag: int = TAG_GATHER):
+    """Linear gather of per-rank byte strings (root receives P-1, in
+    rank order; None elsewhere)."""
     _check_root(comm, root)
-    size, rank = comm.size, comm.rank
-    if rank != root:
-        comm._send_bytes(data, root, TAG_GATHER)
+    if comm.rank != root:
+        yield comm._isend_bytes(data, root, tag)
         return None
-    out: list[Optional[bytes]] = [None] * size
+    out: list[Optional[bytes]] = [None] * comm.size
     out[root] = data
-    for src in range(size):
+    for src in range(comm.size):
         if src != root:
-            out[src] = comm._recv_bytes(src, TAG_GATHER)
-    return out  # type: ignore[return-value]
+            out[src] = yield comm._irecv_bytes(src, tag)
+    return out
 
 
-def allgather_bytes(comm: "Communicator", data: bytes) -> list[bytes]:
+def allgather_steps(comm: "Communicator", data: bytes,
+                    tag: int = TAG_ALLGATHER):
     """Ring allgather: P-1 steps, each forwarding one block."""
     size, rank = comm.size, comm.rank
     blocks: list[Optional[bytes]] = [None] * size
@@ -482,36 +507,34 @@ def allgather_bytes(comm: "Communicator", data: bytes) -> list[bytes]:
     left = (rank - 1) % size
     send_idx = rank
     for _ in range(size - 1):
-        rreq = comm._irecv_bytes(left, TAG_ALLGATHER)
-        comm._send_bytes(blocks[send_idx], right, TAG_ALLGATHER)
-        rreq.wait()
+        incoming = yield from _exchange(comm, blocks[send_idx], right,
+                                        left, tag)
         send_idx = (send_idx - 1) % size
-        blocks[send_idx] = rreq.payload if rreq.payload is not None else b""
-    return blocks  # type: ignore[return-value]
+        blocks[send_idx] = incoming
+    return blocks
 
 
-def scatter_bytes(comm: "Communicator",
+def scatter_steps(comm: "Communicator",
                   chunks: Optional[Sequence["bytes | memoryview"]],
-                  root: int) -> "bytes | memoryview":
+                  root: int, tag: int = TAG_SCATTER):
     """Linear scatter of per-rank byte chunks from the root (chunks
     may be zero-copy views; the root's own chunk is returned as-is)."""
     _check_root(comm, root)
-    size, rank = comm.size, comm.rank
-    if rank == root:
-        if chunks is None or len(chunks) != size:
-            raise MPIErrArg(
-                f"scatter root needs exactly {size} chunks, got "
-                f"{None if chunks is None else len(chunks)}")
-        for dest in range(size):
-            if dest != root:
-                comm._send_bytes(chunks[dest], dest, TAG_SCATTER)
-        return chunks[root]
-    return comm._recv_bytes(root, TAG_SCATTER)
+    size = comm.size
+    if comm.rank != root:
+        return (yield comm._irecv_bytes(root, tag))
+    if chunks is None or len(chunks) != size:
+        raise MPIErrArg(
+            f"scatter root needs exactly {size} chunks, got "
+            f"{None if chunks is None else len(chunks)}")
+    for dest in range(size):
+        if dest != root:
+            yield comm._isend_bytes(chunks[dest], dest, tag)
+    return chunks[root]
 
 
-def alltoall_bytes(comm: "Communicator",
-                   chunks: Sequence["bytes | memoryview"],
-                   ) -> list["bytes | memoryview"]:
+def alltoall_steps(comm: "Communicator",
+                   chunks: Sequence["bytes | memoryview"]):
     """Pairwise-exchange alltoall (P-1 sendrecv rounds)."""
     size, rank = comm.size, comm.rank
     if len(chunks) != size:
@@ -522,15 +545,13 @@ def alltoall_bytes(comm: "Communicator",
     for step in range(1, size):
         dest = (rank + step) % size
         src = (rank - step) % size
-        rreq = comm._irecv_bytes(src, TAG_ALLTOALL)
-        comm._send_bytes(chunks[dest], dest, TAG_ALLTOALL)
-        rreq.wait()
-        out[src] = rreq.payload if rreq.payload is not None else b""
-    return out  # type: ignore[return-value]
+        out[src] = yield from _exchange(comm, chunks[dest], dest, src,
+                                        TAG_ALLTOALL)
+    return out
 
 
-def scan_bytes(comm: "Communicator", payload: bytes, combine,
-               inclusive: bool = True) -> Optional[bytes]:
+def scan_steps(comm: "Communicator", payload: bytes, combine,
+               inclusive: bool = True):
     """Linear-chain prefix reduction.
 
     Inclusive: rank i returns combine(payload_0..i).  Exclusive:
@@ -539,77 +560,116 @@ def scan_bytes(comm: "Communicator", payload: bytes, combine,
     size, rank = comm.size, comm.rank
     prefix_below: Optional[bytes] = None
     if rank > 0:
-        prefix_below = comm._recv_bytes(rank - 1, TAG_SCAN)
+        prefix_below = yield comm._irecv_bytes(rank - 1, TAG_SCAN)
     running = payload if prefix_below is None \
         else combine(prefix_below, payload)
     if rank < size - 1:
-        comm._send_bytes(running, rank + 1, TAG_SCAN)
-    if inclusive:
-        return running
-    return prefix_below
+        yield comm._isend_bytes(running, rank + 1, TAG_SCAN)
+    return running if inclusive else prefix_below
 
 
 # ---------------------------------------------------------------------------
-# lowercase: pickled Python objects
+# lowercase: pickled Python objects (the ``*_obj_steps`` schedules are
+# the ones the ``i*`` calls of repro.mpi.nbc return)
 # ---------------------------------------------------------------------------
 
 def _dumps(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def bcast_obj(comm: "Communicator", obj: Any, root: int) -> Any:
-    """Broadcast a Python object from *root*."""
-    data = bcast_bytes(comm, _dumps(obj) if comm.rank == root else None,
-                       root)
-    return pickle.loads(data)
-
-
-def reduce_obj(comm: "Communicator", obj: Any, op, root: int) -> Any:
-    """Reduce Python objects to *root* (None elsewhere)."""
+def _combine_obj(op):
+    """``combine(lower, higher)`` over pickled objects under *op*."""
     the_op = _op_or_sum(op)
 
     def combine(lower: bytes, higher: bytes) -> bytes:
         return _dumps(the_op.combine_py(pickle.loads(lower),
                                         pickle.loads(higher)))
-
-    result = reduce_pairs(comm, _dumps(obj), root, combine)
-    return pickle.loads(result) if result is not None else None
+    return combine
 
 
-def allreduce_obj(comm: "Communicator", obj: Any, op) -> Any:
-    """Allreduce Python objects (reduce to 0, then broadcast)."""
-    partial = reduce_obj(comm, obj, op, 0)
-    return bcast_obj(comm, partial, 0)
+def bcast_obj_steps(comm: "Communicator", obj: Any, root: int,
+                    tag: int = TAG_BCAST):
+    """Broadcast a Python object from *root*."""
+    data = yield from bcast_steps(
+        comm, _dumps(obj) if comm.rank == root else None, root, tag)
+    return pickle.loads(data)
 
 
-def gather_obj(comm: "Communicator", obj: Any,
-               root: int) -> Optional[list]:
-    """Gather Python objects to *root*."""
-    chunks = gather_bytes(comm, _dumps(obj), root)
+def allreduce_obj_steps(comm: "Communicator", obj: Any, op,
+                        tag: int = TAG_REDUCE, bcast_tag: int = TAG_BCAST):
+    """Allreduce Python objects (binomial reduce to 0, then binomial
+    broadcast of the total)."""
+    total = yield from reduce_steps(comm, _dumps(obj), 0, _combine_obj(op),
+                                    tag)
+    data = yield from bcast_steps(comm, total, 0, bcast_tag)
+    return pickle.loads(data)
+
+
+def gather_obj_steps(comm: "Communicator", obj: Any, root: int,
+                     tag: int = TAG_GATHER):
+    """Gather Python objects to *root* (None elsewhere)."""
+    chunks = yield from gather_steps(comm, _dumps(obj), root, tag)
     if chunks is None:
         return None
     return [pickle.loads(c) for c in chunks]
 
 
-def allgather_obj(comm: "Communicator", obj: Any) -> list:
+def allgather_obj_steps(comm: "Communicator", obj: Any,
+                        tag: int = TAG_ALLGATHER):
     """Allgather Python objects."""
-    return [pickle.loads(c) for c in allgather_bytes(comm, _dumps(obj))]
+    blocks = yield from allgather_steps(comm, _dumps(obj), tag)
+    return [pickle.loads(c) for c in blocks]
 
 
-def scatter_obj(comm: "Communicator", objs: Optional[Sequence],
-                root: int) -> Any:
+def scatter_obj_steps(comm: "Communicator", objs: Optional[Sequence],
+                      root: int, tag: int = TAG_SCATTER):
     """Scatter a per-rank list of Python objects from *root*."""
     chunks = None
     if comm.rank == root:
         if objs is None:
             raise MPIErrArg("scatter root must supply the object list")
         chunks = [_dumps(o) for o in objs]
-    return pickle.loads(scatter_bytes(comm, chunks, root))
+    return pickle.loads((yield from scatter_steps(comm, chunks, root, tag)))
+
+
+def bcast_obj(comm: "Communicator", obj: Any, root: int) -> Any:
+    """Broadcast a Python object from *root*."""
+    return run_schedule(comm, bcast_obj_steps(comm, obj, root))
+
+
+def reduce_obj(comm: "Communicator", obj: Any, op, root: int) -> Any:
+    """Reduce Python objects to *root* (None elsewhere)."""
+    result = run_schedule(comm, reduce_steps(comm, _dumps(obj), root,
+                                             _combine_obj(op)))
+    return pickle.loads(result) if result is not None else None
+
+
+def allreduce_obj(comm: "Communicator", obj: Any, op) -> Any:
+    """Allreduce Python objects (reduce to 0, then broadcast)."""
+    return run_schedule(comm, allreduce_obj_steps(comm, obj, op))
+
+
+def gather_obj(comm: "Communicator", obj: Any,
+               root: int) -> Optional[list]:
+    """Gather Python objects to *root*."""
+    return run_schedule(comm, gather_obj_steps(comm, obj, root))
+
+
+def allgather_obj(comm: "Communicator", obj: Any) -> list:
+    """Allgather Python objects."""
+    return run_schedule(comm, allgather_obj_steps(comm, obj))
+
+
+def scatter_obj(comm: "Communicator", objs: Optional[Sequence],
+                root: int) -> Any:
+    """Scatter a per-rank list of Python objects from *root*."""
+    return run_schedule(comm, scatter_obj_steps(comm, objs, root))
 
 
 def alltoall_obj(comm: "Communicator", objs: Sequence) -> list:
     """All-to-all personalized exchange of Python objects."""
-    chunks = alltoall_bytes(comm, [_dumps(o) for o in objs])
+    chunks = run_schedule(comm, alltoall_steps(comm,
+                                               [_dumps(o) for o in objs]))
     return [pickle.loads(c) for c in chunks]
 
 
@@ -628,33 +688,24 @@ def reduce_scatter_block_obj(comm: "Communicator", objs: Sequence,
         a, b = pickle.loads(lower), pickle.loads(higher)
         return _dumps([the_op.combine_py(x, y) for x, y in zip(a, b)])
 
-    reduced = reduce_pairs(comm, _dumps(list(objs)), 0, combine)
+    reduced = run_schedule(comm, reduce_steps(comm, _dumps(list(objs)), 0,
+                                              combine))
     chunks = None
     if comm.rank == 0:
         chunks = [_dumps(item) for item in pickle.loads(reduced)]
-    return pickle.loads(scatter_bytes(comm, chunks, 0))
+    return pickle.loads(run_schedule(comm, scatter_steps(comm, chunks, 0)))
 
 
 def scan_obj(comm: "Communicator", obj: Any, op) -> Any:
     """Inclusive prefix reduction of Python objects."""
-    the_op = _op_or_sum(op)
-
-    def combine(lower: bytes, higher: bytes) -> bytes:
-        return _dumps(the_op.combine_py(pickle.loads(lower),
-                                        pickle.loads(higher)))
-
-    return pickle.loads(scan_bytes(comm, _dumps(obj), combine))
+    return pickle.loads(run_schedule(
+        comm, scan_steps(comm, _dumps(obj), _combine_obj(op))))
 
 
 def exscan_obj(comm: "Communicator", obj: Any, op) -> Any:
     """Exclusive prefix reduction (None on rank 0)."""
-    the_op = _op_or_sum(op)
-
-    def combine(lower: bytes, higher: bytes) -> bytes:
-        return _dumps(the_op.combine_py(pickle.loads(lower),
-                                        pickle.loads(higher)))
-
-    result = scan_bytes(comm, _dumps(obj), combine, inclusive=False)
+    result = run_schedule(comm, scan_steps(comm, _dumps(obj),
+                                           _combine_obj(op), inclusive=False))
     return pickle.loads(result) if result is not None else None
 
 
@@ -670,6 +721,42 @@ def _as_contig(array: np.ndarray, what: str) -> np.ndarray:
     return array
 
 
+def _combine_arrays(op, dtype):
+    """``combine(lower, higher)`` over the bytes of *dtype* arrays,
+    elementwise under *op*."""
+    the_op = _op_or_sum(op)
+
+    def combine(lower: bytes, higher: bytes) -> bytes:
+        a = np.frombuffer(lower, dtype=dtype)
+        b = np.frombuffer(higher, dtype=dtype)
+        return the_op.combine_arrays(a, b).tobytes()
+    return combine
+
+
+#: ``Bcast(algorithm=...)``: name -> schedule(comm, payload, root).
+BCAST_ALGORITHMS = {
+    "binomial": bcast_steps,
+    "scatter_allgather": bcast_scatter_allgather_steps,
+    "ring": bcast_ring_steps,
+}
+
+#: ``Allreduce(algorithm=...)``: name -> byte-level schedule.
+#: ``reduce_bcast`` has none of its own — it composes reduce_buf and
+#: bcast_buf, each half selecting its algorithm by size.
+ALLREDUCE_ALGORITHMS = {
+    "reduce_bcast": None,
+    "recursive_doubling": recursive_doubling_steps,
+    "ring": allreduce_ring_steps,
+    "reduce_scatter_allgather": allreduce_reduce_scatter_allgather_steps,
+}
+
+
+def _check_algorithm(what: str, algorithm: str, table: dict) -> None:
+    if algorithm not in table:
+        raise MPIErrArg(f"unknown {what} algorithm {algorithm!r} "
+                        f"(one of {', '.join(table)})")
+
+
 def bcast_buf(comm: "Communicator", array: np.ndarray, root: int,
               algorithm: Optional[str] = None) -> None:
     """Broadcast a numpy buffer in place, selecting the binomial tree
@@ -681,19 +768,15 @@ def bcast_buf(comm: "Communicator", array: np.ndarray, root: int,
     if algorithm is None:
         algorithm = ("binomial" if arr.nbytes <= BCAST_BINOMIAL_MAX_BYTES
                      else "scatter_allgather")
+    _check_algorithm("bcast", algorithm, BCAST_ALGORITHMS)
     # The root's payload is a borrow of the user buffer: every forward
-    # on the tree is a blocking send, and the matching engine owns any
-    # unexpected copy, so no materialization is needed.
+    # on the tree is seen complete before the call returns, and the
+    # matching engine owns any unexpected copy, so no materialization
+    # is needed.
     payload = (arr.view(np.uint8).reshape(-1).data
                if comm.rank == root else None)
-    if algorithm == "binomial":
-        data = bcast_bytes(comm, payload, root)
-    elif algorithm == "scatter_allgather":
-        data = bcast_scatter_allgather(comm, payload, root)
-    elif algorithm == "ring":
-        data = bcast_ring(comm, payload, root)
-    else:
-        raise MPIErrArg(f"unknown bcast algorithm {algorithm!r}")
+    data = run_schedule(comm,
+                        BCAST_ALGORITHMS[algorithm](comm, payload, root))
     if comm.rank != root:
         if len(data) != arr.nbytes:
             raise MPIErrArg(
@@ -706,17 +789,12 @@ def reduce_buf(comm: "Communicator", sendbuf: np.ndarray,
                recvbuf: Optional[np.ndarray], op, root: int) -> None:
     """Reduce numpy buffers elementwise into *recvbuf* at *root*."""
     send = _as_contig(sendbuf, "reduce sendbuf")
-    the_op = _op_or_sum(op)
-
-    def combine(lower: bytes, higher: bytes) -> bytes:
-        a = np.frombuffer(lower, dtype=send.dtype)
-        b = np.frombuffer(higher, dtype=send.dtype)
-        return the_op.combine_arrays(a, b).tobytes()
-
     # Snapshot once up front: the binomial tree holds the running
     # payload across log P combine rounds, and bounding the user-buffer
     # borrow to the entry keeps the rounds free to interleave recvs.
-    result = reduce_pairs(comm, send.tobytes(), root, combine)  # bufcheck: ignore[BC504]
+    result = run_schedule(comm, reduce_steps(
+        comm, send.tobytes(), root,  # bufcheck: ignore[BC504]
+        _combine_arrays(op, send.dtype)))
     if comm.rank == root:
         if recvbuf is None:
             raise MPIErrArg("reduce root needs a recvbuf")
@@ -744,33 +822,23 @@ def allreduce_buf(comm: "Communicator", sendbuf: np.ndarray,
         algorithm = ("recursive_doubling"
                      if send.nbytes <= ALLREDUCE_RECDOUBLE_MAX_BYTES
                      else "reduce_bcast")
+    _check_algorithm("allreduce", algorithm, ALLREDUCE_ALGORITHMS)
     if algorithm == "reduce_bcast":
         reduce_buf(comm, send, recv, op, 0)
         bcast_buf(comm, recv, 0)
         return
-    the_op = _op_or_sum(op)
-
-    def combine(lower: bytes, higher: bytes) -> bytes:
-        a = np.frombuffer(lower, dtype=send.dtype)
-        b = np.frombuffer(higher, dtype=send.dtype)
-        return the_op.combine_arrays(a, b).tobytes()
-
+    combine = _combine_arrays(op, send.dtype)
     if algorithm == "recursive_doubling":
         # Snapshot up front: recursive doubling reuses the running
         # payload across rounds with pre-posted receives in flight.
         result = allreduce_recursive_doubling(comm, send.tobytes(),  # bufcheck: ignore[BC504]
                                               combine)
-    elif algorithm == "ring":
-        # The ring owns its working copy at entry, so the sendbuf
-        # borrow never outlives the call.
-        result = allreduce_ring(comm, send.view(np.uint8).reshape(-1).data,
-                                combine, send.dtype.itemsize)
-    elif algorithm == "reduce_scatter_allgather":
-        result = allreduce_reduce_scatter_allgather(
-            comm, send.view(np.uint8).reshape(-1).data,
-            combine, send.dtype.itemsize)
     else:
-        raise MPIErrArg(f"unknown allreduce algorithm {algorithm!r}")
+        # The ring and Rabenseifner schedules own their working copy at
+        # entry, so the sendbuf borrow never outlives the call.
+        result = run_schedule(comm, ALLREDUCE_ALGORITHMS[algorithm](
+            comm, send.view(np.uint8).reshape(-1).data, combine,
+            send.dtype.itemsize))
     recv.view(np.uint8).reshape(-1)[:] = np.frombuffer(result, np.uint8)
 
 
@@ -783,11 +851,12 @@ def allgather_buf(comm: "Communicator", sendbuf: np.ndarray,
         raise MPIErrArg(
             f"allgather recvbuf must hold {comm.size} blocks of "
             f"{send.nbytes} bytes, has {recv.nbytes}")
-    # Zero-copy staging: the ring's forwards are blocking sends (the
-    # engine owns any unexpected copy), and the result list — the only
-    # place the sendbuf borrow is stored — dies before this returns,
-    # so no up-front snapshot is needed.
-    blocks = allgather_bytes(comm, send.view(np.uint8).reshape(-1).data)
+    # Zero-copy staging: every forward on the ring is seen complete
+    # before the next (the engine owns any unexpected copy), and the
+    # result list — the only place the sendbuf borrow is stored — dies
+    # before this returns, so no up-front snapshot is needed.
+    blocks = run_schedule(comm, allgather_steps(
+        comm, send.view(np.uint8).reshape(-1).data))
     flat = recv.view(np.uint8).reshape(-1)
     for i, block in enumerate(blocks):
         flat[i * send.nbytes:(i + 1) * send.nbytes] = \
@@ -800,7 +869,8 @@ def gather_buf(comm: "Communicator", sendbuf: np.ndarray,
     send = _as_contig(sendbuf, "gather sendbuf")
     # Own bytes up front: the root stores its own block in the gathered
     # result list, so a sendbuf borrow would escape the call.
-    chunks = gather_bytes(comm, send.tobytes(), root)  # bufcheck: ignore[BC504]
+    chunks = run_schedule(comm, gather_steps(
+        comm, send.tobytes(), root))  # bufcheck: ignore[BC504]
     if comm.rank != root:
         return
     if recvbuf is None:
@@ -830,11 +900,11 @@ def scatter_buf(comm: "Communicator", sendbuf: Optional[np.ndarray],
                 f"scatter sendbuf must hold {comm.size} blocks of "
                 f"{recv.nbytes} bytes, has {send.nbytes}")
         # Per-rank chunks are borrows of sendbuf — each linear send is
-        # blocking and the engine materializes unexpected arrivals.
+        # seen complete and the engine materializes unexpected arrivals.
         raw = send.view(np.uint8).reshape(-1)
         chunks = [raw[i * recv.nbytes:(i + 1) * recv.nbytes].data
                   for i in range(comm.size)]
-    block = scatter_bytes(comm, chunks, root)
+    block = run_schedule(comm, scatter_steps(comm, chunks, root))
     recv.view(np.uint8).reshape(-1)[:] = np.frombuffer(block, np.uint8)
 
 
@@ -848,15 +918,9 @@ def reduce_scatter_block_buf(comm: "Communicator", sendbuf: np.ndarray,
         raise MPIErrArg(
             f"reduce_scatter sendbuf must hold {comm.size} blocks of "
             f"{recv.nbytes} bytes, has {send.nbytes}")
-    the_op = _op_or_sum(op)
-
-    def combine(lower: bytes, higher: bytes) -> bytes:
-        a = np.frombuffer(lower, dtype=send.dtype)
-        b = np.frombuffer(higher, dtype=send.dtype)
-        return the_op.combine_arrays(a, b).tobytes()
-
-    reduced = reduce_pairs(comm, send.view(np.uint8).reshape(-1).data,
-                           0, combine)
+    reduced = run_schedule(comm, reduce_steps(
+        comm, send.view(np.uint8).reshape(-1).data, 0,
+        _combine_arrays(op, send.dtype)))
     chunks = None
     if comm.rank == 0:
         # The reduction output is already owned bytes (or, at P=1, the
@@ -864,7 +928,7 @@ def reduce_scatter_block_buf(comm: "Communicator", sendbuf: np.ndarray,
         raw = np.frombuffer(reduced, np.uint8)
         chunks = [raw[i * recv.nbytes:(i + 1) * recv.nbytes].data
                   for i in range(comm.size)]
-    block = scatter_bytes(comm, chunks, 0)
+    block = run_schedule(comm, scatter_steps(comm, chunks, 0))
     recv.view(np.uint8).reshape(-1)[:] = np.frombuffer(block, np.uint8)
 
 
@@ -875,16 +939,11 @@ def scan_buf(comm: "Communicator", sendbuf: np.ndarray,
     recv = _as_contig(recvbuf, "scan recvbuf")
     if send.nbytes != recv.nbytes:
         raise MPIErrArg("scan buffers must match in size")
-    the_op = _op_or_sum(op)
-
-    def combine(lower: bytes, higher: bytes) -> bytes:
-        a = np.frombuffer(lower, dtype=send.dtype)
-        b = np.frombuffer(higher, dtype=send.dtype)
-        return the_op.combine_arrays(a, b).tobytes()
-
     # Snapshot up front: rank i's payload may be returned as-is (rank
     # 0) or forwarded down the chain after the local recv completes.
-    result = scan_bytes(comm, send.tobytes(), combine)  # bufcheck: ignore[BC504]
+    result = run_schedule(comm, scan_steps(
+        comm, send.tobytes(),  # bufcheck: ignore[BC504]
+        _combine_arrays(op, send.dtype)))
     recv.view(np.uint8).reshape(-1)[:] = np.frombuffer(result, np.uint8)
 
 
@@ -900,12 +959,12 @@ def alltoall_buf(comm: "Communicator", sendbuf: np.ndarray,
             f"alltoall buffer of {send.nbytes} bytes does not split into "
             f"{comm.size} blocks")
     blk = send.nbytes // comm.size
-    # Chunk sendbuf with views: every pairwise round is a blocking
-    # sendrecv, so the borrows never outlive the exchange.
+    # Chunk sendbuf with views: every pairwise round is seen complete
+    # before the next, so the borrows never outlive the exchange.
     raw = send.view(np.uint8).reshape(-1)
     chunks = [raw[i * blk:(i + 1) * blk].data
               for i in range(comm.size)]
-    out = alltoall_bytes(comm, chunks)
+    out = run_schedule(comm, alltoall_steps(comm, chunks))
     flat = recv.view(np.uint8).reshape(-1)
     for i, block in enumerate(out):
         flat[i * blk:(i + 1) * blk] = np.frombuffer(block, np.uint8)

@@ -606,7 +606,8 @@ class Communicator:
         return coll.allreduce_obj(self, obj, op)
 
     def gather(self, obj: Any, root: int = 0) -> Optional[list]:
-        """MPI_GATHER of pickled objects (binomial tree)."""
+        """MPI_GATHER of pickled objects (linear: the root receives
+        P-1 messages in rank order)."""
         return coll.gather_obj(self, obj, root)
 
     def allgather(self, obj: Any) -> list:

@@ -1,24 +1,27 @@
 """Nonblocking collectives (MPI_IBARRIER / IBCAST / IALLREDUCE / ...).
 
-Implemented the way MPICH implements them: each operation builds a
-*schedule* — an ordered list of send / receive / compute steps — and a
-request whose ``test``/``wait`` calls drive the schedule forward.
-Receives are posted as soon as the schedule reaches them; ``test``
-advances through every step that can complete without blocking and
-returns whether the schedule finished; ``wait`` blocks step by step.
-This is the classic *weak progress* model (progress happens inside MPI
-calls), which MPI-3.1 permits.
+Implemented the way MPICH implements them: each operation is a
+*schedule* and a request whose ``test``/``wait`` calls drive it forward.
+The schedules are the generators of :mod:`repro.mpi.collectives` — the
+very ones the blocking calls run to completion inline (the yield
+protocol is described there) — under a second driver,
+:class:`NBCRequest`: ``test`` resumes the schedule past every yielded
+request that has already completed and returns whether it finished;
+``wait`` blocks request by request.  This is the classic *weak
+progress* model (progress happens inside MPI calls), which MPI-3.1
+permits.
 
 With a background progress engine (``BuildConfig(progress=...)``),
 the schedule instead chains itself forward through
 :meth:`~repro.runtime.request.Request.on_complete` continuations:
-whenever an advance stops at an incomplete receive, the receive's
+whenever an advance stops at an incomplete request — a receive, or a
+rendezvous send only the progress thread can retire — that request's
 completion re-runs the advance on the progress thread, so the whole
 collective completes with *zero* user polls between post and wait —
 the strong-progress discipline of "MPI Progress For All".  Advancing
-is then serialized by a per-schedule lock nested inside the rank's
-CS lock (the engine dispatches continuations holding the CS lock, so
-that order is global).
+is then serialized by a per-schedule lock nested inside the rank's CS
+lock (the engine dispatches continuations holding the CS lock, so that
+order is global).
 
 Concurrent nonblocking collectives on one communicator are isolated by
 a per-communicator sequence number folded into the message tags —
@@ -28,10 +31,10 @@ nonblocking collectives in the same order.
 
 from __future__ import annotations
 
-import pickle
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
+from repro.mpi import collectives as coll
 from repro.mpi import reduceops
 from repro.runtime.request import Request, RequestKind
 
@@ -44,67 +47,26 @@ _NBC_TAG_BASE = 1 << 21
 _NBC_TAG_MOD = 4096
 
 
-def _dumps(obj: Any) -> bytes:
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-class Step:
-    """One schedule entry."""
-
-    __slots__ = ()
-
-
-class SendStep(Step):
-    """Send bytes produced by *data_fn(state)* to *peer*."""
-
-    __slots__ = ("peer", "tag", "data_fn")
-
-    def __init__(self, peer: int, tag: int,
-                 data_fn: Callable[[dict], bytes]):
-        self.peer = peer
-        self.tag = tag
-        self.data_fn = data_fn
-
-
-class RecvStep(Step):
-    """Receive from *peer*; *consume(state, data)* runs on arrival."""
-
-    __slots__ = ("peer", "tag", "consume", "request")
-
-    def __init__(self, peer: int, tag: int,
-                 consume: Callable[[dict, bytes], None]):
-        self.peer = peer
-        self.tag = tag
-        self.consume = consume
-        self.request: Optional[Request] = None
-
-
-class ComputeStep(Step):
-    """Local work: *fn(state)*."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[dict], None]):
-        self.fn = fn
-
-
 class NBCRequest(Request):
-    """The request driving one nonblocking collective's schedule."""
+    """The request driving one nonblocking collective's schedule (a
+    :mod:`repro.mpi.collectives` generator); ``result`` holds what the
+    schedule returned once it completes."""
 
-    __slots__ = ("comm", "steps", "_pc", "state", "_sched_mu", "_bg_req")
+    __slots__ = ("comm", "steps", "_pending", "_armed", "result",
+                 "_sched_mu")
 
-    def __init__(self, comm: "Communicator", steps: list[Step],
-                 state: Optional[dict] = None):
+    def __init__(self, comm: "Communicator", steps):
         super().__init__(RequestKind.GENERALIZED, comm.proc,
                          comm.world.abort_event)
-        san = comm.proc.sanitizer
-        if san is not None:
-            # Built directly (not via the pool), so register explicitly.
-            san.note_acquire(self, api="nonblocking collective")
         self.comm = comm
         self.steps = steps
-        self.state = state if state is not None else {}
-        self._pc = 0
+        # The yielded request the schedule is suspended on (None until
+        # the first advance starts it).
+        self._pending: Optional[Request] = None
+        # Whether that request carries a background continuation — so
+        # each stall arms exactly once.
+        self._armed = False
+        self.result: Any = None
         # Serializes schedule advancement between the application and
         # the progress engine's continuations (reentrant: a blocking
         # advance may recurse through wait paths).
@@ -116,18 +78,22 @@ class NBCRequest(Request):
                                             f"nbc{self._tsan_key[1]}")
         else:
             self._sched_mu = threading.RLock()
-        # The receive currently armed with a background continuation —
-        # identity-compared so each stall arms exactly once.
-        self._bg_req: Optional[Request] = None
         # Kick the schedule as far as it goes without blocking, so
         # receives are pre-posted and early sends overlap user compute.
+        # A schedule validates its arguments before its first message:
+        # a rejected call raises from here, before the handle exists
+        # for anyone — the sanitizer included.
         self._advance(blocking=False)
+        san = comm.proc.sanitizer
+        if san is not None:
+            # Built directly (not via the pool), so register explicitly.
+            san.note_acquire(self, api="nonblocking collective")
 
     # -- schedule engine -----------------------------------------------------
 
     def _advance(self, blocking: bool) -> bool:
-        """Run steps until done or until a receive would block
-        (non-blocking mode).  Returns completion.
+        """Resume the schedule until done or until the request it
+        yielded would block (non-blocking mode).  Returns completion.
 
         With a progress engine the advance takes the rank's CS lock
         *then* the schedule lock — the same order the engine's
@@ -144,60 +110,45 @@ class NBCRequest(Request):
 
     def _advance_locked(self, blocking: bool) -> bool:
         """The actual schedule walk (see :meth:`_advance` for locking)."""
-        tsan = self.comm.proc.tsan
-        if tsan is not None:
+        proc = self.comm.proc
+        if proc.tsan is not None:
             # Under the schedule lock with a progress engine; without
             # one the schedule is single-threaded (same-thread accesses
             # are ordered by the thread's own clock).
-            tsan.note_access(("nbc", self._tsan_key[1]),
-                             what="NBC schedule state")
-        while self._pc < len(self.steps):
-            step = self.steps[self._pc]
-            if isinstance(step, SendStep):
-                self.comm._isend_bytes(step.data_fn(self.state),
-                                       step.peer, step.tag)
-                self._pc += 1
-            elif isinstance(step, ComputeStep):
-                step.fn(self.state)
-                self._pc += 1
-            else:   # RecvStep
-                if step.request is None:
-                    step.request = self.comm._irecv_bytes(step.peer,
-                                                          step.tag)
-                if blocking or step.request.is_complete():
-                    step.request.wait()
-                    step.consume(self.state,
-                                 step.request.payload or b"")
-                    # The inner handle never escapes the schedule —
-                    # recycle it.  Forget any armed-continuation match
-                    # first: the pool may hand the same object to the
-                    # next step, which must arm afresh.
-                    if step.request is self._bg_req:
-                        self._bg_req = None
-                    self.comm.proc.request_pool.release(step.request)
-                    step.request = None
-                    self._pc += 1
-                else:
-                    self._arm_background(step)
+            proc.tsan.note_access(("nbc", self._tsan_key[1]),
+                                  what="NBC schedule state")
+        while not self.is_complete():
+            req, data = self._pending, None
+            if req is not None:
+                if not (blocking or req.is_complete()):
+                    self._arm_background(req)
                     return False
-        if not self.is_complete():
-            self.complete(self.comm.proc.vclock.now)
+                req.wait()
+                data = req.payload if req.payload is not None else b""
+                # The inner handle never escapes the schedule — recycle
+                # it; the next yielded request must arm afresh.
+                self._armed = False
+                proc.request_pool.release(req)
+            try:
+                self._pending = self.steps.send(data)
+            except StopIteration as stop:
+                self._pending, self.result = None, stop.value
+                self.complete(proc.vclock.now)
         return True
 
-    def _arm_background(self, step: RecvStep) -> None:
-        """Chain the stalled receive to a background re-advance.
+    def _arm_background(self, req: Request) -> None:
+        """Chain the stalled request to a background re-advance.
 
-        With a progress engine, the incomplete receive's completion
+        With a progress engine, the incomplete request's completion
         posts a continuation that re-runs :meth:`_advance` on the
-        engine thread; armed at most once per stalled receive.
+        engine thread; armed at most once per stalled request.
         Without one this is a no-op (``wait``/``test`` keep driving
         the schedule, the weak-progress model).
         """
-        progress = self.comm.proc.progress
-        if progress is None or step.request is self._bg_req:
+        if self.comm.proc.progress is None or self._armed:
             return
-        self._bg_req = step.request
-        step.request.on_complete(self._bg_advance)
+        self._armed = True
+        req.on_complete(self._bg_advance)
 
     def _bg_advance(self, _req: Request) -> None:
         """Continuation body: advance the schedule on the engine thread;
@@ -224,7 +175,7 @@ class NBCRequest(Request):
         With a progress engine the schedule advances itself through
         continuations, so this just blocks event-driven on the final
         completion — zero polls; otherwise the wait drives the
-        schedule step by step (weak progress).
+        schedule request by request (weak progress).
         """
         if not self.is_complete():
             if self.comm.proc.progress is None:
@@ -232,199 +183,55 @@ class NBCRequest(Request):
         super().wait()
         return self
 
-    @property
-    def result(self) -> Any:
-        """The collective's result (after wait)."""
-        return self.state.get("result")
-
 
 # ---------------------------------------------------------------------------
-# schedule builders
+# entry points: the blocking call's schedule, under a sequence-numbered tag
 # ---------------------------------------------------------------------------
 
-def _nbc_tag(comm: "Communicator", offset: int = 0) -> int:
+def _nbc_tag(comm: "Communicator") -> int:
     seq = getattr(comm, "_nbc_seq", 0)
     comm._nbc_seq = seq + 1
-    return _NBC_TAG_BASE + (seq % _NBC_TAG_MOD) * 8 + offset
+    return _NBC_TAG_BASE + (seq % _NBC_TAG_MOD) * 8
 
 
 def ibarrier(comm: "Communicator") -> NBCRequest:
-    """MPI_IBARRIER: dissemination rounds as a schedule."""
-    size, rank = comm.size, comm.rank
-    tag = _nbc_tag(comm)
-    steps: list[Step] = []
-    k = 1
-    while k < size:
-        dest = (rank + k) % size
-        src = (rank - k) % size
-        steps.append(SendStep(dest, tag, lambda s: b""))
-        steps.append(RecvStep(src, tag, lambda s, d: None))
-        k <<= 1
-    return NBCRequest(comm, steps)
+    """MPI_IBARRIER (dissemination)."""
+    return NBCRequest(comm, coll.barrier_steps(comm, _nbc_tag(comm)))
 
 
 def ibcast(comm: "Communicator", obj: Any = None,
            root: int = 0) -> NBCRequest:
-    """MPI_IBCAST of a pickled object; ``request.result`` after wait."""
-    size, rank = comm.size, comm.rank
-    tag = _nbc_tag(comm)
-    vrank = (rank - root) % size
-    steps: list[Step] = []
-    state = {"data": _dumps(obj) if rank == root else None}
-
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            src = (rank - mask) % size
-
-            def consume(s, d):
-                s["data"] = d
-
-            steps.append(RecvStep(src, tag, consume))
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vrank + mask < size:
-            dest = (rank + mask) % size
-            steps.append(SendStep(dest, tag, lambda s: s["data"]))
-        mask >>= 1
-    steps.append(ComputeStep(
-        lambda s: s.__setitem__("result", pickle.loads(s["data"]))))
-    return NBCRequest(comm, steps, state)
+    """MPI_IBCAST (binomial) of a pickled object; ``request.result``
+    after wait."""
+    return NBCRequest(comm, coll.bcast_obj_steps(comm, obj, root,
+                                                 _nbc_tag(comm)))
 
 
 def iallreduce(comm: "Communicator", obj: Any,
                op: Optional[reduceops.Op] = None) -> NBCRequest:
-    """MPI_IALLREDUCE of pickled objects (recursive-doubling-free
-    binomial reduce to 0 + binomial bcast, as one schedule)."""
-    the_op = op if op is not None else reduceops.SUM
-    size, rank = comm.size, comm.rank
-    tag_r = _nbc_tag(comm, 0)
-    tag_b = tag_r + 1
-    steps: list[Step] = []
-    state = {"acc": obj}
-
-    # Phase 1: binomial reduction toward rank 0 (canonical order:
-    # lower-vrank partial on the left).
-    mask = 1
-    while mask < size:
-        if rank & mask == 0:
-            src = rank | mask
-            if src < size:
-                def consume(s, d, combine=the_op.combine_py):
-                    s["acc"] = combine(s["acc"], pickle.loads(d))
-
-                steps.append(RecvStep(src, tag_r, consume))
-        else:
-            dest = rank & ~mask
-            steps.append(SendStep(dest, tag_r,
-                                  lambda s: _dumps(s["acc"])))
-            break
-        mask <<= 1
-
-    # Phase 2: binomial broadcast of the total from rank 0.
-    mask = 1
-    while mask < size:
-        if rank & mask:
-            src = rank - mask
-
-            def consume_b(s, d):
-                s["acc"] = pickle.loads(d)
-
-            steps.append(RecvStep(src, tag_b, consume_b))
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if rank + mask < size:
-            steps.append(SendStep(rank + mask, tag_b,
-                                  lambda s: _dumps(s["acc"])))
-        mask >>= 1
-
-    steps.append(ComputeStep(
-        lambda s: s.__setitem__("result", s["acc"])))
-    return NBCRequest(comm, steps, state)
+    """MPI_IALLREDUCE of pickled objects (binomial reduce to 0 +
+    binomial bcast, as one schedule)."""
+    tag = _nbc_tag(comm)
+    return NBCRequest(comm, coll.allreduce_obj_steps(comm, obj, op, tag,
+                                                     tag + 1))
 
 
 def igather(comm: "Communicator", obj: Any, root: int = 0) -> NBCRequest:
     """MPI_IGATHER (linear) of pickled objects; the root's
     ``request.result`` is the rank-ordered list, None elsewhere."""
-    size, rank = comm.size, comm.rank
-    tag = _nbc_tag(comm)
-    steps: list[Step] = []
-    state: dict = {"blocks": {root: None}}
-    if rank != root:
-        steps.append(SendStep(root, tag, lambda s, o=obj: _dumps(o)))
-        steps.append(ComputeStep(lambda s: s.__setitem__("result", None)))
-        return NBCRequest(comm, steps, state)
-
-    state["blocks"][root] = _dumps(obj)
-
-    def make_consume(src):
-        def consume(s, d):
-            s["blocks"][src] = d
-        return consume
-
-    for src in range(size):
-        if src != root:
-            steps.append(RecvStep(src, tag, make_consume(src)))
-    steps.append(ComputeStep(lambda s: s.__setitem__(
-        "result", [pickle.loads(s["blocks"][i]) for i in range(size)])))
-    return NBCRequest(comm, steps, state)
+    return NBCRequest(comm, coll.gather_obj_steps(comm, obj, root,
+                                                  _nbc_tag(comm)))
 
 
 def iscatter(comm: "Communicator", objs: Optional[list] = None,
              root: int = 0) -> NBCRequest:
     """MPI_ISCATTER (linear) of pickled objects; every rank's
     ``request.result`` is its piece."""
-    size, rank = comm.size, comm.rank
-    tag = _nbc_tag(comm)
-    steps: list[Step] = []
-    state: dict = {}
-    if rank == root:
-        if objs is None or len(objs) != size:
-            from repro.errors import MPIErrArg
-            raise MPIErrArg(
-                f"iscatter root needs exactly {size} objects")
-        for dest in range(size):
-            if dest != root:
-                steps.append(SendStep(
-                    dest, tag, lambda s, o=objs[dest]: _dumps(o)))
-        steps.append(ComputeStep(
-            lambda s, o=objs[root]: s.__setitem__("result", o)))
-    else:
-        def consume(s, d):
-            s["result"] = pickle.loads(d)
-
-        steps.append(RecvStep(root, tag, consume))
-    return NBCRequest(comm, steps, state)
+    return NBCRequest(comm, coll.scatter_obj_steps(comm, objs, root,
+                                                   _nbc_tag(comm)))
 
 
 def iallgather(comm: "Communicator", obj: Any) -> NBCRequest:
     """MPI_IALLGATHER (ring) of pickled objects; result is the list."""
-    size, rank = comm.size, comm.rank
-    tag = _nbc_tag(comm)
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    steps: list[Step] = []
-    state = {"blocks": {rank: _dumps(obj)}, "send_idx": rank}
-
-    def make_send(step_idx):
-        def data_fn(s):
-            return s["blocks"][s["send_idx"]]
-        return data_fn
-
-    def make_consume(k):
-        def consume(s, d):
-            s["send_idx"] = (s["send_idx"] - 1) % size
-            s["blocks"][s["send_idx"]] = d
-        return consume
-
-    for k in range(size - 1):
-        steps.append(SendStep(right, tag, make_send(k)))
-        steps.append(RecvStep(left, tag, make_consume(k)))
-
-    steps.append(ComputeStep(lambda s: s.__setitem__(
-        "result", [pickle.loads(s["blocks"][i]) for i in range(size)])))
-    return NBCRequest(comm, steps, state)
+    return NBCRequest(comm, coll.allgather_obj_steps(comm, obj,
+                                                     _nbc_tag(comm)))

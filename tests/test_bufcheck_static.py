@@ -204,6 +204,53 @@ class TestBC504NeedlessMaterialization:
         assert _rule_ids(tmp_path, src) == []
 
 
+class TestScheduleFlow:
+    """Collectives are generator schedules run by a driver: the rules
+    still see inside a schedule, and what a schedule returns reaches
+    the driver's caller."""
+
+    SCHEDULE = """\
+        def ring_steps(comm, payload):
+            staged = payload.tobytes()
+            yield comm.isend(staged)
+            return staged
+
+        def run_schedule(comm, steps):
+            try:
+                req = next(steps)
+                while True:
+                    req = steps.send(req.wait())
+            except StopIteration as stop:
+                return stop.value
+        """
+
+    def test_rules_fire_inside_a_schedule_and_past_its_driver(self,
+                                                              tmp_path):
+        """BC504 on the needless ``tobytes()`` inside the schedule;
+        BC501 on the caller's second copy of what it returned — only
+        seen because ``run_schedule(x)`` returns what ``x`` returns."""
+        src = self.SCHEDULE + """\
+
+        def send(comm, sendbuf):
+            out = run_schedule(comm, ring_steps(comm, sendbuf))
+            return bytes(out)
+        """
+        assert sorted(set(_rule_ids(tmp_path, src))) == ["BC501", "BC504"]
+
+    def test_schedule_reached_through_a_dispatch_table(self, tmp_path):
+        """``TABLE[name](...)`` descends into every function the
+        module-level table holds."""
+        src = self.SCHEDULE + """\
+
+        ALGORITHMS = {"ring": ring_steps, "none": None}
+
+        def send(comm, sendbuf, algorithm):
+            out = run_schedule(comm, ALGORITHMS[algorithm](comm, sendbuf))
+            return bytes(out)
+        """
+        assert sorted(set(_rule_ids(tmp_path, src))) == ["BC501", "BC504"]
+
+
 class TestBC505AliasedBuffers:
     """The same buffer in both slots of a two-buffer API."""
 

@@ -803,6 +803,22 @@ class TestCollectivesBenchSmoke:
             assert row["replicas_identical"], strat
             assert row["final_loss"] < row["first_loss"], strat
 
+    def test_full_sweep_regenerates_the_committed_bytes(self, tmp_path,
+                                                        monkeypatch):
+        """The sweep reads the virtual clock, so it is exact: the same
+        messages, sizes, order and clock merges give the committed
+        ``BENCH_collectives.json`` back byte for byte."""
+        import importlib.util
+        spec = importlib.util.spec_from_file_location(
+            "bench_collectives", ROOT / "benchmarks/bench_collectives.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        out = tmp_path / "BENCH_collectives.json"
+        monkeypatch.setattr(bench, "_OUT", out)
+        bench.run_benchmark()
+        assert out.read_bytes() \
+            == (ROOT / "BENCH_collectives.json").read_bytes()
+
 
 class TestCheckCLI:
     """``python -m repro.check`` — the one-command analysis gate."""

@@ -230,3 +230,49 @@ class TestCollectiveProperties:
         # evens: 0+2+4 = 6; odds: 1+3+5 = 9
         assert results[0] == (3, 6)
         assert results[1] == (3, 9)
+
+
+class TestInternalHandlesRecycled:
+    """A collective's internal requests never reach the caller, so the
+    schedule driver hands every one back to the rank's pool: once warm,
+    no collective — blocking or nonblocking — constructs a Request."""
+
+    def test_warm_collectives_allocate_no_requests(self):
+        def main(comm):
+            size = comm.size
+            send, recv = np.arange(64.0) + comm.rank, np.empty(64)
+            wide = np.empty(64 * size)
+            # three ring segments, so the pre-posted list is exercised
+            long = np.zeros(3 * 32 * 1024 // 8)
+            ops = {
+                "barrier": comm.barrier,
+                "Allgather": lambda: comm.Allgather(send, wide),
+                "Alltoall": lambda: comm.Alltoall(wide, np.empty_like(wide)),
+                "Bcast/ring": lambda: comm.Bcast(long, root=1,
+                                                 algorithm="ring"),
+                "ibarrier": lambda: comm.ibarrier().wait(),
+                "ibcast": lambda: comm.ibcast(("v", 1), root=2).wait(),
+                "iallreduce": lambda: comm.iallreduce(comm.rank).wait(),
+                "iallgather": lambda: comm.iallgather(comm.rank).wait(),
+                "igather": lambda: comm.igather(comm.rank, root=3).wait(),
+                "iscatter": lambda: comm.iscatter(
+                    list(range(size)) if comm.rank == 0 else None).wait(),
+            }
+            for algorithm in ("reduce_bcast", "recursive_doubling", "ring",
+                              "reduce_scatter_allgather"):
+                ops[f"Allreduce/{algorithm}"] = (
+                    lambda a=algorithm: comm.Allreduce(send, recv,
+                                                       algorithm=a))
+            pool = comm.proc.request_pool
+            grew = {}
+            for name, op in ops.items():
+                for _ in range(5):
+                    op()
+                before = pool.n_alloc
+                for _ in range(50):
+                    op()
+                grew[name] = pool.n_alloc - before
+            return grew
+
+        for grew in run_world(4, main):
+            assert not any(grew.values()), grew

@@ -217,3 +217,102 @@ class TestAriesFabric:
             return comm.allreduce(1)
 
         assert run_world(2, main, BuildConfig(fabric="aries")) == [2, 2]
+
+
+class TestValidatedAtTheCall:
+    """An ``i*`` call validates like its blocking twin, and before a
+    handle exists: an illegal root raises from the call (it used to
+    post nothing and hang), and under the sanitizer the rejected call
+    leaves no open request record for finalize to report (MSD202)."""
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_illegal_arguments_raise_and_leak_nothing(self, sanitize):
+        from repro.core.config import BuildConfig
+        from repro.errors import MPIErrRank
+
+        def main(comm):
+            for call in (lambda: comm.ibcast("x", root=comm.size),
+                         lambda: comm.igather(comm.rank, root=-1),
+                         lambda: comm.iscatter([0] * comm.size,
+                                               root=comm.size)):
+                with pytest.raises(MPIErrRank):
+                    call()
+            with pytest.raises(MPIErrArg):
+                # Only a root sees the list: every rank names itself,
+                # so all reject (and their tag sequences stay in step).
+                comm.iscatter([1], root=comm.rank)
+            req = comm.ibcast("after" if comm.rank == 1 else None, root=1)
+            return req.wait().result
+
+        assert run_world(3, main, BuildConfig(sanitize=sanitize),
+                         timeout=15.0) == ["after"] * 3
+
+
+def _objs(comm):
+    return [("piece", i) for i in range(comm.size)]
+
+
+#: shared schedule -> (blocking call, nonblocking call), both
+#: ``(comm, root) -> result``; unrooted collectives ignore *root*.
+_PAIRS = {
+    "barrier_steps": (
+        lambda c, root: c.barrier(),
+        lambda c, root: c.ibarrier().wait().result),
+    "bcast_obj_steps": (
+        lambda c, root: c.bcast({"from": root} if c.rank == root else None,
+                                root=root),
+        lambda c, root: c.ibcast({"from": root} if c.rank == root else None,
+                                 root=root).wait().result),
+    "allreduce_obj_steps": (
+        lambda c, root: c.allreduce(c.rank + 1, op=reduceops.MAX),
+        lambda c, root: c.iallreduce(c.rank + 1,
+                                     op=reduceops.MAX).wait().result),
+    "allgather_obj_steps": (
+        lambda c, root: c.allgather(("r", c.rank)),
+        lambda c, root: c.iallgather(("r", c.rank)).wait().result),
+    "gather_obj_steps": (
+        lambda c, root: c.gather(("r", c.rank), root=root),
+        lambda c, root: c.igather(("r", c.rank), root=root).wait().result),
+    "scatter_obj_steps": (
+        lambda c, root: c.scatter(_objs(c) if c.rank == root else None,
+                                  root=root),
+        lambda c, root: c.iscatter(_objs(c) if c.rank == root else None,
+                                   root=root).wait().result),
+}
+_ROOTED = ("bcast_obj_steps", "gather_obj_steps", "scatter_obj_steps")
+
+
+@pytest.mark.parametrize("name", _PAIRS)
+class TestBlockingEqualsNonblocking:
+    """One text per collective: ``comm.x`` runs the schedule that
+    ``comm.ix`` returns — by construction and by observation."""
+
+    def test_both_entries_run_the_one_schedule(self, name, monkeypatch):
+        from repro.mpi import collectives as coll
+        real, calls = getattr(coll, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coll, name, counting)
+        blocking, nonblocking = _PAIRS[name]
+        assert run_world(2, lambda c: blocking(c, 0)) \
+            == run_world(2, lambda c: nonblocking(c, 0))
+        assert len(calls) == 4    # 2 ranks x (blocking + nonblocking)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+    def test_same_results_messages_and_charges(self, name, size):
+        """For every root: identical results, and per rank the same
+        number of messages deposited and instructions charged."""
+        roots = range(size) if name in _ROOTED else (0,)
+
+        def main(comm, which):
+            results = [_PAIRS[name][which](comm, root) for root in roots]
+            # Each rank consumes every message sent to it, so its
+            # engine is quiescent here and the totals are exact.
+            return (results, comm.proc.engine.n_deposited,
+                    comm.proc.counter.total)
+
+        assert run_world(size, main, args=(0,)) \
+            == run_world(size, main, args=(1,))

@@ -447,3 +447,25 @@ class TestOverlap:
             assert polled_complete == (True, True, True)
             assert stats["n_lane_drained"] >= 1   # parked rendezvous
             assert stats["n_continuations"] >= 1  # NBC chained itself
+
+    @pytest.mark.parametrize("nbytes", [16, 1 << 20])
+    def test_ibcast_zero_polls_eager_and_rendezvous(self, nbytes):
+        """Above the eager threshold every forward on the tree is a
+        rendezvous send that only the progress thread retires: the
+        schedule is suspended on a *send*, and its completion — not a
+        ``test()`` from the application — resumes it."""
+        config = BuildConfig(progress="thread")
+
+        def fn(comm):
+            payload = b"0123456789abcdef" * (nbytes // 16)
+            req = comm.ibcast(payload if comm.rank == 1 else None, root=1)
+            time.sleep(0.3)
+            done_unpolled = req.is_complete()
+            same = req.wait().result == comm.bcast(
+                payload if comm.rank == 1 else None, root=1) == payload
+            return done_unpolled, same, comm.proc.progress.stats()
+
+        results = World(4, config).run(fn)
+        assert all(done and same for done, same, _ in results)
+        if nbytes > 65536:   # the root's forwards parked as rendezvous
+            assert results[1][2]["n_lane_drained"] >= 1
