@@ -2,16 +2,20 @@
 
 ``perf/trajectory.jsonl`` holds one line per landed revision (schema in
 ``perf/README.md``).  :func:`render_trajectory` prints, per perfbench
-workload, one row per line: the median of each end-to-end metric with
-its ratio to the previous line, and the two exact counts.  These are
-*measured* wall-clock numbers, never to be merged with the modeled
-figures; lines measured on different boxes compare only as the ratios
-within the PR that measured both sides.
+workload, one row per line: the median of each end-to-end metric and
+the two exact counts.  A PR measures its parent and itself as
+alternating pairs and records both; its own line (``rev`` = ``PR N
+(parent X)``) prints each median's ratio to line ``X``, the only
+comparison the box supports — the same revision re-measured a day
+apart reads 0.64-1.14x of itself, so a parent line prints none.  These
+are *measured* wall-clock numbers, never to be merged with the modeled
+figures.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from repro.instrument.report import format_table
@@ -42,24 +46,29 @@ def _cell(entry: dict, previous: dict | None, metric: str) -> str:
 
 
 def render_trajectory(path: Path = DEFAULT_PATH) -> str:
-    """One table per workload; each cell is a median and, in brackets,
-    its ratio to the line above (higher is better for op/s and MB/s,
-    lower for the rest)."""
+    """One table per workload; each cell is a median and, on a PR's
+    own line, in brackets its ratio to the parent line that PR
+    measured beside it (higher is better for op/s and MB/s, lower for
+    the rest)."""
     if not path.exists():
         return f"no recorded trajectory at {path}"
     rows = load_trajectory(path)
+    by_rev = {row["rev"]: row["workloads"] for row in rows}
+    pairs = [re.fullmatch(r"PR \d+ \(parent (\w+)\)", row["rev"])
+             for row in rows]
+    parents = [by_rev.get(pair[1]) if pair else None for pair in pairs]
     tables = []
     for name in sorted(rows[-1]["workloads"]):
-        body, previous = [], None
-        for row in rows:
+        body = []
+        for row, parent in zip(rows, parents):
             entry = row["workloads"][name]
             body.append([row["rev"], row["date"],
-                         *(_cell(entry, previous, m) for m, _ in METRICS),
+                         *(_cell(entry, parent and parent[name], m)
+                           for m, _ in METRICS),
                          f"{entry['charged_instr_per_op']:.6g}",
                          f"{entry['vtime_us_per_op']:.6g}"])
-            previous = entry
         tables.append(format_table(
             ["rev", "date", *(head for _, head in METRICS),
              "instr/op", "vtime us/op"], body,
-            title=f"{name}: measured medians (ratio to the line above)"))
+            title=f"{name}: measured medians (a PR's ratio to its parent)"))
     return "\n\n".join(tables)

@@ -76,9 +76,11 @@ def _entry_seeds(index: CodeIndex, cls: str, method: str,
 
 
 def _module_filter(spec_name: str) -> Callable[[Event], bool]:
-    """Keep only events in the spec's device tree (plus shared code)."""
+    """Keep only events in the spec's device tree (plus shared code —
+    the receive landing both devices use lives beside ``CH4Device``)."""
     if spec_name.startswith("ch3_"):
-        return lambda ev: not ev.qual.startswith("repro/core/ch4.py")
+        return lambda ev: not ev.qual.startswith(
+            "repro/core/ch4.py:CH4Device.")
     return lambda ev: not ev.qual.startswith("repro/ch3/")
 
 

@@ -25,9 +25,11 @@ fire directly during the walk.
 Calls descend through :meth:`CodeIndex.resolve_call` (the audit's
 over-approximation) whenever at least one argument carries taint, with
 memoization keyed on the callee plus the canonical shape of its tainted
-arguments.  Closures are analyzed *at their definition site* with the
-enclosing environment — the ``on_match`` callbacks they define are the
-entire receive-side datapath.
+arguments.  The receive side runs later, on whichever thread makes the
+match, so it is analyzed where it is *set up*: a module-level function
+handed to a descriptor constructor (``PostedRecv(..., land_recv)``) is
+walked there, the descriptor's fields as its first argument — that
+landing is the entire receive-side datapath.
 """
 
 from __future__ import annotations
@@ -178,11 +180,12 @@ def branch_quals(test: ast.expr) -> tuple[frozenset, frozenset]:
             and isinstance(test.comparators[0], ast.Constant)
             and test.comparators[0].value is None):
         left = test.left
-        if isinstance(left, ast.Name) and left.id == "buf":
+        name = getattr(left, "id", getattr(left, "attr", None))
+        if name == "buf":       # a local, or a descriptor's field
             pos, neg = frozenset({"payload_recv"}), \
                 frozenset({"buffer_recv"})
-        elif isinstance(left, ast.Attribute) and left.attr in FEATURE_ATTRS:
-            pos, neg = none, frozenset({left.attr})
+        elif isinstance(left, ast.Attribute) and name in FEATURE_ATTRS:
+            pos, neg = none, frozenset({name})
         else:
             return none, none
         if isinstance(test.ops[0], ast.Is):
@@ -225,6 +228,7 @@ NP_COPY_FUNCS = frozenset({"array", "copy", "concatenate",
 #: Descriptor constructors whose keyword fields carry payload buffers.
 COMPOSITE_CTORS = frozenset({
     "SendOp", "RecvOp", "PutOp", "GetOp", "AccOp", "Message",
+    "PostedRecv",
 })
 
 #: Attribute stores that ARE the sanctioned escape hatches — pinning a
@@ -451,37 +455,14 @@ class Analyzer:
                                  summary)
             self._exec_block(stmt.orelse, env, quals, ctx, summary)
             self._exec_block(stmt.finalbody, env, quals, ctx, summary)
-        elif isinstance(stmt, ast.FunctionDef):
-            # Closures ARE the datapath here: on_match callbacks carry
-            # the receive side.  Analyze at the definition site with
-            # the enclosing bindings plus name-based parameter seeds
-            # (the future call's message argument).
-            seeds = dict(name_seeds(
-                FunctionInfo(module=ctx.func.module, cls=None,
-                             name=stmt.name, node=stmt, fastpath=False,
-                             staticmethod=False)))
-            for name, value in env.items():
-                if first_taint(value) is not None and name not in seeds:
-                    seeds[name] = value
-            if seeds:
-                closure = FunctionInfo(
-                    module=ctx.func.module, cls=ctx.func.cls,
-                    name=f"{ctx.func.name}.<{stmt.name}>", node=stmt,
-                    fastpath=False, staticmethod=False)
-                inner = self.analyze(closure, seeds, ctx.depth + 1)
-                for ev in inner.events:
-                    ctx.events.append(
-                        replace(ev, quals=ev.quals | quals))
         elif isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
                 self._eval(stmt.exc, env, quals, ctx)
         elif isinstance(stmt, ast.Assert):
             self._eval(stmt.test, env, quals, ctx)
-        elif isinstance(stmt, (ast.Delete, ast.Global, ast.Nonlocal,
-                               ast.Pass, ast.Break, ast.Continue,
-                               ast.Import, ast.ImportFrom,
-                               ast.ClassDef)):
-            pass
+        # Everything else — nested definitions included: a closure is
+        # off the datapath, which hands *functions* to descriptors
+        # (see ``_run_landings``) — moves no bytes.
 
     def _exec_assign(self, stmt, env, quals, ctx) -> None:
         if isinstance(stmt, ast.AugAssign):
@@ -791,6 +772,8 @@ class Analyzer:
             fields.update(kwvals)
             comp = {k: v for k, v in fields.items()
                     if first_taint(v) is not None}
+            if comp:
+                self._run_landings(node, comp, quals, ctx)
             return comp or None
         if name == "run_handler":
             return self._call_run_handler(node, argvals, kwvals, quals,
@@ -800,6 +783,22 @@ class Analyzer:
         candidates = [f for f in self.index.by_name.get(name, [])
                       if f.cls is None]
         return self._descend(candidates, argvals, kwvals, quals, ctx)
+
+    def _run_landings(self, node: ast.Call, comp: dict, quals,
+                      ctx) -> None:
+        """A module-level function handed to the descriptor built at
+        *node* is called back with that descriptor first (the receive
+        landing): walk it here, the descriptor's tainted fields *comp*
+        in hand and its other parameters seeded by name — the future
+        call's message."""
+        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+            for func in self.index.by_name.get(getattr(arg, "id", None), []):
+                if func.cls is None and func.node.args.args:
+                    seeds = name_seeds(func)
+                    seeds[func.node.args.args[0].arg] = comp
+                    inner = self.analyze(func, seeds, ctx.depth + 1)
+                    ctx.events.extend(replace(ev, quals=ev.quals | quals)
+                                      for ev in inner.events)
 
     def _ctor_fields(self, name: str) -> list[str]:
         """Positional field order of the descriptor class *name*: its

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.ch3.protocol import Protocol, choose_protocol, wire_overhead_s
 from repro.consts import ANY_SOURCE, PROC_NULL
 from repro.core import am
+from repro.core.ch4 import land_recv
 from repro.core.ops import (AccOp, CallPlan, GetOp, PutOp, RecvOp, SendOp,
                             SyncState)
 from repro.datatypes.pack import pack, packed_size, unpack
@@ -158,30 +159,16 @@ class CH3Device:
                              count_bytes=0)
             return request
 
-        buf, count, datatype = op.buf, op.count, op.dtref.datatype
-
-        def on_match(msg: Message) -> None:
-            try:
-                if buf is None:
-                    # Bufferless receive: take ownership of the payload.
-                    request.payload = msg.owned_data()
-                else:
-                    unpack(msg.data, buf, count, datatype)
-                request.complete(msg.arrive_s, source=msg.env.src,
-                                 tag=msg.env.tag, count_bytes=len(msg.data))
-            except BaseException as exc:  # noqa: BLE001 - handed to waiter
-                request.complete(msg.arrive_s, source=msg.env.src,
-                                 tag=msg.env.tag, count_bytes=len(msg.data),
-                                 error=exc)
-
         if proc.sanitizer is not None:
             proc.sanitizer.note_recv(
                 request, None if op.source == ANY_SOURCE
                 else op.comm.translation.world_rank(op.source))
-        posted = PostedRecv(ctx=op.comm.ctx, src=op.source, tag=op.tag,
-                            nomatch=False, request=request,
-                            on_match=on_match)
-        proc.engine.post(posted, now_s=proc.vclock.now)
+        # Same descriptor, same landing as CH4: the devices differ in
+        # what they charge, not in where the bytes go.
+        proc.engine.post(
+            PostedRecv(op.comm.ctx, op.source, op.tag, False, request, None,
+                       op.buf, op.count, op.dtref.datatype, land_recv),
+            now_s=proc.vclock.now)
         return request
 
     # -- one-sided (packet-based in CH3) -----------------------------------------

@@ -48,6 +48,26 @@ _SEND = RequestKind.SEND
 _RECV = RequestKind.RECV
 
 
+def land_recv(posted: PostedRecv, msg: Message) -> None:
+    """The receive landing, for every device and API: scatter *msg*
+    into the buffer *posted* describes and complete its request — on
+    the thread that made the match, under the engine lock.  (Here, not
+    beside the descriptor, so ``unpack`` is the name tools patch.)"""
+    request = posted.request
+    env = msg.env
+    data = msg.data
+    try:
+        if posted.buf is None:
+            # Bufferless receive: the payload outlives the sender's
+            # buffer, so take ownership.
+            request.payload = data = msg.owned_data()
+        else:
+            unpack(data, posted.buf, posted.count, posted.datatype)
+        request.complete(msg.arrive_s, env.src, env.tag, len(data))
+    except BaseException as exc:  # noqa: BLE001 - handed to waiter
+        request.complete(msg.arrive_s, env.src, env.tag, len(data), exc)
+
+
 class CH4Device:
     """Per-rank CH4 device instance (ch4 core + one netmod + one shmmod)."""
 
@@ -374,32 +394,14 @@ class CH4Device:
         whole device side of a persistent receive's MPI_START)."""
         proc = self.proc
         comm = op.comm
-        buf = op.buf
-        count = op.count
-        datatype = op.dtref.datatype
-
-        def on_match(msg: Message) -> None:
-            data = msg.data
-            try:
-                if buf is None:
-                    # Bufferless receive: the payload outlives the
-                    # sender's buffer, so take ownership.
-                    request.payload = data = msg.owned_data()
-                else:
-                    unpack(data, buf, count, datatype)
-                request.complete(msg.arrive_s, msg.env.src, msg.env.tag,
-                                 len(data))
-            except BaseException as exc:  # noqa: BLE001 - handed to waiter
-                request.complete(msg.arrive_s, msg.env.src, msg.env.tag,
-                                 len(data), exc)
-
         if proc.hooked and proc.sanitizer is not None:
             proc.sanitizer.note_recv(
                 request, None if op.source == ANY_SOURCE
                 else comm.translation.world_rank(op.source))
         proc.engine.post(
             PostedRecv(comm.ctx, op.source, op.tag, op.flags.nomatch,
-                       request, on_match), proc.vclock.now)
+                       request, None, op.buf, op.count, op.dtref.datatype,
+                       land_recv), proc.vclock.now)
         if proc.hooked and proc.faults is not None:
             # This rank is about to block: release any outgoing packet
             # still parked in the wire's reorder stash so a peer is

@@ -542,7 +542,9 @@ class Communicator:
         """Blocking arrival-order receive (see :meth:`irecv_nomatch`)."""
         req = self.irecv_nomatch(buf)
         req.wait()
-        return Status.from_request(req)
+        status = Status.from_request(req)
+        self.proc.request_pool.release(req)
+        return status
 
     def irecv_all_opts(self, buf) -> Request:
         """Receive counterpart used with :meth:`isend_all_opts` streams

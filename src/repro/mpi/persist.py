@@ -6,9 +6,14 @@ charges only request-reuse plus the descriptor fill (the arguments
 were frozen at init, so error checking, datatype derivation, rank
 translation, object lookup, PROC_NULL and match-bit work are all
 amortized away) — an in-standard cousin of the paper's Section 3
-proposals, and a useful baseline for them.  CH3 has no optimized
-persistent path: start re-runs its full device machinery, mirroring
-the historically unoptimized persistent path of MPICH/CH3.
+proposals, and a useful baseline for them.  What is amortized is the
+*charge*, not the send: a start hands its prebuilt operation, call
+plan attached, to the device's one send body (the receive side to its
+one post), so a persistent message goes eager or rendezvous, rides its
+VCI lane and meets the fault layer like any other of its size.  CH3
+has no optimized persistent path: start re-runs its full device
+machinery, mirroring the historically unoptimized persistent path of
+MPICH/CH3.
 """
 
 from __future__ import annotations
@@ -18,14 +23,12 @@ from typing import TYPE_CHECKING, Optional
 from repro.consts import PROC_NULL
 from repro.core.config import Device
 from repro.core.ops import RecvOp, SendOp
-from repro.datatypes.pack import pack
 from repro.errors import MPIErrRequest
 from repro.instrument.categories import Category, Subsystem
 from repro.instrument.costs import COSTS
 from repro.instrument.fastpath import fastpath
 from repro.mpi.pt2pt import (check_recv, check_send, entry_plan, mpi_entry,
                              normalize_buffer, validate_args)
-from repro.runtime.message import Envelope, Message
 from repro.runtime.request import Request, RequestKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,51 +96,33 @@ class PersistentSend(PersistentRequest):
             if proc.config.error_checking:
                 validate_args(proc, c.isend_error, check_send(
                     comm, data, count, dtref, dest, tag))
-        self.buf, self.count, self.dtref = data, count, dtref
-        self.dest, self.tag = dest, tag
-        self.is_null = dest == PROC_NULL
-        if not self.is_null:
-            #: Pre-resolved at init — the amortization persistent
-            #: requests exist for.
-            self.dest_world = comm.translation.world_rank(dest)
-            self.env = Envelope(ctx=comm.ctx, src=comm.rank, tag=tag)
-            if proc.config.device is Device.CH4:
-                device = proc.device
-                self.transport = device._transport_for(self.dest_world)
-                self.native = (
-                    not device.force_am and self.transport.send_is_native(
-                        dtref.datatype.contig))
+        #: The operation every start issues.  On CH4 it carries the
+        #: call site's facts — translated peer, transport, eager
+        #: threshold: the amortization persistent requests exist for —
+        #: as a plan with no path charges, so the device's one send
+        #: body runs and charges nothing.
+        self.op = op = SendOp(data, count, dtref, dest, tag, comm,
+                              mpi_name="MPI_Start")
+        if dest != PROC_NULL and proc.config.device is Device.CH4:
+            op.plan = proc.device._send_facts(op, None)
 
     @fastpath
     def _launch(self) -> Request:
         proc, comm = self.comm.proc, self.comm
-        request = proc.request_pool.acquire(RequestKind.SEND)
-        if self.is_null:
+        if self.op.dest == PROC_NULL:
+            request = proc.request_pool.acquire(RequestKind.SEND)
             request.complete(proc.vclock.now)
             return request
         proc.charge(proc.plan("start", _charge_start))
         if proc.config.device is Device.CH4:
-            payload = pack(self.buf, self.count, self.dtref.datatype,
-                           proc.device.copy_sends)
-            request._keepalive = payload
-            if proc.sanitizer is not None:
-                proc.sanitizer.note_send(
-                    request, self.dest_world, False, payload,
-                    (self.buf, self.count, self.dtref.datatype))
-            result = self.transport.issue(len(payload), self.native)
-            proc.deliver(self.dest_world,
-                         Message(env=self.env, data=payload,
-                                 arrive_s=result.arrive_s))
-            request.complete(result.complete_s)
-        else:
-            op = SendOp(buf=self.buf, count=self.count,
-                        dtref=self.dtref, dest=self.dest,
-                        tag=self.tag, comm=comm,
-                        mpi_name="MPI_Start")
-            inner = proc.device.isend(op)
-            inner.wait()
-            request.complete(inner.complete_s)
-            proc.request_pool.release(inner)
+            # Eager or rendezvous, VCI lane, fault wrapping, parked
+            # completion: whatever an MPI_ISEND of this size gets.
+            return comm._ft_isend(self.op)
+        request = proc.request_pool.acquire(RequestKind.SEND)
+        inner = proc.device.isend(self.op)
+        inner.wait()
+        request.complete(inner.complete_s)
+        proc.request_pool.release(inner)
         return request
 
 
@@ -153,24 +138,21 @@ class PersistentRecv(PersistentRequest):
             if proc.config.error_checking:
                 validate_args(proc, c.isend_error, check_recv(
                     comm, count, dtref, source, tag))
-        self.buf, self.count, self.dtref = data, count, dtref
-        self.source, self.tag = source, tag
+        self.op = RecvOp(data, count, dtref, source, tag, comm,
+                         mpi_name="MPI_Start")
 
     @fastpath
     def _launch(self) -> Request:
-        proc, comm = self.comm.proc, self.comm
-        if self.source == PROC_NULL:
+        proc = self.comm.proc
+        if self.op.source == PROC_NULL:
             request = proc.request_pool.acquire(RequestKind.RECV)
             request.complete(proc.vclock.now, source=PROC_NULL, tag=-1)
             return request
         proc.charge(proc.plan("start", _charge_start))
-        op = RecvOp(buf=self.buf, count=self.count, dtref=self.dtref,
-                    source=self.source, tag=self.tag, comm=comm,
-                    mpi_name="MPI_Start")
         if proc.config.device is Device.CH4:
             return proc.device.post_recv(
-                op, proc.request_pool.acquire(RequestKind.RECV))
-        return proc.device.irecv(op)
+                self.op, proc.request_pool.acquire(RequestKind.RECV))
+        return proc.device.irecv(self.op)
 
 
 def startall(requests: list[PersistentRequest]) -> list[Request]:

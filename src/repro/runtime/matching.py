@@ -12,6 +12,13 @@ the owning rank posts receives and probes under the same lock.  Queue
 order is arrival order, which preserves MPI's non-overtaking guarantee
 because each sender deposits in program order.
 
+There is one descriptor per side and it *is* the queue element: a
+posted receive is its :class:`PostedRecv` (match fields, landing
+fields, queue stamp), an unexpected message its
+:class:`~repro.runtime.message.Message`.  Nothing wraps either, and a
+queued receive's :class:`Request` points back at its descriptor —
+which is all ``cancel_posted`` needs.
+
 Two implementations share that contract:
 
 * :class:`LinearMatchingEngine` — the seed's O(n) list scans, kept as
@@ -35,8 +42,9 @@ only in real-Python wall-clock behaviour.
 
 from __future__ import annotations
 
+import itertools
 import threading
-from collections import deque
+from collections import defaultdict, deque
 from typing import Callable, Optional
 
 from repro.consts import ANY_SOURCE, ANY_TAG
@@ -47,20 +55,32 @@ from repro.runtime.request import Request
 
 
 class PostedRecv:
-    """A receive waiting for its message.
+    """The one receive descriptor: what a receive matches on, where its
+    message lands, and — once posted — its place in the queues (it is
+    the bucket-deque / wildcard-list element itself).
 
-    ``on_match`` runs in the *depositing* thread with the matched
-    message; it unpacks into the user buffer and completes ``request``.
-    ``concrete`` is True when the receive names an exact (src, tag) —
-    the O(1) bucketed path; wildcards take the ordered-scan fallback.
+    A match runs ``land(posted, msg)`` on the *depositing* thread:
+    the devices pass the one landing function
+    (:func:`repro.core.ch4.land_recv`), which unpacks into ``buf`` /
+    ``count`` / ``datatype`` and completes ``request``; a descriptor
+    built with an ``on_match(msg)`` hook instead (engine-level
+    callers: the property tests, the probes) lands by running the
+    hook.  ``concrete`` is True when the receive names an exact
+    (src, tag) — the O(1) bucketed path; wildcards take the
+    ordered-scan fallback.  ``seq`` (post order), ``removed`` (lazy
+    deletion: matched or cancelled) and, in the sharded engine's
+    wildcard registry, ``armed`` are the engine's, written under its
+    locks.
     """
 
     __slots__ = ("ctx", "src", "tag", "nomatch", "request", "on_match",
-                 "concrete")
+                 "concrete", "buf", "count", "datatype", "land", "seq",
+                 "removed", "armed")
 
     def __init__(self, ctx: int, src: int, tag: int, nomatch: bool,
-                 request: Optional[Request],
-                 on_match: Callable[[Message], None]):
+                 request: Optional[Request] = None,
+                 on_match: Optional[Callable[[Message], None]] = None,
+                 buf=None, count: int = 0, datatype=None, land=None):
         self.ctx = ctx
         self.src = src
         self.tag = tag
@@ -68,6 +88,11 @@ class PostedRecv:
         self.request = request
         self.on_match = on_match
         self.concrete = src != ANY_SOURCE and tag != ANY_TAG
+        self.buf = buf
+        self.count = count
+        self.datatype = datatype
+        self.land = land if on_match is None else _run_hook
+        self.removed = False
 
     def matches(self, env: Envelope) -> bool:
         """MPI-3.1 matching rule (or arrival-order rule when nomatch)."""
@@ -82,11 +107,18 @@ class PostedRecv:
         return True
 
 
+def _run_hook(posted: PostedRecv, msg: Message) -> None:
+    posted.on_match(msg)
+
+
 class _MatchingEngineBase:
     """Shared lock, counters, sync-send handshake, and probe loop."""
 
     #: Race-detector label of ``_lock`` (shards override to "shard").
     _LOCK_KIND = "engine"
+    #: Monotone counters for introspection and tests (the sharded
+    #: engine reads them as sums over its shards).
+    n_deposited = n_matched_posted = n_matched_unexpected = 0
 
     def __init__(self, rank: int, tsan=None):
         self.rank = rank
@@ -95,7 +127,7 @@ class _MatchingEngineBase:
         #: present, the engine lock is detector-instrumented and the
         #: queue mutations below are annotated accesses.
         self.tsan = tsan
-        #: The engine lock — reentrant (``on_match`` -> ``complete`` ->
+        #: The engine lock — reentrant (landing -> ``complete`` ->
         #: a continuation may post on this engine again) and entered
         #: at C level on every ``post``/``deposit``.
         if tsan is not None:
@@ -111,10 +143,6 @@ class _MatchingEngineBase:
         #: Threads blocked in :meth:`probe`: a deposit wakes the
         #: condition only when somebody is there to hear it.
         self._probers = 0
-        #: Monotone counters for introspection and tests.
-        self.n_deposited = 0
-        self.n_matched_posted = 0
-        self.n_matched_unexpected = 0
 
     def _note_mq_access(self) -> None:
         """Annotate one matching-queue mutation (callers hold
@@ -148,10 +176,8 @@ class _MatchingEngineBase:
                nomatch: bool = False) -> Optional[tuple[Envelope, int]]:
         """Nonblocking probe: ``(envelope, nbytes)`` of the first
         matching unexpected message, or None."""
-        probe = PostedRecv(ctx=ctx, src=src, tag=tag, nomatch=nomatch,
-                           request=None, on_match=lambda m: None)
         with self._lock:
-            return self._find_unexpected(probe)
+            return self._find_unexpected(PostedRecv(ctx, src, tag, nomatch))
 
     def probe(self, ctx: int, src: int, tag: int, nomatch: bool = False,
               abort_event: threading.Event | None = None
@@ -165,8 +191,7 @@ class _MatchingEngineBase:
         expired is gone (plain-Event abort flags are bridged by the
         foreign-event watcher, so no slice polling remains anywhere).
         """
-        probe = PostedRecv(ctx=ctx, src=src, tag=tag, nomatch=nomatch,
-                           request=None, on_match=lambda m: None)
+        probe = PostedRecv(ctx, src, tag, nomatch)
         listening = (abort_event is not None
                      and add_abort_listener(abort_event, self._abort_wake))
         try:
@@ -194,7 +219,8 @@ class LinearMatchingEngine(_MatchingEngineBase):
 
     Kept as the executable reference the bucketed and sharded engines
     are verified against (``tests/test_matching_properties.py``); only
-    tests construct it.
+    tests construct it.  ``deposit`` / ``post`` / ``cancel_posted``
+    keep :class:`BucketMatchingEngine`'s contract.
     """
 
     name = "linear"
@@ -207,13 +233,7 @@ class LinearMatchingEngine(_MatchingEngineBase):
     # -- sender side --------------------------------------------------------
 
     def deposit(self, msg: Message) -> None:
-        """Deliver *msg*: match a posted receive or queue as unexpected.
-
-        Runs in the sender's thread; the matched receive's ``on_match``
-        callback (buffer unpack + request completion) therefore also
-        runs here, mirroring how a real netmod completes a receive from
-        its progress context.
-        """
+        """Deliver *msg*: match a posted receive or queue as unexpected."""
         with self._lock:
             self._note_mq_access()
             self.n_deposited += 1
@@ -221,7 +241,7 @@ class LinearMatchingEngine(_MatchingEngineBase):
                 if posted.matches(msg.env):
                     del self._posted[i]
                     self.n_matched_posted += 1
-                    posted.on_match(msg)
+                    posted.land(posted, msg)
                     self._fire_sync(msg, msg.arrive_s)
                     return
             # Unmatched: the message outlives the sender's call, so a
@@ -236,19 +256,15 @@ class LinearMatchingEngine(_MatchingEngineBase):
     # -- receiver side -------------------------------------------------------
 
     def post(self, posted: PostedRecv, now_s: float = 0.0) -> None:
-        """Post a receive: match the oldest unexpected message first
-        (MPI requires unexpected-queue order), else enqueue.
-
-        *now_s* is the posting rank's virtual time, used as the match
-        time of any synchronous sender found in the unexpected queue.
-        """
+        """Post a receive: match the oldest unexpected message first,
+        else enqueue."""
         with self._lock:
             self._note_mq_access()
             for i, msg in enumerate(self._unexpected):
                 if posted.matches(msg.env):
                     del self._unexpected[i]
                     self.n_matched_unexpected += 1
-                    posted.on_match(msg)
+                    posted.land(posted, msg)
                     self._fire_sync(msg, max(now_s, msg.arrive_s))
                     return
             self._posted.append(posted)
@@ -278,29 +294,6 @@ class LinearMatchingEngine(_MatchingEngineBase):
             return len(self._posted), len(self._unexpected)
 
 
-class _PostedEntry:
-    """One enqueued receive: sequence-stamped, lazily removable."""
-
-    __slots__ = ("seq", "posted", "removed", "wild")
-
-    def __init__(self, seq: int, posted: PostedRecv, wild: bool):
-        self.seq = seq
-        self.posted = posted
-        self.removed = False
-        self.wild = wild
-
-
-class _UxEntry:
-    """One unexpected message: sequence-stamped, lazily removable."""
-
-    __slots__ = ("seq", "msg", "removed")
-
-    def __init__(self, seq: int, msg: Message):
-        self.seq = seq
-        self.msg = msg
-        self.removed = False
-
-
 #: Lazy-deletion compaction threshold for the ordered fallback lists.
 _PRUNE_MIN = 32
 
@@ -309,40 +302,40 @@ class BucketMatchingEngine(_MatchingEngineBase):
     """MPICH-style bucketed queues: O(1) matching for concrete
     (ctx, src, tag) traffic, ordered-scan fallback for wildcards.
 
-    Every posted receive and unexpected message carries a per-engine
-    monotone sequence number.  Concrete entries live in FIFO deques
+    One per-engine monotone counter stamps every posted receive
+    (``seq``) and unexpected message (``order``); either is deleted
+    lazily through ``removed``.  Concrete entries live in FIFO deques
     hashed on their full match key; wildcard receives (and the global
     arrival-order view of unexpected messages that they scan) live in
-    ordered lists with lazy deletion.  A match always takes the
-    lowest-sequence candidate across both structures, which reproduces
-    the linear engine's first-match-in-order semantics exactly.
-    Nomatch (§3.6) traffic is bucketed per context — arrival-order
-    matching is a single deque operation.
+    ordered lists.  A match always takes the lowest-stamped candidate
+    across both structures, which reproduces the linear engine's
+    first-match-in-order semantics exactly.  Nomatch (§3.6) traffic is
+    bucketed per context — arrival-order matching is a single deque
+    operation.
     """
 
     name = "bucket"
 
     def __init__(self, rank: int, tsan=None):
         super().__init__(rank, tsan)
-        self._seq = 0
-        # Posted receives.
+        #: Stamps post and arrival order (shards share their rank's).
+        self._seq = itertools.count(1)
+        # Posted receives.  A bucket is made by the append that misses
+        # it (readers use ``.get``) and deleted by whoever empties it.
         self._posted_exact: dict[tuple[int, int, int],
-                                 deque[_PostedEntry]] = {}
-        self._posted_wild: list[_PostedEntry] = []
+                                 deque[PostedRecv]] = defaultdict(deque)
+        self._posted_wild: list[PostedRecv] = []
         self._posted_wild_removed = 0
-        self._posted_nomatch: dict[int, deque[_PostedEntry]] = {}
-        self._posted_by_req: dict[Request, _PostedEntry] = {}
+        self._posted_nomatch: dict[int, deque[PostedRecv]] = \
+            defaultdict(deque)
         self._n_posted = 0
         # Unexpected messages.
-        self._ux_exact: dict[tuple[int, int, int], deque[_UxEntry]] = {}
-        self._ux_all: list[_UxEntry] = []
+        self._ux_exact: dict[tuple[int, int, int],
+                             deque[Message]] = defaultdict(deque)
+        self._ux_all: list[Message] = []
         self._ux_all_removed = 0
-        self._ux_nomatch: dict[int, deque[_UxEntry]] = {}
+        self._ux_nomatch: dict[int, deque[Message]] = defaultdict(deque)
         self._n_ux = 0
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     @staticmethod
     def _bucket_head(q: Optional[deque]):
@@ -358,10 +351,10 @@ class BucketMatchingEngine(_MatchingEngineBase):
     def deposit(self, msg: Message) -> None:
         """Deliver *msg*: match a posted receive or queue as unexpected.
 
-        Runs in the sender's thread; the matched receive's ``on_match``
-        callback (buffer unpack + request completion) therefore also
-        runs here, mirroring how a real netmod completes a receive from
-        its progress context.
+        Runs in the sender's thread; the matched receive's landing
+        (buffer unpack + request completion) therefore also runs here,
+        mirroring how a real netmod completes a receive from its
+        progress context.
         """
         with self._lock:
             if self.tsan is not None:
@@ -370,7 +363,7 @@ class BucketMatchingEngine(_MatchingEngineBase):
             posted = self._take_posted_match(msg.env)
             if posted is not None:
                 self.n_matched_posted += 1
-                posted.on_match(msg)
+                posted.land(posted, msg)
                 if msg.sync is not None:
                     self._fire_sync(msg, msg.arrive_s)
                 return
@@ -382,8 +375,8 @@ class BucketMatchingEngine(_MatchingEngineBase):
         """Pop the first-posted receive matching *env* (lock held)."""
         if env.nomatch:
             q = self._posted_nomatch.get(env.ctx)
-            entry = self._bucket_head(q)
-            if entry is None:
+            posted = self._bucket_head(q)
+            if posted is None:
                 return None
             q.popleft()
         else:
@@ -391,31 +384,33 @@ class BucketMatchingEngine(_MatchingEngineBase):
             exact_q = self._posted_exact.get(key)
             exact = self._bucket_head(exact_q)
             wild = None
-            for e in self._posted_wild:
-                if not e.removed and e.posted.matches(env):
-                    wild = e
+            for p in self._posted_wild:
+                if not p.removed and p.matches(env):
+                    wild = p
                     break
             if exact is not None and (wild is None or exact.seq < wild.seq):
-                entry = exact
+                posted = exact
                 exact_q.popleft()
                 if not exact_q:
                     del self._posted_exact[key]
             elif wild is not None:
-                entry = wild
+                posted = wild
                 self._posted_wild_removed += 1
                 self._maybe_prune_wild()
             else:
                 return None
-        entry.removed = True
+        posted.removed = True
         self._n_posted -= 1
-        self._posted_by_req.pop(entry.posted.request, None)
-        return entry.posted
+        request = posted.request
+        if request is not None:
+            request._posted = None   # the way back ends here
+        return posted
 
     def _maybe_prune_wild(self) -> None:
         if (self._posted_wild_removed > _PRUNE_MIN
                 and self._posted_wild_removed * 2 > len(self._posted_wild)):
-            self._posted_wild = [e for e in self._posted_wild
-                                 if not e.removed]
+            self._posted_wild = [p for p in self._posted_wild
+                                 if not p.removed]
             self._posted_wild_removed = 0
 
     def _add_unexpected(self, msg: Message) -> None:
@@ -423,14 +418,14 @@ class BucketMatchingEngine(_MatchingEngineBase):
         # a zero-copy payload view into owned bytes (MPI permits buffer
         # reuse once the send completes).  VCI shards inherit this.
         msg.own_data()
-        entry = _UxEntry(self._next_seq(), msg)
+        msg.order = next(self._seq)
+        msg.removed = False
         env = msg.env
         if env.nomatch:
-            self._ux_nomatch.setdefault(env.ctx, deque()).append(entry)
+            self._ux_nomatch[env.ctx].append(msg)
         else:
-            key = (env.ctx, env.src, env.tag)
-            self._ux_exact.setdefault(key, deque()).append(entry)
-            self._ux_all.append(entry)
+            self._ux_exact[env.ctx, env.src, env.tag].append(msg)
+            self._ux_all.append(msg)
         self._n_ux += 1
 
     # -- receiver side -------------------------------------------------------
@@ -448,7 +443,7 @@ class BucketMatchingEngine(_MatchingEngineBase):
             msg = self._take_unexpected_match(posted)
             if msg is not None:
                 self.n_matched_unexpected += 1
-                posted.on_match(msg)
+                posted.land(posted, msg)
                 if msg.sync is not None:
                     self._fire_sync(msg, max(now_s, msg.arrive_s))
                 return
@@ -459,15 +454,15 @@ class BucketMatchingEngine(_MatchingEngineBase):
         """Pop the earliest-arrived matching message (lock held)."""
         if posted.nomatch:
             q = self._ux_nomatch.get(posted.ctx)
-            entry = self._bucket_head(q)
-            if entry is None:
+            msg = self._bucket_head(q)
+            if msg is None:
                 return None
             q.popleft()
         elif posted.concrete:
             key = (posted.ctx, posted.src, posted.tag)
             q = self._ux_exact.get(key)
-            entry = self._bucket_head(q)
-            if entry is None:
+            msg = self._bucket_head(q)
+            if msg is None:
                 return None
             q.popleft()
             if not q:
@@ -475,68 +470,70 @@ class BucketMatchingEngine(_MatchingEngineBase):
             self._ux_all_removed += 1
             self._maybe_prune_ux_all()
         else:
-            entry = None
-            for e in self._ux_all:
-                if not e.removed and posted.matches(e.msg.env):
-                    entry = e
-                    break
-            if entry is None:
+            msg = self._peek_wild_ux(posted)
+            if msg is None:
                 return None
             self._ux_all_removed += 1
             self._maybe_prune_ux_all()
-        entry.removed = True
+        msg.removed = True
         self._n_ux -= 1
-        return entry.msg
+        return msg
+
+    def _peek_wild_ux(self, posted: PostedRecv) -> Optional[Message]:
+        """Earliest-arrived message matching a wildcard *posted*,
+        without consuming it (lock held; ordered scan)."""
+        for msg in self._ux_all:
+            if not msg.removed and posted.matches(msg.env):
+                return msg
+        return None
 
     def _maybe_prune_ux_all(self) -> None:
         if (self._ux_all_removed > _PRUNE_MIN
                 and self._ux_all_removed * 2 > len(self._ux_all)):
-            self._ux_all = [e for e in self._ux_all if not e.removed]
+            self._ux_all = [m for m in self._ux_all if not m.removed]
             self._ux_all_removed = 0
 
     def _enqueue_posted(self, posted: PostedRecv) -> None:
-        wild = not posted.nomatch and not posted.concrete
-        entry = _PostedEntry(self._next_seq(), posted, wild)
+        posted.seq = next(self._seq)
         if posted.nomatch:
-            self._posted_nomatch.setdefault(posted.ctx,
-                                            deque()).append(entry)
-        elif wild:
-            self._posted_wild.append(entry)
+            self._posted_nomatch[posted.ctx].append(posted)
+        elif posted.concrete:
+            self._posted_exact[posted.ctx, posted.src,
+                               posted.tag].append(posted)
         else:
-            key = (posted.ctx, posted.src, posted.tag)
-            self._posted_exact.setdefault(key, deque()).append(entry)
+            self._posted_wild.append(posted)
         if posted.request is not None:
-            self._posted_by_req[posted.request] = entry
+            posted.request._posted = posted
         self._n_posted += 1
 
     def _find_unexpected(self, probe: PostedRecv
                          ) -> Optional[tuple[Envelope, int]]:
         if probe.nomatch:
-            entry = self._bucket_head(self._ux_nomatch.get(probe.ctx))
+            msg = self._bucket_head(self._ux_nomatch.get(probe.ctx))
         elif probe.concrete:
             key = (probe.ctx, probe.src, probe.tag)
-            entry = self._bucket_head(self._ux_exact.get(key))
+            msg = self._bucket_head(self._ux_exact.get(key))
         else:
-            entry = next((e for e in self._ux_all
-                          if not e.removed and probe.matches(e.msg.env)),
-                         None)
-        if entry is None:
+            msg = self._peek_wild_ux(probe)
+        if msg is None:
             return None
-        return entry.msg.env, entry.msg.nbytes
+        return msg.env, msg.nbytes
 
     def cancel_posted(self, request: Request) -> bool:
         """Remove the posted receive owning *request*; True on success.
 
-        O(1) through the request index (the linear engine scans)."""
+        O(1) through the request's back-pointer (the linear engine
+        scans)."""
         with self._lock:
-            entry = self._posted_by_req.pop(request, None)
-            if entry is None or entry.removed:
+            posted = request._posted
+            if posted is None:
                 return False
-            entry.removed = True
-            if entry.wild:
+            posted.removed = True
+            self._n_posted -= 1
+            request._posted = None
+            if not posted.nomatch and not posted.concrete:
                 self._posted_wild_removed += 1
                 self._maybe_prune_wild()
-            self._n_posted -= 1
             request.cancel()
             return True
 

@@ -52,10 +52,15 @@ class Message:
         core handler to run at the target (e.g. ``"put"``).
     am_args:
         Arguments for the AM handler.
+    order, removed:
+        The matching engine's: a message that found no posted receive
+        is itself the unexpected-queue element, stamped on the way in
+        with the engine's arrival order and a lazy-deletion mark
+        (unset until then; ``seq`` is the application-visible number).
     """
 
     __slots__ = ("env", "data", "arrive_s", "sync", "seq", "am_handler",
-                 "am_args")
+                 "am_args", "order", "removed")
 
     def __init__(self, env: Envelope, data: "bytes | memoryview",
                  arrive_s: float, sync: "object | None" = None,

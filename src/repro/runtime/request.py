@@ -64,7 +64,7 @@ class Request:
     __slots__ = ("kind", "_complete", "_abort", "_lock", "_parked",
                  "_waiters", "_flushing", "_epoch", "_tsan_key", "_hooked",
                  "complete_s", "source", "tag", "count_bytes", "error",
-                 "cancelled", "_proc", "payload", "_keepalive")
+                 "cancelled", "_proc", "payload", "_keepalive", "_posted")
 
     #: Serial numbers for detector annotation keys.  ``id(self)`` is
     #: NOT usable as a key: CPython reuses addresses, so a dead
@@ -120,6 +120,10 @@ class Request:
         #: GPAW C-layer idiom of keeping a reference on the request
         #: instead of copying.  Checked statically by bufcheck BC503.
         self._keepalive: "object | None" = None
+        #: A receive's descriptor while it sits in a matching queue:
+        #: the engine's, written under the engine lock on enqueue,
+        #: match and cancel — what ``cancel_posted`` finds it by.
+        self._posted = None
 
     # -- completion-side API (called by whichever thread finishes the op)
 
@@ -432,7 +436,7 @@ class Request:
             self.error = None
             self.cancelled = False
             self.payload = None
-            self._keepalive = None
+            self._keepalive = self._posted = None
 
 
 class RequestPool:

@@ -43,10 +43,10 @@ one shard under one shard lock.  ``MPI_ANY_SOURCE``/``MPI_ANY_TAG``
 receives can match traffic on *every* shard, and are handled by a
 rank-level wildcard registry:
 
-1. **Register.** The posting thread appends a record (global sequence
-   number, state *registered*) to the registry under ``_wild_lock``
-   and snapshots the deposit epoch.  Deposits ignore *registered*
-   (unarmed) records.
+1. **Register.** The posting thread stamps the receive with a global
+   sequence number, appends it — the descriptor itself, *unarmed* —
+   to the registry under ``_wild_lock`` and snapshots the deposit
+   epoch.  Deposits ignore unarmed records.
 2. **Scan.** It then scans every shard — one shard lock at a time,
    never two — for the minimum-sequence matching unexpected message.
 3. **Consume.** If the scan found one, it re-locks the winning shard,
@@ -194,20 +194,6 @@ class VCIMap:
         return ((client_id * _MIX_PEER) >> 8) % self.num_vcis
 
 
-class _WildRecord:
-    """One wildcard receive in the rank-level registry."""
-
-    __slots__ = ("seq", "posted", "armed", "claimed")
-
-    def __init__(self, seq: int, posted: PostedRecv):
-        self.seq = seq
-        self.posted = posted
-        #: Deposits may only match an *armed* record (step 4 above).
-        self.armed = False
-        #: Claimed records are spoken for (matched or cancelled).
-        self.claimed = False
-
-
 class _ShardEngine(BucketMatchingEngine):
     """One VCI's matching shard.
 
@@ -225,22 +211,20 @@ class _ShardEngine(BucketMatchingEngine):
         super().__init__(rank, tsan)
         self._owner = owner
         self._vci = vci
-
-    def _next_seq(self) -> int:
         # next() on itertools.count is atomic under CPython's GIL.
-        return next(self._owner._seq_counter)
+        self._seq = owner._seq_counter
 
     # -- posted-queue peek/pop (deposit-side arbitration) ------------------
 
-    def _peek_posted(self, env: Envelope):
-        """Head posted entry for *env*'s bucket, or None (lock held)."""
+    def _peek_posted(self, env: Envelope) -> Optional[PostedRecv]:
+        """Head posted receive of *env*'s bucket, or None (lock held)."""
         if env.nomatch:
             return self._bucket_head(self._posted_nomatch.get(env.ctx))
         key = (env.ctx, env.src, env.tag)
         return self._bucket_head(self._posted_exact.get(key))
 
-    def _pop_posted(self, env: Envelope, entry) -> None:
-        """Consume *entry*, previously peeked for *env* (lock held)."""
+    def _pop_posted(self, env: Envelope, posted: PostedRecv) -> None:
+        """Consume *posted*, previously peeked for *env* (lock held)."""
         if env.nomatch:
             self._posted_nomatch[env.ctx].popleft()
         else:
@@ -249,9 +233,10 @@ class _ShardEngine(BucketMatchingEngine):
             q.popleft()
             if not q:
                 del self._posted_exact[key]
-        entry.removed = True
+        posted.removed = True
         self._n_posted -= 1
-        self._posted_by_req.pop(entry.posted.request, None)
+        if posted.request is not None:
+            posted.request._posted = None
 
     # -- sender side -------------------------------------------------------
 
@@ -272,29 +257,23 @@ class _ShardEngine(BucketMatchingEngine):
             self._note_mq_access()
             self.n_deposited += 1
             env = msg.env
-            entry = self._peek_posted(env)
-            wild_posted = None
+            posted = self._peek_posted(env)
+            wild = None
             if not env.nomatch and owner._n_wild:
                 with owner._wild_lock:
                     owner._note_wild_access()
                     rec = owner._min_armed_match(env)
-                    if rec is not None and (entry is None
-                                            or rec.seq < entry.seq):
-                        rec.claimed = True
-                        owner._discard_wild_locked()
-                        wild_posted = rec.posted
-            if wild_posted is not None:
+                    if rec is not None and (posted is None
+                                            or rec.seq < posted.seq):
+                        owner._claim_wild(rec)
+                        wild = rec
+            if wild is not None:
+                posted = wild
+            elif posted is not None:
+                self._pop_posted(env, posted)
+            if posted is not None:
                 self.n_matched_posted += 1
-                wild_posted.on_match(msg)
-                self._vci.completion.note("recv", msg.arrive_s)
-                self._fire_sync(msg, msg.arrive_s)
-                if self._probers:
-                    self._cond.notify_all()
-                return
-            if entry is not None:
-                self._pop_posted(env, entry)
-                self.n_matched_posted += 1
-                entry.posted.on_match(msg)
+                posted.land(posted, msg)
                 self._vci.completion.note("recv", msg.arrive_s)
                 self._fire_sync(msg, msg.arrive_s)
                 if self._probers:
@@ -321,17 +300,9 @@ class _ShardEngine(BucketMatchingEngine):
 
     # -- wildcard-post support (called by the owner) -----------------------
 
-    def _peek_wild_ux(self, posted: PostedRecv):
-        """Earliest matching unexpected entry, without consuming it
-        (lock held; ordered-scan like the base wildcard path)."""
-        for e in self._ux_all:
-            if not e.removed and posted.matches(e.msg.env):
-                return e
-        return None
-
-    def _consume_ux_entry(self, entry) -> None:
-        """Consume a previously peeked unexpected entry (lock held)."""
-        entry.removed = True
+    def _consume_ux(self, msg: Message) -> None:
+        """Consume a previously peeked unexpected message (lock held)."""
+        msg.removed = True
         self._n_ux -= 1
         self._ux_all_removed += 1
         self._maybe_prune_ux_all()
@@ -363,9 +334,9 @@ class VCIShardedEngine(_MatchingEngineBase):
         #: stream's lock and its matching shard are one VCI.
         self.vci_map = vci_map
         self.vcis = [VCI(i, tsan=tsan) for i in range(vci_map.num_vcis)]
+        self._seq_counter = itertools.count(1)
         self._shards = [_ShardEngine(rank, self, vci, tsan=tsan)
                         for vci in self.vcis]
-        self._seq_counter = itertools.count(1)
         #: Rank-level wildcard registry; deliberately *not* named
         #: ``.lock`` — it is outside the FP303 per-VCI lock family and
         #: only ever nests inside a shard lock (see module docstring).
@@ -374,7 +345,7 @@ class VCIShardedEngine(_MatchingEngineBase):
                 tsan.make_lock("wild", f"wild{rank}"))
         else:
             self._wild_lock = threading.Condition()
-        self._wild: list[_WildRecord] = []
+        self._wild: list[PostedRecv] = []
         self._wild_removed = 0
         self._n_wild = 0
         self._ux_epoch = 0
@@ -388,28 +359,15 @@ class VCIShardedEngine(_MatchingEngineBase):
         """Messages deposited, summed across all shards."""
         return sum(s.n_deposited for s in self._shards)
 
-    @n_deposited.setter
-    def n_deposited(self, value: int) -> None:
-        """No-op: the base ``__init__`` zeroes counters, but shards own
-        the real state."""
-
     @property
     def n_matched_posted(self) -> int:                # type: ignore[override]
         """Deposits matched against posted receives, across shards."""
         return sum(s.n_matched_posted for s in self._shards)
 
-    @n_matched_posted.setter
-    def n_matched_posted(self, value: int) -> None:
-        """No-op: shards own the real counter state."""
-
     @property
     def n_matched_unexpected(self) -> int:            # type: ignore[override]
         """Receives matched from unexpected queues, across shards."""
         return sum(s.n_matched_unexpected for s in self._shards)
-
-    @n_matched_unexpected.setter
-    def n_matched_unexpected(self, value: int) -> None:
-        """No-op: shards own the real counter state."""
 
     # -- routing -----------------------------------------------------------
 
@@ -420,31 +378,27 @@ class VCIShardedEngine(_MatchingEngineBase):
             return self.vci_map.nomatch_index(ctx)
         return self.vci_map.index_for(ctx, peer, tag)
 
-    def _shard_for_env(self, env: Envelope) -> _ShardEngine:
-        return self._shards[self.shard_index_for(env.ctx, env.src, env.tag,
-                                                 env.nomatch)]
+    def _shard_for(self, key) -> _ShardEngine:
+        """The shard owning *key*'s stream — an :class:`Envelope`, or a
+        concrete / nomatch :class:`PostedRecv` (same four fields)."""
+        return self._shards[self.shard_index_for(key.ctx, key.src, key.tag,
+                                                 key.nomatch)]
 
     # -- sender side -------------------------------------------------------
 
     def deposit(self, msg: Message) -> None:
         """Deliver *msg* to its owning shard (envelope-hashed)."""
-        self._shard_for_env(msg.env).deposit(msg)
+        self._shard_for(msg.env).deposit(msg)
 
     # -- receiver side -----------------------------------------------------
 
     def post(self, posted: PostedRecv, now_s: float = 0.0) -> None:
         """Post a receive: concrete/nomatch posts go to their shard;
         wildcards take the registry discipline."""
-        if posted.nomatch:
-            shard = self._shards[self.vci_map.nomatch_index(posted.ctx)]
-            shard.post(posted, now_s)
-            return
-        if posted.concrete:
-            shard = self._shards[self.vci_map.index_for(
-                posted.ctx, posted.src, posted.tag)]
-            shard.post(posted, now_s)
-            return
-        self._post_wildcard(posted, now_s)
+        if posted.nomatch or posted.concrete:
+            self._shard_for(posted).post(posted, now_s)
+        else:
+            self._post_wildcard(posted, now_s)
 
     def _note_wild_access(self) -> None:
         """Annotate one wildcard-registry mutation (callers hold
@@ -456,10 +410,12 @@ class VCIShardedEngine(_MatchingEngineBase):
 
     def _post_wildcard(self, posted: PostedRecv, now_s: float) -> None:
         """Register -> scan -> consume-or-arm (module docstring)."""
-        rec = _WildRecord(next(self._seq_counter), posted)
+        posted.seq = next(self._seq_counter)
+        #: Deposits may only match an *armed* record (step 4).
+        posted.armed = False
         with self._wild_lock:
             self._note_wild_access()
-            self._wild.append(rec)
+            self._wild.append(posted)
             self._n_wild += 1
             epoch = self._ux_epoch
         while True:
@@ -467,62 +423,65 @@ class VCIShardedEngine(_MatchingEngineBase):
             best_shard = None
             for shard in self._shards:
                 with shard._lock:
-                    e = shard._peek_wild_ux(posted)
-                if e is not None and (best is None or e.seq < best.seq):
-                    best = e
+                    msg = shard._peek_wild_ux(posted)
+                if msg is not None and (best is None
+                                        or msg.order < best.order):
+                    best = msg
                     best_shard = shard
             if best is not None:
                 claimed = False
                 with best_shard._lock:
                     with self._wild_lock:
                         self._note_wild_access()
-                        if rec.claimed:
+                        if posted.removed:
                             return  # lost to a concurrent cancel
                         if not best.removed:
-                            rec.claimed = True
-                            self._discard_wild_locked()
+                            self._claim_wild(posted)
                             claimed = True
                     if claimed:
-                        best_shard._consume_ux_entry(best)
-                        msg = best.msg
-                        posted.on_match(msg)
-                        best_shard._vci.completion.note("recv", msg.arrive_s)
-                        best_shard._fire_sync(msg, max(now_s, msg.arrive_s))
+                        best_shard._consume_ux(best)
+                        posted.land(posted, best)
+                        best_shard._vci.completion.note("recv",
+                                                        best.arrive_s)
+                        best_shard._fire_sync(best,
+                                              max(now_s, best.arrive_s))
                         return
                 # The entry was consumed between scan and claim; rescan.
                 with self._wild_lock:
-                    if rec.claimed:
+                    if posted.removed:
                         return
                     self.n_wild_rescans += 1
                     epoch = self._ux_epoch
                 continue
             with self._wild_lock:
-                if rec.claimed:
+                if posted.removed:
                     return
                 if self._ux_epoch == epoch:
-                    rec.armed = True
+                    posted.armed = True
                     return
                 self.n_wild_rescans += 1
                 epoch = self._ux_epoch
 
     # -- wildcard registry (all under _wild_lock) --------------------------
 
-    def _min_armed_match(self, env: Envelope) -> Optional[_WildRecord]:
-        """First (lowest-sequence) armed unclaimed record matching
-        *env*; the registry list is append-ordered, hence seq-ordered.
+    def _min_armed_match(self, env: Envelope) -> Optional[PostedRecv]:
+        """First (lowest-sequence) armed live wildcard matching *env*;
+        the registry list is append-ordered, hence seq-ordered.
         Called under ``_wild_lock``."""
-        for rec in self._wild:
-            if not rec.claimed and rec.armed and rec.posted.matches(env):
-                return rec
+        for posted in self._wild:
+            if not posted.removed and posted.armed and posted.matches(env):
+                return posted
         return None
 
-    def _discard_wild_locked(self) -> None:
-        """Bookkeeping after claiming a record (``_wild_lock`` held)."""
+    def _claim_wild(self, posted: PostedRecv) -> None:
+        """*posted* is spoken for, matched or cancelled: retire it from
+        the registry (``_wild_lock`` held)."""
+        posted.removed = True
         self._n_wild -= 1
         self._wild_removed += 1
         if (self._wild_removed > _WILD_PRUNE_MIN
                 and self._wild_removed * 2 > len(self._wild)):
-            self._wild = [r for r in self._wild if not r.claimed]
+            self._wild = [p for p in self._wild if not p.removed]
             self._wild_removed = 0
 
     # -- probe -------------------------------------------------------------
@@ -530,31 +489,22 @@ class VCIShardedEngine(_MatchingEngineBase):
     def _scan_probe(self, probe: PostedRecv):
         """One sweep over the relevant shards; shard locks taken one at
         a time."""
-        if probe.nomatch:
-            shard = self._shards[self.vci_map.nomatch_index(probe.ctx)]
-            with shard._lock:
-                return shard._find_unexpected(probe)
-        if probe.concrete:
-            shard = self._shards[self.vci_map.index_for(
-                probe.ctx, probe.src, probe.tag)]
+        if probe.nomatch or probe.concrete:
+            shard = self._shard_for(probe)
             with shard._lock:
                 return shard._find_unexpected(probe)
         best = None
-        hit = None
         for shard in self._shards:
             with shard._lock:
-                e = shard._peek_wild_ux(probe)
-            if e is not None and (best is None or e.seq < best.seq):
-                best = e
-                hit = (e.msg.env, e.msg.nbytes)
-        return hit
+                msg = shard._peek_wild_ux(probe)
+            if msg is not None and (best is None or msg.order < best.order):
+                best = msg
+        return None if best is None else (best.env, best.nbytes)
 
     def iprobe(self, ctx: int, src: int, tag: int,
                nomatch: bool = False) -> Optional[tuple[Envelope, int]]:
         """Nonblocking probe across the owning shard(s)."""
-        probe = PostedRecv(ctx=ctx, src=src, tag=tag, nomatch=nomatch,
-                           request=None, on_match=lambda m: None)
-        return self._scan_probe(probe)
+        return self._scan_probe(PostedRecv(ctx, src, tag, nomatch))
 
     def _abort_wake(self) -> None:
         with self._wild_lock:
@@ -569,8 +519,7 @@ class VCIShardedEngine(_MatchingEngineBase):
         notifies ``_wild_lock``, so the epoch-unchanged check under the
         same lock makes the scan/wait sequence lost-wakeup-free.
         """
-        probe = PostedRecv(ctx=ctx, src=src, tag=tag, nomatch=nomatch,
-                           request=None, on_match=lambda m: None)
+        probe = PostedRecv(ctx, src, tag, nomatch)
         listening = (abort_event is not None
                      and add_abort_listener(abort_event, self._abort_wake))
         try:
@@ -595,19 +544,19 @@ class VCIShardedEngine(_MatchingEngineBase):
     def cancel_posted(self, request: Request) -> bool:
         """Remove the posted receive owning *request*; True on success.
 
-        Concrete receives are found by their shard's O(1) request
-        index; wildcards by claiming their registry record (which also
-        wins any race against an in-flight all-VCI scan — the poster
-        checks the claim before consuming)."""
-        for shard in self._shards:
-            if shard.cancel_posted(request):
-                return True
+        A concrete receive is found through the request's back-pointer
+        and retired by the shard it was routed to; a wildcard by
+        claiming it in the registry (which also wins any race against
+        an in-flight all-VCI scan — the poster checks the claim before
+        consuming)."""
+        posted = request._posted   # re-read by the shard, under its lock
+        if posted is not None:
+            return self._shard_for(posted).cancel_posted(request)
         with self._wild_lock:
             self._note_wild_access()
-            for rec in self._wild:
-                if not rec.claimed and rec.posted.request is request:
-                    rec.claimed = True
-                    self._discard_wild_locked()
+            for posted in self._wild:
+                if not posted.removed and posted.request is request:
+                    self._claim_wild(posted)
                     break
             else:
                 return False

@@ -100,6 +100,48 @@ class TestDescriptorFlow:
         assert self._events(tmp_path, "count, sendbuf") == []
 
 
+class TestReceiveLanding:
+    """The receive side is a module-level landing handed to the
+    receive descriptor: it is walked where the descriptor is built,
+    the descriptor's fields in hand, its message seeded by name."""
+
+    SRC = """\
+        class PostedRecv:
+            def __init__(self, ctx, request=None, buf=None, land=None):
+                self.buf = buf
+
+        def unpack(data, buf):
+            buf[0:4] = data
+
+        def land_recv(posted, msg):
+            if posted.buf is None:
+                posted.request.payload = msg.owned_data()
+            else:
+                unpack(msg.data, posted.buf)
+
+        def post_recv(engine, recvbuf):
+            engine.post(PostedRecv(0, None, recvbuf, %s))
+        """
+
+    def _events(self, tmp_path, landing):
+        path = tmp_path / "mod.py"
+        path.write_text(textwrap.dedent(self.SRC % landing))
+        analyzer = Analyzer(CodeIndex.build([str(path)]))
+        events = analyzer.run_entry(
+            None, "post_recv", {"recvbuf": Taint("dest", borrowed=True)})
+        return {(e.site, tuple(sorted(e.quals))) for e in events}
+
+    def test_landing_is_walked_through_the_descriptor(self, tmp_path):
+        assert self._events(tmp_path, "land_recv") == {
+            ("mod.py:unpack::copy:scatter", ("buffer_recv",)),
+            ("mod.py:land_recv::transfer:owned_data", ("payload_recv",))}
+        assert self._events(tmp_path, "land=land_recv") == \
+            self._events(tmp_path, "land_recv")
+
+    def test_no_landing_no_receive_side(self, tmp_path):
+        assert self._events(tmp_path, "None") == set()
+
+
 class TestBC502MutatedBorrow:
     """Stores into a borrowed send buffer the application still owns."""
 
@@ -307,6 +349,13 @@ class TestDataflowInternals:
         import ast
         test = ast.parse("copy", mode="eval").body
         assert branch_quals(test) == ({"copy_mode"}, {"view_mode"})
+
+    def test_branch_quals_bufferless_receive(self):
+        """``buf is None`` — a local or a descriptor field."""
+        import ast
+        for text in ("buf is None", "posted.buf is None"):
+            test = ast.parse(text, mode="eval").body
+            assert branch_quals(test) == ({"payload_recv"}, {"buffer_recv"})
 
     def test_branch_quals_negation_swaps(self):
         import ast

@@ -674,6 +674,26 @@ def _pingpong_program(comm):
     return out, by_category, (pool.n_parked, pool.n_woken) if me else None
 
 
+def _persistent_program(comm):
+    """Nothing but three starts of one persistent send/receive pair;
+    returns every payload and status and the charged totals."""
+    proc, me = comm.proc, comm.rank
+    out = []
+    buf = np.zeros(3)
+    req = (comm.Send_init(buf, 1, 9) if me == 0
+           else comm.Recv_init(buf, 0, 9))
+    for i in range(3):
+        if me == 0:
+            buf[:] = i
+        active = req.start()
+        req.wait()
+        out.append((buf.tolist(), active.source, active.tag,
+                    active.count_bytes))
+    by_category = {c.name: n for c, n in proc.counter.by_category.items()
+                   if c.name not in ("RELIABILITY", "PROGRESS")}
+    return out, by_category
+
+
 class TestArmedEqualsUnarmed:
     """The armed-hook builds run the same functions with the hook
     branches taken: same payloads, statuses and charged totals as the
@@ -783,6 +803,38 @@ class TestArmedEqualsUnarmed:
         assert len(set(seen.values())) <= 1, seen
         if build == "tsan":
             assert not world.tsan.findings
+
+    @pytest.mark.parametrize("build", ["sanitize", "tsan", "fault_plan",
+                                       "four_vcis"])
+    def test_persistent_pair(self, monkeypatch, build):
+        """``start()`` runs the devices' one send body and one receive
+        post, so every armed build sees a persistent pair exactly as it
+        sees an Isend/Irecv pair: same payloads, statuses and charges
+        as the default build, one hook firing per start."""
+        from repro.core.config import BuildConfig
+        from repro.ft.plan import FaultPlan
+        from repro.sanitize.runtime import RankSanitizer
+        config = {"sanitize": BuildConfig(sanitize=True),
+                  "tsan": BuildConfig(tsan=True),
+                  "fault_plan": BuildConfig(fault_plan=FaultPlan()),
+                  "four_vcis": BuildConfig(num_vcis=4)}[build]
+        seen = self._counted(monkeypatch, RankSanitizer,
+                             ("note_send", "note_recv"))
+        world = World(2, config)
+        got = world.run(_persistent_program, timeout=60)
+        assert got == World(2).run(_persistent_program, timeout=60)
+        if build == "sanitize":
+            assert seen == {"note_send": 3, "note_recv": 3}
+        elif build == "tsan":
+            assert world.tsan.n_access_events > 0
+            assert not world.tsan.findings
+        elif build == "fault_plan":
+            assert world.proc(0).faults.stats()["n_sends"] == 3
+        else:
+            assert sum(v.completion.n_send
+                       for v in world.proc(0).vcis) == 3
+            assert sum(v.completion.n_recv
+                       for v in world.proc(1).vcis) == 3
 
     def test_timeline_enabled_after_the_first_call(self, default):
         world, got = self._run(arm_timeline=True)

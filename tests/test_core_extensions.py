@@ -154,6 +154,8 @@ class TestNoMatch:
                 for _ in range(2):
                     status = comm.recv_nomatch(buf)
                     got.append((status.source, buf[0]))
+                # Warm: the second call reused the first one's handle.
+                assert comm.proc.request_pool.n_alloc == 1
                 return sorted(got)
             comm.isend_nomatch(np.full(1, float(comm.rank)), 0,
                                tag=comm.rank * 11).wait()

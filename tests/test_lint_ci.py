@@ -383,9 +383,14 @@ class TestCallPlanGuard:
     accounting call per layer) fails here, with no timer involved."""
 
     #: A warm self-send cycle — Irecv + Isend + 2 waits + 2 releases —
-    #: made 150 Python-level calls before call plans, 62 with them and
-    #: 58 once the engine lock was entered at C level.
-    MAX_CALLS_PER_CYCLE = 63
+    #: made 150 Python-level calls before call plans, 62 with them, 58
+    #: once the engine lock was entered at C level and 56 now that the
+    #: posted receive is its own queue element, stamped by a C-level
+    #: counter: measured + 2.
+    MAX_CALLS_PER_CYCLE = 58
+    #: ... of which construct an object: two op dataclasses, two
+    #: ``mpi_entry``, one ``PostedRecv``, one ``Message`` — exactly.
+    INITS_PER_CYCLE = 6
     CYCLES = 100
 
     def _cycle(self):
@@ -412,12 +417,13 @@ class TestCallPlanGuard:
     def test_python_calls_per_warm_message(self):
         import sys
         cycle = self._cycle()
-        calls = 0
+        calls = inits = 0
 
         def profiler(frame, event, arg):
-            nonlocal calls
+            nonlocal calls, inits
             if event == "call":
                 calls += 1
+                inits += frame.f_code.co_name == "__init__"
 
         sys.setprofile(profiler)
         try:
@@ -428,6 +434,7 @@ class TestCallPlanGuard:
         per_cycle = calls / self.CYCLES - 1     # less cycle() itself
         assert per_cycle == int(per_cycle)      # an exact count
         assert per_cycle <= self.MAX_CALLS_PER_CYCLE
+        assert inits == self.INITS_PER_CYCLE * self.CYCLES
 
     def test_one_accounting_call_per_warm_entry(self, monkeypatch):
         from repro.runtime.proc import Proc
@@ -636,8 +643,15 @@ print(json.dumps(out))
             assert f"{name}: measured medians" in text
         for row in rows:
             assert text.count(row["rev"]) >= len(row["workloads"])
-        # PR 16's own line over its re-measured parent, msgrate_1b.
+        # Pair-aware: PR 16's own line over the parent it re-measured
+        # (msgrate_1b), and no ratio on any parent line — the line
+        # above one of those is another day's box.
         assert "38,852 (2.42x)" in text
+        measured = [line for line in text.splitlines()
+                    if line.startswith(tuple(row["rev"] for row in rows))]
+        assert len(measured) == len(rows) * len(rows[-1]["workloads"])
+        assert all(("x)" in line) == line.startswith("PR ")
+                   for line in measured)
         assert render_trajectory(ROOT / "no-such-file").startswith(
             "no recorded trajectory")
 

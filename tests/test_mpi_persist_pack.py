@@ -137,6 +137,84 @@ class TestPersistent:
         assert run_world(1, main)[0] == PROC_NULL
 
 
+class TestPersistentSharesTheSendBody:
+    """A persistent send is an MPI_ISEND whose call site was resolved
+    at init: ``start()`` charges its own calibrated plan, then runs the
+    device's one send body — protocol switch, VCI lane, fault wrapping
+    — like any other send of that size (Liu et al.: eager vs
+    rendezvous is a property of the message, not of the API)."""
+
+    @staticmethod
+    def _one_send(nbytes, persistent):
+        """Rank 0 sends *nbytes* once; returns the sender's protocol
+        counters and how far its clock moved across call and wait."""
+        def main(comm):
+            buf = np.zeros(nbytes, dtype=np.uint8)
+            if comm.rank == 1:
+                comm.Recv(buf, source=0, tag=0)
+                return None
+            proc, device = comm.proc, comm.proc.device
+            latency = device._transport_for(1).spec.latency_s
+            sreq = comm.Send_init(buf, dest=1, tag=0) if persistent else None
+            req = sreq.start() if persistent else comm.Isend(buf, 1, 0)
+            issued = proc.vclock.now
+            req.wait()
+            return (device.n_eager, device.n_rendezvous,
+                    proc.vclock.now == issued + 2.0 * latency)
+
+        return run_world(2, main)[0]
+
+    def test_above_the_eager_threshold_is_rendezvous(self):
+        assert self._one_send(1 << 20, persistent=False) == (0, 1, True)
+        # Beyond the start / Isend charge difference, the same clock:
+        # the buffer is free once the CTS is back, 2 x latency on.
+        assert self._one_send(1 << 20, persistent=True) == (0, 1, True)
+
+    def test_below_the_eager_threshold_is_eager(self):
+        assert self._one_send(8, persistent=False) == (1, 0, False)
+        assert self._one_send(8, persistent=True) == (1, 0, False)
+
+    def test_start_on_a_revoked_communicator_raises_what_isend_raises(self):
+        from repro.core import extensions as ext
+        from repro.errors import MPIErrRevoked
+        from repro.ft import ERRORS_RETURN, FaultPlan
+
+        def main(comm):
+            comm.set_errhandler(ERRORS_RETURN)
+            buf = np.zeros(1, dtype=np.uint8)
+            sreq = comm.Send_init(buf, dest=1 - comm.rank, tag=0)
+            if comm.rank == 0:
+                ext.MPIX_Comm_revoke(comm)
+            raised = []
+            for call in (lambda: comm.Isend(buf, 1 - comm.rank, 0),
+                         sreq.start):
+                try:
+                    call()
+                    raised.append(None)
+                except MPIErrRevoked as exc:
+                    raised.append(exc.error_class)
+            return raised
+
+        results = run_world(2, main, BuildConfig(fault_plan=FaultPlan()))
+        assert results == [["MPI_ERR_REVOKED"] * 2] * 2
+
+    def test_start_is_noted_on_its_vci_lane(self):
+        def main(comm):
+            buf = np.zeros(1, dtype=np.uint8)
+            if comm.rank == 1:
+                comm.Recv(buf, source=0, tag=5)
+                return None
+            vci = comm.proc.vci_for(comm.ctx, 1, 5)
+            before = vci.completion.n_send, vci.n_injected
+            sreq = comm.Send_init(buf, dest=1, tag=5)
+            sreq.start()
+            sreq.wait()
+            return (vci.completion.n_send - before[0],
+                    vci.n_injected - before[1])
+
+        assert run_world(2, main, BuildConfig(num_vcis=4))[0] == (1, 1)
+
+
 class TestPackAPI:
     def test_pack_size(self):
         assert pack_size(4, DOUBLE) == 32

@@ -189,6 +189,25 @@ class TestMatchingEngine:
         assert engine.pending_counts() == (0, 0)
         assert not engine.cancel_posted(req)
 
+    def test_request_points_at_its_descriptor_only_while_queued(self):
+        """The back-pointer ``cancel_posted`` follows: set on enqueue,
+        dropped on match and on cancel — a finished receive must not
+        pin its descriptor (and through it the user's buffer)."""
+        engine = MatchingEngine(0)
+        for src in (3, ANY_SOURCE):
+            posted, req = _posted([], src=src, tag=5)
+            assert req._posted is None
+            engine.post(posted)
+            assert req._posted is posted
+            engine.deposit(_msg(src=3, tag=5))
+            assert req._posted is None and posted.removed
+            assert not engine.cancel_posted(req)
+            posted, req = _posted([], src=src, tag=5)
+            engine.post(posted)
+            assert engine.cancel_posted(req)
+            assert req._posted is None
+        assert engine.pending_counts() == (0, 0)
+
 
 class TestRequest:
     def test_complete_and_wait(self):
