@@ -169,8 +169,12 @@ def build_collective_census(analyzer: Analyzer) -> dict:
     out: dict = {}
     for key, method, send_names, recv_names in COLLECTIVE_ENTRIES:
         row: dict = {"entry": f"Communicator.{method}"}
+        # One array for both sides (Bcast) is received into where it
+        # is not sent from: the send-side walk must not read the
+        # landing as a store into a send buffer.
+        role = "inout" if send_names == recv_names else "src"
         send = _census(analyzer, "Communicator", method, send_names,
-                       Taint("src", borrowed=True), keep)
+                       Taint(role, borrowed=True), keep)
         row["send"] = send if send is not None else {}
         recv = _census(analyzer, "Communicator", method, recv_names,
                        Taint("dest", borrowed=True), keep)

@@ -12,11 +12,12 @@ Figure 7.
 Each algorithm is written once, as a *schedule*: a generator
 (``*_steps``) that yields every request it must see complete — a
 receive (``data = yield comm._irecv_bytes(src, tag)`` resumes with the
-payload) or a send (``yield comm._isend_bytes(data, dest, tag)``) —
-composes sub-schedules with ``yield from`` and returns its result.  A
-schedule never waits and never releases: its driver waits on the
-yielded request, returns the handle to the rank's pool and resumes the
-schedule with the payload.  :func:`run_schedule` is the driver under
+payload — or, given a view to land in, the byte count) or a send
+(``yield comm._isend_bytes(data, dest, tag)``) — composes
+sub-schedules with ``yield from`` and returns its result.  A schedule
+never waits and never releases: its driver waits on the yielded
+request, returns the handle to the rank's pool and resumes the
+schedule.  :func:`run_schedule` is the driver under
 every blocking entry point; :class:`repro.mpi.nbc.NBCRequest` drives
 the same schedules for the ``i*`` calls, from ``test``/``wait`` or from
 the progress engine.  Sends are yielded, not waited on in the schedule,
@@ -25,6 +26,12 @@ retired by the progress thread — the thread that resumes a nonblocking
 schedule — which must never park on a completion only it can retire.
 A request posted but not yet yielded (the receive half of an exchange)
 stays in flight meanwhile.
+
+The buffer (``*_buf``) entry points move raw memory: a schedule gets
+borrowed byte views of the caller's arrays (a send the driver has seen
+complete has copied its bytes out), reduces with ``out=`` into the
+receive buffer and receives blocks straight into their slice of it.
+What a call's shape fixes is resolved once, as a :class:`CollPlan`.
 
 Internal messages use tags above the user tag space (>= 1 << 20 within
 the reserved range), relying on MPI's non-overtaking guarantee for
@@ -40,11 +47,14 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import MPIErrArg, MPIErrRank
+from repro.core.ops import RECV_PLAN, RecvOp, SendOp
+from repro.errors import MPIErrArg, MPIErrOp, MPIErrRank
 from repro.mpi import reduceops
+from repro.mpi.pt2pt import BYTE_REF
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
+    from repro.runtime.request import Request
 
 #: Internal tag block (kept below consts.TAG_UB so device-level checks
 #: stay uniform; user code conventionally stays far below this).
@@ -85,21 +95,25 @@ def _check_root(comm: "Communicator", root: int) -> None:
         raise MPIErrRank(f"root {root} outside [0, {comm.size})")
 
 
-def _op_or_sum(op) -> reduceops.Op:
-    return op if op is not None else reduceops.SUM
+def _reduction_op(op) -> reduceops.Op:
+    """*op* (default SUM), refused when it is MPI_ACCUMULATE's only."""
+    the_op = op if op is not None else reduceops.SUM
+    if getattr(the_op, "rma_only", False):   # duck-typed user ops have none
+        raise MPIErrOp(f"{the_op.name} is RMA-only, not a reduction")
+    return the_op
 
 
 def run_schedule(comm: "Communicator", steps) -> Any:
     """Drive the schedule *steps* to completion on the calling thread:
     wait on each request it yields, recycle the handle, resume it with
-    the payload; returns what the schedule returns.  The one place a
-    blocking collective waits."""
+    the payload (else the byte count); returns what the schedule
+    returns.  The one place a blocking collective waits."""
     release = comm.proc.request_pool.release
     try:
         req = next(steps)
         while True:
             req.wait()
-            data = req.payload if req.payload is not None else b""
+            data = req.count_bytes if req.payload is None else req.payload
             release(req)
             req = steps.send(data)
     except StopIteration as stop:
@@ -110,13 +124,32 @@ def run_schedule(comm: "Communicator", steps) -> Any:
 # byte-level schedules
 # ---------------------------------------------------------------------------
 
+def _filled(comm: "Communicator", source: int, got: int,
+            into: memoryview) -> memoryview:
+    """*into*, which *source*'s *got* bytes must have filled exactly."""
+    if got != len(into):
+        raise MPIErrArg(f"rank {comm.rank} expected {len(into)} bytes "
+                        f"from rank {source}, got {got}")
+    return into
+
+
+def _recv(comm: "Communicator", source: int, tag: int,
+          into: Optional[memoryview] = None):
+    """One receive: the owned payload, or the writable view *into* it
+    went straight into."""
+    got = yield comm._irecv_bytes(source, tag, into)
+    return got if into is None else _filled(comm, source, got, into)
+
+
 def _exchange(comm: "Communicator", data: "bytes | memoryview", dest: int,
-              source: int, tag: int):
-    """One sendrecv round: the receive is posted before the send is
-    yielded, so a ring of rendezvous sends cannot deadlock."""
-    rreq = comm._irecv_bytes(source, tag)
+              source: int, tag: int, into: Optional[memoryview] = None):
+    """One sendrecv round (received as by :func:`_recv`), the receive
+    posted before the send is yielded, so a ring of rendezvous sends
+    cannot deadlock."""
+    rreq = comm._irecv_bytes(source, tag, into)
     yield comm._isend_bytes(data, dest, tag)
-    return (yield rreq)
+    got = yield rreq
+    return got if into is None else _filled(comm, source, got, into)
 
 
 def barrier_steps(comm: "Communicator", tag: int = TAG_BARRIER):
@@ -135,10 +168,11 @@ def barrier(comm: "Communicator") -> None:
 
 
 def bcast_steps(comm: "Communicator",
-                data: Optional["bytes | memoryview"],
+                buf: Optional["bytes | memoryview"],
                 root: int, tag: int = TAG_BCAST):
     """Binomial-tree broadcast of a byte string (the root may pass a
-    zero-copy view, which it also gets back)."""
+    zero-copy view, which it also gets back; another rank a writable
+    view to receive into, or None for an owned payload)."""
     _check_root(comm, root)
     size, rank = comm.size, comm.rank
     vrank = (rank - root) % size
@@ -150,64 +184,69 @@ def bcast_steps(comm: "Communicator",
     mask = 1
     while mask < size:
         if vrank & mask:
-            data = yield comm._irecv_bytes((rank - mask) % size, tag)
+            buf = yield from _recv(comm, (rank - mask) % size, tag, buf)
             break
         mask <<= 1
-    if data is None:
-        data = b""
+    if buf is None:
+        buf = b""
 
     # Send phase: forward to every lower bit position.
     mask >>= 1
     while mask > 0:
         if vrank + mask < size:
-            yield comm._isend_bytes(data, (rank + mask) % size, tag)
+            yield comm._isend_bytes(buf, (rank + mask) % size, tag)
         mask >>= 1
-    return data
+    return buf
 
 
-def _bcast_length(comm: "Communicator",
-                  data: Optional["bytes | memoryview"], root: int):
-    """Ship the root's payload length on the binomial tree (one tiny
-    message per edge): the segmented broadcasts size their pieces by
-    it."""
-    nbytes = yield from bcast_steps(
-        comm, str(len(data)).encode() if comm.rank == root else None, root)
-    return int(nbytes)
+def _bcast_pieces(comm: "Communicator", buf: "bytes | memoryview",
+                  root: int, piece: Optional[int] = None):
+    """The segmented broadcasts' common start, every rank passing its
+    *buf* (the root's payload; elsewhere the writable view it lands
+    in): ship the root's length on the binomial tree, one tiny message
+    per edge, check that this rank's holds exactly that, and cut it
+    into views of *piece* bytes (default: P near-equal chunks) — one
+    at least, so an empty payload still makes its round."""
+    total = int((yield from bcast_steps(
+        comm, str(len(buf)).encode() if comm.rank == root else None, root)))
+    if len(buf) != total:
+        raise MPIErrArg(f"bcast buffer is {len(buf)} bytes on rank "
+                        f"{comm.rank} but the root sent {total}")
+    if piece is None:
+        piece, npieces = -(-total // comm.size), comm.size
+    else:
+        npieces = max(1, -(-total // piece))
+    view = memoryview(buf)
+    return [view[i * piece:(i + 1) * piece] for i in range(npieces)]
 
 
 def bcast_scatter_allgather_steps(comm: "Communicator",
-                                  data: Optional["bytes | memoryview"],
-                                  root: int):
+                                  buf: "bytes | memoryview", root: int):
     """Van de Geijn broadcast: scatter P near-equal chunks from the
     root, then ring-allgather them — the bandwidth-optimal large-
-    message algorithm MPICH selects above its binomial threshold."""
+    message algorithm MPICH selects above its binomial threshold.
+    The chunks land where they belong (see :func:`_bcast_pieces`)."""
     _check_root(comm, root)
-    size = comm.size
-    if size == 1:
-        return data if data is not None else b""
-    total = yield from _bcast_length(comm, data, root)
-    chunk = -(-total // size) if total else 0
-
-    chunks = None
-    if comm.rank == root:
-        # Slice through a memoryview: chunking P ways stays zero-copy
-        # whether the payload arrived as bytes or as a buffer view
-        # (slicing a bytes object would copy every chunk).
-        view = memoryview(data)
-        chunks = [view[i * chunk:(i + 1) * chunk] for i in range(size)]
-    mine = yield from scatter_steps(comm, chunks, root)
-    # Ring allgather of the chunks, then reassemble in rank order.
-    pieces = yield from allgather_steps(comm, mine)
-    return b"".join(pieces)[:total]
+    if comm.size == 1:
+        return buf
+    chunks = yield from _bcast_pieces(comm, buf, root)
+    mine = chunks[comm.rank]
+    yield from scatter_steps(comm, chunks, root, into=mine)
+    # The root has every chunk: what comes back around the ring, it drops.
+    yield from allgather_steps(comm, mine,
+                               blocks=None if comm.rank == root else chunks)
+    return buf
 
 
 def reduce_steps(comm: "Communicator", payload: bytes, root: int,
                  combine, tag: int = TAG_REDUCE):
     """Binomial-tree reduction of byte payloads (None off the root).
 
-    *combine(lower, higher)* merges two payloads, with *lower* coming
-    from the smaller virtual rank — giving canonical rank ordering so
-    non-commutative combines behave deterministically.
+    *combine(lower, higher)* merges two payloads and returns the
+    payload to carry forward — a fresh object, or a view of the
+    accumulator it reduced into — with *lower* coming from the smaller
+    virtual rank: canonical rank ordering, so non-commutative combines
+    behave deterministically.
     """
     _check_root(comm, root)
     size, rank = comm.size, comm.rank
@@ -240,14 +279,20 @@ def _core_to_world(core_rank: int, rem: int) -> int:
     return core_rank * 2 if core_rank < rem else core_rank + rem
 
 
-def recursive_doubling_steps(comm: "Communicator", payload: bytes, combine):
+def recursive_doubling_steps(comm: "Communicator",
+                             payload: "bytes | memoryview", combine,
+                             work: Optional[memoryview] = None,
+                             itemsize: int = 1):
     """Recursive-doubling allreduce: ceil(log2 P) rounds, every rank
     finishing with the full reduction — the latency-optimal algorithm
     MPICH selects for small messages.  Non-power-of-two sizes use the
     :func:`_fold`.
 
-    *combine(lower, higher)* must be associative and commutative over
-    payload bytes (true for all the numpy elementwise ops used here).
+    *combine(lower, higher)* (see :func:`reduce_steps`) must be
+    associative and commutative over payload bytes (true for all the
+    numpy elementwise ops used here).  Like every allreduce schedule
+    it takes *work*, where the caller wants the result (a folded-out
+    rank receives it there), and *itemsize*, for those that cut it.
     """
     rank, tag = comm.rank, TAG_RECDOUBLE
     pof2, rem = _fold(comm.size)
@@ -255,7 +300,7 @@ def recursive_doubling_steps(comm: "Communicator", payload: bytes, combine):
     if rank < 2 * rem:
         if rank % 2:   # odd: contribute and wait for the final result
             yield comm._isend_bytes(result, rank - 1, tag)
-            return (yield comm._irecv_bytes(rank - 1, tag))
+            return (yield from _recv(comm, rank - 1, tag, work))
         incoming = yield comm._irecv_bytes(rank + 1, tag)
         result = combine(result, incoming)
         core_rank = rank // 2
@@ -281,13 +326,6 @@ def recursive_doubling_steps(comm: "Communicator", payload: bytes, combine):
     return result
 
 
-def allreduce_recursive_doubling(comm: "Communicator", payload: bytes,
-                                 combine) -> bytes:
-    """Blocking :func:`recursive_doubling_steps`."""
-    return run_schedule(comm,
-                        recursive_doubling_steps(comm, payload, combine))
-
-
 def _chunk_bounds(nitems: int, nparts: int) -> list[tuple[int, int]]:
     """Split *nitems* into *nparts* near-equal contiguous ranges (the
     first ``nitems % nparts`` ranges get the extra item)."""
@@ -302,34 +340,32 @@ def _chunk_bounds(nitems: int, nparts: int) -> list[tuple[int, int]]:
 
 
 def allreduce_ring_steps(comm: "Communicator",
-                         payload: "bytes | memoryview",
-                         combine, itemsize: int = 1):
+                         payload: "bytes | memoryview", combine,
+                         work: memoryview, itemsize: int = 1):
     """Ring allreduce: a P-1-step reduce-scatter of P near-equal chunks
     followed by a P-1-step ring allgather — the bandwidth-optimal
     algorithm (each rank moves ``2 m (P-1)/P`` bytes total, Baidu/NCCL
     style) at the cost of 2(P-1) latency terms.
 
     Chunk boundaries are aligned to *itemsize* so *combine* always sees
-    whole elements.  *combine* must be associative **and** commutative
-    (chunk c accumulates contributions in ring-arrival order, not rank
-    order) — true for every numpy elementwise op used here.
-
-    *payload* may be a zero-copy borrow: it is copied once into the
-    working accumulator at entry and never referenced again.
+    whole elements.  *combine(lower, higher, out)* reduces into the
+    chunk of the accumulator it is given, and must be associative
+    **and** commutative (chunk c accumulates contributions in
+    ring-arrival order, not rank order) — true for every numpy
+    elementwise op used here.  *work* is that accumulator, the
+    caller's receive buffer: *payload*, which may be a zero-copy
+    borrow, is copied into it at entry (the identity when they are the
+    same memory) and never referenced again.
     """
     size, rank = comm.size, comm.rank
     nelems = len(payload) // itemsize
     bounds = [(lo * itemsize, hi * itemsize)
               for lo, hi in _chunk_bounds(nelems, size)]
-    # One owned working copy; every round stages chunks as views of it.
-    # The driver sees each yielded send complete before the schedule
-    # resumes (delivery unpacks on the sending thread, unexpected
-    # arrivals are owned by the engine), so mutating a *different*
-    # chunk after each send is safe.  The entry copy is the algorithm's
-    # accumulator — required in-place combine target, not avoidable
-    # staging.
-    work = bytearray(payload)  # bufcheck: ignore[BC504]
-    wv = memoryview(work)
+    # Every round stages chunks as views of the accumulator.  The
+    # driver sees each send complete before the schedule resumes
+    # (delivery unpacks on the sending thread, the engine owns
+    # unexpected arrivals), so mutating another chunk after is safe.
+    work[:] = payload
     right = (rank + 1) % size
     left = (rank - 1) % size
 
@@ -339,23 +375,24 @@ def allreduce_ring_steps(comm: "Communicator",
     for step in range(size - 1):
         slo, shi = bounds[(rank - step) % size]
         rlo, rhi = bounds[(rank - step - 1) % size]
-        incoming = yield from _exchange(comm, wv[slo:shi], right, left,
+        incoming = yield from _exchange(comm, work[slo:shi], right, left,
                                         TAG_RING_RS)
-        wv[rlo:rhi] = combine(wv[rlo:rhi], incoming)
+        combine(work[rlo:rhi], incoming, work[rlo:rhi])
 
     # Allgather phase: circulate the reduced chunks the rest of the way
     # around the ring.
     for step in range(size - 1):
         slo, shi = bounds[(rank + 1 - step) % size]
         rlo, rhi = bounds[(rank - step) % size]
-        wv[rlo:rhi] = yield from _exchange(comm, wv[slo:shi], right, left,
-                                           TAG_RING_AG)
+        yield from _exchange(comm, work[slo:shi], right, left, TAG_RING_AG,
+                             work[rlo:rhi])
     return work
 
 
 def allreduce_reduce_scatter_allgather_steps(comm: "Communicator",
                                              payload: "bytes | memoryview",
-                                             combine, itemsize: int = 1):
+                                             combine, work: memoryview,
+                                             itemsize: int = 1):
     """Rabenseifner allreduce: recursive-halving reduce-scatter then
     recursive-doubling allgather — log P latency terms with the ring's
     ``2 m (P-1)/P`` bandwidth, the algorithm MPICH selects for large
@@ -364,27 +401,23 @@ def allreduce_reduce_scatter_allgather_steps(comm: "Communicator",
     Non-power-of-two sizes use the :func:`_fold`.  Each halving round
     records its parent segment on a stack; the doubling rounds pop it
     back — the partner at every level holds exactly the complement
-    half, so no segment metadata crosses the wire.  *combine* must be
-    associative and commutative, and *payload* may be a zero-copy
-    borrow (copied once at entry).
+    half, so no segment metadata crosses the wire.  *combine*, *work*
+    and *payload* are :func:`allreduce_ring_steps`'s.
     """
     rank, tag = comm.rank, TAG_RSAG
     pof2, rem = _fold(comm.size)
 
-    # Owned accumulator (see allreduce_ring_steps): one entry copy by
-    # design.
-    work = bytearray(payload)  # bufcheck: ignore[BC504]
-    wv = memoryview(work)
+    work[:] = payload
     nelems = len(work) // itemsize
 
     # Fold phase: odd ranks below 2*rem contribute and wait for the
     # final result.
     if rank < 2 * rem:
         if rank % 2:
-            yield comm._isend_bytes(wv, rank - 1, tag)
-            return (yield comm._irecv_bytes(rank - 1, tag))
+            yield comm._isend_bytes(work, rank - 1, tag)
+            return (yield from _recv(comm, rank - 1, tag, work))
         incoming = yield comm._irecv_bytes(rank + 1, tag)
-        wv[:] = combine(wv, incoming)
+        combine(work, incoming, work)
         core_rank = rank // 2
     else:
         core_rank = rank - rem
@@ -404,14 +437,13 @@ def allreduce_reduce_scatter_allgather_steps(comm: "Communicator",
         else:
             keep_lo, keep_hi, send_lo, send_hi = mid, hi, lo, mid
         incoming = yield from _exchange(
-            comm, wv[send_lo * itemsize:send_hi * itemsize], partner,
+            comm, work[send_lo * itemsize:send_hi * itemsize], partner,
             partner, tag)
-        kept = wv[keep_lo * itemsize:keep_hi * itemsize]
+        kept = work[keep_lo * itemsize:keep_hi * itemsize]
         if partner_core > core_rank:
-            merged = combine(kept, incoming)
+            combine(kept, incoming, kept)
         else:
-            merged = combine(incoming, kept)
-        wv[keep_lo * itemsize:keep_hi * itemsize] = merged
+            combine(incoming, kept, kept)
         stack.append((lo, hi))
         lo, hi = keep_lo, keep_hi
         mask >>= 1
@@ -423,106 +455,103 @@ def allreduce_reduce_scatter_allgather_steps(comm: "Communicator",
     while mask < pof2:
         partner = _core_to_world(core_rank ^ mask, rem)
         plo, phi = stack.pop()
-        incoming = yield from _exchange(
-            comm, wv[lo * itemsize:hi * itemsize], partner, partner, tag)
-        if lo == plo:          # partner held the upper half
-            wv[hi * itemsize:phi * itemsize] = incoming
-        else:                  # partner held the lower half
-            wv[plo * itemsize:lo * itemsize] = incoming
+        # The partner's half lands where it belongs: above this rank's
+        # segment when it held the upper half, else below.
+        theirs = (work[hi * itemsize:phi * itemsize] if lo == plo
+                  else work[plo * itemsize:lo * itemsize])
+        yield from _exchange(comm, work[lo * itemsize:hi * itemsize],
+                             partner, partner, tag, theirs)
         lo, hi = plo, phi
         mask <<= 1
 
     # Unfold: ship the total to the folded-out odd ranks.
     if rank < 2 * rem:
-        yield comm._isend_bytes(wv, rank + 1, tag)
+        yield comm._isend_bytes(work, rank + 1, tag)
     return work
 
 
-def bcast_ring_steps(comm: "Communicator",
-                     data: Optional["bytes | memoryview"],
-                     root: int,
-                     segment: int = BCAST_RING_SEGMENT):
+def bcast_ring_steps(comm: "Communicator", buf: "bytes | memoryview",
+                     root: int, segment: int = BCAST_RING_SEGMENT):
     """Pipelined chain (ring) broadcast: the payload moves down the
     rank chain in *segment*-byte pieces, so every link carries each
     byte exactly once and the pipeline overlaps the hops — the
     bandwidth-optimal broadcast for long chains once the pipeline
     fills.
 
-    The total length ships first (:func:`_bcast_length`).  The root's
-    payload may be a zero-copy borrow: segments are sliced as views and
-    every forward is seen complete before the next.
+    The length ships first (:func:`_bcast_pieces`); segments are
+    views of each rank's buffer, received in place and forwarded from
+    there, every forward seen complete before the next.
     """
     _check_root(comm, root)
     size, rank = comm.size, comm.rank
     if size == 1:
-        return data if data is not None else b""
-    total = yield from _bcast_length(comm, data, root)
+        return buf
+    segs = yield from _bcast_pieces(comm, buf, root, segment)
     vrank = (rank - root) % size
     nxt = (rank + 1) % size if vrank < size - 1 else None
-    prev = (rank - 1) % size
-    nseg = max(1, -(-total // segment))
 
     if vrank == 0:
-        view = memoryview(data)
-        for i in range(nseg):
-            yield comm._isend_bytes(view[i * segment:(i + 1) * segment],
-                                    nxt, TAG_BCAST_RING)
-        return data
-    out = bytearray(total)
-    ov = memoryview(out)
+        for seg in segs:
+            yield comm._isend_bytes(seg, nxt, TAG_BCAST_RING)
+        return buf
     # Pre-post every segment receive: same (src, tag) stream, so the
     # non-overtaking guarantee keeps segments in order.
-    rreqs = [comm._irecv_bytes(prev, TAG_BCAST_RING) for _ in range(nseg)]
-    for i, rreq in enumerate(rreqs):
-        seg = yield rreq
-        ov[i * segment:i * segment + len(seg)] = seg
+    rreqs = [comm._irecv_bytes((rank - 1) % size, TAG_BCAST_RING, seg)
+             for seg in segs]
+    for seg, rreq in zip(segs, rreqs):
+        yield rreq
         if nxt is not None:
             yield comm._isend_bytes(seg, nxt, TAG_BCAST_RING)
-    return out
+    return buf
 
 
 def gather_steps(comm: "Communicator", data: bytes, root: int,
-                 tag: int = TAG_GATHER):
+                 tag: int = TAG_GATHER, out: Optional[list] = None):
     """Linear gather of per-rank byte strings (root receives P-1, in
-    rank order; None elsewhere)."""
+    rank order; None elsewhere).  *out*, at the root, may hold the
+    writable view each rank's block is to land in."""
     _check_root(comm, root)
     if comm.rank != root:
         yield comm._isend_bytes(data, root, tag)
         return None
-    out: list[Optional[bytes]] = [None] * comm.size
+    out = out or [None] * comm.size
     out[root] = data
     for src in range(comm.size):
         if src != root:
-            out[src] = yield comm._irecv_bytes(src, tag)
+            out[src] = yield from _recv(comm, src, tag, out[src])
     return out
 
 
 def allgather_steps(comm: "Communicator", data: bytes,
-                    tag: int = TAG_ALLGATHER):
-    """Ring allgather: P-1 steps, each forwarding one block."""
+                    tag: int = TAG_ALLGATHER, blocks: Optional[list] = None):
+    """Ring allgather: P-1 steps, each forwarding one block.  *blocks*
+    may hold the writable view each rank's block is to land in (and
+    be forwarded from)."""
     size, rank = comm.size, comm.rank
-    blocks: list[Optional[bytes]] = [None] * size
+    blocks = blocks or [None] * size
     blocks[rank] = data
     right = (rank + 1) % size
     left = (rank - 1) % size
     send_idx = rank
     for _ in range(size - 1):
-        incoming = yield from _exchange(comm, blocks[send_idx], right,
-                                        left, tag)
-        send_idx = (send_idx - 1) % size
-        blocks[send_idx] = incoming
+        recv_idx = (send_idx - 1) % size
+        blocks[recv_idx] = yield from _exchange(
+            comm, blocks[send_idx], right, left, tag, blocks[recv_idx])
+        send_idx = recv_idx
     return blocks
 
 
 def scatter_steps(comm: "Communicator",
                   chunks: Optional[Sequence["bytes | memoryview"]],
-                  root: int, tag: int = TAG_SCATTER):
+                  root: int, tag: int = TAG_SCATTER,
+                  into: Optional[memoryview] = None):
     """Linear scatter of per-rank byte chunks from the root (chunks
-    may be zero-copy views; the root's own chunk is returned as-is)."""
+    may be zero-copy views; the root's own chunk is returned as-is,
+    another rank's lands in *into* when given)."""
     _check_root(comm, root)
     size = comm.size
     if comm.rank != root:
-        return (yield comm._irecv_bytes(root, tag))
+        return (yield from _recv(comm, root, tag, into))
     if chunks is None or len(chunks) != size:
         raise MPIErrArg(
             f"scatter root needs exactly {size} chunks, got "
@@ -534,19 +563,21 @@ def scatter_steps(comm: "Communicator",
 
 
 def alltoall_steps(comm: "Communicator",
-                   chunks: Sequence["bytes | memoryview"]):
-    """Pairwise-exchange alltoall (P-1 sendrecv rounds)."""
+                   chunks: Sequence["bytes | memoryview"],
+                   out: Optional[list] = None):
+    """Pairwise-exchange alltoall (P-1 sendrecv rounds).  *out* may
+    hold the writable view each rank's chunk is to land in."""
     size, rank = comm.size, comm.rank
     if len(chunks) != size:
         raise MPIErrArg(
             f"alltoall needs exactly {size} chunks, got {len(chunks)}")
-    out: list[Optional[bytes]] = [None] * size
+    out = out or [None] * size
     out[rank] = chunks[rank]
     for step in range(1, size):
         dest = (rank + step) % size
         src = (rank - step) % size
         out[src] = yield from _exchange(comm, chunks[dest], dest, src,
-                                        TAG_ALLTOALL)
+                                        TAG_ALLTOALL, out[src])
     return out
 
 
@@ -579,7 +610,7 @@ def _dumps(obj: Any) -> bytes:
 
 def _combine_obj(op):
     """``combine(lower, higher)`` over pickled objects under *op*."""
-    the_op = _op_or_sum(op)
+    the_op = _reduction_op(op)
 
     def combine(lower: bytes, higher: bytes) -> bytes:
         return _dumps(the_op.combine_py(pickle.loads(lower),
@@ -682,7 +713,7 @@ def reduce_scatter_block_obj(comm: "Communicator", objs: Sequence,
         raise MPIErrArg(
             f"reduce_scatter needs exactly {comm.size} objects, "
             f"got {len(objs)}")
-    the_op = _op_or_sum(op)
+    the_op = _reduction_op(op)
 
     def combine(lower: bytes, higher: bytes) -> bytes:
         a, b = pickle.loads(lower), pickle.loads(higher)
@@ -721,16 +752,37 @@ def _as_contig(array: np.ndarray, what: str) -> np.ndarray:
     return array
 
 
-def _combine_arrays(op, dtype):
-    """``combine(lower, higher)`` over the bytes of *dtype* arrays,
-    elementwise under *op*."""
-    the_op = _op_or_sum(op)
+def _flat(array: np.ndarray) -> memoryview:
+    """The bytes of a contiguous array, as a borrowed view."""
+    return array.view(np.uint8).reshape(-1).data
 
-    def combine(lower: bytes, higher: bytes) -> bytes:
-        a = np.frombuffer(lower, dtype=dtype)
-        b = np.frombuffer(higher, dtype=dtype)
-        return the_op.combine_arrays(a, b).tobytes()
-    return combine
+
+def _blocks(array: np.ndarray, nblocks: int) -> list[memoryview]:
+    """*array*'s bytes as *nblocks* equal borrowed views."""
+    flat, blk = _flat(array), array.nbytes // nblocks
+    return [flat[i * blk:(i + 1) * blk] for i in range(nblocks)]
+
+
+def _same_dtype(what: str, send: np.ndarray, recv: np.ndarray) -> None:
+    """A reduction neither reinterprets nor casts: refused before any
+    message is posted."""
+    if recv.dtype != send.dtype:
+        raise MPIErrArg(f"{what}: sendbuf holds {send.dtype} but recvbuf "
+                        f"holds {recv.dtype}")
+
+
+def allreduce_reduce_bcast_steps(comm: "Communicator",
+                                 payload: "bytes | memoryview", combine,
+                                 work: memoryview, itemsize: int = 1):
+    """Reduce + broadcast allreduce: the binomial reduction onto rank
+    0, then the broadcast selected for the size — bandwidth-friendlier
+    trees than recursive doubling's for large payloads.  *work* is
+    the buffer the total is broadcast from and into."""
+    total = yield from reduce_steps(comm, payload, 0, combine)
+    if comm.rank == 0 and total is not work:
+        work[:] = total    # P = 1, or a combine that reduces elsewhere
+    return (yield from BCAST_ALGORITHMS[
+        CollPlan.select("bcast", len(payload))](comm, work, 0))
 
 
 #: ``Bcast(algorithm=...)``: name -> schedule(comm, payload, root).
@@ -740,106 +792,222 @@ BCAST_ALGORITHMS = {
     "ring": bcast_ring_steps,
 }
 
-#: ``Allreduce(algorithm=...)``: name -> byte-level schedule.
-#: ``reduce_bcast`` has none of its own — it composes reduce_buf and
-#: bcast_buf, each half selecting its algorithm by size.
+#: ``Allreduce(algorithm=...)``: name -> schedule(comm, payload,
+#: combine, work, itemsize).
 ALLREDUCE_ALGORITHMS = {
-    "reduce_bcast": None,
+    "reduce_bcast": allreduce_reduce_bcast_steps,
     "recursive_doubling": recursive_doubling_steps,
     "ring": allreduce_ring_steps,
     "reduce_scatter_allgather": allreduce_reduce_scatter_allgather_steps,
 }
 
 
-def _check_algorithm(what: str, algorithm: str, table: dict) -> None:
-    if algorithm not in table:
-        raise MPIErrArg(f"unknown {what} algorithm {algorithm!r} "
-                        f"(one of {', '.join(table)})")
+class CollPlan:
+    """What the shape of one buffer collective fixes on a communicator,
+    resolved on its first use and cached on the handle
+    (``Communicator._coll_plans``, beside the pt2pt call plans;
+    dropped by ``free``).
+
+    The key — ``(collective, algorithm, nbytes, dtype, op, routed)`` —
+    and the communicator decide ``route`` (the topology-aware
+    composition of :mod:`repro.mpi.hier` that a *routed* call — one
+    made through the ``Communicator`` method, not by a composition's
+    own phases — goes through under the communicator's strategy, else
+    None), ``algorithm`` (forced by name or selected by size) and
+    ``op`` (the checked reduction operator).  The plan owns
+    the ``scratch`` a rank with no receive buffer reduces into: one
+    payload at most.
+
+    A plan also stands in for its communicator inside a schedule: same
+    ``size`` and ``rank``, and the two internal-message primitives,
+    which keep one prebuilt ``SendOp`` / ``RecvOp`` per ``(peer, tag)``
+    with its :class:`~repro.core.ops.CallPlan` attached.  Per message
+    they point the op at the bytes, charge the plan's path (the
+    persistent-request trick) and run the device's one send body or
+    one post: the same messages and the same charges as the
+    communicator's own primitives, which build the op and look the plan
+    up every time.  Those still serve an armed build — whose fault
+    wrapping, sanitizer and VCI lanes sit on that path — and the
+    nonblocking collectives, whose concurrent schedules cannot share
+    one op: see :meth:`of`.
+    """
+
+    __slots__ = ("comm", "proc", "size", "rank", "nbytes", "dtype", "op",
+                 "route", "algorithm", "_scratch", "_sends", "_recvs")
+
+    #: Per collective with algorithms to choose from: its table, the
+    #: payload size up to which the first of the two names that follow
+    #: is selected (MPICH-style), and the name the ``naive`` strategy
+    #: forces.
+    SELECTION = {
+        "bcast": (BCAST_ALGORITHMS, BCAST_BINOMIAL_MAX_BYTES,
+                  "binomial", "scatter_allgather", "binomial"),
+        "allreduce": (ALLREDUCE_ALGORITHMS, ALLREDUCE_RECDOUBLE_MAX_BYTES,
+                      "recursive_doubling", "reduce_bcast", "reduce_bcast"),
+    }
+
+    @classmethod
+    def select(cls, kind: str, nbytes: int, algorithm: Optional[str] = None,
+               naive: bool = False) -> str:
+        """The *kind* schedule to run: *algorithm* if named (and known),
+        else the ``naive`` strategy's, else the one selected by size."""
+        table, max_bytes, small, large, forced = cls.SELECTION[kind]
+        if algorithm is None:
+            algorithm = (forced if naive
+                         else small if nbytes <= max_bytes else large)
+        if algorithm not in table:
+            raise MPIErrArg(f"unknown {kind} algorithm {algorithm!r} "
+                            f"(one of {', '.join(table)})")
+        return algorithm
+
+    def __init__(self, comm: "Communicator", kind: str,
+                 algorithm: Optional[str], nbytes: int, dtype, op,
+                 routed: bool):
+        self.comm, self.proc = comm, comm.proc
+        self.size, self.rank = comm.size, comm.rank
+        self.nbytes, self.dtype = nbytes, dtype
+        self.op = None if dtype is None else _reduction_op(op)
+        self.route = self._scratch = None
+        self._sends: dict = {}
+        self._recvs: dict = {}
+        naive = False
+        if routed and algorithm is None:
+            from repro.mpi import hier
+            self.route = hier.route(comm, kind)
+            naive = comm.collective_strategy() == "naive"
+        self.algorithm = kind in self.SELECTION and self.select(
+            kind, nbytes, algorithm, naive)
+
+    @classmethod
+    def of(cls, comm: "Communicator", kind: str, nbytes: int, dtype=None,
+           op=None, algorithm: Optional[str] = None, routed: bool = False):
+        """The plan of this call shape on *comm*, and what its schedule
+        sends and receives through: the plan — or, on an armed build,
+        the communicator itself."""
+        key = (kind, algorithm, nbytes, dtype, op, routed)
+        plan = comm._coll_plans.get(key)
+        if plan is None:
+            plan = comm._coll_plans[key] = cls(comm, *key)
+        return plan, comm if comm.proc.armed else plan
+
+    @property
+    def scratch(self) -> memoryview:
+        """The plan-owned accumulator (allocated on first use)."""
+        if self._scratch is None:
+            self._scratch = np.empty(self.nbytes, np.uint8).data
+        return self._scratch
+
+    def combine(self, acc: memoryview):
+        """``combine(lower, higher[, out])`` over the bytes of this
+        plan's dtype: its elementwise op with ``out=`` the accumulator
+        *acc* (or the chunk of it a schedule names), which may be
+        either operand.  Allocates nothing; returns *out*, the payload
+        to carry forward."""
+        op, dtype = self.op, self.dtype
+
+        def combine(lower, higher, out=acc):
+            op(np.frombuffer(lower, dtype), np.frombuffer(higher, dtype),
+               np.frombuffer(out, dtype))
+            return out
+        return combine
+
+    def _isend_bytes(self, data: "bytes | memoryview", dest: int,
+                     tag: int) -> "Request":
+        op = self._sends.get((dest, tag))
+        if op is None:
+            op = self._sends[dest, tag] = SendOp(None, 0, BYTE_REF, dest,
+                                                 tag, self.comm)
+            op.plan = self.comm._call_plan(op, False, dest)
+        op.buf, op.count = data, len(data)
+        proc = self.proc
+        proc.charge(op.plan.path)
+        request = proc.device.isend(op)
+        op.buf = None       # a plan pins nobody's memory between calls
+        return request
+
+    def _irecv_bytes(self, source: int, tag: int,
+                     into: Optional[memoryview] = None) -> "Request":
+        op = self._recvs.get((source, tag))
+        if op is None:
+            op = self._recvs[source, tag] = RecvOp(None, 0, BYTE_REF, source,
+                                                   tag, self.comm)
+            op.plan = self.comm._call_plan(op, RECV_PLAN, source)
+        op.buf, op.count = into, 0 if into is None else len(into)
+        proc = self.proc
+        proc.charge(op.plan.path)
+        request = proc.device.irecv(op)
+        op.buf = None       # the posted descriptor holds the view now
+        return request
 
 
 def bcast_buf(comm: "Communicator", array: np.ndarray, root: int,
-              algorithm: Optional[str] = None) -> None:
+              algorithm: Optional[str] = None, routed: bool = False) -> None:
     """Broadcast a numpy buffer in place, selecting the binomial tree
     for small payloads and scatter+allgather (van de Geijn) beyond
     :data:`BCAST_BINOMIAL_MAX_BYTES`; *algorithm* forces
     ``"binomial"``, ``"scatter_allgather"``, or ``"ring"`` (the
     pipelined chain)."""
     arr = _as_contig(array, "bcast buffer")
-    if algorithm is None:
-        algorithm = ("binomial" if arr.nbytes <= BCAST_BINOMIAL_MAX_BYTES
-                     else "scatter_allgather")
-    _check_algorithm("bcast", algorithm, BCAST_ALGORITHMS)
-    # The root's payload is a borrow of the user buffer: every forward
-    # on the tree is seen complete before the call returns, and the
-    # matching engine owns any unexpected copy, so no materialization
-    # is needed.
-    payload = (arr.view(np.uint8).reshape(-1).data
-               if comm.rank == root else None)
-    data = run_schedule(comm,
-                        BCAST_ALGORITHMS[algorithm](comm, payload, root))
-    if comm.rank != root:
-        if len(data) != arr.nbytes:
-            raise MPIErrArg(
-                f"bcast buffer is {arr.nbytes} bytes on rank {comm.rank} "
-                f"but the root sent {len(data)}")
-        arr.view(np.uint8).reshape(-1)[:] = np.frombuffer(data, np.uint8)
+    plan, via = CollPlan.of(comm, "bcast", arr.nbytes, algorithm=algorithm,
+                            routed=routed)
+    if plan.route is not None:
+        return plan.route(comm, arr, root)
+    # The root's buffer goes out as a borrow (every forward is seen
+    # complete, the matching engine owns any unexpected copy); every
+    # other rank receives into its own.
+    run_schedule(comm, BCAST_ALGORITHMS[plan.algorithm](via, _flat(arr),
+                                                        root))
 
 
 def reduce_buf(comm: "Communicator", sendbuf: np.ndarray,
-               recvbuf: Optional[np.ndarray], op, root: int) -> None:
+               recvbuf: Optional[np.ndarray], op, root: int,
+               routed: bool = False) -> None:
     """Reduce numpy buffers elementwise into *recvbuf* at *root*."""
     send = _as_contig(sendbuf, "reduce sendbuf")
-    # Snapshot once up front: the binomial tree holds the running
-    # payload across log P combine rounds, and bounding the user-buffer
-    # borrow to the entry keeps the rounds free to interleave recvs.
-    result = run_schedule(comm, reduce_steps(
-        comm, send.tobytes(), root,  # bufcheck: ignore[BC504]
-        _combine_arrays(op, send.dtype)))
+    recv = None
     if comm.rank == root:
         if recvbuf is None:
             raise MPIErrArg("reduce root needs a recvbuf")
         recv = _as_contig(recvbuf, "reduce recvbuf")
-        if recv.nbytes != len(result):
-            raise MPIErrArg(
-                f"recvbuf holds {recv.nbytes} bytes, reduction produced "
-                f"{len(result)}")
-        recv.view(np.uint8).reshape(-1)[:] = np.frombuffer(result, np.uint8)
+        if recv.nbytes != send.nbytes:
+            raise MPIErrArg(f"recvbuf holds {recv.nbytes} bytes, the "
+                            f"reduction produces {send.nbytes}")
+        _same_dtype("reduce", send, recv)
+    plan, via = CollPlan.of(comm, "reduce", send.nbytes, send.dtype, op,
+                            routed=routed)
+    if plan.route is not None:
+        return plan.route(comm, send, recv, op, root)
+    acc = plan.scratch if recv is None else _flat(recv)
+    result = run_schedule(comm, reduce_steps(via, _flat(send), root,
+                                             plan.combine(acc)))
+    if recv is not None and result is not acc:
+        acc[:] = result
 
 
 def allreduce_buf(comm: "Communicator", sendbuf: np.ndarray,
                   recvbuf: np.ndarray, op,
-                  algorithm: Optional[str] = None) -> None:
+                  algorithm: Optional[str] = None,
+                  routed: bool = False) -> None:
     """Allreduce numpy buffers with MPICH-style algorithm selection:
     recursive doubling for small payloads, reduce+broadcast beyond
     :data:`ALLREDUCE_RECDOUBLE_MAX_BYTES`.  *algorithm* forces
     ``"recursive_doubling"``, ``"reduce_bcast"``, ``"ring"``, or
-    ``"reduce_scatter_allgather"`` (Rabenseifner)."""
+    ``"reduce_scatter_allgather"`` (Rabenseifner).  Every algorithm
+    reduces into *recvbuf*, which may therefore be *sendbuf*."""
     send = _as_contig(sendbuf, "allreduce sendbuf")
     recv = _as_contig(recvbuf, "allreduce recvbuf")
     if recv.nbytes != send.nbytes:
         raise MPIErrArg("allreduce buffers must have equal byte size")
-    if algorithm is None:
-        algorithm = ("recursive_doubling"
-                     if send.nbytes <= ALLREDUCE_RECDOUBLE_MAX_BYTES
-                     else "reduce_bcast")
-    _check_algorithm("allreduce", algorithm, ALLREDUCE_ALGORITHMS)
-    if algorithm == "reduce_bcast":
-        reduce_buf(comm, send, recv, op, 0)
-        bcast_buf(comm, recv, 0)
-        return
-    combine = _combine_arrays(op, send.dtype)
-    if algorithm == "recursive_doubling":
-        # Snapshot up front: recursive doubling reuses the running
-        # payload across rounds with pre-posted receives in flight.
-        result = allreduce_recursive_doubling(comm, send.tobytes(),  # bufcheck: ignore[BC504]
-                                              combine)
-    else:
-        # The ring and Rabenseifner schedules own their working copy at
-        # entry, so the sendbuf borrow never outlives the call.
-        result = run_schedule(comm, ALLREDUCE_ALGORITHMS[algorithm](
-            comm, send.view(np.uint8).reshape(-1).data, combine,
-            send.dtype.itemsize))
-    recv.view(np.uint8).reshape(-1)[:] = np.frombuffer(result, np.uint8)
+    _same_dtype("allreduce", send, recv)
+    plan, via = CollPlan.of(comm, "allreduce", send.nbytes, send.dtype, op,
+                            algorithm, routed)
+    if plan.route is not None:
+        return plan.route(comm, send, recv, op)
+    acc = _flat(recv)
+    result = run_schedule(comm, ALLREDUCE_ALGORITHMS[plan.algorithm](
+        via, _flat(send), plan.combine(acc), acc, send.dtype.itemsize))
+    if result is not acc:
+        acc[:] = result
 
 
 def allgather_buf(comm: "Communicator", sendbuf: np.ndarray,
@@ -851,39 +1019,31 @@ def allgather_buf(comm: "Communicator", sendbuf: np.ndarray,
         raise MPIErrArg(
             f"allgather recvbuf must hold {comm.size} blocks of "
             f"{send.nbytes} bytes, has {recv.nbytes}")
-    # Zero-copy staging: every forward on the ring is seen complete
-    # before the next (the engine owns any unexpected copy), and the
-    # result list — the only place the sendbuf borrow is stored — dies
-    # before this returns, so no up-front snapshot is needed.
-    blocks = run_schedule(comm, allgather_steps(
-        comm, send.view(np.uint8).reshape(-1).data))
-    flat = recv.view(np.uint8).reshape(-1)
-    for i, block in enumerate(blocks):
-        flat[i * send.nbytes:(i + 1) * send.nbytes] = \
-            np.frombuffer(block, np.uint8)
+    _, via = CollPlan.of(comm, "allgather", send.nbytes)
+    # Blocks land in their slice of recvbuf and are forwarded from it;
+    # this rank's own goes out as a borrow of sendbuf.
+    blocks = _blocks(recv, comm.size)
+    blocks[comm.rank][:] = payload = _flat(send)
+    run_schedule(comm, allgather_steps(via, payload, blocks=blocks))
 
 
 def gather_buf(comm: "Communicator", sendbuf: np.ndarray,
                recvbuf: Optional[np.ndarray], root: int) -> None:
     """MPI_GATHER of equal-size numpy blocks into *recvbuf* at root."""
     send = _as_contig(sendbuf, "gather sendbuf")
-    # Own bytes up front: the root stores its own block in the gathered
-    # result list, so a sendbuf borrow would escape the call.
-    chunks = run_schedule(comm, gather_steps(
-        comm, send.tobytes(), root))  # bufcheck: ignore[BC504]
-    if comm.rank != root:
-        return
-    if recvbuf is None:
-        raise MPIErrArg("gather root needs a recvbuf")
-    recv = _as_contig(recvbuf, "gather recvbuf")
-    if recv.nbytes != send.nbytes * comm.size:
-        raise MPIErrArg(
-            f"gather recvbuf must hold {comm.size} blocks of "
-            f"{send.nbytes} bytes, has {recv.nbytes}")
-    flat = recv.view(np.uint8).reshape(-1)
-    for i, block in enumerate(chunks):
-        flat[i * send.nbytes:(i + 1) * send.nbytes] = \
-            np.frombuffer(block, np.uint8)
+    payload, out = _flat(send), None
+    if comm.rank == root:
+        if recvbuf is None:
+            raise MPIErrArg("gather root needs a recvbuf")
+        recv = _as_contig(recvbuf, "gather recvbuf")
+        if recv.nbytes != send.nbytes * comm.size:
+            raise MPIErrArg(
+                f"gather recvbuf must hold {comm.size} blocks of "
+                f"{send.nbytes} bytes, has {recv.nbytes}")
+        out = _blocks(recv, comm.size)
+        out[root][:] = payload
+    _, via = CollPlan.of(comm, "gather", send.nbytes)
+    run_schedule(comm, gather_steps(via, payload, root, out=out))
 
 
 def scatter_buf(comm: "Communicator", sendbuf: Optional[np.ndarray],
@@ -899,13 +1059,19 @@ def scatter_buf(comm: "Communicator", sendbuf: Optional[np.ndarray],
             raise MPIErrArg(
                 f"scatter sendbuf must hold {comm.size} blocks of "
                 f"{recv.nbytes} bytes, has {send.nbytes}")
-        # Per-rank chunks are borrows of sendbuf — each linear send is
-        # seen complete and the engine materializes unexpected arrivals.
-        raw = send.view(np.uint8).reshape(-1)
-        chunks = [raw[i * recv.nbytes:(i + 1) * recv.nbytes].data
-                  for i in range(comm.size)]
-    block = run_schedule(comm, scatter_steps(comm, chunks, root))
-    recv.view(np.uint8).reshape(-1)[:] = np.frombuffer(block, np.uint8)
+        chunks = _blocks(send, comm.size)
+    _scatter_into(comm, chunks, recv, root)
+
+
+def _scatter_into(comm: "Communicator", chunks: Optional[list],
+                  recv: np.ndarray, root: int) -> None:
+    """Scatter the root's *chunks*, each rank's straight into *recv*
+    (the root copies its own)."""
+    _, via = CollPlan.of(comm, "scatter", recv.nbytes)
+    into = _flat(recv)
+    block = run_schedule(comm, scatter_steps(via, chunks, root, into=into))
+    if block is not into:
+        into[:] = block
 
 
 def reduce_scatter_block_buf(comm: "Communicator", sendbuf: np.ndarray,
@@ -918,18 +1084,18 @@ def reduce_scatter_block_buf(comm: "Communicator", sendbuf: np.ndarray,
         raise MPIErrArg(
             f"reduce_scatter sendbuf must hold {comm.size} blocks of "
             f"{recv.nbytes} bytes, has {send.nbytes}")
-    reduced = run_schedule(comm, reduce_steps(
-        comm, send.view(np.uint8).reshape(-1).data, 0,
-        _combine_arrays(op, send.dtype)))
+    _same_dtype("reduce_scatter", send, recv)
+    plan, via = CollPlan.of(comm, "reduce_scatter_block", send.nbytes,
+                            send.dtype, op)
+    # No rank's recvbuf holds P blocks: the tree reduces into scratch.
+    reduced = run_schedule(comm, reduce_steps(via, _flat(send), 0,
+                                             plan.combine(plan.scratch)))
     chunks = None
     if comm.rank == 0:
-        # The reduction output is already owned bytes (or, at P=1, the
-        # sendbuf borrow itself) — chunk it with views either way.
-        raw = np.frombuffer(reduced, np.uint8)
-        chunks = [raw[i * recv.nbytes:(i + 1) * recv.nbytes].data
-                  for i in range(comm.size)]
-    block = run_schedule(comm, scatter_steps(comm, chunks, 0))
-    recv.view(np.uint8).reshape(-1)[:] = np.frombuffer(block, np.uint8)
+        # Views of the scratch (at P=1, of the sendbuf borrow itself).
+        blk = recv.nbytes
+        chunks = [reduced[i * blk:(i + 1) * blk] for i in range(comm.size)]
+    _scatter_into(comm, chunks, recv, 0)
 
 
 def scan_buf(comm: "Communicator", sendbuf: np.ndarray,
@@ -939,12 +1105,13 @@ def scan_buf(comm: "Communicator", sendbuf: np.ndarray,
     recv = _as_contig(recvbuf, "scan recvbuf")
     if send.nbytes != recv.nbytes:
         raise MPIErrArg("scan buffers must match in size")
-    # Snapshot up front: rank i's payload may be returned as-is (rank
-    # 0) or forwarded down the chain after the local recv completes.
-    result = run_schedule(comm, scan_steps(
-        comm, send.tobytes(),  # bufcheck: ignore[BC504]
-        _combine_arrays(op, send.dtype)))
-    recv.view(np.uint8).reshape(-1)[:] = np.frombuffer(result, np.uint8)
+    _same_dtype("scan", send, recv)
+    plan, via = CollPlan.of(comm, "scan", send.nbytes, send.dtype, op)
+    acc = _flat(recv)
+    result = run_schedule(comm, scan_steps(via, _flat(send),
+                                           plan.combine(acc)))
+    if result is not acc:     # rank 0: its own contribution
+        acc[:] = result
 
 
 def alltoall_buf(comm: "Communicator", sendbuf: np.ndarray,
@@ -958,13 +1125,9 @@ def alltoall_buf(comm: "Communicator", sendbuf: np.ndarray,
         raise MPIErrArg(
             f"alltoall buffer of {send.nbytes} bytes does not split into "
             f"{comm.size} blocks")
-    blk = send.nbytes // comm.size
-    # Chunk sendbuf with views: every pairwise round is seen complete
-    # before the next, so the borrows never outlive the exchange.
-    raw = send.view(np.uint8).reshape(-1)
-    chunks = [raw[i * blk:(i + 1) * blk].data
-              for i in range(comm.size)]
-    out = run_schedule(comm, alltoall_steps(comm, chunks))
-    flat = recv.view(np.uint8).reshape(-1)
-    for i, block in enumerate(out):
-        flat[i * blk:(i + 1) * blk] = np.frombuffer(block, np.uint8)
+    _, via = CollPlan.of(comm, "alltoall", send.nbytes)
+    # Views of both buffers: each round is seen complete before the
+    # next, and each chunk lands in its slice of recvbuf.
+    chunks, out = _blocks(send, comm.size), _blocks(recv, comm.size)
+    out[comm.rank][:] = chunks[comm.rank]
+    run_schedule(comm, alltoall_steps(via, chunks, out))

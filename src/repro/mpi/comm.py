@@ -72,6 +72,9 @@ class Communicator:
         #: plan lives as long as the handle.  Racing first-use
         #: compiles are harmless: same key, equal plan.
         self._plans: dict = {}
+        #: Buffer-collective plans by call shape (see
+        #: :class:`repro.mpi.collectives.CollPlan`), same lifetime.
+        self._coll_plans: dict = {}
         # §3.5 requestless-operation bookkeeping (owning thread only).
         self._noreq_count = 0
         self._noreq_latest_s = 0.0
@@ -202,8 +205,12 @@ class Communicator:
         return self.proc.device.isend(op)
 
     def _irecv_bytes(self, source: int, tag: int,
+                     into: Optional[memoryview] = None,
                      flags: ext.ExtFlags = ext.NONE) -> Request:
-        op = RecvOp(None, 0, BYTE_REF, source, tag, self, flags)
+        """Post an internal receive: bufferless (the payload is stashed
+        on the request), or into the writable byte view *into*."""
+        op = RecvOp(into, 0 if into is None else len(into), BYTE_REF,
+                    source, tag, self, flags)
         if self.proc.faults is not None:
             return self._ft_irecv(op)
         return self.proc.device.irecv(op)
@@ -213,8 +220,9 @@ class Communicator:
         req.wait()
         self.proc.request_pool.release(req)
 
-    def _recv_bytes(self, source: int, tag: int) -> bytes:
-        req = self._irecv_bytes(source, tag)
+    def _recv_bytes(self, source: int, tag: int,
+                    into: Optional[memoryview] = None) -> bytes:
+        req = self._irecv_bytes(source, tag, into)
         req.wait()
         data = req.payload if req.payload is not None else b""
         self.proc.request_pool.release(req)
@@ -644,14 +652,7 @@ class Communicator:
         forces the flat schedule; otherwise the communicator's
         strategy (``communicator_name``) may route through the
         topology-aware composition (:mod:`repro.mpi.hier`)."""
-        from repro.mpi import hier
-        if algorithm is None:
-            if hier.routes_hier(self):
-                hier.bcast(self, array, root)
-                return
-            if self.collective_strategy() == "naive":
-                algorithm = "binomial"
-        coll.bcast_buf(self, array, root, algorithm)
+        coll.bcast_buf(self, array, root, algorithm, routed=True)
 
     def Gather(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
                root: int = 0) -> None:
@@ -678,11 +679,7 @@ class Communicator:
         """MPI_REDUCE of numpy buffers into *recvbuf* at root (the
         communicator's strategy may route through the leader
         composition, :mod:`repro.mpi.hier`)."""
-        from repro.mpi import hier
-        if hier.routes_hier(self):
-            hier.reduce(self, sendbuf, recvbuf, op, root)
-            return
-        coll.reduce_buf(self, sendbuf, recvbuf, op, root)
+        coll.reduce_buf(self, sendbuf, recvbuf, op, root, routed=True)
 
     def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
                   op=None, algorithm: Optional[str] = None) -> None:
@@ -693,14 +690,8 @@ class Communicator:
         *algorithm*, the communicator's strategy
         (``communicator_name``) may route through the hierarchical or
         two-dimensional composition (:mod:`repro.mpi.hier`)."""
-        from repro.mpi import hier
-        if algorithm is None:
-            if hier.routes_hier(self):
-                hier.allreduce(self, sendbuf, recvbuf, op)
-                return
-            if self.collective_strategy() == "naive":
-                algorithm = "reduce_bcast"
-        coll.allreduce_buf(self, sendbuf, recvbuf, op, algorithm)
+        coll.allreduce_buf(self, sendbuf, recvbuf, op, algorithm,
+                           routed=True)
 
     def Allgather(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
         """MPI_ALLGATHER of equal-size numpy blocks (ring)."""
@@ -774,6 +765,7 @@ class Communicator:
         if self.ctx == 0:
             raise MPIErrComm("cannot free MPI_COMM_WORLD")
         self.freed = True
+        self._coll_plans.clear()
 
     def spawn(self, fn, nprocs: int, args: tuple = (),
               root: int = 0) -> "Communicator":

@@ -24,9 +24,9 @@ communicator, via :func:`create_communicator`) names a collective
 The subcommunicators are built lazily (``MPI_COMM_SPLIT`` is itself a
 collective, so the first routed collective constructs them on every
 rank together) and cached on the communicator.  Phase internals call
-the :mod:`repro.mpi.collectives` algorithms directly with explicit
-algorithm names — never the ``Communicator`` strategy dispatch — so
-routing can never recurse.
+the :mod:`repro.mpi.collectives` entry points directly — unrouted,
+never the ``Communicator`` methods, whose calls alone consult the
+strategy (:func:`route`) — so routing can never recurse.
 
 Hierarchical phases re-associate the reduction (node-grouped instead
 of rank-ordered), so ops must be associative and commutative — true
@@ -130,15 +130,21 @@ def _ctx(comm: "Communicator") -> HierContext:
     return comm._hier_ctx
 
 
-def routes_hier(comm: "Communicator") -> bool:
-    """True when *comm*'s strategy sends its buffer collectives through
-    the topology-aware compositions (multi-rank, multi-node)."""
+def route(comm: "Communicator", kind: str):
+    """The composition *comm*'s strategy sends its ``bcast`` /
+    ``reduce`` / ``allreduce`` buffer collective through — None for a
+    flat one (by strategy, or single-rank, or single-node).  Only the
+    allreduce has a two-dimensional form: the rooted two use the
+    leader composition under both strategies (a column-wise bcast
+    would be its phase 3 alone)."""
     strategy = comm.collective_strategy()
-    if strategy not in ("hierarchical", "two_dimensional"):
-        return False
-    if comm.size <= 1:
-        return False
-    return comm.world.topology.nnodes > 1
+    if (strategy not in ("hierarchical", "two_dimensional")
+            or comm.size <= 1 or comm.world.topology.nnodes <= 1):
+        return None
+    if kind == "allreduce" and strategy == "two_dimensional":
+        return _twod_allreduce
+    return {"bcast": _hier_bcast, "reduce": _hier_reduce,
+            "allreduce": _hier_allreduce}[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +156,27 @@ def _hier_allreduce(comm: "Communicator", sendbuf: np.ndarray,
     ctx = _ctx(comm)
     # Phase 1 (shm): reduce onto the node leader, into recvbuf.
     coll.reduce_buf(ctx.local, sendbuf, recvbuf, op, 0)
-    # Phase 2 (fabric): leaders allreduce the node partials.  Large
-    # payloads force Rabenseifner — reduce-scatter+allgather moves
-    # 2m(P-1)/P bytes per leader where the flat default's
-    # reduce+bcast moves 2m log P — while small ones keep the
-    # latency-optimal size-based selection.
-    if ctx.leaders is not None:
-        alg = (None
-               if recvbuf.nbytes <= coll.ALLREDUCE_RECDOUBLE_MAX_BYTES
-               else "reduce_scatter_allgather")
-        # Aliasing recvbuf as both sides is safe here: every allreduce
-        # algorithm snapshots (or entry-copies) the send payload before
-        # writing the result back.
-        coll.allreduce_buf(ctx.leaders, recvbuf, recvbuf, op,  # bufcheck: ignore[BC505]
-                           alg)
+    # Phase 2 (fabric): leaders allreduce the node partials.
+    _allreduce_partials(ctx.leaders, recvbuf, op)
     # Phase 3 (shm): leader broadcasts the total over the node.
     coll.bcast_buf(ctx.local, recvbuf, 0)
+
+
+def _allreduce_partials(sub: Optional["Communicator"], partial: np.ndarray,
+                        op) -> None:
+    """Phase 2 of both allreduce compositions: the ranks of *sub* (None
+    elsewhere) allreduce their partials in place.  Large payloads force
+    Rabenseifner — reduce-scatter+allgather moves 2m(P-1)/P bytes per
+    rank where the flat default's reduce+bcast moves 2m log P — while
+    small ones keep the latency-optimal size-based selection."""
+    if sub is None:
+        return
+    alg = (None if partial.nbytes <= coll.ALLREDUCE_RECDOUBLE_MAX_BYTES
+           else "reduce_scatter_allgather")
+    # Aliasing is safe: the receive buffer is the accumulator every
+    # algorithm reduces into — an elementwise ``out=`` may be an operand,
+    # and ring/Rabenseifner's entry copy into it is then the identity.
+    coll.allreduce_buf(sub, partial, partial, op, alg)  # bufcheck: ignore[BC505]
 
 
 def _hier_bcast(comm: "Communicator", array: np.ndarray,
@@ -187,35 +198,27 @@ def _hier_bcast(comm: "Communicator", array: np.ndarray,
 def _hier_reduce(comm: "Communicator", sendbuf: np.ndarray,
                  recvbuf: Optional[np.ndarray], op, root: int) -> None:
     ctx = _ctx(comm)
-    topo = comm.world.topology
-    root_node = topo.node_of(comm.world_rank_of(root))
+    root_world = comm.world_rank_of(root)
+    root_node = comm.world.topology.node_of(root_world)
     # Phase 1 (shm): node partials land on each leader in a scratch
     # buffer (recvbuf is only valid at the real root).
     partial = (np.empty_like(sendbuf) if ctx.local.rank == 0 else None)
     coll.reduce_buf(ctx.local, sendbuf, partial, op, 0)
-    # Phase 2 (fabric): leaders reduce to the root node's leader.
+    # Phase 2 (fabric): leaders reduce to the root node's leader —
+    # straight into recvbuf when that leader is the root.
+    total = None
     if ctx.leaders is not None:
         leader_root = ctx.node_leader_rank[root_node]
-        out = (np.empty_like(sendbuf)
-               if ctx.leaders.rank == leader_root else None)
-        coll.reduce_buf(ctx.leaders, partial, out, op, leader_root)
-        partial = out
+        if ctx.leaders.rank == leader_root:
+            total = recvbuf if comm.rank == root else np.empty_like(sendbuf)
+        coll.reduce_buf(ctx.leaders, partial, total, op, leader_root)
     # Phase 3 (shm): shuttle leader -> root when they differ.
-    local_root = (ctx.local.group.rank_of_world(comm.world_rank_of(root))
-                  if ctx.my_node == root_node else UNDEFINED)
-    if comm.rank == root:
-        if recvbuf is None:
-            raise MPIErrArg("reduce root needs a recvbuf")
-        if local_root == 0:
-            recvbuf.view(np.uint8).reshape(-1)[:] = \
-                partial.view(np.uint8).reshape(-1)
-        else:
-            data = ctx.local._recv_bytes(0, TAG_HIER)
-            recvbuf.view(np.uint8).reshape(-1)[:] = \
-                np.frombuffer(data, np.uint8)
-    elif ctx.my_node == root_node and ctx.local.rank == 0:
-        ctx.local._send_bytes(partial.view(np.uint8).reshape(-1).data,
-                              local_root, TAG_HIER)
+    local_root = (ctx.local.group.rank_of_world(root_world)
+                  if ctx.my_node == root_node else 0)
+    if local_root and comm.rank == root:
+        ctx.local._recv_bytes(0, TAG_HIER, coll._flat(recvbuf))
+    elif local_root and ctx.local.rank == 0:
+        ctx.local._send_bytes(coll._flat(total), local_root, TAG_HIER)
 
 
 # ---------------------------------------------------------------------------
@@ -228,39 +231,7 @@ def _twod_allreduce(comm: "Communicator", sendbuf: np.ndarray,
     # Phase 1 (fabric): reduce down each core-index column.
     coll.reduce_buf(ctx.columns, sendbuf, recvbuf, op, 0)
     # Phase 2 (shm, on a full first node): the column roots — one per
-    # core slot — allreduce the column partials (Rabenseifner for
-    # large payloads, as in the hierarchical leaders phase).
-    if ctx.col_roots is not None:
-        alg = (None
-               if recvbuf.nbytes <= coll.ALLREDUCE_RECDOUBLE_MAX_BYTES
-               else "reduce_scatter_allgather")
-        # Safe self-aliasing, as in the hierarchical leaders phase.
-        coll.allreduce_buf(ctx.col_roots, recvbuf, recvbuf, op,  # bufcheck: ignore[BC505]
-                           alg)
+    # core slot — allreduce the column partials.
+    _allreduce_partials(ctx.col_roots, recvbuf, op)
     # Phase 3 (fabric): broadcast the total back down the columns.
     coll.bcast_buf(ctx.columns, recvbuf, 0)
-
-
-# ---------------------------------------------------------------------------
-# dispatch from Communicator methods
-# ---------------------------------------------------------------------------
-
-def bcast(comm: "Communicator", array: np.ndarray, root: int) -> None:
-    """Routed MPI_BCAST (both 2D and hierarchical use the leader
-    composition — a column-wise bcast would be phase 3 alone)."""
-    _hier_bcast(comm, array, root)
-
-
-def reduce(comm: "Communicator", sendbuf: np.ndarray,
-           recvbuf: Optional[np.ndarray], op, root: int) -> None:
-    """Routed MPI_REDUCE (leader composition for both strategies)."""
-    _hier_reduce(comm, sendbuf, recvbuf, op, root)
-
-
-def allreduce(comm: "Communicator", sendbuf: np.ndarray,
-              recvbuf: np.ndarray, op) -> None:
-    """Routed MPI_ALLREDUCE."""
-    if comm.collective_strategy() == "two_dimensional":
-        _twod_allreduce(comm, sendbuf, recvbuf, op)
-    else:
-        _hier_allreduce(comm, sendbuf, recvbuf, op)

@@ -124,7 +124,7 @@ class NBCRequest(Request):
                     self._arm_background(req)
                     return False
                 req.wait()
-                data = req.payload if req.payload is not None else b""
+                data = req.count_bytes if req.payload is None else req.payload
                 # The inner handle never escapes the schedule — recycle
                 # it; the next yielded request must arm afresh.
                 self._armed = False

@@ -1,12 +1,11 @@
 """Reduction operators (MPI_SUM, MPI_MAX, ...).
 
-Each :class:`Op` provides three faces:
+Each :class:`Op` provides two faces:
 
-* ``apply_numpy(incoming, target_view)`` — in-place elementwise
-  ``target = op(incoming, target)``; the RMA accumulate path
-  (MPI-3.1's "op applied at the target") and buffer collectives use
-  this, fully vectorized;
-* ``combine_arrays(a, b)`` — pure combination for collective trees;
+* ``op(a, b, out)`` — elementwise ``out[:] = op(a, b)``, vectorized
+  and allocating nothing: the buffer collectives reduce into their
+  accumulator with it; ``apply_numpy(incoming, target)`` is its RMA
+  spelling (MPI-3.1's "op applied at the target");
 * ``combine_py(a, b)`` — generic-object reduction for the lowercase
   (pickled) collective API.
 """
@@ -27,23 +26,25 @@ class Op:
 
     name: str
     commutative: bool
-    _np: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    _np: Callable[[np.ndarray, np.ndarray, np.ndarray], object]
     _py: Callable[[object, object], object]
+    #: Defined for MPI_ACCUMULATE and friends only: no reduction.
+    rma_only: bool = False
+
+    def __call__(self, a: np.ndarray, b: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+        """Elementwise ``out[:] = op(a, b)`` on equal-shaped arrays of
+        one dtype; *out* may be *a* or *b* (elementwise is alias-safe)."""
+        if not a.shape == b.shape == out.shape:
+            raise MPIErrOp(
+                f"{self.name}: shape mismatch {a.shape} vs {b.shape} "
+                f"into {out.shape}")
+        self._np(a, b, out=out)
+        return out
 
     def apply_numpy(self, incoming: np.ndarray, target: np.ndarray) -> None:
         """In-place ``target[:] = op(incoming, target)`` (RMA semantics)."""
-        if incoming.shape != target.shape:
-            raise MPIErrOp(
-                f"{self.name}: shape mismatch {incoming.shape} vs "
-                f"{target.shape}")
-        target[:] = self._np(incoming, target)
-
-    def combine_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise ``op(a, b)`` on equal-shaped arrays."""
-        if a.shape != b.shape:
-            raise MPIErrOp(
-                f"{self.name}: shape mismatch {a.shape} vs {b.shape}")
-        return self._np(a, b)
+        self(incoming, target, target)
 
     def combine_py(self, a: object, b: object) -> object:
         """Combine two Python objects (generic collective path)."""
@@ -53,20 +54,15 @@ class Op:
         return f"Op({self.name})"
 
 
-def _logical(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """Logical ops produce 0/1 in the operand dtype, per the standard."""
-    def wrapped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return fn(a != 0, b != 0).astype(a.dtype)
-    return wrapped
-
-
 SUM = Op("MPI_SUM", True, np.add, lambda a, b: a + b)
 PROD = Op("MPI_PROD", True, np.multiply, lambda a, b: a * b)
 MAX = Op("MPI_MAX", True, np.maximum, max)
 MIN = Op("MPI_MIN", True, np.minimum, min)
-LAND = Op("MPI_LAND", True, _logical(np.logical_and),
+# Logical ops produce 0/1 in the operand dtype, per the standard: the
+# ufunc's boolean result is cast into ``out``, which has that dtype.
+LAND = Op("MPI_LAND", True, np.logical_and,
           lambda a, b: bool(a) and bool(b))
-LOR = Op("MPI_LOR", True, _logical(np.logical_or),
+LOR = Op("MPI_LOR", True, np.logical_or,
          lambda a, b: bool(a) or bool(b))
 BAND = Op("MPI_BAND", True, np.bitwise_and, lambda a, b: a & b)
 BOR = Op("MPI_BOR", True, np.bitwise_or, lambda a, b: a | b)
@@ -74,9 +70,13 @@ BXOR = Op("MPI_BXOR", True, np.bitwise_xor, lambda a, b: a ^ b)
 
 #: RMA-only: MPI_REPLACE — accumulate that overwrites (what MPI_PUT is
 #: to MPI_ACCUMULATE).
-REPLACE = Op("MPI_REPLACE", False, lambda inc, tgt: inc, lambda a, b: a)
+REPLACE = Op("MPI_REPLACE", False,
+             lambda inc, tgt, out: np.copyto(out, inc), lambda a, b: a,
+             rma_only=True)
 #: RMA-only: MPI_NO_OP — used with GET_ACCUMULATE for atomic reads.
-NO_OP = Op("MPI_NO_OP", False, lambda inc, tgt: tgt, lambda a, b: b)
+NO_OP = Op("MPI_NO_OP", False,
+           lambda inc, tgt, out: np.copyto(out, tgt), lambda a, b: b,
+           rma_only=True)
 
 #: All operators by MPI name.
 BY_NAME: dict[str, Op] = {

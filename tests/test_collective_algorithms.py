@@ -193,7 +193,7 @@ class TestTopologyStrategies:
             np.testing.assert_array_equal(recv, expect)
 
     def test_single_node_falls_back_to_flat(self):
-        # All ranks on one node: routes_hier is False, flat selection
+        # All ranks on one node: hier.route is None, flat selection
         # must serve the call unchanged.
         config = BuildConfig(communicator_name="hierarchical")
         out = _run_topo(4, 8, _allreduce_job(None, 32, reduceops.SUM),

@@ -565,6 +565,86 @@ class TestCallPlanGuard:
                 ("repro.core.am", "unpack")} <= names
 
 
+class TestCollPlanGuard:
+    """Collective-plan regression gate, the collectives' twin of
+    :class:`TestCallPlanGuard`: what a warm ``Allreduce`` costs is how
+    many Python-level calls each rank makes for it, and whether any of
+    them resolves again what its first call already did."""
+
+    #: A warm 4-rank ``Allreduce`` of 8192 float64 (recursive doubling:
+    #: 2 exchanges a rank) made 121-123 Python-level calls per rank,
+    #: frames under ``Request._block`` excluded, when every call routed,
+    #: selected, snapshotted and combined afresh and every internal
+    #: message built its op and looked its plan up; 107 with a
+    #: ``CollPlan`` (a message that finds its receive not yet posted
+    #: makes one call more or less, hence a ceiling and not a count).
+    MAX_CALLS_PER_ALLREDUCE = 110
+    ROUNDS = 50
+
+    def test_python_calls_per_warm_allreduce(self):
+        import sys
+        import numpy as np
+        from repro.fabric.topology import Topology
+        from repro.runtime import World
+        from repro.runtime.request import Request
+        block = Request._block.__code__
+
+        def main(comm):
+            send, recv = np.arange(8192.0) + comm.rank, np.zeros(8192)
+            calls = depth = 0       # depth: frames under Request._block
+
+            def profiler(frame, event, arg):
+                nonlocal calls, depth
+                if event == "call":
+                    if depth or frame.f_code is block:
+                        depth += 1
+                    else:
+                        calls += 1
+                elif event == "return" and depth:
+                    depth -= 1
+
+            for _ in range(20):     # compile the plans, fill the pool
+                comm.Allreduce(send, recv)
+            comm.barrier()
+            sys.setprofile(profiler)
+            try:
+                for _ in range(self.ROUNDS):
+                    comm.Allreduce(send, recv)
+            finally:
+                sys.setprofile(None)
+            assert recv[1] == 4 + 0 + 1 + 2 + 3
+            return calls / self.ROUNDS
+
+        per_rank = World(4, topology=Topology(4, 2)).run(main, timeout=60)
+        assert max(per_rank) <= self.MAX_CALLS_PER_ALLREDUCE, per_rank
+
+    def test_a_call_shape_compiles_its_plan_once(self):
+        import numpy as np
+        from repro.mpi import reduceops
+        from repro.runtime import World
+
+        def main(comm):
+            def plans_compiled_by(*args, **kwargs):
+                before = len(comm._coll_plans)
+                comm.Allreduce(*args, **kwargs)
+                return len(comm._coll_plans) - before
+
+            f8, i4 = np.ones(64), np.ones(64, np.int32)
+            return [
+                plans_compiled_by(f8, np.empty(64)),
+                plans_compiled_by(f8 + 1, np.empty(64)),        # same shape
+                plans_compiled_by(f8[:32], np.empty(32)),       # count
+                plans_compiled_by(i4, np.empty(64, np.int32)),  # dtype
+                plans_compiled_by(f8, np.empty(64), op=reduceops.MAX),
+                plans_compiled_by(f8, np.empty(64), algorithm="ring"),
+                plans_compiled_by(f8, np.empty(64), op=reduceops.MAX),
+                plans_compiled_by(f8, np.empty(64), algorithm="ring"),
+            ]
+
+        assert World(2).run(main, timeout=60) \
+            == [[1, 0, 1, 1, 1, 1, 0, 0]] * 2
+
+
 class TestTrajectory:
     """``perf/trajectory.jsonl``: one well-formed line per landed
     revision, oldest first, whose exact counts are what the tree

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import MPIErrArg, MPIErrRank
+from repro.core.config import BuildConfig
+from repro.errors import MPIErrArg, MPIErrOp, MPIErrRank
+from repro.fabric.topology import Topology
 from repro.mpi import reduceops
+from repro.runtime.world import World
 from tests.conftest import run_world
 
 SIZES = (1, 2, 3, 4, 5, 8)
@@ -276,3 +279,172 @@ class TestInternalHandlesRecycled:
 
         for grew in run_world(4, main):
             assert not any(grew.values()), grew
+
+
+def _run_nodes(nranks, cores_per_node, fn, strategy="flat"):
+    """run_world on an explicit node layout under a collective strategy."""
+    world = World(nranks, BuildConfig(communicator_name=strategy),
+                  topology=Topology(nranks=nranks,
+                                    cores_per_node=cores_per_node))
+    return world.run(fn, timeout=120.0)
+
+
+@pytest.mark.parametrize("strategy", ("flat", "hierarchical"))
+class TestReductionArguments:
+    """What a reduction refuses, it refuses before any message is
+    posted: every rank fails locally and nobody hangs (4 ranks on 2
+    nodes, so ``hierarchical`` really routes)."""
+
+    def test_mismatched_dtypes_rejected(self, strategy):
+        def main(comm):
+            f8, i8 = np.full(4, 2.5), np.zeros(4, np.int64)
+            wide, f4 = np.zeros(4 * comm.size), np.zeros(8, np.float32)
+            comm.Allreduce(f8, np.empty(4))     # splits the subcomms
+            calls = {
+                "allreduce": lambda: comm.Allreduce(f8, i8),
+                "scan": lambda: comm.Scan(f8, i8),
+                "reduce_scatter": lambda: comm.Reduce_scatter_block(wide, f4),
+            }
+            for what, call in calls.items():
+                with pytest.raises(MPIErrArg, match="float64.*(int64|float32)"):
+                    call()
+                assert not i8.any() and not f4.any(), what
+            # MPI_REDUCE's recvbuf counts at the root only (the others
+            # send and are done): same bytes, another element type.
+            recv = np.zeros(8, np.float32)
+            if comm.rank == 0:
+                with pytest.raises(MPIErrArg, match="float64.*float32"):
+                    comm.Reduce(f8, recv, root=0)
+            else:
+                comm.Reduce(f8, recv, root=0)
+            assert not recv.any()
+            return "ok"
+
+        assert _run_nodes(4, 2, main, strategy) == ["ok"] * 4
+
+    @pytest.mark.parametrize("op", (reduceops.REPLACE, reduceops.NO_OP))
+    def test_rma_only_operators_rejected(self, strategy, op):
+        def main(comm):
+            send, recv = np.full(4, comm.rank + 1.0), np.zeros(4)
+            for call in (lambda: comm.Allreduce(send, recv, op=op),
+                         lambda: comm.Reduce(send, recv, op=op),
+                         lambda: comm.Scan(send, recv, op=op),
+                         lambda: comm.allreduce(comm.rank, op=op)):
+                with pytest.raises(MPIErrOp, match=op.name):
+                    call()
+            assert not recv.any()
+            # Nothing was posted: the next collective matches cleanly.
+            comm.Allreduce(send, recv)
+            return recv[0]
+
+        assert _run_nodes(4, 2, main, strategy) == [10.0] * 4
+
+
+_ORACLES = {reduceops.SUM: np.add, reduceops.MAX: np.maximum,
+            reduceops.LAND: np.logical_and}
+
+
+def _contribution(rank, count, dtype):
+    """Small signed integers with zeros among them (LAND has both
+    outcomes, float sums are exact in any order)."""
+    return ((np.arange(count) * (rank + 3)) % 5 - 2).astype(dtype)
+
+
+def _allreduce_matrix(comm, algorithm, aliased, count=37):
+    """Every (op, dtype) of the matrix through one call shape; returns
+    what differed from the numpy fold (nothing, one hopes)."""
+    wrong = []
+    for op, fold in _ORACLES.items():
+        for dtype in (np.float64, np.int32):
+            parts = [_contribution(r, count, dtype)
+                     for r in range(comm.size)]
+            expect = parts[0]
+            for part in parts[1:]:
+                expect = fold(expect, part).astype(dtype)
+            send = parts[comm.rank].copy()
+            recv = send if aliased else np.full(count, 99, dtype)
+            comm.Allreduce(send, recv, op, algorithm=algorithm)
+            if not np.array_equal(recv, expect) or recv.dtype != dtype:
+                wrong.append((op.name, np.dtype(dtype).name, "result"))
+            if not aliased and not np.array_equal(send, parts[comm.rank]):
+                wrong.append((op.name, np.dtype(dtype).name, "sendbuf"))
+    return wrong
+
+
+@pytest.mark.parametrize("aliased", (True, False),
+                         ids=("in_place", "distinct"))
+class TestAllreduceInPlaceOracle:
+    """Every algorithm reduces into ``recvbuf``: it may be ``sendbuf``
+    (what the hierarchical compositions pass their leaders phase), and
+    a distinct ``sendbuf`` comes back bit-unchanged."""
+
+    @pytest.mark.parametrize("size", (2, 3, 4, 5, 8))
+    @pytest.mark.parametrize("algorithm", (
+        "reduce_bcast", "recursive_doubling", "ring",
+        "reduce_scatter_allgather"))
+    def test_flat_algorithms(self, algorithm, size, aliased):
+        out = run_world(size, _allreduce_matrix, args=(algorithm, aliased))
+        assert out == [[]] * size
+
+    @pytest.mark.parametrize("nranks,cores", ((4, 2), (6, 4)))
+    @pytest.mark.parametrize("strategy", ("hierarchical",
+                                          "two_dimensional"))
+    def test_strategies_on_two_nodes(self, strategy, nranks, cores,
+                                     aliased):
+        out = _run_nodes(
+            nranks, cores,
+            lambda comm: _allreduce_matrix(comm, None, aliased)
+            # above the recursive-doubling ceiling: the leaders phase
+            # (self-aliased) goes Rabenseifner.
+            + _allreduce_matrix(comm, None, aliased, count=20_000),
+            strategy)
+        assert out == [[]] * nranks
+
+
+class TestCollPlanCache:
+    """Where the plans live, and who gets to use their cached ops."""
+
+    def test_free_drops_the_plans(self):
+        def main(comm):
+            dup = comm.dup()
+            dup.Allreduce(np.ones(4), np.zeros(4))
+            held = len(dup._coll_plans)
+            dup.free()
+            return held, len(dup._coll_plans)
+
+        assert run_world(2, main) == [(1, 0)] * 2
+
+    @pytest.mark.parametrize("config,cached", (
+        (BuildConfig(), True), (BuildConfig(sanitize=True), False),
+        (BuildConfig(num_vcis=4), False)))
+    def test_armed_builds_keep_per_call_ops(self, config, cached):
+        """The cached ops skip the communicator's primitives, where the
+        fault wrapping, the sanitizer and the VCI lanes hook in."""
+        def main(comm):
+            recv = np.zeros(4)
+            comm.Allreduce(np.ones(4), recv)
+            (plan,) = comm._coll_plans.values()
+            return recv[0], bool(plan._sends or plan._recvs)
+
+        assert run_world(2, main, config) == [(2.0, cached)] * 2
+
+    def test_nonblocking_collectives_compile_no_plan(self):
+        def main(comm):
+            reqs = [comm.iallreduce(comm.rank), comm.ibarrier()]
+            for req in reqs:
+                req.wait()
+            return len(comm._coll_plans)
+
+        assert run_world(3, main) == [0] * 3
+
+    def test_short_block_is_an_error_not_a_partial_fill(self):
+        """A block received in place must fill its slice exactly."""
+        def main(comm):
+            if comm.rank == 0:
+                with pytest.raises(MPIErrArg, match="expected 16 bytes"):
+                    comm.Gather(np.zeros(2), np.zeros(4), root=0)
+            else:
+                comm.Gather(np.zeros(1), None, root=0)
+            return "ok"
+
+        assert run_world(2, main) == ["ok"] * 2

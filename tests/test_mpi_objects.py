@@ -136,26 +136,35 @@ class TestStatus:
 
 
 class TestReduceOps:
+    @staticmethod
+    def _reduced(op, a, b):
+        """``op(a, b, out)`` into a fresh array of the operand dtype."""
+        return op(a, b, np.empty_like(a)).tolist()
+
     def test_arithmetic_ops(self):
         a = np.array([1.0, 5.0])
         b = np.array([3.0, 2.0])
-        assert reduceops.SUM.combine_arrays(a, b).tolist() == [4.0, 7.0]
-        assert reduceops.PROD.combine_arrays(a, b).tolist() == [3.0, 10.0]
-        assert reduceops.MAX.combine_arrays(a, b).tolist() == [3.0, 5.0]
-        assert reduceops.MIN.combine_arrays(a, b).tolist() == [1.0, 2.0]
+        assert self._reduced(reduceops.SUM, a, b) == [4.0, 7.0]
+        assert self._reduced(reduceops.PROD, a, b) == [3.0, 10.0]
+        assert self._reduced(reduceops.MAX, a, b) == [3.0, 5.0]
+        assert self._reduced(reduceops.MIN, a, b) == [1.0, 2.0]
 
     def test_logical_ops_normalize(self):
         a = np.array([0, 2, 0, 5], dtype=np.int32)
         b = np.array([1, 0, 0, 7], dtype=np.int32)
-        assert reduceops.LAND.combine_arrays(a, b).tolist() == [0, 0, 0, 1]
-        assert reduceops.LOR.combine_arrays(a, b).tolist() == [1, 1, 0, 1]
+        assert self._reduced(reduceops.LAND, a, b) == [0, 0, 0, 1]
+        assert self._reduced(reduceops.LOR, a, b) == [1, 1, 0, 1]
+        # In place, into either operand, in the operand's dtype.
+        f = np.array([0.0, 2.5, 0.0, np.nan])
+        assert reduceops.LOR(f, f.copy(), f) is f
+        assert f.tolist() == [0.0, 1.0, 0.0, 1.0]
 
     def test_bitwise_ops(self):
         a = np.array([0b1100], dtype=np.uint8)
         b = np.array([0b1010], dtype=np.uint8)
-        assert reduceops.BAND.combine_arrays(a, b)[0] == 0b1000
-        assert reduceops.BOR.combine_arrays(a, b)[0] == 0b1110
-        assert reduceops.BXOR.combine_arrays(a, b)[0] == 0b0110
+        assert self._reduced(reduceops.BAND, a, b) == [0b1000]
+        assert self._reduced(reduceops.BOR, a, b) == [0b1110]
+        assert self._reduced(reduceops.BXOR, a, b) == [0b0110]
 
     def test_apply_numpy_in_place(self):
         target = np.array([1.0, 2.0])
@@ -171,7 +180,9 @@ class TestReduceOps:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MPIErrOp):
-            reduceops.SUM.combine_arrays(np.zeros(2), np.zeros(3))
+            reduceops.SUM(np.zeros(2), np.zeros(3), np.zeros(2))
+        with pytest.raises(MPIErrOp):
+            reduceops.SUM(np.zeros(2), np.zeros(2), np.zeros(3))
         with pytest.raises(MPIErrOp):
             reduceops.SUM.apply_numpy(np.zeros(2), np.zeros(3))
 
@@ -189,6 +200,6 @@ class TestReduceOps:
     def test_sum_commutative_associative(self, values):
         arr = np.asarray(values)
         rev = arr[::-1].copy()
-        forward = reduceops.SUM.combine_arrays(arr, np.zeros_like(arr))
-        backward = reduceops.SUM.combine_arrays(rev, np.zeros_like(rev))
+        forward = reduceops.SUM(arr, np.zeros_like(arr), np.empty_like(arr))
+        backward = reduceops.SUM(rev, np.zeros_like(rev), np.empty_like(rev))
         assert float(forward.sum()) == pytest.approx(float(backward.sum()))

@@ -8,7 +8,7 @@ from repro.errors import MPIErrArg
 from repro.fabric.model import OFI_PSM2
 from repro.fabric.topology import Topology
 from repro.mpi import reduceops
-from repro.mpi.collectives import allreduce_recursive_doubling
+from repro.mpi.collectives import recursive_doubling_steps, run_schedule
 from repro.mpi.tools import (PvarClass, PvarSession, pvar_get_info,
                              pvar_get_num, pvar_names)
 from repro.runtime.world import World
@@ -179,8 +179,8 @@ class TestRecursiveDoubling:
             def combine(a, b):
                 return bytes([(x + y) % 256 for x, y in zip(a, b)])
 
-            return allreduce_recursive_doubling(
-                comm, bytes([comm.rank + 1, 0]), combine)
+            return run_schedule(comm, recursive_doubling_steps(
+                comm, bytes([comm.rank + 1, 0]), combine))
 
         expected = bytes([size * (size + 1) // 2 % 256, 0])
         assert run_world(size, main) == [expected] * size
