@@ -62,9 +62,19 @@ class Taint:
     #: application's bytes (the multi-round collectives' accumulators)
 
 
+@dataclass(frozen=True)
+class FuncRef:
+    """A function passed as an argument (``run_planned(..., body, op)``
+    handed ``proc.device.isend``): what a call of the parameter it is
+    bound to descends into."""
+
+    funcs: tuple             #: the candidate ``FunctionInfo``s
+
+
 #: A tracked value: one buffer, a field->value composite (ops,
-#: messages), a tuple of values (multi-returns), or untracked (None).
-Value = Union[Taint, dict, list, None]
+#: messages), a tuple of values (multi-returns), a function reference,
+#: or untracked (None).
+Value = Union[Taint, dict, list, FuncRef, None]
 
 
 def first_taint(value: Value) -> Optional[Taint]:
@@ -89,8 +99,8 @@ def merge_values(values: Sequence[Value]) -> Value:
     returns): identical shapes merge field-wise, otherwise the first
     tainted value wins (over-approximation, never silently untainted)."""
     tainted = [v for v in values if first_taint(v) is not None]
-    if not tainted:
-        return None
+    if not tainted:   # a callback survives the join of its branches
+        return next((v for v in values if isinstance(v, FuncRef)), None)
     head = tainted[0]
     if isinstance(head, Taint):
         out = head
@@ -120,6 +130,8 @@ def canon(value: Value) -> tuple:
             if first_taint(v) is not None))
     if isinstance(value, list):
         return ("l",) + tuple(canon(v) for v in value[:8])
+    if isinstance(value, FuncRef):
+        return ("f",) + tuple(f.qualname for f in value.funcs)
     return ("n",)
 
 
@@ -326,6 +338,7 @@ class Analyzer:
         self.findings: dict[tuple, Finding] = {}
         self._memo: dict[tuple, Summary] = {}
         self._active: set[tuple] = set()
+        self._calls: dict[str, frozenset] = {}
 
     # -- findings ----------------------------------------------------------
 
@@ -358,7 +371,7 @@ class Analyzer:
         """Memoized analysis of *func* under *seeds*."""
         key = (func.qualname, tuple(sorted(
             (k, canon(v)) for k, v in seeds.items()
-            if first_taint(v) is not None)))
+            if first_taint(v) is not None or isinstance(v, FuncRef))))
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -685,6 +698,13 @@ class Analyzer:
 
     def _eval_call(self, node: ast.Call, env, quals, ctx) -> Value:
         argvals = [self._eval(a, env, quals, ctx) for a in node.args]
+        for i, arg in enumerate(node.args):
+            # ``obj.method`` passed uncalled: a callback the callee may
+            # run (kept by ``_map_args`` only if it calls the parameter).
+            if argvals[i] is None and isinstance(arg, ast.Attribute):
+                funcs = self.index.resolve_call(arg, ctx.func)
+                if funcs:
+                    argvals[i] = FuncRef(tuple(funcs))
         kwvals = {kw.arg: self._eval(kw.value, env, quals, ctx)
                   for kw in node.keywords if kw.arg is not None}
         self._check_aliasing(node, ctx)
@@ -754,6 +774,10 @@ class Analyzer:
     def _call_name(self, node, name: str, argvals, kwvals, env, quals,
                    ctx) -> Value:
         arg0 = argvals[0] if argvals else None
+        ref = env.get(name)
+        if isinstance(ref, FuncRef):     # a call of a callback parameter
+            return self._descend(list(ref.funcs), argvals, kwvals, quals,
+                                 ctx)
         if name in SCALAR_CALLS:
             return None
         if name in ("bytes", "bytearray"):
@@ -898,8 +922,10 @@ class Analyzer:
             params = params[1:]
         kwonly = [a.arg for a in callee.node.args.kwonlyargs]
         seeds: dict[str, Value] = {}
-        for i, value in enumerate(argvals):
-            if first_taint(value) is not None and i < len(params):
+        for i, value in enumerate(argvals[:len(params)]):
+            if first_taint(value) is not None or (
+                    isinstance(value, FuncRef)
+                    and params[i] in self._called_names(callee)):
                 seeds[params[i]] = value
         for name, value in kwvals.items():
             if first_taint(value) is not None \
@@ -907,15 +933,28 @@ class Analyzer:
                 seeds[name] = value
         return seeds
 
+    def _called_names(self, func: FunctionInfo) -> frozenset:
+        """The bare names *func*'s body calls (``body(op)`` -> body)."""
+        names = self._calls.get(func.qualname)
+        if names is None:
+            names = self._calls[func.qualname] = frozenset(
+                n.func.id for n in ast.walk(func.node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name))
+        return names
+
     def _descend(self, candidates, argvals, kwvals, quals, ctx) -> Value:
         rets: list[Value] = []
         for cand in candidates[:MAX_CANDIDATES]:
             seeds = self._map_args(cand, argvals, kwvals)
-            if not seeds:
+            if first_taint(list(seeds.values())) is None:
                 continue
             summ = self.analyze(cand, seeds, ctx.depth + 1)
-            for ev in summ.events:
-                ctx.events.append(replace(ev, quals=ev.quals | quals))
+            # Events are frozen: one the call site's qualifiers add
+            # nothing to is shared, not copied, on its way up.
+            ctx.events.extend(
+                ev if quals <= ev.quals
+                else replace(ev, quals=ev.quals | quals)
+                for ev in summ.events)
             rets.append(summ.ret)
         return merge_values(rets)
 

@@ -106,18 +106,14 @@ class CH3Device:
             return request
 
         dest_world = op.comm.translation.world_rank(op.dest)
-        env = Envelope(ctx=op.comm.ctx, src=op.comm.rank, tag=op.tag)
-        request = proc.request_pool.acquire(RequestKind.SEND)
 
-        # Same zero-copy discipline as CH4: borrow the application
-        # buffer, pin the view on the request, copy only under fault
-        # injection (retransmit stashes hold payloads across calls).
+        # Same zero-copy discipline and send order as CH4: borrow the
+        # application buffer (copy only under fault injection, whose
+        # retransmit stashes hold payloads across calls), acquire early
+        # only a handle the sync handshake or a hook must hold, else
+        # hand back one born complete.
         payload = pack(op.buf, op.count, op.dtref.datatype,
                        copy=proc.faults is not None)
-        request._keepalive = payload
-        if proc.sanitizer is not None:
-            proc.sanitizer.note_send(request, dest_world, op.sync, payload,
-                                     (op.buf, op.count, op.dtref.datatype))
         transport = self._transport_for(dest_world)
         protocol = choose_protocol(len(payload), transport.spec,
                                    proc.config.eager_threshold)
@@ -126,23 +122,34 @@ class CH3Device:
         else:
             self.n_rendezvous += 1
 
-        sync = None
+        request = sync = None
+        if op.sync or proc.hooked:
+            request = proc.request_pool.acquire(RequestKind.SEND)
+            request._keepalive = payload
+            if proc.sanitizer is not None:
+                proc.sanitizer.note_send(
+                    request, dest_world, op.sync, payload,
+                    (op.buf, op.count, op.dtref.datatype))
         if op.sync:
             sync = SyncState(request=request,
                              ack_latency_s=transport.spec.latency_s)
 
         result = transport.issue(len(payload), native=True)
         arrive = result.arrive_s + wire_overhead_s(protocol, transport.spec)
-        msg = Message(env=env, data=payload, arrive_s=arrive, sync=sync)
-        proc.deliver(dest_world, msg)
+        proc.deliver(dest_world, Message(
+            tuple.__new__(Envelope, (op.comm.ctx, op.comm.rank, op.tag,
+                                     False)), payload, arrive, sync))
 
+        # Rendezvous: the sender's buffer is free only after the CTS
+        # returns.
+        complete = (proc.vclock.now + 2 * transport.spec.latency_s
+                    if protocol is Protocol.RENDEZVOUS
+                    else result.complete_s)
+        if request is None:
+            return proc.request_pool.acquire(RequestKind.SEND, complete,
+                                             payload)
         if not op.sync:
-            if protocol is Protocol.RENDEZVOUS:
-                # The sender's buffer is free only after the CTS returns.
-                request.complete(proc.vclock.now
-                                 + 2 * transport.spec.latency_s)
-            else:
-                request.complete(result.complete_s)
+            request.complete(complete)
         return request
 
     def irecv(self, op: RecvOp) -> Request:

@@ -292,16 +292,20 @@ class CH4Device:
             return self._null_send(op)
         flags = op.flags
         comm = op.comm
-        request = None if flags.noreq else proc.request_pool.acquire(_SEND)
 
         # Zero-copy fast path: the payload borrows the application
         # buffer; the request pins the view until recycled.
         payload = pack(op.buf, op.count, op.dtref.datatype, self.copy_sends)
         nbytes = len(payload)
-        if request is not None:
-            request._keepalive = payload
         transport = plan.transport
-        vci = sync = None
+        # A handle something must hold before delivery — the sync
+        # handshake completes it, a hook records it — is acquired
+        # pending, after ``pack`` (which may refuse the buffer); every
+        # other send's is born complete once its time is known.
+        request = vci = sync = None
+        if (op.sync or proc.hooked) and not flags.noreq:
+            request = proc.request_pool.acquire(_SEND)
+            request._keepalive = payload
         if proc.hooked:
             if proc.sanitizer is not None and request is not None:
                 proc.sanitizer.note_send(
@@ -328,13 +332,16 @@ class CH4Device:
             complete = proc.vclock.now + 2.0 * transport.spec.latency_s
         if vci is not None:
             vci.completion.note("send", complete)
+        # The envelope is built at C level: no frame for its __new__.
         proc.deliver(plan.peer_world, Message(
-            Envelope(comm.ctx, comm.rank, op.tag, flags.nomatch), payload,
-            arrive, sync))
+            tuple.__new__(Envelope, (comm.ctx, comm.rank, op.tag,
+                                     flags.nomatch)), payload, arrive, sync))
 
-        if request is None:
+        if flags.noreq:
             comm.note_noreq_issue(complete)
             return None
+        if request is None:
+            return proc.request_pool.acquire(_SEND, complete, payload)
         if not op.sync:
             # Rendezvous completion (CTS arrival) is background-capable:
             # with a progress engine the precomputed completion parks on

@@ -7,12 +7,17 @@ charges, by :class:`Subsystem`.  The hot-path entry point is
 :meth:`InstructionCounter.charge`; a module-level :func:`charge`
 convenience resolves the thread's installed counter first.
 
-The counts live in two plain lists indexed by ``member.index``;
-``by_category`` / ``by_subsystem`` are dict views derived on read.  The
-accounting is not free on the wall clock — at 16 stepwise charges per
-call it was 18-21 % of a small message's self time — so per-message
-paths charge one compiled :class:`~repro.instrument.plan.ChargePlan`
-per layer (:meth:`repro.runtime.proc.Proc.charge`); the stepwise entry
+Stepwise charges land in two plain lists indexed by ``member.index``.
+The accounting is not free on the wall clock — at 16 stepwise charges
+per call it was 18-21 % of a small message's self time — so
+per-message paths charge one compiled
+:class:`~repro.instrument.plan.ChargePlan` per call
+(:meth:`repro.runtime.proc.Proc.charge`), which adds the plan's total
+and counts the replay; what ``k`` replays of a plan add to each
+category and subsystem is folded in (``k × n``, exact) when somebody
+reads ``cat_counts`` / ``sub_counts`` / ``by_category`` /
+``by_subsystem`` / ``snapshot()``.  Reading changes nothing, so a read
+racing the owning rank's charges is merely stale.  The stepwise entry
 here serves tests, probes and off-path charges.
 """
 
@@ -57,14 +62,34 @@ class InstructionCounter:
         reports.
     """
 
-    __slots__ = ("label", "total", "cat_counts", "sub_counts")
+    __slots__ = ("label", "total", "_cats", "_subs", "replays")
 
     def __init__(self, label: str = ""):
         self.label = label
         self.total = 0
-        #: Instructions per category / subsystem, at ``member.index``.
-        self.cat_counts = [0] * len(Category)
-        self.sub_counts = [0] * len(Subsystem)
+        #: Stepwise charges per category / subsystem, at ``member.index``.
+        self._cats = [0] * len(Category)
+        self._subs = [0] * len(Subsystem)
+        #: Replays per compiled plan since the last reset, not yet in
+        #: the lists (``Proc.charge`` bumps it; reads fold it).
+        self.replays: dict = {}
+
+    def _folded(self, stepwise: list[int], pairs: str) -> list[int]:
+        counts = stepwise[:]
+        for plan, k in list(self.replays.items()):
+            for index, n in getattr(plan, pairs):
+                counts[index] += k * n
+        return counts
+
+    @property
+    def cat_counts(self) -> list[int]:
+        """Instructions per category at ``member.index`` (a fresh list)."""
+        return self._folded(self._cats, "cats")
+
+    @property
+    def sub_counts(self) -> list[int]:
+        """Instructions per subsystem at ``member.index`` (a fresh list)."""
+        return self._folded(self._subs, "subs")
 
     @property
     def by_category(self) -> dict[Category, int]:
@@ -81,15 +106,16 @@ class InstructionCounter:
         """Charge *n* abstract instructions to *category* (and optionally
         attribute them to a mandatory *subsystem*)."""
         self.total += n
-        self.cat_counts[category.index] += n
+        self._cats[category.index] += n
         if subsystem is not None:
-            self.sub_counts[subsystem.index] += n
+            self._subs[subsystem.index] += n
 
     def reset(self) -> None:
         """Zero all accumulators."""
         self.total = 0
-        self.cat_counts[:] = [0] * len(Category)
-        self.sub_counts[:] = [0] * len(Subsystem)
+        self._cats[:] = [0] * len(Category)
+        self._subs[:] = [0] * len(Subsystem)
+        self.replays.clear()
 
     def snapshot(self) -> Snapshot:
         """Copy the current state (cheap: two small dicts)."""

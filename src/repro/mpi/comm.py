@@ -34,7 +34,7 @@ from repro.mpi.group import Group
 from repro.mpi.info import Info
 from repro.mpi.pt2pt import (BYTE_REF, call_plan, check_recv, check_send,
                              entry_plan, mpi_entry, normalize_buffer,
-                             validate_args)
+                             run_planned, validate_args)
 from repro.mpi.status import Status
 from repro.runtime.ranktrans import build_translation
 from repro.runtime.request import Request
@@ -336,13 +336,14 @@ class Communicator:
                     c.isend_error, plan)
         return plan
 
-    def _entry(self, op, kind, peer: int, failed, name: str) -> mpi_entry:
-        """The entry of one send or receive: with the call site's plan
-        when the arguments passed their checks (*failed* is None) and
-        the call stays on the straight line, else entering alone."""
+    def _entry(self, op, peer: int, plan: Optional[CallPlan],
+               name: str) -> mpi_entry:
+        """The stepwise entry of one send or receive — an armed rank's,
+        a failing check's, a call's off the straight line — with the
+        call site's *plan* where it has one."""
         proc, c = self.proc, COSTS
         return mpi_entry(
-            proc, failed is None and self._call_plan(op, kind, peer)
+            proc, plan
             or entry_plan(proc, c.isend_function_call, c.isend_thread_check),
             name, proc.vci_for(self.ctx, peer, op.tag, op.flags.nomatch)
             if proc.armed else None)
@@ -353,12 +354,17 @@ class Communicator:
         proc, c = self.proc, COSTS
         data, count, dtref = normalize_buffer(buf)
         op = SendOp(data, count, dtref, dest, tag, self, flags, sync)
-        failed = None
+        failed = plan = None
         if proc.config.error_checking:
             failed = check_send(self, data, count, dtref, dest, tag,
                                 flags.global_rank)
-        with self._entry(op, sync, dest, failed, name) as op.plan:
-            if op.plan is None and proc.config.error_checking:
+        if failed is None:
+            plan = (self._plans.get((sync, dest, flags.bits, dtref.key))
+                    or self._call_plan(op, sync, dest))   # first use
+            if plan is not None and not proc.armed:
+                return run_planned(proc, plan, name, proc.device.isend, op)
+        with self._entry(op, dest, plan, name):
+            if proc.config.error_checking:
                 validate_args(proc, c.isend_error, failed)
             if proc.hooked and proc.faults is not None:
                 return self._ft_isend(op)
@@ -383,12 +389,18 @@ class Communicator:
         proc, c = self.proc, COSTS
         data, count, dtref = normalize_buffer(buf)
         op = RecvOp(data, count, dtref, source, tag, self, flags)
-        failed = None
+        failed = plan = None
         if proc.config.error_checking:
             failed = check_recv(self, count, dtref, source, tag)
-        with self._entry(op, RECV_PLAN, source, failed,
-                         "MPI_Irecv") as op.plan:
-            if op.plan is None and proc.config.error_checking:
+        if failed is None:
+            plan = (self._plans.get((RECV_PLAN, source, flags.bits,
+                                     dtref.key))
+                    or self._call_plan(op, RECV_PLAN, source))
+            if plan is not None and not proc.armed:
+                return run_planned(proc, plan, "MPI_Irecv",
+                                   proc.device.irecv, op)
+        with self._entry(op, source, plan, "MPI_Irecv"):
+            if proc.config.error_checking:
                 validate_args(proc, c.isend_error, failed)
             if proc.hooked and proc.faults is not None:
                 return self._ft_irecv(op)

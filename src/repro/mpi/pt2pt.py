@@ -82,34 +82,78 @@ def call_plan(proc: "Proc", function_call_cost: int, thread_check_cost: int,
     plan.entry, plan.lock = entry.entry, entry.lock
     if proc.config.error_checking:
         plan.args = proc.plan(("args", err), charge_arg_checks, err)
-    plan.fused = fuse(plan.entry, plan.args, plan.path)
+    # One fused plan per distinct step sequence, cached on the rank
+    # beside its layers: every handle with this call shape replays the
+    # same object, so the counter's pending-replay table stays as
+    # small as the plan cache however many communicators come and go.
+    fused = fuse(plan.entry, plan.args, plan.path)
+    key = ("fused", fused.steps)
+    plan.fused = proc._plans.get(key)
+    if plan.fused is None:
+        plan.fused = proc._plans[key] = fused
     return plan
 
 
+def annotate(exc: MPIError, proc: "Proc", name: Optional[str]) -> None:
+    """Stamp an :class:`MPIError` leaving an MPI call with the raising
+    rank and the call's *name*, so error-handler callbacks and
+    teardown reports can say which call on which rank failed.  Both
+    entries below own this, and nothing beneath them does."""
+    if exc.rank is None:
+        exc.rank = proc.world_rank
+    if exc.op is None and name is not None:
+        exc.op = name
+
+
+@fastpath
+def run_planned(proc: "Proc", plan: CallPlan, name: str, body, op):
+    """The whole entry of a call whose site is already planned: replay
+    *plan*'s fused charge — entry, argument checks and device path in
+    one ``Proc.charge``, after which ``body(op)`` charges nothing more
+    (``op.plan`` says so) — and run the body inside the modeled
+    critical section.
+
+    Callers come here only with arguments that passed their checks,
+    the call site's *plan* (cached, or compiled by this first use) and
+    a rank that is not ``proc.armed``: fusing needs nothing to observe
+    the call between its layers.  Everything else — armed builds,
+    failing checks, MPI_PROC_NULL, init calls — enters stepwise
+    through :class:`mpi_entry`.  Charged instruction counts are
+    identical either way."""
+    op.plan = plan
+    proc.charge(plan.fused)
+    lock = plan.lock
+    if lock is not None:
+        lock.acquire()  # audit: allow[FP203] - the modeled CS
+    try:  # audit: allow[FP204] - releases the CS, annotates on the way out
+        return body(op)
+    except MPIError as exc:
+        annotate(exc, proc, name)
+        raise
+    finally:
+        if lock is not None:
+            lock.release()
+
+
 class mpi_entry:
-    """One MPI API entry, as a context: the entry charge —
-    function-call prologue (unless inlined away by ipo) and
+    """One MPI API entry taken stepwise, as a context: the entry
+    charge — function-call prologue (unless inlined away by ipo) and
     thread-safety check (unless a single-threaded build) — then the
-    modeled critical section around the body.
+    modeled critical section around the body, which charges its own
+    argument checks and device path.  A planned call on an unarmed
+    rank never builds one: see :func:`run_planned`.
 
-    *plan* is the call site's :class:`~repro.core.ops.CallPlan`.
-    Entering returns it when its fused charge was replayed — entry,
-    argument checks and device path in one ``Proc.charge``, after
-    which the body charges nothing more — and None when only the
-    entry was charged.  Fusing needs nothing to observe the call
-    between those steps: ``proc.armed`` is the one test.  An armed
-    entry charges its own layer alone and takes the hook branches: the
-    sanitizer labels the call, the fault layer checks this rank, an
-    enabled timeline records the call's virtual-time span under
-    *name*, and *vci* routes the modeled CS — a routed entry acquires
-    its owning VCI's lock (per-VCI sharding, ``num_vcis > 1``) and
-    records CS occupancy there; unrouted entries take
-    ``proc.cs_lock``, which is VCI 0's lock.  Charged instruction
-    counts are identical either way.
+    *plan* supplies the entry's charge and lock (an
+    :func:`entry_plan`, or the call site's own plan).  An armed entry
+    takes the hook branches: the sanitizer labels the call, the fault
+    layer checks this rank, an enabled timeline records the call's
+    virtual-time span under *name*, and *vci* routes the modeled CS —
+    a routed entry acquires its owning VCI's lock (per-VCI sharding,
+    ``num_vcis > 1``) and records CS occupancy there; unrouted entries
+    take ``proc.cs_lock``, which is VCI 0's lock.
 
-    Every :class:`MPIError` leaving the body is annotated with the
-    raising rank and *name*, so error-handler callbacks and teardown
-    reports can say which call on which rank failed.
+    Every :class:`MPIError` leaving the body is annotated
+    (:func:`annotate`).
     """
 
     __slots__ = ("proc", "plan", "name", "vci", "t0", "cs0")
@@ -122,19 +166,17 @@ class mpi_entry:
         self.vci = vci
 
     @fastpath
-    def __enter__(self) -> Optional[CallPlan]:
+    def __enter__(self) -> None:
         proc, plan = self.proc, self.plan
-        fused = plan.fused
         self.t0 = None
         if proc.armed:
-            fused = None
             if proc.timeline is not None and self.name is not None:
                 self.t0 = proc.vclock.now
             if proc.sanitizer is not None and self.name is not None:
                 proc.sanitizer.note_api(self.name)   # labels reports
             if proc.faults is not None:
                 proc.faults.check_self()   # stash flush + rank kill
-        proc.charge(plan.entry if fused is None else fused)
+        proc.charge(plan.entry)
         if plan.lock is not None:
             vci = self.vci
             if vci is None:
@@ -142,7 +184,6 @@ class mpi_entry:
             else:
                 vci.lock.acquire()  # audit: allow[FP203] - the modeled CS
                 self.cs0 = proc.counter.total
-        return None if fused is None else plan
 
     def __exit__(self, exc_type, exc, traceback) -> bool:
         proc, vci = self.proc, self.vci
@@ -154,10 +195,7 @@ class mpi_entry:
                     vci.note_cs(proc.counter.total - self.cs0)
                 vci.lock.release()
         if exc_type is not None and isinstance(exc, MPIError):
-            if exc.rank is None:
-                exc.rank = proc.world_rank
-            if exc.op is None and self.name is not None:
-                exc.op = self.name
+            annotate(exc, proc, self.name)
         if self.t0 is not None:
             from repro.analysis.timeline import TimelineEvent
             proc.timeline.append(TimelineEvent(

@@ -35,7 +35,7 @@ from repro.instrument.costs import COSTS
 from repro.mpi import reduceops
 from repro.mpi.info import Info
 from repro.mpi.pt2pt import (call_plan, entry_plan, mpi_entry,
-                             normalize_buffer, validate_args)
+                             normalize_buffer, run_planned, validate_args)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
@@ -313,37 +313,37 @@ class Window:
                     c.put_error, plan)
         return plan
 
-    def _entry(self, op, name: str) -> mpi_entry:
-        """The MPI layer's share of one put/get/accumulate, up to its
-        entry: check the arguments — a failing one enters, charges the
-        checks it ran and raises from here — then return the entry the
-        caller is about to enter, with the call site's plan."""
+    def _run(self, op, name: str, body) -> None:
+        """The MPI layer's share of one put/get/accumulate around the
+        device's ``body(op)``: check the arguments, then run planned —
+        an unarmed rank on the straight line — or enter stepwise: the
+        entry's charge, the checks that ran (a failing one raises from
+        inside the entry), the sanitizer's look at the access, and a
+        device that charges its own path."""
         proc, c = self.proc, COSTS
-        vci = (proc.vci_for(self.comm.ctx, op.target_rank, 0)
-               if proc.armed else None)
+        failed = plan = None
         if proc.config.error_checking:
             failed = self._check_rma(op.origin_count, op.origin_dtref,
                                      op.target_rank, op.flags.global_rank)
-            if failed is not None:
-                with mpi_entry(proc, entry_plan(
-                        proc, c.put_function_call, c.put_thread_check),
-                        name, vci):
-                    validate_args(proc, c.put_error, failed)
-        return mpi_entry(
-            proc, self._call_plan(op)
-            or entry_plan(proc, c.put_function_call, c.put_thread_check),
-            name, vci)
-
-    def _admit(self, op) -> None:
-        """Inside the entry: charge the argument checks unless the
-        entry's fused plan did (``op.plan`` is set), and let the
-        sanitizer see the access."""
-        proc = self.proc
-        if op.plan is None and proc.config.error_checking:
-            validate_args(proc, COSTS.put_error, None)
-        if proc.hooked and proc.sanitizer is not None \
-                and op.target_rank != PROC_NULL:
-            proc.sanitizer.check_rma(self, op.target_rank)
+        if failed is None:
+            plan = (self._plans.get((op.target_rank, op.flags.bits,
+                                     op.origin_dtref.key,
+                                     op.target_dtref.key))
+                    or self._call_plan(op))   # first use
+            if plan is not None and not proc.armed:
+                run_planned(proc, plan, name, body, op)
+                return
+        with mpi_entry(
+                proc, plan
+                or entry_plan(proc, c.put_function_call, c.put_thread_check),
+                name, proc.vci_for(self.comm.ctx, op.target_rank, 0)
+                if proc.armed else None):
+            if proc.config.error_checking:
+                validate_args(proc, c.put_error, failed)
+            if proc.hooked and proc.sanitizer is not None \
+                    and op.target_rank != PROC_NULL:
+                proc.sanitizer.check_rma(self, op.target_rank)
+            body(op)
 
     def put(self, origin, target_rank: int, target_disp: int = 0,
             target: Optional[tuple] = None,
@@ -354,11 +354,8 @@ class Window:
         datatype)."""
         buf, count, dtref = normalize_buffer(origin)
         t_count, t_ref = self._normalize_target(count, dtref, target)
-        op = PutOp(buf, count, dtref, target_rank, target_disp, t_count,
-                   t_ref, self, flags)
-        with self._entry(op, "MPI_Put") as op.plan:
-            self._admit(op)
-            self.proc.device.put(op)
+        self._run(PutOp(buf, count, dtref, target_rank, target_disp, t_count,
+                        t_ref, self, flags), "MPI_Put", self.proc.device.put)
 
     def get(self, origin, target_rank: int, target_disp: int = 0,
             target: Optional[tuple] = None,
@@ -366,11 +363,8 @@ class Window:
         """MPI_GET: read the target window into *origin*."""
         buf, count, dtref = normalize_buffer(origin)
         t_count, t_ref = self._normalize_target(count, dtref, target)
-        op = GetOp(buf, count, dtref, target_rank, target_disp, t_count,
-                   t_ref, self, flags)
-        with self._entry(op, "MPI_Get") as op.plan:
-            self._admit(op)
-            self.proc.device.get(op)
+        self._run(GetOp(buf, count, dtref, target_rank, target_disp, t_count,
+                        t_ref, self, flags), "MPI_Get", self.proc.device.get)
 
     def accumulate(self, origin, target_rank: int, target_disp: int = 0,
                    op: reduceops.Op = reduceops.SUM,
@@ -379,11 +373,9 @@ class Window:
         """MPI_ACCUMULATE: elementwise ``target = op(origin, target)``."""
         buf, count, dtref = normalize_buffer(origin)
         t_count, t_ref = self._normalize_target(count, dtref, target)
-        acc = AccOp(buf, count, dtref, target_rank, target_disp, t_count,
-                    t_ref, self, op, flags)
-        with self._entry(acc, "MPI_Accumulate") as acc.plan:
-            self._admit(acc)
-            self.proc.device.accumulate(acc)
+        self._run(AccOp(buf, count, dtref, target_rank, target_disp, t_count,
+                        t_ref, self, op, flags),
+                  "MPI_Accumulate", self.proc.device.accumulate)
 
     def get_accumulate(self, origin, result: np.ndarray, target_rank: int,
                        target_disp: int = 0,
@@ -392,11 +384,9 @@ class Window:
         """MPI_GET_ACCUMULATE: fetch the old target value into *result*
         and apply *op* atomically."""
         buf, count, dtref = normalize_buffer(origin)
-        acc = AccOp(buf, count, dtref, target_rank, target_disp, count,
-                    dtref, self, op, flags, result, "MPI_Get_accumulate")
-        with self._entry(acc, "MPI_Get_accumulate") as acc.plan:
-            self._admit(acc)
-            self.proc.device.accumulate(acc)
+        self._run(AccOp(buf, count, dtref, target_rank, target_disp, count,
+                        dtref, self, op, flags, result, "MPI_Get_accumulate"),
+                  "MPI_Get_accumulate", self.proc.device.accumulate)
 
     def fetch_and_op(self, origin, result: np.ndarray, target_rank: int,
                      target_disp: int = 0,

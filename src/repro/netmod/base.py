@@ -132,8 +132,9 @@ class Netmod:
         clock = self.proc.vclock
         clock.now = now = clock.now + self._inject_s
         arrive = now + self.spec.transfer_seconds(nbytes)
-        return IssueResult(
-            arrive + self.spec.latency_s if round_trip else now, arrive)
+        # C-level construction: no frame for the generated __new__.
+        return tuple.__new__(IssueResult, (
+            arrive + self.spec.latency_s if round_trip else now, arrive))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(fabric={self.spec.name!r})"

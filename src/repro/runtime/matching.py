@@ -461,6 +461,8 @@ class BucketMatchingEngine(_MatchingEngineBase):
         elif posted.concrete:
             key = (posted.ctx, posted.src, posted.tag)
             q = self._ux_exact.get(key)
+            if q is None:   # the posted-first case: no call to learn it
+                return None
             msg = self._bucket_head(q)
             if msg is None:
                 return None

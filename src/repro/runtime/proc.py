@@ -167,12 +167,10 @@ class Proc:
         if n is None:
             plan = category
             counter.total += plan.total
-            counts = counter.cat_counts
-            for index, k in plan.cats:
-                counts[index] += k
-            counts = counter.sub_counts
-            for index, k in plan.subs:
-                counts[index] += k
+            # Per-category / per-subsystem counts fold on read
+            # (integer k × n, exact); the clock may not be lazy.
+            replays = counter.replays
+            replays[plan] = replays.get(plan, 0) + 1
             now = clock.now
             for dt in plan.dts:
                 now += dt

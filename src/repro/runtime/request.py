@@ -72,7 +72,9 @@ class Request:
     #: holds a different per-request lock (a false TS401).
     _tsan_serial = itertools.count()
 
-    def __init__(self, kind: RequestKind, proc=None, abort_event=None):
+    def __init__(self, kind: RequestKind, proc=None, abort_event=None,
+                 complete_s: Optional[float] = None,
+                 keepalive: "object | None" = None):
         self.kind = kind
         #: Done — completed, cancelled or failed.  Written under
         #: ``_lock``; a waiter that reads it False under that lock
@@ -81,7 +83,9 @@ class Request:
         #: section and fires it: no wakeup is lost.  The slot is not a
         #: callback — it is outside the ``subscribe`` FIFO and fired
         #: first, so the blocked rank runs while continuations do.
-        self._complete = False
+        #: A request given *complete_s* is born complete (see
+        #: :meth:`RequestPool.acquire`).
+        self._complete = complete_s is not None
         self._parked: Optional[Waker] = None
         self._abort = abort_event
         #: The owning rank's ``Proc.hooked``: whether any of the hook
@@ -107,7 +111,7 @@ class Request:
         #: handle's previous life observes the bump and stops.
         self._epoch = 0
         self._proc = proc
-        self.complete_s: float = 0.0
+        self.complete_s: float = complete_s or 0.0
         self.source: int = -1
         self.tag: int = -1
         self.count_bytes: int = 0
@@ -119,7 +123,7 @@ class Request:
         #: the buffer it borrows) until the handle is recycled — the
         #: GPAW C-layer idiom of keeping a reference on the request
         #: instead of copying.  Checked statically by bufcheck BC503.
-        self._keepalive: "object | None" = None
+        self._keepalive: "object | None" = keepalive
         #: A receive's descriptor while it sits in a matching queue:
         #: the engine's, written under the engine lock on enqueue,
         #: match and cancel — what ``cancel_posted`` finds it by.
@@ -161,7 +165,7 @@ class Request:
 
     def _publish(self) -> None:
         """Race-detector edge of a state transition (``_lock`` held):
-        the waiter's ``_finish`` reads this state bare once it sees
+        the waiter's ``wait`` reads this state bare once it sees
         ``_complete`` — publish the edge that read consumes."""
         tsan = self._proc.tsan
         if tsan is not None:
@@ -312,7 +316,7 @@ class Request:
         calling rank's clock when complete."""
         if not self._complete:
             return False
-        self._finish()
+        self.wait()
         return True
 
     def wait(self) -> "Request":
@@ -321,7 +325,24 @@ class Request:
         by the completing thread itself (or a world abort)."""
         if not self._complete:
             self._block()
-        self._finish()
+        proc = self._proc
+        if self._hooked:
+            tsan = proc.tsan
+            if tsan is not None:
+                # The lockless read of complete_s/error below is
+                # ordered by the edge the completing thread published.
+                tsan.hb_consume(self._tsan_key)
+                tsan.note_access(self._tsan_key, write=False,
+                                 what="request state")
+        if proc is not None:
+            clock = proc.vclock
+            if self.complete_s > clock.now:
+                clock.now = self.complete_s   # VClock.merge, inline
+            if self._hooked and proc.sanitizer is not None:
+                # Closes the record; may raise MSD203.
+                proc.sanitizer.note_finish(self)
+        if self.error is not None:
+            raise self.error
         return self
 
     def _block(self) -> None:
@@ -388,30 +409,13 @@ class Request:
             from repro.runtime.world import WorldAborted
             raise WorldAborted("world aborted while waiting on request")
 
-    def _finish(self) -> None:
-        proc = self._proc
-        if self._hooked:
-            tsan = proc.tsan
-            if tsan is not None:
-                # The lockless read of complete_s/error below is
-                # ordered by the edge the completing thread published.
-                tsan.hb_consume(self._tsan_key)
-                tsan.note_access(self._tsan_key, write=False,
-                                 what="request state")
-        if proc is not None:
-            clock = proc.vclock
-            if self.complete_s > clock.now:
-                clock.now = self.complete_s   # VClock.merge, inline
-            if self._hooked and proc.sanitizer is not None:
-                # Closes the record; may raise MSD203.
-                proc.sanitizer.note_finish(self)
-        if self.error is not None:
-            raise self.error
-
     # -- pool support ------------------------------------------------------
 
-    def _reset(self, kind: RequestKind) -> None:
-        """Reinitialize a recycled handle (RequestPool.acquire only).
+    def _reset(self, kind: RequestKind, complete_s: Optional[float] = None,
+               keepalive: "object | None" = None) -> None:
+        """Reinitialize a recycled handle (RequestPool.acquire only):
+        pending, or — given *complete_s* — already complete at that
+        time and pinning *keepalive*.
 
         Takes the state lock like every other transition: release
         happens strictly after completion, but a stale waiter callback
@@ -424,19 +428,20 @@ class Request:
                 self._proc.tsan.note_access(self._tsan_key,
                                             what="request state")
             self.kind = kind
-            self._complete = False
+            self._complete = complete_s is not None
             self._parked = None
             self._waiters.clear()
             self._flushing = False
             self._epoch += 1   # kills any stale flush loop
-            self.complete_s = 0.0
+            self.complete_s = complete_s or 0.0
             self.source = -1
             self.tag = -1
             self.count_bytes = 0
             self.error = None
             self.cancelled = False
             self.payload = None
-            self._keepalive = self._posted = None
+            self._keepalive = keepalive
+            self._posted = None
 
 
 class RequestPool:
@@ -449,7 +454,7 @@ class RequestPool:
     the same rank's pool concurrently, so the freelist is guarded by
     its own leaf lock — which also publishes the happens-before edge
     from a handle's previous life (its final bare-state read in
-    ``_finish``) to ``_reset`` in its next one.  (The unlocked
+    ``wait``) to ``_reset`` in its next one.  (The unlocked
     freelist was found by the TS401 rule in ``repro.tsan``.)
 
     Only exact :class:`Request` instances are pooled — subclasses
@@ -485,30 +490,45 @@ class RequestPool:
         self.n_parked = 0
         self.n_woken = 0
 
-    def acquire(self, kind: RequestKind) -> Request:
-        """A fresh-or-recycled request bound to the owning rank."""
+    def acquire(self, kind: RequestKind, complete_s: Optional[float] = None,
+                keepalive: "object | None" = None) -> Request:
+        """A fresh-or-recycled request bound to the owning rank:
+        pending, or — given *complete_s* — born complete at that
+        virtual time and pinning *keepalive* (MPICH's lightweight
+        request: an operation already over when its handle is made
+        needs the handle, not the state machine).  Nobody holds a
+        newborn's handle, so no waiter can be owed a wake-up; a build
+        whose hooks watch completion acquires pending and calls
+        :meth:`Request.complete` instead."""
         req = None
         with self._mu:
             if self._free:
                 req = self._free.pop()
         if req is not None:
-            req._reset(kind)
+            req._reset(kind, complete_s, keepalive)
             self.n_reuse += 1
         else:
             self.n_alloc += 1
-            req = Request(kind, self._proc, self._abort)
+            req = Request(kind, self._proc, self._abort, complete_s,
+                          keepalive)
         if self._hooked and self._proc.sanitizer is not None:
             self._proc.sanitizer.note_acquire(req)   # opens the record
         return req
 
     def release(self, req: Optional[Request]) -> None:
         """Return a handle whose lifetime is over (completed, waited,
-        and with no user-visible reference) to the pool."""
+        and with no user-visible reference) to the pool.  A handle
+        still pending is refused: recycled while it sits in a matching
+        queue, its next life would be completed by this life's
+        message."""
         if self._hooked and req is not None \
                 and self._proc.sanitizer is not None:
             self._proc.sanitizer.note_release(req)   # lifetime over
         if req is None or req.__class__ is not Request:
             return
+        if not req._complete:
+            raise MPIErrRequest(
+                f"release of a pending {req.kind.value} request")
         with self._mu:
             if len(self._free) < self.MAX_POOLED:
                 self._free.append(req)

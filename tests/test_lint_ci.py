@@ -384,20 +384,32 @@ class TestCallPlanGuard:
 
     #: A warm self-send cycle — Irecv + Isend + 2 waits + 2 releases —
     #: made 150 Python-level calls before call plans, 62 with them, 58
-    #: once the engine lock was entered at C level and 56 now that the
-    #: posted receive is its own queue element, stamped by a C-level
-    #: counter: measured + 2.
-    MAX_CALLS_PER_CYCLE = 58
-    #: ... of which construct an object: two op dataclasses, two
-    #: ``mpi_entry``, one ``PostedRecv``, one ``Message`` — exactly.
-    INITS_PER_CYCLE = 6
+    #: once the engine lock was entered at C level, 56 when the posted
+    #: receive became its own queue element, and 42 now that a planned
+    #: call runs from one helper, an eager send's request is born
+    #: complete and ``wait`` finishes by itself: exactly.
+    CALLS_PER_CYCLE = 42
+    #: ... of which construct an object: two op dataclasses, one
+    #: ``PostedRecv``, one ``Message`` — exactly.
+    INITS_PER_CYCLE = 4
+    #: A warm ``Window.put`` (29 through ``mpi_entry``), exactly.
+    CALLS_PER_PUT = 24
     CYCLES = 100
 
-    def _cycle(self):
-        import numpy as np
+    def _comm(self, armed):
+        """A one-rank world's communicator; *armed*: a timeline is
+        recording, so every MPI entry on the rank is observed."""
+        from repro.analysis.timeline import enable_timeline
         from repro.mpi.comm import Communicator
         from repro.runtime import World
-        comm = Communicator.world_view(World(1).proc(0))
+        world = World(1)
+        if armed:
+            enable_timeline(world)
+        return Communicator.world_view(world.proc(0))
+
+    def _cycle(self, armed=False):
+        import numpy as np
+        comm = self._comm(armed)
         send, recv = np.full(1, 7, np.uint8), np.zeros(1, np.uint8)
         release = comm.proc.request_pool.release
 
@@ -414,27 +426,68 @@ class TestCallPlanGuard:
         assert recv[0] == 7
         return cycle
 
-    def test_python_calls_per_warm_message(self):
+    def _put(self, armed=False):
+        import numpy as np
+        from repro.mpi.rma import Window
+        comm = self._comm(armed)
+        target = np.zeros(8, np.uint8)
+        win = Window.create(comm, target, disp_unit=1)
+        win.fence()
+        origin = np.full(1, 7, np.uint8)
+
+        def put():
+            win.put(origin, 0, 3)
+
+        for _ in range(5):
+            put()
+        assert target[3] == 7
+        return put
+
+    def _profile(self, body):
+        """Python-level calls per *body*() (less *body* itself), the
+        ``__init__`` frames among them and how many ``mpi_entry``
+        objects were built, over ``CYCLES`` runs."""
         import sys
-        cycle = self._cycle()
-        calls = inits = 0
+        from repro.mpi.pt2pt import mpi_entry
+        entry_init = mpi_entry.__init__.__code__
+        calls = inits = entries = 0
 
         def profiler(frame, event, arg):
-            nonlocal calls, inits
+            nonlocal calls, inits, entries
             if event == "call":
                 calls += 1
                 inits += frame.f_code.co_name == "__init__"
+                entries += frame.f_code is entry_init
 
         sys.setprofile(profiler)
         try:
             for _ in range(self.CYCLES):
-                cycle()
+                body()
         finally:
             sys.setprofile(None)
-        per_cycle = calls / self.CYCLES - 1     # less cycle() itself
-        assert per_cycle == int(per_cycle)      # an exact count
-        assert per_cycle <= self.MAX_CALLS_PER_CYCLE
+        per_body = calls / self.CYCLES - 1
+        assert per_body == int(per_body)      # an exact count
+        return per_body, inits, entries
+
+    def test_python_calls_per_warm_message(self):
+        per_cycle, inits, entries = self._profile(self._cycle())
+        assert per_cycle == self.CALLS_PER_CYCLE
         assert inits == self.INITS_PER_CYCLE * self.CYCLES
+        assert entries == 0     # Isend and Irecv both ran planned
+
+    def test_python_calls_per_warm_put(self):
+        per_put, _, entries = self._profile(self._put())
+        assert per_put == self.CALLS_PER_PUT
+        assert entries == 0
+
+    def test_armed_rank_enters_stepwise(self):
+        """The other regime: a rank something observes (here a
+        timeline) builds one ``mpi_entry`` per call, on the same
+        three call sites."""
+        _, _, entries = self._profile(self._cycle(armed=True))
+        assert entries == 2 * self.CYCLES
+        _, _, entries = self._profile(self._put(armed=True))
+        assert entries == self.CYCLES
 
     def test_one_accounting_call_per_warm_entry(self, monkeypatch):
         from repro.runtime.proc import Proc
@@ -455,8 +508,9 @@ class TestCallPlanGuard:
     #: A warm blocking half round trip — Send on one rank, the Recv it
     #: wakes on the other — made 91 Python-level calls when a blocked
     #: wait built an Event, subscribed a lambda and registered an abort
-    #: listener; 68 when it parks on a one-shot lock.
-    MAX_CALLS_PER_BLOCKING_MESSAGE = 75
+    #: listener; 66 when it parks on a one-shot lock; 52 run planned
+    #: with a born-complete send request: measured + 2.
+    MAX_CALLS_PER_BLOCKING_MESSAGE = 54
 
     def _profiled_ranks(self, body, rounds):
         """Run ``body(comm)`` *rounds* times on 2 warm ranks under
@@ -713,6 +767,19 @@ print(json.dumps(out))
         for name, (instr, vtime_us) in charged.items():
             assert instr == newest[name]["charged_instr_per_op"], name
             assert vtime_us == newest[name]["vtime_us_per_op"], name
+
+    def test_newest_line_records_the_pinned_call_counts(self):
+        """``pycalls_per_op`` (optional; PR 24 on) is the exact gate
+        of the revision that wrote the line: the next PR reads its
+        ceiling here."""
+        from repro.analysis.trajectory import load_trajectory
+        newest = load_trajectory()[-1]["pycalls_per_op"]
+        guard = TestCallPlanGuard
+        assert newest["self_send_cycle"] == guard.CALLS_PER_CYCLE
+        assert newest["self_send_inits"] == guard.INITS_PER_CYCLE
+        assert newest["window_put"] == guard.CALLS_PER_PUT
+        assert newest["blocking_message"] + 2 == \
+            guard.MAX_CALLS_PER_BLOCKING_MESSAGE
 
     def test_cli_prints_every_line_of_every_workload(self):
         from repro.analysis.trajectory import (load_trajectory,

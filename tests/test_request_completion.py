@@ -291,7 +291,7 @@ class TestRequestPool:
         pool.release(Sub(RequestKind.SEND))
         assert pool.acquire(RequestKind.SEND).__class__ is Request
         for _ in range(2 * RequestPool.MAX_POOLED):
-            pool.release(Request(RequestKind.SEND))
+            pool.release(Request(RequestKind.SEND, complete_s=0.0))
         assert len(pool._free) == RequestPool.MAX_POOLED
 
     def test_blocking_traffic_reuses_pool(self):
