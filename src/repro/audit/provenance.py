@@ -46,8 +46,8 @@ _INTERESTING_EXACT = ("costs", "proc", "chargefn")
 
 #: Callee names that count as observable fast-path work for FP104.
 WORK_CALLS = frozenset({
-    "pack", "unpack", "deliver", "post", "issue", "run_handler",
-    "acquire", "complete",
+    "pack", "unpack", "deliver", "post", "issue", "acquire", "complete",
+    "am_put", "am_get", "am_accumulate", "am_compare_and_swap",
 })
 
 

@@ -799,9 +799,6 @@ class Analyzer:
             if comp:
                 self._run_landings(node, comp, quals, ctx)
             return comp or None
-        if name == "run_handler":
-            return self._call_run_handler(node, argvals, kwvals, quals,
-                                          ctx)
         if name == "run_schedule":    # returns what its schedule returns
             return argvals[-1] if argvals else None
         candidates = [f for f in self.index.by_name.get(name, [])
@@ -843,9 +840,6 @@ class Analyzer:
     def _call_attr(self, node, func: ast.Attribute, argvals, kwvals,
                    env, quals, ctx) -> Value:
         attr = func.attr
-        if attr == "run_handler":
-            return self._call_run_handler(node, argvals, kwvals, quals,
-                                          ctx)
         base = self._eval(func.value, env, quals, ctx)
         arg0 = argvals[0] if argvals else None
 
@@ -902,17 +896,6 @@ class Analyzer:
 
         candidates = self.index.resolve_call(func, ctx.func)
         return self._descend(candidates, argvals, kwvals, quals, ctx)
-
-    def _call_run_handler(self, node, argvals, kwvals, quals,
-                          ctx) -> Value:
-        """``am.run_handler("put", state, data=...)`` dispatches by
-        string — map it onto ``am_put`` statically."""
-        if not node.args or not isinstance(node.args[0], ast.Constant):
-            return None
-        handler_name = f"am_{node.args[0].value}"
-        candidates = [f for f in self.index.by_name.get(handler_name, [])]
-        # Positional args after the name map onto the handler params.
-        return self._descend(candidates, argvals[1:], kwvals, quals, ctx)
 
     def _map_args(self, callee: FunctionInfo, argvals,
                   kwvals) -> dict[str, Value]:

@@ -200,18 +200,16 @@ class CH3Device:
         if resolved is None:
             return
         target_world, state, offset_bytes = resolved
+        target_dt = op.target_dtref.datatype
         data = pack(op.origin_buf, op.origin_count, op.origin_dtref.datatype)
-        expect = packed_size(op.target_count, op.target_dtref.datatype)
-        if len(data) != expect:
-            raise MPIErrArg(
-                f"{op.mpi_name}: origin carries {len(data)} bytes but the "
-                f"target layout holds {expect}")
+        if len(data) != op.target_count * target_dt.size:
+            raise am.size_error(op, len(data))
         transport = self._transport_for(target_world)
         result = transport.issue(len(data), native=True)
-        am.run_handler("put", state, data=data, offset_bytes=offset_bytes,
-                       target_count=op.target_count,
-                       target_datatype=op.target_dtref.datatype)
-        op.win.note_pending(target_world, result.arrive_s)
+        am.am_put(state, data, offset_bytes, op.target_count, target_dt)
+        pending = op.win._pending
+        pending[target_world] = max(pending.get(target_world, 0.0),
+                                    result.arrive_s)
 
     def get(self, op: GetOp) -> None:
         """One-sided get through the CH3 packet machinery."""
@@ -219,14 +217,17 @@ class CH3Device:
         if resolved is None:
             return
         target_world, state, offset_bytes = resolved
+        target_dt = op.target_dtref.datatype
         nbytes = packed_size(op.origin_count, op.origin_dtref.datatype)
+        if nbytes != op.target_count * target_dt.size:
+            raise am.size_error(op, nbytes)
         transport = self._transport_for(target_world)
         result = transport.issue(nbytes, native=True, round_trip=True)
-        data = am.run_handler("get", state, offset_bytes=offset_bytes,
-                              target_count=op.target_count,
-                              target_datatype=op.target_dtref.datatype)
+        data = am.am_get(state, offset_bytes, op.target_count, target_dt)
         unpack(data, op.origin_buf, op.origin_count, op.origin_dtref.datatype)
-        op.win.note_pending(target_world, result.complete_s)
+        pending = op.win._pending
+        pending[target_world] = max(pending.get(target_world, 0.0),
+                                    result.complete_s)
 
     def accumulate(self, op: AccOp) -> Optional[bytes]:
         """One-sided accumulate through the CH3 packet machinery."""
@@ -235,19 +236,17 @@ class CH3Device:
             return None
         target_world, state, offset_bytes = resolved
         data = pack(op.origin_buf, op.origin_count, op.origin_dtref.datatype)
+        am.check_accumulate(op, len(data))
         transport = self._transport_for(target_world)
         round_trip = op.fetch_buf is not None
         result = transport.issue(len(data), native=True,
                                  round_trip=round_trip)
-        before = am.run_handler(
-            "accumulate", state, data=data, offset_bytes=offset_bytes,
-            target_count=op.target_count,
-            target_datatype=op.target_dtref.datatype, op=op.op,
-            fetch=op.fetch_buf is not None)
-        if op.fetch_buf is not None:
+        before = am.am_accumulate(state, data, offset_bytes, op.target_count,
+                                  op.target_dtref.datatype, op.op, round_trip)
+        done = result.complete_s if round_trip else result.arrive_s
+        if round_trip:
             unpack(before, op.fetch_buf, op.origin_count,
                    op.origin_dtref.datatype)
-            op.win.note_pending(target_world, result.complete_s)
-        else:
-            op.win.note_pending(target_world, result.arrive_s)
+        pending = op.win._pending
+        pending[target_world] = max(pending.get(target_world, 0.0), done)
         return before

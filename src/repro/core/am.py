@@ -13,81 +13,90 @@ the handler is charged by
 :meth:`repro.netmod.base.Netmod.charge_am_fallback`, and the extra
 *time* flows through the same fabric model).  Both the native-RDMA and
 AM paths funnel through these handlers for data movement; only their
-charging differs.
+charging differs.  The devices call them by name, with positional
+arguments: a handler is a function, not a registry entry.
+
+The origin-side argument checks of the same operations live here too,
+so both devices raise the same error before anything is issued.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.datatypes.pack import pack, unpack
-from repro.errors import MPIErrInternal
-
-#: Handler registry: name -> callable(target_state, **args).
-_HANDLERS: dict[str, Callable] = {}
+from repro.errors import MPIErrArg, MPIErrCount, MPIErrDatatype, MPIError
 
 
-def am_handler(name: str):
-    """Register a function as an AM handler under *name*."""
-    def deco(fn: Callable) -> Callable:
-        if name in _HANDLERS:
-            raise MPIErrInternal(f"duplicate AM handler {name!r}")
-        _HANDLERS[name] = fn
-        return fn
-    return deco
+def size_error(op, nbytes: int) -> MPIError:
+    """The error of an RMA call whose origin carries *nbytes* while
+    its target layout holds a different number: a count error for a
+    negative target count, else an argument error."""
+    count = op.target_count
+    if count < 0:
+        return MPIErrCount(f"count must be >= 0, got {count}")
+    return MPIErrArg(
+        f"{op.mpi_name}: origin carries {nbytes} bytes but the target "
+        f"layout holds {count * op.target_dtref.datatype.size}")
 
 
-def run_handler(name: str, target_state, **args):
-    """Invoke the registered handler *name* on *target_state*."""
-    try:
-        handler = _HANDLERS[name]
-    except KeyError:
-        raise MPIErrInternal(f"no AM handler named {name!r}") from None
-    return handler(target_state, **args)
+def _element_dtype(datatype):
+    """The numpy dtype of the one predefined type *datatype* is built
+    from; None for a struct of several."""
+    if datatype.np_dtype is not None:
+        return datatype.np_dtype
+    bases = datatype.base if isinstance(datatype.base, list) \
+        else [datatype.base]
+    kinds = {_element_dtype(base) for base in bases}
+    return kinds.pop() if len(kinds) == 1 else None
 
 
-def _span(count: int, datatype) -> int:
-    """Bytes a (count, datatype) access spans in the target window."""
-    if count == 0:
-        return 0
-    return (count - 1) * datatype.extent + datatype.typemap.ub
+def check_accumulate(op, nbytes: int) -> None:
+    """MPI-3.1 §11.3.4: an accumulate combines elements of one
+    predefined type on both sides, as many on each.  Raise — before
+    anything is issued — for a derived target, an origin of another
+    basic type (its bytes would be reinterpreted) or an origin of
+    *nbytes* the target layout does not hold."""
+    target = op.target_dtref.datatype
+    if target.np_dtype is None:
+        raise MPIErrDatatype(
+            "accumulate requires a predefined target datatype")
+    origin = _element_dtype(op.origin_dtref.datatype)
+    if origin is None or origin != target.np_dtype:
+        raise MPIErrDatatype(
+            f"{op.mpi_name}: origin {op.origin_dtref.datatype.name} and "
+            f"target {target.name} are not the same predefined type")
+    if nbytes != op.target_count * target.size:
+        raise size_error(op, nbytes)
 
 
-@am_handler("put")
 def am_put(target_state, data: bytes, offset_bytes: int,
            target_count: int, target_datatype) -> None:
     """Scatter *data* into the target window with the target layout."""
-    span = _span(target_count, target_datatype)
     with target_state.data_lock:
-        view = target_state.view(offset_bytes, span)
-        unpack(data, view, target_count, target_datatype)
+        unpack(data, target_state.view(offset_bytes, target_count,
+                                       target_datatype),
+               target_count, target_datatype)
 
 
-@am_handler("get")
 def am_get(target_state, offset_bytes: int, target_count: int,
            target_datatype) -> bytes:
     """Gather the target layout from the target window."""
-    span = _span(target_count, target_datatype)
     with target_state.data_lock:
-        view = target_state.view(offset_bytes, span)
-        return pack(view, target_count, target_datatype)
+        return pack(target_state.view(offset_bytes, target_count,
+                                      target_datatype),
+                    target_count, target_datatype)
 
 
-@am_handler("accumulate")
 def am_accumulate(target_state, data: bytes, offset_bytes: int,
                   target_count: int, target_datatype, op,
-                  fetch: bool = False) -> bytes | None:
-    """Elementwise ``target = op(incoming, target)``; optionally return
-    the pre-update target contents (GET_ACCUMULATE)."""
-    if target_datatype.np_dtype is None:
-        from repro.errors import MPIErrDatatype
-        raise MPIErrDatatype(
-            "accumulate requires a predefined target datatype")
-    span = target_count * target_datatype.size
+                  fetch: bool) -> bytes | None:
+    """Elementwise ``target = op(incoming, target)`` on arguments
+    :func:`check_accumulate` passed; optionally return the pre-update
+    target contents (GET_ACCUMULATE)."""
     with target_state.data_lock:
-        view = target_state.view(offset_bytes, span) \
+        view = target_state.view(offset_bytes, target_count,
+                                 target_datatype) \
             .view(target_datatype.np_dtype)
         before = view.tobytes() if fetch else None
         incoming = np.frombuffer(data, dtype=target_datatype.np_dtype)
@@ -95,13 +104,11 @@ def am_accumulate(target_state, data: bytes, offset_bytes: int,
         return before
 
 
-@am_handler("compare_and_swap")
 def am_compare_and_swap(target_state, compare: bytes, origin: bytes,
                         offset_bytes: int, datatype) -> bytes:
     """Atomic compare-and-swap of one element; returns the old value."""
-    span = datatype.size
     with target_state.data_lock:
-        view = target_state.view(offset_bytes, span)
+        view = target_state.view(offset_bytes, 1, datatype)
         current = view.tobytes()
         if current == compare:
             view[:] = np.frombuffer(origin, dtype=np.uint8)

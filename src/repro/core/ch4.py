@@ -492,22 +492,17 @@ class CH4Device:
             return None   # as in pt2pt_plan: raised from the stepwise path
 
     @fastpath
-    def _rma_prologue(self, op):
-        """Shared RMA path: charge the operation unless its entry did
-        (``op.plan`` is set), then resolve the target.  Returns (call
-        plan, offset_bytes), or None when the target is PROC_NULL."""
-        plan = op.plan
-        if plan is None:
-            proc = self.proc
-            plan = op.win._call_plan(op)
-            if plan is not None:
-                proc.charge(plan.path)
-            elif self._charge_rma(proc, op):
-                plan = self._rma_facts(op, None)   # unchecked NPN call
-            else:
-                return None
-        return plan, (op.target_disp if op.flags.virtual_addr
-                      else op.target_disp * plan.state.disp_unit)
+    def _rma_prologue(self, op) -> Optional[CallPlan]:
+        """The stepwise RMA entry — an op its entry did not charge
+        (``op.plan`` unset): charge its path and return its call plan,
+        or None when the target is PROC_NULL."""
+        proc = self.proc
+        plan = op.win._call_plan(op)
+        if plan is not None:
+            proc.charge(plan.path)
+        elif self._charge_rma(proc, op):
+            plan = self._rma_facts(op, None)   # unchecked NPN call
+        return plan
 
     def _rma_lane(self, op, plan):
         """The hooks of one RMA issue: the fault layer's lossy
@@ -517,66 +512,73 @@ class CH4Device:
             proc.faults.rma_transmit(plan.peer_world, op.mpi_name)
         return proc.vci_for(op.win.comm.ctx, op.target_rank, 0)
 
+    # put / get / accumulate each read their planned prologue (plan,
+    # byte offset, target size) in place and call their handler by
+    # name: a shared helper or a registry is one more Python frame on
+    # every warm call.
+
     @fastpath
     def put(self, op: PutOp) -> None:
         """One-sided put: remote write into the target window."""
-        resolved = self._rma_prologue(op)
-        if resolved is None:
+        plan = op.plan or self._rma_prologue(op)
+        if plan is None:
             return
-        plan, offset_bytes = resolved
+        state = plan.state
+        offset_bytes = (op.target_disp if op.flags.virtual_addr
+                        else op.target_disp * state.disp_unit)
+        target_dt = op.target_dtref.datatype
 
         data = pack(op.origin_buf, op.origin_count, op.origin_dtref.datatype)
-        expect = packed_size(op.target_count, op.target_dtref.datatype)
-        if len(data) != expect:
-            raise MPIErrArg(
-                f"{op.mpi_name}: origin carries {len(data)} bytes but the "
-                f"target layout holds {expect}")
+        if len(data) != op.target_count * target_dt.size:
+            raise am.size_error(op, len(data))
 
         vci = self._rma_lane(op, plan) if self.proc.hooked else None
         result = plan.transport.issue(len(data), plan.native, vci=vci)
         if vci is not None:
             vci.completion.note("rma", result.arrive_s)
-        am.run_handler("put", plan.state, data=data,
-                       offset_bytes=offset_bytes,
-                       target_count=op.target_count,
-                       target_datatype=op.target_dtref.datatype)
-        op.win.note_pending(plan.peer_world, result.arrive_s)
+        am.am_put(state, data, offset_bytes, op.target_count, target_dt)
+        pending = op.win._pending
+        pending[plan.peer_world] = max(pending.get(plan.peer_world, 0.0),
+                                       result.arrive_s)
 
     @fastpath
     def get(self, op: GetOp) -> None:
         """One-sided get: remote read from the target window."""
-        resolved = self._rma_prologue(op)
-        if resolved is None:
+        plan = op.plan or self._rma_prologue(op)
+        if plan is None:
             return
-        plan, offset_bytes = resolved
+        state = plan.state
+        offset_bytes = (op.target_disp if op.flags.virtual_addr
+                        else op.target_disp * state.disp_unit)
+        target_dt = op.target_dtref.datatype
 
         nbytes = packed_size(op.origin_count, op.origin_dtref.datatype)
-        expect = packed_size(op.target_count, op.target_dtref.datatype)
-        if nbytes != expect:
-            raise MPIErrArg(
-                f"{op.mpi_name}: origin holds {nbytes} bytes but the "
-                f"target layout carries {expect}")
+        if nbytes != op.target_count * target_dt.size:
+            raise am.size_error(op, nbytes)
 
         vci = self._rma_lane(op, plan) if self.proc.hooked else None
         result = plan.transport.issue(nbytes, plan.native, round_trip=True,
                                       vci=vci)
         if vci is not None:
             vci.completion.note("rma", result.complete_s)
-        data = am.run_handler("get", plan.state, offset_bytes=offset_bytes,
-                              target_count=op.target_count,
-                              target_datatype=op.target_dtref.datatype)
+        data = am.am_get(state, offset_bytes, op.target_count, target_dt)
         unpack(data, op.origin_buf, op.origin_count, op.origin_dtref.datatype)
-        op.win.note_pending(plan.peer_world, result.complete_s)
+        pending = op.win._pending
+        pending[plan.peer_world] = max(pending.get(plan.peer_world, 0.0),
+                                       result.complete_s)
 
     @fastpath
     def accumulate(self, op: AccOp) -> Optional[bytes]:
         """One-sided accumulate (and GET_ACCUMULATE when fetch_buf set)."""
-        resolved = self._rma_prologue(op)
-        if resolved is None:
+        plan = op.plan or self._rma_prologue(op)
+        if plan is None:
             return None
-        plan, offset_bytes = resolved
+        state = plan.state
+        offset_bytes = (op.target_disp if op.flags.virtual_addr
+                        else op.target_disp * state.disp_unit)
 
         data = pack(op.origin_buf, op.origin_count, op.origin_dtref.datatype)
+        am.check_accumulate(op, len(data))
         vci = self._rma_lane(op, plan) if self.proc.hooked else None
         round_trip = op.fetch_buf is not None
         result = plan.transport.issue(len(data), plan.native_atomic,
@@ -584,13 +586,11 @@ class CH4Device:
         done = result.complete_s if round_trip else result.arrive_s
         if vci is not None:
             vci.completion.note("rma", done)
-        before = am.run_handler(
-            "accumulate", plan.state, data=data, offset_bytes=offset_bytes,
-            target_count=op.target_count,
-            target_datatype=op.target_dtref.datatype, op=op.op,
-            fetch=round_trip)
+        before = am.am_accumulate(state, data, offset_bytes, op.target_count,
+                                  op.target_dtref.datatype, op.op, round_trip)
         if round_trip:
             unpack(before, op.fetch_buf, op.origin_count,
                    op.origin_dtref.datatype)
-        op.win.note_pending(plan.peer_world, done)
+        pending = op.win._pending
+        pending[plan.peer_world] = max(pending.get(plan.peer_world, 0.0), done)
         return before

@@ -48,7 +48,7 @@ class Typemap:
     two basic components onto the same byte of a single element.
     """
 
-    __slots__ = ("segments",)
+    __slots__ = ("segments", "ub")
 
     def __init__(self, segments: Iterable[TypeSegment]):
         ordered = sorted(segments)
@@ -66,6 +66,9 @@ class Typemap:
         if not coalesced:
             raise ValueError("typemap must contain at least one segment")
         self.segments: tuple[TypeSegment, ...] = tuple(coalesced)
+        #: Upper bound: one past the last byte of true data (a slot,
+        #: read per message by every span computation).
+        self.ub: int = coalesced[-1].end
 
     def __iter__(self) -> Iterator[TypeSegment]:
         return iter(self.segments)
@@ -88,11 +91,6 @@ class Typemap:
     def lb(self) -> int:
         """Lower bound: offset of the first byte of true data."""
         return self.segments[0].offset
-
-    @property
-    def ub(self) -> int:
-        """Upper bound: one past the last byte of true data."""
-        return self.segments[-1].end
 
     @property
     def span(self) -> int:

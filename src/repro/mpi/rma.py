@@ -171,9 +171,14 @@ class WindowState:
 
     # -- the accessor the AM handlers use -------------------------------------
 
-    def view(self, offset_bytes: int, span_bytes: int) -> np.ndarray:
-        """Writable byte view of [offset, offset+span) of the exposed
-        memory; raises :class:`MPIErrRMARange` outside it."""
+    def view(self, offset_bytes: int, count: int, datatype) -> np.ndarray:
+        """Writable byte view of the span *count* elements of
+        *datatype* occupy from *offset_bytes* in the exposed memory —
+        ``[offset, offset + span)``; raises :class:`MPIErrRMARange`
+        outside it."""
+        # The span is pack's ``_required_span``, read without a frame.
+        span_bytes = ((count - 1) * datatype.extent + datatype.typemap.ub
+                      if count else 0)
         if span_bytes < 0 or offset_bytes < 0:
             raise MPIErrRMARange(
                 f"negative window access: offset={offset_bytes}, "
@@ -211,7 +216,9 @@ class Window:
         #: Call plans by ``(target rank, flags.bits, origin dtref.key,
         #: target dtref.key)`` (see ``Communicator._plans``).
         self._plans: dict = {}
-        #: Pending remote-completion times per target world rank.
+        #: The latest pending remote-completion time per target world
+        #: rank: raised by the device that issues an operation, drained
+        #: by flush/fence/unlock.
         self._pending: dict[int, float] = {}
         self._held_locks: dict[int, str] = {}
 
@@ -278,19 +285,12 @@ class Window:
         target_world = self.comm.world_rank_of(target_rank)
         return disp * self.state_of(target_world).disp_unit
 
-    def note_pending(self, target_world: int, complete_s: float) -> None:
-        """Device callback: an op toward *target_world* completes
-        remotely at *complete_s* (drained by flush/fence/unlock)."""
-        prev = self._pending.get(target_world, 0.0)
-        if complete_s > prev:
-            self._pending[target_world] = complete_s
-
     # -- communication operations ----------------------------------------------
 
-    def _normalize_target(self, origin_count, origin_dtref, target):
-        """Default the target (count, datatype) to the origin's."""
-        if target is None:
-            return origin_count, origin_dtref
+    @staticmethod
+    def _normalize_target(target: tuple):
+        """An explicit target ``(count, datatype)``, the datatype
+        classified (the default target, the origin's, needs no call)."""
         t_count, t_dt = target
         from repro.datatypes.usage import classify, DatatypeRef
         t_ref = t_dt if isinstance(t_dt, DatatypeRef) else classify(t_dt)
@@ -353,7 +353,8 @@ class Window:
         disp_unit).  *target* optionally overrides the target (count,
         datatype)."""
         buf, count, dtref = normalize_buffer(origin)
-        t_count, t_ref = self._normalize_target(count, dtref, target)
+        t_count, t_ref = (count, dtref) if target is None \
+            else self._normalize_target(target)
         self._run(PutOp(buf, count, dtref, target_rank, target_disp, t_count,
                         t_ref, self, flags), "MPI_Put", self.proc.device.put)
 
@@ -362,7 +363,8 @@ class Window:
             flags: ext.ExtFlags = ext.NONE) -> None:
         """MPI_GET: read the target window into *origin*."""
         buf, count, dtref = normalize_buffer(origin)
-        t_count, t_ref = self._normalize_target(count, dtref, target)
+        t_count, t_ref = (count, dtref) if target is None \
+            else self._normalize_target(target)
         self._run(GetOp(buf, count, dtref, target_rank, target_disp, t_count,
                         t_ref, self, flags), "MPI_Get", self.proc.device.get)
 
@@ -372,7 +374,8 @@ class Window:
                    flags: ext.ExtFlags = ext.NONE) -> None:
         """MPI_ACCUMULATE: elementwise ``target = op(origin, target)``."""
         buf, count, dtref = normalize_buffer(origin)
-        t_count, t_ref = self._normalize_target(count, dtref, target)
+        t_count, t_ref = (count, dtref) if target is None \
+            else self._normalize_target(target)
         self._run(AccOp(buf, count, dtref, target_rank, target_disp, t_count,
                         t_ref, self, op, flags),
                   "MPI_Accumulate", self.proc.device.accumulate)
@@ -380,12 +383,16 @@ class Window:
     def get_accumulate(self, origin, result: np.ndarray, target_rank: int,
                        target_disp: int = 0,
                        op: reduceops.Op = reduceops.SUM,
+                       target: Optional[tuple] = None,
                        flags: ext.ExtFlags = ext.NONE) -> None:
         """MPI_GET_ACCUMULATE: fetch the old target value into *result*
-        and apply *op* atomically."""
+        and apply *op* atomically.  *target* optionally overrides the
+        target (count, datatype); *result* takes the origin's."""
         buf, count, dtref = normalize_buffer(origin)
-        self._run(AccOp(buf, count, dtref, target_rank, target_disp, count,
-                        dtref, self, op, flags, result, "MPI_Get_accumulate"),
+        t_count, t_ref = (count, dtref) if target is None \
+            else self._normalize_target(target)
+        self._run(AccOp(buf, count, dtref, target_rank, target_disp, t_count,
+                        t_ref, self, op, flags, result, "MPI_Get_accumulate"),
                   "MPI_Get_accumulate", self.proc.device.accumulate)
 
     def fetch_and_op(self, origin, result: np.ndarray, target_rank: int,
@@ -411,6 +418,9 @@ class Window:
                     count, dtref, target_rank, False))
             if proc.sanitizer is not None and target_rank != PROC_NULL:
                 proc.sanitizer.check_rma(self, target_rank)
+            if dtref.datatype.np_dtype is None:
+                raise MPIErrDatatype(
+                    "compare_and_swap requires a predefined datatype")
             target_world = self.comm.world_rank_of(target_rank)
             state = self.state_of(target_world)
             from repro.core import am
@@ -418,14 +428,14 @@ class Window:
             transport = proc.device._transport_for(target_world)
             res = transport.issue(dtref.datatype.size, native=True,
                                   round_trip=True)
-            old = am.run_handler(
-                "compare_and_swap", state,
-                compare=pack(compare, 1, dtref.datatype),
-                origin=pack(buf, 1, dtref.datatype),
-                offset_bytes=target_disp * state.disp_unit,
-                datatype=dtref.datatype)
+            old = am.am_compare_and_swap(
+                state, pack(compare, 1, dtref.datatype),
+                pack(buf, 1, dtref.datatype),
+                target_disp * state.disp_unit, dtref.datatype)
             unpack(old, result, 1, dtref.datatype)
-            self.note_pending(target_world, res.complete_s)
+            pending = self._pending
+            pending[target_world] = max(pending.get(target_world, 0.0),
+                                        res.complete_s)
 
     # -- §3.2 extension entry points --------------------------------------------
 

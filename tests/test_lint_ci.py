@@ -392,8 +392,17 @@ class TestCallPlanGuard:
     #: ... of which construct an object: two op dataclasses, one
     #: ``PostedRecv``, one ``Message`` — exactly.
     INITS_PER_CYCLE = 4
-    #: A warm ``Window.put`` (29 through ``mpi_entry``), exactly.
-    CALLS_PER_PUT = 24
+    #: A warm ``Window.put``: 29 through ``mpi_entry``, 24 run planned,
+    #: 16 with the handler called directly, the planned prologue, the
+    #: target's size and the pending time read inline and the span
+    #: computed by the window's accessor from a ``Typemap.ub`` slot —
+    #: exactly.
+    CALLS_PER_PUT = 16
+    #: A warm ``Window.get`` (25 before the same change), exactly.
+    CALLS_PER_GET = 17
+    #: A warm ``Window.accumulate`` (20 before it; two of these are
+    #: the type and size checks it lacked), exactly.
+    CALLS_PER_ACCUMULATE = 18
     CYCLES = 100
 
     def _comm(self, armed):
@@ -426,7 +435,9 @@ class TestCallPlanGuard:
         assert recv[0] == 7
         return cycle
 
-    def _put(self, armed=False):
+    def _rma(self, armed=False, call="put"):
+        """A warm one-byte ``Window.<call>`` (put, get or accumulate)
+        at byte 3 of a one-rank window."""
         import numpy as np
         from repro.mpi.rma import Window
         comm = self._comm(armed)
@@ -434,14 +445,17 @@ class TestCallPlanGuard:
         win = Window.create(comm, target, disp_unit=1)
         win.fence()
         origin = np.full(1, 7, np.uint8)
+        rma = getattr(win, call)
 
-        def put():
-            win.put(origin, 0, 3)
+        def once():
+            rma(origin, 0, 3)
 
         for _ in range(5):
-            put()
-        assert target[3] == 7
-        return put
+            once()
+        # (origin, target byte) after five calls.
+        assert (origin[0], target[3]) == {
+            "put": (7, 7), "get": (0, 0), "accumulate": (7, 35)}[call]
+        return once
 
     def _profile(self, body):
         """Python-level calls per *body*() (less *body* itself), the
@@ -476,8 +490,16 @@ class TestCallPlanGuard:
         assert entries == 0     # Isend and Irecv both ran planned
 
     def test_python_calls_per_warm_put(self):
-        per_put, _, entries = self._profile(self._put())
+        per_put, _, entries = self._profile(self._rma())
         assert per_put == self.CALLS_PER_PUT
+        assert entries == 0
+
+    def test_python_calls_per_warm_get_and_accumulate(self):
+        per_get, _, entries = self._profile(self._rma(call="get"))
+        assert per_get == self.CALLS_PER_GET
+        assert entries == 0
+        per_acc, _, entries = self._profile(self._rma(call="accumulate"))
+        assert per_acc == self.CALLS_PER_ACCUMULATE
         assert entries == 0
 
     def test_armed_rank_enters_stepwise(self):
@@ -486,7 +508,7 @@ class TestCallPlanGuard:
         three call sites."""
         _, _, entries = self._profile(self._cycle(armed=True))
         assert entries == 2 * self.CYCLES
-        _, _, entries = self._profile(self._put(armed=True))
+        _, _, entries = self._profile(self._rma(armed=True))
         assert entries == self.CYCLES
 
     def test_one_accounting_call_per_warm_entry(self, monkeypatch):
@@ -778,6 +800,8 @@ print(json.dumps(out))
         assert newest["self_send_cycle"] == guard.CALLS_PER_CYCLE
         assert newest["self_send_inits"] == guard.INITS_PER_CYCLE
         assert newest["window_put"] == guard.CALLS_PER_PUT
+        assert newest["window_get"] == guard.CALLS_PER_GET
+        assert newest["window_accumulate"] == guard.CALLS_PER_ACCUMULATE
         assert newest["blocking_message"] + 2 == \
             guard.MAX_CALLS_PER_BLOCKING_MESSAGE
 

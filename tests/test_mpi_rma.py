@@ -5,10 +5,11 @@ import pytest
 
 from repro.consts import PROC_NULL
 from repro.core.config import BuildConfig
-from repro.datatypes import subarray, vector
-from repro.datatypes.predefined import DOUBLE, INT64
-from repro.errors import (MPIErrArg, MPIErrRank, MPIErrRMARange,
-                          MPIErrRMASync, MPIErrWin)
+from repro.datatypes import resized, subarray, vector
+from repro.datatypes.predefined import BYTE, DOUBLE, INT64
+from repro.errors import (MPIErrArg, MPIErrCount, MPIErrDatatype, MPIError,
+                          MPIErrRank, MPIErrRMARange, MPIErrRMASync,
+                          MPIErrWin)
 from repro.mpi import reduceops
 from repro.mpi.rma import (LOCK_EXCLUSIVE, LOCK_SHARED, RWLock, Window,
                            WindowState)
@@ -19,24 +20,35 @@ class TestWindowState:
     def test_static_view_bounds(self):
         state = WindowState(np.zeros(16, dtype=np.uint8), disp_unit=1)
         assert state.nbytes == 16
-        view = state.view(4, 8)
+        view = state.view(4, 1, DOUBLE)
         view[:] = 7
         with pytest.raises(MPIErrRMARange):
-            state.view(10, 8)
+            state.view(10, 8, BYTE)
         with pytest.raises(MPIErrRMARange):
-            state.view(-1, 4)
+            state.view(-1, 4, BYTE)
+
+    def test_view_spans_count_elements_of_the_layout(self):
+        """The span of a strided layout ends at its last element's
+        upper bound, not at count x extent."""
+        state = WindowState(np.zeros(40, dtype=np.uint8), disp_unit=1)
+        # Doubles at bytes 0 and 24 (ub 32), elements 8 bytes apart.
+        column = resized(vector(2, 1, 3, DOUBLE), 0, 8).commit()
+        assert state.view(0, 2, column).size == 8 + 32
+        assert state.view(0, 0, column).size == 0
+        with pytest.raises(MPIErrRMARange):
+            state.view(0, 3, column)                  # 16 + 32 > 40
 
     def test_dynamic_attach_detach(self):
         state = WindowState(None, disp_unit=1, dynamic=True)
         arr = np.zeros(100, dtype=np.uint8)
         base = state.attach(arr)
         assert base >= WindowState.PAGE
-        view = state.view(base + 10, 5)
+        view = state.view(base + 10, 5, BYTE)
         view[:] = 3
         assert arr[10] == 3
         state.detach(base)
         with pytest.raises(MPIErrRMARange):
-            state.view(base, 1)
+            state.view(base, 1, BYTE)
         with pytest.raises(MPIErrWin):
             state.detach(base)
 
@@ -359,3 +371,131 @@ class TestVirtualAddrExtension:
         offset, vaddr = run_world(2, main, BuildConfig.ipo_build())[0]
         assert offset == 44                       # Figure 2 ipo PUT
         assert offset - vaddr == 4                # §3.2 saving
+
+
+#: The two devices, which must agree on every RMA result and error.
+DEVICES = {"ch4": BuildConfig(), "ch3": BuildConfig.original()}
+
+#: Two doubles 16 bytes apart: a derived layout of one predefined type.
+STRIDED = vector(2, 1, 2, DOUBLE).commit()
+
+#: Illegal calls on a float64 window, toward rank 1, and the class each
+#: raises: MPI-3.1 §11.3.4 wants one predefined type on both sides of
+#: an accumulate, and origin and target layouts of the same size.
+ILLEGAL = {
+    "put_size": (MPIErrArg, lambda win: win.put(
+        (np.zeros(2), 2, DOUBLE), 1, 0, target=(3, DOUBLE))),
+    "put_negative_target_count": (MPIErrCount, lambda win: win.put(
+        np.zeros(1), 1, 0, target=(-1, DOUBLE))),
+    "get_size": (MPIErrArg, lambda win: win.get(
+        np.zeros(4, np.int64), 1, 0, target=(1, INT64))),
+    "accumulate_type": (MPIErrDatatype, lambda win: win.accumulate(
+        np.ones(4, np.int32), 1, 0, reduceops.SUM, target=(2, DOUBLE))),
+    "get_accumulate_type": (MPIErrDatatype, lambda win: win.get_accumulate(
+        np.ones(4, np.int32), np.zeros(4, np.int32), 1, 0, reduceops.SUM,
+        target=(2, DOUBLE))),
+    "accumulate_size": (MPIErrArg, lambda win: win.accumulate(
+        np.ones(3), 1, 0, reduceops.SUM, target=(2, DOUBLE))),
+    "accumulate_derived_target": (MPIErrDatatype, lambda win: win.accumulate(
+        (np.ones(2), 2, DOUBLE), 1, 0, reduceops.SUM, target=(1, STRIDED))),
+    "compare_and_swap_derived": (MPIErrDatatype, lambda win:
+                                 win.compare_and_swap(
+                                     (np.ones(3), 1, STRIDED), np.ones(3),
+                                     np.zeros(3), 1, 0)),
+}
+
+
+def _issued(proc) -> int:
+    """Operations this rank's device has handed to a transport."""
+    device = proc.device
+    return sum(t.n_native + t.n_am_fallback
+               for t in (device.netmod, device.shmmod))
+
+
+class TestRMAAcrossDevices:
+    """CH3 and CH4 move the same bytes and reject the same calls: the
+    devices differ in what they charge, not in what an RMA call does."""
+
+    @pytest.mark.parametrize("device", DEVICES)
+    @pytest.mark.parametrize("case", ILLEGAL)
+    def test_illegal_call_raises_before_anything_is_issued(self, device,
+                                                           case):
+        expected, call = ILLEGAL[case]
+
+        def main(comm):
+            mem = np.arange(4.0)
+            win = Window.create(comm, mem, disp_unit=8)
+            win.fence()
+            if comm.rank == 0:
+                issued = _issued(comm.proc)
+                with pytest.raises(expected) as info:
+                    call(win)
+                # Raised at the origin, inside the entry (annotated),
+                # before the transport saw the operation.
+                assert info.value.rank == 0 and info.value.op is not None
+                assert _issued(comm.proc) == issued
+                assert not win._pending
+            win.fence()
+            return mem.tolist()
+
+        assert run_world(2, main, DEVICES[device])[1] == [0.0, 1.0, 2.0, 3.0]
+
+    def test_devices_agree_on_contents_results_and_errors(self):
+        def main(comm):
+            mem = np.zeros(6)
+            win = Window.create(comm, mem, disp_unit=8)
+            win.fence()
+            peer, rank = 1 - comm.rank, float(comm.rank)
+            fetched = {}
+            win.put(np.array([1.5, 2.5]) + rank, peer, 0)
+            win.fence()
+            out = np.zeros(2)
+            win.get(out, peer, 0)
+            win.fence()
+            fetched["get"] = out.tolist()
+            win.accumulate(np.array([10.0, 20.0]) * (rank + 1), peer, 0,
+                           reduceops.SUM)
+            # A derived origin built from the target's type is legal.
+            win.accumulate((np.array([1.0, 99.0, 2.0]), 1, STRIDED), peer,
+                           4, reduceops.SUM, target=(2, DOUBLE))
+            win.fence()
+            out = np.zeros(2)
+            win.get_accumulate(np.array([15.0, 15.0]), out, peer, 0,
+                               reduceops.MAX)
+            win.fence()
+            fetched["get_accumulate"] = out.tolist()
+            out = np.zeros(1)
+            win.fetch_and_op(np.array([3.0 + rank]), out, peer, 2,
+                             reduceops.SUM)
+            win.fence()
+            fetched["fetch_and_op"] = out.tolist()
+            swapped, kept = np.zeros(1), np.zeros(1)
+            win.compare_and_swap(np.array([7.0]), np.array([3.0 + rank]),
+                                 swapped, peer, 2)
+            win.compare_and_swap(np.array([9.0]), np.array([1.0]), kept,
+                                 peer, 3)
+            win.fence()
+            fetched["compare_and_swap"] = swapped.tolist() + kept.tolist()
+            errors = {}
+            if comm.rank == 0:
+                for case, (_, call) in ILLEGAL.items():
+                    try:
+                        call(win)
+                    except MPIError as exc:
+                        errors[case] = type(exc)
+            win.fence()
+            return mem.tolist(), fetched, errors
+
+        by_device = {name: run_world(2, main, config)
+                     for name, config in DEVICES.items()}
+        assert by_device["ch3"] == by_device["ch4"]
+        (mem0, fetched0, errors), (mem1, fetched1, _) = by_device["ch4"]
+        assert mem0 == [22.5, 43.5, 7.0, 0.0, 1.0, 2.0]
+        assert mem1 == [15.0, 22.5, 7.0, 0.0, 1.0, 2.0]
+        assert fetched0 == {"get": [1.5, 2.5], "get_accumulate": [11.5, 22.5],
+                            "fetch_and_op": [0.0],
+                            "compare_and_swap": [3.0, 0.0]}
+        assert fetched1 == {"get": [2.5, 3.5], "get_accumulate": [22.5, 43.5],
+                            "fetch_and_op": [0.0],
+                            "compare_and_swap": [4.0, 0.0]}
+        assert errors == {case: cls for case, (cls, _) in ILLEGAL.items()}
