@@ -83,7 +83,7 @@ def run_lossy_stream(drop_rate: float, nmsgs: int = N_MSGS) -> dict:
         else:
             got = [comm.recv(source=0) for _ in range(nmsgs)]
         comm.barrier()
-        stats[comm.rank] = comm.proc.faults.stats()
+        stats[comm.rank] = comm.proc.hooks.faults.stats()
         return got
 
     results = World(2, BuildConfig(fault_plan=plan)).run(fn)

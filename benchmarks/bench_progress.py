@@ -121,7 +121,7 @@ def run_zero_poll(progress: str = "thread", num_vcis: int = 1) -> dict:
             r.is_complete() for r in (nbc, sreq, rreq))
         nbc.wait(), sreq.wait(), rreq.wait()
         assert nbc.result == 1.0
-        return complete_before_wait, comm.proc.progress.stats()
+        return complete_before_wait, comm.proc.hooks.progress.stats()
 
     results = World(2, config).run(fn)
     return {

@@ -90,7 +90,7 @@ def _serve_one(inter, detector):
 def _server(comm, port, total_clients):
     """Accept *total_clients* sequentially; tally outcomes and leaks."""
     comm.set_errhandler(ERRORS_RETURN)
-    detector = comm.proc.detector
+    detector = comm.world.detector
     vci_map = comm.proc.vci_map
     shards: dict[int, int] = {}
     completed = failed = served = 0

@@ -94,7 +94,7 @@ def serve_one(inter, shard, detector):
 def server_main(comm, port, total_clients):
     """The endpoints server: accept, shard, serve, survive, account."""
     comm.set_errhandler(ERRORS_RETURN)
-    detector = comm.proc.detector
+    detector = comm.world.detector
     vci_map = comm.proc.vci_map
     stats = {"accepted": 0, "completed": 0, "failed": 0,
              "requests": 0, "per_shard": {}, "failures": []}

@@ -42,7 +42,7 @@ def main(comm):
     assert nbc.result == comm.size * (comm.size + 1) / 2
     assert inbox[0] == (comm.rank - 1) % comm.size
 
-    stats = comm.proc.progress.stats()
+    stats = comm.proc.hooks.progress.stats()
     if comm.rank == 0:
         return {
             "complete_before_first_wait": done_before_wait,

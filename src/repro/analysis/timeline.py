@@ -16,16 +16,15 @@ phases can be marked explicitly with :func:`mark`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.instrument.report import format_table
 from repro.runtime.world import World
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One recorded virtual-time span on one rank."""
+class TimelineEvent(NamedTuple):
+    """One recorded virtual-time span on one rank (a tuple, so a span
+    is built at C level — no Python frame inside the call it times)."""
 
     name: str
     t0: float

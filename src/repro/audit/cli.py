@@ -23,8 +23,7 @@ from repro.analysis_common import Finding, Report, iter_python_files
 from repro.audit.callgraph import CodeIndex
 from repro.audit.lockset import scan_lockset
 from repro.audit.manifest import AuditManifest, default_manifest
-from repro.audit.noneguard import (scan_detectorguard, scan_ftguard,
-                                   scan_progressguard, scan_tsanguard)
+from repro.audit.hookseam import scan_hookseam
 from repro.audit.provenance import EntryResult, run_provenance
 from repro.audit.purity import scan_purity
 from repro.audit.rules import render_fp_catalog
@@ -43,10 +42,7 @@ def run_audit(paths: Sequence[str],
     findings.extend(prov_findings)
     findings.extend(scan_purity(index))
     findings.extend(scan_lockset(index))
-    findings.extend(scan_ftguard(index))
-    findings.extend(scan_progressguard(index))
-    findings.extend(scan_tsanguard(index))
-    findings.extend(scan_detectorguard(index))
+    findings.extend(scan_hookseam(index))
 
     report = Report(diagnostics=findings, files_checked=len(index.modules))
     snapshot = build_snapshot(manifest, results, report)
@@ -99,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.audit",
         description="Static fast-path self-audit of the repro runtime "
-                    "(rules FP101-FP307; suppress per line with "
+                    "(rules FP101-FP308; suppress per line with "
                     "'# audit: allow[FPxxx]').  Exit status: 0 clean, "
                     "1 findings, 2 usage error.")
     parser.add_argument(

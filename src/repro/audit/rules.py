@@ -12,24 +12,12 @@ Four analysis families over the repro's own source:
 * ``FP30x`` — lockset discipline for ``runtime/*.py``: shared
   attributes are either always or never written under their lock, and
   lock acquisition order is acyclic.
-* ``FP304`` — fault-hook guard discipline: every ``.faults`` hook site
-  outside ``repro/ft/`` tests the attribute against None, so builds
-  without a ``fault_plan`` charge byte-identical calibrated totals.
-* ``FP305`` — progress-hook guard discipline: every ``.progress`` hook
-  site outside ``repro/progress/`` tests the attribute against None,
-  so builds without a progress engine charge byte-identical
-  calibrated totals.
-* ``FP306`` — tsan-hook guard discipline: every ``.tsan`` hook site
-  outside ``repro/tsan/`` tests the attribute against None, so builds
-  without the race detector charge byte-identical calibrated totals.
-* ``FP307`` — detector-hook guard discipline: every ``.detector`` hook
-  site outside ``repro/ft/`` tests the attribute against None, so
-  builds without the heartbeat failure detector charge byte-identical
-  calibrated totals.
+* ``FP308`` — hook-seam discipline (:mod:`repro.audit.hookseam`): the
+  runtime reaches its optional subsystems only through a rank's hook
+  seam, so builds without them charge byte-identical calibrated
+  totals.
 
-FP304-FP307 share one parameterized checker
-(:mod:`repro.audit.noneguard`).  Suppress a finding on its line with
-``# audit: allow[FPxxx]``.
+Suppress a finding on its line with ``# audit: allow[FPxxx]``.
 """
 
 from __future__ import annotations
@@ -105,36 +93,16 @@ FP_RULES: dict[str, Rule] = {r.rule_id: r for r in (
          "restructure to hold at most one VCI lock at a time (the "
          "multi-VCI discipline in runtime/vci.py shows how wildcard "
          "scans stay single-lock)"),
-    Rule("FP304", "unguarded fault hook: a function outside repro/ft/ "
-         "loads a .faults attribute without an 'is None' / 'is not "
-         "None' test of it (or of a local bound from it)",
-         "proc.faults.check_self()   # with no guard in the function",
-         "guard the hook ('if proc.faults is not None: ...') so "
-         "fault_plan=None builds never enter fault-tolerance code, or "
-         "document the site with '# audit: allow[FP304]'"),
-    Rule("FP305", "unguarded progress hook: a function outside "
-         "repro/progress/ loads a .progress attribute without an "
-         "'is None' / 'is not None' test of it (or of a local bound "
-         "from it)",
-         "proc.progress.park_completion(...)   # with no guard",
-         "guard the hook ('if proc.progress is not None: ...') so "
-         "progress=None builds never enter engine code, or document "
-         "the site with '# audit: allow[FP305]'"),
-    Rule("FP306", "unguarded tsan hook: a function outside repro/tsan/ "
-         "loads a .tsan attribute without an 'is None' / 'is not None' "
-         "test of it (or of a local bound from it)",
-         "proc.tsan.note_access(key)   # with no guard",
-         "guard the hook ('if proc.tsan is not None: ...') so "
-         "tsan=False builds never enter detector code, or document "
-         "the site with '# audit: allow[FP306]'"),
-    Rule("FP307", "unguarded failure-detector hook: a function outside "
-         "repro/ft/ loads a .detector attribute without an "
-         "'is None' / 'is not None' test of it (or of a local bound "
-         "from it)",
-         "proc.detector.beat()   # with no guard",
-         "guard the hook ('if proc.detector is not None: ...') so "
-         "detector=None builds never enter heartbeat code, or document "
-         "the site with '# audit: allow[FP307]'"),
+    Rule("FP308", "subsystem read outside the hook seam: a function "
+         "outside the subsystems' own packages (repro/sanitize/, "
+         "repro/ft/, repro/tsan/, repro/progress/, the timeline's "
+         "module), repro/runtime/hooks.py and the World / Proc "
+         "constructors reads .sanitizer, .faults, .ft, .tsan, "
+         ".detector, .progress or .timeline",
+         "if proc.faults is not None: proc.faults.check_self()",
+         "fire the event on the rank's seam ('hooks = proc.hooks; if "
+         "hooks is not None: hooks.enter_call(name)'), or document the "
+         "site with '# audit: allow[FP308]'"),
 )}
 
 

@@ -159,18 +159,20 @@ class Event:
 #: Qualifiers marking a site off the contiguous zero-copy fast path.
 OFFPATH_QUALS = frozenset({
     "strided", "copy_mode", "payload_recv",
-    "faults", "sanitizer", "progress", "tsan",
+    "faults", "sanitizer", "progress", "tsan", "hooks",
 })
 
 #: Qualifiers marking a site off the always-copy (fault-build) path.
 OFFCOPY_QUALS = frozenset({
     "strided", "view_mode", "payload_recv",
-    "faults", "sanitizer", "progress", "tsan",
+    "faults", "sanitizer", "progress", "tsan", "hooks",
 })
 
-#: Feature attributes whose ``is (not) None`` guards gate optional
-#: subsystems (the audit's FP304/305/306 None-guard pattern).
-FEATURE_ATTRS = frozenset({"faults", "sanitizer", "progress", "tsan"})
+#: Names whose ``is (not) None`` guards gate optional subsystems: the
+#: hook seam (``proc.hooks``, or a local bound from it — FP308's one
+#: guard) and, inside the subsystems' own packages, their attributes.
+FEATURE_ATTRS = frozenset({"hooks", "faults", "sanitizer", "progress",
+                           "tsan"})
 
 
 def branch_quals(test: ast.expr) -> tuple[frozenset, frozenset]:
@@ -196,7 +198,8 @@ def branch_quals(test: ast.expr) -> tuple[frozenset, frozenset]:
         if name == "buf":       # a local, or a descriptor's field
             pos, neg = frozenset({"payload_recv"}), \
                 frozenset({"buffer_recv"})
-        elif isinstance(left, ast.Attribute) and name in FEATURE_ATTRS:
+        elif name in FEATURE_ATTRS and (isinstance(left, ast.Attribute)
+                                        or name == "hooks"):
             pos, neg = none, frozenset({name})
         else:
             return none, none

@@ -113,7 +113,7 @@ class CH3Device:
         # only a handle the sync handshake or a hook must hold, else
         # hand back one born complete.
         payload = pack(op.buf, op.count, op.dtref.datatype,
-                       copy=proc.faults is not None)
+                       copy=proc.config.fault_plan is not None)
         transport = self._transport_for(dest_world)
         protocol = choose_protocol(len(payload), transport.spec,
                                    proc.config.eager_threshold)
@@ -126,10 +126,9 @@ class CH3Device:
         if op.sync or proc.hooked:
             request = proc.request_pool.acquire(RequestKind.SEND)
             request._keepalive = payload
-            if proc.sanitizer is not None:
-                proc.sanitizer.note_send(
-                    request, dest_world, op.sync, payload,
-                    (op.buf, op.count, op.dtref.datatype))
+            if proc.hooks is not None:
+                proc.hooks.send(request, dest_world, op.sync, payload,
+                                (op.buf, op.count, op.dtref.datatype))
         if op.sync:
             sync = SyncState(request=request,
                              ack_latency_s=transport.spec.latency_s)
@@ -166,8 +165,8 @@ class CH3Device:
                              count_bytes=0)
             return request
 
-        if proc.sanitizer is not None:
-            proc.sanitizer.note_recv(
+        if proc.hooks is not None:
+            proc.hooks.recv_posting(
                 request, None if op.source == ANY_SOURCE
                 else op.comm.translation.world_rank(op.source))
         # Same descriptor, same landing as CH4: the devices differ in

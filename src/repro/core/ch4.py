@@ -82,7 +82,7 @@ class CH4Device:
         #: Sends snapshot their payload instead of borrowing the
         #: application buffer: a fault-injected build, whose
         #: retransmit stash holds payloads across calls.
-        self.copy_sends = proc.faults is not None
+        self.copy_sends = proc.config.fault_plan is not None
         #: Protocol statistics (CH4 also switches to rendezvous for
         #: large payloads — handled inside the netmod path, with no
         #: extra instruction charges on the fast path).
@@ -302,18 +302,19 @@ class CH4Device:
         # handshake completes it, a hook records it — is acquired
         # pending, after ``pack`` (which may refuse the buffer); every
         # other send's is born complete once its time is known.
-        request = vci = sync = None
+        request = vci = sync = hooks = None
+        if proc.hooked:
+            hooks = proc.hooks
+            # Injection lane: the VCI owning this send's (ctx, dest,
+            # tag) stream (None in the unsharded build).
+            if proc.num_vcis > 1:
+                vci = proc.vci_for(comm.ctx, op.dest, op.tag, flags.nomatch)
         if (op.sync or proc.hooked) and not flags.noreq:
             request = proc.request_pool.acquire(_SEND)
             request._keepalive = payload
-        if proc.hooked:
-            if proc.sanitizer is not None and request is not None:
-                proc.sanitizer.note_send(
-                    request, plan.peer_world, op.sync, payload,
-                    (op.buf, op.count, op.dtref.datatype))
-            # Injection lane: the VCI owning this send's (ctx, dest,
-            # tag) stream (None in the unsharded build).
-            vci = proc.vci_for(comm.ctx, op.dest, op.tag, flags.nomatch)
+            if hooks is not None:
+                hooks.send(request, plan.peer_world, op.sync, payload,
+                           (op.buf, op.count, op.dtref.datatype))
         if op.sync:
             sync = SyncState(request=request,
                              ack_latency_s=transport.spec.latency_s)
@@ -348,9 +349,8 @@ class CH4Device:
             # the VCI's lane and the engine thread retires it — same
             # virtual time, same charges, zero user polls.  Eager and
             # progress=None builds complete inline as always.
-            if rendezvous and proc.progress is not None:
-                proc.progress.park_completion(vci, transport, request,
-                                              complete)
+            if rendezvous and hooks is not None and \
+                    hooks.park_rendezvous(vci, transport, request, complete):
                 return request
             request.complete(complete)
         return request
@@ -401,25 +401,20 @@ class CH4Device:
         whole device side of a persistent receive's MPI_START)."""
         proc = self.proc
         comm = op.comm
-        if proc.hooked and proc.sanitizer is not None:
-            proc.sanitizer.note_recv(
-                request, None if op.source == ANY_SOURCE
-                else comm.translation.world_rank(op.source))
+        hooks = proc.hooks if proc.hooked else None
+        if hooks is not None:
+            source = (None if op.source == ANY_SOURCE
+                      else comm.translation.world_rank(op.source))
+            hooks.recv_posting(request, source)
         proc.engine.post(
             PostedRecv(comm.ctx, op.source, op.tag, op.flags.nomatch,
                        request, None, op.buf, op.count, op.dtref.datatype,
                        land_recv), proc.vclock.now)
-        if proc.hooked and proc.faults is not None:
-            # This rank is about to block: release any outgoing packet
-            # still parked in the wire's reorder stash so a peer is
-            # never starved by a receiver that stopped sending.
-            proc.faults.drain()
-            # Tracked *after* posting so a message already waiting in
-            # the unexpected queue wins over a concurrent peer-death
+        if hooks is not None:
+            # After posting, so a message already waiting in the
+            # unexpected queue wins over a concurrent peer-death
             # notification (ULFM: a matched receive is not in error).
-            proc.faults.note_recv(
-                request, None if op.source == ANY_SOURCE
-                else comm.translation.world_rank(op.source), comm)
+            hooks.recv_posted(request, source, comm)
         return request
 
     # ------------------------------------------------------------------ #
@@ -505,11 +500,12 @@ class CH4Device:
         return plan
 
     def _rma_lane(self, op, plan):
-        """The hooks of one RMA issue: the fault layer's lossy
-        transmit, and the injection lane (VCI) the op is tallied on."""
+        """The hooks of one RMA issue: the seam's RMA transmit (the
+        fault layer's lossy wire), and the injection lane (VCI) the op
+        is tallied on."""
         proc = self.proc
-        if proc.faults is not None:
-            proc.faults.rma_transmit(plan.peer_world, op.mpi_name)
+        if proc.hooks is not None:
+            proc.hooks.rma_transmit(plan.peer_world, op.mpi_name)
         return proc.vci_for(op.win.comm.ctx, op.target_rank, 0)
 
     # put / get / accumulate each read their planned prologue (plan,

@@ -103,8 +103,9 @@ class BuildConfig:
         the device and charges it as ``Category.RELIABILITY``; the
         default ``None`` builds no fault-tolerance state at all and
         charges byte-identically to the calibrated Figure 2 / Table 1
-        numbers (every hook guards on ``faults is None`` — audit rule
-        FP304).  ``FaultPlan()`` (all rates zero) enables the protocol
+        numbers (the runtime reaches the fault layer only through a
+        rank's hook seam, ``proc.hooks`` — audit rule FP308).
+        ``FaultPlan()`` (all rates zero) enables the protocol
         and the ``MPIX_Comm_*`` recovery APIs on a lossless wire.
     progress:
         Background progress engine (:mod:`repro.progress`).
@@ -118,8 +119,8 @@ class BuildConfig:
         the "MPI Progress For All" discipline.  Requires
         ``thread_safety=True``.  The default ``None`` builds no engine
         and charges byte-identically to the calibrated Figure 2 /
-        Table 1 numbers (every hook guards on ``progress is None`` —
-        audit rule FP305); engine work is charged to
+        Table 1 numbers (reached only through the hook seam — audit
+        rule FP308); engine work is charged to
         ``Category.PROGRESS``, off the application's critical path.
     communicator_name:
         ChainerMN-style collective-strategy selector governing how the
@@ -148,7 +149,7 @@ class BuildConfig:
         collective issues; the per-message charges are the calibrated
         device path either way, so Figure 2 / Table 1 charging is
         byte-identical under every strategy
-        (``TestCollectivesCalibrationGuard``).
+        (``TestChargeInvisibleBuilds``).
     detector:
         Heartbeat failure detector (:mod:`repro.ft.detector`).  A
         :class:`~repro.ft.detector.DetectorConfig` arms suspect →
@@ -161,10 +162,10 @@ class BuildConfig:
         and the ``MPIX_Comm_*`` recovery collectives apply unchanged.
         Requires a ``fault_plan`` build (the detector feeds the fault
         layer's world-global failure state).  The default ``None``
-        binds ``proc.detector = None`` with every hook site outside
-        ``repro/ft/`` guarded (audit rule FP307); the detector itself
-        is charge-observational, so charging stays byte-identical to
-        the calibrated Figure 2 / Table 1 numbers either way.
+        builds no detector (the hook seam has none to call — audit
+        rule FP308); the detector itself is charge-observational, so
+        charging stays byte-identical to the calibrated Figure 2 /
+        Table 1 numbers either way.
     tsan:
         Hybrid race & deadlock detector (:mod:`repro.tsan`), in the
         style of Eraser + FastTrack: instrumented runtime locks and
@@ -175,9 +176,10 @@ class BuildConfig:
         TS403 locks held across blocking waits, and TS404
         continuations dispatched under engine locks.  Purely
         observational: the detector charges nothing, and the default
-        ``False`` binds ``proc.tsan = None`` with every hook site
-        guarded (audit rule FP306), so charging stays byte-identical
-        to the calibrated Figure 2 / Table 1 numbers either way.
+        ``False`` builds none (runtime locks come plain from the hook
+        seam's factory — audit rule FP308), so charging stays
+        byte-identical to the calibrated Figure 2 / Table 1 numbers
+        either way.
     """
 
     device: Device = Device.CH4

@@ -139,9 +139,11 @@ ALL_OPTS_RMA = ExtFlags(global_rank=True, static_comm=True,
 
 
 def _world_ft(comm):
-    """The world's failure state, or ``MPI_ERR_ARG`` when the build has
-    no fault plan (plain builds carry no failure-detection machinery)."""
-    ft = comm.proc.world.ft
+    """The world's failure state (the seam's recovery state), or
+    ``MPI_ERR_ARG`` when the build has no fault plan (plain builds
+    carry no failure-detection machinery)."""
+    hooks = comm.proc.hooks
+    ft = hooks.recovery() if hooks is not None else None
     if ft is None:
         raise MPIErrArg(
             "MPIX_Comm_* recovery requires a fault-tolerant build; "

@@ -16,13 +16,13 @@ protocol below the ADI the same way):
   revoke/shrink/agree machinery (surfaced as ``MPIX_Comm_*`` in
   :mod:`repro.core.extensions`).
 
-Every hook in the base runtime guards on ``proc.faults is None`` (the
-FP304 audit rule enforces this), so a build with
-``BuildConfig(fault_plan=None)`` charges byte-identically to one
-without the subsystem.
+The base runtime reaches the fault layer only through a rank's hook
+seam (:mod:`repro.runtime.hooks`; the FP308 audit rule enforces
+this), so a build with ``BuildConfig(fault_plan=None)`` charges
+byte-identically to one without the subsystem.
 """
 
-from repro.ft.detector import DetectorConfig, RankDetector, WorldDetector
+from repro.ft.detector import DetectorConfig, WorldDetector
 from repro.ft.plan import FaultPlan, WireFate
 from repro.ft.recovery import (ERRORS_ARE_FATAL, ERRORS_RETURN, RankKilled,
                                dispatch_comm_error)
@@ -30,7 +30,6 @@ from repro.ft.reliability import RankFaults, WorldFaults
 
 __all__ = [
     "DetectorConfig",
-    "RankDetector",
     "WorldDetector",
     "FaultPlan",
     "WireFate",

@@ -30,7 +30,7 @@ survive.  This module adds the standard distributed answer: a
 
 Monitoring is **opt-in per rank**: only registered ranks (dynamic
 session/client ranks register on init; anyone else via
-``proc.detector.register()``) are ever suspected.  A rank that leaves
+``world.detector.register(rank)``) are ever suspected.  A rank that leaves
 through ``Session.finalize`` *departs* and is never declared dead —
 only unannounced silence escalates.
 
@@ -39,10 +39,10 @@ clocks advance independently and are not comparable across ranks, so
 a cross-rank silence interval must be measured in real time.
 
 The detector is charge-observational, like :mod:`repro.tsan`: it
-charges no instructions, and every hook site outside ``repro/ft/``
-guards on ``proc.detector is None`` (audit rule FP307), so a build
-without a detector — or any calibrated Figure 2 / Table 1 build —
-charges byte-identically.
+charges no instructions, and the runtime reaches it only through the
+rank's hook seam (:mod:`repro.runtime.hooks`), so a build without a
+detector — or any calibrated Figure 2 / Table 1 build — charges
+byte-identically.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.proc import Proc
     from repro.runtime.world import World
 
 #: Roster states (per monitored rank).
@@ -113,7 +112,7 @@ class WorldDetector:
     """World-global heartbeat roster (one per detector build).
 
     Created by the world when ``BuildConfig.detector`` is set; each
-    rank binds a :class:`RankDetector` view as ``proc.detector``.
+    rank's hook seam (``proc.hooks``) calls it with the rank's number.
     Requires a ``fault_plan`` build (``BuildConfig`` rejects a
     detector without one): confirmation feeds the fault layer's
     ``mark_dead``, which is what turns a silent rank into
@@ -133,10 +132,6 @@ class WorldDetector:
         self.n_suspects = 0
         self.n_cleared = 0
         self.n_confirmed = 0
-
-    def rank_view(self, proc: "Proc") -> "RankDetector":
-        """The per-rank detector view bound to *proc*."""
-        return RankDetector(proc, self)
 
     # -- roster management -------------------------------------------------
 
@@ -266,47 +261,3 @@ class WorldDetector:
         }
 
 
-class RankDetector:
-    """Per-rank view of the heartbeat detector (``proc.detector``).
-
-    Exists so hook sites follow the same one-attribute discipline as
-    ``proc.faults``/``proc.progress``/``proc.tsan`` — every use
-    outside ``repro/ft/`` behind an ``is None`` guard (FP307).
-    """
-
-    def __init__(self, proc: "Proc", world_detector: WorldDetector):
-        self.proc = proc
-        self.world_detector = world_detector
-
-    def register(self) -> None:
-        """Start monitoring this rank."""
-        self.world_detector.register(self.proc.world_rank)
-
-    def depart(self) -> None:
-        """Stop monitoring this rank (clean exit, never declared dead)."""
-        self.world_detector.depart(self.proc.world_rank)
-
-    def beat(self) -> None:
-        """Heartbeat from this rank (called from the fault layer's
-        per-MPI-call hook)."""
-        self.world_detector.beat(self.proc.world_rank)
-
-    def enter_wait(self) -> None:
-        """Park this rank for the duration of a blocking MPI wait."""
-        self.world_detector.enter_blocked(self.proc.world_rank)
-
-    def exit_wait(self) -> None:
-        """Unpark this rank after a blocking MPI wait."""
-        self.world_detector.exit_blocked(self.proc.world_rank)
-
-    def maybe_tick(self) -> int:
-        """Offer a rate-limited roster scan on this rank's thread."""
-        return self.world_detector.maybe_tick()
-
-    def armed(self) -> bool:
-        """True while the roster holds any rank that could escalate."""
-        return self.world_detector.armed()
-
-    def stats(self) -> dict:
-        """World-level detector counters."""
-        return self.world_detector.stats()

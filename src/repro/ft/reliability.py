@@ -97,8 +97,8 @@ class WorldFaults:
             self.dead.add(world_rank)
             self._cv.notify_all()
         for p in self.world.procs:
-            if p.world_rank != world_rank and p.faults is not None:
-                p.faults.fail_pending(world_rank)
+            if p.world_rank != world_rank:
+                p.hooks.faults.fail_pending(world_rank)
 
     # -- revocation --------------------------------------------------------
 
@@ -132,8 +132,7 @@ class WorldFaults:
             self._cv.notify_all()
         for ctx_id in sorted(targets):
             for p in self.world.procs:
-                if p.faults is not None:
-                    p.faults.fail_pending_revoked(ctx_id)
+                p.hooks.faults.fail_pending_revoked(ctx_id)
 
     def is_revoked(self, ctx: int) -> bool:
         """Has context *ctx* been revoked?"""
@@ -154,7 +153,7 @@ class WorldFaults:
         rank).  The first completer runs *reducer* over the collected
         payloads; everyone returns the memoized result.
         """
-        me = self.world.proc(rank).faults
+        me = self.world.proc(rank).hooks.faults
         dying = False
         with self._cv:
             slot = self._slots.setdefault(key, {})
@@ -225,22 +224,18 @@ class RankFaults:
         self.proc = proc
         self.world_ft = world_ft
         self.plan = plan
-        tsan = proc.tsan
+        from repro.runtime.hooks import make_lock
+        #: The rank's seam, which builds this view.
+        self.hooks = hooks = proc.hooks
         #: Guards receiver-side window state and the pending-recv list.
-        if tsan is not None:
-            self._mu = tsan.make_lock("ft", f"ftwin{proc.world_rank}")
-        else:
-            self._mu = threading.Lock()
+        self._mu = make_lock(hooks, "ft", f"ftwin{proc.world_rank}")
         # Sender-side (owning thread only; unguarded by design), except
         # the reorder stash below.
         self._next_seq: dict[int, int] = {}
         self._rma_seq: dict[int, int] = {}
         #: Guards the reorder stash only — shared with the background
         #: progress engine's timer scan; never held across a push.
-        if tsan is not None:
-            self._tx_mu = tsan.make_lock("tx", f"ftstash{proc.world_rank}")
-        else:
-            self._tx_mu = threading.Lock()
+        self._tx_mu = make_lock(hooks, "tx", f"ftstash{proc.world_rank}")
         #: The wire's single-slot reorder stash per destination:
         #: ``dest -> (seq, msg, retransmit_deadline)``, a packet
         #: "overtaken" by the next one, stamped with the virtual time
@@ -309,17 +304,14 @@ class RankFaults:
     def _push(self, dest: int, seq: int, msg: "Message") -> None:
         """Hand one surviving packet to the destination's window."""
         proc = self.proc
-        target = proc.world.proc(dest).faults
-        if target is None:
-            proc.world.proc(dest).engine.deposit(msg)
-            return
-        target.accept_packet(proc, proc.world_rank, seq, msg)
+        proc.world.proc(dest).hooks.faults.accept_packet(
+            proc, proc.world_rank, seq, msg)
 
     def _note_stash_access(self, write: bool = True) -> None:
         """Annotate one reorder-stash access (callers hold ``_tx_mu``,
         so the lockset half of TS401 certifies them against the
         progress engine's timer scan)."""
-        tsan = self.proc.tsan
+        tsan = self.hooks.tsan
         if tsan is not None:
             tsan.note_access(("ft-stash", self.proc.world_rank),
                              write=write,
@@ -375,7 +367,7 @@ class RankFaults:
             if stashed:
                 # Arm the engine's deadline tick (outside _tx_mu: the
                 # engine takes its own cv before the stash lock).
-                progress = proc.progress
+                progress = self.hooks.progress
                 if progress is not None:
                     progress.kick()
                 return
@@ -419,7 +411,7 @@ class RankFaults:
         origin.charge(Category.RELIABILITY, r.dedup_window)
         released = []
         with self._mu:
-            tsan = self.proc.tsan
+            tsan = self.hooks.tsan
             if tsan is not None:
                 tsan.note_access(("ft-win", self.proc.world_rank),
                                  what=f"rank {self.proc.world_rank} "
@@ -442,13 +434,19 @@ class RankFaults:
 
     # -- pending receives and peer death -----------------------------------
 
-    def note_recv(self, request: "Request", src_world: Optional[int],
-                  comm: object) -> None:
-        """Track a posted receive so a peer death or a revocation can
-        complete it exceptionally.  Wildcard receives (*src_world*
-        None) are immune to any single peer's death — no specific
-        failure dooms them — but a revoked context dooms every receive
-        on it, so they are tracked all the same."""
+    def note_posted(self, request: "Request", src_world: Optional[int],
+                    comm: object) -> None:
+        """A receive was posted (the seam's ``recv_posted`` event).
+
+        The rank is about to block: first release any outgoing packet
+        still parked in the wire's reorder stash, so a peer is never
+        starved by a receiver that stopped sending.  Then track the
+        receive so a peer death or a revocation can complete it
+        exceptionally.  Wildcard receives (*src_world* None) are
+        immune to any single peer's death — no specific failure dooms
+        them — but a revoked context dooms every receive on it, so
+        they are tracked all the same."""
+        self.drain()
         with self._mu:
             if len(self._pending_recvs) > _PRUNE_THRESHOLD:
                 self._pending_recvs = [
@@ -505,8 +503,9 @@ class RankFaults:
 
     # -- per-call hooks ----------------------------------------------------
 
-    def check_self(self) -> None:
-        """Per-MPI-call hook: die if the plan says this rank's time has
+    def check_self(self, _name: Optional[str] = None) -> None:
+        """Per-MPI-call hook (the seam's call-entry event, whose call
+        name it ignores): die if the plan says this rank's time has
         come (raises :class:`RankKilled`, which only the world's entry
         wrapper handles).  The reorder stash is deliberately *not*
         flushed here — it must survive until the next send to the same
@@ -524,12 +523,11 @@ class RankFaults:
                 f"rank {self.proc.world_rank} killed by fault plan "
                 f"after {self.n_sends} sends")
         # Surviving an MPI call is a heartbeat; also offer the roster
-        # scan, so detection needs no progress build.  (repro/ft/ is
-        # FP307-exempt, but the detector is optional on fault builds,
-        # hence the guard.)
-        detector = self.proc.detector
+        # scan, so detection needs no progress build.  (The detector
+        # is optional on fault builds.)
+        detector = self.hooks.detector
         if detector is not None:
-            detector.beat()
+            detector.beat(self.proc.world_rank)
             detector.maybe_tick()
 
     def kill_pending(self) -> bool:
@@ -555,6 +553,13 @@ class RankFaults:
                 rank=self.proc.world_rank)
             dispatch_comm_error(comm, exc)
             raise exc
+
+    def comm_check(self, comm: object) -> None:
+        """The seam's communicator check before an operation on
+        *comm*: this rank's own check (collective internals bypass the
+        call entry), then *comm*'s revocation."""
+        self.check_self()
+        self.check_comm(comm)
 
     def drain(self, now: Optional[float] = None) -> int:
         """Fire retransmit timers; returns how many packets released.

@@ -484,7 +484,7 @@ def validate(model: CostModel) -> None:
     # Progress engine (progress builds): one wakeup + one continuation
     # dispatch — the per-event background-progress price.  (The pragma:
     # this is the cost-model field, not the runtime hook.)
-    assert m.progress.dispatch_overhead == 25  # audit: allow[FP305]
+    assert m.progress.dispatch_overhead == 25  # audit: allow[FP308]
 
 
 #: The default calibrated model used by the whole runtime.

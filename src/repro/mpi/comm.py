@@ -36,6 +36,7 @@ from repro.mpi.pt2pt import (BYTE_REF, call_plan, check_recv, check_send,
                              entry_plan, mpi_entry, normalize_buffer,
                              run_planned, validate_args)
 from repro.mpi.status import Status
+from repro.runtime.hooks import blocked_wait
 from repro.runtime.ranktrans import build_translation
 from repro.runtime.request import Request
 
@@ -162,16 +163,13 @@ class Communicator:
         return self._errhandler
 
     def _ft_isend(self, op: SendOp) -> Optional[Request]:
-        """Issue a send through the fault-tolerance wrapping: refuse
-        revoked communicators, and route any communication error
-        through this communicator's error handler before it
-        propagates.  Only reached when the build has a fault plan
-        (plain builds call the device directly — zero added work)."""
-        faults = self.proc.faults
-        if faults is None:   # routed here only under the caller's guard
-            return self.proc.device.isend(op)
-        faults.check_self()   # collective internals bypass mpi_entry
-        faults.check_comm(self)
+        """Issue a send through the seam's communicator check (a fault
+        layer's): refuse a revoked communicator, and route any
+        communication error through this communicator's error handler
+        before it propagates.  Reached only where the seam has the
+        check (``hooks.comm_check``): plain builds call the device
+        directly — zero added work."""
+        self.proc.hooks.comm_check(self)
         try:
             return self.proc.device.isend(op)
         except MPIError as exc:
@@ -180,11 +178,7 @@ class Communicator:
 
     def _ft_irecv(self, op: RecvOp) -> Request:
         """Receive-side twin of :meth:`_ft_isend`."""
-        faults = self.proc.faults
-        if faults is None:   # routed here only under the caller's guard
-            return self.proc.device.irecv(op)
-        faults.check_self()   # collective internals bypass mpi_entry
-        faults.check_comm(self)
+        self.proc.hooks.comm_check(self)
         try:
             return self.proc.device.irecv(op)
         except MPIError as exc:
@@ -200,7 +194,8 @@ class Communicator:
                      flags: ext.ExtFlags = ext.NONE) -> Optional[Request]:
         buf = np.frombuffer(data, np.uint8) if data else np.empty(0, np.uint8)
         op = SendOp(buf, len(data), BYTE_REF, dest, tag, self, flags, sync)
-        if self.proc.faults is not None:
+        hooks = self.proc.hooks
+        if hooks is not None and hooks.comm_check is not None:
             return self._ft_isend(op)
         return self.proc.device.isend(op)
 
@@ -211,7 +206,8 @@ class Communicator:
         on the request), or into the writable byte view *into*."""
         op = RecvOp(into, 0 if into is None else len(into), BYTE_REF,
                     source, tag, self, flags)
-        if self.proc.faults is not None:
+        hooks = self.proc.hooks
+        if hooks is not None and hooks.comm_check is not None:
             return self._ft_irecv(op)
         return self.proc.device.irecv(op)
 
@@ -346,7 +342,7 @@ class Communicator:
             proc, plan
             or entry_plan(proc, c.isend_function_call, c.isend_thread_check),
             name, proc.vci_for(self.ctx, peer, op.tag, op.flags.nomatch)
-            if proc.armed else None)
+            if proc.num_vcis > 1 else None)
 
     def _buffer_send(self, buf, dest: int, tag: int, sync: bool,
                      flags: ext.ExtFlags = ext.NONE,
@@ -366,7 +362,8 @@ class Communicator:
         with self._entry(op, dest, plan, name):
             if proc.config.error_checking:
                 validate_args(proc, c.isend_error, failed)
-            if proc.hooked and proc.faults is not None:
+            hooks = proc.hooks
+            if hooks is not None and hooks.comm_check is not None:
                 return self._ft_isend(op)
             return proc.device.isend(op)
 
@@ -402,7 +399,8 @@ class Communicator:
         with self._entry(op, source, plan, "MPI_Irecv"):
             if proc.config.error_checking:
                 validate_args(proc, c.isend_error, failed)
-            if proc.hooked and proc.faults is not None:
+            hooks = proc.hooks
+            if hooks is not None and hooks.comm_check is not None:
                 return self._ft_irecv(op)
             return proc.device.irecv(op)
 
@@ -489,22 +487,15 @@ class Communicator:
 
     def probe(self, source: int = ANY_SOURCE,
               tag: int = ANY_TAG) -> Status:
-        """Blocking MPI_PROBE: status of the next matching message."""
-        san = self.proc.sanitizer
-        if san is not None:
-            # Register the probe as a blocked OR-wait (concrete edge
-            # only for a concrete source) so deadlock detection covers
-            # probe loops; raises MSD201 instead of blocking forever.
-            san.note_block_probe(
-                self, source, tag,
-                None if source == ANY_SOURCE
-                else self.world_rank_of(source))
-        try:
+        """Blocking MPI_PROBE: status of the next matching message.
+
+        A blocked wait like any other (the seam's ``wait_enter``): the
+        sanitizer's OR-wait edge (concrete only for a concrete source)
+        covers probe loops, and a failure detector parks the rank."""
+        with blocked_wait(self.proc.hooks, "probe",
+                          probe=(self, source, tag)):
             env, nbytes = self.proc.engine.probe(
                 self.ctx, source, tag, abort_event=self.world.abort_event)
-        finally:
-            if san is not None:
-                san.note_unblock()
         return Status(source=env.src, tag=env.tag, count_bytes=nbytes)
 
     def iprobe(self, source: int = ANY_SOURCE,

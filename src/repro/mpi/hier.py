@@ -115,13 +115,9 @@ class HierContext:
         # derived from the parent, so MPIX_Comm_revoke(parent) reaches
         # a rank blocked inside a phase (the revocation cascade) — an
         # unregistered child context would strand it mid-collective.
-        faults = comm.proc.faults
-        if faults is not None:
-            ft = faults.world_ft
-            for sub in (self.local, self.leaders, self.columns,
-                        self.col_roots):
-                if sub is not None:
-                    ft.add_derived(comm.ctx, sub.ctx)
+        if comm.proc.hooks is not None:
+            comm.proc.hooks.comm_derived(comm, (
+                self.local, self.leaders, self.columns, self.col_roots))
 
 
 def _ctx(comm: "Communicator") -> HierContext:

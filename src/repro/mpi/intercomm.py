@@ -29,6 +29,7 @@ from repro.errors import (MPIErrArg, MPIErrComm, MPIErrPort, MPIErrRank,
                           MPIErrSpawn, MPIError)
 from repro.mpi.comm import Communicator
 from repro.mpi.group import Group
+from repro.runtime.hooks import blocked_wait
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.proc import Proc
@@ -346,14 +347,10 @@ def comm_accept(port_name: str, comm: Communicator, root: int = 0,
         registry.post_offer(port_name, offer)
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
-        det = proc.detector
-        if det is not None:
-            # A rank blocked in accept is alive by construction: park
-            # it (a monitored server waiting out a slow client must
-            # never be suspected), and keep offering roster scans —
-            # the accept loop may be the only runnable thread.
-            det.enter_wait()
-        try:
+        # A blocked wait: a monitored server waiting out a slow client
+        # must never be suspected, and the accept loop, maybe the only
+        # runnable thread, keeps offering roster scans.
+        with blocked_wait(proc.hooks, "MPI_Comm_accept") as tick:
             while not offer.event.is_set():
                 if proc.world.abort_event.is_set():
                     from repro.runtime.world import WorldAborted
@@ -369,12 +366,9 @@ def comm_accept(port_name: str, comm: Communicator, root: int = 0,
                     # imminent, so this accept completes normally.
                     offer.event.wait()
                     break
-                if det is not None:
-                    det.maybe_tick()
+                if tick is not None:
+                    tick()
                 offer.event.wait(0.02)
-        finally:
-            if det is not None:
-                det.exit_wait()
         return offer.ctx, offer.client_ranks
 
     ctx, client_ranks = _bcast_handshake(comm, root, build)
@@ -395,13 +389,10 @@ def comm_connect(port_name: str, comm: Communicator, root: int = 0,
 
     def build():
         offer = None
-        det = proc.detector
-        if det is not None:
-            # A rank queued behind a busy server makes no MPI calls
-            # while it waits, so its heartbeat would go stale: park it
-            # like a blocking wait — connecting is proof of life.
-            det.enter_wait()
-        try:
+        # A rank queued behind a busy server makes no MPI calls while
+        # it waits, so its heartbeat would go stale: a blocked wait —
+        # connecting is proof of life.
+        with blocked_wait(proc.hooks, "MPI_Comm_connect"):
             for attempt in range(retries + 1):
                 wait_s = backoff_s * (2 ** min(attempt, 5))
                 offer = registry.claim(port_name,
@@ -412,9 +403,6 @@ def comm_connect(port_name: str, comm: Communicator, root: int = 0,
                 raise MPIErrPort(
                     f"nothing accepting on port {port_name!r} after "
                     f"{retries + 1} attempts", op="MPI_Comm_connect")
-        finally:
-            if det is not None:
-                det.exit_wait()
         offer.client_ranks = list(comm.group.world_ranks)
         offer.event.set()
         return offer.ctx, offer.server_ranks
@@ -471,9 +459,8 @@ def comm_spawn(comm: Communicator, fn: Callable, nprocs: int,
         factory = _child_comm_factory(child_ranks, child_ctx,
                                       inter_ctx, parent_ranks)
         for child in born:
-            det = child.detector
-            if det is not None:
-                det.register()
+            if child.hooks is not None:
+                child.hooks.monitor()
             world.launch_rank(child, fn, args, comm_factory=factory,
                               name=f"mpi-spawn-{child.world_rank}")
         return child_ranks, inter_ctx

@@ -31,11 +31,11 @@ nonblocking collectives in the same order.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.mpi import collectives as coll
 from repro.mpi import reduceops
+from repro.runtime.hooks import make_lock
 from repro.runtime.request import Request, RequestKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,7 +53,7 @@ class NBCRequest(Request):
     schedule returned once it completes."""
 
     __slots__ = ("comm", "steps", "_pending", "_armed", "result",
-                 "_sched_mu")
+                 "_sched_mu", "_progress_lock")
 
     def __init__(self, comm: "Communicator", steps):
         super().__init__(RequestKind.GENERALIZED, comm.proc,
@@ -69,25 +69,27 @@ class NBCRequest(Request):
         self.result: Any = None
         # Serializes schedule advancement between the application and
         # the progress engine's continuations (reentrant: a blocking
-        # advance may recurse through wait paths).
-        tsan = comm.proc.tsan
-        if tsan is not None:
-            # Key on the request serial, not id(self) — addresses are
-            # reused, serials are not (see Request._tsan_serial).
-            self._sched_mu = tsan.make_lock("sched",
-                                            f"nbc{self._tsan_key[1]}")
-        else:
-            self._sched_mu = threading.RLock()
+        # advance may recurse through wait paths).  Named by the
+        # request serial, not id(self) — addresses are reused, serials
+        # are not (see Request._race_serial).
+        key = self._race_key
+        self._sched_mu = make_lock(
+            self._hooks, "sched", f"nbc{key[1] if key else 0}",
+            reentrant=True)
+        #: The CS lock of a background progress engine (None without
+        #: one): the engine then advances the schedule itself, and an
+        #: advance takes this lock before the schedule's.
+        self._progress_lock = (self._hooks.progress_lock
+                               if self._hooks is not None else None)
         # Kick the schedule as far as it goes without blocking, so
         # receives are pre-posted and early sends overlap user compute.
         # A schedule validates its arguments before its first message:
         # a rejected call raises from here, before the handle exists
         # for anyone — the sanitizer included.
         self._advance(blocking=False)
-        san = comm.proc.sanitizer
-        if san is not None:
+        if self._hooks is not None:
             # Built directly (not via the pool), so register explicitly.
-            san.note_acquire(self, api="nonblocking collective")
+            self._hooks.acquire(self, "nonblocking collective")
 
     # -- schedule engine -----------------------------------------------------
 
@@ -101,9 +103,9 @@ class NBCRequest(Request):
         holding the CS lock), so application ``test``/``wait`` calls
         and background continuations never deadlock.
         """
-        proc = self.comm.proc
-        if proc.progress is not None:
-            with proc.cs_lock:
+        lock = self._progress_lock
+        if lock is not None:
+            with lock:
                 with self._sched_mu:
                     return self._advance_locked(blocking)
         return self._advance_locked(blocking)
@@ -111,12 +113,12 @@ class NBCRequest(Request):
     def _advance_locked(self, blocking: bool) -> bool:
         """The actual schedule walk (see :meth:`_advance` for locking)."""
         proc = self.comm.proc
-        if proc.tsan is not None:
+        if self._race_key is not None:
             # Under the schedule lock with a progress engine; without
             # one the schedule is single-threaded (same-thread accesses
             # are ordered by the thread's own clock).
-            proc.tsan.note_access(("nbc", self._tsan_key[1]),
-                                  what="NBC schedule state")
+            self._hooks.access(("nbc", self._race_key[1]), True,
+                               "NBC schedule state")
         while not self.is_complete():
             req, data = self._pending, None
             if req is not None:
@@ -145,7 +147,7 @@ class NBCRequest(Request):
         Without one this is a no-op (``wait``/``test`` keep driving
         the schedule, the weak-progress model).
         """
-        if self.comm.proc.progress is None or self._armed:
+        if self._progress_lock is None or self._armed:
             return
         self._armed = True
         req.on_complete(self._bg_advance)
@@ -178,7 +180,7 @@ class NBCRequest(Request):
         schedule request by request (weak progress).
         """
         if not self.is_complete():
-            if self.comm.proc.progress is None:
+            if self._progress_lock is None:
                 self._advance(blocking=True)
         super().wait()
         return self

@@ -117,7 +117,10 @@ class PersistentSend(PersistentRequest):
         if proc.config.device is Device.CH4:
             # Eager or rendezvous, VCI lane, fault wrapping, parked
             # completion: whatever an MPI_ISEND of this size gets.
-            return comm._ft_isend(self.op)
+            hooks = proc.hooks
+            if hooks is not None and hooks.comm_check is not None:
+                return comm._ft_isend(self.op)
+            return proc.device.isend(self.op)
         request = proc.request_pool.acquire(RequestKind.SEND)
         inner = proc.device.isend(self.op)
         inner.wait()

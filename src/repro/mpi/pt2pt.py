@@ -144,10 +144,11 @@ class mpi_entry:
     rank never builds one: see :func:`run_planned`.
 
     *plan* supplies the entry's charge and lock (an
-    :func:`entry_plan`, or the call site's own plan).  An armed entry
-    takes the hook branches: the sanitizer labels the call, the fault
-    layer checks this rank, an enabled timeline records the call's
-    virtual-time span under *name*, and *vci* routes the modeled CS —
+    :func:`entry_plan`, or the call site's own plan).  A rank with a
+    hook seam announces the call entry under *name* (the sanitizer
+    labels the call, the fault layer checks this rank, an enabled
+    timeline records the call's virtual-time span), and *vci* routes
+    the modeled CS —
     a routed entry acquires its owning VCI's lock (per-VCI sharding,
     ``num_vcis > 1``) and records CS occupancy there; unrouted entries
     take ``proc.cs_lock``, which is VCI 0's lock.
@@ -168,14 +169,10 @@ class mpi_entry:
     @fastpath
     def __enter__(self) -> None:
         proc, plan = self.proc, self.plan
-        self.t0 = None
-        if proc.armed:
-            if proc.timeline is not None and self.name is not None:
-                self.t0 = proc.vclock.now
-            if proc.sanitizer is not None and self.name is not None:
-                proc.sanitizer.note_api(self.name)   # labels reports
-            if proc.faults is not None:
-                proc.faults.check_self()   # stash flush + rank kill
+        hooks = proc.hooks
+        # Call entry: a timeline's span start (returned), the
+        # sanitizer's call label, the fault layer's rank check.
+        self.t0 = None if hooks is None else hooks.enter_call(self.name)
         proc.charge(plan.entry)
         if plan.lock is not None:
             vci = self.vci
@@ -197,9 +194,7 @@ class mpi_entry:
         if exc_type is not None and isinstance(exc, MPIError):
             annotate(exc, proc, self.name)
         if self.t0 is not None:
-            from repro.analysis.timeline import TimelineEvent
-            proc.timeline.append(TimelineEvent(
-                name=self.name, t0=self.t0, t1=proc.vclock.now))
+            proc.hooks.exit_call(self.name, self.t0)
         return False
 
 

@@ -36,6 +36,7 @@ from repro.mpi import reduceops
 from repro.mpi.info import Info
 from repro.mpi.pt2pt import (call_plan, entry_plan, mpi_entry,
                              normalize_buffer, run_planned, validate_args)
+from repro.runtime.hooks import blocked_wait
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
@@ -337,12 +338,12 @@ class Window:
                 proc, plan
                 or entry_plan(proc, c.put_function_call, c.put_thread_check),
                 name, proc.vci_for(self.comm.ctx, op.target_rank, 0)
-                if proc.armed else None):
+                if proc.num_vcis > 1 else None):
             if proc.config.error_checking:
                 validate_args(proc, c.put_error, failed)
-            if proc.hooked and proc.sanitizer is not None \
-                    and op.target_rank != PROC_NULL:
-                proc.sanitizer.check_rma(self, op.target_rank)
+            hooks = proc.hooks
+            if hooks is not None and op.target_rank != PROC_NULL:
+                hooks.rma_check(self, op.target_rank)   # MSD204 epochs
             body(op)
 
     def put(self, origin, target_rank: int, target_disp: int = 0,
@@ -416,8 +417,9 @@ class Window:
             if proc.config.error_checking:
                 validate_args(proc, c.put_error, self._check_rma(
                     count, dtref, target_rank, False))
-            if proc.sanitizer is not None and target_rank != PROC_NULL:
-                proc.sanitizer.check_rma(self, target_rank)
+            hooks = proc.hooks
+            if hooks is not None and target_rank != PROC_NULL:
+                hooks.rma_check(self, target_rank)
             if dtref.datatype.np_dtype is None:
                 raise MPIErrDatatype(
                     "compare_and_swap requires a predefined datatype")
@@ -486,8 +488,8 @@ class Window:
         plus completion of all pending operations)."""
         self.flush_all()
         self.comm.barrier()
-        if self.proc.sanitizer is not None:
-            self.proc.sanitizer.note_fence(self)
+        if self.proc.hooks is not None:
+            self.proc.hooks.win_fence(self)
 
     def lock(self, target_rank: int,
              lock_type: str = LOCK_EXCLUSIVE) -> None:
@@ -496,8 +498,11 @@ class Window:
             raise MPIErrRMASync(
                 f"window already locked at target {target_rank}")
         target_world = self.comm.world_rank_of(target_rank)
-        self.state_of(target_world).epoch_lock.acquire(
-            lock_type, self.comm.world.abort_event)
+        # A blocked wait like any other: a failure detector must not
+        # take a rank queued behind another epoch for a dead one.
+        with blocked_wait(self.proc.hooks, "window lock"):
+            self.state_of(target_world).epoch_lock.acquire(
+                lock_type, self.comm.world.abort_event)
         self._held_locks[target_rank] = lock_type
 
     def unlock(self, target_rank: int) -> None:
@@ -592,5 +597,5 @@ class Window:
         """MPI_WIN_FREE (collective): complete and drop the window."""
         self.fence()
         self.freed = True
-        if self.proc.sanitizer is not None:
-            self.proc.sanitizer.note_win_free(self)
+        if self.proc.hooks is not None:
+            self.proc.hooks.win_free(self)

@@ -58,9 +58,8 @@ class Session:
         self.name = name
         self._finalized = False
         install_counter(proc.counter)
-        detector = proc.detector
-        if detector is not None:
-            detector.register()
+        if proc.hooks is not None:
+            proc.hooks.monitor()
         #: The session's own communicator (``MPI_Comm_create_from_group``
         #: over the singleton process set) — the local side of every
         #: :meth:`connect`.
@@ -85,19 +84,17 @@ class Session:
     def finalize(self) -> None:
         """``MPI_Session_finalize``: leave the world cleanly.
 
-        Drains the rank's reliability stash (quiescence), departs the
-        heartbeat roster (a finalized session is never declared dead),
-        and uninstalls the thread's instruction counter.  Idempotent.
+        A clean rank exit, as at the end of a world rank's function
+        (the seam's ``rank_exit``: reliability stash drained, heartbeat
+        roster departed — a finalized session is never declared dead —
+        and the sanitizer's books closed); then uninstalls the thread's
+        instruction counter.  Idempotent.
         """
         if self._finalized:
             return
         self._finalized = True
-        proc = self.proc
-        if proc.faults is not None:
-            proc.faults.drain()
-        detector = proc.detector
-        if detector is not None:
-            detector.depart()
+        if self.proc.hooks is not None:
+            self.proc.hooks.rank_exit()
         uninstall_counter()
 
     def _check_active(self, op: str) -> None:

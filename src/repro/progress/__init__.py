@@ -12,14 +12,14 @@ the virtual clock, and run MPIX-continuation callbacks
 nonblocking-collective state machines advance while the application
 computes — zero user polls between post and wait.
 
-Guard discipline (the same contract ``repro.ft`` follows for
-``proc.faults``): ``proc.progress`` / ``world.progress`` is ``None``
-unless the build opts in, every touch point *outside* this package
-checks ``is None`` first (audit rule FP305 enforces this statically),
-and a ``progress=None`` build charges byte-identically to the
-calibrated Figure 2 / Table 1 numbers — the engine exists only when
-asked for, and its own work is charged to ``Category.PROGRESS`` on
-the engine thread, off the application's lane.
+Seam discipline (the contract every optional subsystem follows):
+``world.progress`` is ``None`` unless the build opts in, the runtime
+reaches a rank's engine only through the rank's hook seam
+(:mod:`repro.runtime.hooks`; audit rule FP308 enforces this
+statically), and a ``progress=None`` build charges byte-identically to
+the calibrated Figure 2 / Table 1 numbers — the engine exists only
+when asked for, and its own work is charged to ``Category.PROGRESS``
+on the engine thread, off the application's lane.
 """
 
 from repro.progress.engine import MODES, RankProgress, WorldProgress

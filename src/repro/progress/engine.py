@@ -17,7 +17,7 @@ and the three kinds of background work:
   :meth:`repro.runtime.request.Request.on_complete`; the NBC state
   machines chain themselves forward with these.
 * **Retransmit timers** — when the rank holds reorder-stashed packets
-  (``proc.faults``), the engine scans their virtual-clock deadlines
+  (the seam's fault layer), the engine scans their virtual-clock deadlines
   and releases expired ones via ``RankFaults.drain(now)``, so a rank
   that never calls into MPI still retransmits.
 
@@ -105,14 +105,15 @@ class RankProgress:
     """
 
     def __init__(self, proc: "Proc", mode: str):
+        from repro.runtime.hooks import make_lock
         self.proc = proc
         self.mode = mode
-        tsan = proc.tsan
-        if tsan is not None:
-            self._cv = threading.Condition(tsan.make_lock(
-                "progress_cv", f"cv{proc.world_rank}"))
-        else:
-            self._cv = threading.Condition()
+        #: The rank's seam, which starts this engine: the race and
+        #: failure detectors and the fault layer the engine serves.
+        self.hooks = hooks = proc.hooks
+        tsan = hooks.tsan
+        self._cv = threading.Condition(make_lock(
+            hooks, "progress_cv", f"cv{proc.world_rank}", reentrant=True))
         self._lanes = [_Lane(i) for i in range(max(1, len(proc.vcis)))]
         self._continuations: deque = deque()
         #: Exceptions raised by engine-run work (also aborts the world).
@@ -136,7 +137,7 @@ class RankProgress:
                 tsan.thread_fork(("progress", proc.world_rank, slot))
             thread.start()
 
-    # -- producer side (hooks guarded by FP305 at every call site) ------
+    # -- producer side (reached through the rank's hook seam) ----------
 
     def park_completion(self, vci, transport, request: "Request",
                         complete_s: float) -> None:
@@ -151,7 +152,7 @@ class RankProgress:
         """
         lane = self._lanes[vci.index if vci is not None else 0]
         with self._cv:
-            tsan = self.proc.tsan
+            tsan = self.hooks.tsan
             if tsan is not None:
                 tsan.note_access(
                     ("lane", self.proc.world_rank, lane.index),
@@ -173,7 +174,7 @@ class RankProgress:
     def kick(self) -> None:
         """Wake the engine threads without queueing work.
 
-        Called (FP305-guarded) when rank state the engine watches but
+        Called when rank state the engine watches but
         does not own changes — e.g. :mod:`repro.ft.reliability` arming
         a retransmit timer, which flips thread 0's sleep from untimed
         to the :data:`_TIMER_TICK_S` deadline tick.  Callers must not
@@ -211,7 +212,7 @@ class RankProgress:
         Idle passes charge nothing.
         """
         proc = self.proc
-        tsan = proc.tsan
+        tsan = self.hooks.tsan
         p = COSTS.progress
         did_work = False
 
@@ -272,7 +273,7 @@ class RankProgress:
                     except BaseException as exc:
                         self._note_error(exc)
 
-            faults = proc.faults
+            faults = self.hooks.faults
             if faults is not None and faults.stashed_count():
                 with proc.cs_lock:
                     if not did_work:
@@ -286,8 +287,8 @@ class RankProgress:
             # Heartbeat-detector scan: silence expiry, like retransmit
             # deadlines, is announced only by the wall clock, so thread
             # 0's deadline tick drives it.  Charge-observational — the
-            # detector charges nothing (FP307 calibration contract).
-            detector = proc.detector
+            # detector charges nothing (its calibration contract).
+            detector = self.hooks.detector
             if detector is not None and detector.armed():
                 detector.maybe_tick()
 
@@ -303,10 +304,10 @@ class RankProgress:
         """True when the rank holds wall-clock deadlines no notify will
         announce: reorder-stashed retransmit packets, or an armed
         heartbeat detector whose silence thresholds must be observed."""
-        detector = self.proc.detector
+        detector = self.hooks.detector
         if detector is not None and detector.armed():
             return True
-        faults = self.proc.faults
+        faults = self.hooks.faults
         if faults is None:
             return False
         return faults.stashed_count() > 0
@@ -328,7 +329,7 @@ class RankProgress:
         is a daemon — the world makes no teardown promise beyond its
         rank threads, matching the netmod lane threads of PR 4.
         """
-        tsan = self.proc.tsan
+        tsan = self.hooks.tsan
         if tsan is not None:
             tsan.thread_begin(("progress", self.proc.world_rank, slot))
         while True:

@@ -23,6 +23,8 @@ from _thread import allocate_lock
 from collections import deque
 from typing import Callable, Optional
 
+from repro.runtime.hooks import make_lock, race_key
+
 
 class Waker:
     """A binary semaphore over a single C-level lock: one thread parks,
@@ -179,7 +181,7 @@ def remove_abort_listener(event, callback: Callable[[], None]) -> None:
         notifier.remove_listener(callback)
 
 
-def park(waker: Waker, abort=None, detector=None) -> None:
+def park(waker: Waker, abort=None, tick=None) -> None:
     """Sleep on *waker* until it is fired or *abort* is set: the one
     place a blocked wait of this runtime sleeps.
 
@@ -190,11 +192,12 @@ def park(waker: Waker, abort=None, detector=None) -> None:
     fired — with no lock taken on the event.  Returns however it was
     woken; the caller re-reads its own condition and the flag.
 
-    *detector* (a detector build's rank view) turns the sleep into
-    20 ms slices that each offer the rate-limited roster scan: a rank
-    parked in a wait is often the *only* live thread (a server blocked
-    on a request from a vanished client), so without a progress
-    engine's timer tick this is where silence expiry is observed.
+    *tick* (a failure-detector build's roster scan, from the seam's
+    ``wait_enter``) turns the sleep into 20 ms slices that each offer
+    the rate-limited scan: a rank parked in a wait is often the *only*
+    live thread (a server blocked on a request from a vanished
+    client), so without a progress engine's timer tick this is where
+    silence expiry is observed.
     """
     parked = None
     if abort is not None:
@@ -205,11 +208,11 @@ def park(waker: Waker, abort=None, detector=None) -> None:
         parked.add(waker)
     try:
         if abort is None or not abort.is_set():
-            if detector is None:
+            if tick is None:
                 waker.park()
             else:
                 while not waker.park(0.02):
-                    detector.maybe_tick()
+                    tick()
     finally:
         if parked is not None:
             parked.discard(waker)
@@ -229,20 +232,17 @@ class CompletionSegment:
     teardown report.
     """
 
-    __slots__ = ("index", "_lock", "tsan", "n_send", "n_recv", "n_rma",
-                 "last_complete_s")
+    __slots__ = ("index", "_lock", "_hooks", "_race_key", "n_send",
+                 "n_recv", "n_rma", "last_complete_s")
 
-    def __init__(self, index: int, tsan=None):
+    def __init__(self, index: int, hooks=None):
         self.index = index
-        #: Race-detector view (None unless the world runs
-        #: ``tsan=True``; hook sites guard on it — FP306); the counter
-        #: lock is then instrumented and every :meth:`note` is an
-        #: annotated access.
-        self.tsan = tsan
-        if tsan is not None:
-            self._lock = tsan.make_lock("cseg", f"cseg{index}")
-        else:
-            self._lock = threading.Lock()
+        #: The rank's hook seam: under a race detector the counter lock
+        #: is instrumented and every :meth:`note` is an annotated
+        #: access under ``_race_key`` (None otherwise).
+        self._hooks = hooks
+        self._race_key = race_key(hooks, "cseg", id(self))
+        self._lock = make_lock(hooks, "cseg", f"cseg{index}")
         self.n_send = 0
         self.n_recv = 0
         self.n_rma = 0
@@ -252,10 +252,9 @@ class CompletionSegment:
         """Record one completion of *kind* ("send"/"recv"/"rma") that
         retired through this segment at virtual time *complete_s*."""
         with self._lock:
-            tsan = self.tsan
-            if tsan is not None:
-                tsan.note_access(("cseg", id(self)),
-                                 what=f"completion segment {self.index}")
+            if self._race_key is not None:
+                self._hooks.access(self._race_key, True,
+                                   f"completion segment {self.index}")
             if kind == "send":
                 self.n_send += 1
             elif kind == "recv":

@@ -50,6 +50,7 @@ from typing import Callable, Optional
 from repro.consts import ANY_SOURCE, ANY_TAG
 from repro.runtime.completion import (add_abort_listener,
                                       remove_abort_listener)
+from repro.runtime.hooks import make_lock, race_key
 from repro.runtime.message import Envelope, Message
 from repro.runtime.request import Request
 
@@ -120,26 +121,23 @@ class _MatchingEngineBase:
     #: engine reads them as sums over its shards).
     n_deposited = n_matched_posted = n_matched_unexpected = 0
 
-    def __init__(self, rank: int, tsan=None):
+    def __init__(self, rank: int, hooks=None):
         self.rank = rank
-        #: Per-rank race-detector view (None unless ``tsan=True``);
-        #: every hook site guards on it (audit rule FP306).  When
-        #: present, the engine lock is detector-instrumented and the
-        #: queue mutations below are annotated accesses.
-        self.tsan = tsan
+        #: The rank's hook seam (None on a plain build).  Under a race
+        #: detector the engine lock is instrumented and the queue
+        #: mutations below are annotated accesses under ``_race_key``
+        #: (per engine — shards are lock domains of their own), which
+        #: is None otherwise.
+        self._hooks = hooks
+        self._race_key = race_key(hooks, "mq", rank, id(self))
         #: The engine lock — reentrant (landing -> ``complete`` ->
         #: a continuation may post on this engine again) and entered
         #: at C level on every ``post``/``deposit``.
-        if tsan is not None:
-            self._lock = tsan.make_lock(self._LOCK_KIND, f"mq{rank}")
-        else:
-            self._lock = threading.RLock()
+        self._lock = make_lock(hooks, self._LOCK_KIND, f"mq{rank}",
+                               reentrant=True)
         #: Condition over ``_lock`` for the one thing that sleeps on
         #: the engine, a blocking probe; entered through ``_lock``.
         self._cond = threading.Condition(self._lock)
-        #: Annotation key of this engine's queue state (shards use a
-        #: per-shard key: each shard is its own lock domain).
-        self._tsan_key = ("mq", rank, id(self))
         #: Threads blocked in :meth:`probe`: a deposit wakes the
         #: condition only when somebody is there to hear it.
         self._probers = 0
@@ -147,10 +145,9 @@ class _MatchingEngineBase:
     def _note_mq_access(self) -> None:
         """Annotate one matching-queue mutation (callers hold
         ``_lock``, so the lockset half of TS401 certifies them)."""
-        tsan = self.tsan
-        if tsan is not None:
-            tsan.note_access(self._tsan_key,
-                             what=f"rank {self.rank} matching queues")
+        if self._race_key is not None:
+            self._hooks.access(self._race_key, True,
+                               f"rank {self.rank} matching queues")
 
     @staticmethod
     def _fire_sync(msg: Message, match_time_s: float) -> None:
@@ -225,8 +222,8 @@ class LinearMatchingEngine(_MatchingEngineBase):
 
     name = "linear"
 
-    def __init__(self, rank: int, tsan=None):
-        super().__init__(rank, tsan)
+    def __init__(self, rank: int, hooks=None):
+        super().__init__(rank, hooks)
         self._posted: list[PostedRecv] = []
         self._unexpected: list[Message] = []
 
@@ -316,8 +313,8 @@ class BucketMatchingEngine(_MatchingEngineBase):
 
     name = "bucket"
 
-    def __init__(self, rank: int, tsan=None):
-        super().__init__(rank, tsan)
+    def __init__(self, rank: int, hooks=None):
+        super().__init__(rank, hooks)
         #: Stamps post and arrival order (shards share their rank's).
         self._seq = itertools.count(1)
         # Posted receives.  A bucket is made by the append that misses
@@ -357,7 +354,7 @@ class BucketMatchingEngine(_MatchingEngineBase):
         progress context.
         """
         with self._lock:
-            if self.tsan is not None:
+            if self._race_key is not None:
                 self._note_mq_access()
             self.n_deposited += 1
             posted = self._take_posted_match(msg.env)
@@ -438,7 +435,7 @@ class BucketMatchingEngine(_MatchingEngineBase):
         time of any synchronous sender found in the unexpected queue.
         """
         with self._lock:
-            if self.tsan is not None:
+            if self._race_key is not None:
                 self._note_mq_access()
             msg = self._take_unexpected_match(posted)
             if msg is not None:
@@ -551,16 +548,16 @@ class BucketMatchingEngine(_MatchingEngineBase):
 MatchingEngine = BucketMatchingEngine
 
 
-def build_engine(rank: int, vci_map, tsan=None) -> _MatchingEngineBase:
+def build_engine(rank: int, vci_map, hooks=None) -> _MatchingEngineBase:
     """The matching engine of a rank whose operations *vci_map* (the
     rank's :class:`repro.runtime.vci.VCIMap`) spreads over VCIs: the
     bucketed engine for one VCI — the byte-identical calibrated
     default — and the per-VCI sharded engine
-    (:class:`repro.runtime.vci.VCIShardedEngine`) for more.  *tsan* (a
-    :class:`repro.tsan.detector.RankTsan` or None) instruments every
-    engine lock when the world runs the race detector.
+    (:class:`repro.runtime.vci.VCIShardedEngine`) for more.  *hooks*
+    (the rank's seam, or None) instruments every engine lock when the
+    world runs the race detector.
     """
     if vci_map.num_vcis > 1:
         from repro.runtime.vci import VCIShardedEngine
-        return VCIShardedEngine(rank, vci_map, tsan=tsan)
-    return BucketMatchingEngine(rank, tsan)
+        return VCIShardedEngine(rank, vci_map, hooks)
+    return BucketMatchingEngine(rank, hooks)

@@ -17,6 +17,7 @@ from repro.instrument.categories import Category, Subsystem
 from repro.instrument.counter import InstructionCounter
 from repro.instrument.plan import ChargePlan, PlanRecorder
 from repro.instrument.trace import CallTracer
+from repro.runtime.hooks import Hooks, build_hooks
 from repro.runtime.matching import build_engine
 from repro.runtime.message import Message
 from repro.runtime.request import RequestPool
@@ -52,16 +53,17 @@ class Proc:
         #: Compiled charge plans by key (see :meth:`plan`).  Racing
         #: compiles of one key are harmless: same key, equal plan.
         self._plans: dict = {}
-        #: True when anything observes a call between its steps: an
-        #: optional subsystem (sanitizer, fault layer, race detector,
-        #: failure detector, progress engine — each bound below as a
-        #: per-rank view, None when the world lacks it) or per-VCI
-        #: routing of the modeled CS.  Fixed by the build, so the
-        #: per-message path tests this one flag and reads the hook
-        #: attributes only behind it.
-        self.hooked = config.num_vcis > 1 or any(
-            getattr(world, name, None) is not None for name in (
-                "sanitizer", "ft", "tsan", "detector", "progress"))
+        #: The seam to the optional subsystems (sanitizer, fault layer,
+        #: race detector, failure detector, progress engine; see
+        #: :mod:`repro.runtime.hooks`), or None on a plain build.  Bound
+        #: before the engine so every runtime lock below is constructed
+        #: already instrumented.
+        self.hooks = hooks = build_hooks(self)
+        #: True when anything observes a call between its steps — a
+        #: seam, or per-VCI routing of the modeled CS.  Fixed by the
+        #: build (a timeline switched on later leaves it as it is), so
+        #: the per-message path tests this one flag.
+        self.hooked = config.num_vcis > 1 or hooks is not None
         #: ``hooked``, or a timeline is recording: what an MPI entry
         #: tests (see the ``timeline`` setter).
         self.armed = self.hooked
@@ -74,38 +76,12 @@ class Proc:
         #: Python granularity only, charges are unchanged).
         self.num_vcis = config.num_vcis
         self.vci_map = VCIMap(config.num_vcis)
-        #: Per-rank race-detector view (None unless the world was
-        #: built with ``tsan=True``); every hook site guards on it
-        #: (audit rule FP306).  Bound before the engine so every
-        #: runtime lock below is constructed already instrumented.
-        world_tsan = getattr(world, "tsan", None)
-        rank_tsan = (world_tsan.rank_view(self)
-                     if world_tsan is not None else None)
-        self.tsan = rank_tsan
-        self.engine = build_engine(world_rank, self.vci_map, tsan=rank_tsan)
+        self.engine = build_engine(world_rank, self.vci_map, hooks)
         #: The rank's VCIs.  Sharded builds share the engine's (lock +
         #: shard + completion segment per VCI); the unsharded build
         #: still materializes VCI 0 so ``cs_lock`` has one home.
         self.vcis = (self.engine.vcis if config.num_vcis > 1
-                     else [VCI(0, tsan=rank_tsan)])
-        #: Per-rank dynamic-sanitizer view (None unless the world was
-        #: built with ``sanitize=True``); every hook site guards on it.
-        world_san = getattr(world, "sanitizer", None)
-        self.sanitizer = (world_san.rank_view(self)
-                          if world_san is not None else None)
-        #: Per-rank fault-tolerant-transport view (None unless the
-        #: world was built with a ``fault_plan``); every hook site
-        #: guards on it (audit rule FP304).
-        world_ft = getattr(world, "ft", None)
-        self.faults = (world_ft.rank_view(self)
-                       if world_ft is not None else None)
-        #: Per-rank heartbeat-failure-detector view (None unless the
-        #: world was built with ``detector=...``); every hook site
-        #: outside ``repro/ft/`` guards on it (audit rule FP307).
-        #: Bound before the progress engine, whose timer scan ticks it.
-        world_det = getattr(world, "detector", None)
-        self.detector = (world_det.rank_view(self)
-                         if world_det is not None else None)
+                     else [VCI(0, hooks)])
         #: Per-rank §3.5 request free-pool (recycles handles on the
         #: real-Python hot path; charged costs are unaffected).
         self.request_pool = RequestPool(self, world.abort_event)
@@ -123,13 +99,8 @@ class Proc:
         #: Peer matching engines by world rank, filled by
         #: :meth:`deliver` (a rank's engine never changes).
         self._engines: dict = {}
-        #: Per-rank background progress engine (None unless the world
-        #: was built with ``progress=...``); every hook site guards on
-        #: it (audit rule FP305).  Bound last — its daemon threads
-        #: start immediately and may touch any rank state above.
-        world_progress = getattr(world, "progress", None)
-        self.progress = (world_progress.rank_view(self)
-                         if world_progress is not None else None)
+        if hooks is not None:
+            hooks.start()   # last: a progress engine's threads start now
 
     @property
     def timeline(self):
@@ -140,9 +111,11 @@ class Proc:
 
     @timeline.setter
     def timeline(self, events) -> None:
-        """Bind (or drop, with None) the event list and re-arm."""
+        """Bind (or drop, with None) the event list and re-arm; a plain
+        rank gets a seam whose one subscriber is the timeline."""
         self._timeline = events
         self.armed = self.hooked or events is not None
+        (self.hooks or Hooks(self)).set_timeline(events)
 
     def _build_device(self):
         if self.config.device is Device.CH4:
@@ -207,8 +180,9 @@ class Proc:
         """
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
-        if self.progress is not None:
-            with self.cs_lock:
+        lock = self.hooks.progress_lock if self.hooks else None
+        if lock is not None:
+            with lock:
                 self.vclock.advance_seconds(seconds)
                 self.compute_seconds += seconds
             return
@@ -241,8 +215,9 @@ class Proc:
         reliability layer's lossy wire (sequence numbering, possible
         retransmissions, the receiver's dedup/reorder window) before
         reaching the engine."""
-        if self.hooked and self.faults is not None:
-            self.faults.deliver(dest_world_rank, msg)
+        hooks = self.hooks
+        if hooks is not None and hooks.deliver is not None:
+            hooks.deliver(dest_world_rank, msg)
             return
         engine = self._engines.get(dest_world_rank)
         if engine is None:

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-import threading
 from collections import deque
 from typing import Callable, Optional, Sequence
 
 from repro.errors import MPIErrRequest
 from repro.runtime.completion import CompletionQueue, Waker, park
+from repro.runtime.hooks import make_lock, race_key
 
 
 class RequestKind(enum.Enum):
@@ -62,15 +62,15 @@ class Request:
     """
 
     __slots__ = ("kind", "_complete", "_abort", "_lock", "_parked",
-                 "_waiters", "_flushing", "_epoch", "_tsan_key", "_hooked",
+                 "_waiters", "_flushing", "_epoch", "_race_key", "_hooks",
                  "complete_s", "source", "tag", "count_bytes", "error",
                  "cancelled", "_proc", "payload", "_keepalive", "_posted")
 
-    #: Serial numbers for detector annotation keys.  ``id(self)`` is
-    #: NOT usable as a key: CPython reuses addresses, so a dead
+    #: Serial numbers for race-detector annotation keys.  ``id(self)``
+    #: is NOT usable as a key: CPython reuses addresses, so a dead
     #: request's access history would collide with a new object that
     #: holds a different per-request lock (a false TS401).
-    _tsan_serial = itertools.count()
+    _race_serial = itertools.count()
 
     def __init__(self, kind: RequestKind, proc=None, abort_event=None,
                  complete_s: Optional[float] = None,
@@ -88,20 +88,15 @@ class Request:
         self._complete = complete_s is not None
         self._parked: Optional[Waker] = None
         self._abort = abort_event
-        #: The owning rank's ``Proc.hooked``: whether any of the hook
-        #: attributes read below (tsan, sanitizer, detector, progress)
-        #: can be set.  One test on the per-message path.
-        self._hooked = bool(getattr(proc, "hooked", False))
-        tsan = None
-        if self._hooked:
-            tsan = proc.tsan
-        if tsan is not None:
-            serial = next(Request._tsan_serial)
-            self._tsan_key = ("req", serial)
-            self._lock = tsan.make_lock("request", f"req{serial}")
-        else:
-            self._tsan_key = None
-            self._lock = threading.Lock()
+        #: The owning rank's hook seam (None on a plain build, or with
+        #: no rank): every hook below is one of its events.  One test
+        #: on the per-message path.
+        self._hooks = hooks = getattr(proc, "hooks", None)
+        serial = next(Request._race_serial)
+        #: The key the race detector annotates this request's state
+        #: under; None unless one runs.
+        self._race_key = race_key(hooks, "req", serial)
+        self._lock = make_lock(hooks, "request", f"req{serial}")
         self._waiters: deque[Callable[["Request"], None]] = deque()
         #: True while the transitioning thread is draining ``_waiters``
         #: — late subscribers enqueue instead of firing themselves, so
@@ -152,8 +147,8 @@ class Request:
             self.tag = tag
             self.count_bytes = count_bytes
             self.error = error
-            if self._hooked:
-                self._publish()
+            if self._race_key is not None:
+                self._hooks.publish(self._race_key)
             self._complete = True
             parked, self._parked = self._parked, None
             flush = self._flushing = bool(self._waiters)
@@ -163,14 +158,8 @@ class Request:
         if flush:
             self._flush_waiters(epoch)
 
-    def _publish(self) -> None:
-        """Race-detector edge of a state transition (``_lock`` held):
-        the waiter's ``wait`` reads this state bare once it sees
-        ``_complete`` — publish the edge that read consumes."""
-        tsan = self._proc.tsan
-        if tsan is not None:
-            tsan.note_access(self._tsan_key, what="request state")
-            tsan.hb_publish(self._tsan_key)
+    # Every transition below publishes, under ``_lock``, the race-
+    # detector edge that ``wait``'s bare read of the state consumes.
 
     def cancel(self) -> None:
         """MPI_CANCEL (supported for unmatched receives only).
@@ -183,15 +172,14 @@ class Request:
             if self._complete:
                 return
             self.cancelled = True
-            if self._hooked:
-                self._publish()
+            if self._race_key is not None:
+                self._hooks.publish(self._race_key)
             self._complete = True
             parked, self._parked = self._parked, None
             flush = self._flushing = bool(self._waiters)
             epoch = self._epoch
-        san = self._proc.sanitizer if self._hooked else None
-        if san is not None:
-            san.note_cancel(self)
+        if self._hooks is not None:
+            self._hooks.cancel(self)
         if parked is not None:
             parked.fire()
         if flush:
@@ -212,8 +200,8 @@ class Request:
             self.cancelled = True   # discard any late complete()
             self.error = error
             self.complete_s = complete_s
-            if self._hooked:
-                self._publish()
+            if self._race_key is not None:
+                self._hooks.publish(self._race_key)
             self._complete = True
             parked, self._parked = self._parked, None
             flush = self._flushing = bool(self._waiters)
@@ -285,20 +273,8 @@ class Request:
         the PROGRESS category); otherwise it runs per ``subscribe``
         semantics, on the completing thread.
         """
-        proc = self._proc
-        progress = None
-        if self._hooked:
-            if proc.sanitizer is not None:
-                # MS109: registering a continuation on an already-
-                # waited (or pool-recycled) handle — the callback may
-                # never fire in this life, or fire in the handle's
-                # *next* life.
-                proc.sanitizer.note_on_complete(self)
-            progress = proc.progress
-        if progress is not None:
-            self.subscribe(
-                lambda req, fn=fn: progress.post_continuation(fn, req))
-            return
+        if self._hooks is not None:
+            fn = self._hooks.on_complete(self, fn)
         self.subscribe(fn)
 
     #: MPIX spelling from "Designing and Prototyping Extensions to MPI
@@ -326,29 +302,23 @@ class Request:
         if not self._complete:
             self._block()
         proc = self._proc
-        if self._hooked:
-            tsan = proc.tsan
-            if tsan is not None:
-                # The lockless read of complete_s/error below is
-                # ordered by the edge the completing thread published.
-                tsan.hb_consume(self._tsan_key)
-                tsan.note_access(self._tsan_key, write=False,
-                                 what="request state")
         if proc is not None:
             clock = proc.vclock
             if self.complete_s > clock.now:
                 clock.now = self.complete_s   # VClock.merge, inline
-            if self._hooked and proc.sanitizer is not None:
-                # Closes the record; may raise MSD203.
-                proc.sanitizer.note_finish(self)
+        if self._hooks is not None:
+            # The bare read of the state, ordered by the edge the
+            # completing thread published; closes the sanitizer's
+            # record (may raise MSD203).
+            self._hooks.finish(self)
         if self.error is not None:
             raise self.error
         return self
 
     def _block(self) -> None:
         """Park the calling thread until the request is done or the
-        world aborts, telling the armed hooks that (and why) this rank
-        is blocked.
+        world aborts, announcing the blocked wait to the seam (see
+        :meth:`repro.runtime.hooks.Hooks.wait_enter`).
 
         The waker goes into ``_parked`` under the state lock, in the
         critical section that finds the request still pending; a second
@@ -357,25 +327,9 @@ class Request:
         not a completion — abort, a detector slice raising — withdraws
         its own registration.
         """
-        proc = self._proc
-        tsan = san = detector = None
-        if self._hooked:
-            tsan = proc.tsan
-            san = proc.sanitizer
-            detector = proc.detector
-        if tsan is not None:
-            # TS403: blocking here while holding a runtime lock
-            # (other than the exempt NBC schedule lock) can
-            # deadlock the thread that would complete us.
-            tsan.check_blocking_wait(f"{self.kind.value} request")
-        if san is not None:
-            # Registers the wait-for edge; raises MSD201 instead of
-            # blocking when this wait completes a certain deadlock.
-            san.note_block_request(self)
-        if detector is not None:
-            # Park this rank: blocked-in-wait means alive by
-            # construction, so its heartbeat must not go stale.
-            detector.enter_wait()
+        proc, hooks = self._proc, self._hooks
+        tick = (hooks.wait_enter(f"{self.kind.value} request", self)
+                if hooks is not None else None)
         waker = Waker()
         direct = True
         try:
@@ -390,7 +344,7 @@ class Request:
                 self.subscribe(waker.fire)
             if proc is not None:
                 proc.request_pool.n_parked += 1
-            park(waker, self._abort, detector)
+            park(waker, self._abort, tick)
             if direct and proc is not None and self._complete:
                 proc.request_pool.n_woken += 1
         finally:
@@ -401,10 +355,8 @@ class Request:
                             self._parked = None
                 else:
                     self._unsubscribe(waker.fire)
-            if detector is not None:
-                detector.exit_wait()
-            if san is not None:
-                san.note_unblock()
+            if hooks is not None:
+                hooks.wait_exit()
         if not self._complete:
             from repro.runtime.world import WorldAborted
             raise WorldAborted("world aborted while waiting on request")
@@ -424,9 +376,8 @@ class Request:
         reinitialization.  (Found by the FP301 lockset audit rule.)
         """
         with self._lock:
-            if self._hooked and self._proc.tsan is not None:
-                self._proc.tsan.note_access(self._tsan_key,
-                                            what="request state")
+            if self._race_key is not None:
+                self._hooks.access(self._race_key, True, "request state")
             self.kind = kind
             self._complete = complete_s is not None
             self._parked = None
@@ -472,14 +423,9 @@ class RequestPool:
         self._proc = proc
         self._abort = abort_event
         self._free: list[Request] = []
-        self._hooked = bool(getattr(proc, "hooked", False))
-        tsan = None
-        if self._hooked:
-            tsan = proc.tsan
-        if tsan is not None:
-            self._mu = tsan.make_lock("pool", f"pool{proc.world_rank}")
-        else:
-            self._mu = threading.Lock()
+        self._hooks = hooks = getattr(proc, "hooks", None)
+        self._mu = make_lock(hooks, "pool",
+                             f"pool{getattr(proc, 'world_rank', 0)}")
         #: Monotone counters for tests and perfbench.
         self.n_alloc = 0
         self.n_reuse = 0
@@ -511,8 +457,8 @@ class RequestPool:
             self.n_alloc += 1
             req = Request(kind, self._proc, self._abort, complete_s,
                           keepalive)
-        if self._hooked and self._proc.sanitizer is not None:
-            self._proc.sanitizer.note_acquire(req)   # opens the record
+        if self._hooks is not None:
+            self._hooks.acquire(req)   # opens the sanitizer's record
         return req
 
     def release(self, req: Optional[Request]) -> None:
@@ -521,10 +467,11 @@ class RequestPool:
         still pending is refused: recycled while it sits in a matching
         queue, its next life would be completed by this life's
         message."""
-        if self._hooked and req is not None \
-                and self._proc.sanitizer is not None:
-            self._proc.sanitizer.note_release(req)   # lifetime over
-        if req is None or req.__class__ is not Request:
+        if req is None:
+            return
+        if self._hooks is not None:
+            self._hooks.release(req)   # lifetime over
+        if req.__class__ is not Request:
             return
         if not req._complete:
             raise MPIErrRequest(

@@ -82,6 +82,7 @@ from typing import Optional
 from repro.runtime.completion import (CompletionSegment,
                                       add_abort_listener,
                                       remove_abort_listener)
+from repro.runtime.hooks import make_lock
 from repro.runtime.matching import (BucketMatchingEngine, PostedRecv,
                                     _MatchingEngineBase)
 from repro.runtime.message import Envelope, Message
@@ -111,17 +112,14 @@ class VCI:
     charged instruction totals.
     """
 
-    def __init__(self, index: int, tsan=None):
+    def __init__(self, index: int, hooks=None):
         self.index = index
         #: The modeled critical-section lock (same reentrant semantics
         #: as the old per-rank ``Proc.cs_lock``, which is now an alias
         #: of VCI 0's lock).  Detector-instrumented (kind "vci") when
-        #: the world runs ``tsan=True``.
-        if tsan is not None:
-            self.lock = tsan.make_lock("vci", f"vci{index}")
-        else:
-            self.lock = threading.RLock()
-        self.completion = CompletionSegment(index, tsan=tsan)
+        #: the rank's seam has a race detector.
+        self.lock = make_lock(hooks, "vci", f"vci{index}", reentrant=True)
+        self.completion = CompletionSegment(index, hooks)
         #: Netmod injections issued through this VCI's lane.
         self.n_injected = 0
         #: ... of which took the active-message fallback.
@@ -207,8 +205,8 @@ class _ShardEngine(BucketMatchingEngine):
     _LOCK_KIND = "shard"
 
     def __init__(self, rank: int, owner: "VCIShardedEngine", vci: VCI,
-                 tsan=None):
-        super().__init__(rank, tsan)
+                 hooks=None):
+        super().__init__(rank, hooks)
         self._owner = owner
         self._vci = vci
         # next() on itertools.count is atomic under CPython's GIL.
@@ -324,8 +322,8 @@ class VCIShardedEngine(_MatchingEngineBase):
 
     name = "vci-sharded"
 
-    def __init__(self, rank: int, vci_map: VCIMap, tsan=None):
-        super().__init__(rank, tsan)
+    def __init__(self, rank: int, vci_map: VCIMap, hooks=None):
+        super().__init__(rank, hooks)
         if vci_map.num_vcis < 2:
             raise ValueError(
                 f"VCIShardedEngine needs num_vcis >= 2, got "
@@ -333,18 +331,15 @@ class VCIShardedEngine(_MatchingEngineBase):
         #: The owning rank's mapper, shared with ``Proc.vci_for`` so a
         #: stream's lock and its matching shard are one VCI.
         self.vci_map = vci_map
-        self.vcis = [VCI(i, tsan=tsan) for i in range(vci_map.num_vcis)]
+        self.vcis = [VCI(i, hooks) for i in range(vci_map.num_vcis)]
         self._seq_counter = itertools.count(1)
-        self._shards = [_ShardEngine(rank, self, vci, tsan=tsan)
+        self._shards = [_ShardEngine(rank, self, vci, hooks)
                         for vci in self.vcis]
         #: Rank-level wildcard registry; deliberately *not* named
         #: ``.lock`` — it is outside the FP303 per-VCI lock family and
         #: only ever nests inside a shard lock (see module docstring).
-        if tsan is not None:
-            self._wild_lock = threading.Condition(
-                tsan.make_lock("wild", f"wild{rank}"))
-        else:
-            self._wild_lock = threading.Condition()
+        self._wild_lock = threading.Condition(
+            make_lock(hooks, "wild", f"wild{rank}", reentrant=True))
         self._wild: list[PostedRecv] = []
         self._wild_removed = 0
         self._n_wild = 0
@@ -403,10 +398,9 @@ class VCIShardedEngine(_MatchingEngineBase):
     def _note_wild_access(self) -> None:
         """Annotate one wildcard-registry mutation (callers hold
         ``_wild_lock``, so the lockset half of TS401 certifies them)."""
-        tsan = self.tsan
-        if tsan is not None:
-            tsan.note_access(("wild", self.rank, id(self)),
-                             what=f"rank {self.rank} wildcard registry")
+        if self._race_key is not None:
+            self._hooks.access(("wild", self.rank, id(self)), True,
+                               f"rank {self.rank} wildcard registry")
 
     def _post_wildcard(self, posted: PostedRecv, now_s: float) -> None:
         """Register -> scan -> consume-or-arm (module docstring)."""

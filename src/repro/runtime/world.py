@@ -19,6 +19,7 @@ from repro.core.config import BuildConfig
 from repro.fabric.topology import Topology
 from repro.instrument.counter import install_counter, uninstall_counter
 from repro.runtime.completion import NotifyingEvent
+from repro.runtime.hooks import NO_SANITIZER
 
 
 class WorldAborted(RuntimeError):
@@ -68,55 +69,38 @@ class World:
         #: procs — each rank's request pool binds to it.
         self.abort_event = NotifyingEvent()
 
-        #: Dynamic correctness checker (``BuildConfig(sanitize=True)``
-        #: only) — created before the procs so each rank can bind its
-        #: per-rank view.  None in default builds: every hook site
-        #: guards on it, so disabled runs execute no sanitizer code.
+        # The world-level halves of the optional subsystems, each None
+        # unless its BuildConfig field enables it.  Created before the
+        # procs: each rank's seam (``proc.hooks``, see
+        # :mod:`repro.runtime.hooks`) binds to them, and a world
+        # without any gives every rank ``hooks = None`` — no subsystem
+        # code runs and charging is byte-identical.
+        #: Dynamic correctness checker (``sanitize=True``).
         self.sanitizer = None
         if self.config.sanitize:
             from repro.sanitize.runtime import WorldSanitizer
             self.sanitizer = WorldSanitizer(self)
-
-        #: Fault-tolerance state (``BuildConfig(fault_plan=...)`` only)
-        #: — created before the procs so each rank binds its per-rank
-        #: reliability view.  None in default builds: every hook site
-        #: guards on it (audit rule FP304), so lossless runs execute no
-        #: fault-tolerance code and charge no RELIABILITY instructions.
+        #: Fault-tolerance state (``fault_plan``): the only subsystem
+        #: that charges (RELIABILITY).
         self.ft = None
         if self.config.fault_plan is not None:
             from repro.ft.reliability import WorldFaults
             self.ft = WorldFaults(self, self.config.fault_plan)
-
-        #: Heartbeat failure detector (``BuildConfig(detector=...)``
-        #: only) — created after the fault layer it feeds and before
-        #: the procs so each rank binds its per-rank view.  None in
-        #: default builds: every hook site outside ``repro/ft/``
-        #: guards on it (audit rule FP307), so detector-off runs
-        #: execute no detector code and charge byte-identically.
+        #: Heartbeat failure detector (``detector``), after the fault
+        #: layer it feeds.
         self.detector = None
         if self.config.detector is not None:
             from repro.ft.detector import WorldDetector
             self.detector = WorldDetector(self, self.config.detector)
-
-        #: Background progress engine (``BuildConfig(progress=...)``
-        #: only) — created before the procs so each rank binds its
-        #: per-rank engine (and starts its daemon threads).  None in
-        #: default builds: every hook site guards on it (audit rule
-        #: FP305), so progress-less runs execute no engine code and
-        #: charge no PROGRESS instructions.
+        #: Background progress engine factory (``progress``).
         self.progress = None
         if self.config.progress is not None:
             from repro.progress.engine import WorldProgress
             self.progress = WorldProgress(self, self.config.progress)
-
-        #: Hybrid race/deadlock detector (``BuildConfig(tsan=True)``
-        #: only) — created before the procs so every runtime lock is
-        #: constructed already instrumented.  None in default builds:
-        #: every hook site guards on it (audit rule FP306), so plain
-        #: runs execute no detector code and charge byte-identically.
+        #: Hybrid race/deadlock detector (``tsan=True``): every runtime
+        #: lock is then constructed instrumented.
         self.tsan = None
-        # The load below is the BuildConfig *flag*, not the hook attr.
-        if self.config.tsan:  # audit: allow[FP306] - build flag read
+        if self.config.tsan:
             from repro.tsan.detector import WorldTsan
             self.tsan = WorldTsan(self)
 
@@ -228,8 +212,8 @@ class World:
         thread = threading.Thread(
             target=entry, daemon=True,
             name=name or f"mpi-dyn-{proc.world_rank}")
-        if self.tsan is not None:
-            self.tsan.thread_fork(("rank", proc.world_rank))
+        if proc.hooks is not None:
+            proc.hooks.rank_fork()
         with self._grow_lock:
             self._dynamic.append((thread, holder))
         thread.start()
@@ -249,8 +233,9 @@ class World:
                 raise TimeoutError(
                     f"dynamic rank {holder['rank']} did not finish "
                     f"within {timeout}s\n" + self._teardown_report())
-            if self.tsan is not None and not thread.is_alive():
-                self.tsan.thread_join(("rank", holder["rank"]))
+            hooks = self._procs[holder["rank"]].hooks
+            if hooks is not None and not thread.is_alive():
+                hooks.rank_join()
             results[holder["rank"]] = holder["result"]
         first = next((h["error"] for _, h in entries
                       if h["error"] is not None), None)
@@ -266,33 +251,21 @@ class World:
                    comm_factory: Callable) -> tuple[Any, Optional[BaseException]]:
         """The per-rank thread body shared by static runs and dynamic
         launches: install the counter, build the rank's communicator
-        view, run *fn*, and perform exit-time housekeeping (fault
+        view, run *fn*, and announce a clean exit to the seam (fault
         drain, detector departure, sanitizer finalize).  Returns
         ``(result, error)``; a fault-plan kill is neither."""
         from repro.ft.recovery import RankKilled
 
         install_counter(proc.counter)
-        key = ("rank", proc.world_rank)
-        if self.tsan is not None:
-            self.tsan.thread_begin(key)
+        hooks = proc.hooks
+        if hooks is not None:
+            hooks.rank_begin()
         result: Any = None
         error: Optional[BaseException] = None
         try:
             result = fn(comm_factory(proc), *args)
-            if proc.faults is not None:
-                # Rank quiescence: release any reorder-stashed
-                # packet so a receiver is never stranded waiting
-                # on a message the wire was still holding back.
-                proc.faults.drain()
-            if proc.detector is not None:
-                # A clean return is a clean departure: the heartbeat
-                # roster must never confirm this rank dead.
-                proc.detector.depart()
-            if proc.sanitizer is not None:
-                # MPI_Finalize semantics: report (MSD202) instead of
-                # silently dropping still-pending requests, and
-                # expose stalls this rank's exit makes certain.
-                proc.sanitizer.finalize()
+            if hooks is not None:
+                hooks.rank_exit()
         except RankKilled:
             # A fault-plan kill is not an application error: the
             # rank just stops (results stay None) and the
@@ -302,8 +275,8 @@ class World:
             error = exc
             self.abort_event.set()
         finally:
-            if self.tsan is not None:
-                self.tsan.thread_end(key)
+            if hooks is not None:
+                hooks.rank_end()
             uninstall_counter()
         return result, error
 
@@ -321,9 +294,11 @@ class World:
         from repro.mpi.comm import Communicator
 
         self.abort_event.clear()
-        if self.sanitizer is not None:
-            self.sanitizer.begin_run()
         nranks = self.static_nranks
+        seams = [p.hooks for p in self._procs[:nranks]
+                 if p.hooks is not None]
+        if seams:
+            seams[0].run_begin()
         results: list[Any] = [None] * nranks
         errors: list[Optional[BaseException]] = [None] * nranks
 
@@ -334,16 +309,15 @@ class World:
         threads = [threading.Thread(target=entry, args=(r,),
                                     name=f"mpi-rank-{r}", daemon=True)
                    for r in range(nranks)]
-        for r in range(nranks):
-            if self.tsan is not None:
-                self.tsan.thread_fork(("rank", r))
+        for hooks in seams:
+            hooks.rank_fork()
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=timeout)
-        for r, t in enumerate(threads):
-            if self.tsan is not None and not t.is_alive():
-                self.tsan.thread_join(("rank", r))
+        for hooks in seams:
+            if not threads[hooks.rank].is_alive():
+                hooks.rank_join()
         hung = [t.name for t in threads if t.is_alive()]
         if hung:
             self.abort_event.set()
@@ -389,11 +363,8 @@ class World:
                         lines.append("  per-VCI: " + ", ".join(shards))
         if not lines:
             lines.append("no receives or unexpected messages queued")
-        if self.sanitizer is not None:
-            lines.append(self.sanitizer.pending_summary())
-        else:
-            lines.append("(enable BuildConfig(sanitize=True) for "
-                         "per-request lifetimes and deadlock analysis)")
+        hooks = self._procs[0].hooks
+        lines.append(NO_SANITIZER if hooks is None else hooks.summary())
         return "\n".join(lines)
 
     def max_vtime(self) -> float:

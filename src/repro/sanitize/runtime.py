@@ -2,12 +2,13 @@
 
 Enabled by ``BuildConfig(sanitize=True)``.  One :class:`WorldSanitizer`
 per world owns the cross-rank wait-for graph; each rank gets a
-:class:`RankSanitizer` view whose ``note_*`` hooks the runtime calls
-from the request, device, window, and world layers.  Every hook site is
-guarded by ``if sanitizer is not None`` and charges nothing, so with
-``sanitize=False`` (the default) the charged instruction accounting is
-byte-identical to an unsanitized build — the zero-overhead-when-
-disabled guarantee ``benchmarks/bench_sanitize.py`` asserts.
+:class:`RankSanitizer` view whose ``note_*`` hooks the rank's seam
+(:mod:`repro.runtime.hooks`) calls on the request, device, window, and
+world layers' events.  The hooks charge nothing, and with
+``sanitize=False`` (the default) the seam binds none of them, so the
+charged instruction accounting is byte-identical to an unsanitized
+build — the zero-overhead-when-disabled guarantee
+``benchmarks/bench_sanitize.py`` asserts.
 
 Checks implemented here (rule ids in
 :data:`repro.sanitize.diagnostics.RULES`):
@@ -29,6 +30,7 @@ import traceback
 import zlib
 from typing import TYPE_CHECKING, Optional
 
+from repro.consts import ANY_SOURCE
 from repro.sanitize.diagnostics import SanitizerError
 from repro.sanitize.waitgraph import BlockEntry, WaitForGraph
 
@@ -109,10 +111,12 @@ class RankSanitizer:
 
     # -- API-layer hook --------------------------------------------------------
 
-    def note_api(self, name: str) -> None:
+    def note_api(self, name: Optional[str]) -> None:
         """``mpi_entry`` reports the MPI routine being executed, so
-        leak and deadlock reports can name it."""
-        self._api = name
+        leak and deadlock reports can name it (an unnamed entry keeps
+        the last label)."""
+        if name is not None:
+            self._api = name
 
     # -- request lifetime ------------------------------------------------------
 
@@ -212,16 +216,17 @@ class RankSanitizer:
         if report is not None:
             raise SanitizerError("MSD201", report)
 
-    def note_block_probe(self, comm, source: int, tag: int,
-                         peer: Optional[int]) -> None:
+    def note_block_probe(self, comm, source: int, tag: int) -> None:
         """About to block in MPI_PROBE (same contract as request
-        blocks; verified through a nonblocking engine probe)."""
+        blocks; verified through a nonblocking engine probe).  The
+        wait-for edge is concrete only for a concrete *source*."""
         engine, ctx = self.proc.engine, comm.ctx
         entry = BlockEntry(
             rank=self.rank,
             desc=f"MPI_Probe(source={source}, tag={tag}) "
                  f"issued at {_user_site()}",
-            peer=peer,
+            peer=(None if source == ANY_SOURCE
+                  else comm.world_rank_of(source)),
             verify=lambda: engine.iprobe(ctx, source, tag) is None,
             stack="".join(traceback.format_stack(limit=_STACK_DEPTH)))
         report = self.graph.block(entry)

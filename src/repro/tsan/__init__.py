@@ -14,17 +14,16 @@ detector (:mod:`repro.tsan.detector`) reports:
 * ``TS404`` — continuation dispatched while holding an engine /
   shard / wildcard matching lock.
 
-The detector charges nothing: ``tsan=False`` builds bind
-``proc.tsan = None`` and every hook site outside this package guards
-it (audit rule FP306), so calibrated Figure 2 / Table 1 charging is
-byte-identical either way.
+The detector charges nothing, and the runtime reaches it only through
+a rank's hook seam (:mod:`repro.runtime.hooks`; audit rule FP308), so
+calibrated Figure 2 / Table 1 charging is byte-identical either way.
 """
 
 from __future__ import annotations
 
 from repro.analysis_common import Rule, render_catalog
 from repro.tsan.detector import (BLOCK_EXEMPT_KINDS,
-                                 CONTINUATION_FLAGGED_KINDS, RankTsan,
+                                 CONTINUATION_FLAGGED_KINDS,
                                  TsanFinding, WorldTsan)
 from repro.tsan.locks import TsanLock
 from repro.tsan.vectorclock import Epoch, VectorClock
@@ -71,6 +70,6 @@ def render_ts_catalog() -> str:
 
 __all__ = [
     "BLOCK_EXEMPT_KINDS", "CONTINUATION_FLAGGED_KINDS", "Epoch",
-    "RankTsan", "TS_RULES", "TsanFinding", "TsanLock", "VectorClock",
+    "TS_RULES", "TsanFinding", "TsanLock", "VectorClock",
     "WorldTsan", "render_ts_catalog",
 ]

@@ -5,8 +5,8 @@ detector state — threads cross rank boundaries in this runtime (a
 sender's application thread acquires the *destination* rank's engine
 lock inside ``deposit``), so vector clocks, the observed lock-order
 graph, and the per-field access histories must be world-global.
-:class:`RankTsan` is the per-rank view every hook site binds
-(``proc.tsan``, ``None`` on plain builds — audit rule FP306).
+Each rank's hook seam (``proc.hooks``, :mod:`repro.runtime.hooks`)
+calls it directly; a plain build has no seam and runs none of it.
 
 The four rules:
 
@@ -16,7 +16,7 @@ The four rules:
   both halves keeps the detector sound against threads it never saw
   fork (Eraser's consistent-lock discipline covers them) while still
   accepting lock-free publication that is ordered by an explicit
-  :meth:`RankTsan.hb_publish` / :meth:`RankTsan.hb_consume` edge
+  :meth:`WorldTsan.hb_publish` / :meth:`WorldTsan.hb_consume` edge
   (FastTrack's message clocks cover those).
 * **TS402 lock-order inversion** — inserting an observed ``A`` held
   while acquiring ``B`` edge closes a cycle in the runtime lock
@@ -49,7 +49,6 @@ from repro.tsan.locks import TsanLock
 from repro.tsan.vectorclock import Epoch, VectorClock
 
 if TYPE_CHECKING:
-    from repro.runtime.proc import Proc
     from repro.runtime.world import World
 
 #: Lock kinds exempt from TS403 (held across a blocking wait).
@@ -147,10 +146,6 @@ class WorldTsan:
     def make_lock(self, kind: str, name: str) -> TsanLock:
         """An instrumented reentrant lock for a runtime structure."""
         return TsanLock(self, kind, name)
-
-    def rank_view(self, proc: "Proc") -> "RankTsan":
-        """The per-rank hook view bound as ``proc.tsan``."""
-        return RankTsan(self, proc.world_rank)
 
     # -- findings -------------------------------------------------------
 
@@ -362,70 +357,3 @@ class WorldTsan:
                     f"{names}: a callback making MPI calls would "
                     "re-enter the matching engine and self-deadlock")
 
-
-class RankTsan:
-    """Rank *rank*'s view of the world detector.
-
-    Every ``proc.tsan`` hook site outside :mod:`repro.tsan` guards
-    this against ``None`` (audit rule FP306); the view itself only
-    adds the rank label to lock names and delegates all state to the
-    shared :class:`WorldTsan`.
-    """
-
-    __slots__ = ("world_tsan", "rank")
-
-    def __init__(self, world_tsan: WorldTsan, rank: int):
-        self.world_tsan = world_tsan
-        self.rank = rank
-
-    def make_lock(self, kind: str, name: str) -> TsanLock:
-        """An instrumented lock named with this rank's prefix."""
-        return self.world_tsan.make_lock(kind, f"r{self.rank}.{name}")
-
-    # Delegation — kept explicit (not __getattr__) so the hook surface
-    # the runtime depends on is greppable.
-
-    def note_access(self, key, write: bool = True,
-                    what: str | None = None) -> None:
-        """Annotated shared-state access (see :meth:`WorldTsan.note_access`)."""
-        self.world_tsan.note_access(key, write, what)
-
-    def hb_publish(self, key) -> None:
-        """Release-side message edge (see :meth:`WorldTsan.hb_publish`)."""
-        self.world_tsan.hb_publish(key)
-
-    def hb_consume(self, key) -> None:
-        """Acquire-side message edge (see :meth:`WorldTsan.hb_consume`)."""
-        self.world_tsan.hb_consume(key)
-
-    def thread_fork(self, key) -> None:
-        """Parent-side edge before starting a child thread."""
-        self.world_tsan.thread_fork(key)
-
-    def thread_begin(self, key) -> None:
-        """Child-side edge at the top of a thread body."""
-        self.world_tsan.thread_begin(key)
-
-    def thread_end(self, key) -> None:
-        """Child-side edge at the bottom of a thread body."""
-        self.world_tsan.thread_end(key)
-
-    def thread_join(self, key) -> None:
-        """Joiner-side edge after ``thread.join()`` returns."""
-        self.world_tsan.thread_join(key)
-
-    def check_blocking_wait(self, what: str) -> None:
-        """TS403 hook: about to block on *what*."""
-        self.world_tsan.check_blocking_wait(what)
-
-    def check_continuation(self, what: str) -> None:
-        """TS404 hook: about to dispatch a continuation."""
-        self.world_tsan.check_continuation(what)
-
-    def report(self) -> list[str]:
-        """Rendered findings of the shared world detector."""
-        return self.world_tsan.report()
-
-    def assert_clean(self) -> None:
-        """Raise if any rule fired anywhere in the world."""
-        self.world_tsan.assert_clean()

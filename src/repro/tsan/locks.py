@@ -27,7 +27,7 @@ import threading
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.tsan.detector import RankTsan
+    from repro.tsan.detector import WorldTsan
 
 
 class TsanLock:
@@ -43,7 +43,7 @@ class TsanLock:
 
     __slots__ = ("kind", "name", "_tsan", "_lock", "_depth")
 
-    def __init__(self, tsan: "RankTsan", kind: str, name: str):
+    def __init__(self, tsan: "WorldTsan", kind: str, name: str):
         self.kind = kind
         self.name = name
         self._tsan = tsan

@@ -1,4 +1,5 @@
-"""Audit rule fixtures: purity, lockset, FP104, pragmas, call graph."""
+"""Audit rule fixtures: purity, lockset, FP104, the hook seam
+(FP308), pragmas, call graph."""
 
 from __future__ import annotations
 
@@ -8,9 +9,7 @@ from repro.audit.callgraph import CodeIndex
 from repro.audit.lockset import scan_lockset
 from repro.audit.provenance import (_observable_work, _subtree_charges,
                                     _tight_callees)
-from repro.audit.noneguard import (GUARD_SPECS, scan_detectorguard,
-                                   scan_ftguard, scan_progressguard,
-                                   scan_tsanguard)
+from repro.audit.hookseam import HOOK_ATTRS, OWNERS, scan_hookseam
 from repro.audit.purity import scan_purity
 from repro.audit.rules import FP_RULES, render_fp_catalog
 
@@ -547,236 +546,249 @@ class TestCallGraph:
         assert len(index.modules) == 1
 
 
-class TestFTGuardFixtures:
-    """FP304: fault hooks outside repro/ft/ must be None-guarded."""
+def _seam_ids(tmp_path, source: str) -> list[str]:
+    """FP308 rule ids on a bare fixture file."""
+    return [f.rule_id for f in scan_hookseam(_index(tmp_path, source),
+                                             path_filter="")]
 
-    @staticmethod
-    def _ftguard_ids(tmp_path, source: str) -> list[str]:
-        index = _index(tmp_path, source)
-        return [f.rule_id for f in scan_ftguard(index, path_filter="")]
+
+def _tree_reads(*attrs: str) -> list:
+    """FP308 findings on the shipped tree that read one of *attrs*."""
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parent.parent
+    index = CodeIndex.build([str(root / "src" / "repro")])
+    return [f for f in scan_hookseam(index)
+            if any(f"reads .{a} " in f.message for a in attrs)]
+
+
+class TestFTGuardFixtures:
+    """FP308 on the fault layer's attributes: outside ``repro/ft/``
+    the runtime fires seam events, never reads ``.faults``/``.ft``."""
 
     def test_unguarded_hook_flagged(self, tmp_path):
         src = """\
             def hook(proc):
                 proc.faults.check_self()
         """
-        assert self._ftguard_ids(tmp_path, src) == ["FP304"]
+        assert _seam_ids(tmp_path, src) == ["FP308"]
 
     def test_guarded_hook_clean(self, tmp_path):
+        """The seam's guard is the one a call site writes."""
         src = """\
-            def hook(proc):
-                if proc.faults is not None:
-                    proc.faults.check_self()
+            def hook(proc, dest, msg):
+                hooks = proc.hooks
+                if hooks is not None and hooks.deliver is not None:
+                    hooks.deliver(dest, msg)
         """
-        assert self._ftguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_alias_early_exit_clean(self, tmp_path):
         src = """\
             def hook(proc, op):
-                faults = proc.faults
-                if faults is None:
+                hooks = proc.hooks
+                if hooks is None or hooks.comm_check is None:
                     return issue(op)
-                faults.check_comm(op.comm)
+                hooks.comm_check(op.comm)
                 return issue(op)
         """
-        assert self._ftguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_store_only_clean(self, tmp_path):
         src = """\
             def bind(proc, view):
                 proc.faults = view
         """
-        assert self._ftguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_pragma_suppresses(self, tmp_path):
         src = """\
             def hook(proc):
-                proc.faults.drain()  # audit: allow[FP304]
+                proc.faults.drain()  # audit: allow[FP308]
         """
-        assert self._ftguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_repro_tree_has_no_unguarded_hooks(self):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parent.parent
-        index = CodeIndex.build([str(root / "src" / "repro")])
-        assert scan_ftguard(index) == []
+        assert _tree_reads("faults", "ft") == []
 
 
 class TestProgressGuardFixtures:
-    """FP305: progress hooks outside repro/progress/ must be guarded."""
-
-    @staticmethod
-    def _progressguard_ids(tmp_path, source: str) -> list[str]:
-        index = _index(tmp_path, source)
-        return [f.rule_id for f in scan_progressguard(index, path_filter="")]
+    """FP308 on the progress engine: a guarded read is still a read —
+    the engine is reached through the seam's progress events."""
 
     def test_unguarded_hook_flagged(self, tmp_path):
         src = """\
             def hook(proc, vci, transport, request, when):
                 proc.progress.park_completion(vci, transport, request, when)
         """
-        assert self._progressguard_ids(tmp_path, src) == ["FP305"]
+        assert _seam_ids(tmp_path, src) == ["FP308"]
 
     def test_guarded_hook_clean(self, tmp_path):
         src = """\
             def hook(proc, vci, transport, request, when):
-                if proc.progress is not None:
-                    proc.progress.park_completion(
-                        vci, transport, request, when)
+                hooks = proc.hooks
+                if hooks is not None:
+                    hooks.park_rendezvous(vci, transport, request, when)
         """
-        assert self._progressguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_alias_early_exit_clean(self, tmp_path):
         src = """\
-            def hook(proc, fn, request):
-                progress = proc.progress
-                if progress is None:
-                    return fn(request)
-                progress.post_continuation(fn, request)
+            def hook(request, fn):
+                hooks = request._hooks
+                if hooks is None:
+                    return request.subscribe(fn)
+                request.subscribe(hooks.on_complete(request, fn))
         """
-        assert self._progressguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_store_only_clean(self, tmp_path):
         src = """\
             def bind(proc, view):
                 proc.progress = view
         """
-        assert self._progressguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_pragma_suppresses(self, tmp_path):
         src = """\
             def hook(proc):
-                proc.progress.kick()  # audit: allow[FP305]
+                if proc.progress is not None:  # audit: allow[FP308]
+                    pass
         """
-        assert self._progressguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_repro_tree_has_no_unguarded_hooks(self):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parent.parent
-        index = CodeIndex.build([str(root / "src" / "repro")])
-        assert scan_progressguard(index) == []
+        assert _tree_reads("progress") == []
 
 
 class TestTsanGuardFixtures:
-    """FP306: tsan hooks outside repro/tsan/ must be None-guarded."""
-
-    @staticmethod
-    def _tsanguard_ids(tmp_path, source: str) -> list[str]:
-        index = _index(tmp_path, source)
-        return [f.rule_id for f in scan_tsanguard(index, path_filter="")]
+    """FP308 on the race detector: locks come from the seam's factory,
+    annotations test the structure's race key."""
 
     def test_unguarded_hook_flagged(self, tmp_path):
-        src = """\
-            def hook(proc, key):
-                proc.tsan.note_access(key)
-        """
-        assert self._tsanguard_ids(tmp_path, src) == ["FP306"]
-
-    def test_guarded_hook_clean(self, tmp_path):
         src = """\
             def hook(proc, key):
                 if proc.tsan is not None:
                     proc.tsan.note_access(key)
         """
-        assert self._tsanguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == ["FP308", "FP308"]
+
+    def test_guarded_hook_clean(self, tmp_path):
+        src = """\
+            def hook(self):
+                if self._race_key is not None:
+                    self._hooks.access(self._race_key, True, "state")
+        """
+        assert _seam_ids(tmp_path, src) == []
 
     def test_alias_early_exit_clean(self, tmp_path):
         src = """\
-            def hook(proc, key):
-                tsan = proc.tsan
-                if tsan is None:
-                    return
-                tsan.note_access(key)
+            def build(hooks, rank):
+                return make_lock(hooks, "engine", f"mq{rank}")
         """
-        assert self._tsanguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_store_only_clean(self, tmp_path):
         src = """\
             def bind(proc, view):
                 proc.tsan = view
         """
-        assert self._tsanguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_pragma_suppresses(self, tmp_path):
         src = """\
             def hook(proc):
-                proc.tsan.check_continuation("x")  # audit: allow[FP306]
+                proc.tsan.check_continuation("x")  # audit: allow[FP308]
         """
-        assert self._tsanguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_repro_tree_has_no_unguarded_hooks(self):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parent.parent
-        index = CodeIndex.build([str(root / "src" / "repro")])
-        assert scan_tsanguard(index) == []
+        assert _tree_reads("tsan") == []
 
 
 class TestDetectorGuardFixtures:
-    """FP307: detector hooks outside repro/ft/ must be None-guarded."""
-
-    @staticmethod
-    def _detectorguard_ids(tmp_path, source: str) -> list[str]:
-        index = _index(tmp_path, source)
-        return [f.rule_id
-                for f in scan_detectorguard(index, path_filter="")]
+    """FP308 on the failure detector: blocked waits announce themselves
+    to the seam, which parks the rank."""
 
     def test_unguarded_hook_flagged(self, tmp_path):
         src = """\
             def hook(proc):
                 proc.detector.beat()
         """
-        assert self._detectorguard_ids(tmp_path, src) == ["FP307"]
+        assert _seam_ids(tmp_path, src) == ["FP308"]
 
     def test_guarded_hook_clean(self, tmp_path):
         src = """\
-            def hook(proc):
-                if proc.detector is not None:
-                    proc.detector.beat()
+            def hook(proc, comm, source, tag):
+                with blocked_wait(proc.hooks, "probe",
+                                  probe=(comm, source, tag, None)):
+                    return proc.engine.probe(comm.ctx, source, tag)
         """
-        assert self._detectorguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_alias_early_exit_clean(self, tmp_path):
         src = """\
             def hook(proc):
-                detector = proc.detector
-                if detector is None:
+                hooks = proc.hooks
+                if hooks is None:
                     return
-                detector.maybe_tick()
+                hooks.monitor()
         """
-        assert self._detectorguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_store_only_clean(self, tmp_path):
         src = """\
             def bind(proc, view):
                 proc.detector = view
         """
-        assert self._detectorguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_pragma_suppresses(self, tmp_path):
         src = """\
             def hook(proc):
-                proc.detector.enter_wait()  # audit: allow[FP307]
+                proc.detector.enter_wait()  # audit: allow[FP308]
         """
-        assert self._detectorguard_ids(tmp_path, src) == []
+        assert _seam_ids(tmp_path, src) == []
 
     def test_repro_tree_has_no_unguarded_hooks(self):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parent.parent
-        index = CodeIndex.build([str(root / "src" / "repro")])
-        assert scan_detectorguard(index) == []
+        assert _tree_reads("detector") == []
 
 
-class TestGuardSpecs:
-    """The parameterized checker registers all four disciplines."""
+class TestHookSeamRule:
+    """The one rule that replaced the four per-subsystem guard rules."""
 
-    def test_specs_cover_all_four_rules(self):
-        assert set(GUARD_SPECS) == {"FP304", "FP305", "FP306", "FP307"}
+    def test_owners_and_constructors_are_exempt(self, tmp_path):
+        """A subsystem's own package, the seam and the two
+        constructors read the attributes; a sibling module may not."""
+        pkg = tmp_path / "repro"
+        for rel, body in {
+                "ft/reliability.py": "def f(p):\n    return p.faults\n",
+                "runtime/hooks.py": "def f(w):\n    return w.tsan\n",
+                "runtime/world.py": ("class World:\n    def __init__(s):\n"
+                                     "        s.config.detector\n"
+                                     "    def run(s):\n"
+                                     "        s.sanitizer\n"),
+                "mpi/comm.py": "def f(p):\n    return p.timeline\n"}.items():
+            path = pkg / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(body)
+        index = CodeIndex.build([str(pkg)])
+        got = sorted((f.path.rsplit("repro/", 1)[1], f.line)
+                     for f in scan_hookseam(index))
+        assert got == [("mpi/comm.py", 2), ("runtime/world.py", 5)]
 
-    def test_spec_fields_match_rule_catalog(self):
-        for rule_id, spec in GUARD_SPECS.items():
-            assert rule_id in FP_RULES
-            assert f".{spec.hook_attr}" in FP_RULES[rule_id].title
-            assert spec.exempt_prefix in FP_RULES[rule_id].title
+    def test_one_rule_replaces_the_four_guard_rules(self):
+        assert "FP308" in FP_RULES
+        assert not {"FP304", "FP305", "FP306", "FP307"} & set(FP_RULES)
+
+    def test_every_hook_attribute_is_in_the_catalog(self):
+        for attr in HOOK_ATTRS:
+            assert f".{attr}" in FP_RULES["FP308"].title
+        for owner in OWNERS:
+            if owner.endswith("/"):
+                assert owner in FP_RULES["FP308"].title
+
+    def test_whole_tree_is_clean(self):
+        assert _tree_reads(*HOOK_ATTRS) == []
 
 
 class TestRuleCatalog:
@@ -786,8 +798,7 @@ class TestRuleCatalog:
         ids = set(FP_RULES)
         assert {"FP101", "FP102", "FP103", "FP104"} <= ids
         assert {"FP201", "FP202", "FP203", "FP204", "FP205"} <= ids
-        assert {"FP301", "FP302", "FP303", "FP304", "FP305",
-                "FP306", "FP307"} <= ids
+        assert {"FP301", "FP302", "FP303", "FP308"} <= ids
 
     def test_catalog_renders_every_rule(self):
         text = render_fp_catalog()

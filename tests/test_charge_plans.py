@@ -743,7 +743,8 @@ class TestArmedEqualsUnarmed:
         from repro.ft.plan import FaultPlan
         world, got = self._run(BuildConfig(fault_plan=FaultPlan()))
         assert got == default
-        assert all(p.faults.stats()["n_sends"] > 0 for p in world.procs)
+        assert all(p.hooks.faults.stats()["n_sends"] > 0
+                   for p in world.procs)
         assert all(p.counter.by_category[Category.RELIABILITY] > 0
                    for p in world.procs)
 
@@ -752,7 +753,7 @@ class TestArmedEqualsUnarmed:
         world, got = self._run(BuildConfig(progress="thread"))
         assert got == default
         # Rank 0's three continuations ran on its progress thread.
-        assert world.proc(0).progress.stats()["n_continuations"] >= 3
+        assert world.proc(0).hooks.progress.stats()["n_continuations"] >= 3
 
     def test_four_vcis(self, default):
         from repro.core.config import BuildConfig
@@ -777,18 +778,18 @@ class TestArmedEqualsUnarmed:
         build, and each hook of ``Request._block`` fires once per
         blocked wait, entries and exits balanced."""
         from repro.core.config import BuildConfig
-        from repro.ft.detector import DetectorConfig, RankDetector
+        from repro.ft.detector import DetectorConfig, WorldDetector
         from repro.ft.plan import FaultPlan
         from repro.sanitize.runtime import RankSanitizer
-        from repro.tsan.detector import RankTsan
+        from repro.tsan.detector import WorldTsan
         config, cls, hooks = {
             "sanitize": (BuildConfig(sanitize=True), RankSanitizer,
                          ("note_block_request", "note_unblock")),
-            "tsan": (BuildConfig(tsan=True), RankTsan,
+            "tsan": (BuildConfig(tsan=True), WorldTsan,
                      ("check_blocking_wait",)),
             "detector": (BuildConfig(fault_plan=FaultPlan(),
                                      detector=DetectorConfig()),
-                         RankDetector, ("enter_wait", "exit_wait")),
+                         WorldDetector, ("enter_blocked", "exit_blocked")),
             "progress": (BuildConfig(progress="thread"), None, ()),
             "four_vcis": (BuildConfig(num_vcis=4), None, ()),
         }[build]
@@ -829,7 +830,7 @@ class TestArmedEqualsUnarmed:
             assert world.tsan.n_access_events > 0
             assert not world.tsan.findings
         elif build == "fault_plan":
-            assert world.proc(0).faults.stats()["n_sends"] == 3
+            assert world.proc(0).hooks.faults.stats()["n_sends"] == 3
         else:
             assert sum(v.completion.n_send
                        for v in world.proc(0).vcis) == 3

@@ -304,12 +304,11 @@ class TestDetector:
     def test_beat_clears_suspicion(self):
         world = World(1, _ft_config(detector=FAST_DETECTOR))
         session = Session(world, name="t-slow")
-        det = session.comm.proc.detector
         rank = session.comm.proc.world_rank
         time.sleep(FAST_DETECTOR.suspect_s * 1.5)
         world.detector.tick()
         assert world.detector.state_of(rank) == ftdet.SUSPECT
-        det.beat()
+        world.detector.beat(rank)
         world.detector.tick()
         assert world.detector.state_of(rank) == ftdet.ALIVE
         assert world.detector.stats()["n_cleared"] >= 1

@@ -110,7 +110,7 @@ class TestExactlyOnceDelivery:
             proc = comm.proc
             netmod = proc.device.netmod
             assert isinstance(netmod, FaultyNetmod)
-            stats[comm.rank] = (proc.faults.stats(), netmod.n_dropped,
+            stats[comm.rank] = (proc.hooks.faults.stats(), netmod.n_dropped,
                                 netmod.n_duplicated, netmod.n_reordered)
             return None
 
@@ -275,6 +275,6 @@ class TestUlfmRecovery:
 
     def test_plain_build_has_no_fault_state(self):
         def fn(comm):
-            return comm.proc.faults is None, comm.proc.world.ft is None
+            return comm.proc.hooks is None, comm.proc.world.ft is None
 
         assert World(1, BuildConfig()).run(fn) == [(True, True)]

@@ -220,19 +220,24 @@ class TestForcedInterleavings:
         hook leaves nothing registered and balances the wait hooks."""
         calls = []
 
-        class Detector:
-            def enter_wait(self):
-                calls.append("enter")
+        class Hooks:
+            """A seam whose one subscriber is a failure detector."""
+            races = tsan = None
 
-            def exit_wait(self):
+            def wait_enter(self, what, request=None, probe=None):
+                calls.append("enter")
+                return self.maybe_tick
+
+            def wait_exit(self):
                 calls.append("exit")
 
             def maybe_tick(self):
                 raise Boom("roster scan failed")
 
-        proc = SimpleNamespace(hooked=True, tsan=None, sanitizer=None,
-                               detector=Detector(),
-                               request_pool=RequestPool())
+            def finish(self, request):
+                pass
+
+        proc = SimpleNamespace(hooks=Hooks(), request_pool=RequestPool())
         abort = NotifyingEvent()
         req = Request(RequestKind.RECV, proc, abort)
         with pytest.raises(Boom):

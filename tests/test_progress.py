@@ -219,7 +219,7 @@ class TestVirtualClockRetransmit:
         def fn(comm):
             if comm.rank == 0:
                 comm.send("held", dest=1)
-                faults = comm.proc.faults
+                faults = comm.proc.hooks.faults
                 assert faults.stashed_count() == 1
                 before = faults.n_retransmits
                 # Deadline is in the virtual future: nothing fires.
@@ -243,7 +243,7 @@ class TestVirtualClockRetransmit:
         def fn(comm):
             if comm.rank == 0:
                 comm.send("held", dest=1)
-                faults = comm.proc.faults
+                faults = comm.proc.hooks.faults
                 before = faults.n_retransmits
                 assert faults.drain() == 1   # quiescence flush: no timer
                 return faults.n_retransmits - before
@@ -268,8 +268,8 @@ class TestVirtualClockRetransmit:
                 # deadline, the wall clock gives the engine time to scan.
                 comm.proc.charge_compute(1.0)
                 time.sleep(0.3)
-                stats = comm.proc.progress.stats()
-                return (comm.proc.faults.stashed_count(),
+                stats = comm.proc.hooks.progress.stats()
+                return (comm.proc.hooks.faults.stashed_count(),
                         stats["n_timer_fires"])
             return comm.recv(source=0)
 
@@ -286,7 +286,7 @@ class TestProgressEngineConfig:
     def test_default_build_has_no_engine(self):
         world = World(1, BuildConfig())
         assert world.progress is None
-        assert world.proc(0).progress is None
+        assert world.proc(0).hooks is None
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="BuildConfig.progress"):
@@ -298,7 +298,7 @@ class TestProgressEngineConfig:
 
     def test_continuation_error_aborts_the_world(self):
         world = World(1, BuildConfig(progress="thread"))
-        engine = world.proc(0).progress
+        engine = world.proc(0).hooks.progress
         engine.post_continuation(lambda _req: 1 / 0, None)
         deadline = time.monotonic() + 5.0
         while not engine.errors and time.monotonic() < deadline:
@@ -439,7 +439,7 @@ class TestOverlap:
             polled_complete = (nbc.is_complete(), sreq.is_complete(),
                                rreq.is_complete())
             nbc.wait(), sreq.wait(), rreq.wait()
-            stats = comm.proc.progress.stats()
+            stats = comm.proc.hooks.progress.stats()
             return polled_complete, stats
 
         results = World(2, config).run(fn)
@@ -463,7 +463,7 @@ class TestOverlap:
             done_unpolled = req.is_complete()
             same = req.wait().result == comm.bcast(
                 payload if comm.rank == 1 else None, root=1) == payload
-            return done_unpolled, same, comm.proc.progress.stats()
+            return done_unpolled, same, comm.proc.hooks.progress.stats()
 
         results = World(4, config).run(fn)
         assert all(done and same for done, same, _ in results)

@@ -462,7 +462,7 @@ class TestZeroOverheadWhenDisabled:
         world = World(2, BuildConfig())
         assert world.tsan is None
         for proc in world.procs:
-            assert proc.tsan is None
+            assert proc.hooks is None
 
     def test_results_identical_with_and_without(self):
         def main(comm):
