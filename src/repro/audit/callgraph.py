@@ -220,8 +220,8 @@ class CodeIndex:
         if isinstance(func_expr, ast.Name):
             # Plain call: module-level functions of that name anywhere,
             # or — the name being a class — its constructor and, for a
-            # context object such as ``mpi_entry``, the enter/exit pair
-            # the ``with`` around the call runs.
+            # context object, the enter/exit pair the ``with`` around
+            # the call runs.
             return [f for f in self.by_name.get(func_expr.id, [])
                     if f.cls is None] + [
                 info.methods[name]

@@ -24,8 +24,8 @@ charge plan is walked exactly like one called stepwise — including
 the ones a call plan fuses: ``call_plan`` / ``entry_plan`` /
 ``pt2pt_plan`` / ``rma_plan`` are ordinary functions that make the
 record calls, reached by name from the entry point that compiles
-them.  A call to a class (``mpi_entry(...)``) is followed into its
-``__init__`` and its ``__enter__``/``__exit__`` pair.
+them.  A call to a class (a context object ``Entry(...)``) is followed
+into its ``__init__`` and its ``__enter__``/``__exit__`` pair.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ class Taint:
 
 @dataclass(frozen=True)
 class FuncRef:
-    """A function passed as an argument (``run_planned(..., body, op)``
+    """A function passed as an argument (``run_call(..., body, op)``
     handed ``proc.device.isend``): what a call of the parameter it is
     bound to descends into."""
 
@@ -920,12 +920,18 @@ class Analyzer:
         return seeds
 
     def _called_names(self, func: FunctionInfo) -> frozenset:
-        """The bare names *func*'s body calls (``body(op)`` -> body)."""
+        """The bare names *func*'s body calls (``body(op)`` -> body) or
+        hands on to a call (``run_call(..., body, op)`` -> body)."""
         names = self._calls.get(func.qualname)
         if names is None:
-            names = self._calls[func.qualname] = frozenset(
-                n.func.id for n in ast.walk(func.node)
-                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name))
+            found = set()
+            for n in ast.walk(func.node):
+                if isinstance(n, ast.Call):
+                    if isinstance(n.func, ast.Name):
+                        found.add(n.func.id)
+                    found.update(a.id for a in n.args
+                                 if isinstance(a, ast.Name))
+            names = self._calls[func.qualname] = frozenset(found)
         return names
 
     def _descend(self, candidates, argvals, kwvals, quals, ctx) -> Value:

@@ -123,7 +123,7 @@ class CH3Device:
             self.n_rendezvous += 1
 
         request = sync = None
-        if op.sync or proc.hooked:
+        if op.sync or proc.hooks is not None:
             request = proc.request_pool.acquire(RequestKind.SEND)
             request._keepalive = payload
             if proc.hooks is not None:

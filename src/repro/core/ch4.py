@@ -268,10 +268,10 @@ class CH4Device:
     @fastpath
     def _enter_uncharged(self, op, peer: int,
                          recv: bool) -> Optional[CallPlan]:
-        """An op no entry has charged for — a collective's internal
-        send, an armed entry's, a call off the straight line: charge
-        its path (compiled, or stepwise off the line) and return its
-        call plan; None where the call ends at MPI_PROC_NULL."""
+        """An op no entry has charged for — an internal send no plan
+        carries, a call off the straight line: charge its path
+        (compiled, or stepwise off the line) and return its call plan;
+        None where the call ends at MPI_PROC_NULL."""
         proc = self.proc
         plan = op.comm._call_plan(op, RECV_PLAN if recv else op.sync, peer)
         if plan is not None:
@@ -302,17 +302,17 @@ class CH4Device:
         # handshake completes it, a hook records it — is acquired
         # pending, after ``pack`` (which may refuse the buffer); every
         # other send's is born complete once its time is known.
-        request = vci = sync = hooks = None
-        if proc.hooked:
-            hooks = proc.hooks
-            # Injection lane: the VCI owning this send's (ctx, dest,
-            # tag) stream (None in the unsharded build).
-            if proc.num_vcis > 1:
-                vci = proc.vci_for(comm.ctx, op.dest, op.tag, flags.nomatch)
-        if (op.sync or proc.hooked) and not flags.noreq:
+        request = vci = sync = None
+        hooks = proc.hooks
+        if (op.sync or hooks is not None) and not flags.noreq:
             request = proc.request_pool.acquire(_SEND)
             request._keepalive = payload
-            if hooks is not None:
+        if hooks is not None:
+            # Injection lane: the VCI owning this send's (ctx, dest,
+            # tag) stream (None in the unsharded build).
+            if hooks.route is not None:
+                vci = hooks.route(comm.ctx, op.dest, op.tag, flags.nomatch)
+            if request is not None:
                 hooks.send(request, plan.peer_world, op.sync, payload,
                            (op.buf, op.count, op.dtref.datatype))
         if op.sync:
@@ -401,7 +401,7 @@ class CH4Device:
         whole device side of a persistent receive's MPI_START)."""
         proc = self.proc
         comm = op.comm
-        hooks = proc.hooks if proc.hooked else None
+        hooks = proc.hooks
         if hooks is not None:
             source = (None if op.source == ANY_SOURCE
                       else comm.translation.world_rank(op.source))
@@ -500,13 +500,14 @@ class CH4Device:
         return plan
 
     def _rma_lane(self, op, plan):
-        """The hooks of one RMA issue: the seam's RMA transmit (the
-        fault layer's lossy wire), and the injection lane (VCI) the op
-        is tallied on."""
-        proc = self.proc
-        if proc.hooks is not None:
-            proc.hooks.rma_transmit(plan.peer_world, op.mpi_name)
-        return proc.vci_for(op.win.comm.ctx, op.target_rank, 0)
+        """The hooks of one RMA issue on a rank with a seam: the seam's
+        RMA transmit (the fault layer's lossy wire), and the injection
+        lane (VCI) the op is tallied on, if the seam routes."""
+        hooks = self.proc.hooks
+        hooks.rma_transmit(plan.peer_world, op.mpi_name)
+        route = hooks.route
+        return (None if route is None
+                else route(op.win.comm.ctx, op.target_rank, 0))
 
     # put / get / accumulate each read their planned prologue (plan,
     # byte offset, target size) in place and call their handler by
@@ -528,7 +529,7 @@ class CH4Device:
         if len(data) != op.target_count * target_dt.size:
             raise am.size_error(op, len(data))
 
-        vci = self._rma_lane(op, plan) if self.proc.hooked else None
+        vci = self.proc.hooks and self._rma_lane(op, plan)
         result = plan.transport.issue(len(data), plan.native, vci=vci)
         if vci is not None:
             vci.completion.note("rma", result.arrive_s)
@@ -552,7 +553,7 @@ class CH4Device:
         if nbytes != op.target_count * target_dt.size:
             raise am.size_error(op, nbytes)
 
-        vci = self._rma_lane(op, plan) if self.proc.hooked else None
+        vci = self.proc.hooks and self._rma_lane(op, plan)
         result = plan.transport.issue(nbytes, plan.native, round_trip=True,
                                       vci=vci)
         if vci is not None:
@@ -575,7 +576,7 @@ class CH4Device:
 
         data = pack(op.origin_buf, op.origin_count, op.origin_dtref.datatype)
         am.check_accumulate(op, len(data))
-        vci = self._rma_lane(op, plan) if self.proc.hooked else None
+        vci = self.proc.hooks and self._rma_lane(op, plan)
         round_trip = op.fetch_buf is not None
         result = plan.transport.issue(len(data), plan.native_atomic,
                                       round_trip=round_trip, vci=vci)

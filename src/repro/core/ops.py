@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
 from repro.core.extensions import ExtFlags, NONE
 from repro.datatypes.pack import Buffer
@@ -43,16 +43,17 @@ class CallPlan:
     exposed-memory ``state``.  The per-message path reads these slots
     instead of re-deriving them.
 
-    ``fused`` is the three charge plans' steps in path order: an entry
-    replays it in one ``Proc.charge`` when nothing reads the clock or
-    the counter between the layers (no armed hook, no routed VCI).  A
-    plan that only enters (init calls, every call that leaves the
-    straight line) has ``fused = None``.
+    ``fused`` is the three charge plans' steps in path order: the
+    entry replays it in one ``Proc.charge`` when nothing observes the
+    call between the layers (a rank with no hook seam).  A plan that
+    only enters has ``fused = None`` and ``failing[k]``, the charge of
+    the checks up to a failing check k.  ``stream``, ``(ctx, peer,
+    nomatch)``, and the op's tag route the entry's lock.
     """
 
     __slots__ = ("entry", "args", "path", "fused", "lock", "peer_world",
                  "transport", "native", "native_atomic", "threshold",
-                 "state")
+                 "state", "stream", "failing")
 
     def __init__(self, path=None, peer_world=None, transport=None,
                  native=False, native_atomic=False, threshold=0):
@@ -63,6 +64,7 @@ class CallPlan:
         self.native_atomic = native_atomic
         self.threshold = threshold
         self.entry = self.args = self.fused = self.lock = self.state = None
+        self.stream = self.failing = None
 
 
 @dataclass(slots=True)
@@ -78,9 +80,9 @@ class SendOp:
     flags: ExtFlags = NONE
     sync: bool = False         #: synchronous mode (MPI_SSEND)
     mpi_name: str = "MPI_Isend"   #: flow-through: originating MPI call
-    #: The call site's plan, set by an entry that replayed its fused
-    #: charge: the device then charges nothing (else it finds the plan
-    #: itself and charges the path).
+    #: The call site's plan, set by an entry that charged its path:
+    #: the device then charges nothing (else it finds the plan itself
+    #: and charges the path).
     plan: Optional[CallPlan] = None
 
 
@@ -118,6 +120,7 @@ class PutOp:
     flags: ExtFlags = NONE
     mpi_name: str = "MPI_Put"
     plan: Optional[CallPlan] = None   #: see :class:`SendOp`
+    tag: ClassVar[int] = 0     #: an RMA entry routes as tag 0
 
 
 @dataclass(slots=True)
@@ -135,6 +138,7 @@ class GetOp:
     flags: ExtFlags = NONE
     mpi_name: str = "MPI_Get"
     plan: Optional[CallPlan] = None   #: see :class:`SendOp`
+    tag: ClassVar[int] = 0     #: see :class:`PutOp`
 
 
 @dataclass(slots=True)
@@ -154,6 +158,7 @@ class AccOp:
     fetch_buf: Optional[Buffer] = None   #: GET_ACCUMULATE result buffer
     mpi_name: str = "MPI_Accumulate"
     plan: Optional[CallPlan] = None   #: see :class:`SendOp`
+    tag: ClassVar[int] = 0     #: see :class:`PutOp`
 
 
 @dataclass

@@ -45,9 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.request import Request
     from repro.runtime.world import World
 
-#: Pending-receive list is pruned of completed entries past this size.
-_PRUNE_THRESHOLD = 64
-
 
 class WorldFaults:
     """World-global failure state: dead ranks, revoked contexts, and the
@@ -252,7 +249,9 @@ class RankFaults:
         # Receiver-side (under _mu).
         self._expected: dict[int, int] = {}
         self._ooo: dict[int, dict[int, "Message"]] = {}
-        self._pending_recvs: list[tuple["Request", int, object]] = []
+        #: Posted receive -> ``(source world rank or None, comm)``
+        #: until the handle's life ends (:meth:`forget_recv`).
+        self._pending_recvs: dict = {}
         # Statistics for the benchmark and the property tests.
         self.n_retransmits = 0
         self.n_dup_dropped = 0
@@ -448,11 +447,7 @@ class RankFaults:
         they are tracked all the same."""
         self.drain()
         with self._mu:
-            if len(self._pending_recvs) > _PRUNE_THRESHOLD:
-                self._pending_recvs = [
-                    entry for entry in self._pending_recvs
-                    if not entry[0].is_complete()]
-            self._pending_recvs.append((request, src_world, comm))
+            self._pending_recvs[request] = (src_world, comm)
         if src_world is not None and self.world_ft.is_dead(src_world):
             self.fail_pending(src_world)
         if self.world_ft.is_revoked(comm.ctx):
@@ -460,15 +455,24 @@ class RankFaults:
             # rank's entry-time check and the post.
             self.fail_pending_revoked(comm.ctx)
 
+    def forget_recv(self, request: "Request") -> None:
+        """*request*'s life is over — waited (the seam's ``finish``) or
+        recycled (``release``): a later life is a new receive.  A
+        release the pool refuses (the handle still pending) ends
+        nothing: the receive stays tracked."""
+        if request.is_complete():
+            with self._mu:
+                self._pending_recvs.pop(request, None)
+
     def fail_pending(self, dead_rank: int) -> None:
         """Complete every pending receive posted against *dead_rank*
         with ``MPI_ERR_PROC_FAILED``, running the owning communicator's
         error handler for each."""
         with self._mu:
-            victims = [entry for entry in self._pending_recvs
-                       if entry[1] == dead_rank
-                       and not entry[0].is_complete()]
-        for request, _, comm in victims:
+            victims = [(request, comm) for request, (src, comm)
+                       in self._pending_recvs.items()
+                       if src == dead_rank and not request.is_complete()]
+        for request, comm in victims:
             exc = MPIErrProcFailed(
                 f"peer rank {dead_rank} failed while this receive "
                 "was pending", rank=dead_rank, op="MPI_Irecv",
@@ -488,10 +492,10 @@ class RankFaults:
         *ctx* with ``MPI_ERR_REVOKED``, running the owning
         communicator's error handler for each."""
         with self._mu:
-            victims = [entry for entry in self._pending_recvs
-                       if entry[2].ctx == ctx
-                       and not entry[0].is_complete()]
-        for request, _, comm in victims:
+            victims = [(request, comm) for request, (_, comm)
+                       in self._pending_recvs.items()
+                       if comm.ctx == ctx and not request.is_complete()]
+        for request, comm in victims:
             exc = MPIErrRevoked(
                 f"communicator ctx={ctx} was revoked while this "
                 "receive was pending", rank=self.proc.world_rank)
@@ -554,12 +558,14 @@ class RankFaults:
             dispatch_comm_error(comm, exc)
             raise exc
 
-    def comm_check(self, comm: object) -> None:
-        """The seam's communicator check before an operation on
-        *comm*: this rank's own check (collective internals bypass the
-        call entry), then *comm*'s revocation."""
+    def comm_check(self, op) -> object:
+        """The seam's check before the point-to-point operation *op*:
+        this rank's own (collective internals bypass the call entry),
+        then *op*'s communicator's revocation.  Returns the
+        communicator, whose error handler *op*'s errors go through."""
         self.check_self()
-        self.check_comm(comm)
+        self.check_comm(op.comm)
+        return op.comm
 
     def drain(self, now: Optional[float] = None) -> int:
         """Fire retransmit timers; returns how many packets released.

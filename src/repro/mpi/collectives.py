@@ -822,14 +822,15 @@ class CollPlan:
     ``size`` and ``rank``, and the two internal-message primitives,
     which keep one prebuilt ``SendOp`` / ``RecvOp`` per ``(peer, tag)``
     with its :class:`~repro.core.ops.CallPlan` attached.  Per message
-    they point the op at the bytes, charge the plan's path (the
-    persistent-request trick) and run the device's one send body or
-    one post: the same messages and the same charges as the
-    communicator's own primitives, which build the op and look the plan
-    up every time.  Those still serve an armed build — whose fault
-    wrapping, sanitizer and VCI lanes sit on that path — and the
-    nonblocking collectives, whose concurrent schedules cannot share
-    one op: see :meth:`of`.
+    they point the op at the bytes and hand it to the communicator's
+    ``_issue``, which charges the plan's path (the persistent-request
+    trick) and runs the device's one send body or one post — after the
+    seam's communicator check on a build that has one (a fault
+    build's) — so the device's hooks (the sanitizer, the VCI lanes)
+    see every message: the same messages and the same
+    charges as the communicator's own primitives, which build the op
+    and look the plan up every time.  Only the nonblocking collectives
+    use those, since their concurrent schedules cannot share one op.
     """
 
     __slots__ = ("comm", "proc", "size", "rank", "nbytes", "dtype", "op",
@@ -880,15 +881,15 @@ class CollPlan:
 
     @classmethod
     def of(cls, comm: "Communicator", kind: str, nbytes: int, dtype=None,
-           op=None, algorithm: Optional[str] = None, routed: bool = False):
-        """The plan of this call shape on *comm*, and what its schedule
-        sends and receives through: the plan — or, on an armed build,
-        the communicator itself."""
+           op=None, algorithm: Optional[str] = None,
+           routed: bool = False) -> "CollPlan":
+        """The plan of this call shape on *comm*: what its schedule
+        sends and receives through."""
         key = (kind, algorithm, nbytes, dtype, op, routed)
         plan = comm._coll_plans.get(key)
         if plan is None:
             plan = comm._coll_plans[key] = cls(comm, *key)
-        return plan, comm if comm.proc.armed else plan
+        return plan
 
     @property
     def scratch(self) -> memoryview:
@@ -919,9 +920,7 @@ class CollPlan:
                                                  tag, self.comm)
             op.plan = self.comm._call_plan(op, False, dest)
         op.buf, op.count = data, len(data)
-        proc = self.proc
-        proc.charge(op.plan.path)
-        request = proc.device.isend(op)
+        request = self.comm._issue(self.proc.device.isend, op)
         op.buf = None       # a plan pins nobody's memory between calls
         return request
 
@@ -933,9 +932,7 @@ class CollPlan:
                                                    tag, self.comm)
             op.plan = self.comm._call_plan(op, RECV_PLAN, source)
         op.buf, op.count = into, 0 if into is None else len(into)
-        proc = self.proc
-        proc.charge(op.plan.path)
-        request = proc.device.irecv(op)
+        request = self.comm._issue(self.proc.device.irecv, op)
         op.buf = None       # the posted descriptor holds the view now
         return request
 
@@ -948,14 +945,14 @@ def bcast_buf(comm: "Communicator", array: np.ndarray, root: int,
     ``"binomial"``, ``"scatter_allgather"``, or ``"ring"`` (the
     pipelined chain)."""
     arr = _as_contig(array, "bcast buffer")
-    plan, via = CollPlan.of(comm, "bcast", arr.nbytes, algorithm=algorithm,
-                            routed=routed)
+    plan = CollPlan.of(comm, "bcast", arr.nbytes, algorithm=algorithm,
+                       routed=routed)
     if plan.route is not None:
         return plan.route(comm, arr, root)
     # The root's buffer goes out as a borrow (every forward is seen
     # complete, the matching engine owns any unexpected copy); every
     # other rank receives into its own.
-    run_schedule(comm, BCAST_ALGORITHMS[plan.algorithm](via, _flat(arr),
+    run_schedule(comm, BCAST_ALGORITHMS[plan.algorithm](plan, _flat(arr),
                                                         root))
 
 
@@ -973,12 +970,12 @@ def reduce_buf(comm: "Communicator", sendbuf: np.ndarray,
             raise MPIErrArg(f"recvbuf holds {recv.nbytes} bytes, the "
                             f"reduction produces {send.nbytes}")
         _same_dtype("reduce", send, recv)
-    plan, via = CollPlan.of(comm, "reduce", send.nbytes, send.dtype, op,
-                            routed=routed)
+    plan = CollPlan.of(comm, "reduce", send.nbytes, send.dtype, op,
+                       routed=routed)
     if plan.route is not None:
         return plan.route(comm, send, recv, op, root)
     acc = plan.scratch if recv is None else _flat(recv)
-    result = run_schedule(comm, reduce_steps(via, _flat(send), root,
+    result = run_schedule(comm, reduce_steps(plan, _flat(send), root,
                                              plan.combine(acc)))
     if recv is not None and result is not acc:
         acc[:] = result
@@ -999,13 +996,13 @@ def allreduce_buf(comm: "Communicator", sendbuf: np.ndarray,
     if recv.nbytes != send.nbytes:
         raise MPIErrArg("allreduce buffers must have equal byte size")
     _same_dtype("allreduce", send, recv)
-    plan, via = CollPlan.of(comm, "allreduce", send.nbytes, send.dtype, op,
-                            algorithm, routed)
+    plan = CollPlan.of(comm, "allreduce", send.nbytes, send.dtype, op,
+                       algorithm, routed)
     if plan.route is not None:
         return plan.route(comm, send, recv, op)
     acc = _flat(recv)
     result = run_schedule(comm, ALLREDUCE_ALGORITHMS[plan.algorithm](
-        via, _flat(send), plan.combine(acc), acc, send.dtype.itemsize))
+        plan, _flat(send), plan.combine(acc), acc, send.dtype.itemsize))
     if result is not acc:
         acc[:] = result
 
@@ -1019,12 +1016,12 @@ def allgather_buf(comm: "Communicator", sendbuf: np.ndarray,
         raise MPIErrArg(
             f"allgather recvbuf must hold {comm.size} blocks of "
             f"{send.nbytes} bytes, has {recv.nbytes}")
-    _, via = CollPlan.of(comm, "allgather", send.nbytes)
+    plan = CollPlan.of(comm, "allgather", send.nbytes)
     # Blocks land in their slice of recvbuf and are forwarded from it;
     # this rank's own goes out as a borrow of sendbuf.
     blocks = _blocks(recv, comm.size)
     blocks[comm.rank][:] = payload = _flat(send)
-    run_schedule(comm, allgather_steps(via, payload, blocks=blocks))
+    run_schedule(comm, allgather_steps(plan, payload, blocks=blocks))
 
 
 def gather_buf(comm: "Communicator", sendbuf: np.ndarray,
@@ -1042,8 +1039,8 @@ def gather_buf(comm: "Communicator", sendbuf: np.ndarray,
                 f"{send.nbytes} bytes, has {recv.nbytes}")
         out = _blocks(recv, comm.size)
         out[root][:] = payload
-    _, via = CollPlan.of(comm, "gather", send.nbytes)
-    run_schedule(comm, gather_steps(via, payload, root, out=out))
+    plan = CollPlan.of(comm, "gather", send.nbytes)
+    run_schedule(comm, gather_steps(plan, payload, root, out=out))
 
 
 def scatter_buf(comm: "Communicator", sendbuf: Optional[np.ndarray],
@@ -1067,9 +1064,9 @@ def _scatter_into(comm: "Communicator", chunks: Optional[list],
                   recv: np.ndarray, root: int) -> None:
     """Scatter the root's *chunks*, each rank's straight into *recv*
     (the root copies its own)."""
-    _, via = CollPlan.of(comm, "scatter", recv.nbytes)
+    plan = CollPlan.of(comm, "scatter", recv.nbytes)
     into = _flat(recv)
-    block = run_schedule(comm, scatter_steps(via, chunks, root, into=into))
+    block = run_schedule(comm, scatter_steps(plan, chunks, root, into=into))
     if block is not into:
         into[:] = block
 
@@ -1085,10 +1082,10 @@ def reduce_scatter_block_buf(comm: "Communicator", sendbuf: np.ndarray,
             f"reduce_scatter sendbuf must hold {comm.size} blocks of "
             f"{recv.nbytes} bytes, has {send.nbytes}")
     _same_dtype("reduce_scatter", send, recv)
-    plan, via = CollPlan.of(comm, "reduce_scatter_block", send.nbytes,
-                            send.dtype, op)
+    plan = CollPlan.of(comm, "reduce_scatter_block", send.nbytes,
+                       send.dtype, op)
     # No rank's recvbuf holds P blocks: the tree reduces into scratch.
-    reduced = run_schedule(comm, reduce_steps(via, _flat(send), 0,
+    reduced = run_schedule(comm, reduce_steps(plan, _flat(send), 0,
                                              plan.combine(plan.scratch)))
     chunks = None
     if comm.rank == 0:
@@ -1106,9 +1103,9 @@ def scan_buf(comm: "Communicator", sendbuf: np.ndarray,
     if send.nbytes != recv.nbytes:
         raise MPIErrArg("scan buffers must match in size")
     _same_dtype("scan", send, recv)
-    plan, via = CollPlan.of(comm, "scan", send.nbytes, send.dtype, op)
+    plan = CollPlan.of(comm, "scan", send.nbytes, send.dtype, op)
     acc = _flat(recv)
-    result = run_schedule(comm, scan_steps(via, _flat(send),
+    result = run_schedule(comm, scan_steps(plan, _flat(send),
                                            plan.combine(acc)))
     if result is not acc:     # rank 0: its own contribution
         acc[:] = result
@@ -1125,9 +1122,9 @@ def alltoall_buf(comm: "Communicator", sendbuf: np.ndarray,
         raise MPIErrArg(
             f"alltoall buffer of {send.nbytes} bytes does not split into "
             f"{comm.size} blocks")
-    _, via = CollPlan.of(comm, "alltoall", send.nbytes)
+    plan = CollPlan.of(comm, "alltoall", send.nbytes)
     # Views of both buffers: each round is seen complete before the
     # next, and each chunk lands in its slice of recvbuf.
     chunks, out = _blocks(send, comm.size), _blocks(recv, comm.size)
     out[comm.rank][:] = chunks[comm.rank]
-    run_schedule(comm, alltoall_steps(via, chunks, out))
+    run_schedule(comm, alltoall_steps(plan, chunks, out))

@@ -33,8 +33,7 @@ from repro.mpi import collectives as coll
 from repro.mpi.group import Group
 from repro.mpi.info import Info
 from repro.mpi.pt2pt import (BYTE_REF, call_plan, check_recv, check_send,
-                             entry_plan, mpi_entry, normalize_buffer,
-                             run_planned, validate_args)
+                             entry_plan, normalize_buffer, run_call)
 from repro.mpi.status import Status
 from repro.runtime.hooks import blocked_wait
 from repro.runtime.ranktrans import build_translation
@@ -162,25 +161,23 @@ class Communicator:
         """MPI_COMM_GET_ERRHANDLER: the current error handler."""
         return self._errhandler
 
-    def _ft_isend(self, op: SendOp) -> Optional[Request]:
-        """Issue a send through the seam's communicator check (a fault
-        layer's): refuse a revoked communicator, and route any
-        communication error through this communicator's error handler
-        before it propagates.  Reached only where the seam has the
-        check (``hooks.comm_check``): plain builds call the device
-        directly — zero added work."""
-        self.proc.hooks.comm_check(self)
+    def _issue(self, body, op):
+        """Run the device's *body* on *op*, which no MPI entry wraps (an
+        internal message, a persistent start), after a planned *op*'s
+        path charge — and, on a build whose seam checks communicators
+        (a fault build's), after that ``comm_check``, with the body's
+        errors going through this communicator's handler."""
+        proc, plan = self.proc, op.plan
+        hooks = proc.hooks
+        check = None if hooks is None else hooks.comm_check
+        if check is not None:
+            check(op)
+        if plan is not None and plan.path is not None:
+            proc.charge(plan.path)
+        if check is None:
+            return body(op)
         try:
-            return self.proc.device.isend(op)
-        except MPIError as exc:
-            dispatch_comm_error(self, exc)
-            raise
-
-    def _ft_irecv(self, op: RecvOp) -> Request:
-        """Receive-side twin of :meth:`_ft_isend`."""
-        self.proc.hooks.comm_check(self)
-        try:
-            return self.proc.device.irecv(op)
+            return body(op)
         except MPIError as exc:
             dispatch_comm_error(self, exc)
             raise
@@ -194,10 +191,7 @@ class Communicator:
                      flags: ext.ExtFlags = ext.NONE) -> Optional[Request]:
         buf = np.frombuffer(data, np.uint8) if data else np.empty(0, np.uint8)
         op = SendOp(buf, len(data), BYTE_REF, dest, tag, self, flags, sync)
-        hooks = self.proc.hooks
-        if hooks is not None and hooks.comm_check is not None:
-            return self._ft_isend(op)
-        return self.proc.device.isend(op)
+        return self._issue(self.proc.device.isend, op)
 
     def _irecv_bytes(self, source: int, tag: int,
                      into: Optional[memoryview] = None,
@@ -206,10 +200,7 @@ class Communicator:
         on the request), or into the writable byte view *into*."""
         op = RecvOp(into, 0 if into is None else len(into), BYTE_REF,
                     source, tag, self, flags)
-        hooks = self.proc.hooks
-        if hooks is not None and hooks.comm_check is not None:
-            return self._ft_irecv(op)
-        return self.proc.device.irecv(op)
+        return self._issue(self.proc.device.irecv, op)
 
     def _send_bytes(self, data: bytes, dest: int, tag: int) -> None:
         req = self._isend_bytes(data, dest, tag)
@@ -318,9 +309,9 @@ class Communicator:
         op.dtref's class)`` — *kind* a send's ``sync`` flag, or
         ``RECV_PLAN`` — resolved on its first use: the device's share
         (path charges, translated peer, transport), completed by the
-        MPI layer's (entry and argument-check charges, the CS lock,
-        all three fused).  None — and nothing cached — when *op*
-        leaves the straight line."""
+        MPI layer's (entry and argument-check charges, the CS lock and
+        stream, all three fused).  None — and nothing cached — when
+        *op* leaves the straight line."""
         key = (kind, peer, op.flags.bits, op.dtref.key)
         plan = self._plans.get(key)
         if plan is None:
@@ -329,25 +320,21 @@ class Communicator:
             if plan is not None:
                 self._plans[key] = call_plan(
                     proc, c.isend_function_call, c.isend_thread_check,
-                    c.isend_error, plan)
+                    c.isend_error, plan, (self.ctx, peer, op.flags.nomatch))
         return plan
 
-    def _entry(self, op, peer: int, plan: Optional[CallPlan],
-               name: str) -> mpi_entry:
-        """The stepwise entry of one send or receive — an armed rank's,
-        a failing check's, a call's off the straight line — with the
-        call site's *plan* where it has one."""
-        proc, c = self.proc, COSTS
-        return mpi_entry(
-            proc, plan
-            or entry_plan(proc, c.isend_function_call, c.isend_thread_check),
-            name, proc.vci_for(self.ctx, peer, op.tag, op.flags.nomatch)
-            if proc.num_vcis > 1 else None)
+    def _entry_plan(self, op, peer: int) -> CallPlan:
+        """The plan of a send or receive off the straight line (a
+        failing check, MPI_PROC_NULL, a site the device does not plan)."""
+        c = COSTS
+        return entry_plan(self.proc, c.isend_function_call,
+                          c.isend_thread_check, c.isend_error,
+                          (self.ctx, peer, op.flags.nomatch))
 
     def _buffer_send(self, buf, dest: int, tag: int, sync: bool,
                      flags: ext.ExtFlags = ext.NONE,
                      name: str = "MPI_Isend") -> Optional[Request]:
-        proc, c = self.proc, COSTS
+        proc = self.proc
         data, count, dtref = normalize_buffer(buf)
         op = SendOp(data, count, dtref, dest, tag, self, flags, sync)
         failed = plan = None
@@ -357,15 +344,8 @@ class Communicator:
         if failed is None:
             plan = (self._plans.get((sync, dest, flags.bits, dtref.key))
                     or self._call_plan(op, sync, dest))   # first use
-            if plan is not None and not proc.armed:
-                return run_planned(proc, plan, name, proc.device.isend, op)
-        with self._entry(op, dest, plan, name):
-            if proc.config.error_checking:
-                validate_args(proc, c.isend_error, failed)
-            hooks = proc.hooks
-            if hooks is not None and hooks.comm_check is not None:
-                return self._ft_isend(op)
-            return proc.device.isend(op)
+        return run_call(proc, plan or self._entry_plan(op, dest), name,
+                        proc.device.isend, op, failed)
 
     def Recv(self, buf, source: int = ANY_SOURCE,
              tag: int = ANY_TAG) -> Status:
@@ -383,7 +363,7 @@ class Communicator:
 
     def _buffer_recv(self, buf, source: int, tag: int,
                      flags: ext.ExtFlags = ext.NONE) -> Request:
-        proc, c = self.proc, COSTS
+        proc = self.proc
         data, count, dtref = normalize_buffer(buf)
         op = RecvOp(data, count, dtref, source, tag, self, flags)
         failed = plan = None
@@ -393,16 +373,8 @@ class Communicator:
             plan = (self._plans.get((RECV_PLAN, source, flags.bits,
                                      dtref.key))
                     or self._call_plan(op, RECV_PLAN, source))
-            if plan is not None and not proc.armed:
-                return run_planned(proc, plan, "MPI_Irecv",
-                                   proc.device.irecv, op)
-        with self._entry(op, source, plan, "MPI_Irecv"):
-            if proc.config.error_checking:
-                validate_args(proc, c.isend_error, failed)
-            hooks = proc.hooks
-            if hooks is not None and hooks.comm_check is not None:
-                return self._ft_irecv(op)
-            return proc.device.irecv(op)
+        return run_call(proc, plan or self._entry_plan(op, source),
+                        "MPI_Irecv", proc.device.irecv, op, failed)
 
     def _take_back(self, rreq: Request) -> None:
         """The send half of a sendrecv failed: withdraw the receive

@@ -27,8 +27,8 @@ from repro.errors import MPIErrRequest
 from repro.instrument.categories import Category, Subsystem
 from repro.instrument.costs import COSTS
 from repro.instrument.fastpath import fastpath
-from repro.mpi.pt2pt import (check_recv, check_send, entry_plan, mpi_entry,
-                             normalize_buffer, validate_args)
+from repro.mpi.pt2pt import (check_recv, check_send, entry_plan,
+                             normalize_buffer, run_call)
 from repro.runtime.request import Request, RequestKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,19 +83,26 @@ class PersistentRequest:
         raise NotImplementedError
 
 
+def _init_entry(proc, op, failed) -> None:
+    """The MPI entry of MPI_SEND_INIT / MPI_RECV_INIT: entry and argument
+    checks only — unnamed, unrouted, no seam check, no body."""
+    c = COSTS
+    run_call(proc, entry_plan(proc, c.isend_function_call,
+                              c.isend_thread_check, c.isend_error),
+             None, _no_body, op, failed, None)
+
+
+def _no_body(op) -> None:
+    """An init call runs nothing inside its entry."""
+
+
 class PersistentSend(PersistentRequest):
     """MPI_SEND_INIT product: everything resolved once, at init."""
 
     def __init__(self, comm: "Communicator", buf, dest: int, tag: int):
         super().__init__(comm)
-        proc, c = comm.proc, COSTS
+        proc = comm.proc
         data, count, dtref = normalize_buffer(buf)
-        # Init pays the full MPI-layer cost once.
-        with mpi_entry(proc, entry_plan(proc, c.isend_function_call,
-                                        c.isend_thread_check)):
-            if proc.config.error_checking:
-                validate_args(proc, c.isend_error, check_send(
-                    comm, data, count, dtref, dest, tag))
         #: The operation every start issues.  On CH4 it carries the
         #: call site's facts — translated peer, transport, eager
         #: threshold: the amortization persistent requests exist for —
@@ -103,6 +110,9 @@ class PersistentSend(PersistentRequest):
         #: body runs and charges nothing.
         self.op = op = SendOp(data, count, dtref, dest, tag, comm,
                               mpi_name="MPI_Start")
+        # Init pays the full MPI-layer cost once.
+        _init_entry(proc, op, check_send(comm, data, count, dtref, dest, tag)
+                    if proc.config.error_checking else None)
         if dest != PROC_NULL and proc.config.device is Device.CH4:
             op.plan = proc.device._send_facts(op, None)
 
@@ -117,10 +127,7 @@ class PersistentSend(PersistentRequest):
         if proc.config.device is Device.CH4:
             # Eager or rendezvous, VCI lane, fault wrapping, parked
             # completion: whatever an MPI_ISEND of this size gets.
-            hooks = proc.hooks
-            if hooks is not None and hooks.comm_check is not None:
-                return comm._ft_isend(self.op)
-            return proc.device.isend(self.op)
+            return comm._issue(proc.device.isend, self.op)
         request = proc.request_pool.acquire(RequestKind.SEND)
         inner = proc.device.isend(self.op)
         inner.wait()
@@ -134,15 +141,12 @@ class PersistentRecv(PersistentRequest):
 
     def __init__(self, comm: "Communicator", buf, source: int, tag: int):
         super().__init__(comm)
-        proc, c = comm.proc, COSTS
+        proc = comm.proc
         data, count, dtref = normalize_buffer(buf)
-        with mpi_entry(proc, entry_plan(proc, c.isend_function_call,
-                                        c.isend_thread_check)):
-            if proc.config.error_checking:
-                validate_args(proc, c.isend_error, check_recv(
-                    comm, count, dtref, source, tag))
         self.op = RecvOp(data, count, dtref, source, tag, comm,
                          mpi_name="MPI_Start")
+        _init_entry(proc, self.op, check_recv(comm, count, dtref, source, tag)
+                    if proc.config.error_checking else None)
 
     @fastpath
     def _launch(self) -> Request:

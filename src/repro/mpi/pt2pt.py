@@ -27,6 +27,7 @@ from repro.errors import (
     MPIErrRank,
     MPIErrTag,
 )
+from repro.ft.recovery import dispatch_comm_error
 from repro.instrument.categories import Category
 from repro.instrument.costs import ErrorCheckCosts
 from repro.instrument.fastpath import fastpath
@@ -54,34 +55,52 @@ def _charge_entry(proc: "Proc", function_call_cost: int,
 
 
 def entry_plan(proc: "Proc", function_call_cost: int,
-               thread_check_cost: int) -> CallPlan:
+               thread_check_cost: int, err: ErrorCheckCosts,
+               stream: Optional[tuple] = None) -> CallPlan:
     """The call plan of an entry that resolves nothing beyond itself:
-    its own charge and the lock of the modeled critical section.
-    Object sends and init calls enter with it, and so does every call
-    that leaves the straight line (a failing check, MPI_PROC_NULL)."""
-    key = (function_call_cost, thread_check_cost)
+    its own charge, the argument checks' (*err*: their costs; all four,
+    and each failing check's prefix) and the modeled CS's lock.  Init
+    calls enter with it; a call off the straight line (a failing check,
+    MPI_PROC_NULL) with a copy carrying its *stream* (:func:`call_plan`).
+    """
+    key = (function_call_cost, thread_check_cost, err)
     plan = proc._call_plans.get(key)
     if plan is None:
         plan = CallPlan()
         plan.entry = proc.plan(("entry", function_call_cost,
                                 thread_check_cost), _charge_entry,
                                function_call_cost, thread_check_cost)
+        if proc.config.error_checking:
+            plan.args = proc.plan(("args", err), charge_arg_checks, err)
+            # What a call whose check number k fails charges: the
+            # checks up to and including it.
+            plan.failing = (None, *(
+                proc.plan(("args", err, k), charge_arg_checks, err, k)
+                for k in (1, 2, 3, 4)))
         if proc.config.thread_safety:
             plan.lock = proc.cs_lock
         proc._call_plans[key] = plan   # published complete: no lock
-    return plan
+    if stream is None:
+        return plan
+    own = CallPlan()
+    own.entry, own.args, own.failing, own.lock = (plan.entry, plan.args,
+                                                  plan.failing, plan.lock)
+    own.stream = stream
+    return own
 
 
 def call_plan(proc: "Proc", function_call_cost: int, thread_check_cost: int,
-              err: ErrorCheckCosts, plan: CallPlan) -> CallPlan:
+              err: ErrorCheckCosts, plan: CallPlan,
+              stream: tuple) -> CallPlan:
     """Complete the device-resolved *plan* with the MPI layer's share:
-    the entry's charge and lock, the argument checks' charge, and the
-    three layers fused — steps concatenated in path order, so one
-    replay advances the counter and the clock exactly as the three."""
-    entry = entry_plan(proc, function_call_cost, thread_check_cost)
-    plan.entry, plan.lock = entry.entry, entry.lock
-    if proc.config.error_checking:
-        plan.args = proc.plan(("args", err), charge_arg_checks, err)
+    the entry's charge and lock, the argument checks' charge, the
+    call site's *stream* — ``(ctx, peer, nomatch)``, which with the
+    op's tag names the VCI a routed entry locks — and the three layers
+    fused: steps concatenated in path order, so one replay advances
+    the counter and the clock exactly as the three."""
+    entry = entry_plan(proc, function_call_cost, thread_check_cost, err)
+    plan.entry, plan.args, plan.lock = entry.entry, entry.args, entry.lock
+    plan.stream = stream
     # One fused plan per distinct step sequence, cached on the rank
     # beside its layers: every handle with this call shape replays the
     # same object, so the counter's pending-replay table stays as
@@ -97,8 +116,8 @@ def call_plan(proc: "Proc", function_call_cost: int, thread_check_cost: int,
 def annotate(exc: MPIError, proc: "Proc", name: Optional[str]) -> None:
     """Stamp an :class:`MPIError` leaving an MPI call with the raising
     rank and the call's *name*, so error-handler callbacks and
-    teardown reports can say which call on which rank failed.  Both
-    entries below own this, and nothing beneath them does."""
+    teardown reports can say which call on which rank failed.  The
+    entry owns this, and nothing beneath it does."""
     if exc.rank is None:
         exc.rank = proc.world_rank
     if exc.op is None and name is not None:
@@ -106,96 +125,81 @@ def annotate(exc: MPIError, proc: "Proc", name: Optional[str]) -> None:
 
 
 @fastpath
-def run_planned(proc: "Proc", plan: CallPlan, name: str, body, op):
-    """The whole entry of a call whose site is already planned: replay
-    *plan*'s fused charge — entry, argument checks and device path in
-    one ``Proc.charge``, after which ``body(op)`` charges nothing more
-    (``op.plan`` says so) — and run the body inside the modeled
-    critical section.
+def run_call(proc: "Proc", plan: CallPlan, name: Optional[str], body, op,
+             failed: Optional[tuple[int, MPIError]] = None,
+             check: Optional[str] = "comm_check"):
+    """The MPI entry of every call: charge *plan*, run ``body(op)`` in
+    the modeled critical section, annotate a leaving :class:`MPIError`.
 
-    Callers come here only with arguments that passed their checks,
-    the call site's *plan* (cached, or compiled by this first use) and
-    a rank that is not ``proc.armed``: fusing needs nothing to observe
-    the call between its layers.  Everything else — armed builds,
-    failing checks, MPI_PROC_NULL, init calls — enters stepwise
-    through :class:`mpi_entry`.  Charged instruction counts are
-    identical either way."""
-    op.plan = plan
-    proc.charge(plan.fused)
+    A rank with no hook seam on the straight line (*plan* fused)
+    replays entry, argument checks and device path in one
+    ``Proc.charge``; ``body(op)`` charges nothing more (``op.plan``).
+    Every other call replays the layers one at a time, so the seam sees
+    the call between them: ``enter_call(name)``; the entry; the lock —
+    on a routed build the VCI's that owns the plan's stream and the
+    op's tag, which notes the CS's instructions; the argument checks,
+    or the prefix up to the failing one (*failed*: ``(checks run,
+    error)``), which raises; the seam's *check* event on the op
+    (``comm_check`` returns the communicator the body's errors go
+    through); the path with ``op.plan`` set (an entry plan has none:
+    the device charges its own); the body; ``exit_call``.  Charges
+    and the clock are identical either way."""
+    hooks = proc.hooks
+    if hooks is None and plan.fused is not None:
+        op.plan = plan
+        proc.charge(plan.fused)
+        lock = plan.lock
+        if lock is not None:
+            lock.acquire()  # audit: allow[FP203] - the modeled CS
+        try:  # audit: allow[FP204] - releases the CS, annotates on the way out
+            return body(op)
+        except MPIError as exc:
+            annotate(exc, proc, name)
+            raise
+        finally:
+            if lock is not None:
+                lock.release()
+    t0 = route = seam = vci = errors_to = None
+    if hooks is not None:
+        t0 = hooks.enter_call(name)
+        route = hooks.route
+        if check is not None:
+            seam = getattr(hooks, check)
+    proc.charge(plan.entry)
     lock = plan.lock
     if lock is not None:
+        if route is not None and plan.stream is not None:
+            ctx, peer, nomatch = plan.stream
+            vci = route(ctx, peer, op.tag, nomatch)
+            if vci is not None:
+                lock = vci.lock
         lock.acquire()  # audit: allow[FP203] - the modeled CS
+        cs0 = proc.counter.total
     try:  # audit: allow[FP204] - releases the CS, annotates on the way out
-        return body(op)
+        if failed is not None:
+            proc.charge(plan.failing[failed[0]])
+            raise failed[1]
+        if plan.args is not None:
+            proc.charge(plan.args)
+        if seam is not None:
+            errors_to = seam(op)
+        if plan.path is not None:
+            proc.charge(plan.path)
+            op.plan = plan
+        result = body(op)
+        if vci is not None:
+            vci.note_cs(proc.counter.total - cs0)
+        return result
     except MPIError as exc:
+        if errors_to is not None:   # raised by the body
+            dispatch_comm_error(errors_to, exc)
         annotate(exc, proc, name)
         raise
     finally:
         if lock is not None:
             lock.release()
-
-
-class mpi_entry:
-    """One MPI API entry taken stepwise, as a context: the entry
-    charge — function-call prologue (unless inlined away by ipo) and
-    thread-safety check (unless a single-threaded build) — then the
-    modeled critical section around the body, which charges its own
-    argument checks and device path.  A planned call on an unarmed
-    rank never builds one: see :func:`run_planned`.
-
-    *plan* supplies the entry's charge and lock (an
-    :func:`entry_plan`, or the call site's own plan).  A rank with a
-    hook seam announces the call entry under *name* (the sanitizer
-    labels the call, the fault layer checks this rank, an enabled
-    timeline records the call's virtual-time span), and *vci* routes
-    the modeled CS —
-    a routed entry acquires its owning VCI's lock (per-VCI sharding,
-    ``num_vcis > 1``) and records CS occupancy there; unrouted entries
-    take ``proc.cs_lock``, which is VCI 0's lock.
-
-    Every :class:`MPIError` leaving the body is annotated
-    (:func:`annotate`).
-    """
-
-    __slots__ = ("proc", "plan", "name", "vci", "t0", "cs0")
-
-    def __init__(self, proc: "Proc", plan: CallPlan,
-                 name: Optional[str] = None, vci=None):
-        self.proc = proc
-        self.plan = plan
-        self.name = name
-        self.vci = vci
-
-    @fastpath
-    def __enter__(self) -> None:
-        proc, plan = self.proc, self.plan
-        hooks = proc.hooks
-        # Call entry: a timeline's span start (returned), the
-        # sanitizer's call label, the fault layer's rank check.
-        self.t0 = None if hooks is None else hooks.enter_call(self.name)
-        proc.charge(plan.entry)
-        if plan.lock is not None:
-            vci = self.vci
-            if vci is None:
-                plan.lock.acquire()  # audit: allow[FP203] - the modeled CS
-            else:
-                vci.lock.acquire()  # audit: allow[FP203] - the modeled CS
-                self.cs0 = proc.counter.total
-
-    def __exit__(self, exc_type, exc, traceback) -> bool:
-        proc, vci = self.proc, self.vci
-        if self.plan.lock is not None:
-            if vci is None:
-                self.plan.lock.release()
-            else:
-                if exc_type is None:
-                    vci.note_cs(proc.counter.total - self.cs0)
-                vci.lock.release()
-        if exc_type is not None and isinstance(exc, MPIError):
-            annotate(exc, proc, self.name)
-        if self.t0 is not None:
-            proc.hooks.exit_call(self.name, self.t0)
-        return False
+        if t0 is not None:
+            hooks.exit_call(name, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,26 +268,14 @@ def charge_arg_checks(proc: "Proc", err: ErrorCheckCosts,
         proc.charge(Category.ERROR_CHECKING, err.rank_range)
 
 
-@fastpath
-def validate_args(proc: "Proc", err: ErrorCheckCosts,
-                  failed: Optional[tuple[int, MPIError]]) -> None:
-    """Charge one call's argument validation and raise its verdict:
-    *failed* is ``(checks run up to the failing one, its error)``, or
-    None when all four passed (charged as one compiled plan)."""
-    if failed is None:
-        proc.charge(proc.plan(("args", err), charge_arg_checks, err))
-        return
-    charge_arg_checks(proc, err, failed[0])
-    raise failed[1]
-
-
 def check_send(comm: "Communicator", buf: Optional[Buffer], count: int,
                dtref: DatatypeRef, dest: int, tag: int,
                global_rank: bool = False
                ) -> Optional[tuple[int, MPIError]]:
     """Send-side argument validation, in the order of Table 1's
     error-checking decomposition: None when every argument is valid,
-    else :func:`validate_args`' *failed*.  Charges nothing."""
+    else ``(checks run up to the failing one, its error)``: the
+    *failed* of :func:`run_call`.  Charges nothing."""
     if count < 0:
         return 1, MPIErrCount(f"count must be >= 0, got {count}")
     if not 0 <= tag <= TAG_UB:

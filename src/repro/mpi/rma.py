@@ -34,8 +34,7 @@ from repro.errors import (MPIErrArg, MPIErrCount, MPIErrDatatype,
 from repro.instrument.costs import COSTS
 from repro.mpi import reduceops
 from repro.mpi.info import Info
-from repro.mpi.pt2pt import (call_plan, entry_plan, mpi_entry,
-                             normalize_buffer, run_planned, validate_args)
+from repro.mpi.pt2pt import call_plan, entry_plan, normalize_buffer, run_call
 from repro.runtime.hooks import blocked_wait
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -311,17 +310,23 @@ class Window:
             if plan is not None:
                 self._plans[key] = call_plan(
                     proc, c.put_function_call, c.put_thread_check,
-                    c.put_error, plan)
+                    c.put_error, plan, (self.comm.ctx, op.target_rank, False))
         return plan
+
+    def _entry_plan(self, target_rank: int) -> CallPlan:
+        """The plan of an RMA call off the straight line (see
+        ``Communicator._entry_plan``)."""
+        c = COSTS
+        return entry_plan(self.proc, c.put_function_call,
+                          c.put_thread_check, c.put_error,
+                          (self.comm.ctx, target_rank, False))
 
     def _run(self, op, name: str, body) -> None:
         """The MPI layer's share of one put/get/accumulate around the
-        device's ``body(op)``: check the arguments, then run planned —
-        an unarmed rank on the straight line — or enter stepwise: the
-        entry's charge, the checks that ran (a failing one raises from
-        inside the entry), the sanitizer's look at the access, and a
-        device that charges its own path."""
-        proc, c = self.proc, COSTS
+        device's ``body(op)``: check the arguments, find the call
+        site's plan, and enter (:func:`~repro.mpi.pt2pt.run_call`),
+        the seam's check being the sanitizer's look at the access."""
+        proc = self.proc
         failed = plan = None
         if proc.config.error_checking:
             failed = self._check_rma(op.origin_count, op.origin_dtref,
@@ -331,20 +336,8 @@ class Window:
                                      op.origin_dtref.key,
                                      op.target_dtref.key))
                     or self._call_plan(op))   # first use
-            if plan is not None and not proc.armed:
-                run_planned(proc, plan, name, body, op)
-                return
-        with mpi_entry(
-                proc, plan
-                or entry_plan(proc, c.put_function_call, c.put_thread_check),
-                name, proc.vci_for(self.comm.ctx, op.target_rank, 0)
-                if proc.num_vcis > 1 else None):
-            if proc.config.error_checking:
-                validate_args(proc, c.put_error, failed)
-            hooks = proc.hooks
-            if hooks is not None and op.target_rank != PROC_NULL:
-                hooks.rma_check(self, op.target_rank)   # MSD204 epochs
-            body(op)
+        run_call(proc, plan or self._entry_plan(op.target_rank), name, body,
+                 op, failed, "rma_check")
 
     def put(self, origin, target_rank: int, target_disp: int = 0,
             target: Optional[tuple] = None,
@@ -406,20 +399,14 @@ class Window:
                          result: np.ndarray, target_rank: int,
                          target_disp: int = 0) -> None:
         """MPI_COMPARE_AND_SWAP of one element."""
-        proc, c = self.proc, COSTS
+        proc = self.proc
         buf, count, dtref = normalize_buffer(origin)
         if count != 1:
             raise MPIErrArg("compare_and_swap operates on one element")
-        with mpi_entry(proc, entry_plan(proc, c.put_function_call,
-                                        c.put_thread_check),
-                       "MPI_Compare_and_swap",
-                       proc.vci_for(self.comm.ctx, target_rank, 0)):
-            if proc.config.error_checking:
-                validate_args(proc, c.put_error, self._check_rma(
-                    count, dtref, target_rank, False))
-            hooks = proc.hooks
-            if hooks is not None and target_rank != PROC_NULL:
-                hooks.rma_check(self, target_rank)
+        failed = (self._check_rma(count, dtref, target_rank, False)
+                  if proc.config.error_checking else None)
+
+        def swap(op):
             if dtref.datatype.np_dtype is None:
                 raise MPIErrDatatype(
                     "compare_and_swap requires a predefined datatype")
@@ -438,6 +425,11 @@ class Window:
             pending = self._pending
             pending[target_world] = max(pending.get(target_world, 0.0),
                                         res.complete_s)
+
+        op = AccOp(buf, 1, dtref, target_rank, target_disp, 1, dtref, self,
+                   None, fetch_buf=result, mpi_name="MPI_Compare_and_swap")
+        run_call(proc, self._entry_plan(target_rank), op.mpi_name, swap, op,
+                 failed, "rma_check")
 
     # -- §3.2 extension entry points --------------------------------------------
 
@@ -466,7 +458,8 @@ class Window:
     def _check_rma(self, count: int, dtref, target_rank: int,
                    global_rank: bool):
         """RMA argument validation in Table 1's order: None when every
-        argument is valid, else ``validate_args``' *failed*."""
+        argument is valid, else :func:`~repro.mpi.pt2pt.run_call`'s
+        *failed*."""
         if count < 0:
             return 1, MPIErrCount(f"count must be >= 0, got {count}")
         if not dtref.datatype.committed:

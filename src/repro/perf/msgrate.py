@@ -136,7 +136,7 @@ def measure_cs_instructions(config: BuildConfig, op: str = "isend",
     ``cs`` is the portion resident in the modeled critical section:
     everything except the FUNCTION_CALL prologue and the THREAD_SAFETY
     gate, both charged before the per-VCI lock is taken in
-    :func:`repro.mpi.pt2pt.mpi_entry`.  It is the per-message CS
+    :func:`repro.mpi.pt2pt.run_call`.  It is the per-message CS
     occupancy that serializes injector threads sharing a VCI."""
     from repro.instrument.categories import Category
     rec = measure_call_record(config, op, flags)

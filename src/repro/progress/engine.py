@@ -26,7 +26,7 @@ rank's ``cs_lock`` (an RLock — re-entry from a continuation that makes
 MPI calls is fine), which keeps the instruction counter and virtual
 clock single-writer and establishes the global ``cs_lock`` →
 NBC-schedule-lock order.  Application blocking waits happen *outside*
-``mpi_entry``'s critical section, so the engine never deadlocks
+the MPI entry's critical section, so the engine never deadlocks
 against a waiting rank.  Idle engine threads sleep on a condition
 variable (woken by parks/posts) and charge nothing; only serviced
 work is charged, to ``Category.PROGRESS``.

@@ -4,7 +4,9 @@ Six optional subsystems observe or reroute the runtime — the sanitizer
 (``BuildConfig(sanitize=True)``), the fault layer (``fault_plan``),
 the race detector (``tsan``), the heartbeat failure detector
 (``detector``), the background progress engine (``progress``) and the
-virtual-time timeline (:func:`repro.analysis.timeline.enable_timeline`).
+virtual-time timeline (:func:`repro.analysis.timeline.enable_timeline`)
+— and so does per-VCI routing of the modeled critical section
+(``num_vcis > 1``).
 A rank reaches all of them through :class:`Hooks`, bound as
 ``proc.hooks`` — ``None`` on a plain build, so the runtime tests one
 attribute and runs no subsystem code.  Call sites name *events* (a call
@@ -17,8 +19,9 @@ subscriber's own method — no extra Python frame — a seam method calling
 several in turn, or :func:`_skip` when nothing listens.  The fault
 layer's two route events, ``deliver`` (the lossy wire in place of a
 direct deposit) and ``comm_check`` (a revoked-communicator check that
-also routes errors through the communicator's handler), are ``None``
-where the plain route applies.  The subscriber set is fixed by the
+also routes errors through the communicator's handler), and the VCI
+router ``route`` (the VCI owning a call's stream) are ``None`` where
+the plain route applies.  The subscriber set is fixed by the
 build; this is not a publish/subscribe registry.
 """
 
@@ -55,14 +58,19 @@ def _chain(*handlers: Callable) -> Callable:
     return fire
 
 
-def build_hooks(proc: "Proc") -> Optional["Hooks"]:
-    """*proc*'s seam, or None when its world runs no optional
-    subsystem (a timeline switched on later makes one then)."""
+def is_plain(proc: "Proc") -> bool:
+    """Does *proc* need no seam — its world runs no optional subsystem
+    and its build one VCI?  (A timeline switched on later gives it one
+    until switched off.)"""
     world = proc.world
-    if all(getattr(world, name, None) is None for name in (
-            "sanitizer", "ft", "tsan", "detector", "progress")):
-        return None
-    return Hooks(proc)
+    return proc.config.num_vcis == 1 and all(
+        getattr(world, name, None) is None for name in (
+            "sanitizer", "ft", "tsan", "detector", "progress"))
+
+
+def build_hooks(proc: "Proc") -> Optional["Hooks"]:
+    """*proc*'s seam, or None when it is plain (:func:`is_plain`)."""
+    return None if is_plain(proc) else Hooks(proc)
 
 
 def make_lock(hooks: Optional["Hooks"], kind: str, name: str,
@@ -121,7 +129,7 @@ class Hooks:
         "enter_call", "acquire", "release", "cancel", "send",
         "recv_posting", "recv_posted", "finish", "access",
         "rma_check", "rma_transmit", "deliver", "comm_check", "wait_tick",
-        "progress_lock",
+        "progress_lock", "route",
     )
 
     def __init__(self, proc: "Proc"):
@@ -167,7 +175,8 @@ class Hooks:
             self.enter_call = _chain(san.note_api if san else None,
                                      faults.check_self if faults else None)
         self.acquire = san.note_acquire if san else _skip
-        self.release = san.note_release if san else _skip
+        self.release = _chain(san.note_release if san else None,
+                              faults.forget_recv if faults else None)
         self.cancel = san.note_cancel if san else _skip
         self.send = san.note_send if san else _skip
         self.recv_posting = san.note_recv if san else _skip
@@ -177,12 +186,15 @@ class Hooks:
         self.deliver = faults.deliver if faults else None
         self.comm_check = faults.comm_check if faults else None
         self.finish = _chain(self._consume_state if tsan else None,
-                             san.note_finish if san else None)
+                             san.note_finish if san else None,
+                             faults.forget_recv if faults else None)
         self.access = tsan.note_access if tsan else _skip
         self.wait_tick = self.detector.maybe_tick if self.detector else None
         #: The CS lock a background engine charges under; None without
         #: one (its mere presence is the progress regime's mark).
         self.progress_lock = self.proc.cs_lock if self.progress else None
+        self.route = (self.proc.vci_for if self.proc.config.num_vcis > 1
+                      else None)
 
     # -- call entry --------------------------------------------------------
 

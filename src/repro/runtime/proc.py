@@ -17,7 +17,7 @@ from repro.instrument.categories import Category, Subsystem
 from repro.instrument.counter import InstructionCounter
 from repro.instrument.plan import ChargePlan, PlanRecorder
 from repro.instrument.trace import CallTracer
-from repro.runtime.hooks import Hooks, build_hooks
+from repro.runtime.hooks import Hooks, build_hooks, is_plain
 from repro.runtime.matching import build_engine
 from repro.runtime.message import Message
 from repro.runtime.request import RequestPool
@@ -54,19 +54,12 @@ class Proc:
         #: compiles of one key are harmless: same key, equal plan.
         self._plans: dict = {}
         #: The seam to the optional subsystems (sanitizer, fault layer,
-        #: race detector, failure detector, progress engine; see
-        #: :mod:`repro.runtime.hooks`), or None on a plain build.  Bound
+        #: race detector, failure detector, progress engine, VCI
+        #: routing; see :mod:`repro.runtime.hooks`), or None on a plain
+        #: build.  Bound
         #: before the engine so every runtime lock below is constructed
         #: already instrumented.
         self.hooks = hooks = build_hooks(self)
-        #: True when anything observes a call between its steps — a
-        #: seam, or per-VCI routing of the modeled CS.  Fixed by the
-        #: build (a timeline switched on later leaves it as it is), so
-        #: the per-message path tests this one flag.
-        self.hooked = config.num_vcis > 1 or hooks is not None
-        #: ``hooked``, or a timeline is recording: what an MPI entry
-        #: tests (see the ``timeline`` setter).
-        self.armed = self.hooked
         #: Call plans that belong to no handle (see
         #: :func:`repro.mpi.pt2pt.entry_plan`); a communicator's or a
         #: window's own call plans live on the handle.
@@ -106,16 +99,19 @@ class Proc:
     def timeline(self):
         """Optional event timeline (list of TimelineEvent), or None;
         enabled by :func:`repro.analysis.timeline.enable_timeline`.
-        Turning it on arms every later MPI entry on this rank."""
+        Turning it on gives a plain rank a seam."""
         return self._timeline
 
     @timeline.setter
     def timeline(self, events) -> None:
-        """Bind (or drop, with None) the event list and re-arm; a plain
-        rank gets a seam whose one subscriber is the timeline."""
+        """Bind (or drop, with None) the event list; a plain rank gets
+        a seam whose one subscriber is the timeline, and loses it with
+        the timeline."""
         self._timeline = events
-        self.armed = self.hooked or events is not None
-        (self.hooks or Hooks(self)).set_timeline(events)
+        if events is None and is_plain(self):
+            self.hooks = None
+        else:
+            (self.hooks or Hooks(self)).set_timeline(events)
 
     def _build_device(self):
         if self.config.device is Device.CH4:
@@ -194,12 +190,10 @@ class Proc:
     def vci_for(self, ctx: int, peer: int, tag: int,
                 nomatch: bool = False) -> VCI | None:
         """The VCI owning a concrete ``(ctx, peer, tag)`` stream (or a
-        context's §3.6 arrival-order stream when *nomatch*).  None in
-        the unsharded build and for a wildcard receive, whose modeled
-        CS lands on VCI 0 per the all-VCI wildcard discipline: callers
-        then take ``cs_lock``, which is VCI 0's lock."""
-        if self.num_vcis == 1:
-            return None
+        context's §3.6 arrival-order stream when *nomatch*) — the seam's
+        ``route`` on a sharded build.  None for a wildcard receive,
+        whose modeled CS lands on VCI 0 per the all-VCI wildcard
+        discipline: callers then take ``cs_lock``, VCI 0's lock."""
         if nomatch:
             return self.vcis[self.vci_map.nomatch_index(ctx)]
         if peer == ANY_SOURCE or tag == ANY_TAG:

@@ -88,10 +88,11 @@ class Request:
         self._complete = complete_s is not None
         self._parked: Optional[Waker] = None
         self._abort = abort_event
-        #: The owning rank's hook seam (None on a plain build, or with
-        #: no rank): every hook below is one of its events.  One test
-        #: on the per-message path.
-        self._hooks = hooks = getattr(proc, "hooks", None)
+        #: The seam the owning rank was built with, its pool's (None on
+        #: a plain build; a timeline observes calls, not requests):
+        #: every hook below is one of its events.
+        pool = getattr(proc, "request_pool", None)
+        self._hooks = hooks = pool._hooks if pool is not None else None
         serial = next(Request._race_serial)
         #: The key the race detector annotates this request's state
         #: under; None unless one runs.

@@ -124,7 +124,8 @@ class VCI:
         self.n_injected = 0
         #: ... of which took the active-message fallback.
         self.n_am = 0
-        #: Modeled-CS entries routed through this VCI by ``mpi_entry``.
+        #: Modeled-CS entries routed through this VCI by the MPI entry
+        #: (:func:`repro.mpi.pt2pt.run_call`).
         self.cs_entries = 0
         #: Charged instructions spent inside those CS entries.
         self.cs_instructions = 0

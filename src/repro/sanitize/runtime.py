@@ -30,7 +30,7 @@ import traceback
 import zlib
 from typing import TYPE_CHECKING, Optional
 
-from repro.consts import ANY_SOURCE
+from repro.consts import ANY_SOURCE, PROC_NULL
 from repro.sanitize.diagnostics import SanitizerError
 from repro.sanitize.waitgraph import BlockEntry, WaitForGraph
 
@@ -112,9 +112,9 @@ class RankSanitizer:
     # -- API-layer hook --------------------------------------------------------
 
     def note_api(self, name: Optional[str]) -> None:
-        """``mpi_entry`` reports the MPI routine being executed, so
-        leak and deadlock reports can name it (an unnamed entry keeps
-        the last label)."""
+        """The MPI entry reports the routine being executed, so leak
+        and deadlock reports can name it (an unnamed entry keeps the
+        last label)."""
         if name is not None:
             self._api = name
 
@@ -248,9 +248,13 @@ class RankSanitizer:
         """The window was freed: drop its fence-epoch state."""
         self._fenced.discard(win.win_id)
 
-    def check_rma(self, win, target_rank: int) -> None:
-        """Validate that an RMA access lands inside an open epoch
-        (fence, held passive lock, or PSCW access) — MSD204."""
+    def check_rma(self, op) -> None:
+        """Validate that the RMA access *op* lands inside an open epoch
+        (fence, held passive lock, or PSCW access) — MSD204.  An access
+        to MPI_PROC_NULL is a no-op, legal in any epoch."""
+        win, target_rank = op.win, op.target_rank
+        if target_rank == PROC_NULL:
+            return
         if win.win_id in self._fenced:
             return
         if target_rank in win._held_locks:

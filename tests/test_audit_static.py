@@ -491,7 +491,7 @@ class TestCallGraph:
 
     def test_entry_object_and_call_plans_are_on_the_audited_path(self):
         """From ``Communicator.Isend`` the walk reaches the entry
-        object and every function that compiles a layer of the call
+        runner and every function that compiles a layer of the call
         plan, so the charges a fused plan replays are the charge sites
         FP101-FP103 audit."""
         import pathlib
@@ -510,8 +510,7 @@ class TestCallGraph:
                   "put_error.rank_range", "put_mandatory.vm_addressing"})):
             result = analyzer.analyze(index.find_method(cls, method))
             reached = {q.split(":", 1)[1] for q in result.reachable}
-            assert {"mpi_entry.__init__", "mpi_entry.__enter__",
-                    "mpi_entry.__exit__", "entry_plan", "call_plan",
+            assert {"run_call", "entry_plan", "call_plan",
                     "_charge_entry", "charge_arg_checks"} <= reached
             assert wanted <= set(result.reachable_keys())
             assert all(site.keys and site.category_ok

@@ -24,7 +24,7 @@ from repro.core.config import Device, named_builds
 from repro.datatypes import BYTE, DOUBLE, vector
 from repro.datatypes.usage import UsageClass, compile_time, runtime_constant
 from repro.errors import (MPIErrComm, MPIErrCount, MPIErrDatatype,
-                          MPIErrRank, MPIErrTag, MPIErrWin)
+                          MPIError, MPIErrRank, MPIErrTag, MPIErrWin)
 from repro.instrument.categories import Category, Subsystem
 from repro.instrument.plan import ChargePlan
 from repro.mpi.comm import Communicator
@@ -845,4 +845,208 @@ class TestArmedEqualsUnarmed:
         assert {"MPI_Irecv", "MPI_Put", "MPI_Accumulate",
                 "MPI_Get"} <= set(names)
         assert all(e.t1 >= e.t0 for e in world.proc(0).timeline)
-        assert world.proc(0).armed and not world.proc(0).hooked
+        # A seam for the call events; the requests keep the build's.
+        assert world.proc(0).hooks is not None
+        assert world.proc(0).request_pool._hooks is None
+
+
+# -- what the one entry keeps from the two it replaced -----------------------
+
+def _books(proc):
+    """The counter and the clock after a call, per category."""
+    counter = proc.counter
+    return (counter.total,
+            {c.name: n for c, n in counter.by_category.items() if n},
+            proc.vclock.now)
+
+
+def _routed_program(comm):
+    """Planned, PROC_NULL, wildcard, failing and RMA calls on one rank;
+    returns each VCI's (cs_entries, cs_instructions) they added."""
+    pool = comm.proc.request_pool
+    buf = np.zeros(1, np.int64)
+    win = Window.create(comm, np.zeros(8, np.int64), disp_unit=8)
+    win.fence()
+    vcis = comm.proc.vcis
+    before = [(v.cs_entries, v.cs_instructions) for v in vcis]
+    for tag in range(6):
+        rreq = comm.Irecv(buf, 0, tag)
+        sreq = comm.Isend(buf, 0, tag)
+        for req in (sreq, rreq):
+            req.wait()
+            pool.release(req)
+        for req in (comm.Isend(buf, PROC_NULL, tag),
+                    comm.Irecv(buf, ANY_SOURCE, tag + 100)):
+            if req.source == PROC_NULL:
+                req.wait()
+                pool.release(req)
+            else:
+                comm.Send(buf, 0, tag + 100)
+                req.wait()
+                pool.release(req)
+    with pytest.raises(MPIError):
+        comm.Isend(buf, 3, 0)
+    win.put(buf, 0, 1)
+    win.get(buf, 0, 2)
+    win.compare_and_swap(buf, buf, np.zeros(1, np.int64), 0, 3)
+    got = [(v.cs_entries - e, v.cs_instructions - i)
+           for v, (e, i) in zip(vcis, before)]
+    win.fence()
+    win.free()
+    return got
+
+
+class TestOneEntryKeeps:
+    """Every call enters through ``pt2pt.run_call``; the values below
+    were read off the two-regime entry it replaced, and hold there
+    too."""
+
+    #: Entry and argument checks charged, no path (23 + 6 + 74).
+    REFUSED_ISEND = (103, {"ERROR_CHECKING": 74, "FUNCTION_CALL": 23,
+                           "THREAD_SAFETY": 6}, 4.8475150602409644e-08)
+    REFUSED_IRECV = (206, {"ERROR_CHECKING": 148, "FUNCTION_CALL": 46,
+                           "THREAD_SAFETY": 12}, 9.695030120481929e-08)
+    #: ... and for a put (25 + 14 + 72).
+    REFUSED_PUT = (111, {"ERROR_CHECKING": 72, "FUNCTION_CALL": 25,
+                         "THREAD_SAFETY": 14}, 5.22402108433735e-08)
+
+    def test_calls_on_a_revoked_communicator(self):
+        """The fault layer's ``comm_check`` refuses both calls after
+        their argument checks and before their device path."""
+        from repro.core.config import BuildConfig
+        from repro.errors import MPIErrRevoked
+        from repro.ft import ERRORS_RETURN, FaultPlan
+
+        def main(comm):
+            comm.set_errhandler(ERRORS_RETURN)
+            buf = np.zeros(1, np.uint8)
+            ext.MPIX_Comm_revoke(comm)
+            books = [_books(comm.proc)]
+            with pytest.raises(MPIErrRevoked):
+                comm.Isend(buf, 0, 3)
+            books.append(_books(comm.proc))
+            with pytest.raises(MPIErrRevoked):
+                comm.Irecv(buf, 0, 3)
+            books.append(_books(comm.proc))
+            return books
+
+        world = World(1, BuildConfig(fault_plan=FaultPlan()))
+        assert world.run(main, timeout=60)[0] == [
+            (0, {}, 0.0), self.REFUSED_ISEND, self.REFUSED_IRECV]
+
+    def test_put_outside_an_epoch(self):
+        """The sanitizer's ``rma_check`` refuses it (MSD204) at the
+        same point."""
+        from repro.core.config import BuildConfig
+        from repro.sanitize.diagnostics import SanitizerError
+
+        def main(comm):
+            win = Window.create(comm, np.zeros(8, np.uint8), disp_unit=1)
+            books = [_books(comm.proc)]
+            with pytest.raises(SanitizerError, match="MSD204"):
+                win.put(np.ones(1, np.uint8), 0, 3)
+            books.append(_books(comm.proc))
+            return books
+
+        world = World(1, BuildConfig(sanitize=True))
+        assert world.run(main, timeout=60)[0] == [(0, {}, 0.0),
+                                                  self.REFUSED_PUT]
+
+    @pytest.mark.parametrize("build", ["default", "sanitize", "tsan",
+                                       "fault_plan", "four_vcis"])
+    def test_timeline_spans_are_the_calls(self, build):
+        """On every build with a seam, each span runs from the clock
+        just before its call to the clock just after it."""
+        from repro.analysis.timeline import enable_timeline
+        from repro.core.config import BuildConfig
+        from repro.ft import FaultPlan
+        config = {"default": BuildConfig(),
+                  "sanitize": BuildConfig(sanitize=True),
+                  "tsan": BuildConfig(tsan=True),
+                  "fault_plan": BuildConfig(fault_plan=FaultPlan()),
+                  "four_vcis": BuildConfig(num_vcis=4)}[build]
+
+        def main(comm):
+            proc = comm.proc
+            enable_timeline(comm.world)
+            buf = np.zeros(1, np.float64)
+            win = Window.create(comm, np.zeros(4), disp_unit=8)
+            win.fence()
+            calls = [("MPI_Irecv", lambda: comm.Irecv(buf, 0, 7)),
+                     ("MPI_Isend", lambda: comm.Isend(buf, 0, 7)),
+                     ("MPI_Isend", lambda: comm.Isend(buf, PROC_NULL, 7)),
+                     ("MPI_Put", lambda: win.put(buf, 0, 1)),
+                     ("MPI_Get", lambda: win.get(buf, 0, 2))]
+            spans, requests = [], []
+            for _ in range(2):              # cold, then warm
+                for name, call in calls:
+                    t0 = proc.vclock.now
+                    requests.append(call())
+                    spans.append((name, t0, proc.vclock.now))
+                for req in requests:
+                    if req is not None:
+                        req.wait()
+                requests.clear()
+            win.fence()
+            recorded = [tuple(e) for e in proc.timeline
+                        if e.name in ("MPI_Irecv", "MPI_Isend", "MPI_Put",
+                                      "MPI_Get")]
+            win.free()
+            return recorded == spans, len(spans)
+
+        assert World(1, config).run(main, timeout=60) == [(True, 10)]
+
+    #: ``(cs_entries, cs_instructions)`` per VCI after
+    #: :func:`_routed_program`.
+    ROUTED_CS = [(14, 2502), (2, 316), (8, 1536), (9, 1626)]
+
+    def test_routed_critical_sections(self):
+        """``num_vcis=4``: each call notes its CS on the VCI its stream
+        routes to, planned or off the line, with the same charged
+        instructions inside."""
+        from repro.core.config import BuildConfig
+        assert World(1, BuildConfig(num_vcis=4)).run(
+            _routed_program, timeout=60)[0] == self.ROUTED_CS
+
+    def test_off_line_calls_name_themselves(self, monkeypatch):
+        """A failing check, a PROC_NULL peer, the init calls and
+        ``compare_and_swap`` fire the sanitizer's ``note_api`` as the
+        two-regime entry did: once each, the init calls unnamed."""
+        from repro.core.config import BuildConfig
+        from repro.sanitize.runtime import RankSanitizer
+        names = []
+        note_api = RankSanitizer.note_api
+
+        def noting(self, name):
+            names.append(name)
+            return note_api(self, name)
+        monkeypatch.setattr(RankSanitizer, "note_api", noting)
+
+        def main(comm):
+            pool = comm.proc.request_pool
+            buf = np.zeros(1, np.uint8)
+            win = Window.create(comm, np.zeros(8, np.int64), disp_unit=8)
+            win.fence()
+            names.clear()
+            with pytest.raises(MPIError):
+                comm.Isend(buf, 5, 0)       # rank out of range
+            names.append("|")
+            for req in (comm.Isend(buf, PROC_NULL, 0),
+                        comm.Irecv(buf, PROC_NULL, 0)):
+                req.wait()
+                pool.release(req)
+            names.append("|")
+            comm.Send_init(buf, 0, 1)
+            comm.Recv_init(buf, 0, 1)
+            names.append("|")
+            win.compare_and_swap(np.ones(1, np.int64), np.zeros(1, np.int64),
+                                 np.zeros(1, np.int64), 0, 0)
+            got = list(names)
+            win.fence()
+            win.free()
+            return got
+
+        assert World(1, BuildConfig(sanitize=True)).run(
+            main, timeout=60)[0] == [
+            "MPI_Isend", "|", "MPI_Isend", "MPI_Irecv", "|", None, None,
+            "|", "MPI_Compare_and_swap"]

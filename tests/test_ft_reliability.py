@@ -210,6 +210,90 @@ class TestProcFailure:
         assert seen == ["MPIErrProcFailed"]
 
 
+class TestPendingReceiveTable:
+    """The fault layer tracks a posted receive for as long as its
+    handle lives, keyed by the handle: a pooled handle recycled into a
+    new receive is a new entry, and the table holds only the live
+    receives."""
+
+    def test_recycled_wildcard_receive_survives_a_peer_failure(self):
+        """Rank 1's completed ``Recv(0, 5)`` left its handle in the
+        pool; the wildcard ``Irecv`` that reuses it is immune to rank
+        0's death and completes with rank 0's data."""
+        from repro.consts import ANY_SOURCE
+
+        def fn(comm):
+            comm.set_errhandler(ERRORS_RETURN)
+            buf = np.zeros(1, np.int64)
+            if comm.rank == 0:
+                comm.Send(np.full(1, 5, np.int64), 1, 5)
+                comm.barrier()
+                comm.Send(np.full(1, 6, np.int64), 1, 6)
+                return None
+            comm.Recv(buf, 0, 5)
+            pool = comm.proc.request_pool
+            reused = pool._free[-1]
+            req = comm.Irecv(buf, ANY_SOURCE, 6)
+            assert req is reused
+            comm.proc.hooks.faults.fail_pending(0)
+            comm.barrier()
+            req.wait()
+            pool.release(req)
+            return int(buf[0]), req.source
+
+        results = World(2, BuildConfig(fault_plan=FaultPlan())).run(
+            fn, timeout=60)
+        assert results[1] == (6, 0)
+
+    def test_table_holds_only_the_live_receives(self):
+        def fn(comm):
+            proc = comm.proc
+            table = proc.hooks.faults._pending_recvs
+            send, recv = np.full(1, 7, np.uint8), np.zeros(1, np.uint8)
+            release = proc.request_pool.release
+            for _ in range(3000):
+                rreq = comm.Irecv(recv, 0, 7)
+                sreq = comm.Isend(send, 0, 7)
+                sreq.wait()
+                rreq.wait()
+                release(sreq)
+                release(rreq)
+            after_cycles = len(table)
+            live = [comm.Irecv(recv, 0, tag) for tag in (1, 2)]
+            posted = len(table)
+            for tag, req in zip((1, 2), live):
+                comm.Send(send, 0, tag)
+                req.wait()
+                release(req)
+            return after_cycles, posted, len(table)
+
+        results = World(1, BuildConfig(fault_plan=FaultPlan())).run(
+            fn, timeout=60)
+        assert results == [(0, 2, 0)]
+
+    def test_refused_release_keeps_the_receive_tracked(self):
+        """The pool refuses to recycle a receive still pending; the
+        receive lives on, so its source's death still fails it."""
+        from repro.errors import MPIErrRequest
+
+        def fn(comm):
+            comm.set_errhandler(ERRORS_RETURN)
+            comm.barrier()
+            if comm.rank == 0:
+                return None
+            req = comm.Irecv(np.zeros(1, np.int64), 0, 9)
+            with pytest.raises(MPIErrRequest):
+                comm.proc.request_pool.release(req)
+            comm.proc.world.ft.mark_dead(0)
+            with pytest.raises(MPIErrProcFailed):
+                req.wait()
+            return "failed"
+
+        results = World(2, BuildConfig(fault_plan=FaultPlan())).run(
+            fn, timeout=30)
+        assert results[1] == "failed"
+
+
 class TestUlfmRecovery:
     """Revoke / shrink / agree rebuild a working communicator."""
 

@@ -94,10 +94,21 @@ class TestSeamShape:
     """What the seam is on each kind of build."""
 
     def test_plain_builds_have_no_seam(self):
-        for config in (BuildConfig(), BuildConfig(num_vcis=4)):
-            for proc in World(2, config).procs:
-                assert proc.hooks is None
-        assert World(1, BuildConfig(num_vcis=4)).proc(0).hooked
+        for proc in World(2, BuildConfig()).procs:
+            assert proc.hooks is None
+            assert proc.request_pool._hooks is None
+
+    def test_vci_routing_is_a_subscriber(self):
+        """``num_vcis > 1``: a seam whose one subscriber routes the
+        modeled CS and the injection lanes; every other event is a
+        no-op or the plain route."""
+        proc = World(1, BuildConfig(num_vcis=4)).proc(0)
+        hooks = proc.hooks
+        assert hooks is not None and hooks.route == proc.vci_for
+        assert hooks.enter_call is _skip and hooks.send is _skip
+        assert hooks.comm_check is None and hooks.deliver is None
+        assert World(1, BuildConfig(sanitize=True)).proc(0).hooks.route \
+            is None
 
     def test_one_subscriber_events_are_its_own_methods(self):
         """No seam frame between a call site and a lone subscriber."""
@@ -135,16 +146,18 @@ class TestSeamShape:
 
     def test_timeline_keeps_the_request_regime(self):
         """A timeline switched on makes a plain rank's seam for the
-        call events only: ``hooked`` and the request pool's regime
-        stay those of the build."""
+        call events only: the request pool, and every request it makes
+        from then on, keep the build's regime; switched off, it takes
+        the seam with it."""
         from repro.analysis.timeline import disable_timeline, enable_timeline
         world = World(1)
         proc = world.proc(0)
         enable_timeline(world)
-        assert proc.hooks is not None and proc.armed and not proc.hooked
+        assert proc.hooks is not None and proc.hooks.timeline is not None
         assert proc.request_pool._hooks is None
+        assert proc.request_pool.acquire(RequestKind.SEND)._hooks is None
         disable_timeline(world)
-        assert not proc.armed and proc.hooks.enter_call is _skip
+        assert proc.hooks is None
 
     def test_lock_factory_and_race_keys(self):
         plain = make_lock(None, "engine", "mq0", reentrant=True)
@@ -158,10 +171,11 @@ class TestSeamShape:
     @pytest.mark.parametrize("config", [
         BuildConfig(sanitize=True), BuildConfig(tsan=True),
         BuildConfig(fault_plan=FaultPlan()),
-        BuildConfig(progress="thread")])
+        BuildConfig(progress="thread"), BuildConfig(num_vcis=4)])
     def test_every_hooked_build_has_one_seam_per_rank(self, config):
         world = World(2, config)
         seams = [proc.hooks for proc in world.procs]
         assert all(s is not None for s in seams)
         assert [s.rank for s in seams] == [0, 1]
-        assert all(proc.hooked for proc in world.procs)
+        assert all(proc.request_pool._hooks is proc.hooks
+                   for proc in world.procs)

@@ -414,19 +414,51 @@ class TestCollPlanCache:
 
         assert run_world(2, main) == [(1, 0)] * 2
 
-    @pytest.mark.parametrize("config,cached", (
-        (BuildConfig(), True), (BuildConfig(sanitize=True), False),
-        (BuildConfig(num_vcis=4), False)))
-    def test_armed_builds_keep_per_call_ops(self, config, cached):
-        """The cached ops skip the communicator's primitives, where the
-        fault wrapping, the sanitizer and the VCI lanes hook in."""
+    @pytest.mark.parametrize("build", ("default", "sanitize", "num_vcis",
+                                       "fault_plan"))
+    def test_every_build_keeps_the_cached_ops(self, build, monkeypatch):
+        """Every build sends a collective's internal messages through
+        the plan's cached ops, and the seam sees each of them: the
+        sanitizer's ``note_send``, the VCI lane tallies and the fault
+        layer's ``comm_check`` fire once per internal message."""
+        from repro.core.ch4 import CH4Device
+        from repro.ft import FaultPlan
+        from repro.ft.reliability import RankFaults
+        from repro.sanitize.runtime import RankSanitizer
+        config = {"default": BuildConfig(),
+                  "sanitize": BuildConfig(sanitize=True),
+                  "num_vcis": BuildConfig(num_vcis=4),
+                  "fault_plan": BuildConfig(fault_plan=FaultPlan())}[build]
+        seen = {"isend": [], "irecv": [], "note_send": [], "comm_check": []}
+        for cls, name in ((CH4Device, "isend"), (CH4Device, "irecv"),
+                          (RankSanitizer, "note_send"),
+                          (RankFaults, "comm_check")):
+            def counted(self, *args, _name=name, _fn=getattr(cls, name)):
+                seen[_name].append(1)
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+
         def main(comm):
             recv = np.zeros(4)
+            comm.barrier()
+            lanes = sum(v.completion.n_send for v in comm.proc.vcis)
             comm.Allreduce(np.ones(4), recv)
+            lanes = sum(v.completion.n_send for v in comm.proc.vcis) - lanes
             (plan,) = comm._coll_plans.values()
-            return recv[0], bool(plan._sends or plan._recvs)
+            return recv[0], bool(plan._sends and plan._recvs), lanes
 
-        assert run_world(2, main, config) == [(2.0, cached)] * 2
+        results = run_world(2, main, config)
+        assert [r[:2] for r in results] == [(2.0, True)] * 2
+        # Every message the device sent or posted — the barrier's and
+        # the Allreduce's — against what the seam saw.
+        sends, recvs = len(seen["isend"]), len(seen["irecv"])
+        assert sends and recvs
+        if build == "sanitize":
+            assert len(seen["note_send"]) == sends
+        if build == "num_vcis":
+            assert sum(r[2] for r in results) == 2   # one send per rank
+        if build == "fault_plan":
+            assert len(seen["comm_check"]) == sends + recvs
 
     def test_nonblocking_collectives_compile_no_plan(self):
         def main(comm):

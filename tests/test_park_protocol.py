@@ -237,7 +237,8 @@ class TestForcedInterleavings:
             def finish(self, request):
                 pass
 
-        proc = SimpleNamespace(hooks=Hooks(), request_pool=RequestPool())
+        proc = SimpleNamespace(hooks=Hooks())
+        proc.request_pool = RequestPool(proc)   # the rank's seam's pool
         abort = NotifyingEvent()
         req = Request(RequestKind.RECV, proc, abort)
         with pytest.raises(Boom):
