@@ -59,9 +59,9 @@ FP_RULES: dict[str, Rule] = {r.rule_id: r for r in (
          "preallocated object (pools exist for exactly this)"),
     Rule("FP202", "repeated lookup in a fast-path loop: a multi-level "
          "attribute chain or subscript re-evaluated every iteration",
-         "for x in items: self.proc.counter.charge(...)",
+         "for req in reqs: self.proc.request_pool.release(req)",
          "hoist the lookup into a local before the loop "
-         "(charge = self.proc.charge)"),
+         "(release = self.proc.request_pool.release)"),
     Rule("FP203", "lock acquisition on the fast path",
          "with self._lock: ...   # inside a @fastpath function",
          "restructure so the fast path stays lock-free, or document "

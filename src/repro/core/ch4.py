@@ -103,8 +103,9 @@ class CH4Device:
 
     def _path_key(self, path: str, flags: ExtFlags, static_handle: bool,
                   comm, dtref: DatatypeRef) -> tuple:
-        """The plan key of *path*: what its charging code branches on
-        beyond the build — flags, handle kind, translation class,
+        """The plan key of *path* (the operation, sync mode and an
+        MPI_PROC_NULL peer folded in): what its charging code branches
+        on beyond the build — flags, handle kind, translation class,
         datatype usage class."""
         return (path, flags.bits, static_handle,
                 comm.translation.lookup_instructions, dtref.usage.index)
@@ -170,10 +171,10 @@ class CH4Device:
     def _charge_pt2pt(self, proc, op, peer: int, recv: bool) -> bool:
         """Every charge of one isend / irecv, in path order (the paper
         omits MPI_IRECV's analysis because "the software path is largely
-        identical").  Compiled to a plan once per key; run stepwise for
-        the calls that leave the straight line, which it ends where they
-        do: it raises for an NPN call with MPI_PROC_NULL and for noreq +
-        sync, and returns False at the §3.4 branch for a PROC_NULL peer."""
+        identical").  Compiled to a plan once per key, it ends where the
+        call does: at the §3.4 branch for a PROC_NULL peer (False), and
+        where it raises — for an NPN call given MPI_PROC_NULL and for
+        noreq + sync, which no key caches (:meth:`_enter_uncharged`)."""
         c = self.costs
         man = c.isend_mandatory
         flags = op.flags
@@ -195,6 +196,12 @@ class CH4Device:
         else:
             proc.charge(_MAND, man.proc_null, Subsystem.PROC_NULL)
             if peer == PROC_NULL:
+                if not recv:
+                    # Immediate success still hands back a handle, or
+                    # bumps the bulk counter under noreq (§3.5).
+                    proc.charge(_MAND, c.noreq_counter_inc if flags.noreq
+                                else man.request_mgmt,
+                                Subsystem.REQUEST_MGMT)
                 return False
 
         if not (recv and peer == ANY_SOURCE):
@@ -245,42 +252,43 @@ class CH4Device:
     def pt2pt_plan(self, op, peer: int, recv: bool) -> Optional[CallPlan]:
         """The device's share of one pt2pt call site, resolved on its
         first use: the path's charge plan and, for a send, what
-        :meth:`_send_facts` resolves.  None off the straight line (an
-        MPI_PROC_NULL peer; noreq + sync), whose calls charge
-        stepwise."""
-        if peer == PROC_NULL or (not recv and op.sync and op.flags.noreq):
-            return None
+        :meth:`_send_facts` resolves.  A site ending at MPI_PROC_NULL
+        gets its own plan (``peer_world = PROC_NULL``).  None for a
+        site that raises — in its charging code, or translating a peer
+        a build without error checking let through — whose calls
+        charge the prefix they reach (:meth:`_enter_uncharged`)."""
         comm = op.comm
-        kind = ("isend" if not recv
-                else "irecv_any" if peer == ANY_SOURCE else "irecv")
-        path = self.proc.plan(
-            self._path_key(kind, op.flags, comm.is_predefined_handle, comm,
-                           op.dtref),
-            self._charge_pt2pt, op, peer, recv)
+        null = peer == PROC_NULL
+        kind = (("irecv_any" if peer == ANY_SOURCE else "irecv") if recv
+                else "issend" if op.sync else "isend")
         try:
-            return CallPlan(path) if recv else self._send_facts(op, path)
+            path = self.proc.plan(
+                self._path_key(kind + "_null" if null else kind, op.flags,
+                               comm.is_predefined_handle, comm, op.dtref),
+                self._charge_pt2pt, op, peer, recv)
+            ends = null and not op.flags.no_proc_null   # at §3.4
+            plan = (CallPlan(path) if recv or ends
+                    else self._send_facts(op, path))
         except MPIError:
-            # A peer the translation rejects (a build without error
-            # checking let it through): the call charges stepwise and
-            # raises where it always did.
             return None
+        if ends:
+            plan.peer_world = PROC_NULL
+        return plan
 
     @fastpath
-    def _enter_uncharged(self, op, peer: int,
-                         recv: bool) -> Optional[CallPlan]:
-        """An op no entry has charged for — an internal send no plan
-        carries, a call off the straight line: charge its path
-        (compiled, or stepwise off the line) and return its call plan;
-        None where the call ends at MPI_PROC_NULL."""
+    def _enter_uncharged(self, op, peer: int, recv: bool) -> CallPlan:
+        """An op no entry has charged for (an internal send, a call no
+        plan carries): charge its path, return its call plan.  A site
+        no plan carries raises — in its charging code (an NPN call
+        given MPI_PROC_NULL, noreq + sync) or translating a send's peer
+        — and charges the prefix it reached first."""
         proc = self.proc
         plan = op.comm._call_plan(op, RECV_PLAN if recv else op.sync, peer)
-        if plan is not None:
-            proc.charge(plan.path)
-        elif self._charge_pt2pt(proc, op, peer, recv):
-            # Off the line, yet not ending there: an NPN call given
-            # MPI_PROC_NULL on a build that does not check (undefined
-            # behaviour, §3.4) goes on like any other peer.
-            plan = CallPlan() if recv else self._send_facts(op, None)
+        if plan is None:
+            with proc.recording() as recorder:
+                self._charge_pt2pt(recorder, op, peer, recv)
+                self._send_facts(op, None)
+        proc.charge(plan.path)
         return plan
 
     @fastpath
@@ -288,10 +296,16 @@ class CH4Device:
         """Issue a send; returns None under the noreq extension."""
         proc = self.proc
         plan = op.plan or self._enter_uncharged(op, op.dest, False)
-        if plan is None:
-            return self._null_send(op)
         flags = op.flags
         comm = op.comm
+        if plan.peer_world == PROC_NULL:
+            # "Succeeds immediately" — its plan paid for the handle.
+            if flags.noreq:
+                comm.note_noreq_issue(proc.vclock.now)
+                return None
+            request = proc.request_pool.acquire(_SEND)
+            request.complete(proc.vclock.now)
+            return request
 
         # Zero-copy fast path: the payload borrows the application
         # buffer; the request pins the view until recycled.
@@ -356,28 +370,6 @@ class CH4Device:
         return request
 
     @fastpath
-    def _null_send(self, op: SendOp) -> Optional[Request]:
-        """Communication to MPI_PROC_NULL 'succeeds immediately'.
-
-        Immediate is not free: the standard path must still hand back a
-        completable handle (§3.5) — or bump the bulk counter under the
-        noreq extension — so request management is charged exactly as
-        on the wire-bound path.  (Found by the FP104 audit rule: this
-        acquired and completed a request without charging for it.)
-        """
-        c = self.costs
-        if op.flags.noreq:
-            self.proc.charge(_MAND, c.noreq_counter_inc,
-                             Subsystem.REQUEST_MGMT)
-            op.comm.note_noreq_issue(self.proc.vclock.now)
-            return None
-        self.proc.charge(_MAND, c.isend_mandatory.request_mgmt,
-                         Subsystem.REQUEST_MGMT)
-        request = self.proc.request_pool.acquire(RequestKind.SEND)
-        request.complete(self.proc.vclock.now)
-        return request
-
-    @fastpath
     def irecv(self, op: RecvOp) -> Request:
         """Post a receive.
 
@@ -388,7 +380,7 @@ class CH4Device:
         proc = self.proc
         plan = op.plan or self._enter_uncharged(op, op.source, True)
         request = proc.request_pool.acquire(_RECV)
-        if plan is None:
+        if plan.peer_world == PROC_NULL:
             # Standard: receive from PROC_NULL completes immediately
             # with source=PROC_NULL, tag=ANY_TAG, zero data.
             request.complete(proc.vclock.now, source=PROC_NULL,
@@ -472,31 +464,34 @@ class CH4Device:
 
     def rma_plan(self, op) -> Optional[CallPlan]:
         """The device's share of one put/get/accumulate call site,
-        resolved on its first use (see :meth:`pt2pt_plan`); None when
-        the target is MPI_PROC_NULL."""
-        if op.target_rank == PROC_NULL:
-            return None
+        resolved on its first use (see :meth:`pt2pt_plan`): its own
+        plan when the target is MPI_PROC_NULL, None when it raises."""
         win = op.win
-        path = self.proc.plan(
-            self._path_key("rma", op.flags, win.is_predefined_handle,
-                           win.comm, op.origin_dtref),
-            self._charge_rma, op)
+        null = op.target_rank == PROC_NULL
         try:
-            return self._rma_facts(op, path)
+            path = self.proc.plan(
+                self._path_key("rma_null" if null else "rma", op.flags,
+                               win.is_predefined_handle, win.comm,
+                               op.origin_dtref),
+                self._charge_rma, op)
+            if not null or op.flags.no_proc_null:
+                return self._rma_facts(op, path)
         except MPIError:
-            return None   # as in pt2pt_plan: raised from the stepwise path
+            return None
+        plan = CallPlan(path)
+        plan.peer_world = PROC_NULL
+        return plan
 
     @fastpath
-    def _rma_prologue(self, op) -> Optional[CallPlan]:
-        """The stepwise RMA entry — an op its entry did not charge
-        (``op.plan`` unset): charge its path and return its call plan,
-        or None when the target is PROC_NULL."""
-        proc = self.proc
+    def _rma_prologue(self, op) -> CallPlan:
+        """The RMA twin of :meth:`_enter_uncharged`, for an op its
+        entry did not charge (``op.plan`` unset)."""
         plan = op.win._call_plan(op)
-        if plan is not None:
-            proc.charge(plan.path)
-        elif self._charge_rma(proc, op):
-            plan = self._rma_facts(op, None)   # unchecked NPN call
+        if plan is None:
+            with self.proc.recording() as recorder:
+                self._charge_rma(recorder, op)
+                self._rma_facts(op, None)
+        self.proc.charge(plan.path)
         return plan
 
     def _rma_lane(self, op, plan):
@@ -518,7 +513,7 @@ class CH4Device:
     def put(self, op: PutOp) -> None:
         """One-sided put: remote write into the target window."""
         plan = op.plan or self._rma_prologue(op)
-        if plan is None:
+        if plan.peer_world == PROC_NULL:
             return
         state = plan.state
         offset_bytes = (op.target_disp if op.flags.virtual_addr
@@ -542,7 +537,7 @@ class CH4Device:
     def get(self, op: GetOp) -> None:
         """One-sided get: remote read from the target window."""
         plan = op.plan or self._rma_prologue(op)
-        if plan is None:
+        if plan.peer_world == PROC_NULL:
             return
         state = plan.state
         offset_bytes = (op.target_disp if op.flags.virtual_addr
@@ -568,7 +563,7 @@ class CH4Device:
     def accumulate(self, op: AccOp) -> Optional[bytes]:
         """One-sided accumulate (and GET_ACCUMULATE when fetch_buf set)."""
         plan = op.plan or self._rma_prologue(op)
-        if plan is None:
+        if plan.peer_world == PROC_NULL:
             return None
         state = plan.state
         offset_bytes = (op.target_disp if op.flags.virtual_addr

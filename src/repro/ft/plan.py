@@ -88,18 +88,21 @@ class FaultPlan:
 
     def fate(self, src: int, dst: int, seq: int, attempt: int) -> WireFate:
         """The wire's verdict on attempt *attempt* of message *seq*
-        from *src* to *dst* — a pure function of the plan."""
+        from *src* to *dst* — a pure function of the plan.  A zero
+        rate draws nothing (a [0, 1) variate is never below it); every
+        draw is keyed by its name, so the others are unchanged."""
+        at = (src, dst, seq, attempt)
         return WireFate(
-            drop=_draw(self.seed, "drop", src, dst, seq, attempt)
-            < self.drop_rate,
-            corrupt=_draw(self.seed, "corrupt", src, dst, seq, attempt)
-            < self.corrupt_rate,
-            duplicate=_draw(self.seed, "dup", src, dst, seq, attempt)
-            < self.duplicate_rate,
-            reorder=_draw(self.seed, "reorder", src, dst, seq, attempt)
-            < self.reorder_rate,
-            delay=_draw(self.seed, "delay", src, dst, seq, attempt)
-            < self.delay_rate,
+            drop=self.drop_rate > 0.0
+            and _draw(self.seed, "drop", *at) < self.drop_rate,
+            corrupt=self.corrupt_rate > 0.0
+            and _draw(self.seed, "corrupt", *at) < self.corrupt_rate,
+            duplicate=self.duplicate_rate > 0.0
+            and _draw(self.seed, "dup", *at) < self.duplicate_rate,
+            reorder=self.reorder_rate > 0.0
+            and _draw(self.seed, "reorder", *at) < self.reorder_rate,
+            delay=self.delay_rate > 0.0
+            and _draw(self.seed, "delay", *at) < self.delay_rate,
         )
 
     def backoff_s(self, attempt: int) -> float:

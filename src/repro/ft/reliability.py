@@ -46,6 +46,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.world import World
 
 
+def _charge_header(proc) -> None:
+    """Every packet's seqno, checksum and piggybacked ack."""
+    r = COSTS.reliability
+    proc.charge(Category.RELIABILITY, r.seqno)
+    proc.charge(Category.RELIABILITY, r.checksum)
+    proc.charge(Category.RELIABILITY, r.ack_piggyback)
+
+
+def _charge_reliability(proc, n: int) -> None:
+    """One retransmission, duplicate check or out-of-order buffering."""
+    proc.charge(Category.RELIABILITY, n)
+
+
 class WorldFaults:
     """World-global failure state: dead ranks, revoked contexts, and the
     rendezvous used by the ``MPIX_Comm_*`` recovery collectives.
@@ -279,7 +292,6 @@ class RankFaults:
         forced losses; exhausting ``max_retries`` raises
         ``MPI_ERR_PROC_FAILED`` against the peer.
         """
-        r = COSTS.reliability
         proc = self.proc
         plan = self.plan
         attempt = 0
@@ -292,7 +304,8 @@ class RankFaults:
                     return delay, fate
             attempt += 1
             self.n_retransmits += 1
-            proc.charge(Category.RELIABILITY, r.retransmit)
+            proc.charge(proc.plan("ft_retransmit", _charge_reliability,
+                                  COSTS.reliability.retransmit))
             delay += plan.backoff_s(attempt)
             if attempt > plan.max_retries:
                 raise MPIErrProcFailed(
@@ -337,11 +350,8 @@ class RankFaults:
         window drops the copy), a reordered packet is stashed and
         released *after* the next packet to the same peer.
         """
-        r = COSTS.reliability
         proc = self.proc
-        proc.charge(Category.RELIABILITY, r.seqno)
-        proc.charge(Category.RELIABILITY, r.checksum)
-        proc.charge(Category.RELIABILITY, r.ack_piggyback)
+        proc.charge(proc.plan("ft_header", _charge_header))
         seq = self._next_seq.get(dest_world_rank, 0)
         self._next_seq[dest_world_rank] = seq + 1
         self.n_sends += 1
@@ -383,11 +393,8 @@ class RankFaults:
         is no matching queue to protect, hence no dedup-window charge
         (sequence numbering alone suffices on the RMA stream).
         """
-        r = COSTS.reliability
         proc = self.proc
-        proc.charge(Category.RELIABILITY, r.seqno)
-        proc.charge(Category.RELIABILITY, r.checksum)
-        proc.charge(Category.RELIABILITY, r.ack_piggyback)
+        proc.charge(proc.plan("ft_header", _charge_header))
         seq = self._rma_seq.get(target_world, 0)
         self._rma_seq[target_world] = seq + 1
         self.n_sends += 1
@@ -407,7 +414,8 @@ class RankFaults:
         non-overtaking guarantee per (source, tag) stream.
         """
         r = COSTS.reliability
-        origin.charge(Category.RELIABILITY, r.dedup_window)
+        origin.charge(origin.plan("ft_dedup", _charge_reliability,
+                                  r.dedup_window))
         released = []
         with self._mu:
             tsan = self.hooks.tsan
@@ -422,7 +430,8 @@ class RankFaults:
                 return
             buf[seq] = msg
             if seq != expected:
-                origin.charge(Category.RELIABILITY, r.reorder_window)
+                origin.charge(origin.plan("ft_reorder", _charge_reliability,
+                                          r.reorder_window))
                 self.n_ooo_buffered += 1
             while expected in buf:
                 released.append(buf.pop(expected))
@@ -581,7 +590,7 @@ class RankFaults:
         clock, not off how often the application happens to call into
         MPI.
         """
-        r = COSTS.reliability
+        proc = self.proc
         with self._tx_mu:
             self._note_stash_access(write=False)
             ready = [dest for dest, held in self._held.items()
@@ -595,7 +604,8 @@ class RankFaults:
                 continue
             if now is not None:
                 self.n_retransmits += 1
-                self.proc.charge(Category.RELIABILITY, r.retransmit)
+                proc.charge(proc.plan("ft_retransmit", _charge_reliability,
+                                      COSTS.reliability.retransmit))
             self._push(dest, held[0], held[1])
             released += 1
         return released

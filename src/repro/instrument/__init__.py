@@ -24,14 +24,7 @@ from repro.instrument.costs import (CostModel, COSTS, CostEntry,
                                     CH3_ISEND_STEPS, CH3_PUT_STEPS,
                                     cost_model_entries)
 from repro.instrument.fastpath import fastpath, is_fastpath
-from repro.instrument.counter import (
-    InstructionCounter,
-    current_counter,
-    install_counter,
-    uninstall_counter,
-    charge,
-    scoped_counter,
-)
+from repro.instrument.counter import InstructionCounter
 from repro.instrument.trace import CallRecord, CallTracer
 from repro.instrument.report import (
     format_table,
@@ -53,11 +46,6 @@ __all__ = [
     "is_fastpath",
     "subsystem_metadata",
     "InstructionCounter",
-    "current_counter",
-    "install_counter",
-    "uninstall_counter",
-    "charge",
-    "scoped_counter",
     "CallRecord",
     "CallTracer",
     "format_table",

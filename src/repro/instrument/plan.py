@@ -3,12 +3,14 @@
 The paper's §2.2 argument, applied to the instrument itself: which
 steps a layer charges depends only on the build and on a handful of
 per-call facts (extension flags, handle kind, translation class,
-datatype usage class), so it is decided once per such *key*, not once
-per message.  A layer's charging function — the code that calls
-``proc.charge(category, n, subsystem)`` step by step — is run a single
-time against a :class:`PlanRecorder`; the recorded steps become a
-:class:`ChargePlan` that :meth:`repro.runtime.proc.Proc.charge`
-replays in one call.
+datatype usage class, an MPI_PROC_NULL peer), so it is decided once
+per such *key*, not once per message.  A layer's charging function —
+the code that calls ``proc.charge(category, n, subsystem)`` step by
+step — runs against a :class:`PlanRecorder`, never a rank: the steps
+become a :class:`ChargePlan` that
+:meth:`repro.runtime.proc.Proc.charge` replays in one call, the only
+way anything charges at run time.  A call whose charging code raises
+is recorded each time (:meth:`repro.runtime.proc.Proc.recording`).
 
 Replay is bit-identical to stepwise charging: the integer totals are
 sums, and the virtual clock advances by each step's own

@@ -43,6 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.proc import Proc
 
 
+def _charge_waitall_noreq(proc) -> None:
+    """What one §3.5 MPI_COMM_WAITALL charges: the bulk completion."""
+    proc.charge(Category.MANDATORY, COSTS.noreq_waitall,
+                Subsystem.REQUEST_MGMT)
+
+
 class Communicator:
     """One rank's view of an MPI communicator."""
 
@@ -311,7 +317,7 @@ class Communicator:
         (path charges, translated peer, transport), completed by the
         MPI layer's (entry and argument-check charges, the CS lock and
         stream, all three fused).  None — and nothing cached — when
-        *op* leaves the straight line."""
+        the site raises in the device (see ``pt2pt_plan``)."""
         key = (kind, peer, op.flags.bits, op.dtref.key)
         plan = self._plans.get(key)
         if plan is None:
@@ -324,8 +330,8 @@ class Communicator:
         return plan
 
     def _entry_plan(self, op, peer: int) -> CallPlan:
-        """The plan of a send or receive off the straight line (a
-        failing check, MPI_PROC_NULL, a site the device does not plan)."""
+        """The plan of a send or receive whose site has none (a failing
+        check, a site that raises in the device)."""
         c = COSTS
         return entry_plan(self.proc, c.isend_function_call,
                           c.isend_thread_check, c.isend_error,
@@ -555,8 +561,7 @@ class Communicator:
         """§3.5 MPI_COMM_WAITALL: complete every requestless operation
         on this communicator; returns how many were completed."""
         proc = self.proc
-        proc.charge(Category.MANDATORY, COSTS.noreq_waitall,
-                    Subsystem.REQUEST_MGMT)
+        proc.charge(proc.plan("waitall_noreq", _charge_waitall_noreq))
         proc.vclock.merge(self._noreq_latest_s)
         done = self._noreq_count
         self._noreq_count = 0

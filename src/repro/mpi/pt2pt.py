@@ -60,8 +60,9 @@ def entry_plan(proc: "Proc", function_call_cost: int,
     """The call plan of an entry that resolves nothing beyond itself:
     its own charge, the argument checks' (*err*: their costs; all four,
     and each failing check's prefix) and the modeled CS's lock.  Init
-    calls enter with it; a call off the straight line (a failing check,
-    MPI_PROC_NULL) with a copy carrying its *stream* (:func:`call_plan`).
+    calls enter with it; a call whose site has no plan (a failing
+    check, a site that raises in the device) with a copy carrying its
+    *stream* (:func:`call_plan`).
     """
     key = (function_call_cost, thread_check_cost, err)
     plan = proc._call_plans.get(key)
@@ -102,14 +103,8 @@ def call_plan(proc: "Proc", function_call_cost: int, thread_check_cost: int,
     plan.entry, plan.args, plan.lock = entry.entry, entry.args, entry.lock
     plan.stream = stream
     # One fused plan per distinct step sequence, cached on the rank
-    # beside its layers: every handle with this call shape replays the
-    # same object, so the counter's pending-replay table stays as
-    # small as the plan cache however many communicators come and go.
-    fused = fuse(plan.entry, plan.args, plan.path)
-    key = ("fused", fused.steps)
-    plan.fused = proc._plans.get(key)
-    if plan.fused is None:
-        plan.fused = proc._plans[key] = fused
+    # beside its layers, however many communicators come and go.
+    plan.fused = proc.interned(fuse(plan.entry, plan.args, plan.path))
     return plan
 
 

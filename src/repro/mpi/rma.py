@@ -299,8 +299,8 @@ class Window:
     def _call_plan(self, op) -> Optional[CallPlan]:
         """The plan of *op*'s call site — target rank, flags, origin
         and target datatype class — resolved on its first use (see
-        ``Communicator._call_plan``); None, and nothing cached, for an
-        MPI_PROC_NULL target."""
+        ``Communicator._call_plan``); None, and nothing cached, for a
+        site that raises in the device."""
         key = (op.target_rank, op.flags.bits, op.origin_dtref.key,
                op.target_dtref.key)
         plan = self._plans.get(key)
@@ -314,7 +314,7 @@ class Window:
         return plan
 
     def _entry_plan(self, target_rank: int) -> CallPlan:
-        """The plan of an RMA call off the straight line (see
+        """The plan of an RMA call whose site has none (see
         ``Communicator._entry_plan``)."""
         c = COSTS
         return entry_plan(self.proc, c.put_function_call,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import MPIErrComm
-from repro.instrument.counter import install_counter, uninstall_counter
 from repro.mpi.comm import Communicator
 from repro.mpi.group import Group
 from repro.mpi.intercomm import Intercommunicator, comm_connect
@@ -39,8 +38,8 @@ class Session:
 
     Construction is ``MPI_Session_init``: the calling thread becomes a
     fresh dynamic rank of *world* (the world grows by one), with its
-    own instruction counter installed on the thread and — on a
-    detector build — heartbeat monitoring registered.  Use as a
+    own instruction counter and — on a detector build — heartbeat
+    monitoring registered.  Use as a
     context manager, or call :meth:`finalize` explicitly.
 
     Parameters
@@ -57,7 +56,6 @@ class Session:
         self.proc = proc
         self.name = name
         self._finalized = False
-        install_counter(proc.counter)
         if proc.hooks is not None:
             proc.hooks.monitor()
         #: The session's own communicator (``MPI_Comm_create_from_group``
@@ -87,15 +85,13 @@ class Session:
         A clean rank exit, as at the end of a world rank's function
         (the seam's ``rank_exit``: reliability stash drained, heartbeat
         roster departed — a finalized session is never declared dead —
-        and the sanitizer's books closed); then uninstalls the thread's
-        instruction counter.  Idempotent.
+        and the sanitizer's books closed).  Idempotent.
         """
         if self._finalized:
             return
         self._finalized = True
         if self.proc.hooks is not None:
             self.proc.hooks.rank_exit()
-        uninstall_counter()
 
     def _check_active(self, op: str) -> None:
         """Raise on use after finalize."""

@@ -58,6 +58,11 @@ _TIMER_TICK_S = 0.001
 MODES = ("thread", "per-vci")
 
 
+def _charge_progress(proc, n: int) -> None:
+    """One serviced item of engine work."""
+    proc.charge(Category.PROGRESS, n)
+
+
 class WorldProgress:
     """World-level progress-engine factory (one per progress build).
 
@@ -98,7 +103,7 @@ class RankProgress:
     """Per-rank progress engine: work queues plus daemon thread(s).
 
     Public entry points: :meth:`park_completion` (CH4 device),
-    :meth:`post_continuation` (``Request.on_complete``), and
+    :meth:`attach` (``Request.on_complete``), and
     :meth:`run_once` — one synchronous service pass, which is both
     the loop body of the engine threads and the audit's charge root
     for the ``progress.*`` cost keys.
@@ -159,6 +164,23 @@ class RankProgress:
                     what=f"injection lane {lane.index}")
             lane.items.append((transport, request, complete_s))
             self._cv.notify_all()
+
+    def attach(self, request: "Request",
+               fn: Callable[["Request"], None]) -> Callable:
+        """Hold *request* until the engine has run continuation *fn*
+        (the pool does not recycle it, so *fn* sees this life, not the
+        next); returns what to subscribe — the enqueue."""
+        with self._cv:
+            request._held += 1
+
+        def run(req: "Request") -> None:
+            try:
+                fn(req)
+            finally:
+                with self._cv:
+                    req._held -= 1
+
+        return lambda req: self.post_continuation(run, req)
 
     def post_continuation(self, fn: Callable[["Request"], None],
                           request: "Request") -> None:
@@ -234,11 +256,8 @@ class RankProgress:
                 break
             transport, request, complete_s = item
             with proc.cs_lock:
-                if not did_work:
-                    did_work = True
-                    self.n_wakeups += 1
-                    proc.charge(Category.PROGRESS, p.wakeup)
-                proc.charge(Category.PROGRESS, p.lane_drain)
+                self._charge_item(not did_work, "lane_drain", p.lane_drain)
+                did_work = True
                 lane.n_drained += 1
                 self.n_lane_drained += 1
                 transport.note_background_drain()
@@ -256,11 +275,9 @@ class RankProgress:
                     break
                 fn, request = entry
                 with proc.cs_lock:
-                    if not did_work:
-                        did_work = True
-                        self.n_wakeups += 1
-                        proc.charge(Category.PROGRESS, p.wakeup)
-                    proc.charge(Category.PROGRESS, p.continuation)
+                    self._charge_item(not did_work, "continuation",
+                                      p.continuation)
+                    did_work = True
                     self.n_continuations += 1
                     if tsan is not None:
                         # TS404: holding a matching lock here would
@@ -276,11 +293,9 @@ class RankProgress:
             faults = self.hooks.faults
             if faults is not None and faults.stashed_count():
                 with proc.cs_lock:
-                    if not did_work:
-                        did_work = True
-                        self.n_wakeups += 1
-                        proc.charge(Category.PROGRESS, p.wakeup)
-                    proc.charge(Category.PROGRESS, p.timer_check)
+                    self._charge_item(not did_work, "timer_check",
+                                      p.timer_check)
+                    did_work = True
                     fired = faults.drain(now=proc.vclock.now)
                     self.n_timer_fires += fired
 
@@ -293,6 +308,16 @@ class RankProgress:
                 detector.maybe_tick()
 
         return did_work
+
+    def _charge_item(self, first: bool, name: str, n: int) -> None:
+        """Charge one serviced item, *name* costing *n* — after the
+        pass's ``progress.wakeup`` when it is the pass's *first*."""
+        proc = self.proc
+        if first:
+            self.n_wakeups += 1
+            proc.charge(proc.plan("progress_wakeup", _charge_progress,
+                                  COSTS.progress.wakeup))
+        proc.charge(proc.plan(("progress", name), _charge_progress, n))
 
     def _note_error(self, exc: BaseException) -> None:
         """Record an engine-side failure and abort the world: work the

@@ -241,7 +241,7 @@ class Hooks:
         progress = self.progress
         if progress is None:
             return fn
-        return lambda req: progress.post_continuation(fn, req)
+        return progress.attach(request, fn)
 
     def park_rendezvous(self, vci, transport, request,
                         complete_s: float) -> bool:

@@ -8,12 +8,13 @@ proxies all reach their world through it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 from repro.consts import ANY_SOURCE, ANY_TAG
 from repro.core.config import BuildConfig, Device
 from repro.fabric.model import FabricSpec, fabric_by_name
-from repro.instrument.categories import Category, Subsystem
+from repro.instrument.categories import Subsystem
 from repro.instrument.counter import InstructionCounter
 from repro.instrument.plan import ChargePlan, PlanRecorder
 from repro.instrument.trace import CallTracer
@@ -122,49 +123,59 @@ class Proc:
 
     # -- accounting ----------------------------------------------------------
 
-    def charge(self, category: "Category | ChargePlan", n: int | None = None,
+    def charge(self, plan: ChargePlan, n: int | None = None,
                subsystem: Subsystem | None = None) -> None:
-        """Charge a compiled :class:`ChargePlan` — one layer's steps in
-        one call — or, stepwise, *n* abstract instructions.
-
-        The virtual clock advances immediately (charge-through), one
-        step's ``dt`` at a time, so any arrival time computed later in
-        the same call already includes this work and the clock is
-        bit-identical however the steps were delivered.
-        """
+        """Replay the compiled *plan*: add its total, count the replay
+        (folded on read), advance the clock now by each step's ``dt``
+        in turn — bit-identical however the steps were compiled.
+        ``charge(category, n, subsystem)`` replays the one-step plan it
+        compiles (perfbench's per-call probe)."""
+        if n is not None:   # keyed by index: an Enum hashes in Python
+            key = ("step", plan.index, n, subsystem and subsystem.index)
+            plan = self._plans.get(key) or self.plan(
+                key, PlanRecorder.charge, plan, n, subsystem)
         counter, clock = self.counter, self.vclock
-        if n is None:
-            plan = category
-            counter.total += plan.total
-            # Per-category / per-subsystem counts fold on read
-            # (integer k × n, exact); the clock may not be lazy.
-            replays = counter.replays
-            replays[plan] = replays.get(plan, 0) + 1
-            now = clock.now
-            for dt in plan.dts:
-                now += dt
-            clock.now = now
-            return
-        if n < 0:
-            raise ValueError(f"cannot charge a negative cost: {n}")
-        counter.charge(category, n, subsystem)
-        fabric = self.net_fabric
-        clock.now += fabric.cycles_to_seconds(fabric.sw_cycles(n))
+        counter.total += plan.total
+        replays = counter.replays
+        replays[plan] = replays.get(plan, 0) + 1
+        now = clock.now
+        for dt in plan.dts:
+            now += dt
+        clock.now = now
 
     def plan(self, key, charging, *args) -> ChargePlan:
         """The plan cached under *key*, compiled on first use by running
         ``charging(recorder, *args)``: the layer's own stepwise charging
         code, a :class:`PlanRecorder` standing in for this ``Proc``.
         *key* holds whatever that code branches on beyond the build
-        config; calls off the straight line (a failing check, a
-        PROC_NULL exit) charge stepwise instead, ``charging(proc, ...)``.
-        """
+        config; one that raises caches nothing (see :meth:`recording`)."""
         plan = self._plans.get(key)
         if plan is None:
             recorder = PlanRecorder(self.config, self.net_fabric)
             charging(recorder, *args)
             plan = self._plans[key] = ChargePlan(recorder.steps)
         return plan
+
+    def interned(self, plan: ChargePlan) -> ChargePlan:
+        """The cached plan with *plan*'s steps (*plan* the first time):
+        one object per step sequence keeps the counter's pending
+        replays as few as the plans, however many handles come and go."""
+        key = ("steps", plan.steps)
+        cached = self._plans.get(key)
+        if cached is None:
+            cached = self._plans[key] = plan
+        return cached
+
+    @contextmanager
+    def recording(self) -> Iterator[PlanRecorder]:
+        """Charge what the ``with`` body records on the yielded
+        :class:`PlanRecorder`, interned — also when it raises: a call
+        no plan carries charges the prefix it reached, then fails."""
+        recorder = PlanRecorder(self.config, self.net_fabric)
+        try:
+            yield recorder
+        finally:
+            self.charge(self.interned(ChargePlan(recorder.steps)))
 
     def charge_compute(self, seconds: float) -> None:
         """Advance virtual time by *seconds* of application compute.

@@ -64,7 +64,8 @@ class Request:
     __slots__ = ("kind", "_complete", "_abort", "_lock", "_parked",
                  "_waiters", "_flushing", "_epoch", "_race_key", "_hooks",
                  "complete_s", "source", "tag", "count_bytes", "error",
-                 "cancelled", "_proc", "payload", "_keepalive", "_posted")
+                 "cancelled", "_proc", "payload", "_keepalive", "_posted",
+                 "_held")
 
     #: Serial numbers for race-detector annotation keys.  ``id(self)``
     #: is NOT usable as a key: CPython reuses addresses, so a dead
@@ -124,6 +125,10 @@ class Request:
         #: the engine's, written under the engine lock on enqueue,
         #: match and cancel — what ``cancel_posted`` finds it by.
         self._posted = None
+        #: Continuations of this life a progress engine has yet to run
+        #: (its count, under its lock): :meth:`RequestPool.release`
+        #: does not recycle the handle while one is owed.
+        self._held = 0
 
     # -- completion-side API (called by whichever thread finishes the op)
 
@@ -477,6 +482,8 @@ class RequestPool:
         if not req._complete:
             raise MPIErrRequest(
                 f"release of a pending {req.kind.value} request")
+        if req._held:
+            return   # a continuation still owes this life: not recycled
         with self._mu:
             if len(self._free) < self.MAX_POOLED:
                 self._free.append(req)

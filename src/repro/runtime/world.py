@@ -17,7 +17,6 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.core.config import BuildConfig
 from repro.fabric.topology import Topology
-from repro.instrument.counter import install_counter, uninstall_counter
 from repro.runtime.completion import NotifyingEvent
 from repro.runtime.hooks import NO_SANITIZER
 
@@ -194,7 +193,7 @@ class World:
                     name: Optional[str] = None) -> dict:
         """Start a dynamic rank: run ``fn(comm_factory(proc), *args)``
         on a fresh daemon thread through the same entry wrapper the
-        static ranks use (counter install, kill handling, fault drain,
+        static ranks use (kill handling, fault drain,
         sanitizer finalize).  Returns a holder dict whose ``done``
         event fires at exit, with ``result``/``error`` filled in; see
         :meth:`join_dynamic`."""
@@ -250,13 +249,12 @@ class World:
     def _rank_body(self, proc, fn: Callable, args: tuple,
                    comm_factory: Callable) -> tuple[Any, Optional[BaseException]]:
         """The per-rank thread body shared by static runs and dynamic
-        launches: install the counter, build the rank's communicator
-        view, run *fn*, and announce a clean exit to the seam (fault
-        drain, detector departure, sanitizer finalize).  Returns
+        launches: build the rank's communicator view, run *fn*, and
+        announce a clean exit to the seam (fault drain, detector
+        departure, sanitizer finalize).  Returns
         ``(result, error)``; a fault-plan kill is neither."""
         from repro.ft.recovery import RankKilled
 
-        install_counter(proc.counter)
         hooks = proc.hooks
         if hooks is not None:
             hooks.rank_begin()
@@ -277,7 +275,6 @@ class World:
         finally:
             if hooks is not None:
                 hooks.rank_end()
-            uninstall_counter()
         return result, error
 
     def run(self, fn: Callable, args: tuple = (),

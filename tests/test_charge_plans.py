@@ -10,9 +10,13 @@ what every layer did before plans existed — at the point where the
 layer (or the entry that fused it with its neighbours) would have
 replayed a plan, and with every plan cache emptied as it is written,
 so each call runs the charging code against its own operation, never
-a plan some earlier call compiled.
+a plan some earlier call compiled.  Each step lands in a test-side
+tally (total, per category, per subsystem) and advances the clock by
+its own ``cycles_to_seconds(sw_cycles(n))``: no ``ChargePlan`` is
+involved.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -39,8 +43,9 @@ NBYTES = 8
 
 
 def _state(proc):
-    """Everything a charge moves, exactly (the clock as hex)."""
-    counter = proc.counter
+    """Everything a charge moves, exactly (the clock as hex): from the
+    rank's counter, or from the stepwise reference's tally."""
+    counter = getattr(proc, "tally", proc.counter)
     return (counter.total,
             {c.name: n for c, n in counter.by_category.items()},
             {s.name: n for s, n in counter.by_subsystem.items()},
@@ -128,6 +133,22 @@ class _Live(ChargePlan):
         self.thunks = thunks
 
 
+class _Tally:
+    """The stepwise reference's books: a rank's counts, charged one
+    step at a time."""
+
+    def __init__(self):
+        self.total = 0
+        self.by_category = dict.fromkeys(Category, 0)
+        self.by_subsystem = dict.fromkeys(Subsystem, 0)
+
+    def charge(self, category, n, subsystem):
+        self.total += n
+        self.by_category[category] += n
+        if subsystem is not None:
+            self.by_subsystem[subsystem] += n
+
+
 class _NoCache(dict):
     """A plan cache that forgets: every lookup misses."""
 
@@ -138,28 +159,38 @@ class _NoCache(dict):
 def _stepwise(patch):
     """Patch the runtime into the stepwise reference (see the module
     docstring): ``Proc.plan`` hands out live plans, fusing chains
-    them, ``Proc.charge`` runs them where it would have replayed, and
-    no plan of either kind survives the call that built it."""
-    compiled_charge = Proc.charge
+    them, ``Proc.charge`` runs them where it would have replayed — a
+    step into the rank's tally — and no plan of either kind survives
+    the call that built it; a recording is the rank itself."""
 
     def charge(self, category, n=None, subsystem=None):
         if n is None:
             for thunk in category.thunks:
                 thunk(self)
-        else:
-            compiled_charge(self, category, n, subsystem)
+            return
+        assert n >= 0
+        self.tally.charge(category, n, subsystem)
+        fabric = self.net_fabric
+        self.vclock.now += fabric.cycles_to_seconds(fabric.sw_cycles(n))
 
     patch.setattr(Proc, "charge", charge)
     patch.setattr(Proc, "plan", lambda self, key, charging, *args: _Live(
         lambda proc: charging(proc, *args)))
     patch.setattr("repro.mpi.pt2pt.fuse", lambda *plans: _Live(
         *[t for plan in plans if plan is not None for t in plan.thunks]))
+
+    def recording(self):
+        yield self
+
+    patch.setattr(Proc, "recording", contextlib.contextmanager(recording))
     for cls, caches in ((Proc, ("_plans", "_call_plans")),
                         (Communicator, ("_plans",)), (Window, ("_plans",))):
         def init(self, *args, _init=cls.__init__, _caches=caches, **kwargs):
             _init(self, *args, **kwargs)
             for name in _caches:
                 setattr(self, name, _NoCache())
+            if isinstance(self, Proc):
+                self.tally = _Tally()
         patch.setattr(cls, "__init__", init)
 
 
@@ -375,10 +406,17 @@ class TestRecorder:
         assert dict(plan.cats) == {Category.MANDATORY.index: 10,
                                    Category.ERROR_CHECKING.index: 5}
         assert dict(plan.subs) == {Subsystem.DESCRIPTOR.index: 10}
+        now = proc.vclock.now
         proc.charge(plan)
-        reference = World(1).proc(0)
-        charging(reference)
-        assert _state(proc) == _state(reference)
+        fabric = proc.net_fabric
+        for n in (3, 5, 7):      # the steps, one at a time
+            now += fabric.cycles_to_seconds(fabric.sw_cycles(n))
+        assert _state(proc) == (
+            15, {c.name: {Category.MANDATORY: 10,
+                          Category.ERROR_CHECKING: 5}.get(c, 0)
+                 for c in Category},
+            {s.name: 10 if s is Subsystem.DESCRIPTOR else 0
+             for s in Subsystem}, now.hex())
 
 
 # -- error and PROC_NULL exits ------------------------------------------------------

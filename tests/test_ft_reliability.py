@@ -51,6 +51,56 @@ class TestFaultPlan:
             assert not (fate.drop or fate.corrupt or fate.duplicate
                         or fate.reorder or fate.delay)
 
+    def test_zero_rates_draw_nothing_and_change_no_fate(self):
+        """Each draw is keyed by its name, so skipping the draws of
+        zero rates leaves every fate of every plan as drawing all five
+        would: a grid of coordinates over plans with some rates zero."""
+        import itertools
+        from repro.ft.plan import WireFate, _draw
+
+        def drawing_all(plan, *at):
+            return WireFate(
+                drop=_draw(plan.seed, "drop", *at) < plan.drop_rate,
+                corrupt=_draw(plan.seed, "corrupt", *at) < plan.corrupt_rate,
+                duplicate=_draw(plan.seed, "dup", *at)
+                < plan.duplicate_rate,
+                reorder=_draw(plan.seed, "reorder", *at) < plan.reorder_rate,
+                delay=_draw(plan.seed, "delay", *at) < plan.delay_rate)
+
+        plans = [FaultPlan(), _lossy_plan(3),
+                 FaultPlan(seed=5, drop_rate=0.4, reorder_rate=0.5),
+                 FaultPlan(seed=9, duplicate_rate=0.6, delay_rate=0.3,
+                           corrupt_rate=0.2),
+                 FaultPlan(seed=1, drop_rate=1.0, duplicate_rate=0.0)]
+        grid = itertools.product(range(3), range(3), (-2, -1, 0, 5), (0, 2))
+        for at in grid:
+            for plan in plans:
+                assert plan.fate(*at) == drawing_all(plan, *at), (plan, at)
+
+    def test_warm_lossless_cycle_draws_nothing(self):
+        """An empty plan's wire makes no hash draw per message."""
+        import sys
+        from repro.mpi.comm import Communicator
+        comm = Communicator.world_view(
+            World(1, BuildConfig(fault_plan=FaultPlan())).proc(0))
+        buf = np.zeros(1, np.uint8)
+
+        def cycle():
+            rreq = comm.Irecv(buf, 0, 1)
+            comm.Isend(buf, 0, 1).wait()
+            rreq.wait()
+
+        cycle()
+        draws = []
+        sys.setprofile(lambda frame, event, arg: draws.append(1) if (
+            event == "call" and frame.f_code.co_name == "_draw") else None)
+        try:
+            for _ in range(20):
+                cycle()
+        finally:
+            sys.setprofile(None)
+        assert not draws
+
     def test_retry_backoff_monotone(self):
         plan = FaultPlan()
         delays = [plan.backoff_s(a) for a in range(1, 10)]

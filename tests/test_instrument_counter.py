@@ -1,24 +1,29 @@
 """Counter, tracer, and report machinery."""
 
-import threading
-
 import pytest
 
 from repro.instrument.categories import Category, Subsystem
-from repro.instrument.counter import (InstructionCounter, charge,
-                                      current_counter, install_counter,
-                                      scoped_counter, uninstall_counter)
+from repro.instrument.counter import InstructionCounter
+from repro.instrument.plan import ChargePlan
 from repro.instrument.report import (breakdown_lines, category_table,
                                      format_table)
 from repro.instrument.trace import CallTracer
 
 
+def charge(counter, category, n, subsystem=None):
+    """Replay a one-step plan into a bare *counter* — what
+    ``Proc.charge`` does to its rank's counter (the clock aside)."""
+    plan = ChargePlan([(category, subsystem, n, 0.0)])
+    counter.total += plan.total
+    counter.replays[plan] = counter.replays.get(plan, 0) + 1
+
+
 class TestCounter:
     def test_charge_accumulates(self):
         c = InstructionCounter("t")
-        c.charge(Category.ERROR_CHECKING, 10)
-        c.charge(Category.ERROR_CHECKING, 5)
-        c.charge(Category.MANDATORY, 7, Subsystem.PROC_NULL)
+        charge(c, Category.ERROR_CHECKING, 10)
+        charge(c, Category.ERROR_CHECKING, 5)
+        charge(c, Category.MANDATORY, 7, Subsystem.PROC_NULL)
         assert c.total == 22
         assert c.by_category[Category.ERROR_CHECKING] == 15
         assert c.by_category[Category.MANDATORY] == 7
@@ -26,7 +31,7 @@ class TestCounter:
 
     def test_reset(self):
         c = InstructionCounter()
-        c.charge(Category.MANDATORY, 3, Subsystem.MATCH_BITS)
+        charge(c, Category.MANDATORY, 3, Subsystem.MATCH_BITS)
         c.reset()
         assert c.total == 0
         assert all(v == 0 for v in c.by_category.values())
@@ -34,10 +39,10 @@ class TestCounter:
 
     def test_snapshot_delta(self):
         c = InstructionCounter()
-        c.charge(Category.FUNCTION_CALL, 23)
+        charge(c, Category.FUNCTION_CALL, 23)
         before = c.snapshot()
-        c.charge(Category.FUNCTION_CALL, 23)
-        c.charge(Category.MANDATORY, 16, Subsystem.DESCRIPTOR)
+        charge(c, Category.FUNCTION_CALL, 23)
+        charge(c, Category.MANDATORY, 16, Subsystem.DESCRIPTOR)
         delta = before.delta(c.snapshot())
         assert delta.total == 39
         assert delta.by_category[Category.FUNCTION_CALL] == 23
@@ -46,58 +51,8 @@ class TestCounter:
     def test_snapshot_is_independent(self):
         c = InstructionCounter()
         snap = c.snapshot()
-        c.charge(Category.MANDATORY, 5)
+        charge(c, Category.MANDATORY, 5)
         assert snap.total == 0
-
-
-class TestThreadLocalInstallation:
-    def test_install_and_charge(self):
-        c = InstructionCounter()
-        install_counter(c)
-        try:
-            charge(Category.THREAD_SAFETY, 6)
-            assert c.total == 6
-            assert current_counter() is c
-        finally:
-            uninstall_counter()
-        assert current_counter() is None
-
-    def test_charge_without_counter_is_noop(self):
-        uninstall_counter()
-        charge(Category.MANDATORY, 100)   # must not raise
-
-    def test_scoped_counter_restores_previous(self):
-        outer = InstructionCounter("outer")
-        install_counter(outer)
-        try:
-            with scoped_counter() as inner:
-                charge(Category.MANDATORY, 4)
-            assert inner.total == 4
-            assert outer.total == 0
-            assert current_counter() is outer
-        finally:
-            uninstall_counter()
-
-    def test_counters_are_per_thread(self):
-        main_counter = InstructionCounter("main")
-        install_counter(main_counter)
-        seen = {}
-
-        def other():
-            seen["before"] = current_counter()
-            c = InstructionCounter("other")
-            install_counter(c)
-            charge(Category.MANDATORY, 9)
-            seen["count"] = c.total
-            uninstall_counter()
-
-        t = threading.Thread(target=other)
-        t.start()
-        t.join()
-        uninstall_counter()
-        assert seen["before"] is None
-        assert seen["count"] == 9
-        assert main_counter.total == 0
 
 
 class TestTracer:
@@ -105,8 +60,8 @@ class TestTracer:
         c = InstructionCounter()
         tracer = CallTracer(c)
         with tracer.call("op"):
-            c.charge(Category.ERROR_CHECKING, 74)
-            c.charge(Category.MANDATORY, 59, Subsystem.DESCRIPTOR)
+            charge(c, Category.ERROR_CHECKING, 74)
+            charge(c, Category.MANDATORY, 59, Subsystem.DESCRIPTOR)
         rec = tracer.last("op")
         assert rec.total == 133
         assert rec.category(Category.ERROR_CHECKING) == 74
@@ -116,9 +71,9 @@ class TestTracer:
         c = InstructionCounter()
         tracer = CallTracer(c)
         with tracer.call("a"):
-            c.charge(Category.MANDATORY, 1)
+            charge(c, Category.MANDATORY, 1)
         with tracer.call("b"):
-            c.charge(Category.MANDATORY, 2)
+            charge(c, Category.MANDATORY, 2)
         assert tracer.last("a").total == 1
         assert tracer.last().total == 2
         with pytest.raises(KeyError):
@@ -129,7 +84,7 @@ class TestTracer:
         tracer = CallTracer(c)
         for n in (10, 20):
             with tracer.call("op"):
-                c.charge(Category.MANDATORY, n)
+                charge(c, Category.MANDATORY, n)
         assert tracer.mean_total("op") == 15.0
 
     def test_records_even_on_exception(self):
@@ -137,7 +92,7 @@ class TestTracer:
         tracer = CallTracer(c)
         with pytest.raises(ValueError):
             with tracer.call("boom"):
-                c.charge(Category.MANDATORY, 5)
+                charge(c, Category.MANDATORY, 5)
                 raise ValueError("x")
         assert tracer.last("boom").total == 5
 
@@ -155,7 +110,7 @@ class TestReport:
         c = InstructionCounter()
         tracer = CallTracer(c)
         with tracer.call("X"):
-            c.charge(Category.ERROR_CHECKING, 74)
+            charge(c, Category.ERROR_CHECKING, 74)
         out = category_table({"X": tracer.last("X")})
         assert "Error checking" in out
         assert "MPI mandatory overheads" in out
@@ -165,7 +120,7 @@ class TestReport:
         c = InstructionCounter()
         tracer = CallTracer(c)
         with tracer.call("Y"):
-            c.charge(Category.MANDATORY, 3, Subsystem.PROC_NULL)
+            charge(c, Category.MANDATORY, 3, Subsystem.PROC_NULL)
         lines = breakdown_lines(tracer.last("Y"))
         assert any("PROC_NULL" in ln for ln in lines)
         assert not any("Match-bit" in ln for ln in lines)

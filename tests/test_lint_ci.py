@@ -23,6 +23,7 @@ import sys
 
 import pytest
 
+from repro.consts import PROC_NULL
 from repro.core.config import BuildConfig
 from repro.ft import FaultPlan
 from repro.ft.detector import DetectorConfig
@@ -406,10 +407,16 @@ class TestCallPlanGuard:
     #: 159.2 (an average: its pending-receive table leaked).  With one
     #: seam, still stepwise: 68, 86, 79, 307 and 162.2.  Replaying the
     #: plans, the fault layer's table keyed by the receive's life:
-    #: exactly.
+    #: 55, 82, 63, 291 and 114.  The fault layer's protocol charges
+    #: replaying plans and an empty fault plan drawing nothing: exactly.
     HOOKED_CALLS_PER_CYCLE = {"timeline": 55, "num_vcis=4": 82,
                               "sanitize": 63, "tsan": 291,
-                              "fault_plan": 114}
+                              "fault_plan": 97}
+    #: The same cycle with both calls given MPI_PROC_NULL: 111 when
+    #: such a call was planned nowhere (recompiling its call plan and
+    #: charging its path step by step); replaying its own plan on the
+    #: straight line: exactly.
+    CALLS_PER_PROC_NULL_CYCLE = 26
     CYCLES = 100
 
     def _comm(self, timeline, config=None):
@@ -423,7 +430,7 @@ class TestCallPlanGuard:
             enable_timeline(world)
         return Communicator.world_view(world.proc(0))
 
-    def _cycle(self, timeline=False, config=None, comm=None):
+    def _cycle(self, timeline=False, config=None, comm=None, peer=0):
         import numpy as np
         if comm is None:
             comm = self._comm(timeline, config)
@@ -431,8 +438,8 @@ class TestCallPlanGuard:
         release = comm.proc.request_pool.release
 
         def cycle():
-            rreq = comm.Irecv(recv, 0, 7)
-            sreq = comm.Isend(send, 0, 7)
+            rreq = comm.Irecv(recv, peer, 7)
+            sreq = comm.Isend(send, peer, 7)
             sreq.wait()
             rreq.wait()
             release(sreq)
@@ -440,7 +447,7 @@ class TestCallPlanGuard:
 
         for _ in range(5):      # compile the plans, fill the pool
             cycle()
-        assert recv[0] == 7
+        assert recv[0] == (0 if peer == PROC_NULL else 7)
         return cycle
 
     def _rma(self, timeline=False, call="put", config=None):
@@ -466,9 +473,14 @@ class TestCallPlanGuard:
         return once
 
     #: What a warm call re-derives when it recompiles its plans
-    #: instead of replaying them: none of these runs on a warm call.
-    RECOMPILING = frozenset({"_call_plan", "plan", "validate_args",
-                             "_enter_uncharged"})
+    #: instead of replaying them — the handle's and the device's plan
+    #: resolution, the device's own entry of an op no entry charged,
+    #: the recording of a call no plan carries: none of these runs on
+    #: a warm call.  (``Proc.plan`` is not among them: a subsystem's
+    #: charge looks its plan up there on every call.)
+    RECOMPILING = frozenset({"_call_plan", "pt2pt_plan", "rma_plan",
+                             "call_plan", "_enter_uncharged",
+                             "_rma_prologue", "recording"})
 
     def _profile(self, body):
         """Python-level calls per *body*() (less *body* itself) — an
@@ -503,6 +515,14 @@ class TestCallPlanGuard:
         per_cycle, inits, recompiles = self._profile(self._cycle())
         assert per_cycle == self.CALLS_PER_CYCLE
         assert inits == self.INITS_PER_CYCLE * self.CYCLES
+        assert recompiles == 0
+
+    def test_python_calls_per_warm_proc_null_cycle(self):
+        """MPI_PROC_NULL is a call site like any other: its plan ends
+        at the §3.4 branch, and a warm call replays it fused."""
+        per_cycle, _, recompiles = self._profile(
+            self._cycle(peer=PROC_NULL))
+        assert per_cycle == self.CALLS_PER_PROC_NULL_CYCLE
         assert recompiles == 0
 
     def test_timeline_switched_off_runs_planned_again(self):
@@ -853,6 +873,7 @@ print(json.dumps(out))
         assert newest["window_get"] == guard.CALLS_PER_GET
         assert newest["window_accumulate"] == guard.CALLS_PER_ACCUMULATE
         assert newest["hooked"] == guard.HOOKED_CALLS_PER_CYCLE
+        assert newest["proc_null_cycle"] == guard.CALLS_PER_PROC_NULL_CYCLE
         assert newest["blocking_message"] + 2 == \
             guard.MAX_CALLS_PER_BLOCKING_MESSAGE
 

@@ -345,6 +345,89 @@ class TestContinuations:
         for name in results:
             assert name.startswith("mpi-progress-")
 
+    def test_continuation_sees_the_life_it_was_attached_to(self):
+        """A handle released while its continuation still waits in the
+        engine's queue is not recycled: the continuation reads this
+        life's status, not the next one's.  (With the CS lock held the
+        engine cannot dispatch; the pool then handed the same handle
+        to the next receive, and the continuation saw its tag.)"""
+        from repro.mpi.comm import Communicator
+        proc = World(1, BuildConfig(progress="thread")).proc(0)
+        comm = Communicator.world_view(proc)
+        pool = proc.request_pool
+        buf, seen, ran = np.zeros(1, np.uint8), [], threading.Event()
+        acquires = 0
+        with proc.cs_lock:
+            first = comm.Irecv(buf, 0, 5)
+            first.on_complete(lambda req: (seen.append(req.tag), ran.set()))
+            comm.Send(np.ones(1, np.uint8), 0, 5)
+            first.wait()
+            pool.release(first)
+            second = comm.Irecv(buf, 0, 6)
+            comm.Send(np.ones(1, np.uint8), 0, 6)
+            second.wait()
+            acquires += 4
+        assert ran.wait(10.0)
+        assert seen == [5]
+        assert second is not first
+        # The held handle was dropped, not pooled: every acquire is
+        # still an allocation or a reuse.
+        assert pool.n_alloc + pool.n_reuse == acquires
+        # Once its continuation ran, a handle recycles as before.
+        pool.release(second)
+        third = comm.Irecv(buf, 0, 7)
+        assert third is second
+        assert pool.n_reuse >= 1
+
+    def test_held_counts_survive_racing_threads(self):
+        """Eight application threads attach continuations and release
+        their handles while the engine runs them, the switch interval
+        shortened: every continuation runs once on its own life, every
+        hold is returned, and the pool's books balance."""
+        import sys
+        from repro.mpi.comm import Communicator
+        proc = World(1, BuildConfig(progress="thread")).proc(0)
+        comm = Communicator.world_view(proc)
+        pool = proc.request_pool
+        rounds, seen, bad, handles = 40, [], [], []
+        all_ran = threading.Event()
+
+        def continuation(req, tag):
+            if req.tag != tag:
+                bad.append(req.tag)
+            seen.append(tag)
+            if len(seen) == 8 * rounds:
+                all_ran.set()
+
+        def worker(tag):
+            buf = np.zeros(1, np.uint8)
+            for _ in range(rounds):
+                req = comm.Irecv(buf, 0, tag)
+                req.on_complete(lambda r, t=tag: continuation(r, t))
+                comm.Send(np.ones(1, np.uint8), 0, tag)
+                req.wait()
+                handles.append(req)
+                pool.release(req)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(tag,))
+                       for tag in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all_ran.wait(30.0)
+        assert len(seen) == 8 * rounds and not bad
+        with proc.cs_lock:      # the engine's last pass is over
+            assert all(req._held == 0 for req in handles)
+        # One Irecv and one Send per round: two acquires.
+        assert pool.n_alloc + pool.n_reuse == 2 * 8 * rounds
+
 
 @pytest.mark.parametrize("progress", [None, "thread"])
 @pytest.mark.parametrize("num_vcis", [1, 4])
