@@ -4,10 +4,10 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Every ``bench_*`` module regenerates one table or figure of the paper:
-it prints the rows/series the paper reports (add ``-s`` to see them),
-asserts the reproduced shape, and times the underlying operation with
-pytest-benchmark.
+Every ``bench_*`` module regenerates one table, figure or ablation of
+the paper, or one committed ``BENCH_*.json``: it prints the rows/series
+it reports (add ``-s`` to see them), asserts the reproduced shape, and
+times the underlying operation with pytest-benchmark.
 """
 
 import pytest

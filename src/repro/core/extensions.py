@@ -120,6 +120,8 @@ NOMATCH = ExtFlags(nomatch=True)
 #: §3.7 MPI_ISEND_ALL_OPTS — everything at once.
 ALL_OPTS_PT2PT = ExtFlags(global_rank=True, static_comm=True,
                           no_proc_null=True, noreq=True, nomatch=True)
+#: The receive side of an ALL_OPTS stream: a request IS returned.
+ALL_OPTS_RECV = ALL_OPTS_PT2PT.with_(noreq=False)
 
 #: §3.7 for RMA (our construction; the paper quotes only the pt2pt 16).
 ALL_OPTS_RMA = ExtFlags(global_rank=True, static_comm=True,

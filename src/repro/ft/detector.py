@@ -4,8 +4,8 @@ The ULFM machinery of :mod:`repro.ft.reliability` learns about rank
 death from the fault plan itself (an explicit ``kill_rank``) or from a
 sender exhausting its retransmissions.  Neither helps when a rank
 simply *vanishes* — a dynamic client whose thread stops without
-announcing anything, the churn case the endpoints service must
-survive.  This module adds the standard distributed answer: a
+announcing anything, the churn case a server accepting session
+clients must survive.  This module adds the standard distributed answer: a
 φ-style heartbeat detector with two thresholds.
 
 * Every monitored rank **beats** — implicitly on each MPI call (the

@@ -540,7 +540,7 @@ class Communicator:
         (arrival-order matching; a request IS returned — the receive
         side must deliver data somewhere)."""
         return self._buffer_recv(buf, ANY_SOURCE, ANY_TAG,
-                                 flags=ext.ALL_OPTS_PT2PT.with_(noreq=False))
+                                 flags=ext.ALL_OPTS_RECV)
 
     # -- §3.5 bulk completion ---------------------------------------------------
 

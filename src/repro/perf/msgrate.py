@@ -311,81 +311,3 @@ def modeled_threaded_rate(spec: FabricSpec, instructions_total: int,
         return float("inf")
     return nthreads / slot
 
-
-#: Above this client count the service model assumes balanced VCI
-#: shards instead of hashing every client id (the hash is uniform;
-#: the error at this scale is far below the model's own resolution).
-_EXACT_SHARD_LIMIT = 100_000
-
-
-def modeled_service_rate(spec: FabricSpec, instructions_request: int,
-                         instructions_cs: int, num_vcis: int,
-                         num_clients: int, think_s: float) -> dict:
-    """Closed-form sustained request rate of the endpoints service.
-
-    Extends :func:`modeled_threaded_rate` from injector threads to a
-    client/server service: *num_clients* simulated clients each issue
-    one request, wait for the reply, think for *think_s* seconds, and
-    repeat; the server retires a request for ``I =
-    instructions_request`` instructions (``C = instructions_cs`` of
-    them inside the owning VCI's critical section plus the fabric
-    injection), with clients sharded across *num_vcis* interfaces by
-    :meth:`repro.runtime.vci.VCIMap.shard_of_client`.
-
-    Two regimes, the min taken per VCI:
-
-    * **client-bound** — each client's cycle is ``service + think``
-      seconds, so shard *v*'s demand is ``n_v / (per_req_s +
-      think_s)``;
-    * **server-bound** — shard *v* serializes its per-request critical
-      sections, capping it at ``1 / cs_s`` (its service thread's full
-      per-request work caps it at ``1 / per_req_s``; ``cs_s <=
-      per_req_s`` makes that the binding term).
-
-    The closed form is what lets the benchmark project to millions of
-    clients: beyond :data:`_EXACT_SHARD_LIMIT` the (uniform) hash is
-    replaced by balanced shard counts.  Returns a dict with the
-    sustained aggregate rate, the binding regime, and the per-term
-    numbers, ready for ``BENCH_service.json``."""
-    if num_clients <= 0:
-        raise ValueError(f"need at least one client, got {num_clients}")
-    if think_s < 0:
-        raise ValueError(f"negative think time: {think_s}")
-    per_req_s = spec.cycles_to_seconds(
-        spec.sw_cycles(instructions_request) + spec.inject_cycles)
-    cs_s = spec.cycles_to_seconds(
-        spec.sw_cycles(instructions_cs) + spec.inject_cycles)
-    service_s = max(per_req_s, cs_s)
-    if num_clients <= _EXACT_SHARD_LIMIT:
-        from repro.runtime.vci import VCIMap
-        vmap = VCIMap(num_vcis)
-        loads = [0.0] * num_vcis
-        for client in range(num_clients):
-            loads[vmap.shard_of_client(client)] += 1.0
-    else:
-        loads = [num_clients / num_vcis] * num_vcis
-    capacity_v = 1.0 / service_s if service_s > 0 else float("inf")
-    demand_rps = 0.0
-    rate = 0.0
-    bound = 0
-    for n_v in loads:
-        d_v = n_v / (service_s + think_s) if (service_s + think_s) > 0 \
-            else float("inf")
-        demand_rps += d_v
-        if d_v > capacity_v:
-            bound += 1
-            rate += capacity_v
-        else:
-            rate += d_v
-    return {
-        "rate_requests_per_s": rate,
-        "regime": "server-bound" if bound else "client-bound",
-        "vcis_saturated": bound,
-        "num_clients": num_clients,
-        "num_vcis": num_vcis,
-        "think_s": think_s,
-        "service_s_per_request": service_s,
-        "cs_s_per_request": cs_s,
-        "demand_requests_per_s": demand_rps,
-        "capacity_requests_per_s": capacity_v * num_vcis,
-    }

@@ -180,18 +180,6 @@ class VCIMap:
             return 0
         return ((ctx * _MIX_CTX) >> 8) % self.num_vcis
 
-    def shard_of_client(self, client_id: int) -> int:
-        """Deterministic VCI shard for one dynamic client's request
-        stream.  The endpoints service tags each client's traffic with
-        a per-client tag and answers on the same stream, so this is
-        both the service's load-balancing decision and the
-        ``vci_of_thread`` input of the occupancy model in
-        :mod:`repro.perf.msgrate` — the same mixer the concrete
-        ``(ctx, peer, tag)`` hash uses, applied to the client id."""
-        if self.num_vcis == 1:
-            return 0
-        return ((client_id * _MIX_PEER) >> 8) % self.num_vcis
-
 
 class _ShardEngine(BucketMatchingEngine):
     """One VCI's matching shard.

@@ -8,7 +8,7 @@ world layers' events.  The hooks charge nothing, and with
 ``sanitize=False`` (the default) the seam binds none of them, so the
 charged instruction accounting is byte-identical to an unsanitized
 build — the zero-overhead-when-disabled guarantee
-``benchmarks/bench_sanitize.py`` asserts.
+``tests/test_sanitize_dynamic.py`` asserts.
 
 Checks implemented here (rule ids in
 :data:`repro.sanitize.diagnostics.RULES`):

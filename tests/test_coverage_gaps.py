@@ -9,7 +9,6 @@ from repro.core import extensions as ext
 from repro.core.config import BuildConfig
 from repro.errors import MPIErrArg
 from repro.mpi.rma import Window
-from repro.perf.scaling import strong_scaling_sweep
 from tests.conftest import run_world
 
 
@@ -87,19 +86,6 @@ class TestGetAccumulate:
             return "ok"
 
         run_world(2, main)
-
-
-class TestScalingHarness:
-    def test_empty_rank_counts_rejected(self):
-        with pytest.raises(ValueError):
-            strong_scaling_sweep(lambda comm: None, [])
-
-    def test_single_point(self):
-        points = strong_scaling_sweep(
-            lambda comm: comm.allreduce(1), [2], BuildConfig())
-        assert len(points) == 1
-        assert points[0].speedup == 1.0
-        assert points[0].efficiency == 1.0
 
 
 class TestExtensionMisuse:

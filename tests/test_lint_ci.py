@@ -525,6 +525,41 @@ class TestCallPlanGuard:
         assert per_cycle == self.CALLS_PER_PROC_NULL_CYCLE
         assert recompiles == 0
 
+    #: A warm §3.7 stream cycle — ``isend_all_opts``, its receive, a
+    #: wait, ``waitall_noreq`` and a release: 57 Python-level calls
+    #: when ``irecv_all_opts`` rebuilt its flags on every call; with
+    #: them a module constant, the ``irecv_nomatch`` cycle's: exactly.
+    CALLS_PER_ALL_OPTS_CYCLE = 45
+
+    def _all_opts_cycle(self, receive):
+        """A warm one-rank §3.7 stream cycle whose receive is
+        ``comm.<receive>``."""
+        import numpy as np
+        comm = self._comm(False)
+        send, recv = np.full(1, 7, np.uint8), np.zeros(1, np.uint8)
+        release = comm.proc.request_pool.release
+        irecv = getattr(comm, receive)
+
+        def cycle():
+            rreq = irecv(recv)
+            comm.isend_all_opts(send, 0, 7)
+            rreq.wait()
+            comm.waitall_noreq()
+            release(rreq)
+
+        for _ in range(5):      # compile the plans, fill the pool
+            cycle()
+        assert recv[0] == 7
+        return cycle
+
+    def test_python_calls_per_warm_all_opts_cycle(self):
+        per_cycle, _, recompiles = self._profile(
+            self._all_opts_cycle("irecv_all_opts"))
+        assert per_cycle == self.CALLS_PER_ALL_OPTS_CYCLE
+        assert recompiles == 0
+        nomatch, _, _ = self._profile(self._all_opts_cycle("irecv_nomatch"))
+        assert per_cycle == nomatch
+
     def test_timeline_switched_off_runs_planned_again(self):
         """A plain rank whose timeline was switched on and off again
         has no seam left: its cycle, warmed while it was recorded, is
@@ -874,6 +909,7 @@ print(json.dumps(out))
         assert newest["window_accumulate"] == guard.CALLS_PER_ACCUMULATE
         assert newest["hooked"] == guard.HOOKED_CALLS_PER_CYCLE
         assert newest["proc_null_cycle"] == guard.CALLS_PER_PROC_NULL_CYCLE
+        assert newest["all_opts_cycle"] == guard.CALLS_PER_ALL_OPTS_CYCLE
         assert newest["blocking_message"] + 2 == \
             guard.MAX_CALLS_PER_BLOCKING_MESSAGE
 
@@ -897,28 +933,6 @@ print(json.dumps(out))
                    for line in measured)
         assert render_trajectory(ROOT / "no-such-file").startswith(
             "no recorded trajectory")
-
-
-class TestServiceBenchSmoke:
-    """``benchmarks/bench_service.py --quick`` as a CI smoke: the
-    measured churn run leaks nothing and the occupancy projection
-    reaches a million simulated clients."""
-
-    def test_quick_mode_serves_and_projects(self):
-        import json
-        proc = subprocess.run(
-            [sys.executable, "benchmarks/bench_service.py", "--quick"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=600)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        result = json.loads(proc.stdout)
-        measured = result["measured"]
-        assert measured["requests_leaked"] == 0
-        assert measured["requests_completed"] > 0
-        sweep = result["projection"]["sweep"]
-        assert max(row["num_clients"] for row in sweep) >= 1_000_000
-        assert all(row["rate_requests_per_s"] > 0 for row in sweep)
-        assert (ROOT / "BENCH_service.json").exists()
 
 
 class TestTsanBenchSmoke:
@@ -987,7 +1001,8 @@ class TestBufcheckCLI:
 class TestCollectivesBenchSmoke:
     """``benchmarks/bench_collectives.py --quick`` as a CI smoke: the
     sweep runs, the hierarchical composition wins at the largest
-    point, and the training replicas stay bit-identical."""
+    point, and the training replicas stay bit-identical; the full
+    collectives and fault sweeps regenerate their committed JSON."""
 
     def test_quick_mode_runs_and_wins(self):
         import json
@@ -1003,21 +1018,35 @@ class TestCollectivesBenchSmoke:
             assert row["replicas_identical"], strat
             assert row["final_loss"] < row["first_loss"], strat
 
+    @pytest.mark.parametrize("artifact", ["BENCH_collectives.json",
+                                          "BENCH_fault.json"])
     def test_full_sweep_regenerates_the_committed_bytes(self, tmp_path,
-                                                        monkeypatch):
-        """The sweep reads the virtual clock, so it is exact: the same
-        messages, sizes, order and clock merges give the committed
-        ``BENCH_collectives.json`` back byte for byte."""
+                                                        monkeypatch, artifact):
+        """Each sweep reads the virtual clock or seeded fault draws, so
+        it is exact: the same messages, sizes, order and clock merges
+        give the committed *artifact* back byte for byte."""
         import importlib.util
+        name = "bench_" + artifact[len("BENCH_"):-len(".json")]
         spec = importlib.util.spec_from_file_location(
-            "bench_collectives", ROOT / "benchmarks/bench_collectives.py")
+            name, ROOT / "benchmarks" / f"{name}.py")
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
-        out = tmp_path / "BENCH_collectives.json"
+        out = tmp_path / artifact
         monkeypatch.setattr(bench, "_OUT", out)
         bench.run_benchmark()
-        assert out.read_bytes() \
-            == (ROOT / "BENCH_collectives.json").read_bytes()
+        assert out.read_bytes() == (ROOT / artifact).read_bytes()
+
+
+class TestCommittedNumbers:
+    """A committed benchmark result no test reads is a number nobody
+    regenerates: it drifts from the code that once produced it."""
+
+    def test_every_bench_json_is_named_by_a_test(self):
+        tests = "".join(path.read_text()
+                        for path in (ROOT / "tests").rglob("*.py"))
+        orphans = [path.name for path in sorted(ROOT.glob("BENCH_*.json"))
+                   if path.name not in tests]
+        assert orphans == []
 
 
 class TestCheckCLI:
