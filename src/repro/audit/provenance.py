@@ -48,6 +48,7 @@ _INTERESTING_EXACT = ("costs", "proc", "chargefn")
 WORK_CALLS = frozenset({
     "pack", "unpack", "deliver", "post", "issue", "acquire", "complete",
     "am_put", "am_get", "am_accumulate", "am_compare_and_swap",
+    "rdma",
 })
 
 

@@ -15,9 +15,9 @@ protocol variants:
 
 Send (isend) paths additionally carry a ``recv`` census rooted at
 ``Communicator.Irecv`` — a transfer's end-to-end copy count is the
-send census plus the receive census.  CH4 paths exclude sites in the
-CH3 device tree and vice versa (the call-graph resolver
-over-approximates across devices).
+send census plus the receive census.  CH4 paths exclude every site
+reached through a CH3 device method and vice versa (the call-graph
+resolver over-approximates across devices).
 
 Site ids are line-number-free (``module:func::kind:what`` plus an
 ordinal for repeats), so the committed ``COPYMAP.json`` only changes
@@ -76,12 +76,11 @@ def _entry_seeds(index: CodeIndex, cls: str, method: str,
 
 
 def _module_filter(spec_name: str) -> Callable[[Event], bool]:
-    """Keep only events in the spec's device tree (plus shared code —
-    the receive landing both devices use lives beside ``CH4Device``)."""
-    if spec_name.startswith("ch3_"):
-        return lambda ev: not ev.qual.startswith(
-            "repro/core/ch4.py:CH4Device.")
-    return lambda ev: not ev.qual.startswith("repro/ch3/")
+    """Keep only events on the spec's device: none reached through the
+    other device's tree (shared code stays — the receive landing both
+    devices use lives beside ``CH4Device``)."""
+    other = "ch4" if spec_name.startswith("ch3_") else "ch3"
+    return lambda ev: other not in ev.quals
 
 
 def _site_table(events: list[Event]) -> dict[str, dict]:

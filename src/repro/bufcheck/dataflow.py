@@ -175,6 +175,13 @@ FEATURE_ATTRS = frozenset({"hooks", "faults", "sanitizer", "progress",
                            "tsan"})
 
 
+#: The device trees by qualifier: a site reached through a function
+#: whose qualname starts with the prefix carries the qualifier.  The
+#: resolver offers both devices' methods for ``proc.device.put``; a
+#: shared helper only one device calls is on that device's paths alone.
+DEVICE_TREES = {"ch3": "repro/ch3/", "ch4": "repro/core/ch4.py:CH4Device."}
+
+
 def branch_quals(test: ast.expr) -> tuple[frozenset, frozenset]:
     """Qualifiers for the body / else branches of an ``if`` *test*."""
     none = frozenset()
@@ -941,11 +948,14 @@ class Analyzer:
             if first_taint(list(seeds.values())) is None:
                 continue
             summ = self.analyze(cand, seeds, ctx.depth + 1)
+            added = quals.union(device for device, prefix
+                                in DEVICE_TREES.items()
+                                if cand.qualname.startswith(prefix))
             # Events are frozen: one the call site's qualifiers add
             # nothing to is shared, not copied, on its way up.
             ctx.events.extend(
-                ev if quals <= ev.quals
-                else replace(ev, quals=ev.quals | quals)
+                ev if added <= ev.quals
+                else replace(ev, quals=ev.quals | added)
                 for ev in summ.events)
             rets.append(summ.ret)
         return merge_values(rets)

@@ -11,10 +11,14 @@ the origin thread against the target's window state (the outcome is
 identical; the extra *instruction* cost of building the AM and running
 the handler is charged by
 :meth:`repro.netmod.base.Netmod.charge_am_fallback`, and the extra
-*time* flows through the same fabric model).  Both the native-RDMA and
-AM paths funnel through these handlers for data movement; only their
-charging differs.  The devices call them by name, with positional
-arguments: a handler is a function, not a registry entry.
+*time* flows through the same fabric model).  A CH4 put or get of
+contiguous types does not come here, native or not: it is one RDMA
+store or load into the target's memory
+(:meth:`repro.mpi.rma.WindowState.rdma`).  A put or get with a derived
+type on either side, every accumulate, and every RMA call on the CH3
+device moves its bytes through these handlers.  The devices call them
+by name, with positional arguments: a handler is a function, not a
+registry entry.
 
 The origin-side argument checks of the same operations live here too,
 so both devices raise the same error before anything is issued.
@@ -31,13 +35,13 @@ from repro.errors import MPIErrArg, MPIErrCount, MPIErrDatatype, MPIError
 def size_error(op, nbytes: int) -> MPIError:
     """The error of an RMA call whose origin carries *nbytes* while
     its target layout holds a different number: a count error for a
-    negative target count, else an argument error."""
-    count = op.target_count
-    if count < 0:
-        return MPIErrCount(f"count must be >= 0, got {count}")
+    negative origin or target count, else an argument error."""
+    for count in (op.origin_count, op.target_count):
+        if count < 0:
+            return MPIErrCount(f"count must be >= 0, got {count}")
     return MPIErrArg(
         f"{op.mpi_name}: origin carries {nbytes} bytes but the target "
-        f"layout holds {count * op.target_dtref.datatype.size}")
+        f"layout holds {op.target_count * op.target_dtref.datatype.size}")
 
 
 def _element_dtype(datatype):

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from numpy import ndarray
+
 from repro.consts import ANY_SOURCE, PROC_NULL
 from repro.core import am
 from repro.core.extensions import ExtFlags
 from repro.core.ops import (RECV_PLAN, AccOp, CallPlan, GetOp, PutOp,
                             RecvOp, SendOp, SyncState)
-from repro.datatypes.pack import pack, packed_size, unpack
+from repro.datatypes.pack import as_bytes, pack, unpack
 from repro.datatypes.usage import DatatypeRef, UsageClass
 from repro.core.config import IpoScope
 from repro.errors import MPIErrArg, MPIError, MPIErrRank
@@ -447,8 +449,10 @@ class CH4Device:
 
     def _rma_facts(self, op, path) -> CallPlan:
         """What an RMA call site fixes below the charges: the target's
-        world rank and exposed-memory state, the transport, and
-        whether that runs the (plain, atomic) operation natively."""
+        world rank and exposed-memory state, the transport, whether
+        that runs the (plain, atomic) operation natively, and whether
+        both types are contiguous — a put or get of such moves its
+        bytes as one RDMA transfer, whatever the charges say."""
         win = op.win
         target_world = self._resolve_dest(win.comm, op.target_rank, op.flags)
         transport = self._transport_for(target_world)
@@ -458,7 +462,8 @@ class CH4Device:
             path, target_world, transport,
             native=not self.force_am and transport.rma_is_native(contig),
             native_atomic=(not self.force_am
-                           and transport.rma_is_native(contig, atomic=True)))
+                           and transport.rma_is_native(contig, atomic=True)),
+            contig=contig)
         plan.state = win.state_of(target_world)
         return plan
 
@@ -505,9 +510,13 @@ class CH4Device:
                 else route(op.win.comm.ctx, op.target_rank, 0))
 
     # put / get / accumulate each read their planned prologue (plan,
-    # byte offset, target size) in place and call their handler by
-    # name: a shared helper or a registry is one more Python frame on
-    # every warm call.
+    # byte offset, target size) in place and call their mover by name:
+    # a shared helper or a registry is one more Python frame on every
+    # warm call.  A put or get of contiguous types (``plan.contig``)
+    # is one RDMA store or load into the target's memory; a derived
+    # type on either side takes the AM handler, which unpacks at the
+    # target.  Native or fallback is a charge (``plan.native``, read
+    # by ``issue``), not a data path.
 
     @fastpath
     def put(self, op: PutOp) -> None:
@@ -520,15 +529,30 @@ class CH4Device:
                         else op.target_disp * state.disp_unit)
         target_dt = op.target_dtref.datatype
 
-        data = pack(op.origin_buf, op.origin_count, op.origin_dtref.datatype)
-        if len(data) != op.target_count * target_dt.size:
-            raise am.size_error(op, len(data))
+        if plan.contig:
+            # The NIC reads the origin where it lies: a C-contiguous
+            # array that holds the bytes as it is, any other origin as
+            # pack views it — or refuses it, short or strided.
+            data, count = op.origin_buf, op.origin_count
+            nbytes = count * op.origin_dtref.datatype.size
+            if not (type(data) is ndarray and data.flags.c_contiguous
+                    and 0 <= count and nbytes <= data.nbytes):
+                data = as_bytes(pack(data, count, op.origin_dtref.datatype))
+        else:
+            data = pack(op.origin_buf, op.origin_count,
+                        op.origin_dtref.datatype)
+            nbytes = len(data)
+        if nbytes != op.target_count * target_dt.size:
+            raise am.size_error(op, nbytes)
 
         vci = self.proc.hooks and self._rma_lane(op, plan)
-        result = plan.transport.issue(len(data), plan.native, vci=vci)
+        result = plan.transport.issue(nbytes, plan.native, vci=vci)
         if vci is not None:
             vci.completion.note("rma", result.arrive_s)
-        am.am_put(state, data, offset_bytes, op.target_count, target_dt)
+        if plan.contig:
+            state.rdma(offset_bytes, nbytes, data, None)
+        else:
+            am.am_put(state, data, offset_bytes, op.target_count, target_dt)
         pending = op.win._pending
         pending[plan.peer_world] = max(pending.get(plan.peer_world, 0.0),
                                        result.arrive_s)
@@ -544,8 +568,9 @@ class CH4Device:
                         else op.target_disp * state.disp_unit)
         target_dt = op.target_dtref.datatype
 
-        nbytes = packed_size(op.origin_count, op.origin_dtref.datatype)
-        if nbytes != op.target_count * target_dt.size:
+        count = op.origin_count
+        nbytes = count * op.origin_dtref.datatype.size
+        if count < 0 or nbytes != op.target_count * target_dt.size:
             raise am.size_error(op, nbytes)
 
         vci = self.proc.hooks and self._rma_lane(op, plan)
@@ -553,8 +578,14 @@ class CH4Device:
                                       vci=vci)
         if vci is not None:
             vci.completion.note("rma", result.complete_s)
-        data = am.am_get(state, offset_bytes, op.target_count, target_dt)
-        unpack(data, op.origin_buf, op.origin_count, op.origin_dtref.datatype)
+        buf = op.origin_buf
+        if plan.contig and type(buf) is ndarray and buf.flags.c_contiguous \
+                and buf.flags.writeable and nbytes <= buf.nbytes:
+            state.rdma(offset_bytes, nbytes, None, buf)
+        else:
+            # A derived type, or an origin unpack fills — or refuses.
+            data = am.am_get(state, offset_bytes, op.target_count, target_dt)
+            unpack(data, buf, count, op.origin_dtref.datatype)
         pending = op.win._pending
         pending[plan.peer_world] = max(pending.get(plan.peer_world, 0.0),
                                        result.complete_s)

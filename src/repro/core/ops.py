@@ -10,8 +10,7 @@ its native path or the AM fallback with full information.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
 from repro.core.extensions import ExtFlags, NONE
@@ -52,16 +51,18 @@ class CallPlan:
     """
 
     __slots__ = ("entry", "args", "path", "fused", "lock", "peer_world",
-                 "transport", "native", "native_atomic", "threshold",
-                 "state", "stream", "failing")
+                 "transport", "native", "native_atomic", "contig",
+                 "threshold", "state", "stream", "failing")
 
     def __init__(self, path=None, peer_world=None, transport=None,
-                 native=False, native_atomic=False, threshold=0):
+                 native=False, native_atomic=False, contig=False,
+                 threshold=0):
         self.path = path
         self.peer_world = peer_world
         self.transport = transport
         self.native = native
         self.native_atomic = native_atomic
+        self.contig = contig
         self.threshold = threshold
         self.entry = self.args = self.fused = self.lock = self.state = None
         self.stream = self.failing = None
@@ -161,16 +162,15 @@ class AccOp:
     tag: ClassVar[int] = 0     #: see :class:`PutOp`
 
 
-@dataclass
+@dataclass(slots=True)
 class SyncState:
     """Synchronous-send handshake state carried inside a message.
 
-    The matching engine records the match time, fires the event, and —
-    when ``request`` is set (MPI_ISSEND) — completes the request at
-    ``match time + ack_latency_s`` (the acknowledgment's travel time).
+    On the match the matching engine completes ``request``, the
+    send's handle, at ``match time + ack_latency_s`` — the
+    acknowledgment's travel time.  Nothing but that handle waits on
+    the handshake.
     """
 
-    event: threading.Event = field(default_factory=threading.Event)
-    match_time_s: float = 0.0
-    request: Optional[object] = None
-    ack_latency_s: float = 0.0
+    request: Any
+    ack_latency_s: float

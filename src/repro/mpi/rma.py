@@ -28,9 +28,11 @@ import numpy as np
 from repro.consts import PROC_NULL
 from repro.core import extensions as ext
 from repro.core.ops import AccOp, CallPlan, GetOp, PutOp
+from repro.datatypes.predefined import BYTE
 from repro.errors import (MPIErrArg, MPIErrCount, MPIErrDatatype,
                           MPIErrRank, MPIErrRMARange, MPIErrRMASync,
                           MPIErrWin)
+from repro.instrument import copies
 from repro.instrument.costs import COSTS
 from repro.mpi import reduceops
 from repro.mpi.info import Info
@@ -168,6 +170,28 @@ class WindowState:
                 del self._regions[i]
                 return
         raise MPIErrWin(f"no attached region at address {base}")
+
+    # -- RDMA: one contiguous store or load ----------------------------------
+
+    def rdma(self, offset_bytes: int, nbytes: int, src, dst) -> None:
+        """A contiguous put's or get's one data movement, under
+        the data lock: store the first *nbytes* of *src* at
+        *offset_bytes* — or, *src* None, load them into *dst*.  Either
+        is a C-contiguous array of any dtype, viewed as bytes.
+        :meth:`view` finds a dynamic window's region and raises the
+        :class:`MPIErrRMARange` outside the exposed memory."""
+        with self.data_lock:
+            window = self._buffer
+            if window is None or not 0 <= offset_bytes <= window.size - nbytes:
+                window, offset_bytes = self.view(offset_bytes, nbytes, BYTE), 0
+            if nbytes:
+                copies.note_copy(nbytes)
+                if src is not None:
+                    window[offset_bytes:offset_bytes + nbytes] = \
+                        src.reshape(-1).view(np.uint8)[:nbytes]
+                else:
+                    dst.reshape(-1).view(np.uint8)[:nbytes] = \
+                        window[offset_bytes:offset_bytes + nbytes]
 
     # -- the accessor the AM handlers use -------------------------------------
 
@@ -325,17 +349,26 @@ class Window:
         """The MPI layer's share of one put/get/accumulate around the
         device's ``body(op)``: check the arguments, find the call
         site's plan, and enter (:func:`~repro.mpi.pt2pt.run_call`),
-        the seam's check being the sanitizer's look at the access."""
+        the seam's check being the sanitizer's look at the access.
+
+        A call site's plan exists only once its target rank passed the
+        rank check, which nothing a later call passes can undo; the
+        other three checks read per-call state, and a warm call that
+        passes them needs no :meth:`_check_rma` frame."""
         proc = self.proc
-        failed = plan = None
-        if proc.config.error_checking:
-            failed = self._check_rma(op.origin_count, op.origin_dtref,
-                                     op.target_rank, op.flags.global_rank)
-        if failed is None:
-            plan = (self._plans.get((op.target_rank, op.flags.bits,
-                                     op.origin_dtref.key,
-                                     op.target_dtref.key))
-                    or self._call_plan(op))   # first use
+        dtref = op.origin_dtref
+        plan = self._plans.get((op.target_rank, op.flags.bits, dtref.key,
+                                op.target_dtref.key))
+        failed = None
+        if proc.config.error_checking and (
+                plan is None or op.origin_count < 0
+                or not dtref.datatype.committed or self.freed):
+            failed = self._check_rma(op.origin_count, dtref, op.target_rank,
+                                     op.flags.global_rank)
+        if failed is not None:
+            plan = None
+        elif plan is None:
+            plan = self._call_plan(op)   # first use
         run_call(proc, plan or self._entry_plan(op.target_rank), name, body,
                  op, failed, "rma_check")
 
@@ -459,7 +492,9 @@ class Window:
                    global_rank: bool):
         """RMA argument validation in Table 1's order: None when every
         argument is valid, else :func:`~repro.mpi.pt2pt.run_call`'s
-        *failed*."""
+        *failed*.  :meth:`_run` tests checks 1 to 3 inline on a call
+        site whose plan is cached and calls this on any that fails; a
+        check added here must be added to that test too."""
         if count < 0:
             return 1, MPIErrCount(f"count must be >= 0, got {count}")
         if not dtref.datatype.committed:

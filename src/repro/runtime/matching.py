@@ -154,10 +154,7 @@ class _MatchingEngineBase:
         """Complete a synchronous-send handshake at *match_time_s*."""
         sync = msg.sync
         if sync is not None:
-            sync.match_time_s = match_time_s
-            if sync.request is not None:
-                sync.request.complete(match_time_s + sync.ack_latency_s)
-            sync.event.set()
+            sync.request.complete(match_time_s + sync.ack_latency_s)
 
     def _find_unexpected(self, probe: PostedRecv
                          ) -> Optional[tuple[Envelope, int]]:

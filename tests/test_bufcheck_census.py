@@ -11,7 +11,9 @@ number of payload copies the census predicts — in the default build
 one copy end-to-end (the receive-side scatter), in a fault build,
 whose sends snapshot their payload, two (pack materialization +
 scatter) — measured by the :mod:`repro.instrument.copies` counters the
-pack layer and the matching engine report into.
+pack layer and the matching engine report into.  A contiguous put or
+get moves its bytes once, with no view, charged native or as the AM
+fallback; a derived target layout packs and unpacks.
 """
 
 from __future__ import annotations
@@ -109,6 +111,18 @@ class TestZeroCopyConversion:
             assert row["send"]["fastpath"]["copies"] \
                 < row["send"]["copy_mode"]["copies"], name
 
+    def test_put_fastpath_copies_once_into_the_window(self, committed):
+        """A put's one fast-path copy is the store into the target
+        window, with no origin copy before it: CH4's RDMA store, CH3's
+        AM handler scatter."""
+        for name, row in committed["paths"].items():
+            if row["op"] != "put":
+                continue
+            store = ("repro/datatypes/pack.py:unpack::copy:scatter"
+                     if name.startswith("ch3_") else
+                     "repro/mpi/rma.py:WindowState.rdma::copy:scatter")
+            assert row["send"]["fastpath"]["copy_sites"] == [store], name
+
     def test_send_path_pins_a_keepalive_transfer(self, committed):
         """The view-carrying send paths own a sanctioned transfer point
         (``Message.own_data``) — the census proves the keepalive
@@ -168,3 +182,78 @@ class TestRuntimeCrossCheck:
         legacy = self._measure(BuildConfig(fault_plan=FaultPlan()))
         assert fast.n_copies < legacy.n_copies
         assert fast.bytes_copied * 2 == legacy.bytes_copied
+
+
+class TestRuntimeRMACrossCheck:
+    """One-sided data movement against the live counters: a contiguous
+    put or get is one copy and no view — the census's window store —
+    native or charged as the AM fallback; a derived target layout packs
+    at the origin and unpacks at the target."""
+
+    N = 8           #: doubles per call
+
+    def _measure(self, config, call, target=None, origin=None):
+        """Copies and views of one warm ``Window.<call>`` of ``N``
+        doubles (or of *origin*, an ``(array, count, datatype)``) into
+        a one-rank window, and the window afterwards."""
+        from repro.mpi.comm import Communicator
+        from repro.mpi.rma import Window
+        from repro.runtime import World
+        comm = Communicator.world_view(World(1, config).proc(0))
+        mem = np.full(2 * self.N, -1.0)
+        win = Window.create(comm, mem, disp_unit=8)
+        win.fence()
+        if origin is None:
+            origin = np.arange(1.0, self.N + 1)
+        rma = getattr(win, call)
+        rma(origin, 0, 0, target=target)     # compile the plans
+        with copies.track() as delta:
+            rma(origin, 0, 0, target=target)
+        moved = delta()
+        win.fence()
+        return moved, mem, origin
+
+    def _assert_moved(self, call, mem, origin):
+        if call == "put":
+            assert (mem[:self.N] == np.arange(1.0, self.N + 1)).all()
+            assert (mem[self.N:] == -1.0).all()
+        else:
+            assert (mem == -1.0).all() and (origin == -1.0).all()
+
+    @pytest.mark.parametrize("config", [
+        BuildConfig(), BuildConfig(force_am_fallback=True)],
+        ids=["native", "force_am_fallback"])
+    @pytest.mark.parametrize("call", ["put", "get"])
+    def test_contiguous_moves_once_without_a_view(self, call, config):
+        """The AM fallback's charges leave the data path alone: a
+        contiguous put or get is the one window store or load."""
+        moved, mem, origin = self._measure(config, call)
+        assert (moved.n_copies, moved.n_views) == (1, 0)
+        assert moved.bytes_copied == self.N * 8
+        self._assert_moved(call, mem, origin)
+
+    @pytest.mark.parametrize("call", ["put", "get"])
+    def test_origin_of_a_dtype_memoryview_cannot_export(self, call):
+        """A datetime64 origin described as ``INT64`` — an array
+        ``memoryview`` refuses — moves its bytes as pack would."""
+        from repro.datatypes.predefined import INT64
+        stamps = np.arange(1, self.N + 1).astype("datetime64[s]")
+        moved, mem, _ = self._measure(BuildConfig(), call,
+                                      origin=(stamps, self.N, INT64))
+        assert (moved.n_copies, moved.n_views) == (1, 0)
+        if call == "put":
+            assert (mem[:self.N].view(np.int64)
+                    == np.arange(1, self.N + 1)).all()
+        else:
+            assert (stamps.view(np.int64) == mem[:self.N].view(np.int64)
+                    ).all()
+
+    def test_derived_target_packs_and_scatters(self):
+        from repro.datatypes.derived import vector
+        from repro.datatypes.predefined import DOUBLE
+        column = vector(self.N, 1, 2, DOUBLE).commit()
+        moved, mem, origin = self._measure(BuildConfig(), "put",
+                                           target=(1, column))
+        assert (moved.n_copies, moved.n_views) == (1, 1)
+        assert moved.bytes_copied == moved.bytes_viewed == self.N * 8
+        assert (mem[::2] == origin).all() and (mem[1::2] == -1.0).all()

@@ -391,14 +391,22 @@ class TestCallPlanGuard:
     #: A warm ``Window.put``: 29 entered stepwise, 24 run planned,
     #: 16 with the handler called directly, the planned prologue, the
     #: target's size and the pending time read inline and the span
-    #: computed by the window's accessor from a ``Typemap.ub`` slot —
-    #: exactly.
-    CALLS_PER_PUT = 16
-    #: A warm ``Window.get`` (25 before the same change), exactly.
-    CALLS_PER_GET = 17
-    #: A warm ``Window.accumulate`` (20 before it; two of these are
-    #: the type and size checks it lacked), exactly.
-    CALLS_PER_ACCUMULATE = 18
+    #: computed by the window's accessor from a ``Typemap.ub`` slot;
+    #: 11 now that a contiguous put is one RDMA store into the window
+    #: (``WindowState.rdma`` and its ``note_copy`` in place of pack,
+    #: its view note, the AM handler, the window view, unpack and its
+    #: copy note) and a warm call that passes the checks runs no
+    #: ``_check_rma`` frame — exactly.
+    CALLS_PER_PUT = 11
+    #: A warm ``Window.get`` (25, then 17 before the same changes; its
+    #: one RDMA load and its note replace ``packed_size``, the AM
+    #: handler, the window view, pack, unpack and two notes, and the
+    #: warm call runs no ``_check_rma`` frame), exactly.
+    CALLS_PER_GET = 11
+    #: A warm ``Window.accumulate`` (20, then 18; two of these are the
+    #: type and size checks it lacked; its bytes still move through
+    #: the AM handler), exactly.
+    CALLS_PER_ACCUMULATE = 17
     #: The same warm cycle on each build with a hook seam, whose entry
     #: replays the call's plans one layer at a time.  With a hook
     #: attribute per subsystem and a probe per hook site, entering
@@ -552,6 +560,36 @@ class TestCallPlanGuard:
         assert recv[0] == 7
         return cycle
 
+    #: A warm one-rank synchronous cycle — Irecv, ``Ssend`` (its
+    #: Issend, wait and release), the receive's wait and release: 54
+    #: Python-level calls when every synchronous send built a
+    #: ``threading.Event`` (and its ``Condition``) that the match set
+    #: and nothing waited on; without it: exactly.
+    CALLS_PER_SSEND_CYCLE = 46
+    #: ... of which construct an object: the cycle's four, and the
+    #: ``SyncState`` the message carries — exactly.
+    INITS_PER_SSEND_CYCLE = 5
+
+    def test_python_calls_per_warm_ssend_cycle(self):
+        import numpy as np
+        comm = self._comm(False)
+        send, recv = np.full(1, 7, np.uint8), np.zeros(1, np.uint8)
+        release = comm.proc.request_pool.release
+
+        def cycle():
+            rreq = comm.Irecv(recv, 0, 7)
+            comm.Ssend(send, 0, 7)
+            rreq.wait()
+            release(rreq)
+
+        for _ in range(5):      # compile the plans, fill the pool
+            cycle()
+        assert recv[0] == 7
+        per_cycle, inits, recompiles = self._profile(cycle)
+        assert per_cycle == self.CALLS_PER_SSEND_CYCLE
+        assert inits == self.INITS_PER_SSEND_CYCLE * self.CYCLES
+        assert recompiles == 0
+
     def test_python_calls_per_warm_all_opts_cycle(self):
         per_cycle, _, recompiles = self._profile(
             self._all_opts_cycle("irecv_all_opts"))
@@ -691,9 +729,10 @@ class TestCallPlanGuard:
         assert heavy == 0
 
     def test_no_event_or_condition_on_any_warm_wait(self):
-        """Sendrecv, waitall and waitany park on the same one-shot
-        lock: none of them builds a ``threading.Event`` or
-        ``threading.Condition``."""
+        """Sendrecv, Ssend, waitall and waitany park on the same
+        one-shot lock: none of them builds a ``threading.Event`` or
+        ``threading.Condition`` — a synchronous send's handshake
+        included."""
         import numpy as np
         from repro.runtime.request import waitall, waitany
         bufs = [np.zeros(1, np.uint8) for _ in range(6)]
@@ -714,6 +753,10 @@ class TestCallPlanGuard:
             waitall(reqs + sends)
             for req in reqs + sends:
                 release(req)
+            if comm.rank == 0:
+                comm.Ssend(bufs[0], 1, 8)
+            else:
+                comm.Recv(bufs[1], 0, 8)
 
         _, heavy = self._profiled_ranks(waits, 50)
         assert heavy == 0
@@ -910,6 +953,7 @@ print(json.dumps(out))
         assert newest["hooked"] == guard.HOOKED_CALLS_PER_CYCLE
         assert newest["proc_null_cycle"] == guard.CALLS_PER_PROC_NULL_CYCLE
         assert newest["all_opts_cycle"] == guard.CALLS_PER_ALL_OPTS_CYCLE
+        assert newest["ssend_cycle"] == guard.CALLS_PER_SSEND_CYCLE
         assert newest["blocking_message"] + 2 == \
             guard.MAX_CALLS_PER_BLOCKING_MESSAGE
 

@@ -5,11 +5,11 @@ import pytest
 
 from repro.consts import PROC_NULL
 from repro.core.config import BuildConfig
-from repro.datatypes import resized, subarray, vector
+from repro.datatypes import contiguous, resized, subarray, vector
 from repro.datatypes.predefined import BYTE, DOUBLE, INT64
-from repro.errors import (MPIErrArg, MPIErrCount, MPIErrDatatype, MPIError,
-                          MPIErrRank, MPIErrRMARange, MPIErrRMASync,
-                          MPIErrWin)
+from repro.errors import (MPIErrArg, MPIErrBuffer, MPIErrCount,
+                          MPIErrDatatype, MPIError, MPIErrRank,
+                          MPIErrRMARange, MPIErrRMASync, MPIErrWin)
 from repro.mpi import reduceops
 from repro.mpi.rma import (LOCK_EXCLUSIVE, LOCK_SHARED, RWLock, Window,
                            WindowState)
@@ -499,3 +499,153 @@ class TestRMAAcrossDevices:
                             "fetch_and_op": [0.0],
                             "compare_and_swap": [4.0, 0.0]}
         assert errors == {case: cls for case, (cls, _) in ILLEGAL.items()}
+
+
+#: Calls that raise on the float64 window of rank 1 (4 elements, on
+#: another node), the class each raises and whether it raises before
+#: the transport sees the operation: a put's origin is read at the
+#: origin, before ``issue``; a displacement outside the window, and a
+#: get's origin (which the data lands in), only at the target.
+ERROR_POINTS = {
+    "put_short_origin": (MPIErrBuffer, "before", lambda win: win.put(
+        (np.zeros(1), 2, DOUBLE), 1, 0)),
+    "put_strided_origin": (MPIErrBuffer, "before", lambda win: win.put(
+        np.zeros(4)[::2], 1, 0)),
+    "put_size": (MPIErrArg, "before", lambda win: win.put(
+        (np.zeros(2), 2, DOUBLE), 1, 0, target=(3, DOUBLE))),
+    "put_negative_target_count": (MPIErrCount, "before", lambda win: win.put(
+        np.zeros(1), 1, 0, target=(-1, DOUBLE))),
+    "put_disp_out_of_range": (MPIErrRMARange, "after", lambda win: win.put(
+        np.zeros(1), 1, 4)),
+    "get_size": (MPIErrArg, "before", lambda win: win.get(
+        np.zeros(2), 1, 0, target=(3, DOUBLE))),
+    "get_negative_target_count": (MPIErrCount, "before", lambda win: win.get(
+        np.zeros(1), 1, 0, target=(-1, DOUBLE))),
+    "get_disp_out_of_range": (MPIErrRMARange, "after", lambda win: win.get(
+        np.zeros(1), 1, 4)),
+    "get_short_origin": (MPIErrBuffer, "after", lambda win: win.get(
+        (np.zeros(1), 2, DOUBLE), 1, 0)),
+    "get_readonly_origin": (MPIErrBuffer, "after", lambda win: win.get(
+        (bytes(8), 1, DOUBLE), 1, 0)),
+}
+
+
+class TestRMAErrorPoint:
+    """Where in the call an illegal put or get raises, on both devices:
+    before ``issue`` — nothing on the wire, the clock advanced by the
+    call's instructions alone — or after it, at the target, with the
+    operation's injection time spent like a legal call's."""
+
+    @pytest.mark.parametrize("device", DEVICES)
+    def test_error_class_and_point(self, device):
+        from repro.fabric.topology import Topology
+        from repro.mpi.tools import PvarSession
+        from repro.runtime import World
+
+        def main(comm):
+            win = Window.create(comm, np.arange(4.0), disp_unit=8)
+            win.fence()
+            seen = {}
+            if comm.rank == 0:
+                session = PvarSession(comm.proc)
+                for case, (_, _, call) in ERROR_POINTS.items():
+                    raised = []
+
+                    def run():
+                        try:
+                            call(win)
+                        except MPIError as exc:
+                            raised.append(type(exc))
+
+                    delta = session.delta(run)
+                    seen[case] = (raised, delta["netmod_native_ops"],
+                                  delta["instructions_total"],
+                                  delta["virtual_time_seconds"])
+                for call in ("put", "get"):
+                    delta = session.delta(
+                        lambda: getattr(win, call)(np.zeros(1), 1, 0))
+                    seen[call] = delta["virtual_time_seconds"]
+                seen["inject_s"] = comm.proc.device.netmod._inject_s
+            win.fence()
+            return seen
+
+        config = DEVICES[device]
+        seen = World(2, config, topology=Topology(2, 1)).run(
+            main, timeout=60)[0]
+        # The put path's instructions, whichever point it raises at.
+        instructions = 215 if device == "ch4" else 1342
+        inject_s = seen["inject_s"]
+        for case, (expected, point, _) in ERROR_POINTS.items():
+            raised, issued, charged, advance = seen[case]
+            legal = seen[case.split("_")[0]]
+            assert raised == [expected], case
+            assert charged == instructions, case
+            if point == "before":
+                assert issued == 0, case
+                assert advance == pytest.approx(legal - inject_s), case
+            else:
+                assert issued == 1, case
+                assert advance == pytest.approx(legal), case
+
+
+#: Illegal calls on a call site whose plan ``Window._run`` finds cached
+#: and the error each raises: a negative origin count, a type with the
+#: cached type's plan key but not committed, a freed window.  Each is
+#: (the legal call that caches the site, what precedes the illegal
+#: call, the illegal call, its error).
+_PAIR = contiguous(2, DOUBLE).commit()
+WARM_SITE = {
+    "negative_count": (
+        lambda win: win.put(np.zeros(1), 0, 0), lambda win: None,
+        lambda win: win.put((np.zeros(1), -1, DOUBLE), 0, 0), MPIErrCount),
+    "uncommitted_same_key": (
+        lambda win: win.put((np.zeros(2), 1, _PAIR), 0, 0), lambda win: None,
+        lambda win: win.put((np.zeros(2), 1, contiguous(2, DOUBLE)), 0, 0),
+        MPIErrDatatype),
+    "freed_window": (
+        lambda win: win.put(np.zeros(1), 0, 0), lambda win: win.free(),
+        lambda win: win.put(np.zeros(1), 0, 0), MPIErrWin),
+}
+
+
+class TestWarmSiteChecks:
+    """``Window._run`` tests counts, commits and frees inline on a call
+    site whose plan is cached: an illegal call there raises the error a
+    first call at a fresh site raises, at the same charge and time."""
+
+    @pytest.mark.parametrize("device", DEVICES)
+    @pytest.mark.parametrize("case", WARM_SITE)
+    def test_warm_site_raises_as_a_cold_one(self, device, case):
+        from repro.mpi.tools import PvarSession
+        from repro.runtime import World
+        legal, before, illegal, expected = WARM_SITE[case]
+
+        def main(comm):
+            session = PvarSession(comm.proc)
+            seen = []
+            for warm in (False, True):
+                win = Window.create(comm, np.zeros(4), disp_unit=8)
+                win.fence()
+                if warm:
+                    legal(win)
+                    legal(win)
+                before(win)
+                raised = []
+
+                def run():
+                    try:
+                        illegal(win)
+                    except MPIError as exc:
+                        raised.append(type(exc))
+
+                delta = session.delta(run)
+                seen.append((raised, delta["instructions_total"],
+                             delta["virtual_time_seconds"]))
+                if not win.freed:
+                    win.free()
+            return seen
+
+        cold, warm = World(1, DEVICES[device]).run(main, timeout=60)[0]
+        assert cold[0] == [expected]
+        assert warm[:2] == cold[:2]
+        assert warm[2] == pytest.approx(cold[2])
