@@ -1,17 +1,22 @@
 """Shared machinery for the repo's static-analysis tools.
 
-Two analyzers live in this tree and used to duplicate their plumbing:
+Three analyzers live in this tree:
 
 * :mod:`repro.sanitize` — the MPI-correctness linter for *user
   programs* (``MS1xx``/``MSD2xx`` rules, ``# sanitize: ignore``
-  pragmas);
+  pragmas), run as ``python -m repro.sanitize PATHS``;
 * :mod:`repro.audit` — the fast-path self-audit of the runtime's *own*
   source (``FP1xx``/``FP2xx``/``FP3xx`` rules, ``# audit: allow``
-  pragmas).
+  pragmas);
+* :mod:`repro.bufcheck` — the buffer-ownership & copy census of the
+  same source, on the audit's call graph (``BC5xx`` rules,
+  ``# bufcheck: ignore`` pragmas).
 
-Both now share one finding record, one report/exit-code policy, one
-rule-catalog shape, and one pragma parser (parameterized by marker so
-each tool keeps its established spelling).
+``python -m repro.check`` runs the last two over one parsed tree, and
+the linter over the shipped programs.  All three share one finding
+record, one report/exit-code policy, one rule-catalog shape, and one
+pragma parser (parameterized by marker so each tool keeps its
+established spelling).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Static self-audit of the repro's fast path.
 
-``python -m repro.audit src/repro`` checks the runtime's *own source*
-against the calibrated cost model, without executing it:
+:func:`run_audit` checks the runtime's *own source* against the
+calibrated cost model, without executing it:
 
 * **charge provenance** (FP101–FP104) — an AST call graph rooted at
   the MPI entry points (isend/irecv/put/get, the Section 3 extension
@@ -13,22 +13,25 @@ against the calibrated cost model, without executing it:
 * **fast-path purity** (FP201–FP205) — allocations, per-iteration
   lookups, locks, try blocks, and logging inside ``@fastpath`` bodies;
 * **lockset discipline** (FP301–FP302) — inconsistent attribute
-  locksets and lock-order cycles in ``repro/runtime``.
+  locksets and lock-order cycles in ``repro/runtime``;
+* **hook-seam discipline** (FP308) — no read of an optional
+  subsystem's attribute outside its own package and the seam.
 
-``--json AUDIT.json`` writes the machine-readable snapshot whose
-per-path totals the tier-1 calibration test diffs against Table 1 /
-Figure 2.  Shares diagnostics machinery (and the per-line pragma
-idiom, here ``# audit: allow[FPxxx]``) with :mod:`repro.sanitize` via
-:mod:`repro.analysis_common`.
+``python -m repro.check`` runs it on the installed runtime, and
+``--json DIR`` writes ``DIR/AUDIT.json``, the machine-readable
+snapshot whose per-path totals the tier-1 calibration test diffs
+against Table 1 / Figure 2.  Shares diagnostics machinery (and the
+per-line pragma idiom, here ``# audit: allow[FPxxx]``) with
+:mod:`repro.sanitize` via :mod:`repro.analysis_common`.
 """
 
 from repro.audit.callgraph import CodeIndex
-from repro.audit.cli import build_snapshot, main, run_audit
 from repro.audit.lockset import scan_lockset
 from repro.audit.manifest import AuditManifest, default_manifest
 from repro.audit.provenance import ProvenanceAnalyzer, run_provenance
 from repro.audit.purity import scan_purity
 from repro.audit.rules import FP_RULES, render_fp_catalog
+from repro.audit.snapshot import build_snapshot, run_audit
 
 __all__ = [
     "AuditManifest",
@@ -37,7 +40,6 @@ __all__ = [
     "ProvenanceAnalyzer",
     "build_snapshot",
     "default_manifest",
-    "main",
     "render_fp_catalog",
     "run_audit",
     "run_provenance",

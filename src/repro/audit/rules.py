@@ -107,5 +107,5 @@ FP_RULES: dict[str, Rule] = {r.rule_id: r for r in (
 
 
 def render_fp_catalog() -> str:
-    """The ``--rules`` listing for ``python -m repro.audit``."""
+    """The audit's part of ``python -m repro.check --rules``."""
     return render_catalog(FP_RULES)

@@ -22,17 +22,20 @@ resolver over-approximates across devices).
 Site ids are line-number-free (``module:func::kind:what`` plus an
 ordinal for repeats), so the committed ``COPYMAP.json`` only changes
 when data movement actually changes — the same diff discipline as
-AUDIT.json.
+AUDIT.json.  :func:`run_bufcheck` assembles the census and the BC5xx
+findings into that snapshot; ``python -m repro.check --json DIR``
+writes it as ``DIR/COPYMAP.json``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.analysis_common import Report
 from repro.audit.callgraph import CodeIndex
-from repro.audit.manifest import AuditManifest, PathSpec, default_manifest
+from repro.audit.manifest import AuditManifest, PathSpec
 from repro.bufcheck.dataflow import (Analyzer, Event, OFFCOPY_QUALS,
-                                     OFFPATH_QUALS, Taint)
+                                     OFFPATH_QUALS, Taint, scan_tree)
 
 #: Entry parameter names carrying the user buffer, per path side.
 SEND_BUF_PARAMS = frozenset({"buf", "origin", "origin_buf", "sendbuf"})
@@ -152,10 +155,8 @@ def census_for_path(analyzer: Analyzer, spec: PathSpec) -> dict:
     return row
 
 
-def build_copymap(analyzer: Analyzer,
-                  manifest: Optional[AuditManifest] = None) -> dict:
+def build_copymap(analyzer: Analyzer, manifest: AuditManifest) -> dict:
     """The ``paths`` payload of COPYMAP.json (all 12 specs)."""
-    manifest = manifest if manifest is not None else default_manifest()
     return {spec.name: census_for_path(analyzer, spec)
             for spec in manifest.paths}
 
@@ -180,3 +181,26 @@ def build_collective_census(analyzer: Analyzer) -> dict:
         row["recv"] = recv if recv is not None else {}
         out[key] = row
     return out
+
+
+def run_bufcheck(index: CodeIndex, manifest: AuditManifest,
+                 ) -> tuple[Report, dict]:
+    """Check the parsed tree *index*; returns (report, COPYMAP.json
+    snapshot dict)."""
+    analyzer = Analyzer(index)
+    # Census first: the entry-rooted analyses seed the memo tables the
+    # whole-tree scan then reuses, and report path-context findings.
+    copymap = build_copymap(analyzer, manifest)
+    collectives = build_collective_census(analyzer)
+    report = Report(diagnostics=scan_tree(analyzer),
+                    files_checked=len(index.modules))
+    snapshot = {
+        "version": 1,
+        "paths": dict(sorted(copymap.items())),
+        "collectives": dict(sorted(collectives.items())),
+        "findings": {
+            "count": len(report.diagnostics),
+            "by_rule": dict(sorted(report.counts_by_rule().items())),
+        },
+    }
+    return report, snapshot

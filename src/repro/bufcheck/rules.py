@@ -69,5 +69,5 @@ RULES: Mapping[str, Rule] = MappingProxyType({
 
 
 def render_bc_catalog() -> str:
-    """The ``--rules`` listing."""
+    """The bufcheck part of ``python -m repro.check --rules``."""
     return render_catalog(RULES)

@@ -1,48 +1,38 @@
-"""Unified analysis driver: ``python -m repro.check``.
+"""The runtime's self-check: ``python -m repro.check``.
 
-One command that runs every static analysis the tree ships — the MPI
-correctness linter (``repro.sanitize``), the fast-path audit
-(``repro.audit``) and the buffer-ownership census (``repro.bufcheck``)
-— and, with ``--stress``, a quick threaded stress pass under the race
-detector (``benchmarks/bench_tsan.py --quick``).  This is the single
-entry point CI (and a developer before pushing) needs instead of four
-invocations.
+One command runs every static analysis the runtime ships over the
+runtime itself:
 
-With no paths, each tool checks its CI default target: the linter
-checks the shipped programs (``examples/`` and ``repro.apps``), the
-audit and the census check the installed ``repro`` package.  With
-explicit paths, all tools check exactly those paths.
+* the fast-path audit (:mod:`repro.audit`) and the buffer-ownership
+  census (:mod:`repro.bufcheck`) over the installed ``repro`` package,
+  both on one parsed :class:`~repro.audit.callgraph.CodeIndex`;
+* the MPI-correctness linter (:mod:`repro.sanitize`) over the programs
+  the runtime ships: ``examples/`` in a checkout, and ``repro.apps``.
 
-``--json [FILE]`` writes one merged snapshot::
-
-    {"version": 1, "exit": <max of tool exits>,
-     "sanitize": {...}, "audit": {...}, "bufcheck": {...},
-     "tsan": {...} | {"skipped": "<why>"}}
-
-where each tool key holds that tool's own ``--json`` payload verbatim.
-Exit status is the max of the component codes — the familiar
-0 clean / 1 findings / 2 usage-error contract.
+``--json DIR`` writes ``DIR/AUDIT.json`` and ``DIR/COPYMAP.json``, the
+two snapshots committed at the repository root.  Exit status is the
+max of the component codes — the familiar 0 clean / 1 findings /
+2 usage-error contract.  User programs are linted with
+``python -m repro.sanitize PATHS``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
-import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.audit.cli import run_audit
+from repro.analysis_common import Report
+from repro.audit.callgraph import CodeIndex
+from repro.audit.manifest import default_manifest
 from repro.audit.rules import render_fp_catalog
-from repro.bufcheck.cli import run_bufcheck
+from repro.audit.snapshot import run_audit
+from repro.bufcheck.census import run_bufcheck
 from repro.bufcheck.rules import render_bc_catalog
 from repro.sanitize.astlint import lint_paths
-from repro.sanitize.cli import build_snapshot as sanitize_snapshot
 from repro.sanitize.diagnostics import render_rule_catalog
-
-#: Seconds allowed for the optional stress subprocess.
-STRESS_TIMEOUT = 300.0
 
 
 def package_dir() -> Path:
@@ -55,73 +45,38 @@ def repo_root() -> Path:
     return package_dir().parent.parent
 
 
-def default_lint_paths() -> list[str]:
-    """The linter's CI targets that exist in this checkout: shipped
-    example programs plus the mini-apps."""
+@dataclass(frozen=True)
+class TreeAnalysis:
+    """One analysis of the runtime tree: the parsed index, and each
+    analyzer's report and committed-snapshot payload."""
+
+    index: CodeIndex
+    audit: Report
+    audit_snapshot: dict
+    bufcheck: Report
+    bufcheck_snapshot: dict
+
+
+def analyze_tree() -> TreeAnalysis:
+    """Parse the installed runtime once; run the audit and the copy
+    census over that one index."""
+    index = CodeIndex.build([package_dir()])
+    manifest = default_manifest()
+    audit, audit_snapshot = run_audit(index, manifest)
+    bufcheck, bufcheck_snapshot = run_bufcheck(index, manifest)
+    return TreeAnalysis(index, audit, audit_snapshot, bufcheck,
+                        bufcheck_snapshot)
+
+
+def lint_shipped_programs() -> Report:
+    """The linter over the shipped example programs and mini-apps."""
     candidates = [repo_root() / "examples", package_dir() / "apps"]
-    found = [str(p) for p in candidates if p.is_dir()]
-    return found or [str(package_dir())]
+    return lint_paths([p for p in candidates if p.is_dir()])
 
 
-def run_stress() -> dict:
-    """``benchmarks/bench_tsan.py --quick`` as a subprocess; returns a
-    summary dict (or ``{"skipped": why}`` when unavailable)."""
-    script = repo_root() / "benchmarks" / "bench_tsan.py"
-    if not script.is_file():
-        return {"skipped": f"{script} not found"}
-    proc = subprocess.run(
-        [sys.executable, str(script), "--quick"],
-        cwd=repo_root(), capture_output=True, text=True,
-        timeout=STRESS_TIMEOUT)
-    if proc.returncode != 0:
-        return {"exit": proc.returncode,
-                "error": (proc.stderr or proc.stdout)[-2000:]}
-    try:
-        result = json.loads(proc.stdout)
-    except ValueError:
-        return {"exit": proc.returncode, "error": "unparseable output"}
-    flood = result.get("threaded_flood", {}).get("enabled", {})
-    return {"exit": 0,
-            "findings": flood.get("findings"),
-            "lock_events": flood.get("lock_events")}
-
-
-def run_check(paths: Sequence[str], stress: bool = False,
-              ) -> tuple[int, dict, list[str]]:
-    """Run every analysis; returns (exit, merged snapshot, rendered
-    per-tool reports)."""
-    explicit = list(paths)
-    tree = explicit or [str(package_dir())]
-    lint_targets = explicit or default_lint_paths()
-
-    renders: list[str] = []
-    lint_report = lint_paths(lint_targets)
-    renders.append("sanitize: " + lint_report.render())
-    audit_report, audit_snap = run_audit(tree)
-    renders.append("audit:    " + audit_report.render())
-    buf_report, buf_snap = run_bufcheck(tree)
-    renders.append("bufcheck: " + buf_report.render())
-
-    exit_code = max(lint_report.exit_code(), audit_report.exit_code(),
-                    buf_report.exit_code())
-    snapshot = {
-        "version": 1,
-        "sanitize": sanitize_snapshot(lint_report),
-        "audit": audit_snap,
-        "bufcheck": buf_snap,
-    }
-    if stress:
-        tsan = run_stress()
-        snapshot["tsan"] = tsan
-        if "skipped" in tsan:
-            renders.append(f"tsan:     skipped ({tsan['skipped']})")
-        else:
-            renders.append(
-                f"tsan:     exit {tsan['exit']}, "
-                f"{tsan.get('findings')} finding(s) under stress")
-            exit_code = max(exit_code, 1 if tsan["exit"] else 0)
-    snapshot["exit"] = exit_code
-    return exit_code, snapshot, renders
+def exit_status(reports: Iterable[Report]) -> int:
+    """The gate's exit status: the max of the component codes."""
+    return max(report.exit_code() for report in reports)
 
 
 def render_catalogs() -> str:
@@ -134,21 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.check",
-        description="Unified analysis gate: repro.sanitize + "
-                    "repro.audit + repro.bufcheck (and, with --stress, "
-                    "a quick race-detector stress pass).  Exit status: "
-                    "0 clean, 1 findings, 2 usage error.")
+        description="The runtime's self-check: repro.audit and "
+                    "repro.bufcheck over the installed repro package, "
+                    "repro.sanitize over its shipped programs.  Exit "
+                    "status: 0 clean, 1 findings, 2 usage error.")
     parser.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="source files or directories to check (default: each "
-             "tool's CI target)")
-    parser.add_argument(
-        "--json", metavar="FILE", nargs="?", const="-", default=None,
-        help="write the merged snapshot to FILE (default stdout)")
-    parser.add_argument(
-        "--stress", action="store_true",
-        help="also run benchmarks/bench_tsan.py --quick and fold its "
-             "verdict into the exit status")
+        "--json", metavar="DIR", default=None,
+        help="write DIR/AUDIT.json and DIR/COPYMAP.json")
     parser.add_argument(
         "--rules", action="store_true",
         help="print every tool's rule catalog and exit")
@@ -157,22 +104,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.rules:
         print(render_catalogs())
         return 0
-    exit_code, snapshot, renders = run_check(args.paths,
-                                             stress=args.stress)
-    for line in renders:
-        print(line)
+    tree = analyze_tree()
+    reports = {"sanitize": lint_shipped_programs(), "audit": tree.audit,
+               "bufcheck": tree.bufcheck}
+    for name, report in reports.items():
+        print(f"{name + ':':<10}{report.render()}")
     if args.json is not None:
-        if args.json == "-":
-            json.dump(snapshot, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(snapshot, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"snapshot written to {args.json}")
-    return exit_code
+        out = Path(args.json)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in (("AUDIT.json", tree.audit_snapshot),
+                              ("COPYMAP.json", tree.bufcheck_snapshot)):
+            (out / name).write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8")
+        print(f"snapshots written to {out}")
+    return exit_status(reports.values())

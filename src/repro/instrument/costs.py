@@ -494,7 +494,7 @@ validate(COSTS)
 
 
 # ---------------------------------------------------------------------------
-# Flat registry view (consumed by `python -m repro.audit`)
+# Flat registry view (consumed by the audit, `python -m repro.check`)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """The ``@fastpath`` marker for audit-covered critical-path functions.
 
 The decorator is a runtime no-op: it tags the function object (and is
-recognized *syntactically* by ``python -m repro.audit``) so the
-fast-path purity rules (FP2xx) and the uncharged-work rule (FP104)
+recognized *syntactically* by the audit, ``python -m repro.check``) so
+the fast-path purity rules (FP2xx) and the uncharged-work rule (FP104)
 know which functions form the paper's measured critical path.  Marking
 a function promises that it
 

@@ -1,26 +1,21 @@
 """Command-line interface: ``python -m repro.sanitize <files-or-dirs>``.
 
-Exit-status contract (shared with ``python -m repro.audit``, so CI
-can gate on either uniformly):
+The linter for *user programs*.  Exit-status contract (shared with
+``python -m repro.check``, the runtime's self-check, so CI can gate on
+either uniformly):
 
 * **0** — every checked file is clean;
 * **1** — at least one unsuppressed rule fired;
 * **2** — usage error (no paths, unknown flag; argparse's own code).
 
-``--rules`` prints the rule catalog.  ``--json FILE`` additionally
-writes a machine-readable findings snapshot: the checked-file count
-and every finding as ``{rule, path, line, message}``, sorted — stable
-input gives byte-stable output, so the snapshot can be committed and
-diffed like ``AUDIT.json``.
+``--rules`` prints the rule catalog.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 from typing import Optional, Sequence
 
-from repro.analysis_common import Report
 from repro.sanitize.astlint import lint_paths
 from repro.sanitize.diagnostics import render_rule_catalog
 
@@ -38,30 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="Python files or directories to lint (directories are "
              "searched recursively for *.py)")
     parser.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write a machine-readable findings snapshot to FILE")
-    parser.add_argument(
         "--rules", action="store_true",
         help="print the full rule catalog (static and dynamic) and exit")
     return parser
-
-
-def build_snapshot(report: Report) -> dict:
-    """The deterministic ``--json`` payload for *report*."""
-    return {
-        "version": 1,
-        "files_checked": report.files_checked,
-        "findings": {
-            "count": len(report.diagnostics),
-            "by_rule": dict(sorted(report.counts_by_rule().items())),
-            "items": [
-                {"rule": d.rule_id, "path": d.path, "line": d.line,
-                 "message": d.message}
-                for d in sorted(report.diagnostics,
-                                key=lambda d: (d.path, d.line, d.rule_id))
-            ],
-        },
-    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -75,10 +49,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("no paths given (or use --rules)")
     report = lint_paths(args.paths)
     print(report.render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(build_snapshot(report), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
-        print(f"snapshot written to {args.json}")
     return report.exit_code()

@@ -28,6 +28,16 @@ def four_rank_world():
     return World(4, BuildConfig())
 
 
+@pytest.fixture(scope="session")
+def tree():
+    """The one analysis of the shipped runtime tree a test session runs
+    in-process: the parsed index, and the audit's and the copy
+    census's reports and snapshots (:func:`repro.check.analyze_tree`).
+    Every whole-tree test reads from it instead of re-parsing."""
+    from repro.check import analyze_tree
+    return analyze_tree()
+
+
 @pytest.fixture
 def rng():
     """Seeded numpy generator for reproducible randomized tests."""

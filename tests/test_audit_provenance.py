@@ -6,9 +6,8 @@ import json
 import pathlib
 
 import numpy as np
-import pytest
 
-from repro.audit import default_manifest, run_audit
+from repro.audit import default_manifest
 from repro.audit.callgraph import CodeIndex
 from repro.audit.lockset import scan_lockset
 from repro.consts import PROC_NULL
@@ -36,42 +35,34 @@ EXPECTED_TOTALS = {
 }
 
 
-@pytest.fixture(scope="module")
-def audit():
-    """One audit of the shipped tree, shared across this module."""
-    report, snapshot = run_audit([str(SRC)])
-    return report, snapshot
-
-
 class TestTreeAudit:
-    """``python -m repro.audit src/repro`` is clean, structurally."""
+    """The audit ``python -m repro.check`` runs is clean, structurally."""
 
-    def test_zero_findings(self, audit):
-        report, _ = audit
-        assert [f.render() for f in report.diagnostics] == []
+    def test_zero_findings(self, tree):
+        assert [f.render() for f in tree.audit.diagnostics] == []
 
-    def test_path_totals_match_paper(self, audit):
-        _, snapshot = audit
+    def test_path_totals_match_paper(self, tree):
+        snapshot = tree.audit_snapshot
         totals = {name: p["total"] for name, p in snapshot["paths"].items()}
         assert totals == EXPECTED_TOTALS
 
-    def test_default_isend_category_split(self, audit):
+    def test_default_isend_category_split(self, tree):
         # Table 1's removable/mandatory decomposition of the 221.
-        _, snapshot = audit
+        snapshot = tree.audit_snapshot
         split = snapshot["paths"]["ch4_isend_default"]["by_category"]
         assert split == {"error_checking": 74, "thread_safety": 6,
                         "function_call": 23, "redundant_checks": 59,
                         "mandatory": 59}
 
-    def test_default_put_category_split(self, audit):
-        _, snapshot = audit
+    def test_default_put_category_split(self, tree):
+        snapshot = tree.audit_snapshot
         split = snapshot["paths"]["ch4_put_default"]["by_category"]
         assert split == {"error_checking": 72, "thread_safety": 14,
                         "function_call": 25, "redundant_checks": 60,
                         "mandatory": 44}
 
-    def test_every_nonzero_entry_has_provenance(self, audit):
-        _, snapshot = audit
+    def test_every_nonzero_entry_has_provenance(self, tree):
+        snapshot = tree.audit_snapshot
         registry = default_manifest().registry
         zero = set(snapshot["registry"]["zero_cost_keys"])
         for key, entry in registry.items():
@@ -80,11 +71,11 @@ class TestTreeAudit:
                     f"no reachable charge site for {key}"
         assert zero == {k for k, e in registry.items() if e.cost == 0}
 
-    def test_committed_snapshot_up_to_date(self, audit):
+    def test_committed_snapshot_up_to_date(self, tree):
         # AUDIT.json is a build artifact under version control; it must
-        # be regenerated (``python -m repro.audit src/repro --json
-        # AUDIT.json``) whenever charge sites move.
-        _, snapshot = audit
+        # be regenerated (``python -m repro.check --json .``) whenever
+        # charge sites move.
+        snapshot = tree.audit_snapshot
         committed = json.loads((ROOT / "AUDIT.json").read_text())
         assert committed == snapshot
 
@@ -104,10 +95,9 @@ class TestManifest:
             total = sum(manifest.registry[k].cost for k in spec.keys)
             assert total == spec.expected_total, spec.name
 
-    def test_entry_points_exist_in_tree(self):
-        index = CodeIndex.build([str(SRC)])
+    def test_entry_points_exist_in_tree(self, tree):
         for cls, method in default_manifest().entry_points:
-            assert index.find_method(cls, method) is not None, \
+            assert tree.index.find_method(cls, method) is not None, \
                 f"missing entry point {cls}.{method}"
 
 

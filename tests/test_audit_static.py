@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.audit.callgraph import CodeIndex
 from repro.audit.lockset import scan_lockset
 from repro.audit.provenance import (_observable_work, _subtree_charges,
@@ -49,6 +51,13 @@ class TestPurityFixtures:
             "        a = dict()\n"
             "        return [x for x in xs], a\n")
         assert _purity_ids(tmp_path, src) == ["FP201", "FP201"]
+
+    def test_fp201_comprehension(self, tmp_path):
+        src = FASTPATH_STUB + (
+            "    @fastpath\n"
+            "    def hot(xs):\n"
+            "        return [x for x in xs]\n")
+        assert _purity_ids(tmp_path, src) == ["FP201"]
 
     def test_fp201_generator_expression_allowed(self, tmp_path):
         src = FASTPATH_STUB + (
@@ -489,16 +498,15 @@ class TestCallGraph:
         assert [f.short for f in index.resolve_call(call.func, api)] == [
             "Entry.__init__", "Entry.__enter__", "Entry.__exit__"]
 
-    def test_entry_object_and_call_plans_are_on_the_audited_path(self):
+    def test_entry_object_and_call_plans_are_on_the_audited_path(
+            self, tree):
         """From ``Communicator.Isend`` the walk reaches the entry
         runner and every function that compiles a layer of the call
         plan, so the charges a fused plan replays are the charge sites
         FP101-FP103 audit."""
-        import pathlib
         from repro.audit.manifest import default_manifest
         from repro.audit.provenance import ProvenanceAnalyzer
-        root = pathlib.Path(__file__).resolve().parent.parent
-        index = CodeIndex.build([str(root / "src" / "repro")])
+        index = tree.index
         # FP201-FP205 scan the @fastpath-marked functions: with none
         # marked, the tree would lint clean by scanning nothing.
         assert len(index.fastpath_functions()) >= 15
@@ -554,205 +562,143 @@ def _seam_ids(tmp_path, source: str) -> list[str]:
                                              path_filter="")]
 
 
-def _tree_reads(*attrs: str) -> list:
-    """FP308 findings on the shipped tree that read one of *attrs*."""
-    import pathlib
-    root = pathlib.Path(__file__).resolve().parent.parent
-    index = CodeIndex.build([str(root / "src" / "repro")])
-    return [f for f in scan_hookseam(index)
-            if any(f"reads .{a} " in f.message for a in attrs)]
-
-
-class TestFTGuardFixtures:
-    """FP308 on the fault layer's attributes: outside ``repro/ft/``
-    the runtime fires seam events, never reads ``.faults``/``.ft``."""
-
-    def test_unguarded_hook_flagged(self, tmp_path):
-        src = """\
+#: Per hook attribute, the five FP308 fixture shapes.  ``flagged``
+#: reads the attribute (a guarded read is still a read) and carries the
+#: rule ids it fires; ``guarded`` and ``alias_exit`` reach the subsystem
+#: through the seam; ``store`` only binds the attribute; ``pragma``
+#: documents its read.  All but ``flagged`` are clean.
+GUARD_FIXTURES = {
+    "faults": {
+        "flagged": ("""\
             def hook(proc):
                 proc.faults.check_self()
-        """
-        assert _seam_ids(tmp_path, src) == ["FP308"]
-
-    def test_guarded_hook_clean(self, tmp_path):
-        """The seam's guard is the one a call site writes."""
-        src = """\
+        """, ["FP308"]),
+        "guarded": """\
             def hook(proc, dest, msg):
                 hooks = proc.hooks
                 if hooks is not None and hooks.deliver is not None:
                     hooks.deliver(dest, msg)
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_alias_early_exit_clean(self, tmp_path):
-        src = """\
+        """,
+        "alias_exit": """\
             def hook(proc, op):
                 hooks = proc.hooks
                 if hooks is None or hooks.comm_check is None:
                     return issue(op)
                 hooks.comm_check(op.comm)
                 return issue(op)
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_store_only_clean(self, tmp_path):
-        src = """\
+        """,
+        "store": """\
             def bind(proc, view):
                 proc.faults = view
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        src = """\
+        """,
+        "pragma": """\
             def hook(proc):
                 proc.faults.drain()  # audit: allow[FP308]
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_repro_tree_has_no_unguarded_hooks(self):
-        assert _tree_reads("faults", "ft") == []
-
-
-class TestProgressGuardFixtures:
-    """FP308 on the progress engine: a guarded read is still a read —
-    the engine is reached through the seam's progress events."""
-
-    def test_unguarded_hook_flagged(self, tmp_path):
-        src = """\
+        """,
+    },
+    "progress": {
+        "flagged": ("""\
             def hook(proc, vci, transport, request, when):
                 proc.progress.park_completion(vci, transport, request, when)
-        """
-        assert _seam_ids(tmp_path, src) == ["FP308"]
-
-    def test_guarded_hook_clean(self, tmp_path):
-        src = """\
+        """, ["FP308"]),
+        "guarded": """\
             def hook(proc, vci, transport, request, when):
                 hooks = proc.hooks
                 if hooks is not None:
                     hooks.park_rendezvous(vci, transport, request, when)
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_alias_early_exit_clean(self, tmp_path):
-        src = """\
+        """,
+        "alias_exit": """\
             def hook(request, fn):
                 hooks = request._hooks
                 if hooks is None:
                     return request.subscribe(fn)
                 request.subscribe(hooks.on_complete(request, fn))
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_store_only_clean(self, tmp_path):
-        src = """\
+        """,
+        "store": """\
             def bind(proc, view):
                 proc.progress = view
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        src = """\
+        """,
+        "pragma": """\
             def hook(proc):
                 if proc.progress is not None:  # audit: allow[FP308]
                     pass
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_repro_tree_has_no_unguarded_hooks(self):
-        assert _tree_reads("progress") == []
-
-
-class TestTsanGuardFixtures:
-    """FP308 on the race detector: locks come from the seam's factory,
-    annotations test the structure's race key."""
-
-    def test_unguarded_hook_flagged(self, tmp_path):
-        src = """\
+        """,
+    },
+    "tsan": {
+        "flagged": ("""\
             def hook(proc, key):
                 if proc.tsan is not None:
                     proc.tsan.note_access(key)
-        """
-        assert _seam_ids(tmp_path, src) == ["FP308", "FP308"]
-
-    def test_guarded_hook_clean(self, tmp_path):
-        src = """\
+        """, ["FP308", "FP308"]),
+        "guarded": """\
             def hook(self):
                 if self._race_key is not None:
                     self._hooks.access(self._race_key, True, "state")
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_alias_early_exit_clean(self, tmp_path):
-        src = """\
+        """,
+        "alias_exit": """\
             def build(hooks, rank):
                 return make_lock(hooks, "engine", f"mq{rank}")
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_store_only_clean(self, tmp_path):
-        src = """\
+        """,
+        "store": """\
             def bind(proc, view):
                 proc.tsan = view
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        src = """\
+        """,
+        "pragma": """\
             def hook(proc):
                 proc.tsan.check_continuation("x")  # audit: allow[FP308]
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_repro_tree_has_no_unguarded_hooks(self):
-        assert _tree_reads("tsan") == []
-
-
-class TestDetectorGuardFixtures:
-    """FP308 on the failure detector: blocked waits announce themselves
-    to the seam, which parks the rank."""
-
-    def test_unguarded_hook_flagged(self, tmp_path):
-        src = """\
+        """,
+    },
+    "detector": {
+        "flagged": ("""\
             def hook(proc):
                 proc.detector.beat()
-        """
-        assert _seam_ids(tmp_path, src) == ["FP308"]
-
-    def test_guarded_hook_clean(self, tmp_path):
-        src = """\
+        """, ["FP308"]),
+        "guarded": """\
             def hook(proc, comm, source, tag):
                 with blocked_wait(proc.hooks, "probe",
                                   probe=(comm, source, tag, None)):
                     return proc.engine.probe(comm.ctx, source, tag)
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_alias_early_exit_clean(self, tmp_path):
-        src = """\
+        """,
+        "alias_exit": """\
             def hook(proc):
                 hooks = proc.hooks
                 if hooks is None:
                     return
                 hooks.monitor()
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_store_only_clean(self, tmp_path):
-        src = """\
+        """,
+        "store": """\
             def bind(proc, view):
                 proc.detector = view
-        """
-        assert _seam_ids(tmp_path, src) == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        src = """\
+        """,
+        "pragma": """\
             def hook(proc):
                 proc.detector.enter_wait()  # audit: allow[FP308]
-        """
-        assert _seam_ids(tmp_path, src) == []
+        """,
+    },
+}
 
-    def test_repro_tree_has_no_unguarded_hooks(self):
-        assert _tree_reads("detector") == []
+
+@pytest.mark.parametrize("attr", sorted(GUARD_FIXTURES))
+class TestGuardFixtures:
+    """FP308 on each optional subsystem: outside its own package the
+    runtime fires seam events, never reads the subsystem's attribute."""
+
+    def test_unguarded_hook_flagged(self, tmp_path, attr):
+        src, ids = GUARD_FIXTURES[attr]["flagged"]
+        assert _seam_ids(tmp_path, src) == ids
+
+    def test_guarded_hook_clean(self, tmp_path, attr):
+        assert _seam_ids(tmp_path, GUARD_FIXTURES[attr]["guarded"]) == []
+
+    def test_alias_early_exit_clean(self, tmp_path, attr):
+        assert _seam_ids(tmp_path, GUARD_FIXTURES[attr]["alias_exit"]) \
+            == []
+
+    def test_store_only_clean(self, tmp_path, attr):
+        assert _seam_ids(tmp_path, GUARD_FIXTURES[attr]["store"]) == []
+
+    def test_pragma_suppresses(self, tmp_path, attr):
+        assert _seam_ids(tmp_path, GUARD_FIXTURES[attr]["pragma"]) == []
 
 
 class TestHookSeamRule:
@@ -789,8 +735,8 @@ class TestHookSeamRule:
             if owner.endswith("/"):
                 assert owner in FP_RULES["FP308"].title
 
-    def test_whole_tree_is_clean(self):
-        assert _tree_reads(*HOOK_ATTRS) == []
+    def test_whole_tree_is_clean(self, tree):
+        assert scan_hookseam(tree.index) == []
 
 
 class TestRuleCatalog:

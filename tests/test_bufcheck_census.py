@@ -24,7 +24,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.bufcheck.cli import default_paths, run_bufcheck
 from repro.core.config import BuildConfig
 from repro.ft import FaultPlan
 from repro.instrument import copies
@@ -42,22 +41,15 @@ PATH_NAMES = {
 
 
 @pytest.fixture(scope="module")
-def snapshot() -> dict:
-    """One fresh census over the shipped tree (the expensive part)."""
-    _report, snap = run_bufcheck(default_paths())
-    return snap
-
-
-@pytest.fixture(scope="module")
 def committed() -> dict:
     return json.loads((ROOT / "COPYMAP.json").read_text())
 
 
 class TestCopymapSnapshot:
-    def test_matches_committed(self, snapshot, committed):
+    def test_matches_committed(self, tree, committed):
         """Regenerating the census reproduces the committed artifact —
         the AUDIT.json diff discipline for data movement."""
-        assert snapshot == committed
+        assert tree.bufcheck_snapshot == committed
 
     def test_all_published_paths_covered(self, committed):
         assert set(committed["paths"]) == PATH_NAMES

@@ -1,23 +1,24 @@
 """CI lint gate: every static/dynamic analysis the tree ships.
 
-The MPI linter runs over every shipped program (``examples/`` and the
-mini-apps) exactly as the CI job would:
-``python -m repro.sanitize examples src/repro/apps``; the fast-path
-audit over ``src/repro``; the buffer-ownership & copy-census gate
-(``python -m repro.bufcheck``, snapshot frozen in ``COPYMAP.json``);
-the unified ``python -m repro.check`` driver; the race detector's
-quick stress pass via ``benchmarks/bench_tsan.py --quick``; and ruff
-where installed (the job skips cleanly when the binary is missing).
-``TestUnifiedLintGate`` chains all of them as the single CI entry
-point.  The calibration-guard classes pin the committed Figure 2 /
-Table 1 charging (``FIGURE2`` / ``TABLE1`` below) on the default build
-and on every setting that claims to be charge-invisible.
+The runtime's self-check, ``python -m repro.check --json DIR``, runs
+once as the CI job would: the fast-path audit and the buffer-ownership
+& copy census over ``src/repro`` (their snapshots byte-identical to the
+committed ``AUDIT.json`` / ``COPYMAP.json``) and the MPI linter over
+every shipped program.  The user-program linter ``python -m
+repro.sanitize`` is checked on its own; the race detector's quick
+stress pass (``benchmarks/bench_tsan.py --quick``) and ruff (where
+installed; skipped loudly when the binary is missing) run once each.
+The calibration-guard classes pin the committed Figure 2 / Table 1
+charging (``FIGURE2`` / ``TABLE1`` below) on the default build and on
+every setting that claims to be charge-invisible.
 """
 
 from __future__ import annotations
 
+import filecmp
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -96,118 +97,61 @@ def assert_table1_trace(**overrides):
         assert rec.total == sum(expected.values()), (op, overrides)
 
 
-class TestSanitizeCLI:
-    """``python -m repro.sanitize`` as CI runs it."""
+def _rule_ids(stdout: str) -> list[str]:
+    """The rule ids of the findings one analyzer run printed."""
+    return re.findall(r": \[(\w+)\] ", stdout)
 
-    def test_tree_lints_clean(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.sanitize",
-             "examples", "src/repro/apps"],
+
+class TestSanitizeCLI:
+    """``python -m repro.sanitize``, the linter for user programs."""
+
+    def _lint(self, *args) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "repro.sanitize", *args],
             cwd=ROOT, env=_env(), capture_output=True, text=True,
             timeout=120)
+
+    def test_tree_lints_clean(self):
+        proc = self._lint("examples", "src/repro/apps")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 finding(s)" in proc.stdout
+
+    def test_clean_file_passes_the_gate(self, tmp_path):
+        clean = tmp_path / "clean.py"
+        clean.write_text("def f(x):\n"
+                         "    return x + 1\n")
+        proc = self._lint(str(clean))
+        assert (proc.returncode, _rule_ids(proc.stdout)) == (0, [])
 
     def test_findings_fail_the_gate(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("def f(comm, buf):\n"
                        "    comm.isend(buf, dest=1, tag=0)\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.sanitize", str(bad)],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=120)
-        assert proc.returncode == 1
-        assert "MS101" in proc.stdout
+        proc = self._lint(str(bad))
+        assert (proc.returncode, _rule_ids(proc.stdout)) == (1, ["MS101"])
 
     def test_rules_flag_prints_catalog(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.sanitize", "--rules"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=120)
+        proc = self._lint("--rules")
         assert proc.returncode == 0
         assert "MS101" in proc.stdout and "MSD204" in proc.stdout
         assert "MS109" in proc.stdout
 
-    def test_json_snapshot_written_and_stable(self, tmp_path):
-        """``--json`` emits the machine-readable contract CI consumes:
-        same tree, two runs, byte-identical snapshots."""
-        import json
-        outs = []
-        for name in ("a.json", "b.json"):
-            out = tmp_path / name
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.sanitize",
-                 "src/repro/apps", "--json", str(out)],
-                cwd=ROOT, env=_env(), capture_output=True, text=True,
-                timeout=120)
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            outs.append(out.read_text())
-        assert outs[0] == outs[1]
-        snapshot = json.loads(outs[0])
-        assert snapshot["findings"]["count"] == 0
-        assert snapshot["files_checked"] > 0
-
 
 class TestRuff:
-    """Ruff gate — skipped when the binary is not installed."""
+    """Ruff over every analyzer package — skipped when the binary is
+    not installed."""
 
-    def test_ruff_clean_on_sanitize_package(self):
+    def test_ruff_clean_on_analyzer_packages(self):
         try:
             proc = subprocess.run(
-                ["ruff", "check", "src/repro/sanitize"],
+                ["ruff", "check", "src/repro/analysis_common.py",
+                 "src/repro/sanitize", "src/repro/audit",
+                 "src/repro/bufcheck", "src/repro/check",
+                 "src/repro/tsan"],
                 cwd=ROOT, capture_output=True, text=True, timeout=120)
         except FileNotFoundError:
             pytest.skip("ruff not installed in this environment")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-class TestAuditCLI:
-    """``python -m repro.audit`` as the CI fast-path gate runs it."""
-
-    def test_tree_audits_clean(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.audit", "src/repro"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "0 finding(s)" in proc.stdout
-
-    def test_purity_violation_fails_the_gate(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def fastpath(func):\n"
-                       "    return func\n"
-                       "\n"
-                       "@fastpath\n"
-                       "def hot(xs):\n"
-                       "    return [x for x in xs]\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.audit", str(bad)],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=120)
-        assert proc.returncode == 1
-        assert "FP201" in proc.stdout
-
-    def test_rules_flag_prints_catalog(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.audit", "--rules"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=120)
-        assert proc.returncode == 0
-        for rule_id in ("FP101", "FP104", "FP201", "FP205", "FP301",
-                        "FP302", "FP303", "FP308"):
-            assert rule_id in proc.stdout
-
-    def test_json_snapshot_matches_committed(self, tmp_path):
-        out = tmp_path / "AUDIT.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.audit", "src/repro",
-             "--json", str(out)],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        import json
-        assert json.loads(out.read_text()) \
-            == json.loads((ROOT / "AUDIT.json").read_text())
 
 
 class TestProgressBenchSmoke:
@@ -998,50 +942,6 @@ class TestTsanBenchSmoke:
         assert (ROOT / "BENCH_tsan.json").exists()
 
 
-class TestBufcheckCLI:
-    """``python -m repro.bufcheck`` as the CI copy-census gate runs it."""
-
-    def test_tree_checks_clean(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.bufcheck"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "0 finding(s)" in proc.stdout
-
-    def test_needless_copy_fails_the_gate(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def send(sendbuf):\n"
-                       "    return sendbuf.tobytes()\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.bufcheck", str(bad)],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=120)
-        assert proc.returncode == 1
-        assert "BC504" in proc.stdout
-
-    def test_rules_flag_prints_catalog(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.bufcheck", "--rules"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=120)
-        assert proc.returncode == 0
-        for rule_id in ("BC501", "BC502", "BC503", "BC504", "BC505"):
-            assert rule_id in proc.stdout
-
-    def test_json_snapshot_matches_committed(self, tmp_path):
-        out = tmp_path / "COPYMAP.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.bufcheck",
-             "--json", str(out)],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        import json
-        assert json.loads(out.read_text()) \
-            == json.loads((ROOT / "COPYMAP.json").read_text())
-
-
 class TestCollectivesBenchSmoke:
     """``benchmarks/bench_collectives.py --quick`` as a CI smoke: the
     sweep runs, the hierarchical composition wins at the largest
@@ -1094,88 +994,53 @@ class TestCommittedNumbers:
 
 
 class TestCheckCLI:
-    """``python -m repro.check`` — the one-command analysis gate."""
+    """``python -m repro.check``, the runtime's self-check."""
 
-    def test_tree_checks_clean_with_merged_snapshot(self, tmp_path):
-        import json
-        out = tmp_path / "check.json"
+    def test_tree_checks_clean_and_regenerates_the_snapshots(self,
+                                                             tmp_path):
+        """The one whole-tree subprocess run, as CI runs it: every
+        analysis clean, and both snapshots byte-identical to the
+        committed ones."""
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.check", "--json", str(out)],
+            [sys.executable, "-m", "repro.check", "--json", str(tmp_path)],
             cwd=ROOT, env=_env(), capture_output=True, text=True,
             timeout=600)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert _rule_ids(proc.stdout) == []
         for tool in ("sanitize:", "audit:", "bufcheck:"):
             assert tool in proc.stdout
-        merged = json.loads(out.read_text())
-        assert merged["exit"] == 0
-        assert merged["sanitize"]["findings"]["count"] == 0
-        assert merged["audit"]["findings"]["count"] == 0
-        assert merged["bufcheck"]["findings"]["count"] == 0
+        for name in ("AUDIT.json", "COPYMAP.json"):
+            assert filecmp.cmp(tmp_path / name, ROOT / name,
+                               shallow=False), name
 
-    def test_findings_propagate_to_exit_code(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def send(sendbuf):\n"
-                       "    return sendbuf.tobytes()\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.check", str(bad)],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=300)
-        assert proc.returncode == 1
-        assert "BC504" in proc.stdout
+    def test_findings_propagate_to_exit_code(self, monkeypatch, capsys):
+        """The exit status is the max of the component codes: one
+        finding in one report fails the gate, and is printed."""
+        from repro.analysis_common import Finding, Report
+        from repro.check import cli
+        one = Report([Finding("BC504", "bad.py", 2, "needless copy")], 1)
+        monkeypatch.setattr(cli, "lint_shipped_programs", Report)
+        for bufcheck, status in ((Report(), 0), (one, 1)):
+            tree = cli.TreeAnalysis(None, Report(), {}, bufcheck, {})
+            monkeypatch.setattr(cli, "analyze_tree", lambda: tree)
+            assert cli.main([]) == status
+            assert _rule_ids(capsys.readouterr().out) == [
+                d.rule_id for d in bufcheck.diagnostics]
 
-    def test_rules_flag_prints_every_catalog(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.check", "--rules"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=120)
-        assert proc.returncode == 0
-        for rule_id in ("MS101", "FP201", "BC504"):
-            assert rule_id in proc.stdout
+    def test_path_argument_is_a_usage_error(self):
+        """The self-check analyses the runtime it ships with, nothing
+        else: a path is rejected, not audited against the runtime's
+        manifest."""
+        from repro.check import main
+        with pytest.raises(SystemExit) as exc:
+            main(["examples"])
+        assert exc.value.code == 2
 
-
-class TestUnifiedLintGate:
-    """The single CI lint entry point: ruff (when installed), the MPI
-    linter, the fast-path audit, the buffer-ownership census, and a
-    quick stress pass under the race detector — one test, every
-    analysis, all green or the gate fails."""
-
-    def test_all_analyses_green(self):
-        # 1. ruff over the shipped analysis packages (optional tool).
-        try:
-            ruff = subprocess.run(
-                ["ruff", "check", "src/repro/sanitize",
-                 "src/repro/audit", "src/repro/tsan",
-                 "src/repro/bufcheck", "src/repro/check"],
-                cwd=ROOT, capture_output=True, text=True, timeout=120)
-            assert ruff.returncode == 0, ruff.stdout + ruff.stderr
-        except FileNotFoundError:
-            pass   # optional tooling; the dedicated test skips loudly
-        # 2. Static MPI-correctness lint over every shipped program.
-        lint = subprocess.run(
-            [sys.executable, "-m", "repro.sanitize",
-             "examples", "src/repro/apps"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=120)
-        assert lint.returncode == 0, lint.stdout + lint.stderr
-        # 3. Fast-path purity / guard-discipline audit over the tree.
-        audit = subprocess.run(
-            [sys.executable, "-m", "repro.audit", "src/repro"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=300)
-        assert audit.returncode == 0, audit.stdout + audit.stderr
-        # 4. Buffer-ownership & copy-census gate over the tree.
-        bufcheck = subprocess.run(
-            [sys.executable, "-m", "repro.bufcheck"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=300)
-        assert bufcheck.returncode == 0, \
-            bufcheck.stdout + bufcheck.stderr
-        # 5. Quick threaded stress pass under the race detector.
-        import json
-        stress = subprocess.run(
-            [sys.executable, "benchmarks/bench_tsan.py", "--quick"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True,
-            timeout=300)
-        assert stress.returncode == 0, stress.stdout + stress.stderr
-        assert json.loads(
-            stress.stdout)["threaded_flood"]["enabled"]["findings"] == 0
+    def test_rules_flag_prints_every_catalog(self, capsys):
+        from repro.check import main
+        assert main(["--rules"]) == 0
+        out = capsys.readouterr().out
+        for rule_id in ("MS101", "MSD204", "FP101", "FP104", "FP201",
+                        "FP205", "FP301", "FP302", "FP303", "FP308",
+                        "BC501", "BC502", "BC503", "BC504", "BC505"):
+            assert rule_id in out
