@@ -14,7 +14,7 @@ entry point.  Local names are mapped to small symbol sets:
   self.proc.charge``);
 * ``"cat:<MEMBER>"`` — a resolved Category.
 
-Parameter bindings propagate through calls (memoized per entry on the
+Parameter bindings propagate through calls (memoized per walk on the
 (function, bindings) pair), tuple assignments and conditional
 expressions are folded, and the CH3 ``for cat, sub, cost in
 steps.values()`` idiom expands to every key of the bound step table.
@@ -47,8 +47,7 @@ _INTERESTING_EXACT = ("costs", "proc", "chargefn")
 #: Callee names that count as observable fast-path work for FP104.
 WORK_CALLS = frozenset({
     "pack", "unpack", "deliver", "post", "issue", "acquire", "complete",
-    "am_put", "am_get", "am_accumulate", "am_compare_and_swap",
-    "rdma",
+    "am_put", "am_get", "am_accumulate", "rdma",
 })
 
 
@@ -69,9 +68,9 @@ class ChargeSite:
 
 @dataclass
 class EntryResult:
-    """Outcome of walking one entry point."""
+    """Outcome of one walk from one or more entry points."""
 
-    entry: FunctionInfo
+    entries: tuple[FunctionInfo, ...]
     sites: list[ChargeSite] = field(default_factory=list)
     reachable: set[str] = field(default_factory=set)
 
@@ -102,11 +101,14 @@ class ProvenanceAnalyzer:
 
     # -- public ------------------------------------------------------------
 
-    def analyze(self, entry: FunctionInfo) -> EntryResult:
-        """Walk the call graph from *entry*, collecting charge sites."""
-        self._result = EntryResult(entry=entry)
+    def analyze(self, *entries: FunctionInfo) -> EntryResult:
+        """Walk the call graph from *entries* under one memo, collecting
+        charge sites: a function reached again with the same bindings
+        is walked once, whichever entry reaches it."""
+        self._result = EntryResult(entries=entries)
         self._memo = set()
-        self._visit(entry, {})
+        for entry in entries:
+            self._visit(entry, {})
         result = self._result
         self._result = None
         return result
@@ -338,11 +340,13 @@ def _suppressed(func: FunctionInfo, line: int, rule_id: str) -> bool:
 
 
 def run_provenance(index: CodeIndex, manifest: AuditManifest,
-                   ) -> tuple[list[Finding], dict[str, EntryResult]]:
-    """Run FP101–FP104 over *index*; returns (findings, entry results)."""
+                   ) -> tuple[list[Finding], EntryResult]:
+    """Run FP101–FP104 over *index*; returns (findings, the one walk
+    from every entry point).  FP101–FP103a and the snapshot read only
+    what some entry reaches, so the entries share one walk; FP103b
+    walks each entry a published path names on its own."""
     analyzer = ProvenanceAnalyzer(index, manifest)
     findings: list[Finding] = []
-    results: dict[str, EntryResult] = {}
 
     entry_funcs: dict[tuple[str, str], FunctionInfo] = {}
     for cls, method in manifest.entry_points:
@@ -353,32 +357,29 @@ def run_provenance(index: CodeIndex, manifest: AuditManifest,
                 f"entry point {cls}.{method} not found in the audited tree"))
             continue
         entry_funcs[(cls, method)] = info
-        results[f"{cls}.{method}"] = analyzer.analyze(info)
+    union = analyzer.analyze(*entry_funcs.values())
 
-    # FP101 / FP102: per charge site (deduplicated across entries).
+    # FP101 / FP102: per charge site (once, whatever bindings reach it).
     seen: set[tuple[str, int, str]] = set()
-    for result in results.values():
-        for site in result.sites:
-            spot = (site.func.module.rel, site.line)
-            if not site.category_ok and spot + ("FP101",) not in seen:
-                seen.add(spot + ("FP101",))
-                if not _suppressed(site.func, site.line, "FP101"):
-                    findings.append(Finding(
-                        "FP101", str(site.func.module.path), site.line,
-                        f"{site.func.short}: charge category does not "
-                        "resolve to a Category member"))
-            if not site.keys and spot + ("FP102",) not in seen:
-                seen.add(spot + ("FP102",))
-                if not _suppressed(site.func, site.line, "FP102"):
-                    findings.append(Finding(
-                        "FP102", str(site.func.module.path), site.line,
-                        f"{site.func.short}: charged cost does not resolve "
-                        "to any registered cost-model entry"))
+    for site in union.sites:
+        spot = (site.func.module.rel, site.line)
+        if not site.category_ok and spot + ("FP101",) not in seen:
+            seen.add(spot + ("FP101",))
+            if not _suppressed(site.func, site.line, "FP101"):
+                findings.append(Finding(
+                    "FP101", str(site.func.module.path), site.line,
+                    f"{site.func.short}: charge category does not "
+                    "resolve to a Category member"))
+        if not site.keys and spot + ("FP102",) not in seen:
+            seen.add(spot + ("FP102",))
+            if not _suppressed(site.func, site.line, "FP102"):
+                findings.append(Finding(
+                    "FP102", str(site.func.module.path), site.line,
+                    f"{site.func.short}: charged cost does not resolve "
+                    "to any registered cost-model entry"))
 
     # FP103a: non-zero registry entries no entry point ever reaches.
-    reached: set[str] = set()
-    for result in results.values():
-        reached.update(result.reachable_keys())
+    reached = union.reachable_keys()
     for key, entry in sorted(manifest.registry.items()):
         if entry.cost != 0 and key not in reached:
             findings.append(Finding(
@@ -386,12 +387,15 @@ def run_provenance(index: CodeIndex, manifest: AuditManifest,
                 f"cost-model entry '{key}' ({entry.cost} instr) has no "
                 "reachable charge site from any MPI entry point"))
 
-    # FP103b: per-path expected keys must be reachable from their entry.
+    # FP103b: per-path expected keys must be reachable from their entry
+    # alone: one walk per distinct entry the paths name.
+    alone = {entry: analyzer.analyze(entry_funcs[entry]).reachable_keys()
+             for entry in {spec.entry for spec in manifest.paths}
+             if entry in entry_funcs}
     for spec in manifest.paths:
-        result = results.get(f"{spec.entry[0]}.{spec.entry[1]}")
-        if result is None:
+        reachable = alone.get(spec.entry)
+        if reachable is None:
             continue
-        reachable = result.reachable_keys()
         for key in sorted(spec.keys):
             if manifest.registry[key].cost != 0 and key not in reachable:
                 findings.append(Finding(
@@ -411,7 +415,7 @@ def run_provenance(index: CodeIndex, manifest: AuditManifest,
                     f"{fp.short}: fast-path function performs "
                     f"{'/'.join(sorted(works))} but no charge is reachable "
                     "from it"))
-    return findings, results
+    return findings, union
 
 
 def _observable_work(index: CodeIndex, func: FunctionInfo) -> set[str]:

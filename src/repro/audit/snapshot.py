@@ -15,8 +15,6 @@ fast-path purity, runtime lockset, hook seam) over a parsed tree;
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.analysis_common import Finding, Report
 from repro.audit.callgraph import CodeIndex
 from repro.audit.lockset import scan_lockset
@@ -31,19 +29,19 @@ def run_audit(index: CodeIndex, manifest: AuditManifest,
     """Audit the parsed tree *index*; returns (report, AUDIT.json
     snapshot dict)."""
     findings: list[Finding] = []
-    prov_findings, results = run_provenance(index, manifest)
+    prov_findings, walk = run_provenance(index, manifest)
     findings.extend(prov_findings)
     findings.extend(scan_purity(index))
     findings.extend(scan_lockset(index))
     findings.extend(scan_hookseam(index))
 
     report = Report(diagnostics=findings, files_checked=len(index.modules))
-    snapshot = build_snapshot(manifest, results, report)
+    snapshot = build_snapshot(manifest, walk, report)
     return report, snapshot
 
 
 def build_snapshot(manifest: AuditManifest,
-                   results: Mapping[str, EntryResult],
+                   walk: EntryResult,
                    report: Report) -> dict:
     """The deterministic AUDIT.json payload."""
     paths: dict[str, dict] = {}
@@ -61,11 +59,8 @@ def build_snapshot(manifest: AuditManifest,
             "total": sum(manifest.registry[k].cost for k in spec.keys),
         }
 
-    site_sets: dict[str, set[str]] = {}
-    for result in results.values():
-        for key, sites in result.reachable_keys().items():
-            site_sets.setdefault(key, set()).update(sites)
-    provenance = {k: sorted(v) for k, v in sorted(site_sets.items())}
+    provenance = {k: sorted(v)
+                  for k, v in sorted(walk.reachable_keys().items())}
 
     return {
         "version": 1,

@@ -16,9 +16,13 @@ contiguous types does not come here, native or not: it is one RDMA
 store or load into the target's memory
 (:meth:`repro.mpi.rma.WindowState.rdma`).  A put or get with a derived
 type on either side, every accumulate, and every RMA call on the CH3
-device moves its bytes through these handlers.  The devices call them
-by name, with positional arguments: a handler is a function, not a
-registry entry.
+device moves its bytes through these handlers.  The atomics are
+accumulates: MPI_FETCH_AND_OP is a one-element GET_ACCUMULATE, and
+MPI_COMPARE_AND_SWAP one whose operator replaces the target element
+when it equals the compare
+(:func:`repro.mpi.reduceops.compare_and_replace`).  The devices call
+the handlers by name, with positional arguments: a handler is a
+function, not a registry entry.
 
 The origin-side argument checks of the same operations live here too,
 so both devices raise the same error before anything is issued.
@@ -64,8 +68,10 @@ def check_accumulate(op, nbytes: int) -> None:
     target = op.target_dtref.datatype
     if target.np_dtype is None:
         raise MPIErrDatatype(
-            "accumulate requires a predefined target datatype")
-    origin = _element_dtype(op.origin_dtref.datatype)
+            f"{op.mpi_name} requires a predefined target datatype")
+    origin = op.origin_dtref.datatype.np_dtype
+    if origin is None:   # a derived origin: walk it to its elements
+        origin = _element_dtype(op.origin_dtref.datatype)
     if origin is None or origin != target.np_dtype:
         raise MPIErrDatatype(
             f"{op.mpi_name}: origin {op.origin_dtref.datatype.name} and "
@@ -107,13 +113,3 @@ def am_accumulate(target_state, data: bytes, offset_bytes: int,
         op.apply_numpy(incoming, view)
         return before
 
-
-def am_compare_and_swap(target_state, compare: bytes, origin: bytes,
-                        offset_bytes: int, datatype) -> bytes:
-    """Atomic compare-and-swap of one element; returns the old value."""
-    with target_state.data_lock:
-        view = target_state.view(offset_bytes, 1, datatype)
-        current = view.tobytes()
-        if current == compare:
-            view[:] = np.frombuffer(origin, dtype=np.uint8)
-        return current

@@ -8,6 +8,9 @@ Each :class:`Op` provides two faces:
   spelling (MPI-3.1's "op applied at the target");
 * ``combine_py(a, b)`` — generic-object reduction for the lowercase
   (pickled) collective API.
+
+MPI_COMPARE_AND_SWAP is an accumulate too: :func:`compare_and_replace`
+builds its one-call operator.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.datatypes.pack import pack
 from repro.errors import MPIErrOp
 
 
@@ -77,6 +81,20 @@ REPLACE = Op("MPI_REPLACE", False,
 NO_OP = Op("MPI_NO_OP", False,
            lambda inc, tgt, out: np.copyto(out, tgt), lambda a, b: b,
            rma_only=True)
+
+
+def compare_and_replace(compare, datatype) -> Op:
+    """MPI_COMPARE_AND_SWAP's operator: replace the one target element
+    with the incoming one when the two are identical (MPI-3.1 §11.3.4)
+    to *compare*'s element of *datatype* — byte for byte, so a -0.0
+    does not match a 0.0.  *compare* is read when the operator runs,
+    under the target's data lock."""
+    def swap(incoming, target, out):
+        if target.tobytes() == pack(compare, 1, datatype):
+            np.copyto(out, incoming)
+    # RMA-only: no collective combines with it, so it has no _py face.
+    return Op("MPI_COMPARE_AND_SWAP", False, swap, None, rma_only=True)
+
 
 #: All operators by MPI name.
 BY_NAME: dict[str, Op] = {

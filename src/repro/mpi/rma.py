@@ -431,38 +431,17 @@ class Window:
     def compare_and_swap(self, origin: np.ndarray, compare: np.ndarray,
                          result: np.ndarray, target_rank: int,
                          target_disp: int = 0) -> None:
-        """MPI_COMPARE_AND_SWAP of one element."""
-        proc = self.proc
+        """MPI_COMPARE_AND_SWAP of one element: a fetching accumulate
+        whose operator (:func:`~repro.mpi.reduceops.compare_and_replace`)
+        writes *origin* where the target element is *compare*."""
         buf, count, dtref = normalize_buffer(origin)
         if count != 1:
             raise MPIErrArg("compare_and_swap operates on one element")
-        failed = (self._check_rma(count, dtref, target_rank, False)
-                  if proc.config.error_checking else None)
-
-        def swap(op):
-            if dtref.datatype.np_dtype is None:
-                raise MPIErrDatatype(
-                    "compare_and_swap requires a predefined datatype")
-            target_world = self.comm.world_rank_of(target_rank)
-            state = self.state_of(target_world)
-            from repro.core import am
-            from repro.datatypes.pack import pack, unpack
-            transport = proc.device._transport_for(target_world)
-            res = transport.issue(dtref.datatype.size, native=True,
-                                  round_trip=True)
-            old = am.am_compare_and_swap(
-                state, pack(compare, 1, dtref.datatype),
-                pack(buf, 1, dtref.datatype),
-                target_disp * state.disp_unit, dtref.datatype)
-            unpack(old, result, 1, dtref.datatype)
-            pending = self._pending
-            pending[target_world] = max(pending.get(target_world, 0.0),
-                                        res.complete_s)
-
-        op = AccOp(buf, 1, dtref, target_rank, target_disp, 1, dtref, self,
-                   None, fetch_buf=result, mpi_name="MPI_Compare_and_swap")
-        run_call(proc, self._entry_plan(target_rank), op.mpi_name, swap, op,
-                 failed, "rma_check")
+        self._run(AccOp(buf, 1, dtref, target_rank, target_disp, 1, dtref,
+                        self, reduceops.compare_and_replace(
+                            compare, dtref.datatype),
+                        ext.NONE, result, "MPI_Compare_and_swap"),
+                  "MPI_Compare_and_swap", self.proc.device.accumulate)
 
     # -- §3.2 extension entry points --------------------------------------------
 

@@ -1035,8 +1035,10 @@ class TestOneEntryKeeps:
         assert World(1, config).run(main, timeout=60) == [(True, 10)]
 
     #: ``(cs_entries, cs_instructions)`` per VCI after
-    #: :func:`_routed_program`.
-    ROUTED_CS = [(14, 2502), (2, 316), (8, 1536), (9, 1626)]
+    #: :func:`_routed_program`.  VCI 0's instructions were 2502 while
+    #: ``compare_and_swap`` charged its entry only (111); it charges
+    #: the device path now, as ``fetch_and_op`` does (215): +104.
+    ROUTED_CS = [(14, 2606), (2, 316), (8, 1536), (9, 1626)]
 
     def test_routed_critical_sections(self):
         """``num_vcis=4``: each call notes its CS on the VCI its stream
@@ -1047,9 +1049,11 @@ class TestOneEntryKeeps:
             _routed_program, timeout=60)[0] == self.ROUTED_CS
 
     def test_off_line_calls_name_themselves(self, monkeypatch):
-        """A failing check, a PROC_NULL peer, the init calls and
-        ``compare_and_swap`` fire the sanitizer's ``note_api`` as the
-        two-regime entry did: once each, the init calls unnamed."""
+        """A failing check, a PROC_NULL peer and the init calls fire
+        the sanitizer's ``note_api`` as the two-regime entry did: once
+        each, the init calls unnamed.  A planned call — the closing
+        ``compare_and_swap``, an accumulate like any other — names
+        itself once too."""
         from repro.core.config import BuildConfig
         from repro.sanitize.runtime import RankSanitizer
         names = []
@@ -1088,3 +1092,86 @@ class TestOneEntryKeeps:
             main, timeout=60)[0] == [
             "MPI_Isend", "|", "MPI_Isend", "MPI_Irecv", "|", None, None,
             "|", "MPI_Compare_and_swap"]
+
+
+# -- the atomics enter and move their bytes through the device --------------
+
+#: What one warm ``fetch_and_op`` — the put's path plus nothing —
+#: charges on each build: CH4, CH3, and a lossless fault build (CH4
+#: plus the fault layer's RMA header).
+ATOMIC_CHARGES = {"ch4": 215, "ch3": 1342, "fault_plan": 249}
+
+
+def _atomic_config(build, **overrides):
+    """The ``BuildConfig`` of an ``ATOMIC_CHARGES`` build."""
+    from repro.core.config import BuildConfig
+    from repro.ft import FaultPlan
+    if build == "ch3":
+        overrides["device"] = Device.CH3
+    elif build == "fault_plan":
+        overrides["fault_plan"] = FaultPlan()
+    return BuildConfig(**overrides)
+
+
+def _atomics(win, peer):
+    """A one-element ``fetch_and_op`` and ``compare_and_swap`` on
+    *win* toward *peer*, by name."""
+    one, result = np.ones(1, np.int64), np.zeros(1, np.int64)
+    return {"fetch_and_op": lambda: win.fetch_and_op(one, result, peer, 0),
+            "compare_and_swap": lambda: win.compare_and_swap(
+                one, np.zeros(1, np.int64), result, peer, 1)}
+
+
+class TestAtomicsEnterTheDevice:
+    """``compare_and_swap`` is an accumulate: on every build it charges,
+    routes and moves its bytes as ``fetch_and_op`` does."""
+
+    @pytest.mark.parametrize("build", ATOMIC_CHARGES)
+    def test_compare_and_swap_charges_what_fetch_and_op_charges(self,
+                                                                build):
+        from repro.fabric.topology import Topology
+
+        def main(comm):
+            win = Window.create(comm, np.zeros(4, np.int64), disp_unit=8)
+            win.fence()
+            charged = {}
+            if comm.rank == 0:
+                counter = comm.proc.counter
+                for name, call in _atomics(win, 1).items():
+                    call()                  # the first call compiles
+                    before = counter.snapshot()
+                    call()
+                    delta = before.delta(counter.snapshot())
+                    charged[name] = (delta.total, {
+                        c.name: n for c, n in delta.by_category.items()
+                        if n})
+            win.fence()
+            return charged
+
+        charged = World(2, _atomic_config(build),
+                        topology=Topology(2, 1)).run(main, timeout=60)[0]
+        assert charged["compare_and_swap"] == charged["fetch_and_op"]
+        assert charged["fetch_and_op"][0] == ATOMIC_CHARGES[build]
+
+    @pytest.mark.parametrize("build", ["ch4", "ch3"])
+    def test_compare_and_swap_is_tallied_on_its_vci_lane(self, build):
+        """``num_vcis=4``: each atomic adds what the other adds to each
+        lane's ``n_injected`` — one op on one lane on CH4, whose RMA
+        issue routes; none on CH3, whose RMA does not."""
+        def main(comm):
+            win = Window.create(comm, np.zeros(4, np.int64), disp_unit=8)
+            win.fence()
+            vcis = comm.proc.vcis
+            added = {}
+            for name, call in _atomics(win, 0).items():
+                before = [v.n_injected for v in vcis]
+                call()
+                added[name] = [v.n_injected - n
+                               for v, n in zip(vcis, before)]
+            win.fence()
+            return added
+
+        added = World(1, _atomic_config(build, num_vcis=4)).run(
+            main, timeout=60)[0]
+        assert added["compare_and_swap"] == added["fetch_and_op"]
+        assert sum(added["compare_and_swap"]) == (build == "ch4")

@@ -349,8 +349,17 @@ class TestCallPlanGuard:
     CALLS_PER_GET = 11
     #: A warm ``Window.accumulate`` (20, then 18; two of these are the
     #: type and size checks it lacked; its bytes still move through
-    #: the AM handler), exactly.
-    CALLS_PER_ACCUMULATE = 17
+    #: the AM handler; 17 while the type check walked a predefined
+    #: origin through ``_element_dtype``), exactly.
+    CALLS_PER_ACCUMULATE = 16
+    #: A warm ``Window.fetch_and_op`` (20 with that walk), exactly.
+    CALLS_PER_FETCH_AND_OP = 19
+    #: A warm ``Window.compare_and_swap``: 28 on a path of its own
+    #: (``_check_rma`` and an entry plan on every call, a per-call
+    #: import, the target and transport resolved and issued by hand);
+    #: an accumulate now, its operator built and run per call:
+    #: exactly.
+    CALLS_PER_COMPARE_AND_SWAP = 23
     #: The same warm cycle on each build with a hook seam, whose entry
     #: replays the call's plans one layer at a time.  With a hook
     #: attribute per subsystem and a probe per hook site, entering
@@ -403,8 +412,9 @@ class TestCallPlanGuard:
         return cycle
 
     def _rma(self, timeline=False, call="put", config=None):
-        """A warm one-byte ``Window.<call>`` (put, get or accumulate)
-        at byte 3 of a one-rank window."""
+        """A warm one-byte ``Window.<call>`` (put, get, accumulate,
+        fetch_and_op or compare_and_swap) at byte 3 of a one-rank
+        window."""
         import numpy as np
         from repro.mpi.rma import Window
         comm = self._comm(timeline, config)
@@ -413,15 +423,20 @@ class TestCallPlanGuard:
         win.fence()
         origin = np.full(1, 7, np.uint8)
         rma = getattr(win, call)
+        # fetch_and_op's result; compare_and_swap's compare and result.
+        args = {"fetch_and_op": (np.zeros(1, np.uint8),),
+                "compare_and_swap": (np.zeros(1, np.uint8),
+                                     np.zeros(1, np.uint8))}.get(call, ())
 
         def once():
-            rma(origin, 0, 3)
+            rma(origin, *args, 0, 3)
 
         for _ in range(5):
             once()
         # (origin, target byte) after five calls.
         assert (origin[0], target[3]) == {
-            "put": (7, 7), "get": (0, 0), "accumulate": (7, 35)}[call]
+            "put": (7, 7), "get": (0, 0), "accumulate": (7, 35),
+            "fetch_and_op": (7, 35), "compare_and_swap": (7, 7)}[call]
         return once
 
     #: What a warm call re-derives when it recompiles its plans
@@ -433,11 +448,17 @@ class TestCallPlanGuard:
     RECOMPILING = frozenset({"_call_plan", "pt2pt_plan", "rma_plan",
                              "call_plan", "_enter_uncharged",
                              "_rma_prologue", "recording"})
+    #: What a warm one-sided call that passes its checks never runs
+    #: either: the checks' own frame, an entry plan built for the call,
+    #: a function-local import.
+    OFF_PLAN = frozenset({"_check_rma", "_entry_plan", "entry_plan",
+                          "_handle_fromlist"})
 
-    def _profile(self, body):
+    def _profile(self, body, watched=RECOMPILING):
         """Python-level calls per *body*() (less *body* itself) — an
         exact count — the ``__init__`` frames among them and how many
-        frames of a ``RECOMPILING`` name ran, over ``CYCLES`` runs."""
+        frames of a *watched* name (``RECOMPILING``) ran, over
+        ``CYCLES`` runs."""
         import gc
         import sys
         calls = inits = recompiles = 0
@@ -451,7 +472,7 @@ class TestCallPlanGuard:
                 calls += 1
                 name = frame.f_code.co_name
                 inits += name == "__init__"
-                recompiles += name in self.RECOMPILING
+                recompiles += name in watched
 
         sys.setprofile(profiler)
         try:
@@ -568,6 +589,18 @@ class TestCallPlanGuard:
         per_acc, _, recompiles = self._profile(self._rma(call="accumulate"))
         assert per_acc == self.CALLS_PER_ACCUMULATE
         assert recompiles == 0
+
+    def test_python_calls_per_warm_atomic(self):
+        """``fetch_and_op`` and ``compare_and_swap`` are accumulates: a
+        warm one replays its plan, with no check, entry-plan or import
+        frame of its own."""
+        for call, pinned in (("fetch_and_op", self.CALLS_PER_FETCH_AND_OP),
+                             ("compare_and_swap",
+                              self.CALLS_PER_COMPARE_AND_SWAP)):
+            per_call, _, stray = self._profile(
+                self._rma(call=call), self.RECOMPILING | self.OFF_PLAN)
+            assert per_call == pinned, call
+            assert stray == 0, call
 
     #: ``HOOKED_CALLS_PER_CYCLE``'s builds: a timeline, or a config.
     HOOKED_BUILDS = {"timeline": (True, None),
@@ -894,6 +927,9 @@ print(json.dumps(out))
         assert newest["window_put"] == guard.CALLS_PER_PUT
         assert newest["window_get"] == guard.CALLS_PER_GET
         assert newest["window_accumulate"] == guard.CALLS_PER_ACCUMULATE
+        assert newest["window_fetch_and_op"] == guard.CALLS_PER_FETCH_AND_OP
+        assert newest["window_compare_and_swap"] == \
+            guard.CALLS_PER_COMPARE_AND_SWAP
         assert newest["hooked"] == guard.HOOKED_CALLS_PER_CYCLE
         assert newest["proc_null_cycle"] == guard.CALLS_PER_PROC_NULL_CYCLE
         assert newest["all_opts_cycle"] == guard.CALLS_PER_ALL_OPTS_CYCLE

@@ -440,6 +440,47 @@ class TestRMAAcrossDevices:
 
         assert run_world(2, main, DEVICES[device])[1] == [0.0, 1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("device", DEVICES)
+    def test_atomics_to_proc_null_are_no_ops(self, device):
+        """MPI_PROC_NULL as an atomic's target: the call returns with
+        its result buffer untouched and nothing issued or pending."""
+        def main(comm):
+            win = Window.create(comm, np.zeros(2), disp_unit=8)
+            win.fence()
+            issued = _issued(comm.proc)
+            fetched, swapped = np.full(1, -1.0), np.full(1, -1.0)
+            win.fetch_and_op(np.ones(1), fetched, PROC_NULL, 0)
+            win.compare_and_swap(np.ones(1), np.zeros(1), swapped,
+                                 PROC_NULL, 1)
+            quiet = _issued(comm.proc) == issued and not win._pending
+            win.fence()
+            return fetched[0], swapped[0], quiet
+
+        assert run_world(2, main, DEVICES[device]) == [(-1.0, -1.0, True)] * 2
+
+    @pytest.mark.parametrize("device", DEVICES)
+    def test_compare_is_bytewise(self, device):
+        """MPI-3.1 §11.3.4 swaps when compare and target are identical:
+        a -0.0 compare leaves a 0.0 target, a NaN compare replaces the
+        same NaN — where a numeric compare would do the opposite."""
+        def main(comm):
+            mem = np.array([0.0, np.nan])
+            win = Window.create(comm, mem, disp_unit=8)
+            win.fence()
+            old = np.zeros(2)
+            win.lock(0, LOCK_EXCLUSIVE)
+            win.compare_and_swap(np.array([7.0]), np.array([-0.0]),
+                                 old[:1], 0, 0)
+            win.compare_and_swap(np.array([9.0]), np.array([np.nan]),
+                                 old[1:], 0, 1)
+            win.unlock(0)
+            win.fence()
+            return mem.tolist(), np.signbit(old[0]), np.isnan(old[1])
+
+        mem, negative, nan = run_world(1, main, DEVICES[device])[0]
+        assert mem == [0.0, 9.0]
+        assert not negative and nan
+
     def test_devices_agree_on_contents_results_and_errors(self):
         def main(comm):
             mem = np.zeros(6)
@@ -590,7 +631,9 @@ class TestRMAErrorPoint:
 
 #: Illegal calls on a call site whose plan ``Window._run`` finds cached
 #: and the error each raises: a negative origin count, a type with the
-#: cached type's plan key but not committed, a freed window.  Each is
+#: cached type's plan key but not committed, a freed window, an
+#: accumulate origin of another type with the cached type's plan key —
+#: and a derived-type ``compare_and_swap`` after warm ones.  Each is
 #: (the legal call that caches the site, what precedes the illegal
 #: call, the illegal call, its error).
 _PAIR = contiguous(2, DOUBLE).commit()
@@ -605,6 +648,21 @@ WARM_SITE = {
     "freed_window": (
         lambda win: win.put(np.zeros(1), 0, 0), lambda win: win.free(),
         lambda win: win.put(np.zeros(1), 0, 0), MPIErrWin),
+    # A plan key holds usage class and contiguity, not the type: the
+    # accumulate type check is per call.
+    "accumulate_other_type_same_key": (
+        lambda win: win.accumulate(np.ones(1), 0, 0, target=(1, DOUBLE)),
+        lambda win: None,
+        lambda win: win.accumulate(np.ones(1, np.int64), 0, 0,
+                                   target=(1, DOUBLE)),
+        MPIErrDatatype),
+    "compare_and_swap_derived": (
+        lambda win: win.compare_and_swap(np.ones(1), np.zeros(1),
+                                         np.zeros(1), 0, 0),
+        lambda win: None,
+        lambda win: win.compare_and_swap((np.ones(2), 1, _PAIR), np.ones(2),
+                                         np.zeros(2), 0, 0),
+        MPIErrDatatype),
 }
 
 
