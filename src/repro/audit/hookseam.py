@@ -1,12 +1,12 @@
 """Hook-seam discipline (FP308).
 
 The runtime reaches its optional subsystems — sanitizer, fault layer,
-race detector, failure detector, progress engine, timeline — only
-through a rank's hook seam, ``proc.hooks`` (:mod:`repro.runtime.hooks`),
-which is None on a plain build: one test there keeps every build
-without them byte-identical.  The rule: no function outside a
-subsystem's own package, the seam and the constructors that create
-the subsystems reads one of their attributes.  Stores are exempt.
+race detector, progress engine, timeline — only through a rank's hook
+seam, ``proc.hooks`` (:mod:`repro.runtime.hooks`), which is None on a
+plain build: one test there keeps every build without them
+byte-identical.  The rule: no function outside a subsystem's own
+package, the seam and the constructors that create the subsystems
+reads one of their attributes.  Stores are exempt.
 Suppress a deliberate read with ``# audit: allow[FP308]``.
 """
 
@@ -21,8 +21,8 @@ from repro.audit.rules import PRAGMA_MARKER
 RULE_ID = "FP308"
 
 #: The attributes that name an optional subsystem, world- or rank-level.
-HOOK_ATTRS = frozenset({"sanitizer", "faults", "ft", "tsan", "detector",
-                        "progress", "timeline"})
+HOOK_ATTRS = frozenset({"sanitizer", "faults", "ft", "tsan", "progress",
+                        "timeline"})
 
 #: Where they may be read: the subsystems' own packages, the seam, the
 #: timeline's module and the build configuration that enables them.

@@ -98,7 +98,7 @@ FP_RULES: dict[str, Rule] = {r.rule_id: r for r in (
          "repro/ft/, repro/tsan/, repro/progress/, the timeline's "
          "module), repro/runtime/hooks.py and the World / Proc "
          "constructors reads .sanitizer, .faults, .ft, .tsan, "
-         ".detector, .progress or .timeline",
+         ".progress or .timeline",
          "if proc.faults is not None: proc.faults.check_self()",
          "fire the event on the rank's seam ('hooks = proc.hooks; if "
          "hooks is not None: hooks.enter_call(name)'), or document the "

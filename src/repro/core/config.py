@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from repro.ft.detector import DetectorConfig
 from repro.ft.plan import FaultPlan
 
 
@@ -94,7 +93,7 @@ class BuildConfig:
         single-``cs_lock`` runtime and is byte-identical in charged
         instruction counts to the calibrated 221/215 fast paths;
         ``num_vcis > 1`` changes only real-Python lock granularity,
-        never charges.
+        never charges.  CH4 only: MPICH/Original (CH3) had no VCIs.
     fault_plan:
         A seeded :class:`~repro.ft.plan.FaultPlan` describing a lossy
         fabric (drop/duplicate/reorder/delay/corrupt probabilities and
@@ -150,22 +149,6 @@ class BuildConfig:
         device path either way, so Figure 2 / Table 1 charging is
         byte-identical under every strategy
         (``TestChargeInvisibleBuilds``).
-    detector:
-        Heartbeat failure detector (:mod:`repro.ft.detector`).  A
-        :class:`~repro.ft.detector.DetectorConfig` arms suspect →
-        confirmed-dead escalation for explicitly registered ranks
-        (dynamic session/client ranks register automatically): a rank
-        that goes silent past ``suspect_s`` is suspected, past
-        ``confirm_s`` it is confirmed dead through the fault layer's
-        ``mark_dead`` — the same path an explicit ``kill_rank`` plan
-        takes, so pending receives fail with ``MPI_ERR_PROC_FAILED``
-        and the ``MPIX_Comm_*`` recovery collectives apply unchanged.
-        Requires a ``fault_plan`` build (the detector feeds the fault
-        layer's world-global failure state).  The default ``None``
-        builds no detector (the hook seam has none to call — audit
-        rule FP308); the detector itself is charge-observational, so
-        charging stays byte-identical to the calibrated Figure 2 /
-        Table 1 numbers either way.
     tsan:
         Hybrid race & deadlock detector (:mod:`repro.tsan`), in the
         style of Eraser + FastTrack: instrumented runtime locks and
@@ -196,7 +179,6 @@ class BuildConfig:
     fault_plan: FaultPlan | None = None
     progress: str | None = None
     communicator_name: str = "flat"
-    detector: DetectorConfig | None = None
     tsan: bool = False
 
     def __post_init__(self) -> None:
@@ -232,11 +214,9 @@ class BuildConfig:
             raise self._illegal(
                 "progress", "None unless thread_safety=True (the engine's "
                 "threads charge under the rank's critical section)")
-        if self.detector is not None and self.fault_plan is None:
+        if self.num_vcis > 1 and self.device is Device.CH3:
             raise self._illegal(
-                "detector", "None unless fault_plan is set (confirmation "
-                "feeds the fault layer; FaultPlan() enables it on a "
-                "lossless wire)")
+                "num_vcis", "1 on device=CH3 (MPICH/Original has no VCIs)")
 
     def _illegal(self, name: str, expected: str) -> ValueError:
         return ValueError(f"BuildConfig.{name}={getattr(self, name)!r}: "

@@ -156,22 +156,6 @@ class MPIErrPending(MPIError):
     error_class = "MPI_ERR_PENDING"
 
 
-class MPIErrPort(MPIError):
-    """Invalid or unreachable port name (MPI_ERR_PORT).
-
-    Raised by the dynamic-process layer: connecting to a port nobody
-    opened (after the configured retries), accepting on a port that
-    saw no connection before the timeout, or reusing a closed port."""
-
-    error_class = "MPI_ERR_PORT"
-
-
-class MPIErrSpawn(MPIError):
-    """Process spawn failed (MPI_ERR_SPAWN)."""
-
-    error_class = "MPI_ERR_SPAWN"
-
-
 class MPIErrProcFailed(MPIError):
     """A peer process has failed (ULFM MPI_ERR_PROC_FAILED).
 

@@ -22,15 +22,12 @@ this), so a build with ``BuildConfig(fault_plan=None)`` charges
 byte-identically to one without the subsystem.
 """
 
-from repro.ft.detector import DetectorConfig, WorldDetector
 from repro.ft.plan import FaultPlan, WireFate
 from repro.ft.recovery import (ERRORS_ARE_FATAL, ERRORS_RETURN, RankKilled,
                                dispatch_comm_error)
 from repro.ft.reliability import RankFaults, WorldFaults
 
 __all__ = [
-    "DetectorConfig",
-    "WorldDetector",
     "FaultPlan",
     "WireFate",
     "RankFaults",

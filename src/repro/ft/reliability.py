@@ -188,19 +188,6 @@ class WorldFaults:
                     dying = True
                     break
                 self._cv.wait(0.05)
-                # A recovery collective may be everyone's only live
-                # code path — keep the heartbeat roster scanned so a
-                # member that vanished mid-recovery is confirmed dead
-                # (which is what unblocks this very loop).  The tick's
-                # confirmation path retakes ``_cv`` (mark_dead), so it
-                # must run with it released.
-                detector = self.world.detector
-                if detector is not None:
-                    self._cv.release()
-                    try:
-                        detector.maybe_tick()
-                    finally:
-                        self._cv.acquire()
             if not dying:
                 if key not in self._results:
                     self._results[key] = (
@@ -535,13 +522,6 @@ class RankFaults:
             raise RankKilled(
                 f"rank {self.proc.world_rank} killed by fault plan "
                 f"after {self.n_sends} sends")
-        # Surviving an MPI call is a heartbeat; also offer the roster
-        # scan, so detection needs no progress build.  (The detector
-        # is optional on fault builds.)
-        detector = self.hooks.detector
-        if detector is not None:
-            detector.beat(self.proc.world_rank)
-            detector.maybe_tick()
 
     def kill_pending(self) -> bool:
         """Has this rank's plan kill become due?  Latches ``_killed``

@@ -31,11 +31,8 @@ from repro.mpi.reduceops import (
 from repro.mpi.comm import Communicator
 from repro.mpi.rma import Window, WindowState, RWLock
 from repro.mpi.cart import CartComm, cart_create, dims_create
-from repro.mpi.intercomm import (Intercommunicator, close_port, comm_accept,
-                                 comm_connect, comm_spawn, get_parent,
-                                 intercomm_create, open_port)
+from repro.mpi.intercomm import Intercommunicator, intercomm_create
 from repro.mpi.nbc import NBCRequest
-from repro.mpi.session import Session
 from repro.mpi.persist import PersistentRecv, PersistentSend, startall
 from repro.mpi.packapi import mpi_pack, mpi_unpack, pack_size
 from repro.mpi.tools import PvarSession, pvar_get_info, pvar_names
@@ -46,13 +43,6 @@ __all__ = [
     "dims_create",
     "Intercommunicator",
     "intercomm_create",
-    "open_port",
-    "close_port",
-    "comm_accept",
-    "comm_connect",
-    "comm_spawn",
-    "get_parent",
-    "Session",
     "NBCRequest",
     "PersistentRecv",
     "PersistentSend",

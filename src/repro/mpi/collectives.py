@@ -163,8 +163,9 @@ def barrier_steps(comm: "Communicator", tag: int = TAG_BARRIER):
 
 
 def barrier(comm: "Communicator") -> None:
-    """MPI_BARRIER."""
-    run_schedule(comm, barrier_steps(comm))
+    """MPI_BARRIER (and so every ``Window.fence``), on its
+    :class:`CollPlan`."""
+    run_schedule(comm, barrier_steps(CollPlan.of(comm, "barrier", 0)))
 
 
 def bcast_steps(comm: "Communicator",
@@ -829,8 +830,10 @@ class CollPlan:
     build's) — so the device's hooks (the sanitizer, the VCI lanes)
     see every message: the same messages and the same
     charges as the communicator's own primitives, which build the op
-    and look the plan up every time.  Only the nonblocking collectives
-    use those, since their concurrent schedules cannot share one op.
+    and look the plan up every time.  Two kinds of schedule use those:
+    the nonblocking collectives, since their concurrent schedules
+    cannot share one op, and the pickled ``*_obj`` collectives, whose
+    payload size, and so whose plan key, changes per call.
     """
 
     __slots__ = ("comm", "proc", "size", "rank", "nbytes", "dtype", "op",

@@ -95,21 +95,9 @@ class Communicator:
 
     @classmethod
     def world_view(cls, proc: "Proc") -> "Communicator":
-        """This rank's MPI_COMM_WORLD.
-
-        Covers the *static* ranks only: processes born later through
-        ``MPI_Comm_spawn`` or a :class:`~repro.mpi.session.Session`
-        are not members (groups snapshot their roster at creation —
-        the MPI dynamic-process rule) and reach the world through the
-        intercommunicator their spawn/connect produced."""
+        """This rank's MPI_COMM_WORLD."""
         from repro.runtime.world import World
-        size = getattr(proc.world, "static_nranks", proc.world.nranks)
-        if proc.world_rank >= size:
-            raise MPIErrComm(
-                f"dynamic rank {proc.world_rank} is not a member of "
-                "the static MPI_COMM_WORLD; use the spawn/connect "
-                "intercommunicator or a Session communicator")
-        return cls(proc, Group(range(size)), World.WORLD_CTX,
+        return cls(proc, Group(range(proc.world.nranks)), World.WORLD_CTX,
                    name="MPI_COMM_WORLD")
 
     # -- basic queries -----------------------------------------------------
@@ -469,7 +457,7 @@ class Communicator:
 
         A blocked wait like any other (the seam's ``wait_enter``): the
         sanitizer's OR-wait edge (concrete only for a concrete source)
-        covers probe loops, and a failure detector parks the rank."""
+        covers probe loops."""
         with blocked_wait(self.proc.hooks, "probe",
                           probe=(self, source, tag)):
             env, nbytes = self.proc.engine.probe(
@@ -746,18 +734,3 @@ class Communicator:
             raise MPIErrComm("cannot free MPI_COMM_WORLD")
         self.freed = True
         self._coll_plans.clear()
-
-    def spawn(self, fn, nprocs: int, args: tuple = (),
-              root: int = 0) -> "Communicator":
-        """MPI_COMM_SPAWN (see
-        :func:`repro.mpi.intercomm.comm_spawn`): start *nprocs* fresh
-        dynamic ranks running ``fn(child_comm, *args)``; returns the
-        parent↔children intercommunicator."""
-        from repro.mpi.intercomm import comm_spawn
-        return comm_spawn(self, fn, nprocs, args=args, root=root)
-
-    def get_parent(self) -> "Communicator":
-        """MPI_COMM_GET_PARENT (see
-        :func:`repro.mpi.intercomm.get_parent`)."""
-        from repro.mpi.intercomm import get_parent
-        return get_parent(self)

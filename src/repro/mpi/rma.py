@@ -505,8 +505,8 @@ class Window:
             raise MPIErrRMASync(
                 f"window already locked at target {target_rank}")
         target_world = self.comm.world_rank_of(target_rank)
-        # A blocked wait like any other: a failure detector must not
-        # take a rank queued behind another epoch for a dead one.
+        # A blocked wait like any other: the race detector checks no
+        # runtime lock is held across it (TS403).
         with blocked_wait(self.proc.hooks, "window lock"):
             self.state_of(target_world).epoch_lock.acquire(
                 lock_type, self.comm.world.abort_event)

@@ -113,8 +113,8 @@ class RankProgress:
         from repro.runtime.hooks import make_lock
         self.proc = proc
         self.mode = mode
-        #: The rank's seam, which starts this engine: the race and
-        #: failure detectors and the fault layer the engine serves.
+        #: The rank's seam, which starts this engine: the race
+        #: detector and the fault layer the engine serves.
         self.hooks = hooks = proc.hooks
         tsan = hooks.tsan
         self._cv = threading.Condition(make_lock(
@@ -299,14 +299,6 @@ class RankProgress:
                     fired = faults.drain(now=proc.vclock.now)
                     self.n_timer_fires += fired
 
-            # Heartbeat-detector scan: silence expiry, like retransmit
-            # deadlines, is announced only by the wall clock, so thread
-            # 0's deadline tick drives it.  Charge-observational — the
-            # detector charges nothing (its calibration contract).
-            detector = self.hooks.detector
-            if detector is not None and detector.armed():
-                detector.maybe_tick()
-
         return did_work
 
     def _charge_item(self, first: bool, name: str, n: int) -> None:
@@ -327,11 +319,7 @@ class RankProgress:
 
     def _timers_pending(self) -> bool:
         """True when the rank holds wall-clock deadlines no notify will
-        announce: reorder-stashed retransmit packets, or an armed
-        heartbeat detector whose silence thresholds must be observed."""
-        detector = self.hooks.detector
-        if detector is not None and detector.armed():
-            return True
+        announce: reorder-stashed retransmit packets."""
         faults = self.hooks.faults
         if faults is None:
             return False

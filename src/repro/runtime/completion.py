@@ -181,7 +181,7 @@ def remove_abort_listener(event, callback: Callable[[], None]) -> None:
         notifier.remove_listener(callback)
 
 
-def park(waker: Waker, abort=None, tick=None) -> None:
+def park(waker: Waker, abort=None) -> None:
     """Sleep on *waker* until it is fired or *abort* is set: the one
     place a blocked wait of this runtime sleeps.
 
@@ -191,13 +191,6 @@ def park(waker: Waker, abort=None, tick=None) -> None:
     the two threads run in, the parker either sees the flag or is
     fired — with no lock taken on the event.  Returns however it was
     woken; the caller re-reads its own condition and the flag.
-
-    *tick* (a failure-detector build's roster scan, from the seam's
-    ``wait_enter``) turns the sleep into 20 ms slices that each offer
-    the rate-limited scan: a rank parked in a wait is often the *only*
-    live thread (a server blocked on a request from a vanished
-    client), so without a progress engine's timer tick this is where
-    silence expiry is observed.
     """
     parked = None
     if abort is not None:
@@ -208,11 +201,7 @@ def park(waker: Waker, abort=None, tick=None) -> None:
         parked.add(waker)
     try:
         if abort is None or not abort.is_set():
-            if tick is None:
-                waker.park()
-            else:
-                while not waker.park(0.02):
-                    tick()
+            waker.park()
     finally:
         if parked is not None:
             parked.discard(waker)

@@ -1,12 +1,11 @@
 """The hook seam: one object between the runtime and its subsystems.
 
-Six optional subsystems observe or reroute the runtime — the sanitizer
+Five optional subsystems observe or reroute the runtime — the sanitizer
 (``BuildConfig(sanitize=True)``), the fault layer (``fault_plan``),
-the race detector (``tsan``), the heartbeat failure detector
-(``detector``), the background progress engine (``progress``) and the
-virtual-time timeline (:func:`repro.analysis.timeline.enable_timeline`)
-— and so does per-VCI routing of the modeled critical section
-(``num_vcis > 1``).
+the race detector (``tsan``), the background progress engine
+(``progress``) and the virtual-time timeline
+(:func:`repro.analysis.timeline.enable_timeline`) — and so does
+per-VCI routing of the modeled critical section (``num_vcis > 1``).
 A rank reaches all of them through :class:`Hooks`, bound as
 ``proc.hooks`` — ``None`` on a plain build, so the runtime tests one
 attribute and runs no subsystem code.  Call sites name *events* (a call
@@ -65,7 +64,7 @@ def is_plain(proc: "Proc") -> bool:
     world = proc.world
     return proc.config.num_vcis == 1 and all(
         getattr(world, name, None) is None for name in (
-            "sanitizer", "ft", "tsan", "detector", "progress"))
+            "sanitizer", "ft", "tsan", "progress"))
 
 
 def build_hooks(proc: "Proc") -> Optional["Hooks"]:
@@ -93,18 +92,17 @@ def race_key(hooks: Optional["Hooks"], *parts) -> Optional[tuple]:
 
 @contextmanager
 def blocked_wait(hooks: Optional["Hooks"], what: str, request=None,
-                 probe=None) -> Iterator[Optional[Callable]]:
+                 probe=None) -> Iterator[None]:
     """The blocked-wait event around a wait that sleeps outside
-    ``Request.wait`` (a probe, a window lock, a port): ``wait_enter``
-    before it — yielding the roster-scan tick a sliced sleep should
-    offer, or None — and ``wait_exit`` however it ends.  Nothing on a
-    rank without a seam."""
+    ``Request.wait`` (a probe, a window lock): ``wait_enter`` before it
+    and ``wait_exit`` however it ends.  Nothing on a rank without a
+    seam."""
     if hooks is None:
-        yield None
+        yield
         return
-    tick = hooks.wait_enter(what, request, probe)
+    hooks.wait_enter(what, request, probe)
     try:
-        yield tick
+        yield
     finally:
         hooks.wait_exit()
 
@@ -113,22 +111,22 @@ class Hooks:
     """One rank's seam to its optional subsystems.
 
     Subscribers: ``sanitizer`` (the rank's sanitizer view), ``faults``
-    (its fault-layer view), ``tsan`` and ``detector`` (the world's race
-    and failure detectors, keyed by ``rank``), ``progress`` (the rank's
-    engine, started last by :meth:`start`) and ``timeline`` (an event
-    list, or None).  ``races`` is True when the race detector annotates
-    this rank's shared state.  Constructing one binds it as
-    ``proc.hooks`` before the rank views are built, so they reach the
-    seam through their proc.
+    (its fault-layer view), ``tsan`` (the world's race detector, keyed
+    by ``rank``), ``progress`` (the rank's engine, started last by
+    :meth:`start`) and ``timeline`` (an event list, or None).
+    ``races`` is True when the race detector annotates this rank's
+    shared state.  Constructing one binds it as ``proc.hooks`` before
+    the rank views are built, so they reach the seam through their
+    proc.
     """
 
     __slots__ = (
         "proc", "world", "rank", "sanitizer", "faults", "tsan",
-        "detector", "progress", "timeline", "races",
+        "progress", "timeline", "races",
         # events
         "enter_call", "acquire", "release", "cancel", "send",
         "recv_posting", "recv_posted", "finish", "access",
-        "rma_check", "rma_transmit", "deliver", "comm_check", "wait_tick",
+        "rma_check", "rma_transmit", "deliver", "comm_check",
         "progress_lock", "route",
     )
 
@@ -140,7 +138,6 @@ class Hooks:
         self.rank = proc.world_rank
         self.tsan = getattr(world, "tsan", None)
         self.races = self.tsan is not None
-        self.detector = getattr(world, "detector", None)
         world_san = getattr(world, "sanitizer", None)
         self.sanitizer = (world_san.rank_view(proc)
                           if world_san is not None else None)
@@ -189,7 +186,6 @@ class Hooks:
                              san.note_finish if san else None,
                              faults.forget_recv if faults else None)
         self.access = tsan.note_access if tsan else _skip
-        self.wait_tick = self.detector.maybe_tick if self.detector else None
         #: The CS lock a background engine charges under; None without
         #: one (its mere presence is the progress regime's mark).
         self.progress_lock = self.proc.cs_lock if self.progress else None
@@ -254,14 +250,12 @@ class Hooks:
 
     # -- blocked waits --------------------------------------------------------
 
-    def wait_enter(self, what: str, request=None, probe=None):
+    def wait_enter(self, what: str, request=None, probe=None) -> None:
         """This rank is about to block on *what* — a request, a probe
-        (``(comm, source, tag)``), a window lock, a port: the
-        race detector checks no runtime lock is held (TS403), the
-        sanitizer records the wait-for edge (raising MSD201 instead of
-        blocking into a certain deadlock), the failure detector parks
-        the rank (blocked means alive).  Returns the roster-scan tick
-        a long sleep should offer, or None."""
+        (``(comm, source, tag)``), a window lock: the race detector
+        checks no runtime lock is held (TS403), and the sanitizer
+        records the wait-for edge (raising MSD201 instead of blocking
+        into a certain deadlock)."""
         if self.tsan is not None:
             self.tsan.check_blocking_wait(what)
         if self.sanitizer is not None:
@@ -269,14 +263,9 @@ class Hooks:
                 self.sanitizer.note_block_request(request)
             elif probe is not None:
                 self.sanitizer.note_block_probe(*probe)
-        if self.detector is not None:
-            self.detector.enter_blocked(self.rank)
-        return self.wait_tick
 
     def wait_exit(self) -> None:
         """The wait that :meth:`wait_enter` announced is over."""
-        if self.detector is not None:
-            self.detector.exit_blocked(self.rank)
         if self.sanitizer is not None:
             self.sanitizer.note_unblock()
 
@@ -312,11 +301,6 @@ class Hooks:
         if self.sanitizer is not None:
             self.sanitizer.world_san.begin_run()
 
-    def monitor(self) -> None:
-        """Register this rank for heartbeat monitoring."""
-        if self.detector is not None:
-            self.detector.register(self.rank)
-
     def rank_fork(self) -> None:
         """The parent side of starting this rank's thread."""
         if self.tsan is not None:
@@ -328,14 +312,11 @@ class Hooks:
             self.tsan.thread_begin(("rank", self.rank))
 
     def rank_exit(self) -> None:
-        """This rank left cleanly (application return, session
-        finalize): release any packet the wire still stashes, leave the
-        heartbeat roster (never to be declared dead), and close the
-        sanitizer's books (MSD201 stalls, MSD202 leaks)."""
+        """This rank's application function returned: release any
+        packet the wire still stashes, and close the sanitizer's books
+        (MSD201 stalls, MSD202 leaks)."""
         if self.faults is not None:
             self.faults.drain()
-        if self.detector is not None:
-            self.detector.depart(self.rank)
         if self.sanitizer is not None:
             self.sanitizer.finalize()
 

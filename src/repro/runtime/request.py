@@ -330,12 +330,12 @@ class Request:
         critical section that finds the request still pending; a second
         thread waiting on the same handle finds the slot taken and
         subscribes its waker as a callback instead.  Every exit that is
-        not a completion — abort, a detector slice raising — withdraws
-        its own registration.
+        not a completion — an abort, an error out of the sleep —
+        withdraws its own registration.
         """
         proc, hooks = self._proc, self._hooks
-        tick = (hooks.wait_enter(f"{self.kind.value} request", self)
-                if hooks is not None else None)
+        if hooks is not None:
+            hooks.wait_enter(f"{self.kind.value} request", self)
         waker = Waker()
         direct = True
         try:
@@ -350,7 +350,7 @@ class Request:
                 self.subscribe(waker.fire)
             if proc is not None:
                 proc.request_pool.n_parked += 1
-            park(waker, self._abort, tick)
+            park(waker, self._abort)
             if direct and proc is not None and self._complete:
                 proc.request_pool.n_woken += 1
         finally:

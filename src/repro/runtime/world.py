@@ -1,4 +1,4 @@
-"""The World: rank spawning, shared registries, and run orchestration.
+"""The World: the ranks, shared registries, and run orchestration.
 
 A :class:`World` is the moral equivalent of ``mpiexec -n <nranks>``: it
 owns one :class:`~repro.runtime.proc.Proc` per rank, the communicator
@@ -32,10 +32,11 @@ class World:
     Parameters
     ----------
     nranks:
-        Number of ranks.  The thread-per-rank runtime is built for
-        correctness and calibration, not scale: worlds beyond ~64 ranks
-        work but are slow; the application *models* cover the paper's
-        16384-rank regimes.
+        Number of ranks, fixed when the world is built.  The
+        thread-per-rank runtime is built for correctness and
+        calibration, not scale: worlds beyond ~64 ranks work but are
+        slow; the application *models* cover the paper's 16384-rank
+        regimes.
     config:
         Build configuration shared by every rank.
     topology:
@@ -51,9 +52,6 @@ class World:
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.nranks = nranks
-        #: The launch-time rank count: :meth:`run` drives exactly these
-        #: ranks; ranks born later (:meth:`add_ranks`) are dynamic.
-        self.static_nranks = nranks
         self.config = config if config is not None else BuildConfig()
         self.topology = topology if topology is not None \
             else Topology(nranks=nranks)
@@ -85,12 +83,6 @@ class World:
         if self.config.fault_plan is not None:
             from repro.ft.reliability import WorldFaults
             self.ft = WorldFaults(self, self.config.fault_plan)
-        #: Heartbeat failure detector (``detector``), after the fault
-        #: layer it feeds.
-        self.detector = None
-        if self.config.detector is not None:
-            from repro.ft.detector import WorldDetector
-            self.detector = WorldDetector(self, self.config.detector)
         #: Background progress engine factory (``progress``).
         self.progress = None
         if self.config.progress is not None:
@@ -114,12 +106,6 @@ class World:
         self._next_win = 0
         #: win_id -> list of per-rank window states (set by mpi.rma).
         self.windows: dict[int, list] = {}
-        # Dynamic-process state: the growth lock serializes add_ranks
-        # against itself, the registry backs MPI_OPEN_PORT /
-        # connect-accept, and the thread list tracks spawned ranks.
-        self._grow_lock = threading.Lock()
-        self._ports = None
-        self._dynamic: list[tuple[threading.Thread, dict]] = []
 
     # -- registries ---------------------------------------------------------
 
@@ -147,135 +133,7 @@ class World:
             self._next_win += 1
             return win
 
-    @property
-    def ports(self):
-        """The world's connect/accept port registry
-        (:class:`repro.mpi.intercomm.PortRegistry`), created lazily —
-        static-only runs never build it."""
-        with self._grow_lock:
-            if self._ports is None:
-                from repro.mpi.intercomm import PortRegistry
-                self._ports = PortRegistry(self)
-            return self._ports
-
-    # -- dynamic processes --------------------------------------------------
-
-    def add_ranks(self, n: int) -> list:
-        """Grow the world by *n* fresh ranks; returns their Procs.
-
-        The backbone of ``MPI_Comm_spawn`` and the sessions API.  Block
-        placement makes growth safe: ``node_of(r) = r // cores_per_node``
-        never moves an existing rank, so rebuilding the topology at the
-        new size preserves every cached locality decision.  New ranks
-        are *not* members of any existing communicator (groups snapshot
-        their roster at creation — the MPI dynamic-process rule); they
-        reach the rest of the world through the intercommunicator their
-        spawn/connect returned.
-        """
-        if n <= 0:
-            raise ValueError(f"must add a positive rank count, got {n}")
-        import dataclasses
-        from repro.runtime.proc import Proc
-        with self._grow_lock:
-            base = self.nranks
-            self.topology = dataclasses.replace(
-                self.topology, nranks=base + n)
-            born = []
-            for r in range(base, base + n):
-                proc = Proc(self, r, self.config)
-                self._procs.append(proc)
-                born.append(proc)
-            self.nranks = base + n
-        return born
-
-    def launch_rank(self, proc, fn: Callable, args: tuple = (),
-                    comm_factory: Optional[Callable] = None,
-                    name: Optional[str] = None) -> dict:
-        """Start a dynamic rank: run ``fn(comm_factory(proc), *args)``
-        on a fresh daemon thread through the same entry wrapper the
-        static ranks use (kill handling, fault drain,
-        sanitizer finalize).  Returns a holder dict whose ``done``
-        event fires at exit, with ``result``/``error`` filled in; see
-        :meth:`join_dynamic`."""
-        from repro.mpi.comm import Communicator
-        factory = (comm_factory if comm_factory is not None
-                   else Communicator.world_view)
-        holder: dict = {"rank": proc.world_rank, "result": None,
-                        "error": None, "done": threading.Event()}
-
-        def entry() -> None:
-            holder["result"], holder["error"] = self._rank_body(
-                proc, fn, args, factory)
-            holder["done"].set()
-
-        thread = threading.Thread(
-            target=entry, daemon=True,
-            name=name or f"mpi-dyn-{proc.world_rank}")
-        if proc.hooks is not None:
-            proc.hooks.rank_fork()
-        with self._grow_lock:
-            self._dynamic.append((thread, holder))
-        thread.start()
-        return holder
-
-    def join_dynamic(self, timeout: float = 60.0) -> dict:
-        """Join every dynamic rank launched so far; returns
-        ``{world_rank: result}`` and re-raises the first error any of
-        them recorded (kills excepted — a killed rank's result is None,
-        as in :meth:`run`)."""
-        with self._grow_lock:
-            entries = list(self._dynamic)
-        results: dict[int, Any] = {}
-        for thread, holder in entries:
-            if not holder["done"].wait(timeout=timeout):
-                self.abort_event.set()
-                raise TimeoutError(
-                    f"dynamic rank {holder['rank']} did not finish "
-                    f"within {timeout}s\n" + self._teardown_report())
-            hooks = self._procs[holder["rank"]].hooks
-            if hooks is not None and not thread.is_alive():
-                hooks.rank_join()
-            results[holder["rank"]] = holder["result"]
-        first = next((h["error"] for _, h in entries
-                      if h["error"] is not None), None)
-        if first is not None:
-            first.add_note(
-                "raised on a dynamic MPI rank")
-            raise first
-        return results
-
     # -- run orchestration -----------------------------------------------------
-
-    def _rank_body(self, proc, fn: Callable, args: tuple,
-                   comm_factory: Callable) -> tuple[Any, Optional[BaseException]]:
-        """The per-rank thread body shared by static runs and dynamic
-        launches: build the rank's communicator view, run *fn*, and
-        announce a clean exit to the seam (fault drain, detector
-        departure, sanitizer finalize).  Returns
-        ``(result, error)``; a fault-plan kill is neither."""
-        from repro.ft.recovery import RankKilled
-
-        hooks = proc.hooks
-        if hooks is not None:
-            hooks.rank_begin()
-        result: Any = None
-        error: Optional[BaseException] = None
-        try:
-            result = fn(comm_factory(proc), *args)
-            if hooks is not None:
-                hooks.rank_exit()
-        except RankKilled:
-            # A fault-plan kill is not an application error: the
-            # rank just stops (results stay None) and the
-            # survivors keep running — recovery is their job.
-            result = None
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            error = exc
-            self.abort_event.set()
-        finally:
-            if hooks is not None:
-                hooks.rank_end()
-        return result, error
 
     def run(self, fn: Callable, args: tuple = (),
             timeout: float = 300.0) -> list[Any]:
@@ -284,24 +142,40 @@ class World:
         ``comm`` is each rank's MPI_COMM_WORLD view.  If any rank
         raises, every other rank is unblocked via the abort event and
         the first failure (by rank order) propagates, with the failing
-        rank recorded in the exception notes.  Ranks added later by
-        :meth:`add_ranks` are not run here — they live on the dynamic
-        threads :meth:`launch_rank` manages.
+        rank recorded in the exception notes.  A fault-plan kill is not
+        an error: the killed rank's result is None.
         """
+        from repro.ft.recovery import RankKilled
         from repro.mpi.comm import Communicator
 
         self.abort_event.clear()
-        nranks = self.static_nranks
-        seams = [p.hooks for p in self._procs[:nranks]
-                 if p.hooks is not None]
+        nranks = self.nranks
+        seams = [p.hooks for p in self._procs if p.hooks is not None]
         if seams:
             seams[0].run_begin()
         results: list[Any] = [None] * nranks
         errors: list[Optional[BaseException]] = [None] * nranks
 
         def entry(rank: int) -> None:
-            results[rank], errors[rank] = self._rank_body(
-                self._procs[rank], fn, args, Communicator.world_view)
+            proc = self._procs[rank]
+            hooks = proc.hooks
+            if hooks is not None:
+                hooks.rank_begin()
+            try:
+                results[rank] = fn(Communicator.world_view(proc), *args)
+                if hooks is not None:
+                    # A clean exit: fault drain, sanitizer finalize.
+                    hooks.rank_exit()
+            except RankKilled:
+                # The rank just stops; the survivors keep running —
+                # recovery is their job.
+                results[rank] = None
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors[rank] = exc
+                self.abort_event.set()
+            finally:
+                if hooks is not None:
+                    hooks.rank_end()
 
         threads = [threading.Thread(target=entry, args=(r,),
                                     name=f"mpi-rank-{r}", daemon=True)

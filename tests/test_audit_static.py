@@ -648,33 +648,6 @@ GUARD_FIXTURES = {
                 proc.tsan.check_continuation("x")  # audit: allow[FP308]
         """,
     },
-    "detector": {
-        "flagged": ("""\
-            def hook(proc):
-                proc.detector.beat()
-        """, ["FP308"]),
-        "guarded": """\
-            def hook(proc, comm, source, tag):
-                with blocked_wait(proc.hooks, "probe",
-                                  probe=(comm, source, tag, None)):
-                    return proc.engine.probe(comm.ctx, source, tag)
-        """,
-        "alias_exit": """\
-            def hook(proc):
-                hooks = proc.hooks
-                if hooks is None:
-                    return
-                hooks.monitor()
-        """,
-        "store": """\
-            def bind(proc, view):
-                proc.detector = view
-        """,
-        "pragma": """\
-            def hook(proc):
-                proc.detector.enter_wait()  # audit: allow[FP308]
-        """,
-    },
 }
 
 
@@ -712,7 +685,7 @@ class TestHookSeamRule:
                 "ft/reliability.py": "def f(p):\n    return p.faults\n",
                 "runtime/hooks.py": "def f(w):\n    return w.tsan\n",
                 "runtime/world.py": ("class World:\n    def __init__(s):\n"
-                                     "        s.config.detector\n"
+                                     "        s.config.tsan\n"
                                      "    def run(s):\n"
                                      "        s.sanitizer\n"),
                 "mpi/comm.py": "def f(p):\n    return p.timeline\n"}.items():

@@ -15,8 +15,10 @@ import pytest
 from repro.core import extensions as ext
 from repro.core.config import BuildConfig
 from repro.errors import MPIErrArg, MPIErrProcFailed, MPIErrRevoked
+from repro.fabric.topology import Topology
 from repro.ft import ERRORS_RETURN, FaultPlan
 from repro.ft.injection import FaultyNetmod
+from repro.mpi import reduceops
 from repro.runtime.world import World
 
 #: A plan lossy enough to exercise drop/dup/reorder on a 50-message run.
@@ -398,6 +400,74 @@ class TestUlfmRecovery:
 
         results = World(3, BuildConfig(fault_plan=FaultPlan())).run(fn_all)
         assert results == [True, True, True]
+
+    def test_kill_mid_hierarchical_allreduce_then_recover(self):
+        """A rank killed inside a topology-aware collective surfaces an
+        MPI error on the survivors, and shrink drops the stale
+        hierarchy before the shrunk communicator reduces again."""
+        # kill_after_sends=0: rank 3 dies at its first MPI call — the
+        # Allreduce entry — so every survivor is inside the staged
+        # collective when the death lands.
+        plan = FaultPlan(seed=11, kill_rank=3, kill_after_sends=0)
+        config = BuildConfig(fault_plan=plan,
+                             communicator_name="hierarchical")
+        world = World(4, config, topology=Topology(nranks=4,
+                                                   cores_per_node=2))
+
+        def fn(comm):
+            comm.set_errhandler(ERRORS_RETURN)
+            send = np.full(64, comm.rank + 1, dtype=np.int64)
+            recv = np.empty_like(send)
+            try:
+                comm.Allreduce(send, recv, reduceops.SUM)
+            except (MPIErrProcFailed, MPIErrRevoked):
+                ext.MPIX_Comm_revoke(comm)
+                shrunk = ext.MPIX_Comm_shrink(comm)
+                # Its subcommunicators snapshot the dead roster.
+                assert comm._hier_ctx is None
+                assert ext.MPIX_Comm_agree(shrunk, True)
+                send2 = np.full(16, comm.rank + 1, dtype=np.int64)
+                recv2 = np.empty_like(send2)
+                shrunk.Allreduce(send2, recv2, reduceops.SUM)
+                expected = sum(r + 1 for r in shrunk.group.world_ranks)
+                assert (recv2 == expected).all()
+                return "recovered"
+            return "clean"
+
+        results = world.run(fn, timeout=120.0)
+        assert results[3] is None               # the killed rank
+        assert all(r == "recovered" for r in results[:3]), results
+
+    def test_rank_dies_inside_the_agreement_round(self):
+        """A member whose plan kill is due when it enters
+        ``MPIX_Comm_agree`` dies inside the round, its deposit
+        withdrawn, and the survivors agree without it."""
+        # Rank 1 crosses its kill threshold with its second send.  The
+        # agreement has no per-call entry check: the rendezvous's
+        # in-loop kill_pending poll is what must catch it.
+        plan = FaultPlan(seed=7, kill_rank=1, kill_after_sends=2)
+
+        def fn(comm):
+            comm.set_errhandler(ERRORS_RETURN)
+            if comm.rank == 1:
+                comm.send("x", dest=0, tag=9)
+                comm.send("y", dest=0, tag=9)
+                ext.MPIX_Comm_agree(comm, True)
+                return "unreachable"
+            if comm.rank == 0:
+                assert comm.recv(source=1, tag=9) == "x"
+                assert comm.recv(source=1, tag=9) == "y"
+            # Arrive only once rank 1 has died in the round, so it
+            # waited there alone.
+            ft = comm.world.ft
+            with ft._cv:
+                assert ft._cv.wait_for(lambda: ft.is_dead(1), timeout=60)
+            return ext.MPIX_Comm_agree(comm, True)
+
+        results = World(3, BuildConfig(fault_plan=plan)).run(
+            fn, timeout=60.0)
+        assert results[1] is None
+        assert results[0] is True and results[2] is True
 
     def test_mpix_requires_fault_build(self):
         def fn(comm):

@@ -3,91 +3,95 @@ object between the runtime and its optional subsystems.
 
 Two regressions came from the copies the seam replaced: a blocking
 probe and a window-lock wait each wired their own subset of hooks, so
-neither parked the rank with the failure detector, which then declared
-a live, merely blocked rank dead.  Every blocked wait is now one seam
-event.  The rest pins the seam's shape: None on a plain build, events
-bound to their one subscriber's own method, a timeline that leaves
-the request regime alone.
+neither announced its wait to every subscriber.  Every blocked wait is
+now one seam event.  The rest pins the seam's shape: None on a plain
+build, events bound to their one subscriber's own method, a timeline
+that leaves the request regime alone.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.config import BuildConfig
-from repro.ft import DetectorConfig, FaultPlan
+from repro.ft import FaultPlan
 from repro.mpi.rma import LOCK_EXCLUSIVE, Window
 from repro.runtime import World
-from repro.runtime.hooks import _skip, make_lock, race_key
+from repro.runtime.hooks import Hooks, _skip, make_lock, race_key
 from repro.runtime.request import RequestKind
 
-#: Suspect after 0.1 s of silence, confirm after 0.3 s: a rank blocked
-#: 0.8 s is dead to the roster unless its wait parks it.
-FAST = DetectorConfig(0.01, 0.1, 0.3)
-#: How long rank 2 keeps rank 0 waiting.
-HOLD_S = 0.8
+
+def _counted_waits(monkeypatch) -> Counter:
+    """Count every ``wait_enter`` by ``(rank, what)`` and every
+    ``wait_exit`` by ``(rank, "exit")``."""
+    seen: Counter = Counter()
+    enter, leave = Hooks.wait_enter, Hooks.wait_exit
+
+    def counted_enter(self, what, request=None, probe=None):
+        seen[self.rank, what] += 1
+        return enter(self, what, request, probe)
+
+    def counted_exit(self):
+        seen[self.rank, "exit"] += 1
+        return leave(self)
+
+    monkeypatch.setattr(Hooks, "wait_enter", counted_enter)
+    monkeypatch.setattr(Hooks, "wait_exit", counted_exit)
+    return seen
 
 
-def _detector_world() -> World:
-    return World(3, BuildConfig(fault_plan=FaultPlan(), detector=FAST))
+def _balanced(seen: Counter, rank: int) -> bool:
+    entered = sum(n for (r, what), n in seen.items()
+                  if r == rank and what != "exit")
+    return entered == seen[rank, "exit"]
 
 
-def _assert_nobody_died(world: World) -> None:
-    assert world.detector.stats()["n_confirmed"] == 0
-    assert not world.ft.dead
+class TestBlockedWaitsFireTheSeam:
+    """A probe and a window lock each fire ``wait_enter`` once, and
+    ``wait_exit`` balances every entry, on a race-detector build (whose
+    TS403 check subscribes to the event)."""
 
+    def test_probe_fires_the_wait_events(self, monkeypatch):
+        seen = _counted_waits(monkeypatch)
 
-class TestBlockedWaitsPark:
-    """Rank 0 (monitored) blocks for ``HOLD_S``; rank 1 parks in a
-    receive, whose detector slices keep scanning the roster."""
-
-    def test_probe_parks_the_rank(self):
         def main(comm):
             if comm.rank == 0:
-                comm.world.detector.register(comm.proc.world_rank)
-                status = comm.probe(2, 5)
-                assert comm.recv(2, 5) == "to 0"
+                status = comm.probe(1, 5)
+                assert comm.recv(1, 5) == "to 0"
                 return status.source
-            if comm.rank == 1:
-                comm.Recv(np.zeros(1, np.uint8), 2, 6)
-                return None
-            time.sleep(HOLD_S)
             comm.send("to 0", 0, 5)
-            comm.Send(np.ones(1, np.uint8), 1, 6)
             return None
 
-        world = _detector_world()
-        assert world.run(main, timeout=60) == [2, None, None]
-        _assert_nobody_died(world)
+        world = World(2, BuildConfig(tsan=True))
+        assert world.run(main, timeout=60) == [1, None]
+        assert seen[0, "probe"] == 1 and seen[1, "probe"] == 0
+        assert _balanced(seen, 0) and _balanced(seen, 1)
+        assert not world.tsan.findings
 
-    def test_window_lock_parks_the_rank(self):
+    def test_window_lock_fires_the_wait_events(self, monkeypatch):
+        seen = _counted_waits(monkeypatch)
+
         def main(comm):
             exposed = np.zeros(8, np.uint8)
             win = Window.create(comm, exposed, disp_unit=1)
-            if comm.rank == 2:
-                win.lock(2, LOCK_EXCLUSIVE)
-            comm.barrier()
             if comm.rank == 0:
-                comm.world.detector.register(comm.proc.world_rank)
-                win.lock(2, LOCK_EXCLUSIVE)     # queued behind rank 2
-                win.put(np.full(1, 9, np.uint8), 2, 0)
-                win.unlock(2)
-            elif comm.rank == 1:
-                comm.Recv(np.zeros(1, np.uint8), 2, 6)
-            else:
-                time.sleep(HOLD_S)
-                win.unlock(2)
-                comm.Send(np.ones(1, np.uint8), 1, 6)
+                win.lock(1, LOCK_EXCLUSIVE)
+                win.put(np.full(1, 9, np.uint8), 1, 0)
+                win.unlock(1)
+            comm.barrier()
             win.free()
-            return int(exposed[0]) if comm.rank == 2 else None
+            return int(exposed[0])
 
-        world = _detector_world()
-        assert world.run(main, timeout=60) == [None, None, 9]
-        _assert_nobody_died(world)
+        world = World(2, BuildConfig(tsan=True))
+        assert world.run(main, timeout=60) == [0, 9]
+        assert seen[0, "window lock"] == 1
+        assert seen[1, "window lock"] == 0
+        assert _balanced(seen, 0) and _balanced(seen, 1)
+        assert not world.tsan.findings
 
 
 class TestSeamShape:

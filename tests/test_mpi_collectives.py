@@ -444,7 +444,8 @@ class TestCollPlanCache:
             lanes = sum(v.completion.n_send for v in comm.proc.vcis)
             comm.Allreduce(np.ones(4), recv)
             lanes = sum(v.completion.n_send for v in comm.proc.vcis) - lanes
-            (plan,) = comm._coll_plans.values()
+            (plan,) = (plan for key, plan in comm._coll_plans.items()
+                       if key[0] == "allreduce")
             return recv[0], bool(plan._sends and plan._recvs), lanes
 
         results = run_world(2, main, config)

@@ -215,28 +215,31 @@ class TestForcedInterleavings:
         assert outcome == ["done"]
         _quiescent(req, abort)
 
-    def test_detector_slice_error_withdraws_the_waker(self):
-        """A detector build parks in slices; an error out of the slice
-        hook leaves nothing registered and balances the wait hooks."""
+    def test_sleep_error_withdraws_the_waker(self, monkeypatch):
+        """An error out of the sleep leaves nothing registered and
+        balances the seam's wait events."""
         calls = []
 
         class Hooks:
-            """A seam whose one subscriber is a failure detector."""
+            """A seam that records its wait events."""
             races = tsan = None
 
             def wait_enter(self, what, request=None, probe=None):
                 calls.append("enter")
-                return self.maybe_tick
 
             def wait_exit(self):
                 calls.append("exit")
 
-            def maybe_tick(self):
-                raise Boom("roster scan failed")
-
             def finish(self, request):
                 pass
 
+        class FailingWaker(Waker):
+            __slots__ = ()
+
+            def park(self, timeout=None):
+                raise Boom("the sleep failed")
+
+        monkeypatch.setattr(request_module, "Waker", FailingWaker)
         proc = SimpleNamespace(hooks=Hooks())
         proc.request_pool = RequestPool(proc)   # the rank's seam's pool
         abort = NotifyingEvent()

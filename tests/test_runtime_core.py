@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consts import ANY_SOURCE, ANY_TAG
-from repro.core.config import BuildConfig
+from repro.core.config import BuildConfig, Device
 from repro.errors import MPIErrRank, MPIErrRequest
 from repro.fabric.model import INFINITE, OFI_PSM2
-from repro.ft.detector import DetectorConfig
 from repro.runtime.matching import MatchingEngine, PostedRecv
 from repro.runtime.message import Envelope, Message
 from repro.runtime.ranktrans import (CompressedTranslation,
@@ -265,8 +264,9 @@ class TestBuildConfig:
         ("device", dict(device="ch4")),         # the name, not the enum
         ("progress", dict(progress="bogus")),
         ("progress", dict(progress="thread", thread_safety=False)),
-        ("detector", dict(detector=DetectorConfig())),
         ("num_vcis", dict(num_vcis=0)),
+        # MPICH/Original had no VCIs: no CH3 lane would tally a call.
+        ("num_vcis", dict(device=Device.CH3, num_vcis=4)),
     ])
     def test_illegal_build_rejected_at_construction(self, field, illegal):
         """``BuildConfig(...)`` itself raises — no ``World`` is built —
