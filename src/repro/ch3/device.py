@@ -92,8 +92,10 @@ class CH3Device:
 
     # -- point-to-point -------------------------------------------------------
 
-    def isend(self, op: SendOp) -> Optional[Request]:
-        """Issue a send through the VC/protocol machinery."""
+    def isend(self, op: SendOp) -> "Request | float":
+        """Issue a send through the VC/protocol machinery: its request,
+        or — for a blocking op born complete — its completion time
+        (as :meth:`repro.core.ch4.CH4Device.isend`)."""
         self._reject_extensions(op)
         proc = self.proc
         if op.plan is None:
@@ -101,6 +103,8 @@ class CH3Device:
                                   self.costs.ch3_isend_steps))
 
         if op.dest == PROC_NULL:
+            if op.blocking:
+                return proc.vclock.now
             request = proc.request_pool.acquire(RequestKind.SEND)
             request.complete(proc.vclock.now)
             return request
@@ -145,6 +149,8 @@ class CH3Device:
                     if protocol is Protocol.RENDEZVOUS
                     else result.complete_s)
         if request is None:
+            if op.blocking:
+                return complete
             return proc.request_pool.acquire(RequestKind.SEND, complete,
                                              payload)
         if not op.sync:

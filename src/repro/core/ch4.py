@@ -294,8 +294,11 @@ class CH4Device:
         return plan
 
     @fastpath
-    def isend(self, op: SendOp) -> Optional[Request]:
-        """Issue a send; returns None under the noreq extension."""
+    def isend(self, op: SendOp) -> "Request | float | None":
+        """Issue a send: its request; None under the noreq extension;
+        for a blocking op (``op.blocking``) born complete, only its
+        completion time — the handle nobody else would see is never
+        made, and the caller merges the time as ``wait`` would."""
         proc = self.proc
         plan = op.plan or self._enter_uncharged(op, op.dest, False)
         flags = op.flags
@@ -305,6 +308,8 @@ class CH4Device:
             if flags.noreq:
                 comm.note_noreq_issue(proc.vclock.now)
                 return None
+            if op.blocking:
+                return proc.vclock.now
             request = proc.request_pool.acquire(_SEND)
             request.complete(proc.vclock.now)
             return request
@@ -358,6 +363,8 @@ class CH4Device:
             comm.note_noreq_issue(complete)
             return None
         if request is None:
+            if op.blocking:
+                return complete
             return proc.request_pool.acquire(_SEND, complete, payload)
         if not op.sync:
             # Rendezvous completion (CTS arrival) is background-capable:

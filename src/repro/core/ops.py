@@ -85,6 +85,11 @@ class SendOp:
     #: the device then charges nothing (else it finds the plan itself
     #: and charges the path).
     plan: Optional[CallPlan] = None
+    #: A blocking send (MPI_SEND and its kin), whose caller waits for
+    #: it before returning: a send born complete hands back its
+    #: completion time instead of a handle nobody else would see.
+    #: The charges are the nonblocking send's either way.
+    blocking: bool = False
 
 
 @dataclass(slots=True)

@@ -183,9 +183,16 @@ class Communicator:
     def _isend_bytes(self, data: "bytes | memoryview", dest: int,
                      tag: int, sync: bool = False,
                      flags: ext.ExtFlags = ext.NONE) -> Optional[Request]:
+        return self._issue(self.proc.device.isend,
+                           self._bytes_op(data, dest, tag, sync, flags))
+
+    def _bytes_op(self, data: "bytes | memoryview", dest: int, tag: int,
+                  sync: bool = False, flags: ext.ExtFlags = ext.NONE,
+                  blocking: bool = False) -> SendOp:
+        """The op of an internal byte-stream send."""
         buf = np.frombuffer(data, np.uint8) if data else np.empty(0, np.uint8)
-        op = SendOp(buf, len(data), BYTE_REF, dest, tag, self, flags, sync)
-        return self._issue(self.proc.device.isend, op)
+        return SendOp(buf, len(data), BYTE_REF, dest, tag, self, flags, sync,
+                      blocking=blocking)
 
     def _irecv_bytes(self, source: int, tag: int,
                      into: Optional[memoryview] = None,
@@ -197,9 +204,22 @@ class Communicator:
         return self._issue(self.proc.device.irecv, op)
 
     def _send_bytes(self, data: bytes, dest: int, tag: int) -> None:
-        req = self._isend_bytes(data, dest, tag)
-        req.wait()
-        self.proc.request_pool.release(req)
+        self._end_send(self._issue(
+            self.proc.device.isend,
+            self._bytes_op(data, dest, tag, blocking=True)))
+
+    def _end_send(self, sent: "Request | float") -> None:
+        """Finish a blocking send: a send born complete handed back its
+        completion time, merged into the clock as ``wait`` would merge
+        its handle's; any other handed back its request, waited on and
+        recycled."""
+        if isinstance(sent, Request):
+            sent.wait()
+            self.proc.request_pool.release(sent)
+            return
+        clock = self.proc.vclock
+        if sent > clock.now:
+            clock.now = sent   # VClock.merge, inline
 
     def _recv_bytes(self, source: int, tag: int,
                     into: Optional[memoryview] = None) -> bytes:
@@ -215,9 +235,8 @@ class Communicator:
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking standard-mode send of a pickled object."""
-        req = self.isend(obj, dest, tag)
-        req.wait()
-        self.proc.request_pool.release(req)
+        self._end_send(self._object_send(obj, dest, tag, sync=False,
+                                         blocking=True))
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send of a pickled object."""
@@ -233,12 +252,12 @@ class Communicator:
         """Nonblocking synchronous-mode send."""
         return self._object_send(obj, dest, tag, sync=True)
 
-    def _object_send(self, obj: Any, dest: int, tag: int,
-                     sync: bool) -> Request:
+    def _object_send(self, obj: Any, dest: int, tag: int, sync: bool,
+                     blocking: bool = False) -> "Request | float":
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         return self._buffer_send((data, len(data), BYTE_REF), dest, tag,
                                  sync, name="MPI_Issend" if sync
-                                 else "MPI_Isend")
+                                 else "MPI_Isend", blocking=blocking)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive of a pickled object."""
@@ -260,12 +279,12 @@ class Communicator:
         """Combined send+receive (deadlock-free ordering)."""
         rreq = self.irecv(source, recvtag)
         try:
-            sreq = self.isend(obj, dest, sendtag)
+            sent = self._object_send(obj, dest, sendtag, sync=False,
+                                     blocking=True)
         except BaseException:
             self._take_back(rreq)
             raise
-        sreq.wait()
-        self.proc.request_pool.release(sreq)
+        self._end_send(sent)
         rreq.wait()
         payload = None if rreq.source == PROC_NULL else rreq.payload
         self.proc.request_pool.release(rreq)
@@ -279,10 +298,10 @@ class Communicator:
 
     def Send(self, buf, dest: int, tag: int = 0) -> None:
         """Blocking buffer send; *buf* is an ndarray or (buf, count,
-        datatype) tuple."""
-        req = self.Isend(buf, dest, tag)
-        req.wait()
-        self.proc.request_pool.release(req)
+        datatype) tuple.  Charged as an MPI_ISEND; a send born complete
+        makes no request (:meth:`_end_send`)."""
+        self._end_send(self._buffer_send(buf, dest, tag, sync=False,
+                                         blocking=True))
 
     def Isend(self, buf, dest: int, tag: int = 0) -> Request:
         """Nonblocking buffer send — the paper's measured MPI_ISEND path."""
@@ -327,10 +346,12 @@ class Communicator:
 
     def _buffer_send(self, buf, dest: int, tag: int, sync: bool,
                      flags: ext.ExtFlags = ext.NONE,
-                     name: str = "MPI_Isend") -> Optional[Request]:
+                     name: str = "MPI_Isend",
+                     blocking: bool = False) -> "Request | float | None":
         proc = self.proc
         data, count, dtref = normalize_buffer(buf)
-        op = SendOp(data, count, dtref, dest, tag, self, flags, sync)
+        op = SendOp(data, count, dtref, dest, tag, self, flags, sync,
+                    blocking=blocking)
         failed = plan = None
         if proc.config.error_checking:
             failed = check_send(self, data, count, dtref, dest, tag,
@@ -382,12 +403,12 @@ class Communicator:
         """Combined buffer send+receive."""
         rreq = self.Irecv(recvbuf, source, recvtag)
         try:
-            sreq = self.Isend(sendbuf, dest, sendtag)
+            sent = self._buffer_send(sendbuf, dest, sendtag, sync=False,
+                                     blocking=True)
         except BaseException:
             self._take_back(rreq)
             raise
-        sreq.wait()
-        self.proc.request_pool.release(sreq)
+        self._end_send(sent)
         rreq.wait()
         status = Status.from_request(rreq)
         self.proc.request_pool.release(rreq)

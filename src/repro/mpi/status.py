@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.datatypes.predefined import Datatype
 from repro.errors import MPIErrTruncate
 from repro.runtime.request import Request
 
 
-@dataclass(frozen=True)
-class Status:
+class Status(NamedTuple):
     """Source, tag, and byte count of one completed operation.
 
     ``get_count`` converts the byte count to whole elements of a
     datatype (MPI_GET_COUNT), raising when the bytes do not divide
     evenly (the standard returns MPI_UNDEFINED; an exception is the
     Pythonic rendering).
+
+    A ``NamedTuple``, immutable like MPI_Status once returned: a
+    receive builds one with ``tuple.__new__`` (:meth:`from_request`),
+    at C level, running no Python frame of its own.  Keyword
+    construction — ``Status(source=0, tag=1, count_bytes=8)`` — works
+    as for any named tuple.
     """
 
     source: int
@@ -27,9 +32,9 @@ class Status:
     @staticmethod
     def from_request(request: Request) -> "Status":
         """Build a status from a completed request."""
-        return Status(source=request.source, tag=request.tag,
-                      count_bytes=request.count_bytes,
-                      cancelled=request.cancelled)
+        return tuple.__new__(Status, (request.source, request.tag,
+                                      request.count_bytes,
+                                      request.cancelled))
 
     def get_count(self, datatype: Datatype) -> int:
         """Number of whole *datatype* elements received."""

@@ -171,8 +171,10 @@ class Hooks:
         else:
             self.enter_call = _chain(san.note_api if san else None,
                                      faults.check_self if faults else None)
-        self.acquire = san.note_acquire if san else _skip
-        self.release = _chain(san.note_release if san else None,
+        self.acquire = _chain(self._consume_release if tsan else None,
+                              san.note_acquire if san else None)
+        self.release = _chain(self._publish_release if tsan else None,
+                              san.note_release if san else None,
                               faults.forget_recv if faults else None)
         self.cancel = san.note_cancel if san else _skip
         self.send = san.note_send if san else _skip
@@ -221,6 +223,22 @@ class Hooks:
         if key is not None:
             self.tsan.hb_consume(key)
             self.tsan.note_access(key, False, "request state")
+
+    def _publish_release(self, request) -> None:
+        """A handle goes back to its pool, which takes no lock: publish
+        the releasing thread's clock under its key, so the life that
+        ended happens before the next one's ``_reset``."""
+        key = request._race_key
+        if key is not None:
+            self.tsan.hb_publish(key)
+
+    def _consume_release(self, request, _api=None) -> None:
+        """A handle comes out of its pool (before a recycled one's
+        ``_reset``; *_api* is the sanitizer's): join the edge its last
+        release published."""
+        key = request._race_key
+        if key is not None:
+            self.tsan.hb_consume(key)
 
     def publish(self, key) -> None:
         """A request state transition under its lock (annotated

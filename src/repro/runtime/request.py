@@ -408,11 +408,20 @@ class RequestPool:
     what it need not do is *allocate* one each time.  The pool recycles
     handles the way MPICH recycles request objects from a freelist.
     Under MPI_THREAD_MULTIPLE several application threads call into
-    the same rank's pool concurrently, so the freelist is guarded by
-    its own leaf lock — which also publishes the happens-before edge
-    from a handle's previous life (its final bare-state read in
-    ``wait``) to ``_reset`` in its next one.  (The unlocked
-    freelist was found by the TS401 rule in ``repro.tsan``.)
+    the same rank's pool concurrently.  The freelist is a bounded
+    ``collections.deque``, whose ``append`` and ``pop`` are documented
+    thread-safe: a pop that finds it empty raises ``IndexError`` (and
+    allocates), an append to a full one drops the oldest handle.  No
+    lock is taken — the model charges none here.
+
+    What the lock used to give the race detector — the happens-before
+    edge from a handle's previous life (its final bare-state read in
+    ``wait``, on whichever thread released it) to ``_reset`` in its
+    next one, on whichever thread acquires it — the seam gives
+    instead: on a ``tsan=True`` build ``release`` publishes under the
+    handle's race key, and ``acquire``, fired on a recycled handle
+    before ``_reset``'s annotated write, consumes it.  (Without an
+    edge, the detector reports TS401 on "request state".)
 
     Only exact :class:`Request` instances are pooled — subclasses
     (e.g. NBC schedule requests) are dropped on release.  Charged
@@ -428,10 +437,8 @@ class RequestPool:
     def __init__(self, proc=None, abort_event=None):
         self._proc = proc
         self._abort = abort_event
-        self._free: list[Request] = []
-        self._hooks = hooks = getattr(proc, "hooks", None)
-        self._mu = make_lock(hooks, "pool",
-                             f"pool{getattr(proc, 'world_rank', 0)}")
+        self._free: deque[Request] = deque(maxlen=self.MAX_POOLED)
+        self._hooks = getattr(proc, "hooks", None)
         #: Monotone counters for tests and perfbench.
         self.n_alloc = 0
         self.n_reuse = 0
@@ -451,20 +458,23 @@ class RequestPool:
         needs the handle, not the state machine).  Nobody holds a
         newborn's handle, so no waiter can be owed a wake-up; a build
         whose hooks watch completion acquires pending and calls
-        :meth:`Request.complete` instead."""
-        req = None
-        with self._mu:
-            if self._free:
-                req = self._free.pop()
-        if req is not None:
-            req._reset(kind, complete_s, keepalive)
-            self.n_reuse += 1
-        else:
+        :meth:`Request.complete` instead.  The seam's ``acquire``
+        event fires before a recycled handle's ``_reset`` and after a
+        fresh one's construction."""
+        hooks = self._hooks
+        try:
+            req = self._free.pop()
+        except IndexError:
             self.n_alloc += 1
             req = Request(kind, self._proc, self._abort, complete_s,
                           keepalive)
-        if self._hooks is not None:
-            self._hooks.acquire(req)   # opens the sanitizer's record
+            if hooks is not None:
+                hooks.acquire(req)   # opens the sanitizer's record
+            return req
+        if hooks is not None:
+            hooks.acquire(req)   # and joins the releaser's edge
+        req._reset(kind, complete_s, keepalive)
+        self.n_reuse += 1
         return req
 
     def release(self, req: Optional[Request]) -> None:
@@ -484,9 +494,7 @@ class RequestPool:
                 f"release of a pending {req.kind.value} request")
         if req._held:
             return   # a continuation still owes this life: not recycled
-        with self._mu:
-            if len(self._free) < self.MAX_POOLED:
-                self._free.append(req)
+        self._free.append(req)
 
 
 def waitall(requests: Sequence[Request]) -> None:

@@ -13,6 +13,7 @@ up and then measure.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.config import BuildConfig
@@ -24,6 +25,14 @@ from repro.runtime.hooks import NO_SANITIZER
 class WorldAborted(RuntimeError):
     """Raised in surviving ranks when another rank failed and the world
     tore the run down."""
+
+
+def _join_all(threads: Sequence[threading.Thread], seconds: float) -> None:
+    """Join every thread against one deadline *seconds* away, so a
+    hung world waits *seconds* in all, not that much per thread."""
+    deadline = time.monotonic() + seconds
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
 
 
 class World:
@@ -184,16 +193,14 @@ class World:
             hooks.rank_fork()
         for t in threads:
             t.start()
-        for t in threads:
-            t.join(timeout=timeout)
+        _join_all(threads, timeout)
         for hooks in seams:
             if not threads[hooks.rank].is_alive():
                 hooks.rank_join()
         hung = [t.name for t in threads if t.is_alive()]
         if hung:
             self.abort_event.set()
-            for t in threads:
-                t.join(timeout=5.0)
+            _join_all(threads, 5.0)
             raise TimeoutError(
                 f"ranks did not finish within {timeout}s: {hung} "
                 f"(likely deadlock in the application function)\n"

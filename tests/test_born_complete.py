@@ -85,13 +85,20 @@ class TestIsARequest:
         with pytest.raises(MPIErrRequest, match="completed twice"):
             sreq.complete(0.0)
 
-    def test_blocking_send_releases_it(self, device):
+    def test_blocking_send_takes_no_handle(self, device):
+        """A blocking send born complete makes no request at all: the
+        pool neither allocates, recycles nor receives a handle, and the
+        send's completion time still reaches the clock."""
         comm = _self_comm(BuildConfig(device=device))
         pool = comm.proc.request_pool
         got = np.zeros(1)
         rreq = comm.Irecv(got, 0, 4)
+        before = pool.n_alloc, pool.n_reuse, len(pool._free)
+        t0 = comm.proc.vclock.now
         comm.Send(np.full(1, 4.0), 0, 4)
-        assert got[0] == 4.0 and len(pool._free) == 1
+        assert got[0] == 4.0
+        assert (pool.n_alloc, pool.n_reuse, len(pool._free)) == before
+        assert comm.proc.vclock.now > t0
         rreq.wait()
         pool.release(rreq)
         # ... and its next life is an ordinary pending receive.

@@ -176,6 +176,63 @@ class TestRuntimeCrossCheck:
         assert fast.bytes_copied * 2 == legacy.bytes_copied
 
 
+class TestPerThreadTallies:
+    """The counters take no lock per note: each thread bumps its own
+    tally, and readers sum them."""
+
+    THREADS = 8     #: more than the cores a CI runner has
+    NOTES = 2000
+
+    def _noisy(self, body):
+        """Run *body* on ``THREADS`` threads at a tiny switch interval,
+        each joined with a timeout."""
+        import sys
+        import threading
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=body)
+                       for _ in range(self.THREADS)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+
+    def test_concurrent_notes_lose_no_update(self):
+        def body():
+            for _ in range(self.NOTES):
+                copies.note_copy(3)
+                copies.note_view(5)
+                copies.note_transfer(7)
+
+        with copies.track() as delta:
+            self._noisy(body)
+        moved, n = delta(), self.THREADS * self.NOTES
+        assert (moved.n_copies, moved.n_views, moved.n_transfers) == (n,) * 3
+        assert (moved.bytes_copied, moved.bytes_viewed,
+                moved.bytes_transferred) == (3 * n, 5 * n, 7 * n)
+
+    def test_ended_threads_are_folded_in(self):
+        for _ in range(3):
+            self._noisy(lambda: copies.note_copy(1))
+        before = copies.snapshot()
+        # Every tally still summed one by one belongs to a live thread.
+        assert all(thread.is_alive() for thread, _ in copies._live)
+        assert len(copies._live) < self.THREADS
+        assert copies.snapshot() == before
+
+    def test_reset_counts_from_here(self):
+        self._noisy(lambda: copies.note_copy(1))
+        copies.reset()
+        assert copies.snapshot() == copies.CopySnapshot()
+        copies.note_view(4)
+        assert copies.snapshot() == copies.CopySnapshot(n_views=1,
+                                                        bytes_viewed=4)
+
+
 class TestRuntimeRMACrossCheck:
     """One-sided data movement against the live counters: a contiguous
     put or get is one copy and no view — the census's window store —

@@ -395,8 +395,11 @@ class TestCallPlanGuard:
     #: plans, the fault layer's table keyed by the receive's life:
     #: 55, 82, 63, 291 and 114.  The fault layer's protocol charges
     #: replaying plans and an empty fault plan drawing nothing: exactly.
+    #: The race detector's 291 went to 251 when the request pool lost
+    #: its instrumented lock (its edge now comes from the seam's
+    #: ``release`` and ``acquire`` events): exactly.
     HOOKED_CALLS_PER_CYCLE = {"timeline": 55, "num_vcis=4": 82,
-                              "sanitize": 63, "tsan": 291,
+                              "sanitize": 63, "tsan": 251,
                               "fault_plan": 97}
     #: The same cycle with both calls given MPI_PROC_NULL: 111 when
     #: such a call was planned nowhere (recompiling its call plan and
@@ -512,6 +515,83 @@ class TestCallPlanGuard:
     def test_python_calls_per_warm_message(self):
         per_cycle, inits, recompiles = self._profile(self._cycle())
         assert per_cycle == self.CALLS_PER_CYCLE
+        assert inits == self.INITS_PER_CYCLE * self.CYCLES
+        assert recompiles == 0
+
+    #: Lock round trips per warm cycle — ``acquire`` calls and
+    #: ``with`` exits, on ``_thread.RLock``s and on plain
+    #: ``_thread.lock``s — as ``(reentrant, plain)``.  The nonblocking
+    #: cycle made 4 + 9 while the request pool took its own lock on
+    #: every acquire and release and each copy note took a
+    #: process-global tally lock; what is left is the modeled CS and
+    #: the engine lock twice each, each ``_reset`` and the receive's
+    #: ``complete`` once: exactly.
+    LOCKS_PER_CYCLE = (4, 3)
+    #: Irecv + a blocking Send + the receive's wait and release: 4 + 9
+    #: too while the send took, reset, waited on and released a
+    #: handle; with no request for a send born complete: exactly.
+    LOCKS_PER_BLOCKING_CYCLE = (4, 2)
+    #: ... and its Python-level calls: 43 with that handle, exactly.
+    CALLS_PER_BLOCKING_CYCLE = 39
+
+    def _blocking_cycle(self, config=None):
+        """A warm one-rank Irecv + blocking Send + wait + release."""
+        import numpy as np
+        comm = self._comm(False, config)
+        send, recv = np.full(1, 7, np.uint8), np.zeros(1, np.uint8)
+        release = comm.proc.request_pool.release
+
+        def cycle():
+            rreq = comm.Irecv(recv, 0, 7)
+            comm.Send(send, 0, 7)
+            rreq.wait()
+            release(rreq)
+
+        for _ in range(5):      # compile the plans, fill the pool
+            cycle()
+        assert recv[0] == 7
+        return cycle
+
+    def _lock_census(self, body):
+        """``(reentrant, plain)`` lock round trips per *body*() over
+        ``CYCLES`` runs, from ``c_call`` profile events: an
+        ``acquire`` call, or the ``__exit__`` a ``with`` block calls
+        (its ``__enter__`` raises no event), on a ``_thread`` lock."""
+        import _thread
+        import gc
+        import threading
+        plain, reentrant = type(_thread.allocate_lock()), type(
+            threading.RLock())
+        counts = {plain: 0, reentrant: 0}
+        gc.collect()
+
+        def profiler(frame, event, arg):
+            if event == "c_call" and arg.__name__ in ("acquire", "__exit__"):
+                kind = type(getattr(arg, "__self__", None))
+                if kind in counts:
+                    counts[kind] += 1
+
+        sys.setprofile(profiler)
+        try:
+            for _ in range(self.CYCLES):
+                body()
+        finally:
+            sys.setprofile(None)
+        return (counts[reentrant] / self.CYCLES,
+                counts[plain] / self.CYCLES)
+
+    def test_lock_round_trips_per_warm_cycle(self):
+        """The warm message takes only the locks it models (the CS)
+        and those that serialize real sharing (the matching engine, a
+        request's state): no pool lock, no global tally lock, and no
+        handle at all for a blocking send that is already over."""
+        assert self._lock_census(self._cycle()) == self.LOCKS_PER_CYCLE
+        assert (self._lock_census(self._blocking_cycle())
+                == self.LOCKS_PER_BLOCKING_CYCLE)
+
+    def test_python_calls_per_warm_blocking_send_cycle(self):
+        per_cycle, inits, recompiles = self._profile(self._blocking_cycle())
+        assert per_cycle == self.CALLS_PER_BLOCKING_CYCLE
         assert inits == self.INITS_PER_CYCLE * self.CYCLES
         assert recompiles == 0
 
@@ -700,8 +780,9 @@ class TestCallPlanGuard:
     #: wakes on the other — made 91 Python-level calls when a blocked
     #: wait built an Event, subscribed a lambda and registered an abort
     #: listener; 66 when it parks on a one-shot lock; 52 run planned
-    #: with a born-complete send request: measured + 2.
-    MAX_CALLS_PER_BLOCKING_MESSAGE = 54
+    #: with a born-complete send request; 47 with no request for a
+    #: send born complete: measured + 2.
+    MAX_CALLS_PER_BLOCKING_MESSAGE = 49
 
     def _profiled_ranks(self, body, rounds):
         """Run ``body(comm)`` *rounds* times on 2 warm ranks under
@@ -964,6 +1045,8 @@ print(json.dumps(out))
         assert newest["proc_null_cycle"] == guard.CALLS_PER_PROC_NULL_CYCLE
         assert newest["all_opts_cycle"] == guard.CALLS_PER_ALL_OPTS_CYCLE
         assert newest["ssend_cycle"] == guard.CALLS_PER_SSEND_CYCLE
+        assert newest["blocking_send_cycle"] == \
+            guard.CALLS_PER_BLOCKING_CYCLE
         assert newest["blocking_message"] + 2 == \
             guard.MAX_CALLS_PER_BLOCKING_MESSAGE
 
@@ -1006,6 +1089,33 @@ class TestTsanBenchSmoke:
         assert enabled["findings"] == 0
         assert enabled["lock_events"] > 0
         assert (ROOT / "BENCH_tsan.json").exists()
+
+
+class TestAbPairsSmoke:
+    """``benchmarks/ab_pairs.py --quick`` on this tree against itself:
+    the series' structure, never its ratio (an A/A of two quick
+    batches reads whatever the box does)."""
+
+    def test_quick_aa_run_is_an_abba_series(self, tmp_path):
+        import json
+        out = tmp_path / "pairs.json"
+        proc = subprocess.run(
+            [sys.executable, "benchmarks/ab_pairs.py", "--quick",
+             "--parent", str(ROOT), "--workload", "pingpong_1b",
+             "--json", str(out)],
+            cwd=ROOT, env=_env(), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        result = json.loads(out.read_text())
+        assert result["pairs"] == len(result["ratios"]) == 2
+        assert [(b["pair"], b["side"]) for b in result["batches"]] == [
+            (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
+        assert all(b["ops"] > 0 for b in result["batches"])
+        assert result["failed"] == {"parent": 0, "change": 0}
+        assert result["counts_identical"]
+        low, high = result["interval_95"]
+        assert low <= result["median_ratio"] <= high
+        assert "median ratio change/parent" in proc.stdout
 
 
 class TestCollectivesBenchSmoke:

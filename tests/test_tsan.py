@@ -455,6 +455,51 @@ class TestStressSuiteClean:
         assert _run_clean(4, main, config) == [6, 6, 6, 6]
 
 
+class TestPoolHandoffEdge:
+    """The request pool takes no lock: the happens-before edge from a
+    handle's last life to its next comes from the seam — ``release``
+    publishes under the handle's race key, ``acquire`` consumes it
+    before ``_reset`` writes the recycled state."""
+
+    def _handoff(self, with_edge):
+        """One thread of rank 0 completes, waits on and releases a
+        handle; another acquires it next.  Returns the detector."""
+        from repro.runtime.hooks import _skip
+        from repro.runtime.request import RequestKind
+        world = World(1, BuildConfig(thread_safety=True, tsan=True))
+        hooks = world.proc(0).hooks
+        # The release event's one subscriber on this build is the edge.
+        assert hooks.release == hooks._publish_release
+        if not with_edge:
+            hooks.release = _skip
+
+        def main(comm):
+            pool = comm.proc.request_pool
+            lives = []
+
+            def releaser():
+                req = pool.acquire(RequestKind.RECV)
+                req.complete(comm.proc.vclock.now)
+                req.wait()
+                pool.release(req)
+                lives.append(req)
+
+            _in_thread(releaser)
+            _in_thread(lambda: lives.append(pool.acquire(RequestKind.SEND)))
+            return lives[0] is lives[1]
+
+        assert world.run(main, timeout=60) == [True]
+        return world.tsan
+
+    def test_handoff_across_threads_is_clean(self):
+        self._handoff(with_edge=True).assert_clean()
+
+    def test_handoff_without_the_edge_is_a_race(self):
+        tsan = self._handoff(with_edge=False)
+        assert _rule_ids(tsan) == ["TS401"]
+        assert "request state" in tsan.report()[0]
+
+
 class TestZeroOverheadWhenDisabled:
     """tsan=False builds carry no detector objects at all."""
 

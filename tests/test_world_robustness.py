@@ -24,6 +24,18 @@ class TestDeadlockDetection:
         with pytest.raises(TimeoutError, match="mpi-rank-0"):
             world.run(main, timeout=1.0)
 
+    def test_hung_ranks_share_one_deadline(self):
+        """Every rank hung: the world gives up after *timeout* in all,
+        not *timeout* per rank (two ranks took 2 × timeout)."""
+        def main(comm):
+            comm.Recv(np.zeros(1), 1 - comm.rank, 0)   # both wait
+
+        world = World(2, BuildConfig())
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="mpi-rank-1"):
+            world.run(main, timeout=1.0)
+        assert time.monotonic() - start < 1.8
+
     def test_exception_unblocks_waiting_peer(self):
         """When rank 1 dies, rank 0's blocking recv must abort quickly
         rather than spin forever."""
